@@ -10,10 +10,15 @@
 # silently floor-checking a defaulted value.
 #
 # Binary -> guarded fields:
-#   pairing_micro  -> BENCH_pairing_micro.json kernel_speedup
-#       shared-final-exponentiation kernel vs the legacy
-#       pair-then-multiply fold. A same-process ratio: host speed
-#       cancels, guarded by an absolute floor.
+#   pairing_micro  -> BENCH_pairing_micro.json kernel_speedup,
+#                     field_kernel_speedup
+#       kernel_speedup: shared-final-exponentiation kernel vs the legacy
+#       pair-then-multiply fold. field_kernel_speedup: a chain of F_q
+#       multiplies on the fixed-width kernel the pairing stack runs on
+#       vs the variable-length Bignum MontCtx (about 3x on an x86-64
+#       host; the floor leaves room for noise and sanitizer builds).
+#       Both are same-process ratios: host speed cancels, guarded by an
+#       absolute floor.
 #   revocation     -> BENCH_revocation.json epoch_transport,
 #                     cluster_epoch_efficiency
 #       epoch_transport is a wall time, guarded as a relative
@@ -66,6 +71,7 @@ export MAABE_BENCH_SMALL=1
 
 # pairing_micro guards
 "$GUARD" floor BENCH_pairing_micro.json kernel_speedup 1.3
+"$GUARD" floor BENCH_pairing_micro.json field_kernel_speedup 1.5
 
 # revocation guards
 "$GUARD" regress BENCH_revocation.json "$BASELINES/BENCH_revocation.json" \

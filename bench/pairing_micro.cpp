@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <thread>
 
 #include "bench_common.h"
@@ -105,7 +106,44 @@ void BM_HashToZr(benchmark::State& state) {
 }
 
 // Ablation: Montgomery vs division-based modular multiplication at the
-// base-field size. Justifies the substrate design choice.
+// base-field size, and the fixed-width kernel the pairing stack runs on
+// (math::MontField through FpCtx) vs the variable-length Bignum MontCtx.
+// Justifies the substrate design choices.
+void BM_FieldMul_FixedWidth(benchmark::State& state) {
+  auto grp = bench_group();
+  const pairing::FpCtx& fq = grp->ctx().fq();
+  crypto::Drbg rng(std::string_view("micro"));
+  const auto a = fq.random(rng);
+  const auto b = fq.random(rng);
+  for (auto _ : state) benchmark::DoNotOptimize(fq.mul(a, b));
+}
+
+void BM_FieldSqr_FixedWidth(benchmark::State& state) {
+  auto grp = bench_group();
+  const pairing::FpCtx& fq = grp->ctx().fq();
+  crypto::Drbg rng(std::string_view("micro"));
+  const auto a = fq.random(rng);
+  for (auto _ : state) benchmark::DoNotOptimize(fq.sqr(a));
+}
+
+void BM_FieldAdd_FixedWidth(benchmark::State& state) {
+  auto grp = bench_group();
+  const pairing::FpCtx& fq = grp->ctx().fq();
+  crypto::Drbg rng(std::string_view("micro"));
+  const auto a = fq.random(rng);
+  const auto b = fq.random(rng);
+  for (auto _ : state) benchmark::DoNotOptimize(fq.add(a, b));
+}
+
+void BM_FieldInverse_FixedWidth(benchmark::State& state) {
+  auto grp = bench_group();
+  const pairing::FpCtx& fq = grp->ctx().fq();
+  crypto::Drbg rng(std::string_view("micro"));
+  auto a = fq.random(rng);
+  if (a.is_zero()) a = fq.one();
+  for (auto _ : state) benchmark::DoNotOptimize(fq.inv(a));
+}
+
 void BM_FieldMul_Montgomery(benchmark::State& state) {
   auto grp = bench_group();
   const math::MontCtx mont(grp->params().q);
@@ -145,6 +183,10 @@ BENCHMARK(BM_GT_Exp_FixedBase)->Unit(benchmark::kMicrosecond)->MinTime(0.1);
 BENCHMARK(BM_GT_Mul)->Unit(benchmark::kMicrosecond)->MinTime(0.05);
 BENCHMARK(BM_HashToG1)->Unit(benchmark::kMicrosecond)->MinTime(0.1);
 BENCHMARK(BM_HashToZr)->Unit(benchmark::kMicrosecond)->MinTime(0.05);
+BENCHMARK(BM_FieldMul_FixedWidth)->Unit(benchmark::kNanosecond)->MinTime(0.05);
+BENCHMARK(BM_FieldSqr_FixedWidth)->Unit(benchmark::kNanosecond)->MinTime(0.05);
+BENCHMARK(BM_FieldAdd_FixedWidth)->Unit(benchmark::kNanosecond)->MinTime(0.05);
+BENCHMARK(BM_FieldInverse_FixedWidth)->Unit(benchmark::kMicrosecond)->MinTime(0.05);
 BENCHMARK(BM_FieldMul_Montgomery)->Unit(benchmark::kNanosecond)->MinTime(0.05);
 BENCHMARK(BM_FieldMul_PlainDivision)->Unit(benchmark::kNanosecond)->MinTime(0.05);
 BENCHMARK(BM_FieldInverse)->Unit(benchmark::kMicrosecond)->MinTime(0.05);
@@ -198,6 +240,49 @@ void engine_batch_report() {
   const double kernel_ms = serial_ms;  // same work, pool bypassed
   const double kernel_speedup = kernel_ms > 0 ? fold_ms / kernel_ms : 0.0;
 
+  // The substrate's headline, also same-process: a chain of dependent
+  // F_q multiplies on the fixed-width kernel (what the pairing stack
+  // runs on) vs the same chain on the variable-length Bignum MontCtx.
+  // Best of several reps each, so a noisy neighbour inflates neither.
+  const pairing::FpCtx& fq = grp->ctx().fq();
+  const math::MontCtx mont(grp->params().q);
+  crypto::Drbg frng(std::string_view("micro-field"));
+  const math::Bignum fa = frng.below(grp->params().q);
+  const math::Bignum fb = frng.below(grp->params().q);
+  constexpr int kFieldMuls = 20000;
+  constexpr int kFieldReps = 7;
+  const auto best_ns = [&](const auto& chain) {
+    double best = 0;
+    for (int r = 0; r < kFieldReps; ++r) {
+      const auto t0 = Clock::now();
+      chain();
+      const double ns =
+          std::chrono::duration<double, std::nano>(Clock::now() - t0).count() / kFieldMuls;
+      if (r == 0 || ns < best) best = ns;
+    }
+    return best;
+  };
+  math::FieldElem xf = fq.enc(fa);
+  const math::FieldElem yf = fq.enc(fb);
+  math::Bignum xm = mont.to_mont(fa);
+  const math::Bignum ym = mont.to_mont(fb);
+  const double fixed_ns = best_ns([&] {
+    for (int i = 0; i < kFieldMuls; ++i) xf = fq.mul(xf, yf);
+  });
+  const double montctx_ns = best_ns([&] {
+    for (int i = 0; i < kFieldMuls; ++i) xm = mont.mul(xm, ym);
+  });
+  if (math::Bignum(xf) != xm) {
+    std::fprintf(stderr, "pairing_micro: fixed-width and MontCtx chains disagree\n");
+    std::exit(1);
+  }
+  const double field_kernel_speedup = fixed_ns > 0 ? montctx_ns / fixed_ns : 0.0;
+
+  std::printf("\nF_q multiply (%d-mul chain, best of %d):\n", kFieldMuls, kFieldReps);
+  std::printf("  fixed-width kernel  : %8.1f ns\n", fixed_ns);
+  std::printf("  Bignum MontCtx      : %8.1f ns   speedup %.2fx\n", montctx_ns,
+              field_kernel_speedup);
+
   std::printf("\n%zu-pairing product batch (%d reps):\n", kTerms, kReps);
   std::printf("  pair-then-multiply  : %8.3f ms   (%zu final exps)\n", fold_ms, kTerms);
   std::printf("  kernel (1 thread)   : %8.3f ms   (1 final exp)  speedup %.2fx\n",
@@ -223,6 +308,9 @@ void engine_batch_report() {
       .put("fold_wall_ms", fold_ms)
       .put("kernel_wall_ms", kernel_ms)
       .put("kernel_speedup", kernel_speedup)
+      .put("field_mul_fixed_ns", fixed_ns)
+      .put("field_mul_montctx_ns", montctx_ns)
+      .put("field_kernel_speedup", field_kernel_speedup)
       .put("serial_stats", stats_json(serial_eng.stats()))
       .put("pool_stats", stats_json(pool_eng.stats()));
   write_bench_json("pairing_micro", root);

@@ -14,8 +14,8 @@ bool CurveCtx::eq(const AffinePoint& p, const AffinePoint& q) const {
 bool CurveCtx::is_on_curve(const AffinePoint& p) const {
   if (p.inf) return true;
   // y^2 == x^3 + x  (curve coefficient a = 1, b = 0).
-  const Bignum lhs = fq_.sqr(p.y);
-  const Bignum rhs = fq_.add(fq_.mul(fq_.sqr(p.x), p.x), p.x);
+  const FieldElem lhs = fq_.sqr(p.y);
+  const FieldElem rhs = fq_.add(fq_.mul(fq_.sqr(p.x), p.x), p.x);
   return lhs == rhs;
 }
 
@@ -31,44 +31,44 @@ JacPoint CurveCtx::to_jac(const AffinePoint& p) const {
 
 AffinePoint CurveCtx::to_affine(const JacPoint& p) const {
   if (p.z.is_zero()) return AffinePoint::infinity();
-  const Bignum zi = fq_.inv(p.z);
-  const Bignum zi2 = fq_.sqr(zi);
+  const FieldElem zi = fq_.inv(p.z);
+  const FieldElem zi2 = fq_.sqr(zi);
   return {fq_.mul(p.x, zi2), fq_.mul(p.y, fq_.mul(zi2, zi)), false};
 }
 
 JacPoint CurveCtx::jac_dbl(const JacPoint& p) const {
   if (p.z.is_zero() || p.y.is_zero()) return {fq_.one(), fq_.one(), fq_.zero()};
   // dbl-2007-bl style with a = 1 handled via M = 3X^2 + Z^4.
-  const Bignum y2 = fq_.sqr(p.y);
-  const Bignum s = fq_.dbl(fq_.dbl(fq_.mul(p.x, y2)));       // 4XY^2
-  const Bignum z2 = fq_.sqr(p.z);
-  const Bignum x2 = fq_.sqr(p.x);
-  const Bignum m = fq_.add(fq_.add(fq_.dbl(x2), x2), fq_.sqr(z2));  // 3X^2 + Z^4
-  const Bignum xr = fq_.sub(fq_.sqr(m), fq_.dbl(s));
-  const Bignum y4 = fq_.sqr(y2);
-  const Bignum yr = fq_.sub(fq_.mul(m, fq_.sub(s, xr)), fq_.dbl(fq_.dbl(fq_.dbl(y4))));
-  const Bignum zr = fq_.dbl(fq_.mul(p.y, p.z));
+  const FieldElem y2 = fq_.sqr(p.y);
+  const FieldElem s = fq_.dbl(fq_.dbl(fq_.mul(p.x, y2)));       // 4XY^2
+  const FieldElem z2 = fq_.sqr(p.z);
+  const FieldElem x2 = fq_.sqr(p.x);
+  const FieldElem m = fq_.add(fq_.add(fq_.dbl(x2), x2), fq_.sqr(z2));  // 3X^2 + Z^4
+  const FieldElem xr = fq_.sub(fq_.sqr(m), fq_.dbl(s));
+  const FieldElem y4 = fq_.sqr(y2);
+  const FieldElem yr = fq_.sub(fq_.mul(m, fq_.sub(s, xr)), fq_.dbl(fq_.dbl(fq_.dbl(y4))));
+  const FieldElem zr = fq_.dbl(fq_.mul(p.y, p.z));
   return {xr, yr, zr};
 }
 
 JacPoint CurveCtx::jac_add_mixed(const JacPoint& p, const AffinePoint& q) const {
   if (q.inf) throw MathError("jac_add_mixed: affine operand is infinity");
   if (p.z.is_zero()) return {q.x, q.y, fq_.one()};
-  const Bignum z2 = fq_.sqr(p.z);
-  const Bignum u2 = fq_.mul(q.x, z2);
-  const Bignum s2 = fq_.mul(q.y, fq_.mul(z2, p.z));
-  const Bignum hh = fq_.sub(u2, p.x);
-  const Bignum rr = fq_.sub(s2, p.y);
+  const FieldElem z2 = fq_.sqr(p.z);
+  const FieldElem u2 = fq_.mul(q.x, z2);
+  const FieldElem s2 = fq_.mul(q.y, fq_.mul(z2, p.z));
+  const FieldElem hh = fq_.sub(u2, p.x);
+  const FieldElem rr = fq_.sub(s2, p.y);
   if (hh.is_zero()) {
     if (rr.is_zero()) return jac_dbl(p);
     return {fq_.one(), fq_.one(), fq_.zero()};  // p == -q
   }
-  const Bignum h2 = fq_.sqr(hh);
-  const Bignum h3 = fq_.mul(hh, h2);
-  const Bignum v = fq_.mul(p.x, h2);
-  const Bignum xr = fq_.sub(fq_.sub(fq_.sqr(rr), h3), fq_.dbl(v));
-  const Bignum yr = fq_.sub(fq_.mul(rr, fq_.sub(v, xr)), fq_.mul(p.y, h3));
-  const Bignum zr = fq_.mul(p.z, hh);
+  const FieldElem h2 = fq_.sqr(hh);
+  const FieldElem h3 = fq_.mul(hh, h2);
+  const FieldElem v = fq_.mul(p.x, h2);
+  const FieldElem xr = fq_.sub(fq_.sub(fq_.sqr(rr), h3), fq_.dbl(v));
+  const FieldElem yr = fq_.sub(fq_.mul(rr, fq_.sub(v, xr)), fq_.mul(p.y, h3));
+  const FieldElem zr = fq_.mul(p.z, hh);
   return {xr, yr, zr};
 }
 
@@ -93,10 +93,13 @@ AffinePoint CurveCtx::mul(const AffinePoint& p, const Bignum& k) const {
   return to_affine(acc);
 }
 
-bool CurveCtx::lift_x(const Bignum& x, Bignum* y) const {
-  const Bignum rhs = fq_.add(fq_.mul(fq_.sqr(x), x), x);
-  if (!fq_.is_qr(rhs)) return false;
-  *y = fq_.sqrt(rhs);
+bool CurveCtx::lift_x(const FieldElem& x, FieldElem* y) const {
+  // For q = 3 (mod 4), s = rhs^((q+1)/4) squares to rhs exactly when rhs
+  // is a residue, so one exponentiation both tests and extracts the root.
+  const FieldElem rhs = fq_.add(fq_.mul(fq_.sqr(x), x), x);
+  const FieldElem s = fq_.sqrt_candidate(rhs);
+  if (fq_.sqr(s) != rhs) return false;
+  *y = s;
   return true;
 }
 

@@ -12,8 +12,8 @@ namespace maabe::pairing {
 /// Affine point; coordinates in Montgomery form. `inf` marks the point
 /// at infinity (coordinates ignored).
 struct AffinePoint {
-  math::Bignum x;
-  math::Bignum y;
+  FieldElem x;
+  FieldElem y;
   bool inf = true;
 
   static AffinePoint infinity() { return {}; }
@@ -21,9 +21,9 @@ struct AffinePoint {
 
 /// Jacobian point used internally by scalar multiplication and pairing.
 struct JacPoint {
-  math::Bignum x;
-  math::Bignum y;
-  math::Bignum z;  // zero z encodes infinity
+  FieldElem x;
+  FieldElem y;
+  FieldElem z;  // zero z encodes infinity
 };
 
 class CurveCtx {
@@ -50,7 +50,7 @@ class CurveCtx {
 
   /// Solves y^2 = x^3 + x for y given x (Montgomery form); returns false
   /// if the RHS is a non-residue.
-  bool lift_x(const math::Bignum& x, math::Bignum* y) const;
+  bool lift_x(const FieldElem& x, FieldElem* y) const;
 
  private:
   const FpCtx& fq_;

@@ -6,41 +6,47 @@ namespace maabe::pairing {
 
 using math::Bignum;
 
-FpCtx::FpCtx(const Bignum& p) : mont_(p) {
+FpCtx::FpCtx(const Bignum& p) : field_(p) {
   qr_exp_ = Bignum::shr(Bignum::sub(p, Bignum::from_u64(1)), 1);
   sqrt_exp_ = Bignum::shr(Bignum::add(p, Bignum::from_u64(1)), 2);
 }
 
-Bignum FpCtx::inv(const Bignum& a) const {
+FieldElem FpCtx::inv(const FieldElem& a) const {
   if (a.is_zero()) throw MathError("FpCtx::inv: zero is not invertible");
-  return mont_.inv(a);
+  return field_.inv(a);
 }
 
-bool FpCtx::is_qr(const Bignum& a) const {
+bool FpCtx::is_qr(const FieldElem& a) const {
   if (a.is_zero()) return true;
-  return mont_.pow(a, qr_exp_) == mont_.one();
+  return field_.pow(a, qr_exp_) == field_.one();
 }
 
-Bignum FpCtx::sqrt(const Bignum& a) const {
-  if (a.is_zero()) return a;
-  const Bignum root = mont_.pow(a, sqrt_exp_);
-  if (mont_.mul(root, root) != a) throw MathError("FpCtx::sqrt: not a quadratic residue");
+FieldElem FpCtx::sqrt(const FieldElem& a) const {
+  const FieldElem root = sqrt_candidate(a);
+  if (field_.sqr(root) != a) throw MathError("FpCtx::sqrt: not a quadratic residue");
   return root;
 }
 
-Bignum FpCtx::random(crypto::Drbg& rng) const {
-  return enc(rng.below(mont_.modulus()));
+FieldElem FpCtx::random(crypto::Drbg& rng) const {
+  return enc(rng.below(field_.modulus()));
 }
 
-Bytes FpCtx::to_bytes(const Bignum& mont_form) const {
-  return dec(mont_form).to_bytes_be(mont_.byte_length());
+Bytes FpCtx::to_bytes(const FieldElem& mont_form) const {
+  const FieldElem plain = dec(mont_form);
+  const size_t width = field_.byte_length();
+  Bytes out(width);
+  for (size_t k = 0; k < width; ++k)
+    out[width - 1 - k] = static_cast<uint8_t>(plain.l[k / 8] >> (8 * (k % 8)));
+  return out;
 }
 
-Bignum FpCtx::from_bytes(ByteView data) const {
-  if (data.size() != mont_.byte_length()) throw WireError("FpCtx::from_bytes: bad length");
-  const Bignum plain = Bignum::from_bytes_be(data);
-  if (Bignum::cmp(plain, mont_.modulus()) >= 0)
-    throw WireError("FpCtx::from_bytes: value exceeds modulus");
+FieldElem FpCtx::from_bytes(ByteView data) const {
+  const size_t width = field_.byte_length();
+  if (data.size() != width) throw WireError("FpCtx::from_bytes: bad length");
+  FieldElem plain;
+  for (size_t k = 0; k < width; ++k)
+    plain.l[k / 8] |= uint64_t(data[width - 1 - k]) << (8 * (k % 8));
+  if (!field_.is_reduced(plain)) throw WireError("FpCtx::from_bytes: value exceeds modulus");
   return enc(plain);
 }
 

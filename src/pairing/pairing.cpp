@@ -18,12 +18,12 @@ namespace {
 // phi(Q):  real = M*(Z^2*x_q + X) - 2Y^2,  imag = 2YZ^3 * y_q,
 // with M = 3X^2 + Z^4 (curve coefficient a = 1).
 Fp2 tangent_line(const FpCtx& fq, const JacPoint& t, const AffinePoint& q) {
-  const Bignum z2 = fq.sqr(t.z);
-  const Bignum x2 = fq.sqr(t.x);
-  const Bignum m = fq.add(fq.add(fq.dbl(x2), x2), fq.sqr(z2));
-  const Bignum real =
+  const FieldElem z2 = fq.sqr(t.z);
+  const FieldElem x2 = fq.sqr(t.x);
+  const FieldElem m = fq.add(fq.add(fq.dbl(x2), x2), fq.sqr(z2));
+  const FieldElem real =
       fq.sub(fq.mul(m, fq.add(fq.mul(z2, q.x), t.x)), fq.dbl(fq.sqr(t.y)));
-  const Bignum imag = fq.mul(fq.dbl(fq.mul(t.y, fq.mul(z2, t.z))), q.y);
+  const FieldElem imag = fq.mul(fq.dbl(fq.mul(t.y, fq.mul(z2, t.z))), q.y);
   return {real, imag};
 }
 
@@ -32,10 +32,10 @@ Fp2 tangent_line(const FpCtx& fq, const JacPoint& t, const AffinePoint& q) {
 //   real = R*(x_q + x_p) - H*Z*y_p,   imag = H*Z*y_q,
 // with H = x_p*Z^2 - X, R = y_p*Z^3 - Y (chord slope numerator pieces).
 Fp2 chord_line(const FpCtx& fq, const JacPoint& t, const AffinePoint& p,
-               const AffinePoint& q, const Bignum& hh, const Bignum& rr) {
-  const Bignum hz = fq.mul(hh, t.z);
-  const Bignum real = fq.sub(fq.mul(rr, fq.add(q.x, p.x)), fq.mul(hz, p.y));
-  const Bignum imag = fq.mul(hz, q.y);
+               const AffinePoint& q, const FieldElem& hh, const FieldElem& rr) {
+  const FieldElem hz = fq.mul(hh, t.z);
+  const FieldElem real = fq.sub(fq.mul(rr, fq.add(q.x, p.x)), fq.mul(hz, p.y));
+  const FieldElem imag = fq.mul(hz, q.y);
   return {real, imag};
 }
 
@@ -67,9 +67,9 @@ Fp2 PairingCtx::miller_loop(const AffinePoint& p, const AffinePoint& q) const {
     }
     if (r.bit(i) && !t.z.is_zero()) {
       // Mixed addition, reusing H and R for the line.
-      const Bignum z2 = fq_.sqr(t.z);
-      const Bignum hh = fq_.sub(fq_.mul(p.x, z2), t.x);
-      const Bignum rr = fq_.sub(fq_.mul(p.y, fq_.mul(z2, t.z)), t.y);
+      const FieldElem z2 = fq_.sqr(t.z);
+      const FieldElem hh = fq_.sub(fq_.mul(p.x, z2), t.x);
+      const FieldElem rr = fq_.sub(fq_.mul(p.y, fq_.mul(z2, t.z)), t.y);
       if (hh.is_zero()) {
         if (rr.is_zero()) {
           // T == P: tangent case (cannot occur for points of prime order
@@ -82,12 +82,12 @@ Fp2 PairingCtx::miller_loop(const AffinePoint& p, const AffinePoint& q) const {
         }
       } else {
         f = fq2_.mul(f, chord_line(fq_, t, p, q, hh, rr));
-        const Bignum h2 = fq_.sqr(hh);
-        const Bignum h3 = fq_.mul(hh, h2);
-        const Bignum v = fq_.mul(t.x, h2);
-        const Bignum xr = fq_.sub(fq_.sub(fq_.sqr(rr), h3), fq_.dbl(v));
-        const Bignum yr = fq_.sub(fq_.mul(rr, fq_.sub(v, xr)), fq_.mul(t.y, h3));
-        const Bignum zr = fq_.mul(t.z, hh);
+        const FieldElem h2 = fq_.sqr(hh);
+        const FieldElem h3 = fq_.mul(hh, h2);
+        const FieldElem v = fq_.mul(t.x, h2);
+        const FieldElem xr = fq_.sub(fq_.sub(fq_.sqr(rr), h3), fq_.dbl(v));
+        const FieldElem yr = fq_.sub(fq_.mul(rr, fq_.sub(v, xr)), fq_.mul(t.y, h3));
+        const FieldElem zr = fq_.mul(t.z, hh);
         t = {xr, yr, zr};
       }
     }
@@ -120,9 +120,9 @@ PairingPrecomp::PairingPrecomp(const PairingCtx& ctx, const AffinePoint& p)
   uint32_t pending = 0;
 
   const auto push_tangent = [&] {
-    const Bignum z2 = fq.sqr(t.z);
-    const Bignum x2 = fq.sqr(t.x);
-    const Bignum m = fq.add(fq.add(fq.dbl(x2), x2), fq.sqr(z2));
+    const FieldElem z2 = fq.sqr(t.z);
+    const FieldElem x2 = fq.sqr(t.x);
+    const FieldElem m = fq.add(fq.add(fq.dbl(x2), x2), fq.sqr(z2));
     lines_.push_back({fq.mul(m, z2),
                       fq.sub(fq.mul(m, t.x), fq.dbl(fq.sqr(t.y))),
                       fq.dbl(fq.mul(t.y, fq.mul(z2, t.z))), pending});
@@ -136,9 +136,9 @@ PairingPrecomp::PairingPrecomp(const PairingCtx& ctx, const AffinePoint& p)
       t = curve.jac_dbl(t);
     }
     if (r.bit(i) && !t.z.is_zero()) {
-      const Bignum z2 = fq.sqr(t.z);
-      const Bignum hh = fq.sub(fq.mul(p.x, z2), t.x);
-      const Bignum rr = fq.sub(fq.mul(p.y, fq.mul(z2, t.z)), t.y);
+      const FieldElem z2 = fq.sqr(t.z);
+      const FieldElem hh = fq.sub(fq.mul(p.x, z2), t.x);
+      const FieldElem rr = fq.sub(fq.mul(p.y, fq.mul(z2, t.z)), t.y);
       if (hh.is_zero()) {
         if (rr.is_zero()) {
           push_tangent();
@@ -147,16 +147,16 @@ PairingPrecomp::PairingPrecomp(const PairingCtx& ctx, const AffinePoint& p)
           t = {fq.one(), fq.one(), fq.zero()};
         }
       } else {
-        const Bignum hz = fq.mul(hh, t.z);
+        const FieldElem hz = fq.mul(hh, t.z);
         lines_.push_back({rr, fq.sub(fq.mul(rr, p.x), fq.mul(hz, p.y)), hz,
                           pending});
         pending = 0;
-        const Bignum h2 = fq.sqr(hh);
-        const Bignum h3 = fq.mul(hh, h2);
-        const Bignum v = fq.mul(t.x, h2);
-        const Bignum xr = fq.sub(fq.sub(fq.sqr(rr), h3), fq.dbl(v));
-        const Bignum yr = fq.sub(fq.mul(rr, fq.sub(v, xr)), fq.mul(t.y, h3));
-        const Bignum zr = fq.mul(t.z, hh);
+        const FieldElem h2 = fq.sqr(hh);
+        const FieldElem h3 = fq.mul(hh, h2);
+        const FieldElem v = fq.mul(t.x, h2);
+        const FieldElem xr = fq.sub(fq.sub(fq.sqr(rr), h3), fq.dbl(v));
+        const FieldElem yr = fq.sub(fq.mul(rr, fq.sub(v, xr)), fq.mul(t.y, h3));
+        const FieldElem zr = fq.mul(t.z, hh);
         t = {xr, yr, zr};
       }
     }

@@ -19,14 +19,14 @@ class FpTest : public ::testing::Test {
 
 TEST_F(FpTest, EncodeDecodeRoundTrip) {
   for (int i = 0; i < 20; ++i) {
-    const Bignum plain = rng.below(fq.modulus());
+    const FieldElem plain = rng.below(fq.modulus());
     EXPECT_EQ(fq.dec(fq.enc(plain)), plain);
   }
 }
 
 TEST_F(FpTest, FieldAxiomsSampled) {
   for (int i = 0; i < 20; ++i) {
-    const Bignum a = fq.random(rng), b = fq.random(rng), c = fq.random(rng);
+    const FieldElem a = fq.random(rng), b = fq.random(rng), c = fq.random(rng);
     EXPECT_EQ(fq.add(a, b), fq.add(b, a));
     EXPECT_EQ(fq.mul(a, b), fq.mul(b, a));
     EXPECT_EQ(fq.mul(a, fq.add(b, c)), fq.add(fq.mul(a, b), fq.mul(a, c)));
@@ -38,7 +38,7 @@ TEST_F(FpTest, FieldAxiomsSampled) {
 
 TEST_F(FpTest, InverseIsInverse) {
   for (int i = 0; i < 20; ++i) {
-    const Bignum a = fq.random(rng);
+    const FieldElem a = fq.random(rng);
     if (a.is_zero()) continue;
     EXPECT_EQ(fq.mul(a, fq.inv(a)), fq.one());
   }
@@ -47,7 +47,7 @@ TEST_F(FpTest, InverseIsInverse) {
 
 TEST_F(FpTest, SqrMatchesMul) {
   for (int i = 0; i < 20; ++i) {
-    const Bignum a = fq.random(rng);
+    const FieldElem a = fq.random(rng);
     EXPECT_EQ(fq.sqr(a), fq.mul(a, a));
   }
 }
@@ -55,10 +55,10 @@ TEST_F(FpTest, SqrMatchesMul) {
 TEST_F(FpTest, SqrtOfSquaresWorks) {
   int residues = 0;
   for (int i = 0; i < 30; ++i) {
-    const Bignum a = fq.random(rng);
-    const Bignum sq = fq.sqr(a);
+    const FieldElem a = fq.random(rng);
+    const FieldElem sq = fq.sqr(a);
     ASSERT_TRUE(fq.is_qr(sq));
-    const Bignum root = fq.sqrt(sq);
+    const FieldElem root = fq.sqrt(sq);
     EXPECT_TRUE(root == a || root == fq.neg(a));
     ++residues;
   }
@@ -67,17 +67,17 @@ TEST_F(FpTest, SqrtOfSquaresWorks) {
 
 TEST_F(FpTest, NonResidueDetected) {
   // -1 is a non-residue because q = 3 (mod 4).
-  const Bignum minus_one = fq.neg(fq.one());
+  const FieldElem minus_one = fq.neg(fq.one());
   EXPECT_FALSE(fq.is_qr(minus_one));
   EXPECT_THROW(fq.sqrt(minus_one), MathError);
 }
 
 TEST_F(FpTest, QrMultiplicativity) {
   // Product of two non-residues is a residue.
-  Bignum nr1, nr2;
+  FieldElem nr1, nr2;
   bool found1 = false;
   for (int i = 0; i < 100 && !found1; ++i) {
-    const Bignum a = fq.random(rng);
+    const FieldElem a = fq.random(rng);
     if (!a.is_zero() && !fq.is_qr(a)) {
       if (nr1.is_zero()) {
         nr1 = a;
@@ -93,7 +93,7 @@ TEST_F(FpTest, QrMultiplicativity) {
 
 TEST_F(FpTest, SerializationRoundTrip) {
   for (int i = 0; i < 10; ++i) {
-    const Bignum a = fq.random(rng);
+    const FieldElem a = fq.random(rng);
     const Bytes b = fq.to_bytes(a);
     EXPECT_EQ(b.size(), fq.byte_length());
     EXPECT_EQ(fq.from_bytes(b), a);

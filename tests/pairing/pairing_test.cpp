@@ -140,5 +140,14 @@ TEST(PairingParams, ValidateCatchesBadParams) {
   EXPECT_THROW(p2.validate(), MathError);
 }
 
+TEST(PairingParams, BaseFieldWiderThan512BitsThrows) {
+  // The F_q element is fixed at 8 limbs; a 513-bit q is refused up front
+  // (PairingCtx does not run validate(), so only the width check fires).
+  TypeAParams p = TypeAParams::test_small();
+  p.q = Bignum::add(Bignum::shl(Bignum::from_u64(1), 512), Bignum::from_u64(3));
+  EXPECT_THROW(PairingCtx{p}, MathError);
+  EXPECT_THROW(Group{p}, MathError);
+}
+
 }  // namespace
 }  // namespace maabe::pairing
