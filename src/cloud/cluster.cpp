@@ -15,40 +15,6 @@ namespace maabe::cloud {
 
 namespace {
 
-/// Registry handles for the cluster's global counters (PR 4 registry:
-/// sharded-atomic adds, no locks on the data path).
-struct ClusterMetrics {
-  telemetry::Counter& replication_ops;
-  telemetry::Counter& replication_applied;
-  telemetry::Counter& read_repairs;
-  telemetry::Counter& quorum_reads;
-  telemetry::Counter& quorum_failures;
-  telemetry::Counter& epochs_2pc;
-  telemetry::Counter& epoch_commits;
-  telemetry::Counter& epoch_aborts;
-  telemetry::Counter& epoch_commit_orphans;
-  telemetry::Counter& replication_shed;
-  telemetry::Counter& restart_pruned;
-
-  static ClusterMetrics& get() {
-    auto& reg = telemetry::MetricsRegistry::global();
-    static ClusterMetrics* m = new ClusterMetrics{
-        reg.counter("maabe_cluster_replication_ops_total"),
-        reg.counter("maabe_cluster_replication_applied_total"),
-        reg.counter("maabe_cluster_read_repairs_total"),
-        reg.counter("maabe_cluster_quorum_reads_total"),
-        reg.counter("maabe_cluster_quorum_failures_total"),
-        reg.counter("maabe_cluster_epochs_2pc_total"),
-        reg.counter("maabe_cluster_epoch_commits_total"),
-        reg.counter("maabe_cluster_epoch_aborts_total"),
-        reg.counter("maabe_cluster_epoch_commit_orphans_total"),
-        reg.counter("maabe_cluster_replication_shed_total"),
-        reg.counter("maabe_cluster_restart_pruned_total"),
-    };
-    return *m;
-  }
-};
-
 // Epoch control verbs on the node-to-node channel.
 constexpr uint8_t kEpochStage = 1;
 constexpr uint8_t kEpochCommit = 2;
@@ -118,13 +84,27 @@ Cluster::Cluster(std::shared_ptr<const pairing::Group> grp,
     for (size_t i = 0; i < config_.nodes; ++i)
       names_.push_back("node:" + std::to_string(i));
   }
+  auto& reg = telemetry::MetricsRegistry::global();
+  const telemetry::Labels l{{"instance", instance()}};
+  m_ = {reg.counter("maabe_cluster_replication_ops_total", l),
+        reg.counter("maabe_cluster_replication_applied_total", l),
+        reg.counter("maabe_cluster_read_repairs_total", l),
+        reg.counter("maabe_cluster_quorum_reads_total", l),
+        reg.counter("maabe_cluster_quorum_failures_total", l),
+        reg.counter("maabe_cluster_epochs_2pc_total", l),
+        reg.counter("maabe_cluster_epoch_commits_total", l),
+        reg.counter("maabe_cluster_epoch_aborts_total", l),
+        reg.counter("maabe_cluster_epoch_commit_orphans_total", l),
+        reg.counter("maabe_cluster_replication_shed_total", l),
+        reg.gauge("maabe_cluster_nodes_alive", l)};
   for (const std::string& name : names_) {
     auto n = std::make_unique<Node>();
     n->name = name;
-    n->store = std::make_unique<CloudServer>(grp_);
-    n->store->set_node_name(name);
+    n->store = std::make_unique<CloudServer>(grp_, CloudServer::kDefaultShards, name,
+                                             instance());
     nodes_.push_back(std::move(n));
   }
+  m_.nodes_alive->set(static_cast<int64_t>(nodes_.size()));
   ring_ = HashRing(names_, config_.replication, config_.vnodes);
   recovery_ = std::make_unique<RecoveryManager>(*this);
 }
@@ -182,18 +162,14 @@ bool Cluster::alive(const std::string& name) const {
 }
 
 size_t Cluster::alive_count() const {
-  size_t count = 0;
-  for (const auto& n : nodes_) {
-    std::lock_guard<std::mutex> lock(n->mu);
-    if (n->alive) ++count;
-  }
-  return count;
+  return static_cast<size_t>(m_.nodes_alive->value());
 }
 
 void Cluster::kill_node(const std::string& name) {
   Node& n = node(name);
   {
     std::lock_guard<std::mutex> lock(n.mu);
+    if (n.alive) m_.nodes_alive->add(-1);
     n.alive = false;
     // Staged 2PC epochs are memory-only: a restart loses them. The
     // epoch ids are dropped here so a replayed commit surfaces as an
@@ -208,6 +184,7 @@ void Cluster::restart_node(const std::string& name) {
   std::set<uint64_t> staged_ids;
   {
     std::lock_guard<std::mutex> lock(n.mu);
+    if (!n.alive) m_.nodes_alive->add(1);
     n.alive = true;
     for (const auto& [id, token] : n.staged) staged_ids.insert(id);
   }
@@ -233,29 +210,21 @@ void Cluster::restart_node(const std::string& name) {
     if (!inserted && version > it->second) it->second = version;
   }
   uint64_t orphans = 0;
-  const size_t pruned =
-      durable_.prune_queue(name, [&](const std::string& label) {
-        std::string fid;
-        uint64_t version = 0;
-        if (parse_versioned_label(label, &fid, &version))
-          return version < newest[fid];
-        bool is_commit = false;
-        uint64_t epoch_id = 0;
-        if (parse_epoch_control_label(label, &is_commit, &epoch_id) &&
-            !staged_ids.contains(epoch_id)) {
-          if (is_commit) ++orphans;
-          return true;
-        }
-        return false;
-      });
-  if (pruned > 0) {
-    restart_prunes_.fetch_add(pruned, std::memory_order_relaxed);
-    ClusterMetrics::get().restart_pruned.add(pruned);
-  }
-  if (orphans > 0) {
-    epoch_commit_orphans_.fetch_add(orphans, std::memory_order_relaxed);
-    ClusterMetrics::get().epoch_commit_orphans.add(orphans);
-  }
+  durable_.prune_queue(name, [&](const std::string& label) {
+    std::string fid;
+    uint64_t version = 0;
+    if (parse_versioned_label(label, &fid, &version))
+      return version < newest[fid];
+    bool is_commit = false;
+    uint64_t epoch_id = 0;
+    if (parse_epoch_control_label(label, &is_commit, &epoch_id) &&
+        !staged_ids.contains(epoch_id)) {
+      if (is_commit) ++orphans;
+      return true;
+    }
+    return false;
+  });
+  m_.epoch_commit_orphans->add(orphans);
   // Rejoin protocol (DESIGN.md §15): resolve staged-open epochs, drain
   // the hinted hand-offs recorded while this node was down, then run a
   // scoped Merkle anti-entropy round against each alive peer. The node
@@ -265,17 +234,12 @@ void Cluster::restart_node(const std::string& name) {
   // Second reconciliation: parked replication/read-repair ops at or
   // below the version the rejoin already delivered would replay as
   // no-ops — drop them so the pending/lag gauges reflect real work.
-  const size_t pruned_after =
-      durable_.prune_queue(name, [&](const std::string& label) {
-        std::string fid;
-        uint64_t version = 0;
-        return parse_versioned_label(label, &fid, &version) &&
-               version <= version_of(name, fid);
-      });
-  if (pruned_after > 0) {
-    restart_prunes_.fetch_add(pruned_after, std::memory_order_relaxed);
-    ClusterMetrics::get().restart_pruned.add(pruned_after);
-  }
+  durable_.prune_queue(name, [&](const std::string& label) {
+    std::string fid;
+    uint64_t version = 0;
+    return parse_versioned_label(label, &fid, &version) &&
+           version <= version_of(name, fid);
+  });
 }
 
 void Cluster::ensure_alive(const Node& n) const {
@@ -338,8 +302,7 @@ void Cluster::handle_store(const std::string& self, ByteView stored_file_wire) {
   const Bytes op_wire = encode_replication_op(op);
   for (const std::string& replica : ring_.replicas_for(file_id)) {
     if (replica == self) continue;
-    replication_ops_sent_.fetch_add(1, std::memory_order_relaxed);
-    ClusterMetrics::get().replication_ops.inc();
+    m_.replication_ops->inc();
     try {
       const bool delivered = durable_.send_or_park(
           self, replica, op_wire,
@@ -352,8 +315,7 @@ void Cluster::handle_store(const std::string& self, ByteView stored_file_wire) {
       // maintenance op (counted) and leave a hint so the rejoin drain
       // (or read-repair) heals the replica.
       if (e.kind() != TransportError::Kind::kOverloaded) throw;
-      replication_sheds_.fetch_add(1, std::memory_order_relaxed);
-      ClusterMetrics::get().replication_shed.inc();
+      m_.replication_shed->inc();
       recovery_->record_hint(self, replica, file_id, version);
     }
   }
@@ -379,8 +341,7 @@ void Cluster::apply_replication(Node& n, const ReplicationOp& op) {
     m.version = op.version;
     m.hash = op.hash;
   }
-  replication_ops_applied_.fetch_add(1, std::memory_order_relaxed);
-  ClusterMetrics::get().replication_applied.inc();
+  m_.replication_applied->inc();
 }
 
 void Cluster::handle_replication(const std::string& self, ByteView op_wire) {
@@ -462,16 +423,14 @@ Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id)
   }
 
   if (replies.size() < quorum) {
-    quorum_failures_.fetch_add(1, std::memory_order_relaxed);
-    ClusterMetrics::get().quorum_failures.inc();
+    m_.quorum_failures->inc();
     if (span.active()) span.attr("outcome", "quorum_failed");
     throw TransportError(TransportError::Kind::kDegraded,
                          "cluster: quorum read of '" + file_id + "' got " +
                              std::to_string(replies.size()) + "/" +
                              std::to_string(quorum) + " replies");
   }
-  quorum_reads_.fetch_add(1, std::memory_order_relaxed);
-  ClusterMetrics::get().quorum_reads.inc();
+  m_.quorum_reads->inc();
 
   // Winner: authentic (bytes match the recorded hash) beats corrupt,
   // then the highest version, then ring preference order.
@@ -498,8 +457,7 @@ Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id)
     }
     const ReplicationOp op{file_id, winner->reply.version, true_hash,
                            winner->reply.wire};
-    read_repairs_.fetch_add(1, std::memory_order_relaxed);
-    ClusterMetrics::get().read_repairs.inc();
+    m_.read_repairs->inc();
     if (r.node == self) {
       apply_replication(coord, op);  // repair our own stale/corrupt copy
       continue;
@@ -519,8 +477,7 @@ Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id)
       // Shed the repair under backpressure; the read itself succeeded.
       // The hint keeps the divergence on record for the rejoin drain.
       if (e.kind() != TransportError::Kind::kOverloaded) throw;
-      replication_sheds_.fetch_add(1, std::memory_order_relaxed);
-      ClusterMetrics::get().replication_shed.inc();
+      m_.replication_shed->inc();
       recovery_->record_hint(self, r.node, file_id, winner->reply.version);
     }
   }
@@ -580,8 +537,7 @@ void Cluster::send_epoch_control(const std::string& self, const std::string& pee
           // staged state: the commit is an orphan. Its copy is stale
           // until anti-entropy / read-repair catches it up — counted,
           // never silent.
-          epoch_commit_orphans_.fetch_add(1, std::memory_order_relaxed);
-          ClusterMetrics::get().epoch_commit_orphans.inc();
+          m_.epoch_commit_orphans->inc();
         }
       },
       label);
@@ -591,8 +547,7 @@ void Cluster::send_epoch_control(const std::string& self, const std::string& pee
     // stays stale — its staged state shows in epochs_staged_open and
     // quorum reads route around it until read-repair catches it up.
     if (e.kind() != TransportError::Kind::kOverloaded) throw;
-    replication_sheds_.fetch_add(1, std::memory_order_relaxed);
-    ClusterMetrics::get().replication_shed.inc();
+    m_.replication_shed->inc();
     if (telemetry::FlightRegistry::armed())
       telemetry::FlightRegistry::global().record_event(
           peer, telemetry::FlightEntry::Kind::kOverloadShed, "epoch_control_shed",
@@ -653,8 +608,7 @@ void Cluster::handle_epoch(const std::string& self, ByteView epoch_wire) {
     return;
   }
 
-  epochs_2pc_.fetch_add(1, std::memory_order_relaxed);
-  ClusterMetrics::get().epochs_2pc.inc();
+  m_.epochs_2pc->inc();
   const uint64_t epoch_id = next_epoch_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   // Mark the epoch in flight so the recovery resolver never presumes
   // abort on a 2PC that is still executing; removed on every exit path.
@@ -733,8 +687,7 @@ void Cluster::handle_epoch(const std::string& self, ByteView epoch_wire) {
     // A TransportError keeps the epoch message parked at the
     // coordinator, so it replays (and eventually commits everywhere)
     // once the cluster heals.
-    epoch_aborts_.fetch_add(1, std::memory_order_relaxed);
-    ClusterMetrics::get().epoch_aborts.inc();
+    m_.epoch_aborts->inc();
     for (const std::string& staged : staged_nodes) {
       if (staged == self) {
         apply_epoch_decision(coord, epoch_id, /*commit=*/false);
@@ -767,8 +720,7 @@ void Cluster::handle_epoch(const std::string& self, ByteView epoch_wire) {
     send_epoch_control(self, peer, kEpochCommit, epoch_id,
                        "epoch commit #" + std::to_string(epoch_id));
   }
-  epoch_commits_.fetch_add(1, std::memory_order_relaxed);
-  ClusterMetrics::get().epoch_commits.inc();
+  m_.epoch_commits->inc();
   if (span.active()) {
     span.attr("staged_nodes", static_cast<uint64_t>(staged_nodes.size()));
     span.attr("outcome", "committed");
@@ -778,7 +730,7 @@ void Cluster::handle_epoch(const std::string& self, ByteView epoch_wire) {
 // --------------------------------------- anti-entropy / inspection --
 
 size_t Cluster::repair_all() {
-  const uint64_t before = read_repairs_.load(std::memory_order_relaxed);
+  const uint64_t before = m_.read_repairs->value();
   std::set<std::string> ids;
   for (const auto& n : nodes_) {
     if (!alive(n->name)) continue;
@@ -805,7 +757,7 @@ size_t Cluster::repair_all() {
       // Quorum not met (or the file vanished): nothing to repair now.
     }
   }
-  return static_cast<size_t>(read_repairs_.load(std::memory_order_relaxed) - before);
+  return static_cast<size_t>(m_.read_repairs->value() - before);
 }
 
 Bytes Cluster::snapshot(const std::string& name) const {
@@ -857,18 +809,17 @@ ClusterStats Cluster::stats() const {
   s.nodes = nodes_.size();
   s.alive = alive_count();
   s.replication = config_.replication;
-  s.replication_ops_sent = replication_ops_sent_.load(std::memory_order_relaxed);
-  s.replication_ops_applied =
-      replication_ops_applied_.load(std::memory_order_relaxed);
-  s.read_repairs = read_repairs_.load(std::memory_order_relaxed);
-  s.quorum_reads = quorum_reads_.load(std::memory_order_relaxed);
-  s.quorum_failures = quorum_failures_.load(std::memory_order_relaxed);
-  s.epochs_2pc = epochs_2pc_.load(std::memory_order_relaxed);
-  s.epoch_commits = epoch_commits_.load(std::memory_order_relaxed);
-  s.epoch_aborts = epoch_aborts_.load(std::memory_order_relaxed);
-  s.epoch_commit_orphans = epoch_commit_orphans_.load(std::memory_order_relaxed);
-  s.replication_sheds = replication_sheds_.load(std::memory_order_relaxed);
-  s.restart_prunes = restart_prunes_.load(std::memory_order_relaxed);
+  s.replication_ops_sent = m_.replication_ops->value();
+  s.replication_ops_applied = m_.replication_applied->value();
+  s.read_repairs = m_.read_repairs->value();
+  s.quorum_reads = m_.quorum_reads->value();
+  s.quorum_failures = m_.quorum_failures->value();
+  s.epochs_2pc = m_.epochs_2pc->value();
+  s.epoch_commits = m_.epoch_commits->value();
+  s.epoch_aborts = m_.epoch_aborts->value();
+  s.epoch_commit_orphans = m_.epoch_commit_orphans->value();
+  s.replication_sheds = m_.replication_shed->value();
+  s.restart_prunes = durable_.pruned_total();
   for (const auto& n : nodes_) {
     const ServerStats stats = n->store->stats();
     s.store_totals += stats.totals();

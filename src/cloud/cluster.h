@@ -70,8 +70,7 @@ struct NodeHealth {
   ChannelStats transport_out;        ///< meter rows with from == node
 };
 
-/// Cluster-wide monotonic counters (mirroring ServerStats/ChannelStats
-/// style: snapshot, subtract, report).
+/// Cluster-wide monotonic counters (snapshot, subtract, report).
 struct ClusterStats {
   size_t nodes = 0;
   size_t alive = 0;
@@ -102,6 +101,8 @@ class Cluster {
  public:
   /// Node names: "server" for a single-node cluster (byte-compatible
   /// with the PR 3 channel layout), else "node:0" .. "node:N-1".
+  /// Series are labelled with the link's instance, so each Cluster
+  /// needs its own link.
   Cluster(std::shared_ptr<const pairing::Group> grp, const ClusterConfig& config,
           ReliableLink& link, DurableLink& durable);
 
@@ -118,6 +119,7 @@ class Cluster {
   const CloudServer& node_store(const std::string& name) const;
   const HashRing& ring() const { return ring_; }
   const ClusterConfig& config() const { return config_; }
+  const std::string& instance() const { return link_.instance(); }
   /// Replies a quorum read needs (config.read_quorum or majority of R).
   size_t read_quorum() const;
 
@@ -272,17 +274,13 @@ class Cluster {
   mutable std::mutex active_epochs_mu_;
   std::set<uint64_t> active_epochs_;
   std::atomic<uint64_t> next_epoch_id_{0};
-  std::atomic<uint64_t> replication_ops_sent_{0};
-  std::atomic<uint64_t> replication_ops_applied_{0};
-  std::atomic<uint64_t> read_repairs_{0};
-  std::atomic<uint64_t> quorum_reads_{0};
-  std::atomic<uint64_t> quorum_failures_{0};
-  std::atomic<uint64_t> epochs_2pc_{0};
-  std::atomic<uint64_t> epoch_commits_{0};
-  std::atomic<uint64_t> epoch_aborts_{0};
-  std::atomic<uint64_t> epoch_commit_orphans_{0};
-  std::atomic<uint64_t> replication_sheds_{0};
-  std::atomic<uint64_t> restart_prunes_{0};
+  /// maabe_cluster_<name>{instance}: one add per event (DESIGN.md §11).
+  struct {
+    telemetry::CounterSeries replication_ops, replication_applied, read_repairs,
+        quorum_reads, quorum_failures, epochs_2pc, epoch_commits, epoch_aborts,
+        epoch_commit_orphans, replication_shed;
+    telemetry::GaugeSeries nodes_alive;
+  } m_;
 };
 
 }  // namespace maabe::cloud

@@ -15,35 +15,6 @@ namespace maabe::cloud {
 
 namespace {
 
-/// Registry handles for the recovery counters (PR 4 registry style).
-struct RecoveryMetrics {
-  telemetry::Counter& hints_recorded;
-  telemetry::Counter& hints_replayed;
-  telemetry::Counter& syncs;
-  telemetry::Counter& sync_rounds;
-  telemetry::Counter& shards_divergent;
-  telemetry::Counter& files_transferred;
-  telemetry::Counter& bytes_transferred;
-  telemetry::Counter& epochs_resolved;
-  telemetry::Counter& rejoins;
-
-  static RecoveryMetrics& get() {
-    auto& reg = telemetry::MetricsRegistry::global();
-    static RecoveryMetrics* m = new RecoveryMetrics{
-        reg.counter("maabe_recovery_hints_recorded_total"),
-        reg.counter("maabe_recovery_hints_replayed_total"),
-        reg.counter("maabe_recovery_syncs_total"),
-        reg.counter("maabe_recovery_sync_rounds_total"),
-        reg.counter("maabe_recovery_shards_divergent_total"),
-        reg.counter("maabe_recovery_files_transferred_total"),
-        reg.counter("maabe_recovery_bytes_transferred_total"),
-        reg.counter("maabe_recovery_epochs_resolved_total"),
-        reg.counter("maabe_recovery_rejoins_total"),
-    };
-    return *m;
-  }
-};
-
 // Recovery verbs on the node-to-node channel. Every exchange is two
 // transport legs (request, reply) so the meter and fault injection see
 // both directions, exactly like the quorum read.
@@ -77,7 +48,27 @@ struct RecoveryManager::Session {
   std::vector<std::vector<Bytes>> levels;       // [0] = root ... back() = shard leaves
 };
 
-RecoveryManager::RecoveryManager(Cluster& cluster) : cluster_(cluster) {}
+RecoveryManager::RecoveryManager(Cluster& cluster) : cluster_(cluster) {
+  auto& reg = telemetry::MetricsRegistry::global();
+  const telemetry::Labels l{{"instance", cluster.instance()}};
+  const auto verdict = [&](const char* v) {
+    return reg.counter("maabe_recovery_epochs_resolved_total",
+                       {{"instance", cluster.instance()}, {"verdict", v}});
+  };
+  m_ = {reg.counter("maabe_recovery_hints_recorded_total", l),
+        reg.counter("maabe_recovery_hints_replayed_total", l),
+        reg.counter("maabe_recovery_hints_superseded_total", l),
+        reg.counter("maabe_recovery_hints_dropped_total", l),
+        reg.counter("maabe_recovery_syncs_total", l),
+        reg.counter("maabe_recovery_sync_rounds_total", l),
+        reg.counter("maabe_recovery_shards_divergent_total", l),
+        reg.counter("maabe_recovery_files_transferred_total", l),
+        reg.counter("maabe_recovery_bytes_transferred_total", l),
+        verdict("commit"),
+        verdict("abort"),
+        reg.counter("maabe_recovery_rejoins_total", l),
+        reg.counter("maabe_recovery_sync_failures_total", l)};
+}
 RecoveryManager::~RecoveryManager() = default;
 
 /// Binary tree over the per-shard digests, root first. The shard count
@@ -461,18 +452,11 @@ SyncReport RecoveryManager::sync(const std::string& initiator,
     r.expect_done();
   }
 
-  syncs_.fetch_add(1, std::memory_order_relaxed);
-  sync_rounds_.fetch_add(rep.rounds, std::memory_order_relaxed);
-  shards_divergent_.fetch_add(rep.shards_divergent, std::memory_order_relaxed);
-  files_transferred_.fetch_add(rep.files_pushed + rep.files_pulled,
-                               std::memory_order_relaxed);
-  bytes_transferred_.fetch_add(rep.bytes_transferred, std::memory_order_relaxed);
-  RecoveryMetrics& m = RecoveryMetrics::get();
-  m.syncs.inc();
-  m.sync_rounds.add(rep.rounds);
-  m.shards_divergent.add(rep.shards_divergent);
-  m.files_transferred.add(rep.files_pushed + rep.files_pulled);
-  m.bytes_transferred.add(rep.bytes_transferred);
+  m_.syncs->inc();
+  m_.sync_rounds->add(rep.rounds);
+  m_.shards_divergent->add(rep.shards_divergent);
+  m_.files_transferred->add(rep.files_pushed + rep.files_pulled);
+  m_.bytes_transferred->add(rep.bytes_transferred);
   if (span.active()) {
     span.attr("rounds", rep.rounds);
     span.attr("shards_divergent", rep.shards_divergent);
@@ -492,7 +476,7 @@ SyncReport RecoveryManager::sync_all() {
       try {
         agg += sync(a, b);
       } catch (const TransportError&) {
-        sync_failures_.fetch_add(1, std::memory_order_relaxed);
+        m_.sync_failures->inc();
       }
     }
   }
@@ -511,8 +495,7 @@ void RecoveryManager::record_hint(const std::string& holder,
     uint64_t& v = h.hints[target][file_id];
     if (version > v) v = version;
   }
-  hints_recorded_.fetch_add(1, std::memory_order_relaxed);
-  RecoveryMetrics::get().hints_recorded.inc();
+  m_.hints_recorded->inc();
 }
 
 void RecoveryManager::clear_hint(const std::string& target,
@@ -553,21 +536,17 @@ size_t RecoveryManager::drain_hints_for(const std::string& target) {
       for (const auto& [fid, version] : entries) {
         if (cluster_.version_of(target, fid) >= version) {
           clear_hint(target, holder, fid, version);
-          hints_superseded_.fetch_add(1, std::memory_order_relaxed);
+          m_.hints_superseded->inc();
           ++drained;
           continue;
         }
         uint64_t bytes = 0;
         if (pull_file(target, holder, fid, &bytes)) {
-          hints_replayed_.fetch_add(1, std::memory_order_relaxed);
-          files_transferred_.fetch_add(1, std::memory_order_relaxed);
-          bytes_transferred_.fetch_add(bytes, std::memory_order_relaxed);
-          RecoveryMetrics& m = RecoveryMetrics::get();
-          m.hints_replayed.inc();
-          m.files_transferred.inc();
-          m.bytes_transferred.add(bytes);
+          m_.hints_replayed->inc();
+          m_.files_transferred->inc();
+          m_.bytes_transferred->add(bytes);
         } else {
-          hints_dropped_.fetch_add(1, std::memory_order_relaxed);
+          m_.hints_dropped->inc();
         }
         clear_hint(target, holder, fid,
                    std::max(version, cluster_.version_of(target, fid)));
@@ -576,7 +555,7 @@ size_t RecoveryManager::drain_hints_for(const std::string& target) {
     } catch (const TransportError&) {
       // This holder's hints stay put for a later drain; anti-entropy
       // covers the files in the meantime.
-      sync_failures_.fetch_add(1, std::memory_order_relaxed);
+      m_.sync_failures->inc();
     }
   }
   if (span.active()) span.attr("drained", static_cast<uint64_t>(drained));
@@ -658,9 +637,7 @@ size_t RecoveryManager::resolve_staged_epochs() {
                                                : "abort");
       }
       cluster_.apply_epoch_decision(n, epoch_id, commit);
-      (commit ? epochs_resolved_commit_ : epochs_resolved_abort_)
-          .fetch_add(1, std::memory_order_relaxed);
-      RecoveryMetrics::get().epochs_resolved.inc();
+      (commit ? m_.epochs_resolved_commit : m_.epochs_resolved_abort)->inc();
       ++resolved;
     }
   }
@@ -677,8 +654,7 @@ void RecoveryManager::rejoin(const std::string& name) {
     span.attr("node", name);
     span.attr("node_id", name);
   }
-  rejoins_.fetch_add(1, std::memory_order_relaxed);
-  RecoveryMetrics::get().rejoins.inc();
+  m_.rejoins->inc();
   // Order matters: resolve staged epochs first so anti-entropy compares
   // committed state, then drain the writes that missed this node, then
   // a scoped sync against each alive peer closes whatever is left
@@ -691,7 +667,7 @@ void RecoveryManager::rejoin(const std::string& name) {
     try {
       agg += sync(name, peer);
     } catch (const TransportError&) {
-      sync_failures_.fetch_add(1, std::memory_order_relaxed);
+      m_.sync_failures->inc();
     }
   }
   if (span.active()) {
@@ -704,21 +680,19 @@ void RecoveryManager::rejoin(const std::string& name) {
 
 RecoveryStats RecoveryManager::stats() const {
   RecoveryStats s;
-  s.hints_recorded = hints_recorded_.load(std::memory_order_relaxed);
-  s.hints_replayed = hints_replayed_.load(std::memory_order_relaxed);
-  s.hints_superseded = hints_superseded_.load(std::memory_order_relaxed);
-  s.hints_dropped = hints_dropped_.load(std::memory_order_relaxed);
-  s.syncs = syncs_.load(std::memory_order_relaxed);
-  s.sync_rounds = sync_rounds_.load(std::memory_order_relaxed);
-  s.shards_divergent = shards_divergent_.load(std::memory_order_relaxed);
-  s.files_transferred = files_transferred_.load(std::memory_order_relaxed);
-  s.bytes_transferred = bytes_transferred_.load(std::memory_order_relaxed);
-  s.epochs_resolved_commit =
-      epochs_resolved_commit_.load(std::memory_order_relaxed);
-  s.epochs_resolved_abort =
-      epochs_resolved_abort_.load(std::memory_order_relaxed);
-  s.rejoins = rejoins_.load(std::memory_order_relaxed);
-  s.sync_failures = sync_failures_.load(std::memory_order_relaxed);
+  s.hints_recorded = m_.hints_recorded->value();
+  s.hints_replayed = m_.hints_replayed->value();
+  s.hints_superseded = m_.hints_superseded->value();
+  s.hints_dropped = m_.hints_dropped->value();
+  s.syncs = m_.syncs->value();
+  s.sync_rounds = m_.sync_rounds->value();
+  s.shards_divergent = m_.shards_divergent->value();
+  s.files_transferred = m_.files_transferred->value();
+  s.bytes_transferred = m_.bytes_transferred->value();
+  s.epochs_resolved_commit = m_.epochs_resolved_commit->value();
+  s.epochs_resolved_abort = m_.epochs_resolved_abort->value();
+  s.rejoins = m_.rejoins->value();
+  s.sync_failures = m_.sync_failures->value();
   return s;
 }
 

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "telemetry/metrics.h"
 
 namespace maabe::cloud {
 
@@ -163,19 +164,13 @@ class RecoveryManager {
   std::map<std::string, std::unique_ptr<Session>> sessions_;  // responder → latest
   std::atomic<uint64_t> next_sync_id_{0};
 
-  std::atomic<uint64_t> hints_recorded_{0};
-  std::atomic<uint64_t> hints_replayed_{0};
-  std::atomic<uint64_t> hints_superseded_{0};
-  std::atomic<uint64_t> hints_dropped_{0};
-  std::atomic<uint64_t> syncs_{0};
-  std::atomic<uint64_t> sync_rounds_{0};
-  std::atomic<uint64_t> shards_divergent_{0};
-  std::atomic<uint64_t> files_transferred_{0};
-  std::atomic<uint64_t> bytes_transferred_{0};
-  std::atomic<uint64_t> epochs_resolved_commit_{0};
-  std::atomic<uint64_t> epochs_resolved_abort_{0};
-  std::atomic<uint64_t> rejoins_{0};
-  std::atomic<uint64_t> sync_failures_{0};
+  /// maabe_recovery_<name>_total{instance}: one add per event.
+  struct {
+    telemetry::CounterSeries hints_recorded, hints_replayed, hints_superseded,
+        hints_dropped, syncs, sync_rounds, shards_divergent, files_transferred,
+        bytes_transferred, epochs_resolved_commit, epochs_resolved_abort, rejoins,
+        sync_failures;
+  } m_;
 };
 
 }  // namespace maabe::cloud

@@ -61,10 +61,10 @@ FetchReply decode_fetch_reply(ByteView data) {
 
 DurableLink::DurableLink(ReliableLink& link)
     : link_(link),
-      rejected_counter_(telemetry::MetricsRegistry::global().counter(
-          "maabe_transport_parked_rejected_total")),
-      pruned_counter_(telemetry::MetricsRegistry::global().counter(
-          "maabe_transport_parked_pruned_total")) {}
+      rejected_(telemetry::MetricsRegistry::global().counter(
+          "maabe_transport_parked_rejected_total", {{"instance", link.instance()}})),
+      pruned_(telemetry::MetricsRegistry::global().counter(
+          "maabe_transport_parked_pruned_total", {{"instance", link.instance()}})) {}
 
 void DurableLink::set_pending_cap(size_t cap) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
@@ -76,16 +76,6 @@ size_t DurableLink::pending_cap() const {
   return pending_cap_;
 }
 
-uint64_t DurableLink::rejected_total() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  return rejected_;
-}
-
-uint64_t DurableLink::pruned_total() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  return pruned_;
-}
-
 bool DurableLink::send_or_park(const std::string& from, const std::string& to,
                                Bytes payload, Apply apply, const std::string& label) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
@@ -93,8 +83,7 @@ bool DurableLink::send_or_park(const std::string& from, const std::string& to,
   flush_queue(to);
   auto& queue = pending_[to];
   if (queue.size() >= pending_cap_) {
-    ++rejected_;
-    rejected_counter_.add(1);
+    rejected_->inc();
     if (telemetry::FlightRegistry::armed())
       telemetry::FlightRegistry::global().record_event(
           to, telemetry::FlightEntry::Kind::kOverloadShed, "parked_rejected",
@@ -138,10 +127,7 @@ size_t DurableLink::prune_queue(
   }
   queue = std::move(kept);
   if (queue.empty()) pending_.erase(it);
-  if (dropped > 0) {
-    pruned_ += dropped;
-    pruned_counter_.add(dropped);
-  }
+  pruned_->add(dropped);
   return dropped;
 }
 

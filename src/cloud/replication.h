@@ -94,12 +94,10 @@ class DurableLink {
   void set_pending_cap(size_t cap);
   size_t pending_cap() const;
 
-  /// Rejections (kOverloaded) since construction, mirrored into the
-  /// process-wide maabe_transport_parked_rejected_total counter.
-  uint64_t rejected_total() const;
-  /// Ops dropped by prune_queue since construction, mirrored into
-  /// maabe_transport_parked_pruned_total.
-  uint64_t pruned_total() const;
+  /// Rejections (kOverloaded) / ops dropped by prune_queue since
+  /// construction: maabe_transport_parked_{rejected,pruned}_total.
+  uint64_t rejected_total() const { return rejected_->value(); }
+  uint64_t pruned_total() const { return pruned_->value(); }
 
   /// Flushes `to`'s queue first (order must be preserved), then either
   /// delivers now (returns true) or parks (returns false). The label is
@@ -147,10 +145,8 @@ class DurableLink {
   mutable std::recursive_mutex mu_;
   std::map<std::string, std::deque<Pending>> pending_;  // keyed by destination
   size_t pending_cap_ = kDefaultPendingCap;
-  uint64_t rejected_ = 0;
-  uint64_t pruned_ = 0;
-  telemetry::Counter& rejected_counter_;
-  telemetry::Counter& pruned_counter_;
+  const telemetry::CounterSeries rejected_;
+  const telemetry::CounterSeries pruned_;
 };
 
 }  // namespace maabe::cloud

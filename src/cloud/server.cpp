@@ -12,33 +12,6 @@
 
 namespace maabe::cloud {
 
-namespace {
-
-/// Registry handles for the server's global counters. fetch() is the
-/// shard-lookup hot path — a single sharded-atomic add, no extra locks.
-struct ServerMetrics {
-  telemetry::Counter& stores;
-  telemetry::Counter& fetches;
-  telemetry::Counter& reencrypted_slots;
-  telemetry::Counter& epochs_committed;
-  telemetry::Counter& epochs_aborted;
-  telemetry::Histogram& epoch_ns;
-
-  static ServerMetrics& get() {
-    auto& reg = telemetry::MetricsRegistry::global();
-    static ServerMetrics* m = new ServerMetrics{
-        reg.counter("maabe_server_stores_total"),
-        reg.counter("maabe_server_fetches_total"),
-        reg.counter("maabe_server_reencrypted_slots_total"),
-        reg.counter("maabe_server_epochs_committed_total"),
-        reg.counter("maabe_server_epochs_aborted_total"),
-        reg.histogram("maabe_server_epoch_ns"),
-    };
-    return *m;
-  }
-};
-
-}  // namespace
 
 ShardStats& ShardStats::operator+=(const ShardStats& o) {
   files += o.files;
@@ -55,8 +28,19 @@ ShardStats ServerStats::totals() const {
   return t;
 }
 
-CloudServer::CloudServer(std::shared_ptr<const pairing::Group> grp, size_t shard_count)
-    : grp_(std::move(grp)), shards_(shard_count == 0 ? 1 : shard_count) {}
+CloudServer::CloudServer(std::shared_ptr<const pairing::Group> grp, size_t shard_count,
+                         std::string node_name, const std::string& instance)
+    : grp_(std::move(grp)),
+      node_name_(std::move(node_name)),
+      shards_(shard_count == 0 ? 1 : shard_count) {
+  auto& reg = telemetry::MetricsRegistry::global();
+  const telemetry::Labels l{{"instance", instance}, {"node", node_name_}};
+  m_ = {reg.counter("maabe_server_stores_total", l),
+        reg.counter("maabe_server_fetches_total", l),
+        reg.counter("maabe_server_reencrypted_slots_total", l),
+        reg.counter("maabe_server_epochs_committed_total", l),
+        reg.counter("maabe_server_epochs_aborted_total", l)};
+}
 
 size_t CloudServer::shard_of(const std::string& file_id) const {
   return std::hash<std::string>{}(file_id) % shards_.size();
@@ -75,7 +59,7 @@ void CloudServer::store(StoredFile file) {
   sh.bytes = sh.bytes - entry.bytes + bytes;
   entry = Entry{std::move(snapshot), bytes};
   ++sh.stores;
-  ServerMetrics::get().stores.inc();
+  m_.stores->inc();
 }
 
 bool CloudServer::has_file(const std::string& file_id) const {
@@ -91,7 +75,7 @@ std::shared_ptr<const StoredFile> CloudServer::fetch(const std::string& file_id)
   if (it == sh.files.end())
     throw SchemeError("CloudServer: no file '" + file_id + "'");
   sh.fetches.fetch_add(1, std::memory_order_relaxed);
-  ServerMetrics::get().fetches.inc();
+  m_.fetches->inc();
   return it->second.file;
 }
 
@@ -108,7 +92,6 @@ std::vector<std::string> CloudServer::file_ids() const {
 CloudServer::StagedEpoch CloudServer::stage_impl(
     const abe::UpdateKey& uk, const std::vector<abe::UpdateInfo>& infos,
     const telemetry::SpanContext& slot_parent) {
-  ServerMetrics& sm = ServerMetrics::get();
   // Index the update infos by ciphertext id. Two infos for the same
   // ciphertext are a protocol violation — applying an arbitrary one
   // would corrupt the slot, so fail loudly instead.
@@ -182,8 +165,7 @@ CloudServer::StagedEpoch CloudServer::stage_impl(
   } catch (...) {
     // parallel_for rethrows the first failure and may abandon remaining
     // slots — both fine here: the staged copies are simply dropped.
-    epochs_aborted_.fetch_add(1, std::memory_order_relaxed);
-    sm.epochs_aborted.inc();
+    m_.epochs_aborted->inc();
     throw;
   }
   return epoch;
@@ -191,7 +173,8 @@ CloudServer::StagedEpoch CloudServer::stage_impl(
 
 size_t CloudServer::commit_impl(StagedEpoch& epoch,
                                 std::vector<std::string>* committed_files) {
-  ServerMetrics& sm = ServerMetrics::get();
+  static telemetry::Histogram& epoch_ns =
+      telemetry::MetricsRegistry::global().histogram("maabe_server_epoch_ns");
   // Every slot succeeded; swap the snapshots in under the shard write
   // locks. A file replaced by a concurrent store() since staging keeps
   // the replacement (the epoch covered the files present at stage time).
@@ -208,10 +191,9 @@ size_t CloudServer::commit_impl(StagedEpoch& epoch,
     sh.reencrypted_slots += sf.slot_indices.size();
     committed += sf.slot_indices.size();
   }
-  epochs_committed_.fetch_add(1, std::memory_order_relaxed);
-  sm.epochs_committed.inc();
-  sm.reencrypted_slots.add(committed);
-  sm.epoch_ns.observe(static_cast<uint64_t>(
+  m_.epochs_committed->inc();
+  m_.reencrypted_slots->add(committed);
+  epoch_ns.observe(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count()) - epoch.start_ns);
@@ -291,16 +273,14 @@ void CloudServer::abort_reencrypt(uint64_t token) {
   const auto it = staged_epochs_.find(token);
   if (it == staged_epochs_.end()) return;
   staged_epochs_.erase(it);
-  epochs_aborted_.fetch_add(1, std::memory_order_relaxed);
-  ServerMetrics::get().epochs_aborted.inc();
+  m_.epochs_aborted->inc();
 }
 
 size_t CloudServer::abort_all_staged() {
   std::lock_guard<std::mutex> lock(staged_mu_);
   const size_t n = staged_epochs_.size();
   staged_epochs_.clear();
-  epochs_aborted_.fetch_add(n, std::memory_order_relaxed);
-  ServerMetrics::get().epochs_aborted.add(n);
+  m_.epochs_aborted->add(n);
   return n;
 }
 
@@ -338,8 +318,8 @@ ServerStats CloudServer::stats() const {
     s.reencrypted_slots = sh.reencrypted_slots;
     out.shards.push_back(s);
   }
-  out.epochs_committed = epochs_committed_.load(std::memory_order_relaxed);
-  out.epochs_aborted = epochs_aborted_.load(std::memory_order_relaxed);
+  out.epochs_committed = m_.epochs_committed->value();
+  out.epochs_aborted = m_.epochs_aborted->value();
   {
     std::lock_guard<std::mutex> lock(staged_mu_);
     out.epochs_staged_open = staged_epochs_.size();

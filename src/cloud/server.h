@@ -32,6 +32,7 @@
 
 #include "abe/scheme.h"
 #include "cloud/hybrid.h"
+#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace maabe::cloud {
@@ -61,8 +62,12 @@ class CloudServer {
  public:
   static constexpr size_t kDefaultShards = 16;
 
+  /// `node_name` stamps this store's spans (node_id attr) and, with
+  /// `instance`, labels its series; the Cluster passes its own.
   explicit CloudServer(std::shared_ptr<const pairing::Group> grp,
-                       size_t shard_count = kDefaultShards);
+                       size_t shard_count = kDefaultShards,
+                       std::string node_name = "server",
+                       const std::string& instance = telemetry::next_instance());
 
   CloudServer(const CloudServer&) = delete;
   CloudServer& operator=(const CloudServer&) = delete;
@@ -132,11 +137,6 @@ class CloudServer {
   size_t shard_of(const std::string& file_id) const;
   ServerStats stats() const;
 
-  /// Node identity stamped onto this store's spans (node_id attr). Set
-  /// by the Cluster at construction; the default "server" matches the
-  /// single-node CloudSystem. Not thread-safe against running epochs —
-  /// install before use.
-  void set_node_name(std::string name) { node_name_ = std::move(name); }
   const std::string& node_name() const { return node_name_; }
 
   /// Test-only: invoked (from pool workers) once per slot during the
@@ -180,10 +180,13 @@ class CloudServer {
   size_t commit_impl(StagedEpoch& epoch, std::vector<std::string>* committed_files);
 
   std::shared_ptr<const pairing::Group> grp_;
-  std::string node_name_ = "server";
+  const std::string node_name_;
   std::vector<Shard> shards_;
-  std::atomic<uint64_t> epochs_committed_{0};
-  std::atomic<uint64_t> epochs_aborted_{0};
+  /// maabe_server_<name>_total{instance,node}: one add per event.
+  struct {
+    telemetry::CounterSeries stores, fetches, reencrypted_slots, epochs_committed,
+        epochs_aborted;
+  } m_;
   std::function<void(const std::string&)> fault_hook_;
   mutable std::mutex staged_mu_;
   uint64_t next_token_ = 0;                       // guarded by staged_mu_

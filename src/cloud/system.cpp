@@ -43,42 +43,36 @@ CloudSystem::CloudSystem(std::shared_ptr<const pairing::Group> grp,
       link_(*transport_, retry),
       durable_(link_),
       cluster_(grp_, cluster, link_, durable_) {
-  // Snapshot-time gauges for state that lives in structured stats
-  // rather than registry counters. add_gauge sums, so several systems
-  // in one process contribute naturally. The token (last member) is
-  // destroyed first, and reset() blocks on any in-flight collect(), so
-  // the callback never reads a dying system.
+  // Snapshot-time gauges for state that is not a count of events, plus
+  // the link's counts under their maabe_system_* names. The token (last
+  // member) is destroyed first, and reset() blocks on any in-flight
+  // collect(), so the callback never reads a dying system.
   collector_ = telemetry::MetricsRegistry::global().register_collector(
       [this](telemetry::Snapshot& snap) {
-        snap.add_gauge("maabe_system_pending_deliveries",
-                       static_cast<int64_t>(durable_.pending_count()));
-        snap.add_gauge("maabe_system_sends_ok",
-                       static_cast<int64_t>(link_.sends_ok()));
-        snap.add_gauge("maabe_system_sends_failed",
-                       static_cast<int64_t>(link_.sends_failed()));
-        snap.add_gauge("maabe_system_retries",
-                       static_cast<int64_t>(link_.retries()));
-        snap.add_gauge("maabe_system_applied_requests",
-                       static_cast<int64_t>(link_.applied_requests()));
+        const telemetry::Labels l{{"instance", instance()}};
+        const auto put = [&snap](const char* name, const telemetry::Labels& labels,
+                                 uint64_t v) {
+          snap.add_gauge(name, labels, static_cast<int64_t>(v));
+        };
+        put("maabe_system_pending_deliveries", l, durable_.pending_count());
+        put("maabe_system_sends_ok", l, link_.sends_ok());
+        put("maabe_system_sends_failed", l, link_.sends_failed());
+        put("maabe_system_retries", l, link_.retries());
+        put("maabe_system_applied_requests", l, link_.applied_requests());
         const ChannelStats t = transport_->meter().totals();
-        snap.add_gauge("maabe_system_channel_payload_bytes",
-                       static_cast<int64_t>(t.payload_bytes));
-        snap.add_gauge("maabe_system_channel_frame_bytes",
-                       static_cast<int64_t>(t.frame_bytes));
-        snap.add_gauge("maabe_system_channel_bytes_delivered",
-                       static_cast<int64_t>(t.bytes_delivered));
-        snap.add_gauge("maabe_system_channel_bytes_accepted",
-                       static_cast<int64_t>(t.bytes_accepted));
-        const ClusterStats cs = cluster_.stats();
-        snap.add_gauge("maabe_system_server_files",
-                       static_cast<int64_t>(cs.store_totals.files));
-        snap.add_gauge("maabe_system_server_bytes",
-                       static_cast<int64_t>(cs.store_totals.bytes));
-        snap.add_gauge("maabe_cluster_nodes_alive", static_cast<int64_t>(cs.alive));
-        snap.add_gauge("maabe_cluster_replication_lag",
-                       static_cast<int64_t>(replication_lag()));
-        snap.add_gauge("maabe_recovery_hints_pending",
-                       static_cast<int64_t>(cluster_.recovery().pending_hints()));
+        put("maabe_system_channel_payload_bytes", l, t.payload_bytes);
+        put("maabe_system_channel_frame_bytes", l, t.frame_bytes);
+        put("maabe_system_channel_bytes_delivered", l, t.bytes_delivered);
+        put("maabe_system_channel_bytes_accepted", l, t.bytes_accepted);
+        put("maabe_cluster_replication_lag", l, replication_lag());
+        put("maabe_recovery_hints_pending", l, cluster_.recovery().pending_hints());
+        for (const std::string& node : cluster_.node_names()) {
+          const ServerStats ss = cluster_.node_store(node).stats();
+          const telemetry::Labels nl{{"instance", instance()}, {"node", node}};
+          put("maabe_system_server_files", nl, ss.totals().files);
+          put("maabe_system_server_bytes", nl, ss.totals().bytes);
+          put("maabe_server_epochs_staged_open", nl, ss.epochs_staged_open);
+        }
       });
 }
 
@@ -168,58 +162,56 @@ std::string status_str(std::string_view s) {
 }  // namespace
 
 std::string CloudSystem::status_json() const {
-  const ClusterStats cs = cluster_.stats();
-  const Health h = health();
+  // Fields the exposition also carries are read from one snapshot by
+  // this system's labels, so the document and the text always agree.
+  const telemetry::Snapshot snap = telemetry_snapshot();
+  const telemetry::Labels l{{"instance", instance()}};
   std::string out = "{";
-  out += "\"cluster\":{";
-  out += "\"nodes\":" + std::to_string(cs.nodes);
-  out += ",\"alive\":" + std::to_string(cs.alive);
-  out += ",\"replication\":" + std::to_string(cs.replication);
-  out += ",\"coordinator\":" + status_str(cluster_.coordinator());
+  // Appends `"key":value`, comma-separated inside the open object.
+  const auto put = [&out](std::string_view key, const std::string& value) {
+    if (out.back() != '{') out += ',';
+    out += status_str(key) + ":" + value;
+  };
+  const auto num = [](auto v) { return std::to_string(v); };
+  put("cluster", "{");
+  put("nodes", num(cluster_.size()));
+  put("alive", num(snap.gauge("maabe_cluster_nodes_alive", l)));
+  put("replication", num(cluster_.config().replication));
+  put("coordinator", status_str(cluster_.coordinator()));
   out += "}";
-  out += ",\"replication_lag\":" + std::to_string(replication_lag());
-  out += ",\"pending_deliveries\":" + std::to_string(h.pending_deliveries);
-  out += ",\"pending_by_destination\":{";
-  bool first = true;
-  for (const auto& [to, n] : h.pending_by_destination) {
-    if (!first) out += ",";
-    first = false;
-    out += status_str(to) + ":" + std::to_string(n);
-  }
+  put("replication_lag", num(snap.gauge("maabe_cluster_replication_lag", l)));
+  put("pending_deliveries", num(snap.gauge("maabe_system_pending_deliveries", l)));
+  put("pending_by_destination", "{");
+  for (const auto& [to, n] : durable_.pending_by_destination()) put(to, num(n));
   out += "}";
-  out += ",\"link\":{";
-  out += "\"sends_ok\":" + std::to_string(h.sends_ok);
-  out += ",\"sends_failed\":" + std::to_string(h.sends_failed);
-  out += ",\"retries\":" + std::to_string(h.retries);
-  out += ",\"parked_rejected\":" + std::to_string(parked_rejected_total());
-  out += ",\"parked_pruned\":" + std::to_string(parked_pruned_total());
+  put("link", "{");
+  for (const char* f :
+       {"sends_ok", "sends_failed", "retries", "parked_rejected", "parked_pruned"})
+    put(f, num(snap.counter("maabe_transport_" + std::string(f) + "_total", l)));
   out += "}";
-  uint64_t staged_total = 0;
-  out += ",\"nodes\":[";
-  first = true;
+  int64_t staged_total = 0;
+  put("nodes", "[");
   for (const NodeHealth& nh : cluster_health()) {
-    if (!first) out += ",";
-    first = false;
-    staged_total += nh.epochs_staged_open;
-    out += "{";
-    out += "\"node\":" + status_str(nh.node);
-    out += ",\"alive\":" + std::string(nh.alive ? "true" : "false");
-    out += ",\"files\":" + std::to_string(nh.store.files);
-    out += ",\"bytes\":" + std::to_string(nh.store.bytes);
-    out += ",\"epochs_committed\":" + std::to_string(nh.epochs_committed);
-    out += ",\"epochs_aborted\":" + std::to_string(nh.epochs_aborted);
-    out += ",\"epochs_staged_open\":" + std::to_string(nh.epochs_staged_open);
-    out += ",\"pending_in\":" + std::to_string(nh.pending_in);
-    out += ",\"replication_lag\":" + std::to_string(nh.replication_lag);
+    const telemetry::Labels nl{{"instance", instance()}, {"node", nh.node}};
+    const int64_t staged = snap.gauge("maabe_server_epochs_staged_open", nl);
+    staged_total += staged;
+    out += out.back() == '[' ? "{" : ",{";
+    put("node", status_str(nh.node));
+    put("alive", nh.alive ? "true" : "false");
+    put("files", num(snap.gauge("maabe_system_server_files", nl)));
+    put("bytes", num(snap.gauge("maabe_system_server_bytes", nl)));
+    put("epochs_committed", num(snap.counter("maabe_server_epochs_committed_total", nl)));
+    put("epochs_aborted", num(snap.counter("maabe_server_epochs_aborted_total", nl)));
+    put("epochs_staged_open", num(staged));
+    put("pending_in", num(nh.pending_in));
+    put("replication_lag", num(nh.replication_lag));
     out += "}";
   }
   out += "]";
-  out += ",\"staged_epochs\":" + std::to_string(staged_total);
+  put("staged_epochs", num(staged_total));
   // The SLO plane exports maabe_slo_<name>_{met,burn_short_x1000,
   // burn_long_x1000,samples} gauges (slo.h); fold them back into
   // per-objective sub-objects so burn rates ride the same document.
-  out += ",\"slo\":{";
-  const telemetry::Snapshot snap = telemetry_snapshot();
   static constexpr std::string_view kSloPrefix = "maabe_slo_";
   static constexpr std::string_view kSuffixes[] = {
       "_met", "_burn_short_x1000", "_burn_long_x1000", "_samples"};
@@ -235,17 +227,10 @@ std::string CloudSystem::status_json() const {
       break;
     }
   }
-  first = true;
+  put("slo", "{");
   for (const auto& [objective, fields] : slos) {
-    if (!first) out += ",";
-    first = false;
-    out += status_str(objective) + ":{";
-    bool f2 = true;
-    for (const auto& [k, v] : fields) {
-      if (!f2) out += ",";
-      f2 = false;
-      out += status_str(k) + ":" + std::to_string(v);
-    }
+    put(objective, "{");
+    for (const auto& [k, v] : fields) put(k, num(v));
     out += "}";
   }
   out += "}}";

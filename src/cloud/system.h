@@ -165,16 +165,18 @@ class CloudSystem {
   void set_pending_cap(size_t cap) { durable_.set_pending_cap(cap); }
   size_t pending_cap() const { return durable_.pending_cap(); }
   /// Sends rejected at the cap / parked ops dropped by restart
-  /// reconciliation (also in maabe_transport_parked_{rejected,pruned}_total).
+  /// reconciliation (maabe_transport_parked_{rejected,pruned}_total).
   uint64_t parked_rejected_total() const { return durable_.rejected_total(); }
   uint64_t parked_pruned_total() const { return durable_.pruned_total(); }
 
   /// Point-in-time view of the process-wide telemetry registry
   /// (maabe_engine_*, maabe_transport_*, maabe_server_*, ... counters
   /// and histograms), including this system's collector contributions
-  /// (per-channel totals, pending queues, server occupancy). Render
-  /// with Snapshot::prometheus_text().
+  /// (per-channel totals, pending queues, server occupancy), labelled
+  /// {instance=instance()}. Render with Snapshot::prometheus_text().
   telemetry::Snapshot telemetry_snapshot() const;
+  /// The `instance` label of every series this system records.
+  const std::string& instance() const { return transport_->instance(); }
 
   /// One aggregated cluster-observability document (ISSUE 9): per-node
   /// health (liveness, store totals, epoch ledger, queue depth),

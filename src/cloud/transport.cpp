@@ -11,34 +11,6 @@ namespace maabe::cloud {
 
 namespace {
 
-/// Registry handles for the transport's global counters (frame sends
-/// are a telemetry hot path: one sharded-atomic add each, no locks).
-struct TransportMetrics {
-  telemetry::Counter& frames;
-  telemetry::Counter& frame_bytes;
-  telemetry::Counter& deliveries;
-  telemetry::Counter& faults;
-  telemetry::Counter& retries;
-  telemetry::Counter& redeliveries;
-  telemetry::Counter& sends_ok;
-  telemetry::Counter& sends_failed;
-
-  static TransportMetrics& get() {
-    auto& reg = telemetry::MetricsRegistry::global();
-    static TransportMetrics* m = new TransportMetrics{
-        reg.counter("maabe_transport_frames_total"),
-        reg.counter("maabe_transport_frame_bytes_total"),
-        reg.counter("maabe_transport_deliveries_total"),
-        reg.counter("maabe_transport_faults_total"),
-        reg.counter("maabe_transport_retries_total"),
-        reg.counter("maabe_transport_redeliveries_total"),
-        reg.counter("maabe_transport_sends_ok_total"),
-        reg.counter("maabe_transport_sends_failed_total"),
-    };
-    return *m;
-  }
-};
-
 constexpr uint8_t kFrameTag = 0x7A;
 constexpr size_t kChecksumSize = 4;
 
@@ -221,7 +193,14 @@ FaultPlan::Decision FaultPlan::decide(const std::string& from, const std::string
 
 // ------------------------------------------------ LoopbackTransport --
 
-LoopbackTransport::LoopbackTransport(FaultPlan plan) : plan_(std::move(plan)) {}
+LoopbackTransport::LoopbackTransport(FaultPlan plan) : plan_(std::move(plan)) {
+  auto& reg = telemetry::MetricsRegistry::global();
+  const telemetry::Labels l{{"instance", instance()}};
+  m_ = {reg.counter("maabe_transport_frames_total", l),
+        reg.counter("maabe_transport_frame_bytes_total", l),
+        reg.counter("maabe_transport_deliveries_total", l),
+        reg.counter("maabe_transport_faults_total", l)};
+}
 
 void LoopbackTransport::deliver(const std::string& from, const std::string& to,
                                 uint64_t request_id, ByteView payload,
@@ -252,9 +231,8 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
     d = plan_.decide(from, to, wire.size());
   }
 
-  TransportMetrics& tm = TransportMetrics::get();
-  tm.frames.inc();
-  tm.frame_bytes.add(wire.size());
+  m_.frames->inc();
+  m_.frame_bytes->add(wire.size());
 
   // One span per transmission attempt. Ends (and emits) even when the
   // attempt throws below, with the outcome attribute already recorded —
@@ -289,7 +267,7 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
 
   if (d.script_failure) {
     meter_.apply(from, to, [](ChannelStats& s) { ++s.script_failures; });
-    tm.faults.inc();
+    m_.faults->inc();
     span.attr("outcome", "scripted_failure");
     flight_fault("scripted_failure");
     throw TransportError(TransportError::Kind::kLost,
@@ -300,14 +278,14 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
       ++s.delays;
       s.delay_ms += d.delay_ms;
     });
-    tm.faults.inc();
+    m_.faults->inc();
     now_ms_.fetch_add(d.delay_ms, std::memory_order_relaxed);
     span.attr("delay_ms", d.delay_ms);
     flight_fault("delay");
   }
   if (d.drop) {
     meter_.apply(from, to, [](ChannelStats& s) { ++s.drops; });
-    tm.faults.inc();
+    m_.faults->inc();
     span.attr("outcome", "dropped");
     flight_fault("drop");
     throw TransportError(TransportError::Kind::kLost,
@@ -321,7 +299,7 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
     received = decode_frame(wire);
   } catch (const TransportError&) {
     meter_.apply(from, to, [](ChannelStats& s) { ++s.corruptions; });
-    tm.faults.inc();
+    m_.faults->inc();
     span.attr("outcome", "corrupted");
     flight_fault("corrupt");
     throw;
@@ -349,7 +327,7 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
     ++s.deliveries;
     s.bytes_delivered += received.payload.size();
   });
-  tm.deliveries.inc();
+  m_.deliveries->inc();
   sink(received.request_id, received.payload);
   if (d.duplicate) {
     meter_.apply(from, to, [&](ChannelStats& s) {
@@ -359,16 +337,16 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
       ++s.deliveries;
       s.bytes_delivered += received.payload.size();
     });
-    tm.faults.inc();
-    tm.frames.inc();
-    tm.frame_bytes.add(wire.size());
-    tm.deliveries.inc();
+    m_.faults->inc();
+    m_.frames->inc();
+    m_.frame_bytes->add(wire.size());
+    m_.deliveries->inc();
     flight_fault("duplicate");
     sink(received.request_id, received.payload);
   }
   if (d.ack_loss) {
     meter_.apply(from, to, [](ChannelStats& s) { ++s.ack_losses; });
-    tm.faults.inc();
+    m_.faults->inc();
     span.attr("outcome", "ack_lost");
     flight_fault("ack_loss");
     throw TransportError(TransportError::Kind::kLost,
@@ -380,7 +358,14 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
 // ----------------------------------------------------- ReliableLink --
 
 ReliableLink::ReliableLink(Transport& transport, RetryPolicy policy)
-    : transport_(transport), policy_(policy) {}
+    : transport_(transport), policy_(policy) {
+  auto& reg = telemetry::MetricsRegistry::global();
+  const telemetry::Labels l{{"instance", instance()}};
+  m_ = {reg.counter("maabe_transport_retries_total", l),
+        reg.counter("maabe_transport_redeliveries_total", l),
+        reg.counter("maabe_transport_sends_ok_total", l),
+        reg.counter("maabe_transport_sends_failed_total", l)};
+}
 
 void ReliableLink::send(const std::string& from, const std::string& to,
                         ByteView payload, const Apply& apply) {
@@ -390,7 +375,6 @@ void ReliableLink::send(const std::string& from, const std::string& to,
 void ReliableLink::send_as(uint64_t request_id, const std::string& from,
                            const std::string& to, ByteView payload,
                            const Apply& apply) {
-  TransportMetrics& tm = TransportMetrics::get();
   // The logical-send span parents every transmission-attempt span the
   // transport emits below, so one trace links a send to its retries.
   telemetry::Span span = telemetry::Tracer::global().start_span("transport.send");
@@ -409,8 +393,7 @@ void ReliableLink::send_as(uint64_t request_id, const std::string& from,
           policy_.base_backoff_ms << (attempt - 1), policy_.max_backoff_ms);
       transport_.advance_clock(backoff);
       transport_.meter().apply(from, to, [](ChannelStats& s) { s.retries += 1; });
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      tm.retries.inc();
+      m_.retries->inc();
       if (transport_.now_ms() > deadline) break;
     }
     try {
@@ -432,7 +415,7 @@ void ReliableLink::send_as(uint64_t request_id, const std::string& from,
             if (!fresh) {
               transport_.meter().apply(
                   from, to, [](ChannelStats& s) { s.redeliveries += 1; });
-              tm.redeliveries.inc();
+              m_.redeliveries->inc();
               // A dedup'd redelivery is an event leaf in the ambient
               // trace (child of the rehydrated recv span), never a new
               // subtree: the duplicate's work was already recorded the
@@ -454,8 +437,7 @@ void ReliableLink::send_as(uint64_t request_id, const std::string& from,
             std::lock_guard<std::mutex> lock(applied_mu_);
             applied_.insert(key);
           });
-      sends_ok_.fetch_add(1, std::memory_order_relaxed);
-      tm.sends_ok.inc();
+      m_.sends_ok->inc();
       if (span.active()) {
         span.attr("attempts", attempt + 1);
         span.attr("outcome", "ok");
@@ -465,8 +447,7 @@ void ReliableLink::send_as(uint64_t request_id, const std::string& from,
       last_error = e.what();
     }
   }
-  sends_failed_.fetch_add(1, std::memory_order_relaxed);
-  tm.sends_failed.inc();
+  m_.sends_failed->inc();
   if (span.active()) {
     span.attr("attempts", attempt);
     span.attr("outcome", "exhausted");

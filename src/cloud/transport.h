@@ -29,6 +29,7 @@
 #include "common/errors.h"
 #include "common/wire.h"
 #include "crypto/drbg.h"
+#include "telemetry/metrics.h"
 
 namespace maabe::cloud {
 
@@ -174,6 +175,13 @@ class Transport {
   /// deterministic.
   virtual uint64_t now_ms() const = 0;
   virtual void advance_clock(uint64_t ms) = 0;
+
+  /// The `instance` label of this transport's series, shared by every
+  /// component stacked on it (link, queues, cluster, nodes).
+  const std::string& instance() const { return instance_; }
+
+ private:
+  const std::string instance_ = telemetry::next_instance();
 };
 
 /// In-process transport: frames are encoded, run through the FaultPlan,
@@ -207,6 +215,10 @@ class LoopbackTransport : public Transport {
   std::mutex mu_;  // guards plan_ decisions + seq_ allocation
   FaultPlan plan_;
   ChannelMeter meter_;
+  /// maabe_transport_<name>_total{instance}: one add per event.
+  struct {
+    telemetry::CounterSeries frames, frame_bytes, deliveries, faults;
+  } m_;
   std::map<std::pair<std::string, std::string>, uint64_t> seq_;
   std::atomic<uint64_t> now_ms_{0};
 };
@@ -260,13 +272,13 @@ class ReliableLink {
   const RetryPolicy& policy() const { return policy_; }
   void set_policy(const RetryPolicy& policy) { policy_ = policy; }
 
-  // Counters are atomics and the dedup set is mutex-guarded, so these
-  // accessors (and concurrent sends) are safe from any thread.
-  uint64_t sends_ok() const { return sends_ok_.load(std::memory_order_relaxed); }
-  uint64_t sends_failed() const {
-    return sends_failed_.load(std::memory_order_relaxed);
-  }
-  uint64_t retries() const { return retries_.load(std::memory_order_relaxed); }
+  const std::string& instance() const { return transport_.instance(); }
+
+  // Reads of the link's series and the mutex-guarded dedup set: safe
+  // from any thread, like concurrent sends.
+  uint64_t sends_ok() const { return m_.sends_ok->value(); }
+  uint64_t sends_failed() const { return m_.sends_failed->value(); }
+  uint64_t retries() const { return m_.retries->value(); }
   uint64_t applied_requests() const {
     std::lock_guard<std::mutex> lock(applied_mu_);
     return applied_.size();
@@ -278,9 +290,10 @@ class ReliableLink {
   std::atomic<uint64_t> next_request_id_{0};
   mutable std::mutex applied_mu_;  // never held across apply/sink calls
   std::set<std::pair<std::string, uint64_t>> applied_;  // (origin, request id)
-  std::atomic<uint64_t> sends_ok_{0};
-  std::atomic<uint64_t> sends_failed_{0};
-  std::atomic<uint64_t> retries_{0};
+  /// maabe_transport_<name>_total{instance}: one add per event.
+  struct {
+    telemetry::CounterSeries retries, redeliveries, sends_ok, sends_failed;
+  } m_;
 };
 
 }  // namespace maabe::cloud

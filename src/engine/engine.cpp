@@ -449,7 +449,14 @@ void CryptoEngine::run_items(size_t n, const std::function<void(size_t)>& fn) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  pool_->run(n, fn);
+  // Pool workers have no current span: carry the caller's so spans
+  // started inside an item join its trace instead of rooting new ones.
+  const telemetry::SpanContext ctx = telemetry::Tracer::current();
+  if (!ctx.valid()) return pool_->run(n, fn);
+  pool_->run(n, [&](size_t i) {
+    telemetry::ContextOverride scope(ctx);
+    fn(i);
+  });
 }
 
 void CryptoEngine::parallel_for(size_t n, const std::function<void(size_t)>& fn) {

@@ -8,6 +8,7 @@ namespace {
 
 std::atomic<size_t> g_next_thread_slot{0};
 std::atomic<bool> g_op_timing{false};
+std::atomic<uint64_t> g_next_instance{0};
 
 }  // namespace
 
@@ -60,7 +61,22 @@ int64_t Snapshot::gauge(const std::string& name) const {
   return it == gauges.end() ? 0 : it->second;
 }
 
+uint64_t Snapshot::counter(const std::string& name, const Labels& labels) const {
+  const auto it = labelled_counters.find(series_key(name, labels));
+  return it == labelled_counters.end() ? 0 : it->second;
+}
+
+int64_t Snapshot::gauge(const std::string& name, const Labels& labels) const {
+  const auto it = labelled_gauges.find(series_key(name, labels));
+  return it == labelled_gauges.end() ? 0 : it->second;
+}
+
 void Snapshot::add_gauge(const std::string& name, int64_t v) {
+  gauges[name] += v;
+}
+
+void Snapshot::add_gauge(const std::string& name, const Labels& labels, int64_t v) {
+  labelled_gauges[series_key(name, labels)] += v;
   gauges[name] += v;
 }
 
@@ -84,20 +100,46 @@ std::string sanitize_metric_name(const std::string& name) {
   return out;
 }
 
+/// One family: HELP/TYPE once, the total, then each live series.
+template <typename V>
+void write_family(std::ostringstream& out, const std::string& name, const char* type,
+                  const char* help, V total, const std::map<std::string, V>& labelled) {
+  const std::string n = sanitize_metric_name(name);
+  out << "# HELP " << n << " " << help << " " << n << ".\n";
+  out << "# TYPE " << n << " " << type << "\n" << n << " " << total << "\n";
+  const std::string prefix = name + "{";
+  for (auto it = labelled.lower_bound(prefix);
+       it != labelled.end() && it->first.starts_with(prefix); ++it)
+    out << n << it->first.substr(name.size()) << " " << it->second << "\n";
+}
+
 }  // namespace
+
+std::string series_key(std::string_view name, Labels labels) {
+  std::sort(labels.begin(), labels.end());
+  std::string out = std::string(name) + "{";
+  for (const auto& [key, value] : labels) {
+    if (out.back() != '{') out += ',';
+    out += key + "=\"";
+    for (const char c : value) {
+      if (c == '\\' || c == '"') out += '\\';
+      out += c == '\n' ? std::string("\\n") : std::string(1, c);
+    }
+    out += '"';
+  }
+  return out + "}";
+}
+
+std::string next_instance() {
+  return std::to_string(g_next_instance.fetch_add(1, std::memory_order_relaxed) + 1);
+}
 
 std::string Snapshot::prometheus_text() const {
   std::ostringstream out;
-  for (const auto& [name, v] : counters) {
-    const std::string n = sanitize_metric_name(name);
-    out << "# HELP " << n << " Monotonic counter " << n << ".\n";
-    out << "# TYPE " << n << " counter\n" << n << " " << v << "\n";
-  }
-  for (const auto& [name, v] : gauges) {
-    const std::string n = sanitize_metric_name(name);
-    out << "# HELP " << n << " Point-in-time gauge " << n << ".\n";
-    out << "# TYPE " << n << " gauge\n" << n << " " << v << "\n";
-  }
+  for (const auto& [name, v] : counters)
+    write_family(out, name, "counter", "Monotonic counter", v, labelled_counters);
+  for (const auto& [name, v] : gauges)
+    write_family(out, name, "gauge", "Point-in-time gauge", v, labelled_gauges);
   for (const auto& [name, h] : histograms) {
     const std::string n = sanitize_metric_name(name);
     out << "# HELP " << n << " Cumulative histogram " << n << ".\n";
@@ -154,6 +196,27 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
   return *it->second;
 }
 
+// Expired series are pruned whenever one is interned.
+CounterSeries MetricsRegistry::counter(std::string_view name, const Labels& labels) {
+  Counter* family = &counter(name);
+  std::lock_guard<std::mutex> lock(mu_);
+  std::erase_if(labelled_counters_, [](const auto& kv) { return kv.second.expired(); });
+  std::weak_ptr<Counter>& slot = labelled_counters_[series_key(name, labels)];
+  CounterSeries series = slot.lock();
+  if (!series) slot = series = CounterSeries(new Counter(family));
+  return series;
+}
+
+GaugeSeries MetricsRegistry::gauge(std::string_view name, const Labels& labels) {
+  Gauge* family = &gauge(name);
+  std::lock_guard<std::mutex> lock(mu_);
+  std::erase_if(labelled_gauges_, [](const auto& kv) { return kv.second.expired(); });
+  std::weak_ptr<Gauge>& slot = labelled_gauges_[series_key(name, labels)];
+  GaugeSeries series = slot.lock();
+  if (!series) slot = series = GaugeSeries(new Gauge(family));
+  return series;
+}
+
 MetricsRegistry::CollectorToken::CollectorToken(CollectorToken&& o) noexcept
     : reg_(o.reg_), id_(o.id_) {
   o.reg_ = nullptr;
@@ -195,6 +258,10 @@ Snapshot MetricsRegistry::collect() const {
     for (const auto& [name, c] : counters_) snap.counters[name] = c->value();
     for (const auto& [name, g] : gauges_) snap.gauges[name] = g->value();
     for (const auto& [name, h] : histograms_) snap.histograms[name] = h->data();
+    for (const auto& [key, weak] : labelled_counters_)
+      if (const CounterSeries c = weak.lock()) snap.labelled_counters[key] = c->value();
+    for (const auto& [key, weak] : labelled_gauges_)
+      if (const GaugeSeries g = weak.lock()) snap.labelled_gauges[key] = g->value();
   }
   // Callbacks run without the registry mutex: a collector may read
   // subsystem state whose locks are held around metric updates

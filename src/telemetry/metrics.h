@@ -1,16 +1,21 @@
 // Process-wide metrics: a registry of named counters, gauges and
 // fixed-bucket latency histograms (DESIGN.md §11).
 //
+// Counters and gauges come in families: owners with an identity (one
+// CloudSystem, one node) record into labelled series, whose adds roll
+// up into the bare-name family total.
+//
 // Hot paths (pairings, multi-exps, shard lookups, frame sends) record
 // through std::atomic cells — counters shard their cells across cache
 // lines so concurrent writers do not bounce a single line. The registry
 // mutex is touched only when a metric handle is first interned; callers
-// cache the returned reference (handles live until process exit).
+// cache the returned handle (bare-name handles live until process exit,
+// labelled ones as long as their owner holds them).
 //
 // Snapshots are pull-based: collect() sums the cells and then runs the
-// registered collector callbacks, which let subsystems that keep their
-// own structured stats (ChannelMeter totals, CloudServer shard stats,
-// CloudSystem health) contribute point-in-time gauges. The result
+// registered collector callbacks, which let subsystems contribute
+// point-in-time gauges of state that is not a count of events (queue
+// depths, ChannelMeter totals, CloudServer occupancy). The result
 // renders as a Prometheus-style text exposition via prometheus_text().
 #pragma once
 
@@ -22,6 +27,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace maabe::telemetry {
@@ -35,6 +41,7 @@ class Counter {
  public:
   void add(uint64_t delta) noexcept {
     cells_[cell_index()].v.fetch_add(delta, std::memory_order_relaxed);
+    if (family_ != nullptr) family_->add(delta);
   }
   void inc() noexcept { add(1); }
 
@@ -49,7 +56,7 @@ class Counter {
 
  private:
   friend class MetricsRegistry;
-  Counter() = default;
+  explicit Counter(Counter* family = nullptr) : family_(family) {}
 
   static constexpr size_t kCells = 8;
   struct alignas(64) Cell {
@@ -58,23 +65,50 @@ class Counter {
   static size_t cell_index() noexcept;
 
   Cell cells_[kCells];
+  Counter* family_;  ///< bare-name total of a labelled series, else null
 };
 
-/// Last-write-wins signed value (queue depths, sizes).
+/// Last-write-wins signed value (queue depths, sizes). A labelled gauge
+/// withdraws its value from the family total when retired.
 class Gauge {
  public:
-  void set(int64_t v) noexcept { v_.store(v, std::memory_order_relaxed); }
-  void add(int64_t d) noexcept { v_.fetch_add(d, std::memory_order_relaxed); }
+  void set(int64_t v) noexcept {
+    const int64_t old = v_.exchange(v, std::memory_order_relaxed);
+    if (family_ != nullptr) family_->add(v - old);
+  }
+  void add(int64_t d) noexcept {
+    v_.fetch_add(d, std::memory_order_relaxed);
+    if (family_ != nullptr) family_->add(d);
+  }
   int64_t value() const noexcept { return v_.load(std::memory_order_relaxed); }
 
+  ~Gauge() {
+    if (family_ != nullptr) family_->add(-value());
+  }
   Gauge(const Gauge&) = delete;
   Gauge& operator=(const Gauge&) = delete;
 
  private:
   friend class MetricsRegistry;
-  Gauge() = default;
+  explicit Gauge(Gauge* family = nullptr) : family_(family) {}
   std::atomic<int64_t> v_{0};
+  Gauge* family_;
 };
+
+/// One series' labels, e.g. {{"instance", "3"}, {"node", "node:1"}}.
+using Labels = std::vector<std::pair<std::string, std::string>>;
+
+/// The series key `name{k1="v1",k2="v2"}`: keys (valid Prometheus label
+/// names) sorted, values escaped.
+std::string series_key(std::string_view name, Labels labels);
+
+/// A fresh process-unique value for the `instance` label.
+std::string next_instance();
+
+/// Owning handles of labelled series: the series leaves the exposition
+/// when its last handle is dropped.
+using CounterSeries = std::shared_ptr<Counter>;
+using GaugeSeries = std::shared_ptr<Gauge>;
 
 /// Fixed-bucket histogram. observe() is lock-free: a binary search over
 /// the (immutable) bounds plus three relaxed fetch_adds. Bounds are
@@ -110,23 +144,30 @@ class Histogram {
   std::atomic<uint64_t> sum_{0};
 };
 
-/// Point-in-time view of every metric, plus collector contributions.
+/// Point-in-time view of every metric, plus collector contributions:
+/// family totals by bare name, live series by series_key().
 struct Snapshot {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, int64_t> gauges;
   std::map<std::string, Histogram::Data> histograms;
+  std::map<std::string, uint64_t> labelled_counters;
+  std::map<std::string, int64_t> labelled_gauges;
 
   /// 0 / absent-safe lookups (missing names are not an error).
   uint64_t counter(const std::string& name) const;
   int64_t gauge(const std::string& name) const;
+  uint64_t counter(const std::string& name, const Labels& labels) const;
+  int64_t gauge(const std::string& name, const Labels& labels) const;
 
   /// Collector API: merge a gauge contribution (adds to an existing
-  /// value so several CloudSystems in one process sum naturally).
+  /// value; the labelled form also adds to the family total).
   void add_gauge(const std::string& name, int64_t v);
+  void add_gauge(const std::string& name, const Labels& labels, int64_t v);
 
-  /// Prometheus text exposition: `# TYPE` lines, counters suffixed
-  /// `_total` by convention of the recording site, histograms expanded
-  /// to `_bucket{le="..."}` / `_sum` / `_count` series.
+  /// Prometheus text exposition: one `# TYPE` per family, the total
+  /// unlabelled, then its labelled series; counters suffixed `_total` by
+  /// convention of the recording site, histograms expanded to
+  /// `_bucket{le="..."}` / `_sum` / `_count` series.
   std::string prometheus_text() const;
 };
 
@@ -142,6 +183,12 @@ class MetricsRegistry {
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name, std::vector<uint64_t> bounds = {});
+
+  /// Intern a labelled series of the `name` family (a live one is
+  /// shared); adds roll up into counter(name) / gauge(name). Handles
+  /// must not outlive the registry.
+  CounterSeries counter(std::string_view name, const Labels& labels);
+  GaugeSeries gauge(std::string_view name, const Labels& labels);
 
   /// Snapshot-time contributions from subsystems with structured stats.
   /// The callback runs with the registry mutex RELEASED (under a
@@ -183,6 +230,10 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+  // Labelled series by series_key(), held weakly: the owner's handle
+  // decides the lifetime, and collect() skips expired ones.
+  std::map<std::string, std::weak_ptr<Counter>> labelled_counters_;
+  std::map<std::string, std::weak_ptr<Gauge>> labelled_gauges_;
 
   // Collectors live under their own mutex, never taken by the metric
   // interning above: collect() runs the callbacks holding only this

@@ -5,6 +5,8 @@
 // is delta-based: snapshot before, act, snapshot after.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -145,6 +147,126 @@ TEST(Metrics, ExpositionHistogramBucketsAreCumulativeAscending) {
   EXPECT_LT(b1000, binf);
   EXPECT_NE(text.find("test_cum_hist_sum 1234"), std::string::npos);
   EXPECT_NE(text.find("test_cum_hist_count 6"), std::string::npos);
+}
+
+// ---- Labelled series (DESIGN.md §11): an owner's labelled handle is
+// its only record; adds roll up into the bare-name family, and the
+// series leaves the exposition with its last handle.
+
+size_t count_of(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + 1))
+    ++n;
+  return n;
+}
+
+TEST(Metrics, LabelledCounterRollsUpIntoBareFamily) {
+  MetricsRegistry& reg = MetricsRegistry::global();
+  Counter& family = reg.counter("test_rollup_total");
+  const uint64_t before = family.value();
+  CounterSeries a = reg.counter("test_rollup_total", {{"instance", "a"}});
+  CounterSeries b = reg.counter("test_rollup_total", {{"instance", "b"}});
+  a->add(3);
+  b->inc();
+  EXPECT_EQ(a->value(), 3u);
+  EXPECT_EQ(b->value(), 1u);
+  EXPECT_EQ(family.value() - before, 4u);
+  const Snapshot snap = reg.collect();
+  EXPECT_EQ(snap.counter("test_rollup_total") - before, 4u);
+  EXPECT_EQ(snap.counter("test_rollup_total", {{"instance", "a"}}), 3u);
+  EXPECT_EQ(snap.counter("test_rollup_total", {{"instance", "b"}}), 1u);
+  EXPECT_EQ(snap.counter("test_rollup_total", {{"instance", "c"}}), 0u);
+}
+
+TEST(Metrics, LiveLabelledSeriesIsSharedAndLabelOrderIsImmaterial) {
+  MetricsRegistry& reg = MetricsRegistry::global();
+  CounterSeries a = reg.counter("test_shared_total", {{"instance", "1"}, {"node", "n"}});
+  CounterSeries b = reg.counter("test_shared_total", {{"node", "n"}, {"instance", "1"}});
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_EQ(series_key("f", {{"node", "n"}, {"instance", "1"}}),
+            "f{instance=\"1\",node=\"n\"}");
+}
+
+TEST(Metrics, RetiredCounterSeriesLeavesExpositionButFamilyKeepsItsCounts) {
+  MetricsRegistry& reg = MetricsRegistry::global();
+  const uint64_t before = reg.counter("test_retire_total").value();
+  CounterSeries s = reg.counter("test_retire_total", {{"instance", "gone"}});
+  s->add(5);
+  EXPECT_NE(reg.collect().prometheus_text().find("test_retire_total{instance=\"gone\"} 5\n"),
+            std::string::npos);
+  s.reset();
+  const Snapshot snap = reg.collect();
+  EXPECT_EQ(snap.prometheus_text().find("instance=\"gone\""), std::string::npos);
+  EXPECT_EQ(snap.counter("test_retire_total") - before, 5u);
+  // A later series under the same labels starts from zero.
+  EXPECT_EQ(reg.counter("test_retire_total", {{"instance", "gone"}})->value(), 0u);
+}
+
+TEST(Metrics, LabelledGaugeSumsIntoFamilyAndWithdrawsWhenRetired) {
+  MetricsRegistry& reg = MetricsRegistry::global();
+  Gauge& family = reg.gauge("test_labelled_gauge");
+  const int64_t before = family.value();
+  GaugeSeries a = reg.gauge("test_labelled_gauge", {{"instance", "a"}});
+  GaugeSeries b = reg.gauge("test_labelled_gauge", {{"instance", "b"}});
+  a->set(3);
+  b->set(4);
+  a->add(-1);
+  EXPECT_EQ(family.value() - before, 6);
+  EXPECT_EQ(reg.collect().gauge("test_labelled_gauge", {{"instance", "a"}}), 2);
+  a.reset();
+  EXPECT_EQ(family.value() - before, 4);
+  const Snapshot snap = reg.collect();
+  EXPECT_EQ(snap.gauge("test_labelled_gauge", {{"instance", "a"}}), 0);
+  EXPECT_EQ(snap.prometheus_text().find("test_labelled_gauge{instance=\"a\"}"),
+            std::string::npos);
+}
+
+TEST(Metrics, CollectorLabelledGaugeAddsToFamilyTotal) {
+  Snapshot snap;
+  snap.add_gauge("test_coll_gauge", {{"instance", "x"}}, 2);
+  snap.add_gauge("test_coll_gauge", {{"instance", "y"}}, 5);
+  EXPECT_EQ(snap.gauge("test_coll_gauge"), 7);
+  EXPECT_EQ(snap.gauge("test_coll_gauge", {{"instance", "y"}}), 5);
+}
+
+TEST(Metrics, ExpositionEscapesLabelValues) {
+  Snapshot snap;
+  snap.add_gauge("test_escape_gauge", {{"node", "a\\b\"c\nd"}}, 1);
+  const std::string text = snap.prometheus_text();
+  EXPECT_NE(text.find("test_escape_gauge{node=\"a\\\\b\\\"c\\nd\"} 1\n"),
+            std::string::npos)
+      << text;
+  // No raw newline leaks into the sample line.
+  EXPECT_EQ(text.find("c\nd"), std::string::npos);
+}
+
+TEST(Metrics, ExpositionEmitsOneTypeLinePerFamily) {
+  MetricsRegistry& reg = MetricsRegistry::global();
+  CounterSeries a = reg.counter("test_one_type_total", {{"instance", "a"}});
+  CounterSeries b = reg.counter("test_one_type_total", {{"instance", "b"}, {"node", "n"}});
+  GaugeSeries g = reg.gauge("test_one_type_gauge", {{"instance", "a"}});
+  a->inc();
+  b->inc();
+  g->set(1);
+  const std::string text = reg.collect().prometheus_text();
+  EXPECT_EQ(count_of(text, "# TYPE test_one_type_total counter\n"), 1u);
+  EXPECT_EQ(count_of(text, "# HELP test_one_type_total "), 1u);
+  EXPECT_EQ(count_of(text, "# TYPE test_one_type_gauge gauge\n"), 1u);
+  EXPECT_NE(text.find("test_one_type_total{instance=\"b\",node=\"n\"} 1\n"),
+            std::string::npos);
+  // Every family in the whole exposition is typed exactly once.
+  std::map<std::string, int> types;
+  for (size_t pos = text.find("# TYPE "); pos != std::string::npos;
+       pos = text.find("# TYPE ", pos + 1)) {
+    const size_t name_end = text.find(' ', pos + 7);
+    ++types[text.substr(pos + 7, name_end - pos - 7)];
+  }
+  for (const auto& [name, n] : types) EXPECT_EQ(n, 1) << name;
+}
+
+TEST(Metrics, InstanceLabelsAreUnique) {
+  EXPECT_NE(next_instance(), next_instance());
 }
 
 TEST(Metrics, CollectorRunsUntilTokenReset) {
