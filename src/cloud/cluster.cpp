@@ -76,8 +76,8 @@ Cluster::Cluster(std::shared_ptr<const pairing::Group> grp,
     : grp_(std::move(grp)), config_(config), link_(link), durable_(durable) {
   if (config_.nodes == 0) config_.nodes = 1;
   config_.replication = std::clamp<size_t>(config_.replication, 1, config_.nodes);
-  // One node keeps the PR 3 channel name so every existing script,
-  // meter expectation and trace stays byte-compatible.
+  // One node keeps the "server" channel name so every existing script
+  // and meter expectation (Table IV's channel rows) stays byte-compatible.
   if (config_.nodes == 1) {
     names_ = {"server"};
   } else {
@@ -199,8 +199,8 @@ void Cluster::restart_node(const std::string& name) {
   //    epoch_commit_orphan exactly as a delivered-but-unknown commit
   //    would be, and the node's stale copy heals via read-repair.
   // Recovery replay of the survivors is still the durable queues' job:
-  // they land on the next flush; repair_all() closes any remaining
-  // divergence.
+  // they land on the next flush; recovery().sync_all() closes any
+  // remaining divergence.
   std::map<std::string, uint64_t> newest;
   for (const std::string& label : durable_.pending_labels(name)) {
     std::string fid;
@@ -292,8 +292,8 @@ void Cluster::handle_store(const std::string& self, ByteView stored_file_wire) {
     version = ++m.version;
     m.hash = hash;
   }
-  if (config_.replication == 1) return;
-  // Fan the versioned op out to the other replicas. Unreachable
+  // Fan the versioned op out to the other replicas (none at R=1: the
+  // coordinator is then the file's only replica). Unreachable
   // replicas park; the queue replays in FIFO = version order, so a
   // recovered replica converges without reordering. Any replica that
   // misses the synchronous delivery (parked or shed) gets a hinted
@@ -375,14 +375,11 @@ FetchReply Cluster::local_read(const Node& n, const std::string& file_id) const 
 Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id) {
   Node& coord = node(self);
   ensure_alive(coord);
-  telemetry::Span span;
-  if (size() > 1) {
-    span = telemetry::Tracer::global().start_span("cluster.quorum_fetch");
-    if (span.active()) {
-      span.attr("coordinator", self);
-      span.attr("node_id", self);
-      span.attr("file_id", file_id);
-    }
+  telemetry::Span span = telemetry::Tracer::global().start_span("cluster.quorum_fetch");
+  if (span.active()) {
+    span.attr("coordinator", self);
+    span.attr("node_id", self);
+    span.attr("file_id", file_id);
   }
   const std::vector<std::string> replicas = ring_.replicas_for(file_id);
   const size_t quorum = std::min(read_quorum(), replicas.size());
@@ -601,13 +598,6 @@ bool Cluster::epoch_in_flight(uint64_t epoch_id) const {
 void Cluster::handle_epoch(const std::string& self, ByteView epoch_wire) {
   Node& coord = node(self);
   ensure_alive(coord);
-  if (size() == 1) {
-    // Single node: the PR 2 failure-atomic epoch needs no 2PC.
-    const EpochPayload epoch = decode_epoch(*grp_, epoch_wire);
-    coord.store->reencrypt(epoch.uk, epoch.infos);
-    return;
-  }
-
   m_.epochs_2pc->inc();
   const uint64_t epoch_id = next_epoch_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   // Mark the epoch in flight so the recovery resolver never presumes
@@ -727,38 +717,7 @@ void Cluster::handle_epoch(const std::string& self, ByteView epoch_wire) {
   }
 }
 
-// --------------------------------------- anti-entropy / inspection --
-
-size_t Cluster::repair_all() {
-  const uint64_t before = m_.read_repairs->value();
-  std::set<std::string> ids;
-  for (const auto& n : nodes_) {
-    if (!alive(n->name)) continue;
-    for (const std::string& id : n->store->file_ids()) ids.insert(id);
-  }
-  for (const std::string& id : ids) {
-    std::string coord = route_for(id);
-    if (!alive(coord)) {
-      // Whole replica set down: fall back to the next alive node in
-      // preference order so the attempt is made (and its quorum failure
-      // counted) instead of silently skipping the file.
-      coord.clear();
-      for (const std::string& n : ring_.preference_order(id)) {
-        if (alive(n)) {
-          coord = n;
-          break;
-        }
-      }
-      if (coord.empty()) continue;  // whole cluster down
-    }
-    try {
-      handle_fetch(coord, id);
-    } catch (const Error&) {
-      // Quorum not met (or the file vanished): nothing to repair now.
-    }
-  }
-  return static_cast<size_t>(m_.read_repairs->value() - before);
-}
+// ----------------------------------------------------- inspection --
 
 Bytes Cluster::snapshot(const std::string& name) const {
   const Node& n = node(name);

@@ -17,11 +17,12 @@
 // quorum, picks the winner (authentic > newest > preferred) and
 // repairs divergent replicas in the background (read-repair).
 //
-// Revocation epochs: cluster-wide two-phase commit over the PR 2
-// stage-then-commit hooks. The coordinator stages the epoch on every
-// node (each node re-encrypts only the files it holds), commits
-// everywhere once all staged — parked commits replay before any read —
-// and aborts everywhere byte-identically if any node cannot stage.
+// Revocation epochs: cluster-wide two-phase commit over the server's
+// stage-then-commit hooks, at every cluster size. The coordinator stages
+// the epoch on every node (each node re-encrypts only the files it
+// holds), records its commit decision, commits everywhere once all
+// staged — parked commits replay before any read — and aborts
+// everywhere byte-identically if any node cannot stage.
 //
 // Failure model: alive/killed is scripted by the chaos harness
 // (kill_node / restart_node); a killed node loses its memory-only
@@ -29,9 +30,10 @@
 // message addressed to a dead node fails like any lost frame, so the
 // ReliableLink retry/park machinery needs no special cases.
 //
-// A single-node cluster (the default) degenerates to exactly the PR 3
-// system: the node is named "server", writes replicate nowhere, reads
-// are local, and epochs skip the 2PC and call reencrypt() directly.
+// A single-node cluster (the default) runs the same paths with one
+// participant: the node is named "server", writes have no replica to
+// fan out to, quorum reads have only the local copy, and epochs run
+// the 2PC with no peer messages.
 #pragma once
 
 #include <atomic>
@@ -80,13 +82,14 @@ struct ClusterStats {
   uint64_t read_repairs = 0;          ///< repair ops issued by quorum reads
   uint64_t quorum_reads = 0;          ///< reads that met quorum
   uint64_t quorum_failures = 0;       ///< reads that could not meet quorum
-  uint64_t epochs_2pc = 0;            ///< multi-node epochs attempted
+  uint64_t epochs_2pc = 0;            ///< epochs attempted (every cluster size)
   uint64_t epoch_commits = 0;         ///< 2PC epochs committed everywhere
   uint64_t epoch_aborts = 0;          ///< 2PC epochs aborted everywhere
   uint64_t epoch_commit_orphans = 0;  ///< commits for staged state lost to a restart
   /// Maintenance ops (replication fan-out, read-repair, epoch controls)
   /// dropped because the destination's bounded durable queue was full.
-  /// The replica stays stale until read-repair / repair_all heals it.
+  /// The replica stays stale until read-repair / recovery().sync_all()
+  /// heals it.
   uint64_t replication_sheds = 0;
   /// Parked ops dropped by restart_node reconciliation (superseded
   /// replication versions, epoch controls whose staged state died).
@@ -165,32 +168,22 @@ class Cluster {
   /// TransportError(kDegraded) when quorum cannot be met, SchemeError
   /// when no replica has the file.
   Bytes handle_fetch(const std::string& self, const std::string& file_id);
-  /// Revocation epoch at the coordinator. Single node: plain
-  /// reencrypt(). Multi-node: 2PC — stage on every node, commit
+  /// Revocation epoch at the coordinator, as a 2PC at every cluster
+  /// size: stage on every node, record the commit decision, commit
   /// everywhere when all staged (parked commits replay before reads),
   /// abort everywhere otherwise and throw so the epoch message itself
-  /// stays parked and replays.
+  /// stays parked and replays. One node is one participant.
   void handle_epoch(const std::string& self, ByteView epoch_wire);
 
   // ---- Anti-entropy / introspection ----------------------------------
-  /// Legacy operator anti-entropy: quorum-read every known file at its
-  /// current coordinator so divergent replicas get read-repair ops.
-  /// When the whole replica set of a file is down, the read is
-  /// attempted from the next alive node in preference order so the
-  /// failure is counted (quorum_failures) instead of silently skipped.
-  /// Prefer recovery().sync_all(): it moves only divergent files.
-  /// Returns the number of repair ops issued.
-  size_t repair_all();
-
   /// The self-healing subsystem (Merkle anti-entropy, hinted hand-off,
   /// 2PC epoch resolution — DESIGN.md §15).
   RecoveryManager& recovery() { return *recovery_; }
   const RecoveryManager& recovery() const { return *recovery_; }
 
-  /// Test hook for 2PC crash injection: called during a multi-node
-  /// epoch with phase "staged" (all nodes staged, no decision recorded)
-  /// and "decided" (commit decision recorded, before any commit
-  /// applies). A hook that kills the coordinator and throws
+  /// Test hook for 2PC crash injection: called during an epoch with
+  /// phase "staged" (all nodes staged, no decision recorded) and
+  /// "decided" (commit decision recorded, before any commit applies). A hook that kills the coordinator and throws
   /// TransportError simulates a coordinator crash at that point.
   using EpochFaultHook = std::function<void(uint64_t, const std::string&)>;
   void set_epoch_fault_hook(EpochFaultHook hook) {

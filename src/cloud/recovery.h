@@ -8,9 +8,9 @@
 //    it currently holds); `sync(a, b)` walks the two trees level by
 //    level, root first, and transfers only the files under divergent
 //    leaves. Hashing the *current* bytes (not the recorded write hash)
-//    means silent bit-rot diverges the trees too, so sync survives
-//    corrupt and missing replicas, replacing repair_all()'s O(files)
-//    quorum fetches with O(divergence) transfers.
+//    means silent bit-rot diverges the trees too, so sync heals
+//    corrupt and missing replicas with O(divergence) transfers instead
+//    of O(files) quorum fetches.
 //
 //  * Hinted hand-off — when a write sheds or parks for a dead replica,
 //    the coordinator records a typed hint (target, file_id, version).
@@ -100,8 +100,8 @@ class RecoveryManager {
   /// in-flight transport faults propagate.
   SyncReport sync(const std::string& initiator, const std::string& peer);
   /// Every alive pair, tolerating per-pair transport failures (counted
-  /// in stats().sync_failures). The operator-facing repair_all()
-  /// replacement: O(divergence) transfers instead of O(files) reads.
+  /// in stats().sync_failures). The operator-facing repair: O(divergence)
+  /// transfers instead of O(files) reads.
   SyncReport sync_all();
 
   // ---- Hinted hand-off -----------------------------------------------

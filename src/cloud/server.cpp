@@ -89,9 +89,21 @@ std::vector<std::string> CloudServer::file_ids() const {
   return out;
 }
 
-CloudServer::StagedEpoch CloudServer::stage_impl(
-    const abe::UpdateKey& uk, const std::vector<abe::UpdateInfo>& infos,
-    const telemetry::SpanContext& slot_parent) {
+size_t CloudServer::reencrypt(const abe::UpdateKey& uk,
+                              const std::vector<abe::UpdateInfo>& infos) {
+  return commit_reencrypt(stage_reencrypt(uk, infos));
+}
+
+uint64_t CloudServer::stage_reencrypt(const abe::UpdateKey& uk,
+                                      const std::vector<abe::UpdateInfo>& infos) {
+  telemetry::Span stage_span =
+      telemetry::Tracer::global().start_span("server.reencrypt_stage");
+  if (stage_span.active()) {
+    stage_span.attr("aid", uk.aid);
+    stage_span.attr("owner", uk.owner_id);
+    stage_span.attr("from_version", static_cast<uint64_t>(uk.from_version));
+    stage_span.attr("node_id", node_name_);
+  }
   // Index the update infos by ciphertext id. Two infos for the same
   // ciphertext are a protocol violation — applying an arbitrary one
   // would corrupt the slot, so fail loudly instead.
@@ -131,7 +143,10 @@ CloudServer::StagedEpoch CloudServer::stage_impl(
                         std::move(slots)});
     }
   }
-  if (staged.empty()) return epoch;
+  if (staged.empty()) {
+    if (stage_span.active()) stage_span.attr("outcome", "empty");
+    return 0;
+  }
 
   // Flatten to per-slot work items and fan the proxy re-encryption (one
   // pairing + per-row point additions each) across the engine's pool.
@@ -146,9 +161,10 @@ CloudServer::StagedEpoch CloudServer::stage_impl(
   // Every slot pairs against the same UK1; build its pairing line table
   // once before fanning out so all slots take the precomputed path.
   engine::CryptoEngine::for_group(*grp_).warm_pair_precomp(uk.uk1);
+  const telemetry::SpanContext slot_parent = stage_span.context();
   try {
-    // Per-slot spans run on pool workers, so they parent on the caller's
-    // captured context rather than thread-local propagation.
+    // Per-slot spans run on pool workers, so they parent on the stage
+    // span's captured context rather than thread-local propagation.
     engine::CryptoEngine::for_group(*grp_).parallel_for(
         work.size(), [&](size_t w) {
           abe::Ciphertext& ct =
@@ -168,13 +184,32 @@ CloudServer::StagedEpoch CloudServer::stage_impl(
     m_.epochs_aborted->inc();
     throw;
   }
-  return epoch;
+  if (stage_span.active()) {
+    stage_span.attr("files", static_cast<uint64_t>(staged.size()));
+    stage_span.attr("slots", static_cast<uint64_t>(work.size()));
+    stage_span.attr("outcome", "staged");
+  }
+  std::lock_guard<std::mutex> lock(staged_mu_);
+  const uint64_t token = ++next_token_;
+  staged_epochs_.emplace(token, std::move(epoch));
+  return token;
 }
 
-size_t CloudServer::commit_impl(StagedEpoch& epoch,
-                                std::vector<std::string>* committed_files) {
+size_t CloudServer::commit_reencrypt(uint64_t token,
+                                     std::vector<std::string>* committed_files) {
   static telemetry::Histogram& epoch_ns =
       telemetry::MetricsRegistry::global().histogram("maabe_server_epoch_ns");
+  if (token == 0) return 0;
+  StagedEpoch epoch;
+  {
+    std::lock_guard<std::mutex> lock(staged_mu_);
+    const auto it = staged_epochs_.find(token);
+    if (it == staged_epochs_.end())
+      throw SchemeError("CloudServer: unknown staged epoch token " +
+                        std::to_string(token));
+    epoch = std::move(it->second);
+    staged_epochs_.erase(it);
+  }
   // Every slot succeeded; swap the snapshots in under the shard write
   // locks. A file replaced by a concurrent store() since staging keeps
   // the replacement (the epoch covered the files present at stage time).
@@ -198,73 +233,6 @@ size_t CloudServer::commit_impl(StagedEpoch& epoch,
           std::chrono::steady_clock::now().time_since_epoch())
           .count()) - epoch.start_ns);
   return committed;
-}
-
-size_t CloudServer::reencrypt(const abe::UpdateKey& uk,
-                              const std::vector<abe::UpdateInfo>& infos) {
-  telemetry::Span epoch_span =
-      telemetry::Tracer::global().start_span("server.reencrypt_epoch");
-  if (epoch_span.active()) {
-    epoch_span.attr("aid", uk.aid);
-    epoch_span.attr("owner", uk.owner_id);
-    epoch_span.attr("from_version", static_cast<uint64_t>(uk.from_version));
-    epoch_span.attr("node_id", node_name_);
-  }
-  StagedEpoch epoch;
-  try {
-    epoch = stage_impl(uk, infos, epoch_span.context());
-  } catch (...) {
-    if (epoch_span.active()) epoch_span.attr("outcome", "aborted");
-    throw;
-  }
-  if (epoch.files.empty()) return 0;
-  const size_t committed = commit_impl(epoch, nullptr);
-  if (epoch_span.active()) {
-    epoch_span.attr("slots", static_cast<uint64_t>(committed));
-    epoch_span.attr("outcome", "committed");
-  }
-  return committed;
-}
-
-uint64_t CloudServer::stage_reencrypt(const abe::UpdateKey& uk,
-                                      const std::vector<abe::UpdateInfo>& infos) {
-  telemetry::Span stage_span =
-      telemetry::Tracer::global().start_span("server.reencrypt_stage");
-  if (stage_span.active()) {
-    stage_span.attr("aid", uk.aid);
-    stage_span.attr("owner", uk.owner_id);
-    stage_span.attr("from_version", static_cast<uint64_t>(uk.from_version));
-    stage_span.attr("node_id", node_name_);
-  }
-  StagedEpoch epoch = stage_impl(uk, infos, stage_span.context());
-  if (epoch.files.empty()) {
-    if (stage_span.active()) stage_span.attr("outcome", "empty");
-    return 0;
-  }
-  if (stage_span.active()) {
-    stage_span.attr("files", static_cast<uint64_t>(epoch.files.size()));
-    stage_span.attr("outcome", "staged");
-  }
-  std::lock_guard<std::mutex> lock(staged_mu_);
-  const uint64_t token = ++next_token_;
-  staged_epochs_.emplace(token, std::move(epoch));
-  return token;
-}
-
-size_t CloudServer::commit_reencrypt(uint64_t token,
-                                     std::vector<std::string>* committed_files) {
-  if (token == 0) return 0;
-  StagedEpoch epoch;
-  {
-    std::lock_guard<std::mutex> lock(staged_mu_);
-    const auto it = staged_epochs_.find(token);
-    if (it == staged_epochs_.end())
-      throw SchemeError("CloudServer: unknown staged epoch token " +
-                        std::to_string(token));
-    epoch = std::move(it->second);
-    staged_epochs_.erase(it);
-  }
-  return commit_impl(epoch, committed_files);
 }
 
 void CloudServer::abort_reencrypt(uint64_t token) {

@@ -13,14 +13,15 @@
 // re-encryption of one owner's files never blocks reads of unrelated
 // shards.
 //
-// Revocation is a failure-atomic epoch: reencrypt() stages re-encrypted
-// copies of every affected ciphertext off to the side (fanned out over
-// CryptoEngine::parallel_for) and swaps them in under the shard write
-// locks only after every slot has succeeded. If any slot throws, the
-// staged copies are discarded and the stored bytes are exactly what they
-// were before the call — the scheme's strict per-authority version
-// checks (abe::reencrypt) can therefore never observe a half-updated
-// store. A test-only fault hook lets tests prove this.
+// Revocation is a failure-atomic epoch in two steps: stage_reencrypt()
+// builds re-encrypted copies of every affected ciphertext off to the
+// side (fanned out over CryptoEngine::parallel_for) and commit_reencrypt()
+// swaps them in under the shard write locks, only after every slot has
+// succeeded. If any slot throws, the staged copies are discarded and the
+// stored bytes are exactly what they were before the call — the
+// scheme's strict per-authority version checks (abe::reencrypt) can
+// therefore never observe a half-updated store. reencrypt() is the two
+// steps back to back. A test-only fault hook lets tests prove this.
 #pragma once
 
 #include <atomic>
@@ -33,7 +34,6 @@
 #include "abe/scheme.h"
 #include "cloud/hybrid.h"
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
 
 namespace maabe::cloud {
 
@@ -52,7 +52,7 @@ struct ShardStats {
 /// Whole-store snapshot: per-shard counters plus the epoch ledger.
 struct ServerStats {
   std::vector<ShardStats> shards;
-  uint64_t epochs_committed = 0;       ///< reencrypt() epochs fully applied
+  uint64_t epochs_committed = 0;       ///< staged epochs committed
   uint64_t epochs_aborted = 0;         ///< epochs staged, then discarded on failure
   uint64_t epochs_staged_open = 0;     ///< staged, neither committed nor aborted
   ShardStats totals() const;
@@ -89,9 +89,10 @@ class CloudServer {
 
   /// ReEncrypt (paper Section V-C Phase 2): applies the update key and
   /// the per-ciphertext update information to every affected slot, as
-  /// one all-or-nothing epoch. Throws SchemeError on duplicate or
-  /// missing UpdateInfo; on any failure the store is unchanged.
-  /// Returns the number of ciphertext slots re-encrypted and committed.
+  /// one all-or-nothing epoch — commit_reencrypt(stage_reencrypt(...)).
+  /// Throws SchemeError on duplicate or missing UpdateInfo; on any
+  /// failure the store is unchanged. Returns the number of ciphertext
+  /// slots re-encrypted and committed.
   size_t reencrypt(const abe::UpdateKey& uk, const std::vector<abe::UpdateInfo>& infos);
 
   // ---- Two-phase epoch hooks (cluster 2PC, DESIGN.md §13) -------------
@@ -100,7 +101,7 @@ class CloudServer {
   // staged epoch is held under an opaque token until the coordinator
   // decides its fate. commit_reencrypt swaps the staged copies in;
   // abort_reencrypt discards them, leaving the store byte-identical to
-  // before the stage. reencrypt() above is stage+commit in one call.
+  // before the stage. The cluster's 2PC drives these three directly.
 
   /// Stages an epoch. Returns a nonzero token, or 0 when no stored file
   /// is affected (nothing to commit or abort). Throws SchemeError on
@@ -170,14 +171,6 @@ class CloudServer {
     std::vector<StagedFile> files;
     uint64_t start_ns = 0;  ///< steady-clock, for the epoch histogram
   };
-
-  /// Staging pass shared by reencrypt() and stage_reencrypt(). Slot
-  /// spans parent on `slot_parent` (the caller's epoch/stage span).
-  StagedEpoch stage_impl(const abe::UpdateKey& uk,
-                         const std::vector<abe::UpdateInfo>& infos,
-                         const telemetry::SpanContext& slot_parent);
-  /// Swap pass shared by reencrypt() and commit_reencrypt().
-  size_t commit_impl(StagedEpoch& epoch, std::vector<std::string>* committed_files);
 
   std::shared_ptr<const pairing::Group> grp_;
   const std::string node_name_;

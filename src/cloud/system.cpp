@@ -579,10 +579,10 @@ size_t CloudSystem::distribute_revocation(
   //    public keys, emits UpdateInfo for affected ciphertexts and ships
   //    {UK, UpdateInfo*} to the epoch coordinator as one epoch message.
   //    Both hops park-and-replay, so an epoch that cannot reach the
-  //    cluster is applied (in version order) before any later read. On
-  //    a multi-node cluster the coordinator runs the epoch as a 2PC
-  //    across every node (DESIGN.md §13); an aborted 2PC rethrows, so
-  //    the epoch message itself stays parked and replays.
+  //    cluster is applied (in version order) before any later read. The
+  //    coordinator runs the epoch as a 2PC across every node (DESIGN.md
+  //    §13); an aborted 2PC rethrows, so the epoch message itself stays
+  //    parked and replays.
   for (auto& [owner_id, data_owner] : owners_) {
     const auto uk_it = bundle.update_keys.find(owner_id);
     if (uk_it == bundle.update_keys.end()) continue;

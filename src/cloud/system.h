@@ -15,9 +15,9 @@
 // routed over the consistent-hash ring to the first alive replica,
 // writes replicate asynchronously through per-node op queues, reads are
 // quorum reads with read-repair, and revocation epochs are cluster-wide
-// two-phase commits. The default single-node cluster behaves exactly
-// like the PR 3 single server. Canonical entity names used for channels
-// and metering:
+// two-phase commits. The default single-node cluster runs the same
+// paths with one participant, named "server". Canonical entity names
+// used for channels and metering:
 //   "ca", "aa:<AID>", "owner:<id>", "user:<UID>",
 //   "server" (single-node cluster) or "node:<i>" (multi-node).
 #pragma once
@@ -36,7 +36,7 @@ class CloudSystem {
                        const std::string& seed = "maabe-system");
   /// Full control: inject a transport (typically a LoopbackTransport
   /// with a FaultPlan), a retry policy, and the cluster shape (defaults
-  /// to a single node, which behaves exactly like the PR 3 server).
+  /// to a single node named "server").
   CloudSystem(std::shared_ptr<const pairing::Group> grp, const std::string& seed,
               std::unique_ptr<Transport> transport, RetryPolicy retry = RetryPolicy(),
               ClusterConfig cluster = ClusterConfig());

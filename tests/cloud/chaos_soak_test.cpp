@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
 
 #include "cloud/system.h"
 #include "common/errors.h"
@@ -73,6 +74,14 @@ void check_no_wrong_plaintext(const CloudSystem::DownloadReport& report) {
       FAIL() << "unexpected component '" << name << "'";
     }
   }
+}
+
+bool has_attr(const telemetry::SpanRecord& rec, const std::string& key,
+              const std::string& value) {
+  for (const auto& [k, v] : rec.attrs) {
+    if (k == key && v == value) return true;
+  }
+  return false;
 }
 
 struct SoakOutcome {
@@ -281,20 +290,32 @@ TEST(ChaosSoak, EmitsTelemetryArtifacts) {
   telemetry::Tracer::global().disable();
   EXPECT_GT(out.faults, 0u);
 
-  // Span stream: non-empty, and the revocation root is present with the
-  // epoch and transport activity underneath it somewhere in the run.
+  // Span stream: non-empty, and the revocation root is present with a
+  // committed 2PC epoch tree (epoch -> stage -> slots) and transport
+  // activity underneath it somewhere in the run.
   ASSERT_FALSE(records.empty());
-  size_t revoke_roots = 0, epochs = 0, frames = 0;
+  size_t revoke_roots = 0, frames = 0, slots = 0;
+  std::set<uint64_t> epochs, stages;
   for (const telemetry::SpanRecord& rec : records) {
     EXPECT_NE(rec.trace_id, 0u);
     EXPECT_NE(rec.span_id, 0u);
     EXPECT_GE(rec.end_ns, rec.start_ns);
     if (rec.name == "system.revoke_attribute") ++revoke_roots;
-    if (rec.name == "server.reencrypt_epoch") ++epochs;
+    if (rec.name == "cluster.epoch_2pc" && has_attr(rec, "outcome", "committed"))
+      epochs.insert(rec.span_id);
     if (rec.name == "transport.frame") ++frames;
   }
+  for (const telemetry::SpanRecord& rec : records) {
+    if (rec.name == "server.reencrypt_stage" && epochs.contains(rec.parent_id))
+      stages.insert(rec.span_id);
+  }
+  for (const telemetry::SpanRecord& rec : records) {
+    if (rec.name == "server.reencrypt_slot" && stages.contains(rec.parent_id)) ++slots;
+  }
   EXPECT_EQ(revoke_roots, 1u);
-  EXPECT_GE(epochs, 1u);
+  EXPECT_GE(epochs.size(), 1u);
+  EXPECT_GE(stages.size(), 1u);
+  EXPECT_GE(slots, 1u);
   EXPECT_GT(frames, 0u);
 
   // The file sink saw the same stream, one JSON object per line.

@@ -455,7 +455,7 @@ Bytes run_chaos_sweep(std::shared_ptr<const Group> grp, uint64_t fault_seed) {
   sys->revoke_attribute("Med", "bob", "Doctor");
   EXPECT_TRUE(ensure(*sys, [] {}, [&] { return sys->flush_pending() == 0; }))
       << "seed " << fault_seed << ": revocation never drained";
-  sys->cluster().repair_all();
+  sys->cluster().recovery().sync_all();
   EXPECT_TRUE(ensure(*sys, [] {}, [&] { return sys->flush_pending() == 0; }));
 
   for (const std::string& f : files) {

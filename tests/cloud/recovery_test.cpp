@@ -13,8 +13,6 @@
 //      stays staged-open.
 //   4. snapshot() never pairs a file's bytes with another version's
 //      metadata while writers run (torn-read regression, TSan-backed).
-//   5. repair_all() still attempts files whose coordinator is dead by
-//      falling back along the ring preference order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -427,37 +425,6 @@ TEST(RecoveryTest, SnapshotNeverTearsVersionFromBytes) {
   EXPECT_EQ(torn.load(), 0u);
   EXPECT_EQ(c.version_of(coord, "tf"), base + kVersions);
   sys->flush_pending();
-}
-
-// ----------------------------------------------- repair_all fallback --
-
-TEST(RecoveryTest, RepairAllAttemptsFilesWhoseCoordinatorIsDead) {
-  auto sys = make_system(Group::test_small(), 3, 2);
-  enroll(*sys);
-  const std::vector<std::string> files = eight_files();
-  upload_all(*sys, files);
-  ASSERT_EQ(sys->flush_pending(), 0u);
-
-  // Kill a node that is primary for at least one file: the old
-  // repair_all skipped those files outright; now the next alive node in
-  // preference order runs the read, whose quorum failure is counted
-  // (R=2 majority needs both replicas).
-  std::string victim;
-  for (const std::string& name : sys->cluster().node_names()) {
-    for (const std::string& f : files) {
-      if (sys->cluster().route_for(f) == name) {
-        victim = name;
-        break;
-      }
-    }
-    if (!victim.empty()) break;
-  }
-  ASSERT_FALSE(victim.empty());
-  sys->cluster().kill_node(victim);
-
-  const uint64_t failures_before = sys->cluster().stats().quorum_failures;
-  sys->cluster().repair_all();
-  EXPECT_GT(sys->cluster().stats().quorum_failures, failures_before);
 }
 
 }  // namespace

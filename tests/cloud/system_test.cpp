@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <thread>
 
 #include "common/errors.h"
@@ -335,6 +336,110 @@ TEST_F(SystemTest, LateAuthorityGetsOwnerShares) {
   sys.issue_user_key("Gov", "dave", "hospital");
   sys.upload("hospital", "audit-log", {{"log", bytes_of("entries"), "Auditor@Gov"}});
   EXPECT_EQ(sys.download("dave", "audit-log").size(), 1u);
+}
+
+// -------------------------------------------- epoch path parity --
+
+/// What one revocation epoch left behind, in a form comparable across
+/// cluster sizes.
+struct EpochTrace {
+  // {epochs_2pc, epoch_commits, epoch_aborts} after the aborted attempt
+  // and after the retry.
+  std::vector<uint64_t> aborted, retried;
+};
+
+/// Upload, revoke with one injected stage failure (the epoch parks),
+/// then retry it from the durable queue. One node and three nodes must
+/// walk the same 2PC: same counters, same version bumps, no stale
+/// store, and the paper's access guarantee afterwards.
+EpochTrace run_epoch_with_one_stage_failure(size_t nodes, size_t replication) {
+  ClusterConfig cfg;
+  cfg.nodes = nodes;
+  cfg.replication = replication;
+  RetryPolicy once;
+  once.max_attempts = 1;  // a failed stage parks the epoch at once
+  CloudSystem sys(Group::test_small(), "epoch-parity",
+                  std::make_unique<LoopbackTransport>(FaultPlan()), once, cfg);
+  sys.add_authority("Med", {"Doctor"});
+  sys.add_owner("hosp");
+  sys.publish_authority_keys("Med", "hosp");
+  for (const char* uid : {"alice", "bob"}) {
+    sys.add_user(uid);
+    sys.assign_attributes("Med", uid, {"Doctor"});
+    sys.issue_user_key("Med", uid, "hosp");
+  }
+  const std::vector<std::string> files = {"f1", "f2", "f3", "f4"};
+  for (const std::string& f : files) {
+    sys.upload("hosp", f,
+               {{"a", bytes_of("alpha " + f), "Doctor@Med"},
+                {"b", bytes_of("bravo " + f), "Doctor@Med"}});
+  }
+  EXPECT_EQ(sys.flush_pending(), 0u);
+
+  Cluster& c = sys.cluster();
+  std::map<std::pair<std::string, std::string>, uint64_t> uploaded;
+  for (const std::string& f : files) {
+    for (const std::string& node : c.replicas_for(f)) {
+      const uint64_t version = c.version_of(node, f);
+      EXPECT_GT(version, 0u) << node << " " << f;
+      uploaded[{node, f}] = version;
+    }
+  }
+  std::vector<Bytes> before;
+  for (const std::string& node : c.node_names()) before.push_back(c.snapshot(node));
+
+  // The first slot staged on any node throws; every later one passes.
+  auto fail_once = std::make_shared<std::atomic<bool>>(true);
+  for (const std::string& node : c.node_names()) {
+    c.node_store(node).set_reencrypt_fault_hook([fail_once](const std::string&) {
+      if (fail_once->exchange(false))
+        throw TransportError(TransportError::Kind::kLost, "injected stage failure");
+    });
+  }
+  const auto counters = [&c] {
+    const ClusterStats cs = c.stats();
+    return std::vector<uint64_t>{cs.epochs_2pc, cs.epoch_commits, cs.epoch_aborts};
+  };
+
+  EpochTrace out;
+  EXPECT_EQ(sys.revoke_attribute("Med", "bob", "Doctor"), 0u);
+  out.aborted = counters();
+  std::vector<Bytes> after_abort;
+  for (const std::string& node : c.node_names()) after_abort.push_back(c.snapshot(node));
+  EXPECT_EQ(after_abort, before) << "the aborted epoch moved a store";
+
+  EXPECT_EQ(sys.flush_pending(), 0u);  // the parked epoch replays and commits
+  out.retried = counters();
+
+  for (const std::string& node : c.node_names()) {
+    EXPECT_EQ(sys.health(node).epochs_staged_open, 0u) << node;
+  }
+  for (const auto& [at, version] : uploaded) {
+    EXPECT_GT(c.version_of(at.first, at.second), version)
+        << at.first << " kept " << at.second << " at its upload version";
+  }
+  for (const std::string& f : files) {
+    EXPECT_TRUE(sys.download_report("bob", f).opened().empty()) << f;
+    const auto report = sys.download_report("alice", f);
+    EXPECT_TRUE(report.all_ok()) << f;
+    EXPECT_EQ(report.opened(), (std::map<std::string, Bytes>{
+                                   {"a", bytes_of("alpha " + f)},
+                                   {"b", bytes_of("bravo " + f)}}));
+  }
+  return out;
+}
+
+TEST(EpochParity, OneNodeRunsTheSame2PCAsThreeNodes) {
+  std::vector<EpochTrace> traces;
+  for (const auto& [nodes, replication] :
+       std::vector<std::pair<size_t, size_t>>{{1, 1}, {3, 2}}) {
+    SCOPED_TRACE("nodes=" + std::to_string(nodes));
+    traces.push_back(run_epoch_with_one_stage_failure(nodes, replication));
+    EXPECT_EQ(traces.back().aborted, (std::vector<uint64_t>{1, 0, 1}));
+    EXPECT_EQ(traces.back().retried, (std::vector<uint64_t>{2, 1, 1}));
+  }
+  EXPECT_EQ(traces[0].aborted, traces[1].aborted);
+  EXPECT_EQ(traces[0].retried, traces[1].retried);
 }
 
 }  // namespace

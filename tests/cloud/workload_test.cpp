@@ -86,10 +86,10 @@ TEST(WorkloadChaosTest, KillAndRestartMidWorkloadMeetsDegradedSlo) {
   }
 
   // Restart + replay: reconciliation prunes superseded parked versions,
-  // the durable queues drain, read-repair fixes what replay missed.
+  // the durable queues drain, anti-entropy fixes what replay missed.
   sys.cluster().restart_node("node:1");
   EXPECT_EQ(sys.flush_pending(), 0u);
-  sys.cluster().repair_all();
+  sys.cluster().recovery().sync_all();
   sys.flush_pending();
   EXPECT_EQ(sys.replication_lag(), 0u);
 

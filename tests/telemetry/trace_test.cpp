@@ -313,23 +313,30 @@ TEST(Trace, FaultInjectedRevocationEpochYieldsLinkedSpanTree) {
   EXPECT_EQ(scripted, 2u);
   EXPECT_EQ(delivered, 1u);
 
-  // The server epoch and its per-slot children (pool workers, explicit
-  // parent) are in the same tree.
+  // The 2PC epoch, the node's stage under it and the stage's per-slot
+  // children (pool workers, explicit parent) are in the same tree.
   const SpanRecord* epoch = nullptr;
+  const SpanRecord* stage = nullptr;
   std::vector<const SpanRecord*> slot_spans;
   for (const SpanRecord& rec : records) {
-    if (rec.name == "server.reencrypt_epoch") {
+    if (rec.name == "cluster.epoch_2pc") {
       ASSERT_EQ(epoch, nullptr) << "two epochs";
       epoch = &rec;
+    }
+    if (rec.name == "server.reencrypt_stage") {
+      ASSERT_EQ(stage, nullptr) << "two stages";
+      stage = &rec;
     }
     if (rec.name == "server.reencrypt_slot") slot_spans.push_back(&rec);
   }
   ASSERT_NE(epoch, nullptr);
   EXPECT_EQ(attr_of(*epoch, "outcome"), "committed");
-  EXPECT_EQ(attr_of(*epoch, "slots"), "2");
+  ASSERT_NE(stage, nullptr);
+  EXPECT_EQ(stage->parent_id, epoch->span_id);
+  EXPECT_EQ(attr_of(*stage, "slots"), "2");
   ASSERT_EQ(slot_spans.size(), 2u);
   for (const SpanRecord* slot : slot_spans) {
-    EXPECT_EQ(slot->parent_id, epoch->span_id);
+    EXPECT_EQ(slot->parent_id, stage->span_id);
   }
 }
 
