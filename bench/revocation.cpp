@@ -307,13 +307,11 @@ BENCHMARK(BM_ReEncrypt_Epoch_Cluster)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.05);
 
-// One instrumented pass over the whole protocol, phase by phase, with
-// per-op timing on: BENCH_revocation.json gets a per-phase wall-ms +
-// engine-op breakdown (OpMeter deltas) plus the registry snapshot, so
-// a sweep diff shows *where* a regression landed, not just that the
-// epoch got slower.
+// One instrumented pass over the whole protocol, phase by phase:
+// BENCH_revocation.json gets a per-phase wall-ms + engine-op breakdown
+// (OpMeter deltas) plus the registry snapshot, so a sweep diff shows
+// *where* a regression landed, not just that the epoch got slower.
 void emit_phase_breakdown() {
-  telemetry::set_op_timing(true);
   const RevocationFixture& f = RevocationFixture::get(2);
   const pairing::Group& grp = *f.w->grp;
   engine::CryptoEngine& eng = engine::CryptoEngine::for_group(grp);

@@ -55,15 +55,6 @@ class WireError : public Error {
   using Error::Error;
 };
 
-/// Admission-control rejection outside the transport: a bounded work
-/// queue (e.g. the CryptoEngine submission window) refused new work
-/// instead of growing without bound. Callers treat this as retriable
-/// backpressure, not data loss.
-class OverloadError : public Error {
- public:
-  using Error::Error;
-};
-
 /// Byte-transport failures (cloud/transport.h): lost or corrupted
 /// frames, exhausted retry budgets, and reads refused while revocation
 /// epochs are still parked in a pending queue. The kind distinguishes

@@ -1,9 +1,12 @@
 #include "engine/engine.h"
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <list>
+#include <map>
 #include <thread>
 
 #include "common/errors.h"
@@ -27,84 +30,48 @@ std::atomic<int> g_default_override{0};
 
 /// Registry handles for the engine's global counters/histograms,
 /// interned once (the registry returns process-lifetime references).
+/// `totals[i]` is the counter of kEngineStatFields[i].
 struct EngineMetrics {
-  telemetry::Counter& pairings;
-  telemetry::Counter& g1_exps;
-  telemetry::Counter& gt_exps;
-  telemetry::Counter& miller_loops;
-  telemetry::Counter& final_exps;
-  telemetry::Counter& batches;
-  telemetry::Counter& tasks;
-  telemetry::Counter& table_builds;
-  telemetry::Counter& table_hits;
-  telemetry::Counter& precomp_builds;
-  telemetry::Counter& precomp_hits;
-  telemetry::Counter& batch_wall_ns;
-  telemetry::Counter& sheds;
   telemetry::Histogram& pair_batch_ns;
   telemetry::Histogram& multi_exp_g1_ns;
   telemetry::Histogram& multi_exp_gt_ns;
   telemetry::Histogram& g_pow_batch_ns;
   telemetry::Histogram& egg_pow_batch_ns;
+  std::array<telemetry::Counter*, kEngineStatCount> totals{};
 
   static EngineMetrics& get() {
-    auto& reg = telemetry::MetricsRegistry::global();
-    static EngineMetrics* m = new EngineMetrics{
-        reg.counter("maabe_engine_pairings_total"),
-        reg.counter("maabe_engine_g1_exps_total"),
-        reg.counter("maabe_engine_gt_exps_total"),
-        reg.counter("maabe_engine_miller_loops_total"),
-        reg.counter("maabe_engine_final_exps_total"),
-        reg.counter("maabe_engine_batches_total"),
-        reg.counter("maabe_engine_tasks_total"),
-        reg.counter("maabe_engine_table_builds_total"),
-        reg.counter("maabe_engine_table_hits_total"),
-        reg.counter("maabe_engine_precomp_builds_total"),
-        reg.counter("maabe_engine_precomp_hits_total"),
-        reg.counter("maabe_engine_batch_wall_ns_total"),
-        reg.counter("maabe_engine_shed_total"),
-        reg.histogram("maabe_engine_pair_batch_ns"),
-        reg.histogram("maabe_engine_multi_exp_g1_ns"),
-        reg.histogram("maabe_engine_multi_exp_gt_ns"),
-        reg.histogram("maabe_engine_g_pow_batch_ns"),
-        reg.histogram("maabe_engine_egg_pow_batch_ns"),
-    };
+    static EngineMetrics* m = [] {
+      auto& reg = telemetry::MetricsRegistry::global();
+      auto* em = new EngineMetrics{
+          reg.histogram("maabe_engine_pair_batch_ns"),
+          reg.histogram("maabe_engine_multi_exp_g1_ns"),
+          reg.histogram("maabe_engine_multi_exp_gt_ns"),
+          reg.histogram("maabe_engine_g_pow_batch_ns"),
+          reg.histogram("maabe_engine_egg_pow_batch_ns"),
+      };
+      for (size_t i = 0; i < kEngineStatCount; ++i)
+        em->totals[i] = &reg.counter(kEngineStatFields[i].metric);
+      return em;
+    }();
     return *m;
   }
 };
+
+// Interned at load time, so every process that links the engine lists
+// the whole maabe_engine_* family, zeros included, even when it exits
+// before its first batch (a CLI command that fails early).
+[[maybe_unused]] const EngineMetrics& g_interned_at_load = EngineMetrics::get();
 
 }  // namespace
 
 EngineStats EngineStats::operator-(const EngineStats& e) const {
   EngineStats d;
-  d.pairings = pairings - e.pairings;
-  d.g1_exps = g1_exps - e.g1_exps;
-  d.gt_exps = gt_exps - e.gt_exps;
-  d.miller_loops = miller_loops - e.miller_loops;
-  d.final_exps = final_exps - e.final_exps;
-  d.batches = batches - e.batches;
-  d.tasks = tasks - e.tasks;
-  d.table_builds = table_builds - e.table_builds;
-  d.table_hits = table_hits - e.table_hits;
-  d.precomp_builds = precomp_builds - e.precomp_builds;
-  d.precomp_hits = precomp_hits - e.precomp_hits;
-  d.wall_ns = wall_ns - e.wall_ns;
+  for (const EngineStatField& f : kEngineStatFields) d.*f.field = this->*f.field - e.*f.field;
   return d;
 }
 
 EngineStats& EngineStats::operator+=(const EngineStats& o) {
-  pairings += o.pairings;
-  g1_exps += o.g1_exps;
-  gt_exps += o.gt_exps;
-  miller_loops += o.miller_loops;
-  final_exps += o.final_exps;
-  batches += o.batches;
-  tasks += o.tasks;
-  table_builds += o.table_builds;
-  table_hits += o.table_hits;
-  precomp_builds += o.precomp_builds;
-  precomp_hits += o.precomp_hits;
-  wall_ns += o.wall_ns;
+  for (const EngineStatField& f : kEngineStatFields) this->*f.field += o.*f.field;
   return *this;
 }
 
@@ -234,6 +201,35 @@ struct CryptoEngine::LruCache {
     ++order.front().uses;
     return order.front();
   }
+
+  /// The table in `slot` of the entry for `key`: touches the entry and
+  /// builds the table with `build` once the entry has been used
+  /// kBuildThreshold times; `warm` builds it now (the caller announced a
+  /// run of uses). Counts the build into `builds`, and the hit into
+  /// `hits` unless warming — a warm-up runs no operation. Caller holds
+  /// `mu`.
+  template <class T, class Build>
+  std::shared_ptr<const T> table(std::shared_ptr<const T> Node::*slot,
+                                 const Bytes& key, bool warm, uint64_t& builds,
+                                 uint64_t& hits, const Build& build) {
+    Node& node = touch(key);
+    if (warm && node.uses < kBuildThreshold) node.uses = kBuildThreshold;
+    std::shared_ptr<const T>& t = node.*slot;
+    if (!t && node.uses >= kBuildThreshold) {
+      t = build();
+      ++builds;
+    }
+    if (t && !warm) ++hits;
+    return t;
+  }
+
+  /// The line table for first argument `a`; `warm` as for table().
+  std::shared_ptr<const pairing::PairingPrecomp> line_table(const Group& grp,
+                                                           const G1& a, bool warm,
+                                                           EngineStats& d) {
+    return table(&Node::pair, a.to_bytes(), warm, d.precomp_builds,
+                 d.precomp_hits, [&] { return grp.pair_precompute(a); });
+  }
 };
 
 // --------------------------------------------------------- CryptoEngine --
@@ -245,12 +241,11 @@ struct CryptoEngine::LruCache {
 /// stats() retries until it reads the same even sequence on both sides
 /// of the field loads. All accesses are atomics (TSan-clean); the
 /// write mutex serializes committers so the odd window stays short.
+/// `cells[i]` holds kEngineStatFields[i].
 struct CryptoEngine::StatCells {
   std::mutex write_mu;
   std::atomic<uint64_t> seq{0};
-  std::atomic<uint64_t> pairings{0}, g1_exps{0}, gt_exps{0}, miller_loops{0},
-      final_exps{0}, batches{0}, tasks{0}, table_builds{0}, table_hits{0},
-      precomp_builds{0}, precomp_hits{0}, wall_ns{0};
+  std::array<std::atomic<uint64_t>, kEngineStatCount> cells{};
 };
 
 void CryptoEngine::commit_stats(const EngineStats& d) {
@@ -260,36 +255,16 @@ void CryptoEngine::commit_stats(const EngineStats& d) {
     const uint64_t s = c.seq.load(std::memory_order_relaxed);
     c.seq.store(s + 1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_release);
-    const auto bump = [](std::atomic<uint64_t>& f, uint64_t v) {
-      f.store(f.load(std::memory_order_relaxed) + v, std::memory_order_relaxed);
-    };
-    bump(c.pairings, d.pairings);
-    bump(c.g1_exps, d.g1_exps);
-    bump(c.gt_exps, d.gt_exps);
-    bump(c.miller_loops, d.miller_loops);
-    bump(c.final_exps, d.final_exps);
-    bump(c.batches, d.batches);
-    bump(c.tasks, d.tasks);
-    bump(c.table_builds, d.table_builds);
-    bump(c.table_hits, d.table_hits);
-    bump(c.precomp_builds, d.precomp_builds);
-    bump(c.precomp_hits, d.precomp_hits);
-    bump(c.wall_ns, d.wall_ns);
+    for (size_t i = 0; i < kEngineStatCount; ++i) {
+      std::atomic<uint64_t>& f = c.cells[i];
+      f.store(f.load(std::memory_order_relaxed) + d.*kEngineStatFields[i].field,
+              std::memory_order_relaxed);
+    }
     c.seq.store(s + 2, std::memory_order_release);
   }
-  EngineMetrics& m = EngineMetrics::get();
-  if (d.pairings) m.pairings.add(d.pairings);
-  if (d.g1_exps) m.g1_exps.add(d.g1_exps);
-  if (d.gt_exps) m.gt_exps.add(d.gt_exps);
-  if (d.miller_loops) m.miller_loops.add(d.miller_loops);
-  if (d.final_exps) m.final_exps.add(d.final_exps);
-  if (d.batches) m.batches.add(d.batches);
-  if (d.tasks) m.tasks.add(d.tasks);
-  if (d.table_builds) m.table_builds.add(d.table_builds);
-  if (d.table_hits) m.table_hits.add(d.table_hits);
-  if (d.precomp_builds) m.precomp_builds.add(d.precomp_builds);
-  if (d.precomp_hits) m.precomp_hits.add(d.precomp_hits);
-  if (d.wall_ns) m.batch_wall_ns.add(d.wall_ns);
+  const EngineMetrics& m = EngineMetrics::get();
+  for (size_t i = 0; i < kEngineStatCount; ++i)
+    if (const uint64_t v = d.*kEngineStatFields[i].field) m.totals[i]->add(v);
 }
 
 // ------------------------------------------------------------ BatchScope --
@@ -316,9 +291,6 @@ class CryptoEngine::BatchScope {
   }
 
   void set_items(uint64_t n) { items_ = n; }
-  /// Context for pool workers to parent their work on (unused today —
-  /// batch items are too fine-grained to span individually).
-  telemetry::SpanContext context() const { return span_.context(); }
 
   EngineStats delta;
 
@@ -329,65 +301,6 @@ class CryptoEngine::BatchScope {
   uint64_t items_ = 0;
   std::chrono::steady_clock::time_point start_;
 };
-
-// --------------------------------------------------- admission control --
-
-/// RAII reservation against the engine's bounded submission window.
-/// Construction sheds (throws OverloadError) when the window is full;
-/// destruction releases the items. `tl_in_worker` calls run inline on a
-/// pool thread inside an already-admitted batch, so they bypass the
-/// window — counting them again would deadlock a nested sweep against
-/// its own parent's reservation.
-class CryptoEngine::AdmissionTicket {
- public:
-  AdmissionTicket(CryptoEngine& eng, size_t items) : eng_(eng) {
-    if (tl_in_worker) return;
-    eng_.admit_items(items);
-    items_ = items;
-  }
-  ~AdmissionTicket() {
-    if (items_ > 0) eng_.release_items(items_);
-  }
-  AdmissionTicket(const AdmissionTicket&) = delete;
-  AdmissionTicket& operator=(const AdmissionTicket&) = delete;
-
- private:
-  CryptoEngine& eng_;
-  size_t items_ = 0;
-};
-
-void CryptoEngine::set_admission_limit(size_t items) {
-  admission_limit_.store(items, std::memory_order_relaxed);
-}
-
-size_t CryptoEngine::admission_limit() const {
-  return admission_limit_.load(std::memory_order_relaxed);
-}
-
-size_t CryptoEngine::inflight_items() const {
-  return inflight_items_.load(std::memory_order_relaxed);
-}
-
-uint64_t CryptoEngine::shed_total() const {
-  return sheds_.load(std::memory_order_relaxed);
-}
-
-void CryptoEngine::admit_items(size_t items) {
-  const size_t limit = admission_limit_.load(std::memory_order_relaxed);
-  const size_t prior = inflight_items_.fetch_add(items, std::memory_order_relaxed);
-  if (limit == 0 || prior + items <= limit) return;
-  inflight_items_.fetch_sub(items, std::memory_order_relaxed);
-  sheds_.fetch_add(1, std::memory_order_relaxed);
-  EngineMetrics::get().sheds.inc();
-  throw OverloadError("CryptoEngine: admission window full (" +
-                      std::to_string(prior) + " in flight, limit " +
-                      std::to_string(limit) + "): shedding batch of " +
-                      std::to_string(items));
-}
-
-void CryptoEngine::release_items(size_t items) {
-  inflight_items_.fetch_sub(items, std::memory_order_relaxed);
-}
 
 // --------------------------------------------------------- construction --
 
@@ -461,46 +374,12 @@ void CryptoEngine::run_items(size_t n, const std::function<void(size_t)>& fn) {
 
 void CryptoEngine::parallel_for(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  AdmissionTicket ticket(*this, n);
   telemetry::Span span = telemetry::Tracer::global().start_span("engine.parallel_for");
   if (span.active()) span.attr("items", static_cast<uint64_t>(n));
   EngineStats d;
   d.tasks = n;
   commit_stats(d);
   run_items(n, fn);
-}
-
-std::vector<GT> CryptoEngine::pair_batch(const std::vector<PairTerm>& terms) {
-  AdmissionTicket ticket(*this, terms.size());
-  BatchScope scope(*this, EngineMetrics::get().pair_batch_ns, "engine.pair_batch");
-  const size_t n = terms.size();
-  scope.delta.pairings = n;
-  scope.delta.tasks = n;
-  scope.set_items(n);
-  // Resolve line tables for repeated first arguments under the LRU
-  // lock; identity terms pair to 1 without touching the cache.
-  std::vector<std::shared_ptr<const pairing::PairingPrecomp>> pre(n);
-  {
-    std::lock_guard<std::mutex> lk(cache_->mu);
-    for (size_t i = 0; i < n; ++i) {
-      if (terms[i].a.is_identity() || terms[i].b.is_identity()) continue;
-      ++scope.delta.miller_loops;
-      ++scope.delta.final_exps;
-      LruCache::Node& node = cache_->touch(terms[i].a.to_bytes());
-      if (!node.pair && node.uses >= LruCache::kBuildThreshold) {
-        node.pair = grp_->pair_precompute(terms[i].a);
-        ++scope.delta.precomp_builds;
-      }
-      if (node.pair) ++scope.delta.precomp_hits;
-      pre[i] = node.pair;
-    }
-  }
-  std::vector<GT> out(n);
-  run_items(n, [&](size_t i) {
-    out[i] = pre[i] ? grp_->miller_reduce(grp_->miller_with(*pre[i], terms[i].b))
-                    : grp_->pair(terms[i].a, terms[i].b);
-  });
-  return out;
 }
 
 GT CryptoEngine::pairing_product(const std::vector<PairTerm>& terms) {
@@ -511,7 +390,6 @@ GT CryptoEngine::pairing_power_product(const std::vector<PairTerm>& terms,
                                        const std::vector<Zr>& exps) {
   if (!exps.empty() && exps.size() != terms.size())
     throw MathError("pairing_power_product: terms/exps size mismatch");
-  AdmissionTicket ticket(*this, terms.size());
   BatchScope scope(*this, EngineMetrics::get().pair_batch_ns,
                    "engine.pairing_product");
   const size_t n = terms.size();
@@ -536,16 +414,8 @@ GT CryptoEngine::pairing_power_product(const std::vector<PairTerm>& terms,
   std::vector<std::shared_ptr<const pairing::PairingPrecomp>> pre(live.size());
   {
     std::lock_guard<std::mutex> lk(cache_->mu);
-    for (size_t k = 0; k < live.size(); ++k) {
-      const pairing::G1& a = terms[live[k]].a;
-      LruCache::Node& node = cache_->touch(a.to_bytes());
-      if (!node.pair && node.uses >= LruCache::kBuildThreshold) {
-        node.pair = grp_->pair_precompute(a);
-        ++scope.delta.precomp_builds;
-      }
-      if (node.pair) ++scope.delta.precomp_hits;
-      pre[k] = node.pair;
-    }
+    for (size_t k = 0; k < live.size(); ++k)
+      pre[k] = cache_->line_table(*grp_, terms[live[k]].a, false, scope.delta);
   }
 
   // Parallel Miller loops; the reduction below stays on the caller.
@@ -579,7 +449,6 @@ GT CryptoEngine::pairing_power_product(const std::vector<PairTerm>& terms,
 }
 
 GT CryptoEngine::pair(const pairing::G1& a, const pairing::G1& b) {
-  AdmissionTicket ticket(*this, 1);
   BatchScope scope(*this, EngineMetrics::get().pair_batch_ns, "engine.pair");
   scope.delta.pairings = 1;
   scope.set_items(1);
@@ -589,13 +458,7 @@ GT CryptoEngine::pair(const pairing::G1& a, const pairing::G1& b) {
   std::shared_ptr<const pairing::PairingPrecomp> pre;
   {
     std::lock_guard<std::mutex> lk(cache_->mu);
-    LruCache::Node& node = cache_->touch(a.to_bytes());
-    if (!node.pair && node.uses >= LruCache::kBuildThreshold) {
-      node.pair = grp_->pair_precompute(a);
-      ++scope.delta.precomp_builds;
-    }
-    if (node.pair) ++scope.delta.precomp_hits;
-    pre = node.pair;
+    pre = cache_->line_table(*grp_, a, false, scope.delta);
   }
   return pre ? grp_->miller_reduce(grp_->miller_with(*pre, b))
              : grp_->pair(a, b);
@@ -606,21 +469,13 @@ void CryptoEngine::warm_pair_precomp(const pairing::G1& base) {
   EngineStats d;
   {
     std::lock_guard<std::mutex> lk(cache_->mu);
-    LruCache::Node& node = cache_->touch(base.to_bytes());
-    // The caller announced a whole epoch of pairings against this base;
-    // skip the break-even counting and build immediately.
-    if (node.uses < LruCache::kBuildThreshold) node.uses = LruCache::kBuildThreshold;
-    if (!node.pair) {
-      node.pair = grp_->pair_precompute(base);
-      d.precomp_builds = 1;
-    }
+    (void)cache_->line_table(*grp_, base, true, d);
   }
   if (d.precomp_builds != 0) commit_stats(d);
 }
 
 std::vector<G1> CryptoEngine::multi_exp_g1(const std::vector<G1Term>& terms,
                                            bool cache_bases) {
-  AdmissionTicket ticket(*this, terms.size());
   BatchScope scope(*this, EngineMetrics::get().multi_exp_g1_ns,
                    "engine.multi_exp_g1");
   const size_t n = terms.size();
@@ -634,13 +489,10 @@ std::vector<G1> CryptoEngine::multi_exp_g1(const std::vector<G1Term>& terms,
     std::lock_guard<std::mutex> lk(cache_->mu);
     for (size_t i = 0; i < n; ++i) {
       if (terms[i].base.is_identity()) continue;
-      LruCache::Node& node = cache_->touch(terms[i].base.to_bytes());
-      if (!node.g1 && node.uses >= LruCache::kBuildThreshold) {
-        node.g1 = grp_->g1_precompute(terms[i].base);
-        ++scope.delta.table_builds;
-      }
-      if (node.g1) ++scope.delta.table_hits;
-      tables[i] = node.g1;
+      tables[i] = cache_->table(&LruCache::Node::g1, terms[i].base.to_bytes(),
+                                false, scope.delta.table_builds,
+                                scope.delta.table_hits,
+                                [&] { return grp_->g1_precompute(terms[i].base); });
     }
   }
   std::vector<G1> out(n);
@@ -653,7 +505,6 @@ std::vector<G1> CryptoEngine::multi_exp_g1(const std::vector<G1Term>& terms,
 
 std::vector<GT> CryptoEngine::multi_exp_gt(const std::vector<GtTerm>& terms,
                                            bool cache_bases) {
-  AdmissionTicket ticket(*this, terms.size());
   BatchScope scope(*this, EngineMetrics::get().multi_exp_gt_ns,
                    "engine.multi_exp_gt");
   const size_t n = terms.size();
@@ -665,13 +516,10 @@ std::vector<GT> CryptoEngine::multi_exp_gt(const std::vector<GtTerm>& terms,
     std::lock_guard<std::mutex> lk(cache_->mu);
     for (size_t i = 0; i < n; ++i) {
       if (terms[i].base.is_one()) continue;
-      LruCache::Node& node = cache_->touch(terms[i].base.to_bytes());
-      if (!node.gt && node.uses >= LruCache::kBuildThreshold) {
-        node.gt = grp_->gt_precompute(terms[i].base);
-        ++scope.delta.table_builds;
-      }
-      if (node.gt) ++scope.delta.table_hits;
-      tables[i] = node.gt;
+      tables[i] = cache_->table(&LruCache::Node::gt, terms[i].base.to_bytes(),
+                                false, scope.delta.table_builds,
+                                scope.delta.table_hits,
+                                [&] { return grp_->gt_precompute(terms[i].base); });
     }
   }
   std::vector<GT> out(n);
@@ -683,7 +531,6 @@ std::vector<GT> CryptoEngine::multi_exp_gt(const std::vector<GtTerm>& terms,
 }
 
 std::vector<G1> CryptoEngine::g_pow_batch(const std::vector<Zr>& exps) {
-  AdmissionTicket ticket(*this, exps.size());
   BatchScope scope(*this, EngineMetrics::get().g_pow_batch_ns,
                    "engine.g_pow_batch");
   scope.delta.g1_exps = exps.size();
@@ -695,7 +542,6 @@ std::vector<G1> CryptoEngine::g_pow_batch(const std::vector<Zr>& exps) {
 }
 
 std::vector<GT> CryptoEngine::egg_pow_batch(const std::vector<Zr>& exps) {
-  AdmissionTicket ticket(*this, exps.size());
   BatchScope scope(*this, EngineMetrics::get().egg_pow_batch_ns,
                    "engine.egg_pow_batch");
   scope.delta.gt_exps = exps.size();
@@ -712,38 +558,13 @@ EngineStats CryptoEngine::stats() const {
     const uint64_t s1 = c.seq.load(std::memory_order_acquire);
     if ((s1 & 1) == 0) {
       EngineStats out;
-      out.pairings = c.pairings.load(std::memory_order_relaxed);
-      out.g1_exps = c.g1_exps.load(std::memory_order_relaxed);
-      out.gt_exps = c.gt_exps.load(std::memory_order_relaxed);
-      out.miller_loops = c.miller_loops.load(std::memory_order_relaxed);
-      out.final_exps = c.final_exps.load(std::memory_order_relaxed);
-      out.batches = c.batches.load(std::memory_order_relaxed);
-      out.tasks = c.tasks.load(std::memory_order_relaxed);
-      out.table_builds = c.table_builds.load(std::memory_order_relaxed);
-      out.table_hits = c.table_hits.load(std::memory_order_relaxed);
-      out.precomp_builds = c.precomp_builds.load(std::memory_order_relaxed);
-      out.precomp_hits = c.precomp_hits.load(std::memory_order_relaxed);
-      out.wall_ns = c.wall_ns.load(std::memory_order_relaxed);
+      for (size_t i = 0; i < kEngineStatCount; ++i)
+        out.*kEngineStatFields[i].field = c.cells[i].load(std::memory_order_relaxed);
       std::atomic_thread_fence(std::memory_order_acquire);
       if (c.seq.load(std::memory_order_relaxed) == s1) return out;
     }
     std::this_thread::yield();
   }
-}
-
-void CryptoEngine::reset_stats() {
-  StatCells& c = *stat_cells_;
-  std::lock_guard<std::mutex> lk(c.write_mu);
-  const uint64_t s = c.seq.load(std::memory_order_relaxed);
-  c.seq.store(s + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  for (std::atomic<uint64_t>* f :
-       {&c.pairings, &c.g1_exps, &c.gt_exps, &c.miller_loops, &c.final_exps,
-        &c.batches, &c.tasks, &c.table_builds, &c.table_hits,
-        &c.precomp_builds, &c.precomp_hits, &c.wall_ns}) {
-    f->store(0, std::memory_order_relaxed);
-  }
-  c.seq.store(s + 2, std::memory_order_release);
 }
 
 }  // namespace maabe::engine

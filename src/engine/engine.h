@@ -5,11 +5,12 @@
 // (decrypt alone evaluates 2l + N_A pairings); a CryptoEngine turns
 // those serial loops into batches executed on a fixed-size thread pool:
 //
-//   * pairing_product / pairing_power_product / pair_batch — the
-//     multi-pairing kernel: Miller loops evaluated in parallel (with
-//     fixed-argument line tables cached in the LRU), unreduced values
-//     folded in submission order, one shared final exponentiation per
-//     product.
+//   * pairing_product / pairing_power_product — the multi-pairing
+//     kernel: Miller loops evaluated in parallel (with fixed-argument
+//     line tables cached in the LRU), unreduced values folded in
+//     submission order, one shared final exponentiation per product.
+//     pair() is the single-term form for callers that pair one term at
+//     a time against a warmed base.
 //   * multi_exp_g1 / multi_exp_gt — batched variable-base
 //     exponentiation with a per-Group LRU precomputation cache:
 //     bases seen repeatedly across batches (PK_UID in KeyGen, the
@@ -32,13 +33,19 @@
 // The engine relies on Group's documented const-thread-safety (see
 // pairing/group.h). Engine methods themselves are safe to call from
 // multiple threads; batches are serialized on the pool.
+//
+// Accounting: EngineStats is the one record of crypto work. Group
+// itself counts nothing, so the counts cover what is submitted here:
+// every pairing the schemes evaluate and their batched
+// exponentiations, but not a one-off g^k a scheme takes on Group
+// directly. Each batch commits its counts once, to the engine's
+// seqlock store and to the maabe_engine_* registry counters named in
+// kEngineStatFields.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <map>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -69,6 +76,30 @@ struct EngineStats {
   double wall_ms() const { return static_cast<double>(wall_ns) / 1e6; }
 };
 
+/// The engine's counter set, declared once: each EngineStats field and
+/// the registry counter the same seqlock commit bumps. Stats
+/// arithmetic, the seqlock store, snapshots and the registry series
+/// all iterate this table.
+struct EngineStatField {
+  uint64_t EngineStats::*field;
+  const char* metric;
+};
+inline constexpr EngineStatField kEngineStatFields[] = {
+    {&EngineStats::pairings, "maabe_engine_pairings_total"},
+    {&EngineStats::g1_exps, "maabe_engine_g1_exps_total"},
+    {&EngineStats::gt_exps, "maabe_engine_gt_exps_total"},
+    {&EngineStats::miller_loops, "maabe_engine_miller_loops_total"},
+    {&EngineStats::final_exps, "maabe_engine_final_exps_total"},
+    {&EngineStats::batches, "maabe_engine_batches_total"},
+    {&EngineStats::tasks, "maabe_engine_tasks_total"},
+    {&EngineStats::table_builds, "maabe_engine_table_builds_total"},
+    {&EngineStats::table_hits, "maabe_engine_table_hits_total"},
+    {&EngineStats::precomp_builds, "maabe_engine_precomp_builds_total"},
+    {&EngineStats::precomp_hits, "maabe_engine_precomp_hits_total"},
+    {&EngineStats::wall_ns, "maabe_engine_batch_wall_ns_total"},
+};
+inline constexpr size_t kEngineStatCount = std::size(kEngineStatFields);
+
 class CryptoEngine {
  public:
   /// `threads == 0` resolves via MAABE_THREADS / hardware_concurrency.
@@ -94,21 +125,6 @@ class CryptoEngine {
   int threads() const { return threads_; }
   /// Resize the pool (joins and respawns workers). `0` = default.
   void set_threads(int threads);
-
-  // ---- Admission control -------------------------------------------
-  /// Bounds the engine's submission window: while more than `items`
-  /// batch items (pairing terms, exponentiation terms, parallel_for
-  /// iterations) are in flight across all callers, further batch calls
-  /// are shed with OverloadError instead of queueing behind the pool.
-  /// `0` (the default) disables the bound — the process-wide for_group
-  /// engines stay unbounded unless a deployment opts in.
-  void set_admission_limit(size_t items);
-  size_t admission_limit() const;
-  /// Batch items currently admitted (approximate while calls race).
-  size_t inflight_items() const;
-  /// Batch calls shed with OverloadError since construction, mirrored
-  /// into maabe_engine_shed_total.
-  uint64_t shed_total() const;
 
   // ---- Batched operations ------------------------------------------
   struct PairTerm {
@@ -145,8 +161,6 @@ class CryptoEngine {
   /// Forces the line table for `base` to exist in the LRU (epoch
   /// warm-up: build once before fanning slots across the pool).
   void warm_pair_precomp(const pairing::G1& base);
-  /// Each e(a_i, b_i) individually (no fold; one final exp per term).
-  std::vector<pairing::GT> pair_batch(const std::vector<PairTerm>& terms);
 
   /// base_i ^ exp_i for variable bases. `cache_bases = false` skips the
   /// LRU entirely — pass it when the bases are one-offs (e.g. the pairing
@@ -178,27 +192,19 @@ class CryptoEngine {
   /// pairings without its wall_ns). The same deltas feed the global
   /// telemetry::MetricsRegistry under maabe_engine_* names.
   EngineStats stats() const;
-  void reset_stats();
 
  private:
   struct Pool;
   struct LruCache;
   struct StatCells;  // seqlock-guarded per-engine stat store (engine.cpp)
   class BatchScope;  // RAII per-batch delta accumulator (engine.cpp)
-  class AdmissionTicket;  // RAII admit/release around a batch (engine.cpp)
-
-  /// Reserves `items` against the admission window; throws OverloadError
-  /// (and counts the shed) when the window is full. Paired with
-  /// release_items by AdmissionTicket.
-  void admit_items(size_t items);
-  void release_items(size_t items);
 
   void ensure_pool();
   /// parallel_for's dispatch without the task accounting — batch APIs
   /// fold their item count into the batch's atomic stat commit instead.
   void run_items(size_t n, const std::function<void(size_t)>& fn);
-  /// Applies a delta to the per-engine seqlock store and mirrors it
-  /// into the global metrics registry.
+  /// Applies a delta to the per-engine seqlock store and adds it to the
+  /// registry counters of kEngineStatFields.
   void commit_stats(const EngineStats& delta);
 
   const pairing::Group* grp_;
@@ -206,9 +212,6 @@ class CryptoEngine {
   std::unique_ptr<Pool> pool_;        // created lazily; null when threads_ == 1
   std::unique_ptr<LruCache> cache_;   // variable-base window tables
   std::unique_ptr<StatCells> stat_cells_;
-  std::atomic<size_t> admission_limit_{0};  // 0 = unbounded
-  std::atomic<size_t> inflight_items_{0};
-  std::atomic<uint64_t> sheds_{0};
   mutable std::mutex mu_;             // guards pool_ resize
 };
 

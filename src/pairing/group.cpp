@@ -1,75 +1,16 @@
 #include "pairing/group.h"
 
 #include <atomic>
-#include <chrono>
 
 #include "common/errors.h"
 #include "common/wire.h"
 #include "crypto/sha256.h"
-#include "telemetry/metrics.h"
 
 namespace maabe::pairing {
 
 using math::Bignum;
 
 namespace {
-
-// Per-op instrumentation for the five group operations every cost model
-// in the paper counts (pairings, G1/GT exponentiations). The counters
-// run unconditionally (one relaxed fetch_add each); the latency
-// histograms read the clock per call and are gated behind
-// telemetry::op_timing_enabled() to keep the default path cheap.
-struct PairingMetrics {
-  telemetry::Counter& pairings;
-  telemetry::Counter& g1_exps;
-  telemetry::Counter& gt_exps;
-  telemetry::Counter& miller_loops;
-  telemetry::Counter& final_exps;
-  telemetry::Counter& precomp_builds;
-  telemetry::Counter& precomp_hits;
-  telemetry::Histogram& pair_ns;
-  telemetry::Histogram& g1_exp_ns;
-  telemetry::Histogram& gt_exp_ns;
-
-  static PairingMetrics& get() {
-    auto& reg = telemetry::MetricsRegistry::global();
-    static PairingMetrics* m = new PairingMetrics{
-        reg.counter("maabe_pairing_pairings_total"),
-        reg.counter("maabe_pairing_g1_exps_total"),
-        reg.counter("maabe_pairing_gt_exps_total"),
-        reg.counter("maabe_pairing_miller_loops_total"),
-        reg.counter("maabe_pairing_final_exps_total"),
-        reg.counter("maabe_pairing_precomp_builds_total"),
-        reg.counter("maabe_pairing_precomp_hits_total"),
-        reg.histogram("maabe_pairing_pair_ns"),
-        reg.histogram("maabe_pairing_g1_exp_ns"),
-        reg.histogram("maabe_pairing_gt_exp_ns"),
-    };
-    return *m;
-  }
-};
-
-/// Observes wall time into `hist` on destruction when op timing is on;
-/// a no-op (no clock read) otherwise.
-class OpTimer {
- public:
-  explicit OpTimer(telemetry::Histogram& hist)
-      : hist_(telemetry::op_timing_enabled() ? &hist : nullptr) {
-    if (hist_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~OpTimer() {
-    if (hist_ != nullptr) {
-      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::steady_clock::now() - start_)
-                          .count();
-      hist_->observe(static_cast<uint64_t>(ns));
-    }
-  }
-
- private:
-  telemetry::Histogram* hist_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 // Pairing-layer misuse is a MathError: this layer sits below the ABE
 // schemes and must not reach up into their exception types (see
@@ -145,9 +86,6 @@ G1 G1::neg() const {
 
 G1 G1::mul(const Zr& k) const {
   require_same_group(g_, k.group(), "G1::mul");
-  PairingMetrics& m = PairingMetrics::get();
-  m.g1_exps.inc();
-  OpTimer t(m.g1_exp_ns);
   return G1(g_, g_->ctx().curve().mul(pt_, k.value()));
 }
 
@@ -212,9 +150,6 @@ GT GT::inverse() const {
 
 GT GT::pow(const Zr& k) const {
   require_same_group(g_, k.group(), "GT::pow");
-  PairingMetrics& m = PairingMetrics::get();
-  m.gt_exps.inc();
-  OpTimer t(m.gt_exp_ns);
   // Subgroup elements all have norm 1, unlocking cyclotomic squaring
   // (same bits, ~2/3 the base-field multiplies). The check keeps raw
   // gt_from_bytes values — which may sit outside the subgroup — on the
@@ -243,11 +178,6 @@ MillerVal MillerVal::mul(const MillerVal& o) const {
 
 MillerVal MillerVal::pow(const Zr& k) const {
   require_same_group(g_, k.group(), "MillerVal::pow");
-  // Counts as a target-field exponentiation in the op model: it stands
-  // in for the GT::pow the reduced pairing would have paid.
-  PairingMetrics& m = PairingMetrics::get();
-  m.gt_exps.inc();
-  OpTimer t(m.gt_exp_ns);
   return MillerVal(g_, g_->ctx().fq2().pow(v_, k.value()));
 }
 
@@ -286,17 +216,11 @@ Group::Group(const TypeAParams& params) : ctx_(params) {
 
 G1 Group::g_pow(const Zr& k) const {
   if (k.group() != this) throw MathError("g_pow: exponent from another group");
-  PairingMetrics& m = PairingMetrics::get();
-  m.g1_exps.inc();
-  OpTimer t(m.g1_exp_ns);
   return G1(this, g_table_->pow(k.value()));
 }
 
 GT Group::egg_pow(const Zr& k) const {
   if (k.group() != this) throw MathError("egg_pow: exponent from another group");
-  PairingMetrics& m = PairingMetrics::get();
-  m.gt_exps.inc();
-  OpTimer t(m.gt_exp_ns);
   return GT(this, egg_table_->pow(k.value()));
 }
 
@@ -308,9 +232,6 @@ std::unique_ptr<G1FixedBase> Group::g1_precompute(const G1& base) const {
 
 G1 Group::g1_pow_with(const G1FixedBase& table, const Zr& k) const {
   if (k.group() != this) throw MathError("g1_pow_with: exponent from another group");
-  PairingMetrics& m = PairingMetrics::get();
-  m.g1_exps.inc();
-  OpTimer t(m.g1_exp_ns);
   return G1(this, table.pow(k.value()));
 }
 
@@ -322,9 +243,6 @@ std::unique_ptr<GtFixedBase> Group::gt_precompute(const GT& base) const {
 
 GT Group::gt_pow_with(const GtFixedBase& table, const Zr& k) const {
   if (k.group() != this) throw MathError("gt_pow_with: exponent from another group");
-  PairingMetrics& m = PairingMetrics::get();
-  m.gt_exps.inc();
-  OpTimer t(m.gt_exp_ns);
   return GT(this, table.pow(k.value()));
 }
 
@@ -454,44 +372,28 @@ GT Group::gt_from_bytes(ByteView data) const {
 GT Group::pair(const G1& a, const G1& b) const {
   require_same_group(this, a.g_, "Group::pair");
   require_same_group(this, b.g_, "Group::pair");
-  PairingMetrics& m = PairingMetrics::get();
-  m.pairings.inc();
-  OpTimer t(m.pair_ns);
   if (a.pt_.inf || b.pt_.inf) return GT(this, ctx_.fq2().one());
-  m.miller_loops.inc();
-  m.final_exps.inc();
   return GT(this, ctx_.final_exponentiation(ctx_.miller_loop(a.pt_, b.pt_)));
 }
 
 MillerVal Group::miller(const G1& a, const G1& b) const {
   require_same_group(this, a.g_, "Group::miller");
   require_same_group(this, b.g_, "Group::miller");
-  PairingMetrics& m = PairingMetrics::get();
-  if (!a.pt_.inf && !b.pt_.inf) m.miller_loops.inc();
   return MillerVal(this, ctx_.miller_loop(a.pt_, b.pt_));
 }
 
 GT Group::miller_reduce(const MillerVal& f) const {
   require_same_group(this, f.g_, "Group::miller_reduce");
-  PairingMetrics& m = PairingMetrics::get();
-  m.final_exps.inc();
-  OpTimer t(m.pair_ns);
   return GT(this, ctx_.final_exponentiation(f.v_));
 }
 
 std::unique_ptr<PairingPrecomp> Group::pair_precompute(const G1& base) const {
   require_same_group(this, base.g_, "pair_precompute");
-  PairingMetrics::get().precomp_builds.inc();
   return std::make_unique<PairingPrecomp>(ctx_, base.pt_);
 }
 
 MillerVal Group::miller_with(const PairingPrecomp& pre, const G1& b) const {
   require_same_group(this, b.g_, "Group::miller_with");
-  PairingMetrics& m = PairingMetrics::get();
-  if (!pre.base_is_infinity() && !b.pt_.inf) {
-    m.miller_loops.inc();
-    m.precomp_hits.inc();
-  }
   return MillerVal(this, pre.miller(b.pt_));
 }
 

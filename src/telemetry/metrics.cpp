@@ -7,7 +7,6 @@ namespace maabe::telemetry {
 namespace {
 
 std::atomic<size_t> g_next_thread_slot{0};
-std::atomic<bool> g_op_timing{false};
 std::atomic<uint64_t> g_next_instance{0};
 
 }  // namespace
@@ -271,14 +270,6 @@ Snapshot MetricsRegistry::collect() const {
   std::lock_guard<std::mutex> lock(collector_mu_);
   for (const auto& [id, fn] : collectors_) fn(snap);
   return snap;
-}
-
-bool op_timing_enabled() noexcept {
-  return g_op_timing.load(std::memory_order_relaxed);
-}
-
-void set_op_timing(bool on) noexcept {
-  g_op_timing.store(on, std::memory_order_relaxed);
 }
 
 }  // namespace maabe::telemetry

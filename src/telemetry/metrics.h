@@ -244,12 +244,4 @@ class MetricsRegistry {
   uint64_t next_collector_id_ = 1;
 };
 
-/// Per-op timing of individual pairing-layer calls (pair, g^k, ...).
-/// Off by default: a clock read per group operation costs a few percent
-/// on the test curve, so only counters run unconditionally and the
-/// latency histograms are gated behind this flag (`maabe-cli
-/// --metrics-out` and the benches turn it on).
-bool op_timing_enabled() noexcept;
-void set_op_timing(bool on) noexcept;
-
 }  // namespace maabe::telemetry

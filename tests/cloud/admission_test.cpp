@@ -1,20 +1,16 @@
 // Admission-control suite (DESIGN.md §14): bounded durable queues with
-// typed rejection, the engine's inflight-item window, and the
-// consumer's decrypt-result cache. Invariants:
+// typed rejection and the consumer's decrypt-result cache. Invariants:
 //   1. A dead destination cannot grow a durable queue past the cap —
 //      further sends come back as TransportError(kOverloaded) and the
 //      rejection is counted (regression test: pre-cap, a dead node
 //      OOMed the system instead of shedding).
-//   2. The engine sheds oversized work with a typed OverloadError when
-//      an admission window is set, and is unbounded by default.
-//   3. The decrypt cache serves repeat reads without re-running ABE
+//   2. The decrypt cache serves repeat reads without re-running ABE
 //      decryption, and a revocation epoch or key change can never serve
 //      a stale plaintext.
 #include <gtest/gtest.h>
 
 #include "cloud/system.h"
 #include "common/errors.h"
-#include "engine/engine.h"
 
 namespace maabe::cloud {
 namespace {
@@ -97,38 +93,6 @@ TEST(AdmissionTest, PendingCapZeroRestoresDefault) {
   EXPECT_EQ(sys->pending_cap(), 16u);
   sys->set_pending_cap(0);
   EXPECT_EQ(sys->pending_cap(), kDefaultPendingCap);
-}
-
-// ------------------------------------------------- engine admission window --
-
-TEST(AdmissionTest, EngineShedsOversizedBatchWhenWindowSet) {
-  const auto grp = Group::test_small();
-  engine::CryptoEngine eng(*grp, 2);
-  crypto::Drbg rng(std::string_view("admission-engine"));
-
-  std::vector<engine::CryptoEngine::PairTerm> terms;
-  for (int i = 0; i < 6; ++i)
-    terms.push_back({grp->g1_random(rng), grp->g1_random(rng)});
-
-  // Unbounded by default.
-  EXPECT_EQ(eng.admission_limit(), 0u);
-  EXPECT_EQ(eng.pair_batch(terms).size(), terms.size());
-  EXPECT_EQ(eng.shed_total(), 0u);
-
-  // A window smaller than the batch sheds it, typed and counted.
-  eng.set_admission_limit(4);
-  EXPECT_THROW((void)eng.pair_batch(terms), OverloadError);
-  EXPECT_EQ(eng.shed_total(), 1u);
-  EXPECT_EQ(eng.inflight_items(), 0u);  // reservation rolled back
-
-  // Work that fits the window still runs, and lifting the limit
-  // restores unbounded service.
-  terms.resize(3);
-  EXPECT_EQ(eng.pair_batch(terms).size(), 3u);
-  eng.set_admission_limit(0);
-  for (int i = 0; i < 4; ++i)
-    terms.push_back({grp->g1_random(rng), grp->g1_random(rng)});
-  EXPECT_EQ(eng.pair_batch(terms).size(), terms.size());
 }
 
 // --------------------------------------------------- decrypt-result cache --

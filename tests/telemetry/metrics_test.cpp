@@ -295,52 +295,60 @@ TEST(Metrics, SnapshotLookupsAreAbsentSafe) {
 
 // The registry's engine counters move in lockstep with EngineStats: the
 // two views of the same batch must agree (the CLI's --metrics-out
-// acceptance check relies on this).
+// acceptance check relies on this). The sequence below exercises every
+// batch API, so each of the 12 fields moves; a field missing from
+// kEngineStatFields would stay at 0 in the snapshot and in the registry.
 TEST(Metrics, EngineCountersMatchEngineStats) {
   auto grp = pairing::Group::test_small();
-  engine::CryptoEngine& eng = engine::CryptoEngine::for_group(*grp);
+  engine::CryptoEngine eng(*grp, 2);
   const Snapshot before = MetricsRegistry::global().collect();
   const engine::EngineStats stats_before = eng.stats();
 
   crypto::Drbg rng(std::string_view("metrics-match"));
   std::vector<pairing::Zr> exps;
   for (int i = 0; i < 6; ++i) exps.push_back(grp->zr_random(rng));
+  // A product whose repeated first argument crosses the line-table
+  // threshold mid-batch: builds a table and hits it.
+  const pairing::G1 hot = grp->g1_random(rng);
+  std::vector<engine::CryptoEngine::PairTerm> terms;
+  for (int i = 0; i < 6; ++i) terms.push_back({hot, grp->g1_random(rng)});
+  (void)eng.pairing_power_product(terms, exps);
+  // A warmed base, then a single pairing against it.
+  const pairing::G1 warmed = grp->g1_random(rng);
+  eng.warm_pair_precomp(warmed);
+  (void)eng.pair(warmed, grp->g1_random(rng));
+  // A G1 base repeated past the window-table threshold.
+  std::vector<engine::CryptoEngine::G1Term> g1_terms;
+  const pairing::G1 base = grp->g1_random(rng);
+  for (const pairing::Zr& e : exps) g1_terms.push_back({base, e});
+  (void)eng.multi_exp_g1(g1_terms);
+  (void)eng.multi_exp_gt({{grp->gt_random(rng), exps[0]}});
   (void)eng.g_pow_batch(exps);
   (void)eng.egg_pow_batch(exps);
+  eng.parallel_for(3, [](size_t) {});
 
   const Snapshot after = MetricsRegistry::global().collect();
   const engine::EngineStats delta = eng.stats() - stats_before;
-  EXPECT_EQ(delta.g1_exps, 6u);
-  EXPECT_EQ(delta.gt_exps, 6u);
-  EXPECT_EQ(after.counter("maabe_engine_g1_exps_total") -
-                before.counter("maabe_engine_g1_exps_total"),
-            delta.g1_exps);
-  EXPECT_EQ(after.counter("maabe_engine_gt_exps_total") -
-                before.counter("maabe_engine_gt_exps_total"),
-            delta.gt_exps);
-  EXPECT_EQ(after.counter("maabe_engine_batches_total") -
-                before.counter("maabe_engine_batches_total"),
-            delta.batches);
-}
+  // The sequence is deterministic, so every field has an exact count.
+  // Both line tables and the G1 window table are built at their 4th use.
+  EXPECT_EQ(delta.pairings, 7u);        // 6 product terms + the pair
+  EXPECT_EQ(delta.miller_loops, 7u);
+  EXPECT_EQ(delta.final_exps, 2u);      // one for the product, one for the pair
+  EXPECT_EQ(delta.g1_exps, 12u);        // multi_exp_g1 6 + g_pow_batch 6
+  EXPECT_EQ(delta.gt_exps, 13u);        // 6 distinct-exponent folds + 1 + 6
+  EXPECT_EQ(delta.batches, 6u);         // warming and parallel_for are not batches
+  EXPECT_EQ(delta.tasks, 28u);          // 6 + 6 + 1 + 6 + 6 + 3; pair counts none
+  EXPECT_EQ(delta.table_builds, 1u);
+  EXPECT_EQ(delta.table_hits, 3u);      // uses 4..6 of the G1 base
+  EXPECT_EQ(delta.precomp_builds, 2u);  // `hot` at its 4th use, then `warmed`
+  EXPECT_EQ(delta.precomp_hits, 4u);    // uses 4..6 of `hot`, then the pair
+  EXPECT_GT(delta.wall_ns, 0u);
+  EXPECT_EQ(engine::kEngineStatCount, 12u);
 
-// Per-op pairing histograms only record when op timing is on; the
-// always-on op counters move either way.
-TEST(Metrics, OpTimingFlagGatesPairingHistograms) {
-  auto grp = pairing::Group::test_small();
-  crypto::Drbg rng(std::string_view("op-timing"));
-  MetricsRegistry& reg = MetricsRegistry::global();
-
-  ASSERT_FALSE(op_timing_enabled());  // default off
-  const uint64_t hist_before = reg.collect().histograms["maabe_pairing_g1_exp_ns"].count;
-  const uint64_t ctr_before = reg.collect().counter("maabe_pairing_g1_exps_total");
-  (void)grp->g_pow(grp->zr_random(rng));
-  EXPECT_EQ(reg.collect().histograms["maabe_pairing_g1_exp_ns"].count, hist_before);
-  EXPECT_GT(reg.collect().counter("maabe_pairing_g1_exps_total"), ctr_before);
-
-  set_op_timing(true);
-  (void)grp->g_pow(grp->zr_random(rng));
-  set_op_timing(false);
-  EXPECT_GT(reg.collect().histograms["maabe_pairing_g1_exp_ns"].count, hist_before);
+  for (const engine::EngineStatField& f : engine::kEngineStatFields) {
+    EXPECT_EQ(after.counter(f.metric) - before.counter(f.metric), delta.*f.field)
+        << f.metric;
+  }
 }
 
 }  // namespace

@@ -279,7 +279,7 @@ TEST_F(CliTest, TelemetryExportFlags) {
   // non-comment line is "<series> <integer>".
   const std::string prom = read_file("metrics.prom");
   ASSERT_FALSE(prom.empty());
-  uint64_t pairings = 0;
+  uint64_t pairings = 0, final_exps = 0;
   std::istringstream lines(prom);
   for (std::string line; std::getline(lines, line);) {
     if (line.empty() || line[0] == '#') continue;
@@ -288,20 +288,21 @@ TEST_F(CliTest, TelemetryExportFlags) {
     size_t parsed = 0;
     (void)std::stoll(line.substr(sp + 1), &parsed);  // throws on garbage
     EXPECT_EQ(parsed, line.size() - sp - 1) << line;
-    if (line.compare(0, sp, "maabe_pairing_pairings_total") == 0)
+    if (line.compare(0, sp, "maabe_engine_pairings_total") == 0)
       pairings = std::stoull(line.substr(sp + 1));
+    if (line.compare(0, sp, "maabe_engine_final_exps_total") == 0)
+      final_exps = std::stoull(line.substr(sp + 1));
   }
-  EXPECT_NE(prom.find("# TYPE maabe_pairing_pairings_total counter"),
-            std::string::npos);
   EXPECT_NE(prom.find("# TYPE maabe_engine_pairings_total counter"),
             std::string::npos);
-  // A decrypt evaluates the access structure: pairings must have run.
-  EXPECT_GT(pairings, 0u);
-  // --metrics-out also switches per-op timing on, so the pairing
-  // latency histogram recorded samples.
-  EXPECT_NE(prom.find("# TYPE maabe_pairing_pair_ns histogram"),
+  // A decrypt evaluates the access structure: "Doctor@Med" (l = 1,
+  // n_A = 1) costs 2l + n_A = 3 pairings in one product, which pays one
+  // shared final exponentiation.
+  EXPECT_EQ(pairings, 3u);
+  EXPECT_EQ(final_exps, 1u);
+  EXPECT_NE(prom.find("# TYPE maabe_engine_pair_batch_ns histogram"),
             std::string::npos);
-  EXPECT_EQ(prom.find("maabe_pairing_pair_ns_count 0\n"), std::string::npos);
+  EXPECT_NE(prom.find("maabe_engine_pair_batch_ns_count 1\n"), std::string::npos);
 
   // The trace file holds the command's root span with its exit code.
   const std::string trace = read_file("trace.jsonl");
@@ -329,7 +330,7 @@ TEST_F(CliTest, TelemetryExportSurvivesCommandFailure) {
   EXPECT_EQ(run("--metrics-out " + (home_ / "metrics.prom").string() +
                 " decrypt bob f1 " + (home_ / "out.txt").string()),
             2);
-  EXPECT_NE(read_file("metrics.prom").find("maabe_pairing_pairings_total"),
+  EXPECT_NE(read_file("metrics.prom").find("maabe_engine_pairings_total"),
             std::string::npos);
 }
 

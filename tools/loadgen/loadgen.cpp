@@ -234,8 +234,6 @@ void LoadGenerator::timed(OpStats& stats, const std::string& op_class,
         outcome = kError;
         break;
     }
-  } catch (const OverloadError&) {
-    outcome = kRejected;
   } catch (const Error&) {
     outcome = kError;
   }

@@ -95,7 +95,7 @@ struct OpStats {
   uint64_t ok = 0;        ///< completed; downloads additionally all_ok
   uint64_t denied = 0;    ///< download opened no slot (revoked/no key)
   uint64_t degraded = 0;  ///< TransportError kDegraded (fail-closed read)
-  uint64_t rejected = 0;  ///< TransportError kOverloaded / OverloadError
+  uint64_t rejected = 0;  ///< TransportError kOverloaded
   uint64_t errors = 0;    ///< any other typed error
   std::vector<double> latencies_ms;  ///< one exact sample per attempt
 

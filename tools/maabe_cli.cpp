@@ -640,10 +640,8 @@ int run(int argc, char** argv) {
   const std::string cmd = args.front();
   args.erase(args.begin());
 
-  // Telemetry setup before any crypto runs: per-op pairing timing feeds
-  // the histogram series in the metrics snapshot, and the tracer streams
-  // spans (flushed per line) even if the command throws.
-  if (!telemetry_cfg.metrics_out.empty()) telemetry::set_op_timing(true);
+  // Tracer setup before any crypto runs: it streams spans (flushed per
+  // line) even if the command throws.
   if (!telemetry_cfg.trace_out.empty())
     telemetry::Tracer::global().enable(telemetry::JsonLinesSink(telemetry_cfg.trace_out));
   const auto export_telemetry = [&]() {
