@@ -74,12 +74,12 @@ int main() {
   // Communication accounting (what Table IV measures).
   std::printf("\nbytes moved (selected channels):\n");
   std::printf("  aa:MedOrg    -> user:dr-grey : %6zu\n",
-              sys.meter().sent("aa:MedOrg", "user:dr-grey"));
+              sys.meter().stats("aa:MedOrg", "user:dr-grey").payload_bytes);
   std::printf("  aa:MedOrg    -> owner:hospital: %6zu\n",
-              sys.meter().sent("aa:MedOrg", "owner:hospital"));
+              sys.meter().stats("aa:MedOrg", "owner:hospital").payload_bytes);
   std::printf("  owner:hospital -> server      : %6zu\n",
-              sys.meter().sent("owner:hospital", "server"));
+              sys.meter().stats("owner:hospital", "server").payload_bytes);
   std::printf("  server       -> user:nurse-kim: %6zu\n",
-              sys.meter().sent("server", "user:nurse-kim"));
+              sys.meter().stats("server", "user:nurse-kim").payload_bytes);
   return 0;
 }

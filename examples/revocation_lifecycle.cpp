@@ -81,8 +81,8 @@ int main() {
 
   std::printf("\nrevocation traffic (bytes):\n");
   std::printf("  aa:Corp -> user:trent   : %zu (update key)\n",
-              sys.meter().sent("aa:Corp", "user:trent"));
+              sys.meter().stats("aa:Corp", "user:trent").payload_bytes);
   std::printf("  aa:Corp -> owner:filer  : %zu (update key)\n",
-              sys.meter().sent("aa:Corp", "owner:filer"));
+              sys.meter().stats("aa:Corp", "owner:filer").payload_bytes);
   return 0;
 }

@@ -753,11 +753,10 @@ NodeHealth Cluster::node_health(const std::string& name) const {
   const Node& n = node(name);
   NodeHealth h;
   h.node = name;
-  const ServerStats stats = n.store->stats();
-  h.store = stats.totals();
-  h.epochs_committed = stats.epochs_committed;
-  h.epochs_aborted = stats.epochs_aborted;
-  h.epochs_staged_open = stats.epochs_staged_open;
+  h.store = n.store->stats();
+  h.epochs_committed = h.store.epochs_committed;
+  h.epochs_aborted = h.store.epochs_aborted;
+  h.epochs_staged_open = h.store.epochs_staged_open;
   std::lock_guard<std::mutex> lock(n.mu);
   h.alive = n.alive;
   return h;
@@ -779,18 +778,13 @@ ClusterStats Cluster::stats() const {
   s.epoch_commit_orphans = m_.epoch_commit_orphans->value();
   s.replication_sheds = m_.replication_shed->value();
   s.restart_prunes = durable_.pruned_total();
-  for (const auto& n : nodes_) {
-    const ServerStats stats = n->store->stats();
-    s.store_totals += stats.totals();
-    s.server_epochs_committed += stats.epochs_committed;
-    s.server_epochs_aborted += stats.epochs_aborted;
-  }
+  for (const auto& n : nodes_) s.store_totals += n->store->stats();
   return s;
 }
 
 uint64_t Cluster::total_reencrypted_slots() const {
   uint64_t total = 0;
-  for (const auto& n : nodes_) total += n->store->stats().totals().reencrypted_slots;
+  for (const auto& n : nodes_) total += n->store->stats().reencrypted_slots;
   return total;
 }
 

@@ -62,10 +62,10 @@ struct ClusterConfig {
 struct NodeHealth {
   std::string node;
   bool alive = true;
-  ShardStats store;                  ///< totals over the node's shards
-  uint64_t epochs_committed = 0;
-  uint64_t epochs_aborted = 0;
-  uint64_t epochs_staged_open = 0;   ///< staged 2PC epochs awaiting verdict
+  ServerStats store;                 ///< the node's store, epoch ledger included
+  uint64_t epochs_committed = 0;     ///< = store.epochs_committed
+  uint64_t epochs_aborted = 0;       ///< = store.epochs_aborted
+  uint64_t epochs_staged_open = 0;   ///< = store.epochs_staged_open
   uint64_t pending_in = 0;           ///< deliveries parked for this node
   uint64_t replication_lag = 0;      ///< parked replicate/read-repair ops to it
   ChannelStats transport_in;         ///< meter rows with to == node
@@ -94,10 +94,8 @@ struct ClusterStats {
   /// Parked ops dropped by restart_node reconciliation (superseded
   /// replication versions, epoch controls whose staged state died).
   uint64_t restart_prunes = 0;
-  /// Totals over every node's store.
-  ShardStats store_totals;
-  uint64_t server_epochs_committed = 0;
-  uint64_t server_epochs_aborted = 0;
+  /// Totals over every node's store, epoch ledger included.
+  ServerStats store_totals;
 };
 
 class Cluster {

@@ -4,7 +4,6 @@
 #include "common/errors.h"
 #include "crypto/sha256.h"
 #include "lsss/parser.h"
-#include "telemetry/metrics.h"
 
 namespace maabe::cloud {
 
@@ -219,13 +218,18 @@ struct Consumer::DecryptCache {
   size_t capacity = 64;
   std::list<std::pair<Bytes, Bytes>> order;  // (key, plaintext); front = MRU
   std::map<Bytes, std::list<std::pair<Bytes, Bytes>>::iterator> index;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
+  telemetry::CounterSeries hits, misses;
 };
 
-Consumer::Consumer(std::shared_ptr<const pairing::Group> grp, UserPublicKey pk)
+Consumer::Consumer(std::shared_ptr<const pairing::Group> grp, UserPublicKey pk,
+                   const std::string& instance)
     : grp_(std::move(grp)), pk_(std::move(pk)),
-      cache_(std::make_unique<DecryptCache>()) {}
+      cache_(std::make_unique<DecryptCache>()) {
+  auto& reg = telemetry::MetricsRegistry::global();
+  const telemetry::Labels l{{"instance", instance}, {"user", pk_.uid}};
+  cache_->hits = reg.counter("maabe_decrypt_cache_hits_total", l);
+  cache_->misses = reg.counter("maabe_decrypt_cache_misses_total", l);
+}
 
 Consumer::Consumer(Consumer&&) noexcept = default;
 Consumer& Consumer::operator=(Consumer&&) noexcept = default;
@@ -235,21 +239,6 @@ namespace {
 std::string key_slot(const std::string& owner_id, const std::string& aid) {
   return owner_id + '\0' + aid;
 }
-
-/// Process-wide decrypt-cache counters, summed over every Consumer.
-struct DecryptCacheMetrics {
-  telemetry::Counter& hits;
-  telemetry::Counter& misses;
-
-  static DecryptCacheMetrics& get() {
-    auto& reg = telemetry::MetricsRegistry::global();
-    static DecryptCacheMetrics* m = new DecryptCacheMetrics{
-        reg.counter("maabe_decrypt_cache_hits_total"),
-        reg.counter("maabe_decrypt_cache_misses_total"),
-    };
-    return *m;
-  }
-};
 }  // namespace
 
 void Consumer::add_key(const UserSecretKey& sk) {
@@ -315,12 +304,10 @@ Bytes Consumer::open_slot(const StoredFile& file, const SealedSlot& slot) const 
     const auto it = cache_->index.find(cache_key);
     if (it != cache_->index.end()) {
       cache_->order.splice(cache_->order.begin(), cache_->order, it->second);
-      ++cache_->hits;
-      DecryptCacheMetrics::get().hits.inc();
+      cache_->hits->inc();
       return cache_->order.front().second;
     }
-    ++cache_->misses;
-    DecryptCacheMetrics::get().misses.inc();
+    cache_->misses->inc();
   }
   const std::map<std::string, UserSecretKey> keys = keys_for_owner(file.owner_id);
   const GT seed = abe::decrypt(*grp_, slot.key_ct, pk_, keys);
@@ -394,14 +381,8 @@ size_t Consumer::decrypt_cache_size() const {
   return cache_->index.size();
 }
 
-uint64_t Consumer::decrypt_cache_hits() const {
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  return cache_->hits;
-}
+uint64_t Consumer::decrypt_cache_hits() const { return cache_->hits->value(); }
 
-uint64_t Consumer::decrypt_cache_misses() const {
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  return cache_->misses;
-}
+uint64_t Consumer::decrypt_cache_misses() const { return cache_->misses->value(); }
 
 }  // namespace maabe::cloud

@@ -10,6 +10,7 @@
 
 #include "abe/scheme.h"
 #include "cloud/hybrid.h"
+#include "telemetry/metrics.h"
 
 namespace maabe::cloud {
 
@@ -162,7 +163,10 @@ class DataOwner {
 /// served across a key-version bump. Failed decrypts are never cached.
 class Consumer {
  public:
-  Consumer(std::shared_ptr<const pairing::Group> grp, abe::UserPublicKey pk);
+  /// `instance` labels the consumer's cache series; CloudSystem passes
+  /// its own.
+  Consumer(std::shared_ptr<const pairing::Group> grp, abe::UserPublicKey pk,
+           const std::string& instance = telemetry::next_instance());
   Consumer(Consumer&&) noexcept;
   Consumer& operator=(Consumer&&) noexcept;
   ~Consumer();  // out of line: DecryptCache is incomplete here
@@ -202,8 +206,9 @@ class Consumer {
   void set_decrypt_cache_capacity(size_t entries);
   size_t decrypt_cache_capacity() const;
   size_t decrypt_cache_size() const;
-  /// Hit/miss counts since construction, also mirrored into the global
-  /// maabe_decrypt_cache_{hits,misses}_total counters.
+  /// Hit/miss counts: reads of this consumer's
+  /// maabe_decrypt_cache_{hits,misses}_total{instance,user} series,
+  /// which roll up into the process-wide family totals.
   uint64_t decrypt_cache_hits() const;
   uint64_t decrypt_cache_misses() const;
 

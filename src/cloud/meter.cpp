@@ -21,46 +21,93 @@ ChannelStats& ChannelStats::operator+=(const ChannelStats& o) {
   return *this;
 }
 
-void ChannelMeter::record(const std::string& from, const std::string& to, size_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  totals_[{from, to}].payload_bytes += bytes;
+ChannelMeter::ChannelMeter(const std::string& instance) {
+  auto& reg = telemetry::MetricsRegistry::global();
+  const telemetry::Labels l{{"instance", instance}};
+  m_ = {reg.counter("maabe_transport_frames_total", l),
+        reg.counter("maabe_transport_frame_bytes_total", l),
+        reg.counter("maabe_transport_deliveries_total", l),
+        reg.counter("maabe_transport_faults_total", l),
+        reg.counter("maabe_transport_retries_total", l),
+        reg.counter("maabe_transport_redeliveries_total", l)};
 }
 
-size_t ChannelMeter::sent(const std::string& from, const std::string& to) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = totals_.find({from, to});
-  return it == totals_.end() ? 0 : it->second.payload_bytes;
+void ChannelMeter::frame(const std::string& from, const std::string& to,
+                         size_t frame_bytes, size_t payload_bytes) {
+  record(from, to, [&](ChannelStats& s) {
+    ++s.frames;
+    s.frame_bytes += frame_bytes;
+    s.payload_bytes += payload_bytes;
+    m_.frames->inc();
+    m_.frame_bytes->add(frame_bytes);
+  });
+}
+
+void ChannelMeter::delivery(const std::string& from, const std::string& to,
+                            size_t payload_bytes) {
+  record(from, to, [&](ChannelStats& s) {
+    ++s.deliveries;
+    s.bytes_delivered += payload_bytes;
+    m_.deliveries->inc();
+  });
+}
+
+void ChannelMeter::duplicate(const std::string& from, const std::string& to,
+                             size_t frame_bytes, size_t payload_bytes) {
+  record(from, to, [&](ChannelStats& s) {
+    ++s.duplicates;
+    ++s.frames;
+    s.frame_bytes += frame_bytes;
+    ++s.deliveries;
+    s.bytes_delivered += payload_bytes;
+    m_.faults->inc();
+    m_.frames->inc();
+    m_.frame_bytes->add(frame_bytes);
+    m_.deliveries->inc();
+  });
+}
+
+void ChannelMeter::bump(const std::string& from, const std::string& to,
+                        uint64_t ChannelStats::*field,
+                        const telemetry::CounterSeries& series) {
+  record(from, to, [&](ChannelStats& s) {
+    ++(s.*field);
+    series->inc();
+  });
+}
+
+void ChannelMeter::delay(const std::string& from, const std::string& to, uint64_t ms) {
+  record(from, to, [&](ChannelStats& s) {
+    ++s.delays;
+    s.delay_ms += ms;
+    m_.faults->inc();
+  });
+}
+
+void ChannelMeter::accepted(const std::string& from, const std::string& to,
+                            size_t bytes) {
+  record(from, to, [&](ChannelStats& s) { s.bytes_accepted += bytes; });
 }
 
 ChannelStats ChannelMeter::stats(const std::string& from, const std::string& to) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = totals_.find({from, to});
-  return it == totals_.end() ? ChannelStats{} : it->second;
+  const auto it = rows_.find({from, to});
+  return it == rows_.end() ? ChannelStats{} : it->second;
 }
 
 ChannelStats ChannelMeter::totals() const {
   std::lock_guard<std::mutex> lock(mu_);
   ChannelStats out;
-  for (const auto& [channel, stats] : totals_) out += stats;
+  for (const auto& [channel, stats] : rows_) out += stats;
   return out;
 }
 
 size_t ChannelMeter::between(const std::string& a, const std::string& b) const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t total = 0;
-  for (const auto& [channel, stats] : totals_) {
+  for (const auto& [channel, stats] : rows_) {
     if ((channel.first == a && channel.second == b) ||
         (channel.first == b && channel.second == a))
-      total += stats.payload_bytes;
-  }
-  return total;
-}
-
-size_t ChannelMeter::involving(const std::string& entity) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t total = 0;
-  for (const auto& [channel, stats] : totals_) {
-    if (channel.first == entity || channel.second == entity)
       total += stats.payload_bytes;
   }
   return total;
@@ -69,21 +116,7 @@ size_t ChannelMeter::involving(const std::string& entity) const {
 std::map<std::pair<std::string, std::string>, ChannelStats> ChannelMeter::entries()
     const {
   std::lock_guard<std::mutex> lock(mu_);
-  return totals_;
-}
-
-void ChannelMeter::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  totals_.clear();
-}
-
-void OpMeter::record(const std::string& phase, const engine::EngineStats& delta) {
-  phases_[phase] += delta;
-}
-
-engine::EngineStats OpMeter::phase(const std::string& name) const {
-  const auto it = phases_.find(name);
-  return it == phases_.end() ? engine::EngineStats{} : it->second;
+  return rows_;
 }
 
 }  // namespace maabe::cloud

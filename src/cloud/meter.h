@@ -17,6 +17,7 @@
 #include <string>
 
 #include "engine/engine.h"
+#include "telemetry/metrics.h"
 
 namespace maabe::cloud {
 
@@ -56,49 +57,83 @@ struct ChannelStats {
   ChannelStats& operator+=(const ChannelStats& o);
 };
 
-/// Thread-safe: every accessor takes the meter mutex, so concurrent
-/// senders and health()/telemetry readers see coherent per-channel
-/// rows. The transport layer updates counters through apply(), whose
-/// callback runs under the lock — it must be a handful of field
-/// increments, never something that can re-enter the meter (delivery
-/// sinks nest sends, so the transport is careful to call apply()
-/// outside sink invocations).
+/// The transport's only ledger: one row per directed channel, plus the
+/// transport's maabe_transport_{frames,frame_bytes,deliveries,faults,
+/// retries,redeliveries}_total{instance} series. Each recorder is one
+/// event: it updates the row and its series together, under the meter
+/// lock, so the sum of the rows equals the series at quiescence.
+///
+/// Thread-safe: concurrent senders and health()/telemetry readers see
+/// coherent per-channel rows. Recorders never call out, so they are
+/// safe from inside delivery sinks, which nest sends.
 class ChannelMeter {
  public:
-  /// Records `bytes` of payload sent from `from` to `to`.
-  void record(const std::string& from, const std::string& to, size_t bytes);
+  explicit ChannelMeter(const std::string& instance);
 
-  /// Runs `fn(ChannelStats&)` for the directed channel under the meter
-  /// lock — the transport layer's accounting hook (replaces the old
-  /// unsynchronized mutable_stats()).
-  template <typename Fn>
-  void apply(const std::string& from, const std::string& to, Fn&& fn) {
-    std::lock_guard<std::mutex> lock(mu_);
-    fn(totals_[{from, to}]);
+  /// A transmission attempt of a `frame_bytes` frame carrying
+  /// `payload_bytes` of artefact.
+  void frame(const std::string& from, const std::string& to, size_t frame_bytes,
+             size_t payload_bytes);
+  /// An intact copy handed to the receiver.
+  void delivery(const std::string& from, const std::string& to, size_t payload_bytes);
+  /// Faults, one per kind. A duplicate is a second transmitted and
+  /// delivered copy of the frame, so it counts a frame and a delivery.
+  void drop(const std::string& from, const std::string& to) {
+    bump(from, to, &ChannelStats::drops, m_.faults);
   }
+  void duplicate(const std::string& from, const std::string& to, size_t frame_bytes,
+                 size_t payload_bytes);
+  void corruption(const std::string& from, const std::string& to) {
+    bump(from, to, &ChannelStats::corruptions, m_.faults);
+  }
+  void ack_loss(const std::string& from, const std::string& to) {
+    bump(from, to, &ChannelStats::ack_losses, m_.faults);
+  }
+  void delay(const std::string& from, const std::string& to, uint64_t ms);
+  void script_failure(const std::string& from, const std::string& to) {
+    bump(from, to, &ChannelStats::script_failures, m_.faults);
+  }
+  /// Sender re-attempt after a TransportError.
+  void retry(const std::string& from, const std::string& to) {
+    bump(from, to, &ChannelStats::retries, m_.retries);
+  }
+  /// Copy of an already-applied request, suppressed by the receiver.
+  void redelivery(const std::string& from, const std::string& to) {
+    bump(from, to, &ChannelStats::redeliveries, m_.redeliveries);
+  }
+  /// Payload bytes the receiver applied.
+  void accepted(const std::string& from, const std::string& to, size_t bytes);
 
-  /// Directional payload total from -> to (Table IV numbers).
-  size_t sent(const std::string& from, const std::string& to) const;
-
-  /// Sum of both directions between two entities.
+  /// Sum of payload bytes in both directions between two entities
+  /// (Table IV numbers).
   size_t between(const std::string& a, const std::string& b) const;
-
-  /// Everything sent or received by one entity.
-  size_t involving(const std::string& entity) const;
 
   /// Full counters for one directed channel (zeroes if never used).
   ChannelStats stats(const std::string& from, const std::string& to) const;
   /// Aggregate over every channel.
   ChannelStats totals() const;
 
-  void reset();
-
   /// Copy of every per-channel row (a snapshot, not a live reference).
   std::map<std::pair<std::string, std::string>, ChannelStats> entries() const;
 
  private:
+  /// Runs `fn(row)` for the directed channel under the meter lock.
+  template <typename Fn>
+  void record(const std::string& from, const std::string& to, Fn&& fn) {
+    std::lock_guard<std::mutex> lock(mu_);
+    fn(rows_[{from, to}]);
+  }
+  /// An event that counts one in the row's `field` and one in `series`.
+  void bump(const std::string& from, const std::string& to, uint64_t ChannelStats::*field,
+            const telemetry::CounterSeries& series);
+
   mutable std::mutex mu_;
-  std::map<std::pair<std::string, std::string>, ChannelStats> totals_;
+  std::map<std::pair<std::string, std::string>, ChannelStats> rows_;
+  /// maabe_transport_<name>_total{instance}.
+  struct {
+    telemetry::CounterSeries frames, frame_bytes, deliveries, faults, retries,
+        redeliveries;
+  } m_;
 };
 
 /// Accumulates engine-stat deltas per named phase.
@@ -110,7 +145,7 @@ class OpMeter {
    public:
     Scope(OpMeter& meter, engine::CryptoEngine& eng, std::string phase)
         : meter_(meter), eng_(eng), phase_(std::move(phase)), start_(eng.stats()) {}
-    ~Scope() { meter_.record(phase_, eng_.stats() - start_); }
+    ~Scope() { meter_.phases_[phase_] += eng_.stats() - start_; }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
 
@@ -121,11 +156,7 @@ class OpMeter {
     engine::EngineStats start_;
   };
 
-  void record(const std::string& phase, const engine::EngineStats& delta);
-  /// Zeroed stats if the phase was never recorded.
-  engine::EngineStats phase(const std::string& name) const;
   const std::map<std::string, engine::EngineStats>& phases() const { return phases_; }
-  void reset() { phases_.clear(); }
 
  private:
   std::map<std::string, engine::EngineStats> phases_;

@@ -12,20 +12,16 @@
 
 namespace maabe::cloud {
 
-
-ShardStats& ShardStats::operator+=(const ShardStats& o) {
+ServerStats& ServerStats::operator+=(const ServerStats& o) {
   files += o.files;
   bytes += o.bytes;
   stores += o.stores;
   fetches += o.fetches;
   reencrypted_slots += o.reencrypted_slots;
+  epochs_committed += o.epochs_committed;
+  epochs_aborted += o.epochs_aborted;
+  epochs_staged_open += o.epochs_staged_open;
   return *this;
-}
-
-ShardStats ServerStats::totals() const {
-  ShardStats t;
-  for (const ShardStats& s : shards) t += s;
-  return t;
 }
 
 CloudServer::CloudServer(std::shared_ptr<const pairing::Group> grp, size_t shard_count,
@@ -58,7 +54,6 @@ void CloudServer::store(StoredFile file) {
   Entry& entry = sh.files[snapshot->file_id];
   sh.bytes = sh.bytes - entry.bytes + bytes;
   entry = Entry{std::move(snapshot), bytes};
-  ++sh.stores;
   m_.stores->inc();
 }
 
@@ -74,7 +69,6 @@ std::shared_ptr<const StoredFile> CloudServer::fetch(const std::string& file_id)
   const auto it = sh.files.find(file_id);
   if (it == sh.files.end())
     throw SchemeError("CloudServer: no file '" + file_id + "'");
-  sh.fetches.fetch_add(1, std::memory_order_relaxed);
   m_.fetches->inc();
   return it->second.file;
 }
@@ -223,7 +217,6 @@ size_t CloudServer::commit_reencrypt(uint64_t token,
     sh.bytes = sh.bytes - it->second.bytes + bytes;
     if (committed_files != nullptr) committed_files->push_back(sf.staged->file_id);
     it->second = Entry{std::move(sf.staged), bytes};
-    sh.reencrypted_slots += sf.slot_indices.size();
     committed += sf.slot_indices.size();
   }
   m_.epochs_committed->inc();
@@ -275,17 +268,14 @@ size_t CloudServer::ciphertext_group_material_bytes() const {
 
 ServerStats CloudServer::stats() const {
   ServerStats out;
-  out.shards.reserve(shards_.size());
   for (const Shard& sh : shards_) {
     std::shared_lock lk(sh.mu);
-    ShardStats s;
-    s.files = sh.files.size();
-    s.bytes = sh.bytes;
-    s.stores = sh.stores;
-    s.fetches = sh.fetches.load(std::memory_order_relaxed);
-    s.reencrypted_slots = sh.reencrypted_slots;
-    out.shards.push_back(s);
+    out.files += sh.files.size();
+    out.bytes += sh.bytes;
   }
+  out.stores = m_.stores->value();
+  out.fetches = m_.fetches->value();
+  out.reencrypted_slots = m_.reencrypted_slots->value();
   out.epochs_committed = m_.epochs_committed->value();
   out.epochs_aborted = m_.epochs_aborted->value();
   {

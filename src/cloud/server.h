@@ -24,7 +24,6 @@
 // steps back to back. A test-only fault hook lets tests prove this.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -37,25 +36,20 @@
 
 namespace maabe::cloud {
 
-/// Per-shard monotonic counters, mirroring engine::EngineStats /
-/// OpMeter: snapshot with CloudServer::stats(), report from benches.
-struct ShardStats {
-  uint64_t files = 0;             ///< live files in the shard
-  uint64_t bytes = 0;             ///< serialized bytes at rest
-  uint64_t stores = 0;            ///< store() calls (inserts + replacements)
-  uint64_t fetches = 0;           ///< successful fetch() snapshots served
-  uint64_t reencrypted_slots = 0; ///< ciphertext slots committed by epochs
-
-  ShardStats& operator+=(const ShardStats& o);
-};
-
-/// Whole-store snapshot: per-shard counters plus the epoch ledger.
+/// Whole-store snapshot from CloudServer::stats(). files and bytes are
+/// state, summed under the shard locks; the event counts are reads of
+/// the node's maabe_server_<name>_total{instance,node} series.
 struct ServerStats {
-  std::vector<ShardStats> shards;
-  uint64_t epochs_committed = 0;       ///< staged epochs committed
-  uint64_t epochs_aborted = 0;         ///< epochs staged, then discarded on failure
-  uint64_t epochs_staged_open = 0;     ///< staged, neither committed nor aborted
-  ShardStats totals() const;
+  uint64_t files = 0;              ///< live files
+  uint64_t bytes = 0;              ///< serialized bytes at rest
+  uint64_t stores = 0;             ///< store() calls (inserts + replacements)
+  uint64_t fetches = 0;            ///< successful fetch() snapshots served
+  uint64_t reencrypted_slots = 0;  ///< ciphertext slots committed by epochs
+  uint64_t epochs_committed = 0;   ///< staged epochs committed
+  uint64_t epochs_aborted = 0;     ///< epochs staged, then discarded on failure
+  uint64_t epochs_staged_open = 0; ///< staged, neither committed nor aborted
+
+  ServerStats& operator+=(const ServerStats& o);
 };
 
 class CloudServer {
@@ -157,9 +151,6 @@ class CloudServer {
     mutable std::shared_mutex mu;
     std::map<std::string, Entry> files;     // guarded by mu
     uint64_t bytes = 0;                     // guarded by mu (exclusive)
-    uint64_t stores = 0;                    // guarded by mu (exclusive)
-    uint64_t reencrypted_slots = 0;         // guarded by mu (exclusive)
-    mutable std::atomic<uint64_t> fetches{0};  // bumped under shared lock
   };
   struct StagedFile {
     size_t shard;

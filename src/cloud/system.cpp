@@ -43,10 +43,9 @@ CloudSystem::CloudSystem(std::shared_ptr<const pairing::Group> grp,
       link_(*transport_, retry),
       durable_(link_),
       cluster_(grp_, cluster, link_, durable_) {
-  // Snapshot-time gauges for state that is not a count of events, plus
-  // the link's counts under their maabe_system_* names. The token (last
-  // member) is destroyed first, and reset() blocks on any in-flight
-  // collect(), so the callback never reads a dying system.
+  // Snapshot-time gauges for state that is not a count of events. The
+  // token (last member) is destroyed first, and reset() blocks on any
+  // in-flight collect(), so the callback never reads a dying system.
   collector_ = telemetry::MetricsRegistry::global().register_collector(
       [this](telemetry::Snapshot& snap) {
         const telemetry::Labels l{{"instance", instance()}};
@@ -55,13 +54,9 @@ CloudSystem::CloudSystem(std::shared_ptr<const pairing::Group> grp,
           snap.add_gauge(name, labels, static_cast<int64_t>(v));
         };
         put("maabe_system_pending_deliveries", l, durable_.pending_count());
-        put("maabe_system_sends_ok", l, link_.sends_ok());
-        put("maabe_system_sends_failed", l, link_.sends_failed());
-        put("maabe_system_retries", l, link_.retries());
         put("maabe_system_applied_requests", l, link_.applied_requests());
         const ChannelStats t = transport_->meter().totals();
         put("maabe_system_channel_payload_bytes", l, t.payload_bytes);
-        put("maabe_system_channel_frame_bytes", l, t.frame_bytes);
         put("maabe_system_channel_bytes_delivered", l, t.bytes_delivered);
         put("maabe_system_channel_bytes_accepted", l, t.bytes_accepted);
         put("maabe_cluster_replication_lag", l, replication_lag());
@@ -69,8 +64,8 @@ CloudSystem::CloudSystem(std::shared_ptr<const pairing::Group> grp,
         for (const std::string& node : cluster_.node_names()) {
           const ServerStats ss = cluster_.node_store(node).stats();
           const telemetry::Labels nl{{"instance", instance()}, {"node", node}};
-          put("maabe_system_server_files", nl, ss.totals().files);
-          put("maabe_system_server_bytes", nl, ss.totals().bytes);
+          put("maabe_system_server_files", nl, ss.files);
+          put("maabe_system_server_bytes", nl, ss.bytes);
           put("maabe_server_epochs_staged_open", nl, ss.epochs_staged_open);
         }
       });
@@ -101,7 +96,6 @@ CloudSystem::Health CloudSystem::health() const {
   h.transport = transport_->meter().totals();
   h.sends_ok = link_.sends_ok();
   h.sends_failed = link_.sends_failed();
-  h.retries = link_.retries();
   h.applied_requests = link_.applied_requests();
   h.pending_by_destination = durable_.pending_by_destination();
   for (const auto& [to, n] : h.pending_by_destination) h.pending_deliveries += n;
@@ -278,7 +272,8 @@ Consumer& CloudSystem::add_user(const std::string& uid) {
       ca_.has_user(uid) ? ca_.user_public_key(uid) : ca_.register_user(uid);
   send_reliable(kCa, user_name(uid), abe::serialize(*grp_, pk), [&](ByteView payload) {
     users_.emplace(uid,
-                   Consumer(grp_, abe::deserialize_user_public_key(*grp_, payload)));
+                   Consumer(grp_, abe::deserialize_user_public_key(*grp_, payload),
+                            instance()));
   });
   return users_.at(uid);
 }

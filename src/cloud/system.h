@@ -133,7 +133,6 @@ class CloudSystem {
     ChannelStats transport;         ///< aggregate over every channel
     uint64_t sends_ok = 0;          ///< reliable sends that succeeded
     uint64_t sends_failed = 0;      ///< reliable sends that exhausted retries
-    uint64_t retries = 0;           ///< re-attempts across all sends
     uint64_t applied_requests = 0;  ///< distinct request ids applied
     uint64_t pending_deliveries = 0;
     std::map<std::string, size_t> pending_by_destination;

@@ -193,14 +193,7 @@ FaultPlan::Decision FaultPlan::decide(const std::string& from, const std::string
 
 // ------------------------------------------------ LoopbackTransport --
 
-LoopbackTransport::LoopbackTransport(FaultPlan plan) : plan_(std::move(plan)) {
-  auto& reg = telemetry::MetricsRegistry::global();
-  const telemetry::Labels l{{"instance", instance()}};
-  m_ = {reg.counter("maabe_transport_frames_total", l),
-        reg.counter("maabe_transport_frame_bytes_total", l),
-        reg.counter("maabe_transport_deliveries_total", l),
-        reg.counter("maabe_transport_faults_total", l)};
-}
+LoopbackTransport::LoopbackTransport(FaultPlan plan) : plan_(std::move(plan)) {}
 
 void LoopbackTransport::deliver(const std::string& from, const std::string& to,
                                 uint64_t request_id, ByteView payload,
@@ -231,9 +224,6 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
     d = plan_.decide(from, to, wire.size());
   }
 
-  m_.frames->inc();
-  m_.frame_bytes->add(wire.size());
-
   // One span per transmission attempt. Ends (and emits) even when the
   // attempt throws below, with the outcome attribute already recorded —
   // this is how a traced revocation epoch shows every injected fault.
@@ -247,13 +237,10 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
     span.attr("frame_bytes", static_cast<uint64_t>(wire.size()));
   }
 
-  // Meter commits happen in short lock scopes between protocol steps —
-  // never while the sink runs, since sinks may nest further sends.
-  meter_.apply(from, to, [&](ChannelStats& s) {
-    s.frames += 1;
-    s.frame_bytes += wire.size();
-    s.payload_bytes += payload.size();
-  });
+  // One meter record per event. A recorder holds the meter lock only
+  // for its own update, so the sink (which nests further sends) never
+  // runs under it.
+  meter().frame(from, to, wire.size(), payload.size());
 
   // Fault injections land in the destination node's flight recorder
   // (when armed): a failing chaos run dumps exactly which faults hit
@@ -266,26 +253,20 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
   };
 
   if (d.script_failure) {
-    meter_.apply(from, to, [](ChannelStats& s) { ++s.script_failures; });
-    m_.faults->inc();
+    meter().script_failure(from, to);
     span.attr("outcome", "scripted_failure");
     flight_fault("scripted_failure");
     throw TransportError(TransportError::Kind::kLost,
                          "transport: scripted failure on " + from + " -> " + to);
   }
   if (d.delay_ms > 0) {
-    meter_.apply(from, to, [&](ChannelStats& s) {
-      ++s.delays;
-      s.delay_ms += d.delay_ms;
-    });
-    m_.faults->inc();
+    meter().delay(from, to, d.delay_ms);
     now_ms_.fetch_add(d.delay_ms, std::memory_order_relaxed);
     span.attr("delay_ms", d.delay_ms);
     flight_fault("delay");
   }
   if (d.drop) {
-    meter_.apply(from, to, [](ChannelStats& s) { ++s.drops; });
-    m_.faults->inc();
+    meter().drop(from, to);
     span.attr("outcome", "dropped");
     flight_fault("drop");
     throw TransportError(TransportError::Kind::kLost,
@@ -298,8 +279,7 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
   try {
     received = decode_frame(wire);
   } catch (const TransportError&) {
-    meter_.apply(from, to, [](ChannelStats& s) { ++s.corruptions; });
-    m_.faults->inc();
+    meter().corruption(from, to);
     span.attr("outcome", "corrupted");
     flight_fault("corrupt");
     throw;
@@ -323,30 +303,15 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
   // copy has reached the receiver at that point, and counting first
   // keeps bytes_delivered >= bytes_accepted at every instant (the sink
   // is what credits bytes_accepted).
-  meter_.apply(from, to, [&](ChannelStats& s) {
-    ++s.deliveries;
-    s.bytes_delivered += received.payload.size();
-  });
-  m_.deliveries->inc();
+  meter().delivery(from, to, received.payload.size());
   sink(received.request_id, received.payload);
   if (d.duplicate) {
-    meter_.apply(from, to, [&](ChannelStats& s) {
-      ++s.duplicates;
-      s.frames += 1;
-      s.frame_bytes += wire.size();
-      ++s.deliveries;
-      s.bytes_delivered += received.payload.size();
-    });
-    m_.faults->inc();
-    m_.frames->inc();
-    m_.frame_bytes->add(wire.size());
-    m_.deliveries->inc();
+    meter().duplicate(from, to, wire.size(), received.payload.size());
     flight_fault("duplicate");
     sink(received.request_id, received.payload);
   }
   if (d.ack_loss) {
-    meter_.apply(from, to, [](ChannelStats& s) { ++s.ack_losses; });
-    m_.faults->inc();
+    meter().ack_loss(from, to);
     span.attr("outcome", "ack_lost");
     flight_fault("ack_loss");
     throw TransportError(TransportError::Kind::kLost,
@@ -361,9 +326,7 @@ ReliableLink::ReliableLink(Transport& transport, RetryPolicy policy)
     : transport_(transport), policy_(policy) {
   auto& reg = telemetry::MetricsRegistry::global();
   const telemetry::Labels l{{"instance", instance()}};
-  m_ = {reg.counter("maabe_transport_retries_total", l),
-        reg.counter("maabe_transport_redeliveries_total", l),
-        reg.counter("maabe_transport_sends_ok_total", l),
+  m_ = {reg.counter("maabe_transport_sends_ok_total", l),
         reg.counter("maabe_transport_sends_failed_total", l)};
 }
 
@@ -392,8 +355,7 @@ void ReliableLink::send_as(uint64_t request_id, const std::string& from,
       const uint64_t backoff = std::min(
           policy_.base_backoff_ms << (attempt - 1), policy_.max_backoff_ms);
       transport_.advance_clock(backoff);
-      transport_.meter().apply(from, to, [](ChannelStats& s) { s.retries += 1; });
-      m_.retries->inc();
+      transport_.meter().retry(from, to);
       if (transport_.now_ms() > deadline) break;
     }
     try {
@@ -413,9 +375,7 @@ void ReliableLink::send_as(uint64_t request_id, const std::string& from,
               fresh = !applied_.contains(key);
             }
             if (!fresh) {
-              transport_.meter().apply(
-                  from, to, [](ChannelStats& s) { s.redeliveries += 1; });
-              m_.redeliveries->inc();
+              transport_.meter().redelivery(from, to);
               // A dedup'd redelivery is an event leaf in the ambient
               // trace (child of the rehydrated recv span), never a new
               // subtree: the duplicate's work was already recorded the
@@ -431,9 +391,7 @@ void ReliableLink::send_as(uint64_t request_id, const std::string& from,
               return;
             }
             apply(delivered);
-            transport_.meter().apply(from, to, [&](ChannelStats& s) {
-              s.bytes_accepted += delivered.size();
-            });
+            transport_.meter().accepted(from, to, delivered.size());
             std::lock_guard<std::mutex> lock(applied_mu_);
             applied_.insert(key);
           });

@@ -165,10 +165,8 @@ class Transport {
 
   /// Per-channel byte and fault accounting lives inside the transport —
   /// it is the only layer that sees real wire bytes.
-  virtual ChannelMeter& meter() = 0;
-  const ChannelMeter& meter() const {
-    return const_cast<Transport*>(this)->meter();
-  }
+  ChannelMeter& meter() { return meter_; }
+  const ChannelMeter& meter() const { return meter_; }
 
   /// Virtual clock (milliseconds). Delay faults and retry backoff
   /// advance it; nothing ever sleeps, so chaos runs are fast and
@@ -182,6 +180,7 @@ class Transport {
 
  private:
   const std::string instance_ = telemetry::next_instance();
+  ChannelMeter meter_{instance_};
 };
 
 /// In-process transport: frames are encoded, run through the FaultPlan,
@@ -199,8 +198,6 @@ class LoopbackTransport : public Transport {
 
   void deliver(const std::string& from, const std::string& to, uint64_t request_id,
                ByteView payload, const Sink& sink) override;
-  using Transport::meter;  // keep the const overload visible
-  ChannelMeter& meter() override { return meter_; }
   uint64_t now_ms() const override {
     return now_ms_.load(std::memory_order_relaxed);
   }
@@ -214,11 +211,6 @@ class LoopbackTransport : public Transport {
  private:
   std::mutex mu_;  // guards plan_ decisions + seq_ allocation
   FaultPlan plan_;
-  ChannelMeter meter_;
-  /// maabe_transport_<name>_total{instance}: one add per event.
-  struct {
-    telemetry::CounterSeries frames, frame_bytes, deliveries, faults;
-  } m_;
   std::map<std::pair<std::string, std::string>, uint64_t> seq_;
   std::atomic<uint64_t> now_ms_{0};
 };
@@ -278,7 +270,7 @@ class ReliableLink {
   // from any thread, like concurrent sends.
   uint64_t sends_ok() const { return m_.sends_ok->value(); }
   uint64_t sends_failed() const { return m_.sends_failed->value(); }
-  uint64_t retries() const { return m_.retries->value(); }
+  uint64_t retries() const { return transport_.meter().totals().retries; }
   uint64_t applied_requests() const {
     std::lock_guard<std::mutex> lock(applied_mu_);
     return applied_.size();
@@ -290,9 +282,10 @@ class ReliableLink {
   std::atomic<uint64_t> next_request_id_{0};
   mutable std::mutex applied_mu_;  // never held across apply/sink calls
   std::set<std::pair<std::string, uint64_t>> applied_;  // (origin, request id)
-  /// maabe_transport_<name>_total{instance}: one add per event.
+  /// maabe_transport_sends_{ok,failed}_total{instance}: one add per send;
+  /// the per-attempt events are the transport meter's.
   struct {
-    telemetry::CounterSeries retries, redeliveries, sends_ok, sends_failed;
+    telemetry::CounterSeries sends_ok, sends_failed;
   } m_;
 };
 

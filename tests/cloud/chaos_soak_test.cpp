@@ -353,7 +353,7 @@ TEST(ChaosSoak, FaultFreeControlInjectsNothing) {
   const auto report = sys.download_report("alice", "f1");
   EXPECT_TRUE(report.all_ok());
   EXPECT_EQ(sys.meter().totals().faults(), 0u);
-  EXPECT_EQ(sys.health().retries, 0u);
+  EXPECT_EQ(sys.health().transport.retries, 0u);
 }
 
 }  // namespace

@@ -274,7 +274,7 @@ std::vector<Bytes> run_epoch_scenario(std::shared_ptr<const Group> grp,
     const ClusterStats mid = sys->cluster().stats();
     EXPECT_GE(mid.epoch_aborts, 1u);
     EXPECT_EQ(mid.epoch_commits, 0u);
-    EXPECT_EQ(mid.server_epochs_committed, 0u);
+    EXPECT_EQ(mid.store_totals.epochs_committed, 0u);
     for (const std::string& name : sys->cluster().node_names()) {
       EXPECT_EQ(sys->health(name).epochs_staged_open, 0u) << name;
     }
@@ -289,7 +289,7 @@ std::vector<Bytes> run_epoch_scenario(std::shared_ptr<const Group> grp,
   // Epoch committed on every node, exactly once each.
   const ClusterStats cs = sys->cluster().stats();
   EXPECT_EQ(cs.epoch_commits, 1u);
-  EXPECT_EQ(cs.server_epochs_committed, 3u);
+  EXPECT_EQ(cs.store_totals.epochs_committed, 3u);
   EXPECT_EQ(cs.epoch_commit_orphans, 0u);
 
   // Revoked bob opens nothing; alice keeps access through the update.
@@ -344,7 +344,7 @@ TEST(ClusterTest, PartitionDuring2PCAbortsCleanlyThenCommitsOnHeal) {
   loopback.faults().set_channel("node:0", "node:2", FaultSpec());
   EXPECT_EQ(sys->flush_pending(), 0u);
   EXPECT_EQ(sys->cluster().stats().epoch_commits, 1u);
-  EXPECT_EQ(sys->cluster().stats().server_epochs_committed, 3u);
+  EXPECT_EQ(sys->cluster().stats().store_totals.epochs_committed, 3u);
   EXPECT_NE(snapshots_of(*sys), before);  // the epoch really re-encrypted
   expect_replicas_converged(*sys, files);
   for (const std::string& f : files) {

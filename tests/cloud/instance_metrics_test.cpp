@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <regex>
 #include <sstream>
@@ -61,7 +62,7 @@ std::string describe(CloudSystem& sys) {
     << c.replication_sheds << ' ' << c.restart_prunes << ' ' << c.store_totals.files << ' '
     << c.store_totals.bytes << ' ' << c.store_totals.stores << ' '
     << c.store_totals.fetches << ' ' << c.store_totals.reencrypted_slots << ' '
-    << c.server_epochs_committed << ' ' << c.server_epochs_aborted << '\n';
+    << c.store_totals.epochs_committed << ' ' << c.store_totals.epochs_aborted << '\n';
   const RecoveryStats r = sys.cluster().recovery().stats();
   o << "recovery " << r.hints_recorded << ' ' << r.hints_replayed << ' '
     << r.hints_superseded << ' ' << r.hints_dropped << ' ' << r.syncs << ' '
@@ -70,8 +71,8 @@ std::string describe(CloudSystem& sys) {
     << r.epochs_resolved_abort << ' ' << r.rejoins << ' ' << r.sync_failures << '\n';
   const CloudSystem::Health h = sys.health();
   o << "health " << h.transport.frames << ' ' << h.transport.frame_bytes << ' '
-    << h.transport.retries << ' ' << h.sends_ok << ' ' << h.sends_failed << ' ' << h.retries
-    << ' ' << h.applied_requests << ' ' << h.pending_deliveries << ' ' << h.virtual_ms
+    << h.transport.retries << ' ' << h.sends_ok << ' ' << h.sends_failed << ' '
+    << h.applied_requests << ' ' << h.pending_deliveries << ' ' << h.virtual_ms
     << '\n';
   for (const NodeHealth& n : sys.cluster_health()) {
     o << "node " << n.node << ' ' << n.alive << ' ' << n.store.files << ' '
@@ -198,6 +199,108 @@ TEST(InstanceMetrics, StatusJsonMatchesPrometheusText) {
     committed += json_field(doc, "epochs_committed", at);
   }
   EXPECT_GT(committed, 0);
+}
+
+// One record per event: under a seeded plan that injects every fault
+// kind, the meter's rows, the FaultPlan, each node's ServerStats and each
+// consumer's cache getters all agree with the labelled series, and a
+// second system's traffic moves none of them.
+TEST(InstanceMetrics, EveryLedgerAgreesWithItsSeriesUnderFaults) {
+  auto grp = Group::test_small();
+  ClusterConfig cfg;
+  cfg.nodes = 3;
+  cfg.replication = 2;
+  RetryPolicy retry;
+  retry.max_attempts = 8;
+  retry.deadline_ms = 1u << 20;
+  CloudSystem a(grp, "ledger-agreement", std::make_unique<LoopbackTransport>(FaultPlan(11)),
+                retry, cfg);
+  enroll(a);
+  auto& loopback = dynamic_cast<LoopbackTransport&>(a.transport());
+  FaultSpec chaos;
+  chaos.drop = chaos.duplicate = chaos.corrupt = chaos.ack_loss = 0.08;
+  chaos.delay = 0.1;
+  loopback.faults().set_default(chaos);
+  loopback.faults().fail_next("owner:hosp", a.cluster().route_for("f1"), 1);
+  const auto tolerate = [](auto op) {
+    try {
+      op();
+    } catch (const TransportError&) {
+    }
+  };
+  for (const char* f : {"f1", "f2", "f3", "f4"}) tolerate([&] { upload(a, f); });
+  for (int i = 0; i < 3; ++i) {
+    for (const char* f : {"f1", "f2", "f3", "f4"})
+      tolerate([&] { (void)a.download_report("alice", f); });
+  }
+  tolerate([&] { (void)a.revoke_attribute("Med", "bob", "Doctor"); });
+  loopback.faults().set_default(FaultSpec());
+  for (int i = 0; i < 10 && a.flush_pending() > 0; ++i) {
+  }
+  ASSERT_EQ(a.health().pending_deliveries, 0u);
+  for (const char* f : {"f1", "f2"}) (void)a.download_report("alice", f);
+
+  const FaultPlan::Injected& injected = loopback.faults().injected();
+  ASSERT_GT(injected.drops, 0u);
+  ASSERT_GT(injected.duplicates, 0u);
+  ASSERT_GT(injected.corruptions, 0u);
+  ASSERT_GT(injected.ack_losses, 0u);
+  ASSERT_GT(injected.delays, 0u);
+  ASSERT_GT(injected.script_failures, 0u);
+
+  ChannelStats rows;
+  for (const auto& [channel, row] : a.meter().entries()) rows += row;
+  telemetry::Snapshot snap = a.telemetry_snapshot();
+  const Labels l{{"instance", a.instance()}};
+  const auto series = [&](const char* name) {
+    return snap.counter("maabe_transport_" + std::string(name) + "_total", l);
+  };
+  EXPECT_EQ(rows.frames, series("frames"));
+  EXPECT_EQ(rows.frame_bytes, series("frame_bytes"));
+  EXPECT_EQ(rows.deliveries, series("deliveries"));
+  EXPECT_EQ(rows.faults(), series("faults"));
+  EXPECT_EQ(rows.retries, series("retries"));
+  EXPECT_EQ(rows.redeliveries, series("redeliveries"));
+  EXPECT_EQ(rows.faults(), injected.total());
+  EXPECT_GT(rows.redeliveries, 0u);
+
+  for (const std::string& node : a.cluster().node_names()) {
+    const ServerStats st = a.cluster().node_store(node).stats();
+    const Labels nl{{"instance", a.instance()}, {"node", node}};
+    EXPECT_EQ(st.stores, snap.counter("maabe_server_stores_total", nl)) << node;
+    EXPECT_EQ(st.fetches, snap.counter("maabe_server_fetches_total", nl)) << node;
+    EXPECT_EQ(st.reencrypted_slots, snap.counter("maabe_server_reencrypted_slots_total", nl))
+        << node;
+  }
+  EXPECT_GT(a.cluster().stats().store_totals.reencrypted_slots, 0u);
+
+  std::map<std::string, std::pair<uint64_t, uint64_t>> cache;
+  for (const char* uid : {"alice", "bob"}) {
+    const Consumer& c = a.user(uid);
+    const Labels ul{{"instance", a.instance()}, {"user", uid}};
+    EXPECT_EQ(c.decrypt_cache_hits(), snap.counter("maabe_decrypt_cache_hits_total", ul));
+    EXPECT_EQ(c.decrypt_cache_misses(), snap.counter("maabe_decrypt_cache_misses_total", ul));
+    cache[uid] = {c.decrypt_cache_hits(), c.decrypt_cache_misses()};
+  }
+  EXPECT_GT(cache["alice"].first, 0u);
+  EXPECT_GT(cache["alice"].second, 0u);
+
+  // Same user names, another instance: A's counts stay where they were.
+  auto b = make_system(grp, "ledger-agreement-b");
+  enroll(*b);
+  upload(*b, "f1");
+  for (int i = 0; i < 2; ++i) {
+    (void)b->download_report("alice", "f1");
+    (void)b->download_report("bob", "f1");
+  }
+  EXPECT_GT(b->user("alice").decrypt_cache_hits(), 0u);
+  snap = a.telemetry_snapshot();
+  for (const char* uid : {"alice", "bob"}) {
+    const Labels ul{{"instance", a.instance()}, {"user", uid}};
+    EXPECT_EQ(a.user(uid).decrypt_cache_hits(), cache[uid].first) << uid;
+    EXPECT_EQ(a.user(uid).decrypt_cache_misses(), cache[uid].second) << uid;
+    EXPECT_EQ(snap.counter("maabe_decrypt_cache_hits_total", ul), cache[uid].first) << uid;
+  }
 }
 
 /// The series names of kSeriesNames in bench/e2e/ledger.cpp, read from

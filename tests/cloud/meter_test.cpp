@@ -2,52 +2,50 @@
 
 #include <gtest/gtest.h>
 
+#include "telemetry/metrics.h"
+
 namespace maabe::cloud {
 namespace {
 
+ChannelMeter fresh_meter() { return ChannelMeter(telemetry::next_instance()); }
+
 TEST(Meter, RecordsAndAccumulates) {
-  ChannelMeter m;
-  EXPECT_EQ(m.sent("a", "b"), 0u);
-  m.record("a", "b", 10);
-  m.record("a", "b", 5);
-  EXPECT_EQ(m.sent("a", "b"), 15u);
-  EXPECT_EQ(m.sent("b", "a"), 0u);
+  ChannelMeter m = fresh_meter();
+  EXPECT_EQ(m.stats("a", "b").payload_bytes, 0u);
+  m.frame("a", "b", 30, 10);
+  m.frame("a", "b", 25, 5);
+  EXPECT_EQ(m.stats("a", "b").payload_bytes, 15u);
+  EXPECT_EQ(m.stats("a", "b").frames, 2u);
+  EXPECT_EQ(m.stats("a", "b").frame_bytes, 55u);
+  EXPECT_EQ(m.stats("b", "a").payload_bytes, 0u);
 }
 
 TEST(Meter, BetweenSumsBothDirections) {
-  ChannelMeter m;
-  m.record("a", "b", 10);
-  m.record("b", "a", 7);
+  ChannelMeter m = fresh_meter();
+  m.frame("a", "b", 20, 10);
+  m.frame("b", "a", 17, 7);
   EXPECT_EQ(m.between("a", "b"), 17u);
   EXPECT_EQ(m.between("b", "a"), 17u);
 }
 
-TEST(Meter, InvolvingSumsAllChannels) {
-  ChannelMeter m;
-  m.record("a", "b", 1);
-  m.record("c", "a", 2);
-  m.record("b", "c", 4);
-  EXPECT_EQ(m.involving("a"), 3u);
-  EXPECT_EQ(m.involving("b"), 5u);
-  EXPECT_EQ(m.involving("d"), 0u);
-}
-
-TEST(Meter, ApplyAccumulatesDeliveredVsAcceptedSplit) {
-  ChannelMeter m;
-  m.apply("a", "b", [](ChannelStats& s) {
-    s.deliveries = 2;
-    s.bytes_delivered = 20;  // both copies arrived
-    s.bytes_accepted = 10;   // only the first one applied
-    s.redeliveries = 1;
-  });
+TEST(Meter, RecordersSplitDeliveredVsAccepted) {
+  ChannelMeter m = fresh_meter();
+  m.frame("a", "b", 30, 10);
+  m.delivery("a", "b", 10);
+  m.accepted("a", "b", 10);
+  m.duplicate("a", "b", 30, 10);  // the second copy arrives too...
+  m.redelivery("a", "b");         // ...and dedup suppresses it
   const ChannelStats row = m.stats("a", "b");
+  EXPECT_EQ(row.deliveries, 2u);
   EXPECT_EQ(row.bytes_delivered, 20u);
   EXPECT_EQ(row.bytes_accepted, 10u);
+  EXPECT_EQ(row.redeliveries, 1u);
+  EXPECT_EQ(row.duplicates, 1u);
+  EXPECT_EQ(row.frames, 2u);
+  EXPECT_EQ(row.payload_bytes, 10u);  // a duplicate is not a new artefact
   // totals() folds the split through operator+= like every other field.
-  m.apply("b", "c", [](ChannelStats& s) {
-    s.bytes_delivered = 5;
-    s.bytes_accepted = 5;
-  });
+  m.delivery("b", "c", 5);
+  m.accepted("b", "c", 5);
   const ChannelStats t = m.totals();
   EXPECT_EQ(t.bytes_delivered, 25u);
   EXPECT_EQ(t.bytes_accepted, 15u);
@@ -55,22 +53,14 @@ TEST(Meter, ApplyAccumulatesDeliveredVsAcceptedSplit) {
 }
 
 TEST(Meter, EntriesReturnsSnapshotCopy) {
-  ChannelMeter m;
-  m.record("a", "b", 3);
+  ChannelMeter m = fresh_meter();
+  m.frame("a", "b", 10, 3);
   auto snap = m.entries();
   ASSERT_EQ(snap.size(), 1u);
-  m.record("a", "b", 4);  // later writes must not leak into the snapshot
+  m.frame("a", "b", 10, 4);  // later writes must not leak into the snapshot
   const std::pair<std::string, std::string> key{"a", "b"};
   EXPECT_EQ(snap[key].payload_bytes, 3u);
   EXPECT_EQ(m.entries()[key].payload_bytes, 7u);
-}
-
-TEST(Meter, Reset) {
-  ChannelMeter m;
-  m.record("a", "b", 10);
-  m.reset();
-  EXPECT_EQ(m.sent("a", "b"), 0u);
-  EXPECT_TRUE(m.entries().empty());
 }
 
 }  // namespace

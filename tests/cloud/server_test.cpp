@@ -127,16 +127,16 @@ TEST(ServerTest, ShardedStoreBasicOps) {
   EXPECT_EQ(server.storage_bytes(), expect_bytes);
 
   const ServerStats stats = server.stats();
-  ASSERT_EQ(stats.shards.size(), 4u);
-  EXPECT_EQ(stats.totals().files, 8u);
-  EXPECT_EQ(stats.totals().stores, 8u);
-  EXPECT_GT(stats.totals().fetches, 0u);
-  EXPECT_EQ(stats.totals().bytes, server.storage_bytes());
+  ASSERT_EQ(server.shard_count(), 4u);
+  EXPECT_EQ(stats.files, 8u);
+  EXPECT_EQ(stats.stores, 8u);
+  EXPECT_GT(stats.fetches, 0u);
+  EXPECT_EQ(stats.bytes, server.storage_bytes());
 
   // Replacement: same id, file count unchanged, store count up.
   server.store(w.make_file("f0", 2));
-  EXPECT_EQ(server.stats().totals().files, 8u);
-  EXPECT_EQ(server.stats().totals().stores, 9u);
+  EXPECT_EQ(server.stats().files, 8u);
+  EXPECT_EQ(server.stats().stores, 9u);
   EXPECT_EQ(server.fetch("f0")->slots.size(), 2u);
 }
 
@@ -208,7 +208,7 @@ TEST(ServerTest, ReencryptEpochCommitsAllSlots) {
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.epochs_committed, 1u);
   EXPECT_EQ(stats.epochs_aborted, 0u);
-  EXPECT_EQ(stats.totals().reencrypted_slots, 4u);
+  EXPECT_EQ(stats.reencrypted_slots, 4u);
 }
 
 TEST(ServerTest, FaultInjectedEpochLeavesStoreByteIdentical) {
@@ -232,7 +232,7 @@ TEST(ServerTest, FaultInjectedEpochLeavesStoreByteIdentical) {
   EXPECT_EQ(serialize_whole_store(server, *w.grp), before);
   EXPECT_EQ(server.stats().epochs_aborted, 1u);
   EXPECT_EQ(server.stats().epochs_committed, 0u);
-  EXPECT_EQ(server.stats().totals().reencrypted_slots, 0u);
+  EXPECT_EQ(server.stats().reencrypted_slots, 0u);
 
   // And the store is not wedged: the same epoch, replayed without the
   // fault, applies cleanly — version checks see a consistent store.
@@ -317,7 +317,7 @@ TEST(ServerTest, ConcurrentFetchStoreReencryptStress) {
   }
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.epochs_committed, 1u);
-  EXPECT_EQ(stats.totals().files, static_cast<uint64_t>(kFiles) + 8u);
+  EXPECT_EQ(stats.files, static_cast<uint64_t>(kFiles) + 8u);
   // Byte accounting stayed exact through all the racing swaps.
   size_t expect_bytes = 0;
   for (const std::string& id : server.file_ids())

@@ -223,11 +223,11 @@ TEST_F(SystemTest, MeterTracksChannels) {
   upload_patient_record();
   sys.download("alice", "patient-42");
   const ChannelMeter& meter = sys.meter();
-  EXPECT_GT(meter.sent("aa:MedOrg", "user:alice"), 0u);   // secret keys
-  EXPECT_GT(meter.sent("aa:MedOrg", "owner:hospital"), 0u);  // public keys
-  EXPECT_GT(meter.sent("owner:hospital", "server"), 0u);  // upload
-  EXPECT_GT(meter.sent("server", "user:alice"), 0u);      // download
-  EXPECT_EQ(meter.sent("server", "user:bob"), 0u);
+  EXPECT_GT(meter.stats("aa:MedOrg", "user:alice").payload_bytes, 0u);      // secret keys
+  EXPECT_GT(meter.stats("aa:MedOrg", "owner:hospital").payload_bytes, 0u);  // public keys
+  EXPECT_GT(meter.stats("owner:hospital", "server").payload_bytes, 0u);     // upload
+  EXPECT_GT(meter.stats("server", "user:alice").payload_bytes, 0u);         // download
+  EXPECT_EQ(meter.stats("server", "user:bob").payload_bytes, 0u);
 }
 
 TEST_F(SystemTest, StorageReportShape) {
@@ -307,12 +307,12 @@ TEST_F(SystemTest, TelemetrySnapshotMatchesStructuredStats) {
 
   const telemetry::Snapshot snap = sys.telemetry_snapshot();
   const CloudSystem::Health h = sys.health();
-  const ShardStats server = sys.server().stats().totals();
+  const ServerStats server = sys.server().stats();
 
   // Collector gauges: this system is the only one alive in the fixture,
   // but the registry is process-wide, so assert lower bounds.
-  EXPECT_GE(snap.gauge("maabe_system_sends_ok"), 0);
-  EXPECT_GE(static_cast<uint64_t>(snap.gauge("maabe_system_sends_ok")), h.sends_ok);
+  EXPECT_EQ(snap.counter("maabe_transport_sends_ok_total", {{"instance", sys.instance()}}),
+            h.sends_ok);
   EXPECT_GE(static_cast<uint64_t>(snap.gauge("maabe_system_server_files")),
             server.files);
   EXPECT_GE(static_cast<uint64_t>(snap.gauge("maabe_system_channel_payload_bytes")),
