@@ -207,7 +207,7 @@ int main() {
   const bool rec_bounded = rec.recovery_bytes_transferred > 0 && rec_ratio < 0.9;
   uint64_t rec_staged_open = 0;
   for (const auto& nh : rec_gen.system().cluster_health())
-    rec_staged_open += nh.epochs_staged_open;
+    rec_staged_open += nh.store.epochs_staged_open;
   std::printf("  rejoin converged in %.2f ms, moved %llu bytes "
               "(%.1f%% of a %llu-byte snapshot) -> %s, staged-open %llu\n",
               rec.recovery_convergence_ms,

@@ -22,52 +22,6 @@ constexpr uint8_t kEpochAbort = 3;
 
 Bytes sha256_of(ByteView data) { return crypto::Sha256::digest(data); }
 
-/// Parses "replicate <fid> v<N>" / "read-repair <fid> v<N>" labels (the
-/// inverse of the label formatting in handle_store / handle_fetch).
-bool parse_versioned_label(const std::string& label, std::string* fid,
-                           uint64_t* version) {
-  size_t body = 0;
-  if (label.starts_with("replicate ")) {
-    body = 10;
-  } else if (label.starts_with("read-repair ")) {
-    body = 12;
-  } else {
-    return false;
-  }
-  const size_t sp = label.rfind(" v");
-  if (sp == std::string::npos || sp < body) return false;
-  const std::string digits = label.substr(sp + 2);
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  *fid = label.substr(body, sp - body);
-  *version = std::stoull(digits);
-  return true;
-}
-
-/// Parses "epoch commit #<id>" / "epoch abort #<id>" labels.
-bool parse_epoch_control_label(const std::string& label, bool* is_commit,
-                               uint64_t* epoch_id) {
-  size_t body = 0;
-  if (label.starts_with("epoch commit #")) {
-    body = 14;
-    *is_commit = true;
-  } else if (label.starts_with("epoch abort #")) {
-    body = 13;
-    *is_commit = false;
-  } else {
-    return false;
-  }
-  const std::string digits = label.substr(body);
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  *epoch_id = std::stoull(digits);
-  return true;
-}
-
 }  // namespace
 
 Cluster::Cluster(std::shared_ptr<const pairing::Group> grp,
@@ -188,58 +142,43 @@ void Cluster::restart_node(const std::string& name) {
     n.alive = true;
     for (const auto& [id, token] : n.staged) staged_ids.insert(id);
   }
-  // Reconcile the restarted node's parked queue against what the node
-  // can still use, so pending/replication-lag gauges stop reporting ops
-  // it will never meaningfully drain:
-  //  * replication/read-repair ops superseded by a newer parked version
-  //    of the same file — each op carries the whole file and applies
-  //    last-write-wins, so only the newest parked version matters;
-  //  * epoch commit/abort controls whose staged 2PC state died with the
-  //    node (kill_node clears it): a dropped commit is recorded as an
-  //    epoch_commit_orphan exactly as a delivered-but-unknown commit
-  //    would be, and the node's stale copy heals via read-repair.
-  // Recovery replay of the survivors is still the durable queues' job:
-  // they land on the next flush; recovery().sync_all() closes any
-  // remaining divergence.
-  std::map<std::string, uint64_t> newest;
-  for (const std::string& label : durable_.pending_labels(name)) {
-    std::string fid;
-    uint64_t version = 0;
-    if (!parse_versioned_label(label, &fid, &version)) continue;
-    auto [it, inserted] = newest.try_emplace(fid, version);
-    if (!inserted && version > it->second) it->second = version;
-  }
-  uint64_t orphans = 0;
-  durable_.prune_queue(name, [&](const std::string& label) {
-    std::string fid;
-    uint64_t version = 0;
-    if (parse_versioned_label(label, &fid, &version))
-      return version < newest[fid];
-    bool is_commit = false;
-    uint64_t epoch_id = 0;
-    if (parse_epoch_control_label(label, &is_commit, &epoch_id) &&
-        !staged_ids.contains(epoch_id)) {
-      if (is_commit) ++orphans;
-      return true;
-    }
-    return false;
-  });
-  m_.epoch_commit_orphans->add(orphans);
   // Rejoin protocol (DESIGN.md §15): resolve staged-open epochs, drain
   // the hinted hand-offs recorded while this node was down, then run a
   // scoped Merkle anti-entropy round against each alive peer. The node
   // is byte-identical to its peers afterwards without a full-store
-  // scan or quorum read.
+  // scan or quorum read. Rejoin sends only over the link, never through
+  // the durable queues, so the reconciliation below sees them intact.
   recovery_->rejoin(name);
-  // Second reconciliation: parked replication/read-repair ops at or
-  // below the version the rejoin already delivered would replay as
-  // no-ops — drop them so the pending/lag gauges reflect real work.
-  durable_.prune_queue(name, [&](const std::string& label) {
-    std::string fid;
-    uint64_t version = 0;
-    return parse_versioned_label(label, &fid, &version) &&
-           version <= version_of(name, fid);
+  // Reconcile the restarted node's parked queue against what the node
+  // can still use, so pending/replication-lag gauges stop reporting ops
+  // it will never meaningfully drain:
+  //  * replication/read-repair ops superseded by a newer parked version
+  //    of the same file, or at or below the version the node now holds —
+  //    each op carries the whole file and applies last-write-wins, so
+  //    they would replay as no-ops;
+  //  * epoch commit/abort controls whose staged 2PC state died with the
+  //    node (kill_node clears it): a dropped commit is recorded as an
+  //    epoch_commit_orphan exactly as a delivered-but-unknown commit
+  //    would be, and the node's stale copy heals via read-repair.
+  // The survivors replay on the next flush; recovery().sync_all() closes
+  // any remaining divergence.
+  std::map<std::string, uint64_t> newest;
+  for (const ParkedOp& op : durable_.pending_ops(name)) {
+    if (!op.replicates()) continue;
+    uint64_t& v = newest[op.subject];
+    v = std::max(v, op.number);
+  }
+  uint64_t orphans = 0;
+  durable_.prune_queue(name, [&](const ParkedOp& op) {
+    if (op.replicates())
+      return op.number < newest[op.subject] || op.number <= version_of(name, op.subject);
+    // What is left is entity traffic or an epoch commit/abort.
+    if (op.kind == ParkedOp::Kind::kEntity || staged_ids.contains(op.number))
+      return false;
+    if (op.kind == ParkedOp::Kind::kEpochCommit) ++orphans;
+    return true;
   });
+  m_.epoch_commit_orphans->add(orphans);
 }
 
 void Cluster::ensure_alive(const Node& n) const {
@@ -307,7 +246,7 @@ void Cluster::handle_store(const std::string& self, ByteView stored_file_wire) {
       const bool delivered = durable_.send_or_park(
           self, replica, op_wire,
           [this, replica](ByteView payload) { handle_replication(replica, payload); },
-          "replicate " + file_id + " v" + std::to_string(version));
+          ParkedOp(ParkedOp::Kind::kReplicate, file_id, version));
       if (!delivered) recovery_->record_hint(self, replica, file_id, version);
     } catch (const TransportError& e) {
       // Bounded-queue backpressure: the replica's parked queue is full.
@@ -465,8 +404,7 @@ Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id)
           [this, target = r.node](ByteView payload) {
             handle_replication(target, payload);
           },
-          "read-repair " + file_id + " v" +
-              std::to_string(winner->reply.version));
+          ParkedOp(ParkedOp::Kind::kReadRepair, file_id, winner->reply.version));
       if (!delivered) {
         recovery_->record_hint(self, r.node, file_id, winner->reply.version);
       }
@@ -511,8 +449,10 @@ EpochPayload decode_epoch(const pairing::Group& grp, ByteView wire) {
 }  // namespace
 
 void Cluster::send_epoch_control(const std::string& self, const std::string& peer,
-                                 uint8_t verb, uint64_t epoch_id,
-                                 const std::string& label) {
+                                 uint8_t verb, uint64_t epoch_id) {
+  const ParkedOp op(
+      verb == kEpochCommit ? ParkedOp::Kind::kEpochCommit : ParkedOp::Kind::kEpochAbort,
+      "", epoch_id);
   Writer w;
   w.u8(verb);
   w.u64(epoch_id);
@@ -537,7 +477,7 @@ void Cluster::send_epoch_control(const std::string& self, const std::string& pee
           m_.epoch_commit_orphans->inc();
         }
       },
-      label);
+      op);
   } catch (const TransportError& e) {
     // Phase-2 controls must not unwind a half-committed epoch: under
     // backpressure the control is shed (counted) and the peer's copy
@@ -548,7 +488,7 @@ void Cluster::send_epoch_control(const std::string& self, const std::string& pee
     if (telemetry::FlightRegistry::armed())
       telemetry::FlightRegistry::global().record_event(
           peer, telemetry::FlightEntry::Kind::kOverloadShed, "epoch_control_shed",
-          "label=" + label + " from=" + self);
+          "label=" + op.label() + " from=" + self);
   }
 }
 
@@ -683,8 +623,7 @@ void Cluster::handle_epoch(const std::string& self, ByteView epoch_wire) {
         apply_epoch_decision(coord, epoch_id, /*commit=*/false);
         continue;
       }
-      send_epoch_control(self, staged, kEpochAbort, epoch_id,
-                         "epoch abort #" + std::to_string(epoch_id));
+      send_epoch_control(self, staged, kEpochAbort, epoch_id);
     }
     if (span.active()) span.attr("outcome", "aborted");
     throw;
@@ -707,8 +646,7 @@ void Cluster::handle_epoch(const std::string& self, ByteView epoch_wire) {
   apply_epoch_decision(coord, epoch_id, /*commit=*/true);
   for (const std::string& peer : names_) {
     if (peer == self) continue;
-    send_epoch_control(self, peer, kEpochCommit, epoch_id,
-                       "epoch commit #" + std::to_string(epoch_id));
+    send_epoch_control(self, peer, kEpochCommit, epoch_id);
   }
   m_.epoch_commits->inc();
   if (span.active()) {
@@ -754,9 +692,6 @@ NodeHealth Cluster::node_health(const std::string& name) const {
   NodeHealth h;
   h.node = name;
   h.store = n.store->stats();
-  h.epochs_committed = h.store.epochs_committed;
-  h.epochs_aborted = h.store.epochs_aborted;
-  h.epochs_staged_open = h.store.epochs_staged_open;
   std::lock_guard<std::mutex> lock(n.mu);
   h.alive = n.alive;
   return h;

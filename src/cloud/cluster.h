@@ -63,9 +63,6 @@ struct NodeHealth {
   std::string node;
   bool alive = true;
   ServerStats store;                 ///< the node's store, epoch ledger included
-  uint64_t epochs_committed = 0;     ///< = store.epochs_committed
-  uint64_t epochs_aborted = 0;       ///< = store.epochs_aborted
-  uint64_t epochs_staged_open = 0;   ///< = store.epochs_staged_open
   uint64_t pending_in = 0;           ///< deliveries parked for this node
   uint64_t replication_lag = 0;      ///< parked replicate/read-repair ops to it
   ChannelStats transport_in;         ///< meter rows with to == node
@@ -131,17 +128,17 @@ class Cluster {
   /// (restart semantics: the committed store is durable, stage state is
   /// not). Messages to it now fail; durable sends park.
   void kill_node(const std::string& name);
-  /// Marks the node alive again, reconciles its parked durable queue
-  /// (replication/read-repair ops superseded by a newer parked version
-  /// of the same file are dropped — each op carries the whole file and
-  /// applies last-write-wins — and epoch commit/abort controls whose
-  /// staged 2PC state died with the node are dropped, a dropped commit
-  /// counting as an epoch_commit_orphan), then runs the rejoin protocol
-  /// (DESIGN.md §15): resolve staged epochs, drain hinted hand-offs,
-  /// scoped Merkle anti-entropy against each alive peer, and a second
-  /// prune of parked ops the recovered state supersedes. After this the
-  /// node is byte-identical to its peers on the files it replicates,
-  /// without a full-store scan.
+  /// Marks the node alive again, runs the rejoin protocol (DESIGN.md
+  /// §15: resolve staged epochs, drain hinted hand-offs, scoped Merkle
+  /// anti-entropy against each alive peer), then reconciles its parked
+  /// durable queue in one typed pass: a replicate/read-repair op is
+  /// dropped when a newer version of the same file is parked or the
+  /// node already holds that version or newer (each op carries the whole
+  /// file and applies last-write-wins), and an epoch commit/abort whose
+  /// staged 2PC state died with the node is dropped, a dropped commit
+  /// counting as an epoch_commit_orphan. After this the node is
+  /// byte-identical to its peers on the files it replicates, without a
+  /// full-store scan. A single node rejoins the same way, with no peers.
   void restart_node(const std::string& name);
 
   // ---- Placement -----------------------------------------------------
@@ -248,7 +245,7 @@ class Cluster {
   /// control applies and by the recovery resolver.
   bool apply_epoch_decision(Node& n, uint64_t epoch_id, bool commit);
   void send_epoch_control(const std::string& self, const std::string& peer,
-                          uint8_t verb, uint64_t epoch_id, const std::string& label);
+                          uint8_t verb, uint64_t epoch_id);
   bool epoch_in_flight(uint64_t epoch_id) const;
 
   std::shared_ptr<const pairing::Group> grp_;

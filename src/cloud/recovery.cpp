@@ -510,7 +510,7 @@ void RecoveryManager::clear_hint(const std::string& target,
 }
 
 size_t RecoveryManager::drain_hints_for(const std::string& target) {
-  if (!cluster_.alive(target) || cluster_.size() <= 1) return 0;
+  if (!cluster_.alive(target)) return 0;
   telemetry::Span span =
       telemetry::Tracer::global().start_span("recovery.drain_hints");
   if (span.active()) {
@@ -647,7 +647,6 @@ size_t RecoveryManager::resolve_staged_epochs() {
 // ------------------------------------------------------------ rejoin --
 
 void RecoveryManager::rejoin(const std::string& name) {
-  if (cluster_.size() <= 1) return;
   telemetry::Span span =
       telemetry::Tracer::global().start_span("recovery.rejoin");
   if (span.active()) {

@@ -15,7 +15,10 @@
 //  * Hinted hand-off — when a write sheds or parks for a dead replica,
 //    the coordinator records a typed hint (target, file_id, version).
 //    On rejoin the node drains its hints from every alive holder,
-//    pulling exactly the files written while it was down.
+//    pulling exactly the files written while it was down. Rejoin sends
+//    only over the link: the parked ops behind a hint stay queued, and
+//    Cluster::restart_node prunes those the drained state supersedes
+//    once rejoin returns.
 //
 //  * 2PC epoch resolution — every commit/abort verdict is recorded in a
 //    per-node decision log that (unlike staged state) survives
@@ -27,7 +30,8 @@
 // `rejoin(node)` (run by Cluster::restart_node) strings the three into
 // one traced sequence: resolve staged epochs, drain hints, then a
 // scoped anti-entropy round against each alive peer — byte-identical
-// state without a full-store scan.
+// state without a full-store scan. It runs at every cluster size; a
+// single node has no holder or peer, so its drain and sync are empty.
 #pragma once
 
 #include <atomic>

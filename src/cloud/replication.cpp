@@ -57,6 +57,26 @@ FetchReply decode_fetch_reply(ByteView data) {
   return reply;
 }
 
+std::string ParkedOp::label() const {
+  switch (kind) {
+    case Kind::kReplicate:
+      return "replicate " + subject + " v" + std::to_string(number);
+    case Kind::kReadRepair:
+      return "read-repair " + subject + " v" + std::to_string(number);
+    case Kind::kEpochCommit:
+      return "epoch commit #" + std::to_string(number);
+    case Kind::kEpochAbort:
+      return "epoch abort #" + std::to_string(number);
+    case Kind::kEntity:
+      break;
+  }
+  return subject;
+}
+
+bool ParkedOp::gates_reads() const {
+  return kind == Kind::kEntity || kind == Kind::kEpochCommit;
+}
+
 // ----------------------------------------------------- DurableLink --
 
 DurableLink::DurableLink(ReliableLink& link)
@@ -77,7 +97,7 @@ size_t DurableLink::pending_cap() const {
 }
 
 bool DurableLink::send_or_park(const std::string& from, const std::string& to,
-                               Bytes payload, Apply apply, const std::string& label) {
+                               Bytes payload, Apply apply, ParkedOp op) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   // Order must be preserved per destination: never jump a parked queue.
   flush_queue(to);
@@ -87,22 +107,22 @@ bool DurableLink::send_or_park(const std::string& from, const std::string& to,
     if (telemetry::FlightRegistry::armed())
       telemetry::FlightRegistry::global().record_event(
           to, telemetry::FlightEntry::Kind::kOverloadShed, "parked_rejected",
-          "label=" + label + " cap=" + std::to_string(pending_cap_));
+          "label=" + op.label() + " cap=" + std::to_string(pending_cap_));
     throw TransportError(TransportError::Kind::kOverloaded,
                          "durable queue for '" + to + "' at cap (" +
                              std::to_string(pending_cap_) + "): rejecting '" +
-                             label + "'");
+                             op.label() + "'");
   }
   if (!queue.empty()) {
     queue.push_back({link_.allocate_request_id(), from, std::move(payload),
-                     std::move(apply), label, telemetry::Tracer::current()});
+                     std::move(apply), std::move(op), telemetry::Tracer::current()});
     return false;
   }
   const uint64_t rid = link_.allocate_request_id();
   try {
     link_.send_as(rid, from, to, payload, apply);
   } catch (const TransportError&) {
-    queue.push_back({rid, from, std::move(payload), std::move(apply), label,
+    queue.push_back({rid, from, std::move(payload), std::move(apply), std::move(op),
                      telemetry::Tracer::current()});
     return false;
   }
@@ -111,7 +131,7 @@ bool DurableLink::send_or_park(const std::string& from, const std::string& to,
 }
 
 size_t DurableLink::prune_queue(
-    const std::string& to, const std::function<bool(const std::string&)>& drop) {
+    const std::string& to, const std::function<bool(const ParkedOp&)>& drop) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   const auto it = pending_.find(to);
   if (it == pending_.end()) return 0;
@@ -119,7 +139,7 @@ size_t DurableLink::prune_queue(
   std::deque<Pending> kept;
   size_t dropped = 0;
   for (Pending& p : queue) {
-    if (drop(p.label)) {
+    if (drop(p.op)) {
       ++dropped;
     } else {
       kept.push_back(std::move(p));
@@ -146,7 +166,7 @@ void DurableLink::flush_queue(const std::string& to) {
         telemetry::Tracer::global().start_span("durable.replay");
     if (replay.active()) {
       replay.attr("to", to);
-      replay.attr("label", head.label);
+      replay.attr("label", head.op.label());
       replay.attr("node_id", head.from);
     }
     try {
@@ -192,13 +212,13 @@ std::map<std::string, size_t> DurableLink::pending_by_destination() const {
   return out;
 }
 
-std::vector<std::string> DurableLink::pending_labels(const std::string& to) const {
+std::vector<ParkedOp> DurableLink::pending_ops(const std::string& to) const {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  std::vector<std::string> out;
+  std::vector<ParkedOp> out;
   const auto it = pending_.find(to);
   if (it == pending_.end()) return out;
   out.reserve(it->second.size());
-  for (const Pending& p : it->second) out.push_back(p.label);
+  for (const Pending& p : it->second) out.push_back(p.op);
   return out;
 }
 

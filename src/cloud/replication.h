@@ -4,10 +4,11 @@
 //
 //  * Wire formats for the node-to-node protocol: ReplicationOp (a
 //    versioned copy of a stored file, fanned out from the coordinator
-//    of a write and replayed in version order) and FetchReply (one
+//    of a write and replayed in version order), FetchReply (one
 //    replica's answer in a quorum read, carrying the version and
 //    recorded content hash so the coordinator can detect stale or
-//    corrupt copies).
+//    corrupt copies) and ParkedOp (what a parked delivery is: the tag
+//    read gating and restart reconciliation decide on).
 //
 //  * DurableLink: the per-destination write-ahead op queue. A send that
 //    cannot reach its destination parks in FIFO order under its
@@ -60,6 +61,43 @@ struct FetchReply {
 Bytes encode_fetch_reply(const FetchReply& r);
 FetchReply decode_fetch_reply(ByteView data);  ///< throws WireError
 
+/// What a durable send is, recorded beside it while it is parked. Entity
+/// traffic (uploads, owner shares, keys, revocation epochs) carries free
+/// text; the cluster's own ops carry a file id and version, or an epoch
+/// id. A string converts implicitly to an entity op.
+struct ParkedOp {
+  enum class Kind : uint8_t {
+    kEntity,
+    kReplicate,
+    kReadRepair,
+    kEpochCommit,
+    kEpochAbort,
+  };
+
+  Kind kind = Kind::kEntity;
+  std::string subject;  ///< file id; for an entity op, its whole text
+  uint64_t number = 0;  ///< version (replicate, read-repair) or epoch id
+
+  ParkedOp(std::string text) : subject(std::move(text)) {}
+  ParkedOp(const char* text) : subject(text) {}
+  ParkedOp(Kind k, std::string subj, uint64_t n)
+      : kind(k), subject(std::move(subj)), number(n) {}
+
+  /// Operator-facing text: "replicate f v3", "read-repair f v3",
+  /// "epoch commit #7", "epoch abort #7", or the entity text.
+  std::string label() const;
+  /// Whether a read must wait for this op. Replication, read-repair and
+  /// epoch aborts only rewrite a replica toward the state a quorum
+  /// already serves, so a stale copy behind one of them can never open
+  /// under a revoked key; entity traffic and epoch commits gate reads.
+  bool gates_reads() const;
+  /// Replication fan-out or read-repair: a whole-file copy of `subject`
+  /// at version `number`, applied last-write-wins.
+  bool replicates() const {
+    return kind == Kind::kReplicate || kind == Kind::kReadRepair;
+  }
+};
+
 // ----------------------------------------------------- DurableLink --
 
 /// Default bound on a single destination's parked queue; see
@@ -100,19 +138,19 @@ class DurableLink {
   uint64_t pruned_total() const { return pruned_->value(); }
 
   /// Flushes `to`'s queue first (order must be preserved), then either
-  /// delivers now (returns true) or parks (returns false). The label is
-  /// operator-facing: health views and read-gating classify queued work
-  /// by label prefix. Throws TransportError(kOverloaded) when `to`'s
-  /// queue is already at the cap.
+  /// delivers now (returns true) or parks (returns false) tagged with
+  /// `op`, which health views, read gating and restart reconciliation
+  /// inspect; its label() names it in spans, events and errors. Throws
+  /// TransportError(kOverloaded) when `to`'s queue is already at the cap.
   bool send_or_park(const std::string& from, const std::string& to, Bytes payload,
-                    Apply apply, const std::string& label);
+                    Apply apply, ParkedOp op);
 
   /// Reconciliation hook for node restart: drops every parked op for
-  /// `to` whose label the predicate rejects, preserving the relative
-  /// order of survivors. Returns the number of ops dropped (also added
-  /// to pruned_total). The predicate sees the op's label.
+  /// `to` that `drop` selects, preserving the relative order of
+  /// survivors. Returns the number of ops dropped (also added to
+  /// pruned_total).
   size_t prune_queue(const std::string& to,
-                     const std::function<bool(const std::string& label)>& drop);
+                     const std::function<bool(const ParkedOp&)>& drop);
 
   /// Replays `to`'s queue head-first; stops at the first transport
   /// failure so per-destination order is never violated.
@@ -124,8 +162,8 @@ class DurableLink {
   size_t pending_count() const;
   size_t pending_for(const std::string& to) const;
   std::map<std::string, size_t> pending_by_destination() const;
-  /// Labels of the deliveries parked for `to`, head first.
-  std::vector<std::string> pending_labels(const std::string& to) const;
+  /// The deliveries parked for `to`, head first.
+  std::vector<ParkedOp> pending_ops(const std::string& to) const;
 
  private:
   struct Pending {
@@ -133,7 +171,7 @@ class DurableLink {
     std::string from;
     Bytes payload;
     Apply apply;
-    std::string label;
+    ParkedOp op;
     /// The sender's span context at park time. Replays run under it
     /// (ContextOverride), so a parked frame carries its ORIGINATING
     /// trace over the wire instead of whichever operation happened to

@@ -1,5 +1,7 @@
 #include "cloud/system.h"
 
+#include <algorithm>
+
 #include "abe/serial.h"
 #include "common/errors.h"
 #include "telemetry/trace.h"
@@ -13,18 +15,11 @@ std::string owner_name(const std::string& id) { return "owner:" + id; }
 std::string user_name(const std::string& uid) { return "user:" + uid; }
 constexpr const char* kCa = "ca";
 
-/// Queued work that does NOT gate reads: replication fan-out,
-/// read-repair and epoch aborts only ever rewrite a replica toward the
-/// state a quorum already serves, so a stale copy behind one of these
-/// can never open under a revoked key. Everything else (uploads,
-/// revocation epochs, 2PC commits) fails reads closed.
-bool benign_for_reads(const std::string& label) {
-  return label.starts_with("replicate ") || label.starts_with("read-repair ") ||
-         label.starts_with("epoch abort");
-}
-
-bool is_replication_label(const std::string& label) {
-  return label.starts_with("replicate ") || label.starts_with("read-repair ");
+/// Parked replicate/read-repair ops for `node`: its replication lag.
+uint64_t replication_lag_of(const DurableLink& durable, const std::string& node) {
+  const std::vector<ParkedOp> ops = durable.pending_ops(node);
+  return static_cast<uint64_t>(std::count_if(
+      ops.begin(), ops.end(), [](const ParkedOp& op) { return op.replicates(); }));
 }
 
 }  // namespace
@@ -77,17 +72,7 @@ crypto::Drbg CloudSystem::fork_rng(const std::string& label) {
   return fork;
 }
 
-// ---------------------------------------------------- reliable sends --
-
-void CloudSystem::send_reliable(const std::string& from, const std::string& to,
-                                ByteView payload, const Apply& apply) {
-  link_.send(from, to, payload, apply);
-}
-
-bool CloudSystem::send_or_park(const std::string& from, const std::string& to,
-                               Bytes payload, Apply apply, const std::string& label) {
-  return durable_.send_or_park(from, to, std::move(payload), std::move(apply), label);
-}
+// ---------------------------------------------- degraded-mode plumbing --
 
 size_t CloudSystem::flush_pending() { return durable_.flush_all(); }
 
@@ -106,9 +91,7 @@ CloudSystem::Health CloudSystem::health() const {
 NodeHealth CloudSystem::health(const std::string& node_id) const {
   NodeHealth h = cluster_.node_health(node_id);
   h.pending_in = durable_.pending_for(node_id);
-  for (const std::string& label : durable_.pending_labels(node_id)) {
-    if (is_replication_label(label)) ++h.replication_lag;
-  }
+  h.replication_lag = replication_lag_of(durable_, node_id);
   for (const auto& [channel, stats] : transport_->meter().entries()) {
     if (channel.second == node_id) h.transport_in += stats;
     if (channel.first == node_id) h.transport_out += stats;
@@ -125,11 +108,8 @@ std::vector<NodeHealth> CloudSystem::cluster_health() const {
 
 uint64_t CloudSystem::replication_lag() const {
   uint64_t lag = 0;
-  for (const std::string& name : cluster_.node_names()) {
-    for (const std::string& label : durable_.pending_labels(name)) {
-      if (is_replication_label(label)) ++lag;
-    }
-  }
+  for (const std::string& name : cluster_.node_names())
+    lag += replication_lag_of(durable_, name);
   return lag;
 }
 
@@ -244,7 +224,7 @@ AttributeAuthority& CloudSystem::add_authority(const std::string& aid,
   if (!ca_.has_authority(aid)) ca_.register_authority(aid);
   // AID assignment: the authority comes alive only when the CA's
   // notification actually arrives.
-  send_reliable(kCa, aa_name(aid), bytes_of(aid), [&](ByteView payload) {
+  link_.send(kCa, aa_name(aid), bytes_of(aid), [&](ByteView payload) {
     const std::string assigned(payload.begin(), payload.end());
     auto [it, inserted] = authorities_.emplace(
         assigned, AttributeAuthority(grp_, assigned, fork_rng("aa/" + assigned)));
@@ -253,13 +233,13 @@ AttributeAuthority& CloudSystem::add_authority(const std::string& aid,
   // Late-joining authorities still need every existing owner's SK_o.
   // Shares park if the authority is unreachable and replay later.
   for (auto& [owner_id, owner] : owners_) {
-    send_or_park(owner_name(owner_id), aa_name(aid),
-                 abe::serialize(*grp_, owner.share()),
-                 [this, aid](ByteView payload) {
-                   authorities_.at(aid).accept_owner_share(
-                       abe::deserialize_owner_secret_share(*grp_, payload));
-                 },
-                 "owner share");
+    durable_.send_or_park(owner_name(owner_id), aa_name(aid),
+                          abe::serialize(*grp_, owner.share()),
+                          [this, aid](ByteView payload) {
+                            authorities_.at(aid).accept_owner_share(
+                                abe::deserialize_owner_secret_share(*grp_, payload));
+                          },
+                          "owner share");
   }
   return authorities_.at(aid);
 }
@@ -270,7 +250,7 @@ Consumer& CloudSystem::add_user(const std::string& uid) {
   if (users_.contains(uid)) throw SchemeError("CloudSystem: user '" + uid + "' already exists");
   const abe::UserPublicKey& pk =
       ca_.has_user(uid) ? ca_.user_public_key(uid) : ca_.register_user(uid);
-  send_reliable(kCa, user_name(uid), abe::serialize(*grp_, pk), [&](ByteView payload) {
+  link_.send(kCa, user_name(uid), abe::serialize(*grp_, pk), [&](ByteView payload) {
     users_.emplace(uid,
                    Consumer(grp_, abe::deserialize_user_public_key(*grp_, payload),
                             instance()));
@@ -290,12 +270,12 @@ DataOwner& CloudSystem::add_owner(const std::string& owner_id) {
   // its share arrives — a typed SchemeError, not silent success).
   const Bytes share_bytes = abe::serialize(*grp_, it->second.share());
   for (auto& [aid, aa] : authorities_) {
-    send_or_park(owner_name(owner_id), aa_name(aid), share_bytes,
-                 [this, aid](ByteView payload) {
-                   authorities_.at(aid).accept_owner_share(
-                       abe::deserialize_owner_secret_share(*grp_, payload));
-                 },
-                 "owner share");
+    durable_.send_or_park(owner_name(owner_id), aa_name(aid), share_bytes,
+                          [this, aid](ByteView payload) {
+                            authorities_.at(aid).accept_owner_share(
+                                abe::deserialize_owner_secret_share(*grp_, payload));
+                          },
+                          "owner share");
   }
   return it->second;
 }
@@ -310,7 +290,7 @@ void CloudSystem::assign_attributes(const std::string& aid, const std::string& u
   w.str(uid);
   w.u32(static_cast<uint32_t>(attributes.size()));
   for (const std::string& name : attributes) w.str(name);
-  send_reliable(kCa, aa_name(aid), w.bytes(), [&](ByteView payload) {
+  link_.send(kCa, aa_name(aid), w.bytes(), [&](ByteView payload) {
     Reader r(payload);
     const std::string target = r.str();
     std::set<std::string> names;
@@ -332,10 +312,10 @@ void CloudSystem::issue_user_key(const std::string& aid, const std::string& uid,
   AttributeAuthority& aa = authority(aid);
   Consumer& consumer = user(uid);
   const abe::UserSecretKey sk = aa.issue_key(consumer.public_key(), owner_id);
-  send_reliable(aa_name(aid), user_name(uid), abe::serialize(*grp_, sk),
-                [&](ByteView payload) {
-                  consumer.add_key(abe::deserialize_user_secret_key(*grp_, payload));
-                });
+  link_.send(aa_name(aid), user_name(uid), abe::serialize(*grp_, sk),
+             [&](ByteView payload) {
+               consumer.add_key(abe::deserialize_user_secret_key(*grp_, payload));
+             });
 }
 
 void CloudSystem::publish_authority_keys(const std::string& aid,
@@ -347,7 +327,7 @@ void CloudSystem::publish_authority_keys(const std::string& aid,
   const auto attr_pks = aa.attribute_public_keys();
   w.u32(static_cast<uint32_t>(attr_pks.size()));
   for (const auto& [handle, pk] : attr_pks) w.var_bytes(abe::serialize(*grp_, pk));
-  send_reliable(aa_name(aid), owner_name(owner_id), w.bytes(), [&](ByteView payload) {
+  link_.send(aa_name(aid), owner_name(owner_id), w.bytes(), [&](ByteView payload) {
     Reader r(payload);
     data_owner.learn_authority_key(
         abe::deserialize_authority_public_key(*grp_, r.var_bytes()));
@@ -374,11 +354,11 @@ void CloudSystem::upload(const std::string& owner_id, const std::string& file_id
   // Route to the file's coordinator; the node stores its copy and fans
   // replication ops to the other replicas from inside the apply.
   const std::string target = cluster_.route_for(file_id);
-  send_or_park(owner_name(owner_id), target, serialize(*grp_, file),
-               [this, target](ByteView payload) {
-                 cluster_.handle_store(target, payload);
-               },
-               "upload " + file_id);
+  durable_.send_or_park(owner_name(owner_id), target, serialize(*grp_, file),
+                        [this, target](ByteView payload) {
+                          cluster_.handle_store(target, payload);
+                        },
+                        "upload " + file_id);
 }
 
 std::map<std::string, Bytes> CloudSystem::DownloadReport::opened() const {
@@ -413,23 +393,17 @@ CloudSystem::DownloadReport CloudSystem::download_report(const std::string& uid,
   Consumer& consumer = user(uid);
   // Fail closed: never serve reads while revocation epochs (or earlier
   // uploads) are parked for any node — a stale ciphertext could still
-  // open under a revoked key. Benign replica maintenance (replication
-  // fan-out, read-repair, epoch aborts) does not gate reads: it only
-  // rewrites a replica toward state a quorum already serves.
+  // open under a revoked key. Ops that do not gate reads (ParkedOp::
+  // gates_reads) only rewrite a replica toward state a quorum already
+  // serves.
   for (const std::string& name : cluster_.node_names()) durable_.flush_queue(name);
   for (const std::string& name : cluster_.node_names()) {
-    const std::vector<std::string> labels = durable_.pending_labels(name);
-    bool blocking = false;
-    for (const std::string& label : labels) {
-      if (!benign_for_reads(label)) {
-        blocking = true;
-        break;
-      }
-    }
-    if (blocking) {
+    const std::vector<ParkedOp> ops = durable_.pending_ops(name);
+    if (std::any_of(ops.begin(), ops.end(),
+                    [](const ParkedOp& op) { return op.gates_reads(); })) {
       throw TransportError(
           TransportError::Kind::kDegraded,
-          "CloudSystem: " + name + " has " + std::to_string(labels.size()) +
+          "CloudSystem: " + name + " has " + std::to_string(ops.size()) +
               " pending deliveries; refusing download of '" + file_id + "'");
     }
   }
@@ -445,7 +419,7 @@ CloudSystem::DownloadReport CloudSystem::download_report(const std::string& uid,
   const std::string coord = cluster_.route_for(file_id);
   Bytes wire;
   std::exception_ptr fetch_error;
-  send_reliable(user_name(uid), coord, bytes_of(file_id), [&](ByteView payload) {
+  link_.send(user_name(uid), coord, bytes_of(file_id), [&](ByteView payload) {
     try {
       wire = cluster_.handle_fetch(coord, std::string(payload.begin(), payload.end()));
     } catch (const Error&) {
@@ -458,7 +432,7 @@ CloudSystem::DownloadReport CloudSystem::download_report(const std::string& uid,
   // transport meters the actual frame, there is no second serialization.
   DownloadReport report;
   report.file_id = file_id;
-  send_reliable(coord, user_name(uid), wire, [&](ByteView payload) {
+  link_.send(coord, user_name(uid), wire, [&](ByteView payload) {
     const StoredFile file = deserialize_stored_file(*grp_, payload);
     report.slots.clear();  // redundant on dedup'd applies, cheap insurance
     for (const SealedSlot& slot : file.slots) {
@@ -546,12 +520,12 @@ size_t CloudSystem::distribute_revocation(
   //    server-side epoch (step 3) version-locks the old key out.
   for (const auto& [owner_id, sk] : bundle.regenerated_keys) {
     if (!revoked.has_key(owner_id, aid)) continue;
-    send_or_park(aa_name(aid), user_name(uid), abe::serialize(*grp_, sk),
-                 [this, uid](ByteView payload) {
-                   users_.at(uid).replace_key(
-                       abe::deserialize_user_secret_key(*grp_, payload));
-                 },
-                 "regenerated key");
+    durable_.send_or_park(aa_name(aid), user_name(uid), abe::serialize(*grp_, sk),
+                          [this, uid](ByteView payload) {
+                            users_.at(uid).replace_key(
+                                abe::deserialize_user_secret_key(*grp_, payload));
+                          },
+                          "regenerated key");
   }
 
   // 2) Update keys to every other user holding keys from this AA.
@@ -561,12 +535,12 @@ size_t CloudSystem::distribute_revocation(
     if (other_uid == uid) continue;
     for (const auto& [owner_id, uk] : bundle.update_keys) {
       if (!consumer.has_key(owner_id, aid)) continue;
-      send_or_park(aa_name(aid), user_name(other_uid), abe::serialize(*grp_, uk),
-                   [this, other = other_uid](ByteView payload) {
-                     users_.at(other).apply_update(
-                         abe::deserialize_update_key(*grp_, payload));
-                   },
-                   "update key");
+      durable_.send_or_park(
+          aa_name(aid), user_name(other_uid), abe::serialize(*grp_, uk),
+          [this, other = other_uid](ByteView payload) {
+            users_.at(other).apply_update(abe::deserialize_update_key(*grp_, payload));
+          },
+          "update key");
     }
   }
 
@@ -581,7 +555,7 @@ size_t CloudSystem::distribute_revocation(
   for (auto& [owner_id, data_owner] : owners_) {
     const auto uk_it = bundle.update_keys.find(owner_id);
     if (uk_it == bundle.update_keys.end()) continue;
-    send_or_park(
+    durable_.send_or_park(
         aa_name(aid), owner_name(owner_id), abe::serialize(*grp_, uk_it->second),
         [this, aid, from_version, owner_id](ByteView payload) {
           DataOwner& o = owners_.at(owner_id);
@@ -595,11 +569,10 @@ size_t CloudSystem::distribute_revocation(
           w.u32(static_cast<uint32_t>(infos.size()));
           for (const abe::UpdateInfo& ui : infos) w.var_bytes(abe::serialize(*grp_, ui));
           const std::string target = cluster_.coordinator();
-          send_or_park(owner_name(owner_id), target, w.take(),
-                       [this, target](ByteView epoch) {
-                         cluster_.handle_epoch(target, epoch);
-                       },
-                       "revocation epoch v" + std::to_string(from_version + 1));
+          durable_.send_or_park(
+              owner_name(owner_id), target, w.take(),
+              [this, target](ByteView epoch) { cluster_.handle_epoch(target, epoch); },
+              "revocation epoch v" + std::to_string(from_version + 1));
         },
         "owner update key");
   }

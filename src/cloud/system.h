@@ -209,19 +209,10 @@ class CloudSystem {
   StorageReport storage_report() const;
 
  private:
-  using Apply = ReliableLink::Apply;
-
   crypto::Drbg fork_rng(const std::string& label);
   size_t distribute_revocation(const std::string& aid, const std::string& uid,
                                uint32_t from_version,
                                const AttributeAuthority::RevocationBundle& bundle);
-
-  /// Reliable send; throws TransportError(kExhausted) on failure.
-  void send_reliable(const std::string& from, const std::string& to, ByteView payload,
-                     const Apply& apply);
-  /// Ordered durable send via the DurableLink (see replication.h).
-  bool send_or_park(const std::string& from, const std::string& to, Bytes payload,
-                    Apply apply, const std::string& label);
 
   std::shared_ptr<const pairing::Group> grp_;
   crypto::Drbg rng_;

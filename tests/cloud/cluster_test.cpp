@@ -253,6 +253,50 @@ TEST(ClusterTest, ReadWithoutQuorumFailsTyped) {
   EXPECT_TRUE(sys->download_report("alice", healthy).all_ok());
 }
 
+TEST(ClusterTest, ParkedReplicationLeavesReadsOpenAndParkedCommitFailsThemClosed) {
+  auto sys = make_system(Group::test_small(), 3, 2);
+  enroll(*sys);
+  const std::vector<std::string> files = {"f1", "f2", "f3", "f4",
+                                          "f5", "f6", "f7", "f8"};
+  upload_all(*sys, files);
+  EXPECT_EQ(sys->flush_pending(), 0u);
+
+  std::string on_dead, healthy;
+  for (const std::string& f : files) {
+    const auto replicas = sys->cluster().replicas_for(f);
+    const bool has_dead =
+        std::find(replicas.begin(), replicas.end(), "node:2") != replicas.end();
+    (has_dead ? on_dead : healthy) = f;
+  }
+  ASSERT_FALSE(on_dead.empty());
+  ASSERT_FALSE(healthy.empty());
+
+  // Replica maintenance parked for a dead node does not gate a read
+  // whose quorum is met.
+  sys->cluster().kill_node("node:2");
+  sys->upload("hosp", on_dead, {{"b", bytes_of("v2 " + on_dead), "Doctor@Med"}});
+  const NodeHealth dead = sys->health("node:2");
+  ASSERT_GT(dead.pending_in, 0u);
+  EXPECT_EQ(dead.replication_lag, dead.pending_in);  // replicate ops only
+  EXPECT_TRUE(sys->download_report("alice", healthy).all_ok());
+
+  // A commit parked for a peer that died after the decision does.
+  sys->cluster().restart_node("node:2");
+  EXPECT_EQ(sys->flush_pending(), 0u);
+  sys->cluster().set_epoch_fault_hook([&](uint64_t, const std::string& phase) {
+    if (phase == "decided") sys->cluster().kill_node("node:2");
+  });
+  sys->revoke_attribute("Med", "bob", "Doctor");
+  sys->cluster().set_epoch_fault_hook(nullptr);
+  EXPECT_EQ(sys->cluster().stats().epoch_commits, 1u);
+  try {
+    sys->download_report("alice", healthy);
+    ADD_FAILURE() << "read served behind a parked epoch commit";
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.kind(), TransportError::Kind::kDegraded) << e.what();
+  }
+}
+
 // -------------------------------------------------- revocation epochs --
 
 /// Enroll, upload, revoke bob — optionally killing `kill` just before
@@ -276,7 +320,7 @@ std::vector<Bytes> run_epoch_scenario(std::shared_ptr<const Group> grp,
     EXPECT_EQ(mid.epoch_commits, 0u);
     EXPECT_EQ(mid.store_totals.epochs_committed, 0u);
     for (const std::string& name : sys->cluster().node_names()) {
-      EXPECT_EQ(sys->health(name).epochs_staged_open, 0u) << name;
+      EXPECT_EQ(sys->health(name).store.epochs_staged_open, 0u) << name;
     }
     EXPECT_THROW(sys->download_report("alice", files.front()), TransportError);
     sys->cluster().restart_node(kill);
@@ -335,7 +379,7 @@ TEST(ClusterTest, PartitionDuring2PCAbortsCleanlyThenCommitsOnHeal) {
   EXPECT_EQ(mid.epoch_commits, 0u);
   // Abort is byte-identical: no node's store moved.
   for (const std::string& name : sys->cluster().node_names()) {
-    EXPECT_EQ(sys->health(name).epochs_staged_open, 0u) << name;
+    EXPECT_EQ(sys->health(name).store.epochs_staged_open, 0u) << name;
   }
   EXPECT_EQ(snapshots_of(*sys), before);
   EXPECT_THROW(sys->download_report("alice", files.front()), TransportError);

@@ -77,9 +77,9 @@ std::string describe(CloudSystem& sys) {
   for (const NodeHealth& n : sys.cluster_health()) {
     o << "node " << n.node << ' ' << n.alive << ' ' << n.store.files << ' '
       << n.store.bytes << ' ' << n.store.stores << ' ' << n.store.fetches << ' '
-      << n.epochs_committed << ' ' << n.epochs_aborted << ' ' << n.epochs_staged_open
-      << ' ' << n.pending_in << ' ' << n.replication_lag << ' ' << n.transport_in.frames
-      << ' ' << n.transport_out.frames << '\n';
+      << n.store.epochs_committed << ' ' << n.store.epochs_aborted << ' '
+      << n.store.epochs_staged_open << ' ' << n.pending_in << ' ' << n.replication_lag
+      << ' ' << n.transport_in.frames << ' ' << n.transport_out.frames << '\n';
   }
   o << sys.status_json();
   return o.str();
@@ -195,7 +195,7 @@ TEST(InstanceMetrics, StatusJsonMatchesPrometheusText) {
     const NodeHealth h = sys->health(node);
     EXPECT_EQ(static_cast<uint64_t>(json_field(doc, "files", at)), h.store.files);
     EXPECT_EQ(static_cast<uint64_t>(json_field(doc, "epochs_committed", at)),
-              h.epochs_committed);
+              h.store.epochs_committed);
     committed += json_field(doc, "epochs_committed", at);
   }
   EXPECT_GT(committed, 0);

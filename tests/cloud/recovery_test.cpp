@@ -294,7 +294,7 @@ TEST(RecoveryChaos, CoordinatorKilledAfterStagingResolvesPresumedAbort) {
   ASSERT_TRUE(fired.load());
   size_t staged_open = 0;
   for (const std::string& name : sys->cluster().node_names()) {
-    if (name != coord) staged_open += sys->health(name).epochs_staged_open;
+    if (name != coord) staged_open += sys->health(name).store.epochs_staged_open;
   }
   EXPECT_EQ(staged_open, 2u);
 
@@ -306,7 +306,7 @@ TEST(RecoveryChaos, CoordinatorKilledAfterStagingResolvesPresumedAbort) {
   EXPECT_GE(sys->cluster().recovery().stats().epochs_resolved_abort,
             before.epochs_resolved_abort + 2);
   for (const std::string& name : sys->cluster().node_names()) {
-    EXPECT_EQ(sys->health(name).epochs_staged_open, 0u) << name;
+    EXPECT_EQ(sys->health(name).store.epochs_staged_open, 0u) << name;
   }
 
   // Heal: the epoch message stayed parked at the dead coordinator's
@@ -315,7 +315,7 @@ TEST(RecoveryChaos, CoordinatorKilledAfterStagingResolvesPresumedAbort) {
   sys->cluster().restart_node(coord);
   EXPECT_EQ(sys->flush_pending(), 0u);
   for (const std::string& name : sys->cluster().node_names()) {
-    EXPECT_EQ(sys->health(name).epochs_staged_open, 0u) << name;
+    EXPECT_EQ(sys->health(name).store.epochs_staged_open, 0u) << name;
   }
   EXPECT_GE(sys->cluster().stats().epoch_commits, 1u);
   expect_replicas_converged(*sys, files);
@@ -349,7 +349,7 @@ TEST(RecoveryChaos, CoordinatorKilledAfterDecisionResolvesCommit) {
   ASSERT_TRUE(fired.load());
   size_t staged_open = 0;
   for (const std::string& name : sys->cluster().node_names()) {
-    if (name != coord) staged_open += sys->health(name).epochs_staged_open;
+    if (name != coord) staged_open += sys->health(name).store.epochs_staged_open;
   }
   EXPECT_EQ(staged_open, 2u);
 
@@ -362,7 +362,7 @@ TEST(RecoveryChaos, CoordinatorKilledAfterDecisionResolvesCommit) {
   const RecoveryStats after = sys->cluster().recovery().stats();
   EXPECT_GE(after.epochs_resolved_commit, before.epochs_resolved_commit + 2);
   for (const std::string& name : sys->cluster().node_names()) {
-    EXPECT_EQ(sys->health(name).epochs_staged_open, 0u) << name;
+    EXPECT_EQ(sys->health(name).store.epochs_staged_open, 0u) << name;
   }
   // The parked epoch message replays as a fresh 2PC over already
   // re-encrypted slots: it stages an empty change set and commits as a

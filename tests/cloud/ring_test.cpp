@@ -136,6 +136,12 @@ TEST(ReplicationWireTest, MalformedInputIsTyped) {
 
 // ------------------------------------------------------- DurableLink --
 
+std::vector<std::string> labels_of(const std::vector<ParkedOp>& ops) {
+  std::vector<std::string> out;
+  for (const ParkedOp& op : ops) out.push_back(op.label());
+  return out;
+}
+
 FaultSpec down_channel() {
   FaultSpec spec;
   spec.drop = 1.0;
@@ -154,7 +160,7 @@ TEST(DurableLinkTest, ParksOnFailureAndReplaysInFifoOrder) {
   EXPECT_FALSE(durable.send_or_park("a", "b", bytes_of("2"),
                                     [&](ByteView) { order.push_back(2); }, "second"));
   EXPECT_EQ(durable.pending_for("b"), 2u);
-  EXPECT_EQ(durable.pending_labels("b"),
+  EXPECT_EQ(labels_of(durable.pending_ops("b")),
             (std::vector<std::string>{"first", "second"}));
   // Other destinations are unaffected by b's outage.
   EXPECT_TRUE(durable.send_or_park("a", "c", bytes_of("3"),
@@ -167,6 +173,34 @@ TEST(DurableLinkTest, ParksOnFailureAndReplaysInFifoOrder) {
   EXPECT_EQ(durable.flush_all(), 0u);
   EXPECT_EQ(order, (std::vector<int>{3, 1, 2}));
   EXPECT_EQ(durable.pending_for("b"), 0u);
+}
+
+TEST(DurableLinkTest, ParkedOpsRenderTheirLabelsAndClassifyByKind) {
+  LoopbackTransport t{FaultPlan(1)};
+  t.faults().set_channel("a", "b", down_channel());
+  ReliableLink link(t);
+  DurableLink durable(link);
+  using Kind = ParkedOp::Kind;
+  const std::vector<ParkedOp> ops = {
+      ParkedOp(Kind::kReplicate, "f", 3), ParkedOp(Kind::kReadRepair, "f", 3),
+      ParkedOp(Kind::kEpochCommit, "", 7), ParkedOp(Kind::kEpochAbort, "", 7),
+      "revocation epoch v2"};
+  for (const ParkedOp& op : ops) {
+    EXPECT_FALSE(durable.send_or_park("a", "b", bytes_of("x"), [](ByteView) {}, op));
+  }
+  EXPECT_EQ(labels_of(durable.pending_ops("b")),
+            (std::vector<std::string>{"replicate f v3", "read-repair f v3",
+                                      "epoch commit #7", "epoch abort #7",
+                                      "revocation epoch v2"}));
+  // Only entity traffic and epoch commits gate reads; only replication
+  // and read-repair count as replication lag.
+  std::vector<bool> gates, replicates;
+  for (const ParkedOp& op : ops) {
+    gates.push_back(op.gates_reads());
+    replicates.push_back(op.replicates());
+  }
+  EXPECT_EQ(gates, (std::vector<bool>{false, false, true, false, true}));
+  EXPECT_EQ(replicates, (std::vector<bool>{true, true, false, false, false}));
 }
 
 TEST(DurableLinkTest, FlushStopsAtFirstFailureToPreserveOrder) {

@@ -412,7 +412,7 @@ EpochTrace run_epoch_with_one_stage_failure(size_t nodes, size_t replication) {
   out.retried = counters();
 
   for (const std::string& node : c.node_names()) {
-    EXPECT_EQ(sys.health(node).epochs_staged_open, 0u) << node;
+    EXPECT_EQ(sys.health(node).store.epochs_staged_open, 0u) << node;
   }
   for (const auto& [at, version] : uploaded) {
     EXPECT_GT(c.version_of(at.first, at.second), version)
@@ -440,6 +440,32 @@ TEST(EpochParity, OneNodeRunsTheSame2PCAsThreeNodes) {
   }
   EXPECT_EQ(traces[0].aborted, traces[1].aborted);
   EXPECT_EQ(traces[0].retried, traces[1].retried);
+}
+
+TEST(EpochParity, OneNodeRestartRunsTheSameRejoin) {
+  CloudSystem sys(Group::test_small(), "one-node-rejoin");
+  sys.add_authority("Med", {"Doctor"});
+  sys.add_owner("hosp");
+  sys.publish_authority_keys("Med", "hosp");
+  sys.add_user("alice");
+  sys.assign_attributes("Med", "alice", {"Doctor"});
+  sys.issue_user_key("Med", "alice", "hosp");
+  sys.upload("hosp", "f1", {{"a", bytes_of("alpha f1"), "Doctor@Med"}});
+  Cluster& c = sys.cluster();
+  ASSERT_EQ(c.node_names(), std::vector<std::string>{"server"});
+  const Bytes snapshot = c.snapshot("server");
+  const auto opened = sys.download("alice", "f1");
+  const RecoveryStats before = c.recovery().stats();
+
+  // A lone node rejoins like any other: one counted rejoin, with no
+  // peer to drain hints from or sync against.
+  c.kill_node("server");
+  c.restart_node("server");
+  const RecoveryStats after = c.recovery().stats();
+  EXPECT_EQ(after.rejoins, before.rejoins + 1);
+  EXPECT_EQ(after.sync_failures, before.sync_failures);
+  EXPECT_EQ(c.snapshot("server"), snapshot);
+  EXPECT_EQ(sys.download("alice", "f1"), opened);
 }
 
 }  // namespace
