@@ -11,13 +11,18 @@
 #
 # Binary -> guarded fields:
 #   pairing_micro  -> BENCH_pairing_micro.json kernel_speedup,
-#                     field_kernel_speedup
+#                     field_kernel_speedup, merge_speedup
 #       kernel_speedup: shared-final-exponentiation kernel vs the legacy
-#       pair-then-multiply fold. field_kernel_speedup: a chain of F_q
+#       pair-then-multiply fold. merge_speedup: a decrypt-shaped 22-term
+#       product (two repeated first arguments) through the engine, which
+#       runs one Miller loop per (first argument, exponent) class, vs a
+#       per-term fold of all 22 loops on the same line tables with one
+#       reduction — about 5.5x on the small curve; a kernel that stops
+#       merging reads about 1x. field_kernel_speedup: a chain of F_q
 #       multiplies on the fixed-width kernel the pairing stack runs on
 #       vs the variable-length Bignum MontCtx (about 3x on an x86-64
 #       host; the floor leaves room for noise and sanitizer builds).
-#       Both are same-process ratios: host speed cancels, guarded by an
+#       All three are same-process ratios: host speed cancels, guarded by an
 #       absolute floor.
 #   revocation     -> BENCH_revocation.json epoch_transport,
 #                     cluster_epoch_efficiency
@@ -72,6 +77,7 @@ export MAABE_BENCH_SMALL=1
 # pairing_micro guards
 "$GUARD" floor BENCH_pairing_micro.json kernel_speedup 1.3
 "$GUARD" floor BENCH_pairing_micro.json field_kernel_speedup 1.5
+"$GUARD" floor BENCH_pairing_micro.json merge_speedup 2.5
 
 # revocation guards
 "$GUARD" regress BENCH_revocation.json "$BASELINES/BENCH_revocation.json" \

@@ -217,11 +217,13 @@ GT decrypt(const Group& grp, const Ciphertext& ct, const UserPublicKey& user,
   // The whole decryption is ONE multi-pairing product: the denominator
   // rows (e(PK_UID, C_i) * e(C', K_{rho(i)}))^{w_i * n_A} and the
   // numerator terms prod_k e(C', K_{UID,AID_k}) folded with a negated
-  // argument (e(a, -b) is exactly e(a, b)^{-1}). The 2l + N_A pairings
-  // — the decryption bottleneck (DESIGN.md sections 5, 12) — run their
-  // Miller loops in parallel and share a single final exponentiation;
-  // the repeated first arguments (PK_UID across rows, C' everywhere)
-  // hit the engine's line-table cache.
+  // argument (e(a, -b) is exactly e(a, b)^{-1}). Every one of the
+  // 2l + N_A pairings — the decryption bottleneck (DESIGN.md sections 5,
+  // 12) — has PK_UID or C' as its first argument, so the engine merges
+  // terms sharing a (first argument, exponent) into one Miller loop:
+  // an AND policy (every w_i = 1) runs 3 loops, (PK_UID, n_A),
+  // (C', n_A) and (C', 1), and the product shares one final
+  // exponentiation.
   std::vector<CryptoEngine::PairTerm> terms;
   std::vector<Zr> exps;
   terms.reserve(2 * coeffs->size() + involved.size());

@@ -148,8 +148,9 @@ GT lewko_decrypt(const Group& grp, const LewkoCiphertext& ct, const LewkoUserKey
   // The 2l pairings go through the shared-final-exp kernel:
   // (e(H(GID), C3_i) / e(K_x, C2_i))^{w_i} becomes two kernel terms with
   // exponent w_i, the divisor's point negated (e(K_x, -C2_i) is exactly
-  // e(K_x, C2_i)^{-1}). H(GID) repeats as first argument -> line-table
-  // cache. The C1_i^{w_i} factors stay a GT multi-exponentiation.
+  // e(K_x, C2_i)^{-1}). H(GID) repeats as first argument, so the engine
+  // merges its terms of equal w_i into one Miller loop. The C1_i^{w_i}
+  // factors stay a GT multi-exponentiation.
   CryptoEngine& eng = CryptoEngine::for_group(grp);
   std::vector<CryptoEngine::PairTerm> pair_terms;
   std::vector<CryptoEngine::GtTerm> pows;

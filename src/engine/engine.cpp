@@ -184,9 +184,9 @@ struct CryptoEngine::LruCache {
   List order;  // front = most recently used
   std::map<Bytes, List::iterator> index;
 
-  /// Bumps the entry for `key` (inserting/evicting as needed) and
-  /// returns it, moved to the front.
-  Node& touch(const Bytes& key) {
+  /// Adds `uses` to the entry for `key` (inserting/evicting as needed)
+  /// and returns it, moved to the front.
+  Node& touch(const Bytes& key, uint64_t uses) {
     auto it = index.find(key);
     if (it != index.end()) {
       order.splice(order.begin(), order, it->second);
@@ -198,21 +198,21 @@ struct CryptoEngine::LruCache {
         order.pop_back();
       }
     }
-    ++order.front().uses;
+    order.front().uses += uses;
     return order.front();
   }
 
-  /// The table in `slot` of the entry for `key`: touches the entry and
-  /// builds the table with `build` once the entry has been used
-  /// kBuildThreshold times; `warm` builds it now (the caller announced a
-  /// run of uses). Counts the build into `builds`, and the hit into
-  /// `hits` unless warming — a warm-up runs no operation. Caller holds
-  /// `mu`.
+  /// The table in `slot` of the entry for `key`: touches the entry
+  /// with `uses` and builds the table with `build` once the entry has
+  /// been used kBuildThreshold times; `warm` builds it now (the caller
+  /// announced a run of uses). Counts the build into `builds`, and the
+  /// hit into `hits` unless warming — a warm-up runs no operation.
+  /// Caller holds `mu`.
   template <class T, class Build>
   std::shared_ptr<const T> table(std::shared_ptr<const T> Node::*slot,
-                                 const Bytes& key, bool warm, uint64_t& builds,
-                                 uint64_t& hits, const Build& build) {
-    Node& node = touch(key);
+                                 const Bytes& key, uint64_t uses, bool warm,
+                                 uint64_t& builds, uint64_t& hits, const Build& build) {
+    Node& node = touch(key, uses);
     if (warm && node.uses < kBuildThreshold) node.uses = kBuildThreshold;
     std::shared_ptr<const T>& t = node.*slot;
     if (!t && node.uses >= kBuildThreshold) {
@@ -223,11 +223,12 @@ struct CryptoEngine::LruCache {
     return t;
   }
 
-  /// The line table for first argument `a`; `warm` as for table().
+  /// The line table for first argument `a`; `uses` and `warm` as for
+  /// table().
   std::shared_ptr<const pairing::PairingPrecomp> line_table(const Group& grp,
-                                                           const G1& a, bool warm,
-                                                           EngineStats& d) {
-    return table(&Node::pair, a.to_bytes(), warm, d.precomp_builds,
+                                                           const G1& a, uint64_t uses,
+                                                           bool warm, EngineStats& d) {
+    return table(&Node::pair, a.to_bytes(), uses, warm, d.precomp_builds,
                  d.precomp_hits, [&] { return grp.pair_precompute(a); });
   }
 };
@@ -395,53 +396,84 @@ GT CryptoEngine::pairing_power_product(const std::vector<PairTerm>& terms,
   const size_t n = terms.size();
   scope.delta.pairings = n;
   scope.set_items(n);
-  // Select the live terms. pair() defines identity inputs as 1, and a
-  // zero exponent makes the factor 1 outright; both would inject
-  // degenerate values into the shared reduction, so they are skipped —
-  // which is exactly what the serial fold multiplies by anyway.
-  std::vector<size_t> live;
-  live.reserve(n);
+  // Sort the live terms into classes keyed by (first argument,
+  // exponent), in first-appearance order. pair() defines identity
+  // inputs as 1, and a zero exponent makes the factor 1 outright; both
+  // would inject degenerate values into the shared reduction, so they
+  // are skipped — which is exactly what the serial fold multiplies by
+  // anyway. By bilinearity a class is ONE pairing,
+  //   prod_i e(a, b_i)^e == e(a, sum_i b_i)^e,
+  // exact in GT for a in the order-r subgroup.
+  std::vector<size_t> heads;            // each class's first term
+  std::vector<std::vector<G1>> seconds;  // each class's second arguments
+  std::map<Bytes, size_t> index;        // a || exponent bytes -> class
   for (size_t i = 0; i < n; ++i) {
     if (terms[i].a.is_identity() || terms[i].b.is_identity()) continue;
     if (!exps.empty() && exps[i].is_zero()) continue;
-    live.push_back(i);
+    Bytes key = terms[i].a.to_bytes();
+    if (!exps.empty()) {
+      const Bytes e = exps[i].to_bytes();
+      key.insert(key.end(), e.begin(), e.end());
+    }
+    const auto [it, fresh] = index.try_emplace(std::move(key), heads.size());
+    if (fresh) {
+      heads.push_back(i);
+      seconds.emplace_back();
+    }
+    seconds[it->second].push_back(terms[i].b);
   }
+  // One batch inversion takes every class sum to affine. A class whose
+  // sum cancels to the identity is a factor of 1, skipped like an
+  // identity term.
+  const std::vector<G1> sums = grp_->g1_sums(seconds);
+  std::vector<size_t> live;
+  for (size_t k = 0; k < sums.size(); ++k)
+    if (!sums[k].is_identity()) live.push_back(k);
   if (live.empty()) return grp_->gt_one();
   scope.delta.tasks = live.size();
   scope.delta.miller_loops = live.size();
   scope.delta.final_exps = 1;
 
+  // One LRU touch per class, weighted by its term count: a base's use
+  // count measures how often it recurs across products, so merging
+  // does not delay the promotion of a first argument to a line table.
   std::vector<std::shared_ptr<const pairing::PairingPrecomp>> pre(live.size());
   {
     std::lock_guard<std::mutex> lk(cache_->mu);
-    for (size_t k = 0; k < live.size(); ++k)
-      pre[k] = cache_->line_table(*grp_, terms[live[k]].a, false, scope.delta);
+    for (size_t j = 0; j < live.size(); ++j) {
+      const size_t k = live[j];
+      pre[j] = cache_->line_table(*grp_, terms[heads[k]].a, seconds[k].size(), false,
+                                  scope.delta);
+    }
   }
 
-  // Parallel Miller loops; the reduction below stays on the caller.
+  // Parallel Miller loops, one per class; the reduction below stays on
+  // the caller.
   std::vector<pairing::MillerVal> parts(live.size());
-  run_items(live.size(), [&](size_t k) {
-    const PairTerm& t = terms[live[k]];
-    parts[k] = pre[k] ? grp_->miller_with(*pre[k], t.b) : grp_->miller(t.a, t.b);
+  run_items(live.size(), [&](size_t j) {
+    const size_t k = live[j];
+    parts[j] = pre[j] ? grp_->miller_with(*pre[j], sums[k])
+                      : grp_->miller(terms[heads[k]].a, sums[k]);
   });
 
-  // Fold unreduced values in submission order — exact arithmetic makes
-  // this byte-identical to the serial pair-then-multiply loop at any
-  // thread count. Runs of equal adjacent exponents fold first and are
-  // raised once ((m1*m2)^e == m1^e * m2^e exactly), which halves the
-  // exponentiations for the decrypt-denominator shape.
+  // Fold unreduced values in class order — exact arithmetic makes the
+  // reduced product byte-identical to the serial pair-then-multiply
+  // loop at any thread count. Runs of classes with equal adjacent
+  // exponents fold first and are raised once ((m1*m2)^e == m1^e * m2^e
+  // exactly).
   pairing::MillerVal acc = grp_->miller_one();
   if (exps.empty()) {
     for (const pairing::MillerVal& p : parts) acc = acc.mul(p);
   } else {
-    for (size_t k = 0; k < live.size();) {
-      pairing::MillerVal run = parts[k];
-      const Zr& e = exps[live[k]];
-      size_t j = k + 1;
-      for (; j < live.size() && exps[live[j]] == e; ++j) run = run.mul(parts[j]);
+    for (size_t j = 0; j < live.size();) {
+      pairing::MillerVal run = parts[j];
+      const Zr& e = exps[heads[live[j]]];
+      size_t end = j + 1;
+      for (; end < live.size() && exps[heads[live[end]]] == e; ++end)
+        run = run.mul(parts[end]);
       ++scope.delta.gt_exps;
       acc = acc.mul(run.pow(e));
-      k = j;
+      j = end;
     }
   }
   // The single shared final exponentiation for the whole product.
@@ -458,7 +490,7 @@ GT CryptoEngine::pair(const pairing::G1& a, const pairing::G1& b) {
   std::shared_ptr<const pairing::PairingPrecomp> pre;
   {
     std::lock_guard<std::mutex> lk(cache_->mu);
-    pre = cache_->line_table(*grp_, a, false, scope.delta);
+    pre = cache_->line_table(*grp_, a, 1, false, scope.delta);
   }
   return pre ? grp_->miller_reduce(grp_->miller_with(*pre, b))
              : grp_->pair(a, b);
@@ -469,7 +501,7 @@ void CryptoEngine::warm_pair_precomp(const pairing::G1& base) {
   EngineStats d;
   {
     std::lock_guard<std::mutex> lk(cache_->mu);
-    (void)cache_->line_table(*grp_, base, true, d);
+    (void)cache_->line_table(*grp_, base, 1, true, d);
   }
   if (d.precomp_builds != 0) commit_stats(d);
 }
@@ -489,7 +521,7 @@ std::vector<G1> CryptoEngine::multi_exp_g1(const std::vector<G1Term>& terms,
     std::lock_guard<std::mutex> lk(cache_->mu);
     for (size_t i = 0; i < n; ++i) {
       if (terms[i].base.is_identity()) continue;
-      tables[i] = cache_->table(&LruCache::Node::g1, terms[i].base.to_bytes(),
+      tables[i] = cache_->table(&LruCache::Node::g1, terms[i].base.to_bytes(), 1,
                                 false, scope.delta.table_builds,
                                 scope.delta.table_hits,
                                 [&] { return grp_->g1_precompute(terms[i].base); });
@@ -516,7 +548,7 @@ std::vector<GT> CryptoEngine::multi_exp_gt(const std::vector<GtTerm>& terms,
     std::lock_guard<std::mutex> lk(cache_->mu);
     for (size_t i = 0; i < n; ++i) {
       if (terms[i].base.is_one()) continue;
-      tables[i] = cache_->table(&LruCache::Node::gt, terms[i].base.to_bytes(),
+      tables[i] = cache_->table(&LruCache::Node::gt, terms[i].base.to_bytes(), 1,
                                 false, scope.delta.table_builds,
                                 scope.delta.table_hits,
                                 [&] { return grp_->gt_precompute(terms[i].base); });

@@ -6,11 +6,14 @@
 // those serial loops into batches executed on a fixed-size thread pool:
 //
 //   * pairing_product / pairing_power_product — the multi-pairing
-//     kernel: Miller loops evaluated in parallel (with fixed-argument
-//     line tables cached in the LRU), unreduced values folded in
-//     submission order, one shared final exponentiation per product.
-//     pair() is the single-term form for callers that pair one term at
-//     a time against a warmed base.
+//     kernel: terms sharing a (first argument, exponent) merge by
+//     bilinearity into one Miller loop on the sum of their second
+//     arguments (an AND decrypt's 2l + N_A terms run 3 loops), the
+//     loops run in parallel (with fixed-argument line tables cached in
+//     the LRU), unreduced values fold in class order, and the product
+//     pays one shared final exponentiation. pair() is the single-term
+//     form for callers that pair one term at a time against a warmed
+//     base.
 //   * multi_exp_g1 / multi_exp_gt — batched variable-base
 //     exponentiation with a per-Group LRU precomputation cache:
 //     bases seen repeatedly across batches (PK_UID in KeyGen, the
@@ -38,9 +41,11 @@
 // itself counts nothing, so the counts cover what is submitted here:
 // every pairing the schemes evaluate and their batched
 // exponentiations, but not a one-off g^k a scheme takes on Group
-// directly. Each batch commits its counts once, to the engine's
-// seqlock store and to the maabe_engine_* registry counters named in
-// kEngineStatFields.
+// directly. `pairings` counts submitted terms (the paper's 2l + N_A
+// per decrypt, as Table I counts them); `miller_loops` counts the
+// loops actually run, one per merged class. Each batch commits its
+// counts once, to the engine's seqlock store and to the
+// maabe_engine_* registry counters named in kEngineStatFields.
 #pragma once
 
 #include <cstdint>
@@ -58,10 +63,10 @@ namespace maabe::engine {
 /// cloud::ChannelMeter surfaces wire bytes. Snapshot with
 /// CryptoEngine::stats(); per-phase deltas via operator-.
 struct EngineStats {
-  uint64_t pairings = 0;   ///< e(a,b) evaluations submitted
+  uint64_t pairings = 0;   ///< e(a,b) terms submitted
   uint64_t g1_exps = 0;    ///< G1 exponentiations (fixed + variable base)
   uint64_t gt_exps = 0;    ///< GT/target-field exponentiations
-  uint64_t miller_loops = 0;  ///< Miller loops actually evaluated
+  uint64_t miller_loops = 0;  ///< Miller loops actually evaluated (one per class)
   uint64_t final_exps = 0;    ///< final exponentiations actually paid
   uint64_t batches = 0;    ///< batch API calls
   uint64_t tasks = 0;      ///< parallel_for items processed
@@ -139,19 +144,26 @@ class CryptoEngine {
     pairing::Zr exp;
   };
 
-  /// prod_i e(a_i, b_i) through the multi-pairing kernel: Miller loops
-  /// run in parallel (repeated first arguments hit the LRU's line
-  /// tables), the unreduced values fold in submission order, and the
-  /// whole product pays ONE shared final exponentiation. Identity terms
-  /// are skipped outright — pair() defines them as 1, and a degenerate
-  /// Miller value must never reach the shared reduction. Bit-identical
-  /// to the serial pair-then-multiply fold at any thread count.
+  /// prod_i e(a_i, b_i) through the multi-pairing kernel below, with no
+  /// exponents (classes are keyed by first argument alone).
   pairing::GT pairing_product(const std::vector<PairTerm>& terms);
-  /// prod_i e(a_i, b_i)^{e_i}, same kernel: exponents apply to the
-  /// unreduced Miller values (runs of equal adjacent exponents are
-  /// raised once, after folding), still one final exponentiation.
-  /// Requires exps.size() == terms.size(); zero exponents skip their
-  /// term. This is the shape of every ABE decrypt denominator.
+  /// prod_i e(a_i, b_i)^{e_i}. The live terms sort into classes keyed
+  /// by (a_i, e_i), in first-appearance order, and each class runs ONE
+  /// Miller loop on e(a, sum_i b_i) — bilinearity makes that exact in
+  /// GT for a in the order-r subgroup. Group::g1_sums adds each class's
+  /// second arguments and takes all sums to affine with one batch
+  /// inversion. The loops run in parallel (a class's first argument
+  /// touches the LRU's line tables once, counting one use per term, so
+  /// merging does not delay a table's promotion), exponents apply to the
+  /// unreduced values (runs of classes with equal adjacent exponents
+  /// are raised once), and the product pays ONE final exponentiation.
+  /// Identity terms, zero exponents and classes whose sum cancels are
+  /// skipped — each is a factor of 1, and a degenerate Miller value
+  /// must never reach the shared reduction; a product with nothing left
+  /// returns gt_one() with no final exponentiation. Byte-identical to
+  /// the serial pair-then-pow fold at any thread count for subgroup
+  /// inputs. Requires exps.size() == terms.size(). This is the shape of
+  /// every ABE decrypt.
   pairing::GT pairing_power_product(const std::vector<PairTerm>& terms,
                                     const std::vector<pairing::Zr>& exps);
   /// A single e(a, b) through the precomp cache — repeated first

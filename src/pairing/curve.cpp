@@ -36,6 +36,28 @@ AffinePoint CurveCtx::to_affine(const JacPoint& p) const {
   return {fq_.mul(p.x, zi2), fq_.mul(p.y, fq_.mul(zi2, zi)), false};
 }
 
+std::vector<AffinePoint> CurveCtx::to_affine_batch(const JacPoint* pts,
+                                                  size_t n) const {
+  // prefix[i] = product of the nonzero z's of pts[0..i].
+  std::vector<FieldElem> prefix(n);
+  FieldElem acc = fq_.one();
+  for (size_t i = 0; i < n; ++i) {
+    if (!pts[i].z.is_zero()) acc = fq_.mul(acc, pts[i].z);
+    prefix[i] = acc;
+  }
+  std::vector<AffinePoint> out(n);
+  FieldElem inv = fq_.inv(acc);  // a product of nonzero z's, so invertible
+  for (size_t i = n; i-- > 0;) {
+    const JacPoint& p = pts[i];
+    if (p.z.is_zero()) continue;  // infinity, already in place
+    const FieldElem zi = i > 0 ? fq_.mul(inv, prefix[i - 1]) : inv;
+    inv = fq_.mul(inv, p.z);
+    const FieldElem zi2 = fq_.sqr(zi);
+    out[i] = {fq_.mul(p.x, zi2), fq_.mul(p.y, fq_.mul(zi2, zi)), false};
+  }
+  return out;
+}
+
 JacPoint CurveCtx::jac_dbl(const JacPoint& p) const {
   if (p.z.is_zero() || p.y.is_zero()) return {fq_.one(), fq_.one(), fq_.zero()};
   // dbl-2007-bl style with a = 1 handled via M = 3X^2 + Z^4.

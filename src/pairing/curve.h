@@ -5,6 +5,8 @@
 // x = X/Z^2, y = Y/Z^3) to avoid per-step field inversions.
 #pragma once
 
+#include <vector>
+
 #include "pairing/fp.h"
 
 namespace maabe::pairing {
@@ -44,6 +46,10 @@ class CurveCtx {
   // Jacobian core (also used by the Miller loop).
   JacPoint to_jac(const AffinePoint& p) const;
   AffinePoint to_affine(const JacPoint& p) const;
+  /// to_affine over every point with ONE field inversion (Montgomery's
+  /// trick). Affine coordinates are canonical, so the results are the
+  /// same bits as per-point to_affine.
+  std::vector<AffinePoint> to_affine_batch(const JacPoint* pts, size_t n) const;
   JacPoint jac_dbl(const JacPoint& p) const;
   /// Mixed addition with an affine q; q must not be infinity.
   JacPoint jac_add_mixed(const JacPoint& p, const AffinePoint& q) const;

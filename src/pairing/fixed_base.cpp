@@ -1,5 +1,7 @@
 #include "pairing/fixed_base.h"
 
+#include <algorithm>
+
 #include "common/errors.h"
 
 namespace maabe::pairing {
@@ -27,15 +29,11 @@ G1FixedBase::G1FixedBase(const CurveCtx& curve, const AffinePoint& base, int exp
   const int span = 1 << window_bits;
 
   // Each row is accumulated in Jacobian coordinates, then the row and
-  // the next row's digit base go to affine together with Montgomery's
-  // trick: one field inversion per row instead of one per entry. Affine
-  // coordinates are canonical, so the entries are the same bits as
-  // repeated affine additions.
-  const FpCtx& fq = curve_.field();
+  // the next row's digit base go to affine together with one batch
+  // inversion (CurveCtx::to_affine_batch) instead of one per entry.
   table_.resize(digits_);
   AffinePoint digit_base = base;  // base^(2^(w*d))
   std::vector<JacPoint> jac(span + 1);
-  std::vector<FieldElem> prefix(span + 1);
   for (int d = 0; d < digits_; ++d) {
     auto& row = table_[d];
     row.assign(span, AffinePoint::infinity());
@@ -46,28 +44,10 @@ G1FixedBase::G1FixedBase(const CurveCtx& curve, const AffinePoint& base, int exp
     jac[1] = curve_.to_jac(digit_base);
     for (int j = 2; j <= last; ++j) jac[j] = curve_.jac_add_mixed(jac[j - 1], digit_base);
 
-    // prefix[j] = product of the nonzero z's of jac[2..j].
-    FieldElem acc = fq.one();
-    for (int j = 2; j <= last; ++j) {
-      if (!jac[j].z.is_zero()) acc = fq.mul(acc, jac[j].z);
-      prefix[j] = acc;
-    }
-    FieldElem inv = fq.inv(acc);  // a product of nonzero z's, so invertible
-    AffinePoint next = AffinePoint::infinity();
-    for (int j = last; j >= 2; --j) {
-      const JacPoint& p = jac[j];
-      if (p.z.is_zero()) continue;  // infinity, already in place
-      const FieldElem zi = j > 2 ? fq.mul(inv, prefix[j - 1]) : inv;
-      inv = fq.mul(inv, p.z);
-      const FieldElem zi2 = fq.sqr(zi);
-      const AffinePoint a{fq.mul(p.x, zi2), fq.mul(p.y, fq.mul(zi2, zi)), false};
-      if (j < span) {
-        row[j] = a;
-      } else {
-        next = a;
-      }
-    }
-    digit_base = next;
+    const std::vector<AffinePoint> affine =
+        curve_.to_affine_batch(&jac[2], static_cast<size_t>(last - 1));
+    std::copy(affine.begin(), affine.begin() + (span - 2), row.begin() + 2);
+    digit_base = last == span ? affine.back() : AffinePoint::infinity();
   }
 }
 

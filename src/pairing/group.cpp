@@ -387,6 +387,25 @@ GT Group::miller_reduce(const MillerVal& f) const {
   return GT(this, ctx_.final_exponentiation(f.v_));
 }
 
+std::vector<G1> Group::g1_sums(const std::vector<std::vector<G1>>& sets) const {
+  const CurveCtx& curve = ctx_.curve();
+  std::vector<JacPoint> jac;
+  jac.reserve(sets.size());
+  for (const std::vector<G1>& set : sets) {
+    JacPoint acc = curve.to_jac(AffinePoint::infinity());
+    for (const G1& p : set) {
+      require_same_group(this, p.g_, "Group::g1_sums");
+      if (!p.pt_.inf) acc = curve.jac_add_mixed(acc, p.pt_);
+    }
+    jac.push_back(acc);
+  }
+  std::vector<G1> out;
+  out.reserve(sets.size());
+  for (AffinePoint& pt : curve.to_affine_batch(jac.data(), jac.size()))
+    out.push_back(G1(this, std::move(pt)));
+  return out;
+}
+
 std::unique_ptr<PairingPrecomp> Group::pair_precompute(const G1& base) const {
   require_same_group(this, base.g_, "pair_precompute");
   return std::make_unique<PairingPrecomp>(ctx_, base.pt_);

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "pairing/fixed_base.h"
 #include "pairing/pairing.h"
@@ -244,6 +245,15 @@ class Group {
   /// Reduces a (folded) Miller value to GT: one final exponentiation.
   /// miller_reduce(miller(a, b)) == pair(a, b) bit for bit.
   GT miller_reduce(const MillerVal& f) const;
+
+  /// The sum of each set of points, for merging pairing terms that share
+  /// a first argument (e(a,b1)*e(a,b2) == e(a,b1+b2)). Each set is
+  /// accumulated with Jacobian mixed additions and every sum goes to
+  /// affine with ONE field inversion (Montgomery's trick). Identity
+  /// entries add nothing; a set that cancels sums to the identity.
+  /// Affine coordinates are canonical, so each sum has the same bits as
+  /// a G1::add fold.
+  std::vector<G1> g1_sums(const std::vector<std::vector<G1>>& sets) const;
 
   /// Line-coefficient table for a fixed first pairing argument (the
   /// pairing analogue of g1_precompute). `base` may be the identity —

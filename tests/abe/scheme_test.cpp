@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/errors.h"
+#include "engine/engine.h"
 #include "lsss/parser.h"
 
 namespace maabe::abe {
@@ -10,6 +11,7 @@ namespace {
 
 using lsss::LsssMatrix;
 using lsss::parse_policy;
+using pairing::G1;
 using pairing::Group;
 using pairing::GT;
 using pairing::Zr;
@@ -163,6 +165,73 @@ TEST_F(SchemeTest, DecryptRejectsForeignOwnerKeys) {
   const GT m = grp->gt_random(rng);
   const auto [ct, rec] = enc("Doctor@Med", m);
   EXPECT_THROW(decrypt(*grp, ct, alice, foreign), SchemeError);
+}
+
+// Decrypt is ONE pairing product of 2l + N_A terms, and the kernel runs
+// one Miller loop per (first argument, exponent) class. An AND policy
+// gives every row the exponent w_i * N_A = N_A, so its 22 terms fall
+// into three classes: (PK_UID, N_A), (C', N_A) and the numerator (C', 1).
+TEST_F(SchemeTest, AndOfTenAcrossTwoAuthoritiesRunsThreeMillerLoops) {
+  std::string policy;
+  std::set<std::string> med, trial;
+  for (int i = 0; i < 5; ++i) {
+    const std::string m_attr = "M" + std::to_string(i), t_attr = "T" + std::to_string(i);
+    add_attr("Med", m_attr);
+    add_attr("Trial", t_attr);
+    med.insert(m_attr);
+    trial.insert(t_attr);
+    policy += (i == 0 ? "" : " AND ") + m_attr + "@Med AND " + t_attr + "@Trial";
+  }
+  const UserPublicKey carol = ca_register_user(*grp, "carol", rng);
+  std::map<std::string, UserSecretKey> keys;
+  keys.emplace("Med", aa_keygen(*grp, vks.at("Med"), owner_sk, carol, med));
+  keys.emplace("Trial", aa_keygen(*grp, vks.at("Trial"), owner_sk, carol, trial));
+
+  const GT m = grp->gt_random(rng);
+  const auto [ct, rec] = enc(policy, m);
+  ASSERT_EQ(ct.policy.rows(), 10);
+  engine::CryptoEngine& eng = engine::CryptoEngine::for_group(*grp);
+  const engine::EngineStats before = eng.stats();
+  EXPECT_EQ(decrypt(*grp, ct, carol, keys), m);
+  const engine::EngineStats d = eng.stats() - before;
+  EXPECT_EQ(d.pairings, 22u);  // 2l + N_A, as Table I counts them
+  EXPECT_EQ(d.miller_loops, 3u);
+  EXPECT_EQ(d.final_exps, 1u);
+}
+
+// A threshold policy's rows carry distinct w_i, so no two rows merge;
+// the product must still equal the serial per-pairing fold of the
+// paper's formula, byte for byte.
+TEST_F(SchemeTest, ThresholdDecryptMatchesSerialPairingFold) {
+  const GT m = grp->gt_random(rng);
+  const auto [ct, rec] = enc("2of(Doctor@Med, Researcher@Trial, Reviewer@Trial)", m);
+  std::set<lsss::Attribute> have;
+  for (const auto& [aid, sk] : alice_keys)
+    for (const lsss::Attribute& a : sk.attributes()) have.insert(a);
+  const auto coeffs = ct.policy.reconstruction(*grp, have);
+  ASSERT_TRUE(coeffs.has_value());
+  ASSERT_EQ(coeffs->size(), 2u);
+  ASSERT_NE((*coeffs)[0].w, (*coeffs)[1].w);
+
+  const Zr n_a = grp->zr_from_u64(ct.involved_authorities().size());
+  GT expected = ct.c;
+  for (const auto& [row, w] : *coeffs) {
+    const lsss::Attribute& attr = ct.policy.row_attribute(row);
+    const G1& kx = alice_keys.at(attr.aid).kx.at(attr.qualified());
+    expected = expected * (grp->pair(alice.pk, ct.ci[row]) * grp->pair(ct.c_prime, kx))
+                              .pow(w * n_a);
+  }
+  for (const std::string& aid : ct.involved_authorities())
+    expected = expected / grp->pair(ct.c_prime, alice_keys.at(aid).k);
+  ASSERT_EQ(expected, m);
+
+  engine::CryptoEngine& eng = engine::CryptoEngine::for_group(*grp);
+  const engine::EngineStats before = eng.stats();
+  EXPECT_EQ(decrypt(*grp, ct, alice, alice_keys).to_bytes(), expected.to_bytes());
+  const engine::EngineStats d = eng.stats() - before;
+  EXPECT_EQ(d.pairings, 6u);
+  EXPECT_EQ(d.miller_loops, 5u);  // two rows x two first arguments + numerator
+  EXPECT_EQ(d.final_exps, 1u);
 }
 
 TEST_F(SchemeTest, RandomizedEncryption) {

@@ -4,6 +4,7 @@
 
 #include "baseline/lewko_serial.h"
 #include "common/errors.h"
+#include "engine/engine.h"
 #include "lsss/parser.h"
 
 namespace maabe::baseline {
@@ -55,6 +56,26 @@ TEST_F(LewkoTest, CrossAuthorityAnd) {
   EXPECT_THROW(lewko_decrypt(*grp, ct, key), SchemeError);
   lewko_keygen(*grp, gov, "alice", {"Auditor"}, &key);
   EXPECT_EQ(lewko_decrypt(*grp, ct, key), m);
+}
+
+// The 2l decrypt pairings merge on H(GID): an AND of two rows runs one
+// loop for the H(GID) class and one per K_x — 3 loops for 4 pairings,
+// same plaintext.
+TEST_F(LewkoTest, AndDecryptMergesTheGidHash) {
+  const GT m = grp->gt_random(rng);
+  const auto ct = lewko_encrypt(
+      *grp, m, LsssMatrix::from_policy(parse_policy("Doctor@Med AND Auditor@Gov")),
+      pks, rng);
+  LewkoUserKey key;
+  lewko_keygen(*grp, med, "alice", {"Doctor"}, &key);
+  lewko_keygen(*grp, gov, "alice", {"Auditor"}, &key);
+  engine::CryptoEngine& eng = engine::CryptoEngine::for_group(*grp);
+  const engine::EngineStats before = eng.stats();
+  EXPECT_EQ(lewko_decrypt(*grp, ct, key), m);
+  const engine::EngineStats d = eng.stats() - before;
+  EXPECT_EQ(d.pairings, 4u);
+  EXPECT_EQ(d.miller_loops, 3u);
+  EXPECT_EQ(d.final_exps, 1u);
 }
 
 TEST_F(LewkoTest, OrPolicy) {

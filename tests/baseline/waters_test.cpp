@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/errors.h"
+#include "engine/engine.h"
 #include "lsss/parser.h"
 
 namespace maabe::baseline {
@@ -58,6 +59,23 @@ TEST_F(WatersTest, OrAndThresholdPolicies) {
       *grp, pk, m, LsssMatrix::from_policy(parse_policy("2of(a@O, b@O, c@O)")), rng);
   EXPECT_EQ(waters_decrypt(*grp, th_ct, keygen({{"a", "O"}, {"c", "O"}})), m);
   EXPECT_THROW(waters_decrypt(*grp, th_ct, keygen({{"c", "O"}})), SchemeError);
+}
+
+// The decrypt product merges its repeated first argument L: an AND of
+// three rows (w_i = 1) runs one loop for the L class, one per distinct
+// D_i, and one for e(C', K) — 5 loops for 7 pairings, same plaintext.
+TEST_F(WatersTest, AndDecryptMergesTheRepeatedKeyArgument) {
+  const GT m = grp->gt_random(rng);
+  const auto ct = waters_encrypt(
+      *grp, pk, m, LsssMatrix::from_policy(parse_policy("a@O AND b@O AND c@O")), rng);
+  const WatersSecretKey sk = keygen({{"a", "O"}, {"b", "O"}, {"c", "O"}});
+  engine::CryptoEngine& eng = engine::CryptoEngine::for_group(*grp);
+  const engine::EngineStats before = eng.stats();
+  EXPECT_EQ(waters_decrypt(*grp, ct, sk), m);
+  const engine::EngineStats d = eng.stats() - before;
+  EXPECT_EQ(d.pairings, 7u);
+  EXPECT_EQ(d.miller_loops, 5u);
+  EXPECT_EQ(d.final_exps, 1u);
 }
 
 TEST_F(WatersTest, KeysAreRandomized) {

@@ -220,5 +220,64 @@ TEST_F(FailureInjection, ForeignGroupElementsRejected) {
   EXPECT_THROW((void)grp->g1_from_bytes(foreign), WireError);
 }
 
+// An on-curve point outside the order-r subgroup: decompression checks
+// the curve equation, not subgroup membership, and a random x lands in
+// the subgroup only with probability r / (q+1).
+pairing::G1 coset_point(const Group& grp) {
+  for (uint8_t i = 1;; ++i) {
+    Bytes enc(grp.g1_size(), 0);
+    enc[enc.size() - 2] = i;  // low x byte; sign flag 0
+    try {
+      const pairing::G1 p = grp.g1_from_bytes(enc);
+      if (!p.in_subgroup()) return p;
+    } catch (const WireError&) {
+      // x not on the curve, try the next one
+    }
+  }
+}
+
+// Stored ciphertext points are not subgroup-checked on load. The decrypt
+// kernel merges pairings that share a first argument, which is exact
+// only for subgroup points, so a coset C' yields a different non-message
+// than a per-pairing fold would. Either way the content key is wrong and
+// the AEAD open rejects it: the download fails closed with CryptoError
+// and never returns plaintext, whether the coset point is C' (the first
+// argument of two merged classes) or a C_i merged with another row.
+TEST(CosetCiphertextPoints, DownloadFailsClosed) {
+  const auto grp = Group::test_small();
+  CloudSystem sys(grp, "inject-coset");
+  sys.add_authority("Med", {"Doctor", "Nurse"});
+  sys.add_owner("hosp");
+  sys.publish_authority_keys("Med", "hosp");
+  sys.add_user("alice");
+  sys.assign_attributes("Med", "alice", {"Doctor", "Nurse"});
+  sys.issue_user_key("Med", "alice", "hosp");
+  sys.upload("hosp", "f1", {{"a", bytes_of("component A plaintext"),
+                             "Doctor@Med AND Nurse@Med"}});
+  const StoredFile original = *sys.server().fetch("f1");
+  ASSERT_EQ(original.slots[0].key_ct.ci.size(), 2u);
+  const pairing::G1 rogue = coset_point(*grp);
+
+  for (const int target : {-1, 0, 1}) {  // C', C_0, C_1
+    StoredFile file = original;
+    abe::Ciphertext& ct = file.slots[0].key_ct;
+    if (target < 0) {
+      ct.c_prime = rogue;
+    } else {
+      ct.ci[static_cast<size_t>(target)] = ct.ci[static_cast<size_t>(target)] + rogue;
+    }
+    sys.server().store(file);
+    EXPECT_THROW(sys.download("alice", "f1"), CryptoError) << "target " << target;
+    const CloudSystem::DownloadReport report = sys.download_report("alice", "f1");
+    ASSERT_EQ(report.slots.size(), 1u);
+    EXPECT_EQ(report.slots[0].state, CloudSystem::SlotState::kCorrupt)
+        << "target " << target;
+    EXPECT_TRUE(report.opened().empty()) << "target " << target;
+  }
+  // The authentic ciphertext still opens.
+  sys.server().store(original);
+  EXPECT_EQ(string_of(sys.download("alice", "f1").at("a")), "component A plaintext");
+}
+
 }  // namespace
 }  // namespace maabe::cloud

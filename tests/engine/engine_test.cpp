@@ -88,6 +88,100 @@ TEST_F(EngineTest, PairingPowerProductMatchesSerialFold) {
   EXPECT_THROW(eng.pairing_power_product(terms, {grp->zr_one()}), MathError);
 }
 
+// ---- Bilinear term merging ------------------------------------------
+// The kernel runs ONE Miller loop per (first argument, exponent) class,
+// on e(a, sum of the class's b_i). Each case below compares against the
+// serial per-pairing fold byte for byte at 1 and 4 threads and pins the
+// exact op delta: every submitted term counts as a pairing, every class
+// that does not cancel as a Miller loop.
+
+GT serial_power_fold(const Group& grp, const std::vector<CryptoEngine::PairTerm>& terms,
+                     const std::vector<Zr>& exps) {
+  GT acc = grp.gt_one();
+  for (size_t i = 0; i < terms.size(); ++i)
+    acc = acc * grp.pair(terms[i].a, terms[i].b).pow(exps[i]);
+  return acc;
+}
+
+struct MergeCase {
+  std::vector<CryptoEngine::PairTerm> terms;
+  std::vector<Zr> exps;
+};
+
+void expect_merged(const Group& grp, const MergeCase& c, uint64_t loops,
+                   uint64_t final_exps) {
+  const Bytes expected = serial_power_fold(grp, c.terms, c.exps).to_bytes();
+  for (const int threads : {1, 4}) {
+    CryptoEngine eng(grp, threads);
+    const EngineStats before = eng.stats();
+    EXPECT_EQ(eng.pairing_power_product(c.terms, c.exps).to_bytes(), expected)
+        << threads << " threads";
+    const EngineStats d = eng.stats() - before;
+    EXPECT_EQ(d.pairings, c.terms.size()) << threads << " threads";
+    EXPECT_EQ(d.miller_loops, loops) << threads << " threads";
+    EXPECT_EQ(d.final_exps, final_exps) << threads << " threads";
+  }
+}
+
+TEST_F(EngineTest, MergesRepeatedFirstArgumentsWithEqualExponents) {
+  // Interleaved like a decrypt's rows: two first arguments, one shared
+  // exponent -> two classes.
+  const G1 p = grp->g1_random(rng), c = grp->g1_random(rng);
+  const Zr e = grp->zr_random(rng);
+  MergeCase mc;
+  for (int i = 0; i < 5; ++i) {
+    mc.terms.push_back({p, grp->g1_random(rng)});
+    mc.terms.push_back({c, grp->g1_random(rng)});
+    mc.exps.insert(mc.exps.end(), {e, e});
+  }
+  expect_merged(*grp, mc, 2, 1);
+}
+
+TEST_F(EngineTest, MergeSplitsOneFirstArgumentByExponent) {
+  const G1 a = grp->g1_random(rng);
+  const Zr e1 = grp->zr_random(rng), e2 = grp->zr_random(rng);
+  MergeCase mc;
+  for (const Zr& e : {e1, e2, e1, e2, e1}) {
+    mc.terms.push_back({a, grp->g1_random(rng)});
+    mc.exps.push_back(e);
+  }
+  expect_merged(*grp, mc, 2, 1);
+}
+
+TEST_F(EngineTest, MergeSkipsAClassWhoseSecondArgumentsCancel) {
+  const G1 a = grp->g1_random(rng), b = grp->g1_random(rng);
+  const Zr e = grp->zr_random(rng);
+  MergeCase mc;
+  mc.terms = {{a, b}, {grp->g1_random(rng), grp->g1_random(rng)}, {a, b.neg()}};
+  mc.exps = {e, grp->zr_random(rng), e};
+  expect_merged(*grp, mc, 1, 1);
+}
+
+TEST_F(EngineTest, MergeDoublesDuplicateSecondArguments) {
+  // b + b takes jac_add_mixed's doubling branch.
+  const G1 a = grp->g1_random(rng), b = grp->g1_random(rng);
+  const Zr e = grp->zr_random(rng);
+  MergeCase mc;
+  mc.terms = {{a, b}, {a, b}, {a, grp->g1_random(rng)}};
+  mc.exps = {e, e, e};
+  expect_merged(*grp, mc, 1, 1);
+  mc.terms.pop_back();
+  mc.exps.pop_back();
+  expect_merged(*grp, mc, 1, 1);
+}
+
+TEST_F(EngineTest, AllCancellingProductIsOneWithoutFinalExponentiation) {
+  const G1 a = grp->g1_random(rng), b = grp->g1_random(rng);
+  const G1 c = grp->g1_random(rng), d = grp->g1_random(rng);
+  const Zr e = grp->zr_random(rng), f = grp->zr_random(rng);
+  MergeCase mc;
+  mc.terms = {{a, b}, {c, d}, {a, b.neg()}, {c, d.neg()}};
+  mc.exps = {e, f, e, f};
+  ASSERT_EQ(serial_power_fold(*grp, mc.terms, mc.exps).to_bytes(),
+            grp->gt_one().to_bytes());
+  expect_merged(*grp, mc, 0, 0);
+}
+
 TEST_F(EngineTest, PairingProductPaysExactlyOneFinalExponentiation) {
   CryptoEngine eng(*grp, 4);
   std::vector<CryptoEngine::PairTerm> terms;

@@ -86,6 +86,35 @@ TEST_F(MultiPairTest, IdentityInputsYieldNeutralMillerValues) {
   EXPECT_EQ(grp->miller_reduce(grp->miller_one()), grp->gt_one());
 }
 
+TEST_F(MultiPairTest, MergedSecondArgumentsMatchSeparatePairings) {
+  // e(a, b1) * e(a, b2) == e(a, b1 + b2): the identity the engine's term
+  // merging runs on, bit for bit after the shared reduction.
+  const G1 a = grp->g1_random(rng), b1 = grp->g1_random(rng), b2 = grp->g1_random(rng);
+  EXPECT_EQ(grp->miller_reduce(grp->miller(a, b1 + b2)).to_bytes(),
+            grp->miller_reduce(grp->miller(a, b1) * grp->miller(a, b2)).to_bytes());
+}
+
+TEST_F(MultiPairTest, G1SumsMatchAdditionFolds) {
+  const G1 b = grp->g1_random(rng);
+  std::vector<std::vector<G1>> sets = {
+      {grp->g1_random(rng), grp->g1_random(rng), grp->g1_random(rng)},
+      {b, b},                              // doubling
+      {b, b.neg()},                        // cancels
+      {},                                  // empty
+      {grp->g1_identity(), grp->g1_random(rng)},
+      {grp->g1_random(rng)},
+  };
+  const std::vector<G1> sums = grp->g1_sums(sets);
+  ASSERT_EQ(sums.size(), sets.size());
+  for (size_t k = 0; k < sets.size(); ++k) {
+    G1 fold = grp->g1_identity();
+    for (const G1& p : sets[k]) fold = fold + p;
+    EXPECT_EQ(sums[k].to_bytes(), fold.to_bytes()) << "set " << k;
+  }
+  EXPECT_TRUE(sums[2].is_identity());
+  EXPECT_TRUE(sums[3].is_identity());
+}
+
 TEST_F(MultiPairTest, PrecomputedLineTableMatchesPair) {
   for (int i = 0; i < 3; ++i) {
     const G1 base = grp->g1_random(rng);
