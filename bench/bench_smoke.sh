@@ -11,7 +11,8 @@
 #
 # Binary -> guarded fields:
 #   pairing_micro  -> BENCH_pairing_micro.json kernel_speedup,
-#                     field_kernel_speedup, merge_speedup
+#                     field_kernel_speedup, merge_speedup,
+#                     adx_kernel_speedup (only on ADX hosts)
 #       kernel_speedup: shared-final-exponentiation kernel vs the legacy
 #       pair-then-multiply fold. merge_speedup: a decrypt-shaped 22-term
 #       product (two repeated first arguments) through the engine, which
@@ -22,7 +23,12 @@
 #       multiplies on the fixed-width kernel the pairing stack runs on
 #       vs the variable-length Bignum MontCtx (about 3x on an x86-64
 #       host; the floor leaves room for noise and sanitizer builds).
-#       All three are same-process ratios: host speed cancels, guarded by an
+#       adx_kernel_speedup: a chain of multiplies mod the paper curve's
+#       512-bit q (whatever MAABE_BENCH_SMALL says) on the portable
+#       8-limb kernel vs the one MontField dispatches to, the BMI2/ADX
+#       kernel when the CPU has both extensions; floored only when
+#       /proc/cpuinfo lists adx and bmi2 (elsewhere it reads ~1).
+#       All four are same-process ratios: host speed cancels, guarded by an
 #       absolute floor.
 #   revocation     -> BENCH_revocation.json epoch_transport,
 #                     cluster_epoch_efficiency
@@ -78,6 +84,9 @@ export MAABE_BENCH_SMALL=1
 "$GUARD" floor BENCH_pairing_micro.json kernel_speedup 1.3
 "$GUARD" floor BENCH_pairing_micro.json field_kernel_speedup 1.5
 "$GUARD" floor BENCH_pairing_micro.json merge_speedup 2.5
+if grep -qw adx /proc/cpuinfo 2>/dev/null && grep -qw bmi2 /proc/cpuinfo; then
+  "$GUARD" floor BENCH_pairing_micro.json adx_kernel_speedup 1.15
+fi
 
 # revocation guards
 "$GUARD" regress BENCH_revocation.json "$BASELINES/BENCH_revocation.json" \

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Print the EXPERIMENTS.md Fig. 3(b) / Fig. 4(b) decrypt tables from bench output.
+"""Print EXPERIMENTS.md tables from bench output.
 
-Usage (from a directory holding the JSON the two benches wrote):
+Fig. 3(b) / Fig. 4(b) decrypt tables (from a directory holding the JSON
+the two benches wrote):
 
     MAABE_THREADS=1 build/bench/fig3_time_vs_authorities --benchmark_filter=nothing
     MAABE_THREADS=1 build/bench/fig4_time_vs_attributes --benchmark_filter=nothing
@@ -10,6 +11,18 @@ Usage (from a directory holding the JSON the two benches wrote):
 Each row is one point of the bench's JSON: the decrypt wall time of ours
 and of Lewko-Waters (one cold decrypt each), and for both the pairings
 submitted and the Miller loops the engine actually ran for them.
+
+Substrate table (BENCH_pairing_micro.json files from two builds or two
+hosts, each written by `build/bench/pairing_micro
+--benchmark_filter=nothing`):
+
+    python3 bench/fig_tables.py substrate BASE.json[,BASE2.json...] NEW.json[,...]
+
+Each row is one rung of the JSON's `substrate` object (paper curve,
+best-of per-call times on the F_q kernel that build dispatched to), with
+the base/new ratio. A side given as several comma-separated runs keeps
+each rung's minimum over them, so a burst of host load in one process
+does not set a cell; run the two builds alternately.
 """
 import json
 import sys
@@ -37,7 +50,62 @@ def table(path, key, label):
     print()
 
 
+# (key, label, unit) in ladder order; values are stored in that unit.
+SUBSTRATE_ROWS = [
+    ("fq_mul_ns", "F_q mul", "ns"),
+    ("fq_sqr_ns", "F_q square", "ns"),
+    ("fq_inv_us", "F_q inverse (binary ext-gcd)", "us"),
+    ("g1_decode_us", "G1 decode (square root by (q+1)/4)", "us"),
+    ("miller_us", "Miller loop", "us"),
+    ("miller_precomp_us", "Miller loop, precomputed line table", "us"),
+    ("final_exp_us", "final exponentiation", "us"),
+    ("pairing_us", "Tate pairing", "us"),
+    ("g1_exp_us", "G1 exponentiation (generic Jacobian)", "us"),
+    ("g1_exp_fixed_us", "G1 exponentiation (fixed-base table)", "us"),
+    ("gt_exp_us", "GT exponentiation (generic)", "us"),
+    ("gt_exp_fixed_us", "GT exponentiation (fixed-base table)", "us"),
+    ("hash_to_g1_us", "hash-to-G1", "us"),
+]
+
+
+def fmt_time(v, unit):
+    if unit == "us" and v >= 1000:
+        return f"{v / 1000:.3g} ms"
+    return f"{v:.3g} {'µs' if unit == 'us' else unit}"
+
+
+def load_substrate(paths):
+    """The `substrate` object of each run, merged by per-rung minimum."""
+    runs = []
+    for path in paths.split(","):
+        with open(path) as f:
+            runs.append(json.load(f)["substrate"])
+    kernels = {r["kernel"] for r in runs}
+    if len(kernels) != 1:
+        sys.exit(f"{paths}: runs from different kernels {sorted(kernels)}")
+    merged = dict(runs[0])
+    for key, _, _ in SUBSTRATE_ROWS:
+        merged[key] = min(r[key] for r in runs)
+    return merged, len(runs)
+
+
+def substrate(base_paths, new_paths):
+    (base, nb), (new, nn) = load_substrate(base_paths), load_substrate(new_paths)
+    print(f"<!-- {base['group']}; base: kernel {base['kernel']}, min of {nb} runs; "
+          f"new: kernel {new['kernel']}, min of {nn} runs -->")
+    print(f"| Operation (512-bit type-A) | {base['kernel']} kernel | {new['kernel']} kernel "
+          "| speedup |")
+    print("|---|---|---|---|")
+    for key, label, unit in SUBSTRATE_ROWS:
+        b, n = base[key], new[key]
+        print(f"| {label} | {fmt_time(b, unit)} | {fmt_time(n, unit)} | {b / n:.2f}× |")
+    print()
+
+
 def main(argv):
+    if len(argv) == 4 and argv[1] == "substrate":
+        substrate(argv[2], argv[3])
+        return
     if len(argv) != 3:
         sys.exit(__doc__)
     table(argv[1], "authorities", "n_A")

@@ -10,6 +10,7 @@
 #include "bench_common.h"
 #include "bench_json.h"
 #include "engine/engine.h"
+#include "math/field_kernels.h"
 #include "math/montgomery.h"
 
 namespace maabe::bench {
@@ -339,10 +340,97 @@ void engine_batch_report() {
   }
   const double field_kernel_speedup = fixed_ns > 0 ? montctx_ns / fixed_ns : 0.0;
 
+  // The paper field's kernel choice, whatever MAABE_BENCH_SMALL says: the
+  // same chain mod pbc_a512's q on the portable N = 8 kernel vs the one
+  // MontField dispatches to (the BMI2/ADX kernel when CPUID reports
+  // both extensions; otherwise the portable one again, ratio ~1).
+  const auto paper_grp = pairing::Group::pbc_a512();
+  const pairing::FpCtx& pfq = paper_grp->ctx().fq();
+  const math::FieldElem paper_q = pfq.modulus();
+  const uint64_t paper_n0 = math::detail::mont_n0(paper_q.l[0]);
+  const math::FieldElem pa = pfq.enc(frng.below(pfq.modulus()));
+  const math::FieldElem pb = pfq.enc(frng.below(pfq.modulus()));
+  // The two chains alternate rep by rep, so a burst of host load hits
+  // both sides alike.
+  math::FieldElem x_portable = pa, x_dispatched = pa;
+  double portable8_ns = 0, dispatched8_ns = 0;
+  for (int r = 0; r < kFieldReps; ++r) {
+    const auto t0 = Clock::now();
+    for (int i = 0; i < kFieldMuls; ++i)
+      x_portable = math::detail::mont_mul8_portable(x_portable, pb, paper_q, paper_n0);
+    const auto t1 = Clock::now();
+    for (int i = 0; i < kFieldMuls; ++i) x_dispatched = pfq.mul(x_dispatched, pb);
+    const auto t2 = Clock::now();
+    const double p_ns = std::chrono::duration<double, std::nano>(t1 - t0).count() / kFieldMuls;
+    const double d_ns = std::chrono::duration<double, std::nano>(t2 - t1).count() / kFieldMuls;
+    if (r == 0 || p_ns < portable8_ns) portable8_ns = p_ns;
+    if (r == 0 || d_ns < dispatched8_ns) dispatched8_ns = d_ns;
+  }
+  if (x_portable != x_dispatched) {
+    std::fprintf(stderr, "pairing_micro: portable and dispatched 8-limb chains disagree\n");
+    std::exit(1);
+  }
+  const bool adx = math::detail::adx_kernel_available();
+  const double adx_kernel_speedup = dispatched8_ns > 0 ? portable8_ns / dispatched8_ns : 0.0;
+
+  // The substrate ladder on the paper curve, whatever the bench curve:
+  // each rung's per-call time, best of kFieldReps batches, on the kernel
+  // MontField dispatched to. bench/fig_tables.py turns two of these
+  // (two kernels, or two commits) into the EXPERIMENTS.md substrate
+  // table. g1_decode is one compressed-point decode: a square-root
+  // exponentiation by (q+1)/4.
+  crypto::Drbg drng(std::string_view("micro-substrate"));
+  const pairing::G1 g1a = paper_grp->g1_random(drng), g1b = paper_grp->g1_random(drng);
+  const pairing::Zr zk = paper_grp->zr_random(drng);
+  const pairing::GT gte = paper_grp->gt_generator();
+  const Bytes enc = g1a.to_bytes();
+  const auto pre = paper_grp->pair_precompute(g1a);
+  const pairing::MillerVal mv = paper_grp->miller(g1a, g1b);
+  math::FieldElem fe = pa;
+  const auto best_us = [&](int calls, const auto& op) {
+    double best = 0;
+    for (int r = 0; r < kFieldReps; ++r) {
+      const auto t0 = Clock::now();
+      for (int i = 0; i < calls; ++i) op();
+      const double us = std::chrono::duration<double, std::micro>(Clock::now() - t0).count() / calls;
+      if (r == 0 || us < best) best = us;
+    }
+    return best;
+  };
+  const double g1_decode_us =
+      best_us(10, [&] { benchmark::DoNotOptimize(paper_grp->g1_from_bytes(enc)); });
+  uint64_t hash_i = 0;
+  Json substrate;
+  substrate.put("group", "pbc_a512(512-bit q)")
+      .put("kernel", adx ? "adx" : "portable")
+      .put("fq_mul_ns", 1e3 * best_us(2000, [&] { fe = pfq.mul(fe, pb); }))
+      .put("fq_sqr_ns", 1e3 * best_us(2000, [&] { fe = pfq.sqr(fe); }))
+      .put("fq_inv_us", best_us(20, [&] { fe = pfq.inv(fe); }))
+      .put("g1_decode_us", g1_decode_us)
+      .put("pairing_us", best_us(6, [&] { benchmark::DoNotOptimize(paper_grp->pair(g1a, g1b)); }))
+      .put("miller_us", best_us(6, [&] { benchmark::DoNotOptimize(paper_grp->miller(g1a, g1b)); }))
+      .put("miller_precomp_us",
+           best_us(5, [&] { benchmark::DoNotOptimize(paper_grp->miller_with(*pre, g1b)); }))
+      .put("final_exp_us", best_us(8, [&] { benchmark::DoNotOptimize(paper_grp->miller_reduce(mv)); }))
+      .put("g1_exp_us", best_us(6, [&] { benchmark::DoNotOptimize(g1a.mul(zk)); }))
+      .put("g1_exp_fixed_us", best_us(5, [&] { benchmark::DoNotOptimize(paper_grp->g_pow(zk)); }))
+      .put("gt_exp_us", best_us(5, [&] { benchmark::DoNotOptimize(gte.pow(zk)); }))
+      .put("gt_exp_fixed_us", best_us(10, [&] { benchmark::DoNotOptimize(paper_grp->egg_pow(zk)); }))
+      .put("hash_to_g1_us", best_us(4, [&] {
+             benchmark::DoNotOptimize(paper_grp->hash_to_g1("input" + std::to_string(hash_i++)));
+           }));
+  benchmark::DoNotOptimize(fe);
+
   std::printf("\nF_q multiply (%d-mul chain, best of %d):\n", kFieldMuls, kFieldReps);
   std::printf("  fixed-width kernel  : %8.1f ns\n", fixed_ns);
   std::printf("  Bignum MontCtx      : %8.1f ns   speedup %.2fx\n", montctx_ns,
               field_kernel_speedup);
+
+  std::printf("\npbc_a512 F_q multiply (%d-mul chain, best of %d):\n", kFieldMuls, kFieldReps);
+  std::printf("  portable 8-limb     : %8.1f ns\n", portable8_ns);
+  std::printf("  dispatched (%s)  : %8.1f ns   speedup %.2fx\n", adx ? "adx     " : "portable",
+              dispatched8_ns, adx_kernel_speedup);
+  std::printf("  G1 decode           : %8.1f us\n", g1_decode_us);
 
   std::printf("\n%zu-pairing product batch (%d reps):\n", kTerms, kReps);
   std::printf("  pair-then-multiply  : %8.3f ms   (%zu final exps)\n", fold_ms, kTerms);
@@ -379,6 +467,12 @@ void engine_batch_report() {
       .put("field_mul_fixed_ns", fixed_ns)
       .put("field_mul_montctx_ns", montctx_ns)
       .put("field_kernel_speedup", field_kernel_speedup)
+      .put("adx_kernel", adx ? 1 : 0)
+      .put("field_mul_portable8_ns", portable8_ns)
+      .put("field_mul_dispatched8_ns", dispatched8_ns)
+      .put("adx_kernel_speedup", adx_kernel_speedup)
+      .put("g1_decode_us", g1_decode_us)
+      .put("substrate", substrate)
       .put("merge_terms", dec_terms.size())
       .put("merge_per_term_ms", per_term_ms)
       .put("merge_kernel_ms", merged_ms)

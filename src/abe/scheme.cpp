@@ -148,9 +148,11 @@ EncryptionResult encrypt(const Group& grp, const OwnerMasterKey& mk,
   }
   const std::vector<G1> gen_parts = eng.g_pow_batch(gen_exps);
   const std::vector<G1> pk_parts = eng.multi_exp_g1(pk_terms);
-  ct.ci.reserve(policy.rows());
-  for (int i = 0; i < policy.rows(); ++i)
-    ct.ci.push_back(gen_parts[i] + pk_parts[i].neg());
+  // All l differences go to affine with one inversion.
+  std::vector<std::vector<G1>> pairs;
+  pairs.reserve(policy.rows());
+  for (int i = 0; i < policy.rows(); ++i) pairs.push_back({gen_parts[i], pk_parts[i].neg()});
+  ct.ci = grp.g1_sums(pairs);
 
   return {std::move(ct), EncryptionRecord{ct_id, s}};
 }

@@ -198,16 +198,25 @@ LoopbackTransport::LoopbackTransport(FaultPlan plan) : plan_(std::move(plan)) {}
 void LoopbackTransport::deliver(const std::string& from, const std::string& to,
                                 uint64_t request_id, ByteView payload,
                                 const Sink& sink) {
+  // One span per transmission attempt, a child of the sender's current
+  // span (the scoped "transport.send" for direct sends, the replay span
+  // for parked frames — which preserves the ORIGINATING context). Ends
+  // (and emits) even when the attempt throws below, with the outcome
+  // attribute already recorded — this is how a traced revocation epoch
+  // shows every injected fault.
+  const telemetry::SpanContext ambient = telemetry::Tracer::current();
+  telemetry::Span span = telemetry::Tracer::global().start_span("transport.frame");
+
   Frame frame;
   frame.from = from;
   frame.to = to;
   frame.request_id = request_id;
-  // Trace-context injection: the sender's current span (the scoped
-  // "transport.send" for direct sends, the replay span for parked
-  // frames — which preserves the ORIGINATING context) rides the frame
-  // so the receiving side can continue the same trace.
-  const telemetry::SpanContext ctx = telemetry::Tracer::current();
-  if (ctx.valid()) {
+  // Trace-context injection: the frame span's own context rides the
+  // frame, so the receiving side's transport.recv nests inside this
+  // attempt instead of overlapping it as a sibling. An untraced send
+  // stays untraced on the wire.
+  if (ambient.valid()) {
+    const telemetry::SpanContext ctx = span.active() ? span.context() : ambient;
     frame.trace_id = ctx.trace_id;
     frame.parent_span_id = ctx.span_id;
     frame.origin_node = from;
@@ -224,10 +233,6 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
     d = plan_.decide(from, to, wire.size());
   }
 
-  // One span per transmission attempt. Ends (and emits) even when the
-  // attempt throws below, with the outcome attribute already recorded —
-  // this is how a traced revocation epoch shows every injected fault.
-  telemetry::Span span = telemetry::Tracer::global().start_span("transport.frame");
   if (span.active()) {
     span.attr("from", from);
     span.attr("to", to);

@@ -527,12 +527,14 @@ std::vector<G1> CryptoEngine::multi_exp_g1(const std::vector<G1Term>& terms,
                                 [&] { return grp_->g1_precompute(terms[i].base); });
     }
   }
-  std::vector<G1> out(n);
+  // Results stay Jacobian through the parallel phase; the batch goes to
+  // affine on the caller with one inversion.
+  std::vector<pairing::JacPoint> jac(n);
   run_items(n, [&](size_t i) {
-    out[i] = tables[i] ? grp_->g1_pow_with(*tables[i], terms[i].exp)
-                       : terms[i].base.mul(terms[i].exp);
+    jac[i] = tables[i] ? grp_->g1_pow_with_jac(*tables[i], terms[i].exp)
+                       : grp_->g1_mul_jac(terms[i].base, terms[i].exp);
   });
-  return out;
+  return grp_->g1_normalize(jac);
 }
 
 std::vector<GT> CryptoEngine::multi_exp_gt(const std::vector<GtTerm>& terms,
@@ -568,9 +570,9 @@ std::vector<G1> CryptoEngine::g_pow_batch(const std::vector<Zr>& exps) {
   scope.delta.g1_exps = exps.size();
   scope.delta.tasks = exps.size();
   scope.set_items(exps.size());
-  std::vector<G1> out(exps.size());
-  run_items(exps.size(), [&](size_t i) { out[i] = grp_->g_pow(exps[i]); });
-  return out;
+  std::vector<pairing::JacPoint> jac(exps.size());
+  run_items(exps.size(), [&](size_t i) { jac[i] = grp_->g_pow_jac(exps[i]); });
+  return grp_->g1_normalize(jac);
 }
 
 std::vector<GT> CryptoEngine::egg_pow_batch(const std::vector<Zr>& exps) {

@@ -177,6 +177,8 @@ class CryptoEngine {
   /// base_i ^ exp_i for variable bases. `cache_bases = false` skips the
   /// LRU entirely — pass it when the bases are one-offs (e.g. the pairing
   /// products decrypt exponentiates) so they don't evict hot tables.
+  /// multi_exp_g1 and g_pow_batch keep their results Jacobian until the
+  /// whole batch goes to affine with one inversion (Group::g1_normalize).
   std::vector<pairing::G1> multi_exp_g1(const std::vector<G1Term>& terms,
                                         bool cache_bases = true);
   std::vector<pairing::GT> multi_exp_gt(const std::vector<GtTerm>& terms,

@@ -1,8 +1,17 @@
 #include "math/field.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/errors.h"
+#include "math/field_kernels.h"
+
+#if defined(__x86_64__) && defined(__GNUC__) && defined(__ELF__)
+#define MAABE_FIELD_ADX 1
+#include <cpuid.h>
+#else
+#define MAABE_FIELD_ADX 0
+#endif
 
 namespace maabe::math {
 
@@ -223,6 +232,221 @@ bool gcd_inverse(const FieldElem& a, const FieldElem& p, FieldElem* out) {
 
 }  // namespace
 
+#if MAABE_FIELD_ADX
+// ------------------------------------------------------- ADX kernel --
+// CIOS Montgomery multiply for N = 8 on BMI2/ADX: mulx forms each
+// 64x64 product without touching the flags, so the low halves ride the
+// CF chain (adcx) and the high halves the OF chain (adox) through one
+// pass. The accumulator is ten registers, t0..t8 plus the 10th carry
+// word t9: q has its top bit set, so t + a_i*b + m*p can pass 2^576
+// (it stays below 2^577) and there is no spare bit to fold the carry
+// into. Each round is a
+// multiply pass (t += a_i*b) then a reduction pass (t += m*p, which
+// zeroes t0); the next round renames t1..t9,t0 as t0..t9, so the shift
+// by one word is free. rbp is never touched (the sanitizer presets keep
+// frame pointers), and the C++ wrapper below calls the function
+// directly. Frame: 0 = zero word (a memory source for adcx/adox),
+// 8 = out, 16 = a, 24 = b, 32 = p, 40 = n0.
+//
+// void maabe_mont_mul8_adx(uint64_t* out, const uint64_t* a,
+//                          const uint64_t* b, const uint64_t* p,
+//                          uint64_t n0)
+asm(R"(
+  .pushsection .text
+  .macro maabe_adx_mac off, lo, hi
+    mulx \off(%rsi), %rax, %rdi
+    adcx %rax, \lo
+    adox %rdi, \hi
+  .endm
+  # t0..t9 += rdx * (8 limbs at rsi); CF and OF clear on entry.
+  .macro maabe_adx_pass t0, t1, t2, t3, t4, t5, t6, t7, t8, t9
+    maabe_adx_mac 0, \t0, \t1
+    maabe_adx_mac 8, \t1, \t2
+    maabe_adx_mac 16, \t2, \t3
+    maabe_adx_mac 24, \t3, \t4
+    maabe_adx_mac 32, \t4, \t5
+    maabe_adx_mac 40, \t5, \t6
+    maabe_adx_mac 48, \t6, \t7
+    maabe_adx_mac 56, \t7, \t8
+    adcx 0(%rsp), \t8
+    adox 0(%rsp), \t9
+    adcx 0(%rsp), \t9
+  .endm
+  .macro maabe_adx_round i, t0, t1, t2, t3, t4, t5, t6, t7, t8, t9
+    mov 16(%rsp), %rdx
+    mov 8*\i(%rdx), %rdx
+    mov 24(%rsp), %rsi
+    xor \t9, \t9
+    maabe_adx_pass \t0, \t1, \t2, \t3, \t4, \t5, \t6, \t7, \t8, \t9
+    mov \t0, %rdx
+    imul 40(%rsp), %rdx
+    mov 32(%rsp), %rsi
+    xor %eax, %eax
+    maabe_adx_pass \t0, \t1, \t2, \t3, \t4, \t5, \t6, \t7, \t8, \t9
+  .endm
+
+  .p2align 4
+  .globl maabe_mont_mul8_adx
+  .hidden maabe_mont_mul8_adx
+  .type maabe_mont_mul8_adx, @function
+maabe_mont_mul8_adx:
+  .cfi_startproc
+  push %rbx
+  .cfi_adjust_cfa_offset 8
+  .cfi_offset %rbx, -16
+  push %r12
+  .cfi_adjust_cfa_offset 8
+  .cfi_offset %r12, -24
+  push %r13
+  .cfi_adjust_cfa_offset 8
+  .cfi_offset %r13, -32
+  push %r14
+  .cfi_adjust_cfa_offset 8
+  .cfi_offset %r14, -40
+  push %r15
+  .cfi_adjust_cfa_offset 8
+  .cfi_offset %r15, -48
+  sub $48, %rsp
+  .cfi_adjust_cfa_offset 48
+  movq $0, 0(%rsp)
+  mov %rdi, 8(%rsp)
+  mov %rsi, 16(%rsp)
+  mov %rdx, 24(%rsp)
+  mov %rcx, 32(%rsp)
+  mov %r8, 40(%rsp)
+  xor %r8d, %r8d
+  xor %r9d, %r9d
+  xor %r10d, %r10d
+  xor %r11d, %r11d
+  xor %r12d, %r12d
+  xor %r13d, %r13d
+  xor %r14d, %r14d
+  xor %r15d, %r15d
+  xor %ebx, %ebx
+  maabe_adx_round 0, %r8, %r9, %r10, %r11, %r12, %r13, %r14, %r15, %rbx, %rcx
+  maabe_adx_round 1, %r9, %r10, %r11, %r12, %r13, %r14, %r15, %rbx, %rcx, %r8
+  maabe_adx_round 2, %r10, %r11, %r12, %r13, %r14, %r15, %rbx, %rcx, %r8, %r9
+  maabe_adx_round 3, %r11, %r12, %r13, %r14, %r15, %rbx, %rcx, %r8, %r9, %r10
+  maabe_adx_round 4, %r12, %r13, %r14, %r15, %rbx, %rcx, %r8, %r9, %r10, %r11
+  maabe_adx_round 5, %r13, %r14, %r15, %rbx, %rcx, %r8, %r9, %r10, %r11, %r12
+  maabe_adx_round 6, %r14, %r15, %rbx, %rcx, %r8, %r9, %r10, %r11, %r12, %r13
+  maabe_adx_round 7, %r15, %rbx, %rcx, %r8, %r9, %r10, %r11, %r12, %r13, %r14
+  # t = rbx,rcx,r8..r13 (low to high) + r14 * 2^512 < 2p. Store t,
+  # subtract p in registers, and restore the stored t when that borrows
+  # out of the carry word (t < p).
+  mov 8(%rsp), %rdx
+  mov 32(%rsp), %rsi
+  mov %rbx, 0(%rdx)
+  mov %rcx, 8(%rdx)
+  mov %r8, 16(%rdx)
+  mov %r9, 24(%rdx)
+  mov %r10, 32(%rdx)
+  mov %r11, 40(%rdx)
+  mov %r12, 48(%rdx)
+  mov %r13, 56(%rdx)
+  sub 0(%rsi), %rbx
+  sbb 8(%rsi), %rcx
+  sbb 16(%rsi), %r8
+  sbb 24(%rsi), %r9
+  sbb 32(%rsi), %r10
+  sbb 40(%rsi), %r11
+  sbb 48(%rsi), %r12
+  sbb 56(%rsi), %r13
+  sbb $0, %r14
+  cmovc 0(%rdx), %rbx
+  cmovc 8(%rdx), %rcx
+  cmovc 16(%rdx), %r8
+  cmovc 24(%rdx), %r9
+  cmovc 32(%rdx), %r10
+  cmovc 40(%rdx), %r11
+  cmovc 48(%rdx), %r12
+  cmovc 56(%rdx), %r13
+  mov %rbx, 0(%rdx)
+  mov %rcx, 8(%rdx)
+  mov %r8, 16(%rdx)
+  mov %r9, 24(%rdx)
+  mov %r10, 32(%rdx)
+  mov %r11, 40(%rdx)
+  mov %r12, 48(%rdx)
+  mov %r13, 56(%rdx)
+  add $48, %rsp
+  .cfi_adjust_cfa_offset -48
+  pop %r15
+  .cfi_adjust_cfa_offset -8
+  pop %r14
+  .cfi_adjust_cfa_offset -8
+  pop %r13
+  .cfi_adjust_cfa_offset -8
+  pop %r12
+  .cfi_adjust_cfa_offset -8
+  pop %rbx
+  .cfi_adjust_cfa_offset -8
+  ret
+  .cfi_endproc
+  .size maabe_mont_mul8_adx, .-maabe_mont_mul8_adx
+  .popsection
+)");
+
+extern "C" void maabe_mont_mul8_adx(uint64_t* out, const uint64_t* a, const uint64_t* b,
+                                    const uint64_t* p, uint64_t n0);
+#endif  // MAABE_FIELD_ADX
+
+namespace detail {
+
+uint64_t mont_n0(uint64_t p0) {
+  // Newton-Hensel lifting: x*p == 1 mod 8 to start for odd p; each step
+  // doubles the correct bits.
+  uint64_t x = p0;
+  for (int i = 0; i < 6; ++i) x *= 2 - p0 * x;
+  return 0 - x;
+}
+
+FieldElem mont_mul8_portable(const FieldElem& a, const FieldElem& b, const FieldElem& p,
+                             uint64_t n0) {
+  return mont_mul<8>(a, b, p, n0);
+}
+
+FieldElem mont_sqr8_portable(const FieldElem& a, const FieldElem& p, uint64_t n0) {
+  return mont_sqr<8>(a, p, n0);
+}
+
+bool adx_kernel_available() {
+#if MAABE_FIELD_ADX
+  static const bool available = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+    return (ebx & bit_BMI2) != 0 && (ebx & bit_ADX) != 0;
+  }();
+  return available;
+#else
+  return false;
+#endif
+}
+
+FieldElem mont_mul8_adx(const FieldElem& a, const FieldElem& b, const FieldElem& p,
+                        uint64_t n0) {
+#if MAABE_FIELD_ADX
+  FieldElem out;
+  maabe_mont_mul8_adx(out.l.data(), a.l.data(), b.l.data(), p.l.data(), n0);
+  return out;
+#else
+  return mont_mul<8>(a, b, p, n0);  // unreachable: adx_kernel_available() is false
+#endif
+}
+
+}  // namespace detail
+
+namespace {
+
+/// The ADX path squares with the multiply (a == b): in bench/pairing_micro
+/// that already beats the portable SOS square, so there is no second
+/// assembly kernel for squaring.
+FieldElem mont_sqr8_adx(const FieldElem& a, const FieldElem& p, uint64_t n0) {
+  return detail::mont_mul8_adx(a, a, p, n0);
+}
+
+}  // namespace
+
 MontField::MontField(const Bignum& modulus) : modulus_(modulus) {
   if (!modulus.is_odd() || modulus.bit_length() < 2)
     throw MathError("MontField: modulus must be odd and >= 3");
@@ -249,13 +473,15 @@ MontField::MontField(const Bignum& modulus) : modulus_(modulus) {
     MAABE_FIELD_KERNELS(8)
 #undef MAABE_FIELD_KERNELS
   }
+  // The paper field (8 limbs) runs on the mulx/adcx/adox kernel when
+  // the CPU has it; every other width, and CPUs without ADX, stay on
+  // the portable kernels. Both produce the same canonical residues.
+  if (n_ == 8 && detail::adx_kernel_available()) {
+    mul_ = &detail::mont_mul8_adx;
+    sqr_ = &mont_sqr8_adx;
+  }
 
-  // n0 = -p^{-1} mod 2^64 via Newton-Hensel lifting (x*p == 1 mod 8 to
-  // start for odd p; each step doubles the correct bits).
-  const uint64_t p0 = p_.l[0];
-  uint64_t x = p0;
-  for (int i = 0; i < 6; ++i) x *= 2 - p0 * x;
-  n0_ = 0 - x;
+  n0_ = detail::mont_n0(p_.l[0]);
 
   // R, R^2, R^3 mod p on the setup path.
   const Bignum r = Bignum::mod(Bignum::shl(Bignum::from_u64(1), 64 * n_), modulus);
@@ -266,10 +492,42 @@ MontField::MontField(const Bignum& modulus) : modulus_(modulus) {
 }
 
 FieldElem MontField::pow(const FieldElem& base, const Bignum& exp) const {
-  FieldElem result = one_;
-  for (int i = exp.bit_length() - 1; i >= 0; --i) {
-    result = sqr(result);
-    if (exp.bit(i)) result = mul(result, base);
+  // Sliding window over odd powers: the exponent splits into runs of
+  // zeros (one squaring per bit) and windows of at most w bits that
+  // start and end on a set bit (w squarings, then one multiply by the
+  // window's odd power). A 510-bit exponent with half its bits set
+  // pays ~509 squarings + ~89 multiplies instead of 509 + 260, plus 16
+  // for the table. Canonical residues make the result the same bits as
+  // square-and-multiply.
+  const int bits = exp.bit_length();
+  if (bits == 0) return one_;
+  const int w = bits > 256 ? 5 : bits > 64 ? 4 : bits > 16 ? 3 : bits > 4 ? 2 : 1;
+  FieldElem odd[16];  // odd[k] = base^(2k+1)
+  odd[0] = base;
+  if (w > 1) {
+    const FieldElem base2 = sqr(base);
+    for (int k = 1; k < (1 << (w - 1)); ++k) odd[k] = mul(odd[k - 1], base2);
+  }
+  FieldElem result;
+  bool first = true;  // the top bit is set, so the first step is a window
+  for (int i = bits - 1; i >= 0;) {
+    if (!exp.bit(i)) {
+      result = sqr(result);
+      --i;
+      continue;
+    }
+    int low = std::max(i - w + 1, 0);
+    while (!exp.bit(low)) ++low;
+    int digit = 0;
+    for (int b = i; b >= low; --b) digit = (digit << 1) | static_cast<int>(exp.bit(b));
+    if (first) {
+      result = odd[digit >> 1];
+      first = false;
+    } else {
+      for (int b = i; b >= low; --b) result = sqr(result);
+      result = mul(result, odd[digit >> 1]);
+    }
+    i = low - 1;
   }
   return result;
 }

@@ -38,6 +38,7 @@ AffinePoint CurveCtx::to_affine(const JacPoint& p) const {
 
 std::vector<AffinePoint> CurveCtx::to_affine_batch(const JacPoint* pts,
                                                   size_t n) const {
+  if (n == 0) return {};
   // prefix[i] = product of the nonzero z's of pts[0..i].
   std::vector<FieldElem> prefix(n);
   FieldElem acc = fq_.one();
@@ -106,13 +107,17 @@ AffinePoint CurveCtx::add(const AffinePoint& p, const AffinePoint& q) const {
 }
 
 AffinePoint CurveCtx::mul(const AffinePoint& p, const Bignum& k) const {
-  if (p.inf || k.is_zero()) return AffinePoint::infinity();
+  return to_affine(mul_jac(p, k));
+}
+
+JacPoint CurveCtx::mul_jac(const AffinePoint& p, const Bignum& k) const {
   JacPoint acc{fq_.one(), fq_.one(), fq_.zero()};
+  if (p.inf) return acc;
   for (int i = k.bit_length() - 1; i >= 0; --i) {
     acc = jac_dbl(acc);
     if (k.bit(i)) acc = jac_add_mixed(acc, p);
   }
-  return to_affine(acc);
+  return acc;
 }
 
 bool CurveCtx::lift_x(const FieldElem& x, FieldElem* y) const {

@@ -42,6 +42,9 @@ class CurveCtx {
   AffinePoint dbl(const AffinePoint& p) const;
   /// Scalar multiplication; k is a plain (non-Montgomery) integer.
   AffinePoint mul(const AffinePoint& p, const math::Bignum& k) const;
+  /// mul() before its affine conversion, for callers that convert a
+  /// batch with to_affine_batch.
+  JacPoint mul_jac(const AffinePoint& p, const math::Bignum& k) const;
 
   // Jacobian core (also used by the Miller loop).
   JacPoint to_jac(const AffinePoint& p) const;

@@ -51,17 +51,17 @@ G1FixedBase::G1FixedBase(const CurveCtx& curve, const AffinePoint& base, int exp
   }
 }
 
-AffinePoint G1FixedBase::pow(const Bignum& k) const {
+JacPoint G1FixedBase::pow_jac(const Bignum& k) const {
   if (k.bit_length() > digits_ * window_bits_)
     throw MathError("G1FixedBase: exponent exceeds table range");
   // Accumulate in Jacobian coordinates (mixed additions against the
-  // affine table entries); a single inversion at the end.
+  // affine table entries); the caller pays the one inversion.
   JacPoint acc = curve_.to_jac(AffinePoint::infinity());
   for (int d = 0; d < digits_; ++d) {
     const int digit = digit_at(k, d, window_bits_);
     if (digit != 0) acc = curve_.jac_add_mixed(acc, table_[d][digit]);
   }
-  return curve_.to_affine(acc);
+  return acc;
 }
 
 GtFixedBase::GtFixedBase(const Fp2Ctx& fq2, const Fp2& base, int exp_bits,

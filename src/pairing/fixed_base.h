@@ -27,8 +27,10 @@ class G1FixedBase {
   G1FixedBase(const CurveCtx& curve, const AffinePoint& base, int exp_bits,
               int window_bits = 4);
 
-  /// base^k (written multiplicatively) for 0 <= k < 2^exp_bits.
-  AffinePoint pow(const math::Bignum& k) const;
+  /// base^k (written multiplicatively) for 0 <= k < 2^exp_bits, left
+  /// in Jacobian coordinates: callers convert with CurveCtx::to_affine,
+  /// or a whole batch with one inversion via to_affine_batch.
+  JacPoint pow_jac(const math::Bignum& k) const;
 
  private:
   const CurveCtx& curve_;

@@ -215,8 +215,12 @@ Group::Group(const TypeAParams& params) : ctx_(params) {
 }
 
 G1 Group::g_pow(const Zr& k) const {
+  return G1(this, ctx_.curve().to_affine(g_pow_jac(k)));
+}
+
+JacPoint Group::g_pow_jac(const Zr& k) const {
   if (k.group() != this) throw MathError("g_pow: exponent from another group");
-  return G1(this, g_table_->pow(k.value()));
+  return g_table_->pow_jac(k.value());
 }
 
 GT Group::egg_pow(const Zr& k) const {
@@ -231,8 +235,26 @@ std::unique_ptr<G1FixedBase> Group::g1_precompute(const G1& base) const {
 }
 
 G1 Group::g1_pow_with(const G1FixedBase& table, const Zr& k) const {
+  return G1(this, ctx_.curve().to_affine(g1_pow_with_jac(table, k)));
+}
+
+JacPoint Group::g1_pow_with_jac(const G1FixedBase& table, const Zr& k) const {
   if (k.group() != this) throw MathError("g1_pow_with: exponent from another group");
-  return G1(this, table.pow(k.value()));
+  return table.pow_jac(k.value());
+}
+
+JacPoint Group::g1_mul_jac(const G1& base, const Zr& k) const {
+  require_same_group(this, base.g_, "G1::mul");
+  require_same_group(this, k.group(), "G1::mul");
+  return ctx_.curve().mul_jac(base.pt_, k.value());
+}
+
+std::vector<G1> Group::g1_normalize(const std::vector<JacPoint>& pts) const {
+  std::vector<G1> out;
+  out.reserve(pts.size());
+  for (AffinePoint& pt : ctx_.curve().to_affine_batch(pts.data(), pts.size()))
+    out.push_back(G1(this, std::move(pt)));
+  return out;
 }
 
 std::unique_ptr<GtFixedBase> Group::gt_precompute(const GT& base) const {
@@ -399,11 +421,7 @@ std::vector<G1> Group::g1_sums(const std::vector<std::vector<G1>>& sets) const {
     }
     jac.push_back(acc);
   }
-  std::vector<G1> out;
-  out.reserve(sets.size());
-  for (AffinePoint& pt : curve.to_affine_batch(jac.data(), jac.size()))
-    out.push_back(G1(this, std::move(pt)));
-  return out;
+  return g1_normalize(jac);
 }
 
 std::unique_ptr<PairingPrecomp> Group::pair_precompute(const G1& base) const {

@@ -271,6 +271,17 @@ class Group {
   // must not outlive it. `base` must not be the identity.
   std::unique_ptr<G1FixedBase> g1_precompute(const G1& base) const;
   G1 g1_pow_with(const G1FixedBase& table, const Zr& k) const;
+
+  // Batched G1 results (engine layer): g_pow, g1_pow_with and G1::mul
+  // stopped before their affine conversion, so a batch of results pays
+  // ONE field inversion in g1_normalize instead of one per result.
+  // Affine coordinates are canonical: g1_normalize({x_jac(...)}) has
+  // the same bits as x(...).
+  JacPoint g_pow_jac(const Zr& k) const;
+  JacPoint g1_pow_with_jac(const G1FixedBase& table, const Zr& k) const;
+  JacPoint g1_mul_jac(const G1& base, const Zr& k) const;
+  /// Every point to affine with one inversion (Montgomery's trick).
+  std::vector<G1> g1_normalize(const std::vector<JacPoint>& pts) const;
   std::unique_ptr<GtFixedBase> gt_precompute(const GT& base) const;
   GT gt_pow_with(const GtFixedBase& table, const Zr& k) const;
 

@@ -9,6 +9,7 @@
 // Registered under the `observability` ctest label.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -366,6 +367,74 @@ TEST_F(ClusterObservability, DedupedRedeliveryIsALeafEventNotASubtree) {
   const auto parent = by_id.find(dup->parent_id);
   ASSERT_NE(parent, by_id.end());
   EXPECT_EQ(parent->second->name, "transport.recv");
+}
+
+/// Self time of every span: its duration minus the union of its
+/// children's intervals, clipped to it (the bench/e2e ledger's rule).
+std::map<uint64_t, uint64_t> self_times(const std::vector<SpanRecord>& records) {
+  std::map<uint64_t, std::vector<const SpanRecord*>> children;
+  for (const SpanRecord& rec : records) children[rec.parent_id].push_back(&rec);
+  std::map<uint64_t, uint64_t> out;
+  for (const SpanRecord& rec : records) {
+    std::vector<std::pair<uint64_t, uint64_t>> cover;
+    for (const SpanRecord* kid : children[rec.span_id]) {
+      const uint64_t a = std::max(kid->start_ns, rec.start_ns);
+      const uint64_t b = std::min(kid->end_ns, rec.end_ns);
+      if (a < b) cover.emplace_back(a, b);
+    }
+    std::sort(cover.begin(), cover.end());
+    uint64_t covered = 0, reach = 0;
+    for (const auto& [a, b] : cover) {
+      const uint64_t from = std::max(a, reach);
+      if (b > from) covered += b - from;
+      reach = std::max(reach, b);
+    }
+    const uint64_t duration = rec.end_ns - rec.start_ns;
+    out[rec.span_id] = duration - std::min(covered, duration);
+  }
+  return out;
+}
+
+TEST_F(ClusterObservability, ReceiveNestsInsideItsFrameSoSelfTimesAddUp) {
+  auto grp = Group::test_small();
+  sys_ = make_system(grp, 3, 2);
+  enroll(*sys_);
+  sys_->upload("hosp", "f1", {{"a", bytes_of("alpha"), "Doctor@Med"}});
+
+  std::vector<SpanRecord> records;
+  {
+    SpanCollector sink;
+    const auto opened = sys_->download("alice", "f1");
+    EXPECT_EQ(opened.at("a"), bytes_of("alpha"));
+    records = sink.records();
+  }
+  std::map<uint64_t, const SpanRecord*> by_id;
+  const SpanRecord* root = single_root(records, &by_id);
+  ASSERT_NE(root, nullptr);
+  EXPECT_EQ(root->name, "system.download");
+
+  // Every delivered frame's receiving side continues the trace INSIDE
+  // that transmission attempt: recv's parent is the frame, never the
+  // sender's span next to it.
+  size_t recvs = 0, delivered = 0;
+  for (const SpanRecord& rec : records) {
+    if (rec.name == "transport.frame" && attr_of(rec, "outcome") == "delivered") ++delivered;
+    if (rec.name != "transport.recv") continue;
+    ++recvs;
+    const auto parent = by_id.find(rec.parent_id);
+    ASSERT_NE(parent, by_id.end()) << "recv with a dangling parent";
+    EXPECT_EQ(parent->second->name, "transport.frame");
+    EXPECT_EQ(attr_of(*parent->second, "outcome"), "delivered");
+  }
+  EXPECT_GT(recvs, 0u);
+  EXPECT_EQ(recvs, delivered);
+
+  // Nested spans partition the root's interval, so their self times
+  // sum to at most its duration; overlapping siblings would count the
+  // shared interval twice.
+  uint64_t total = 0;
+  for (const auto& [id, ns] : self_times(records)) total += ns;
+  EXPECT_LE(total, root->end_ns - root->start_ns);
 }
 
 TEST_F(ClusterObservability, StatusJsonAggregatesClusterHealthAndSlo) {

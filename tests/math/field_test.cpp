@@ -1,6 +1,8 @@
 // Differential tests: the fixed-width Montgomery kernels (one template
 // instance per limb count N = 1..8) against the variable-length Bignum
-// reference, on generated odd moduli and on the paper curve's q.
+// reference, on generated odd moduli and on the paper curve's q; the
+// BMI2/ADX kernel against the portable N = 8 kernels; and the windowed
+// MontField::pow against square-and-multiply.
 #include "math/field.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include <vector>
 
 #include "common/errors.h"
+#include "math/field_kernels.h"
 
 namespace maabe::math {
 namespace {
@@ -154,6 +157,127 @@ TEST(MontField, IsReduced) {
   EXPECT_TRUE(f.is_reduced(Bignum::sub(q, Bignum::from_u64(1))));
   EXPECT_FALSE(f.is_reduced(q));
   EXPECT_FALSE(f.is_reduced(Bignum::add(q, Bignum::from_u64(1))));
+}
+
+// ------------------------------------------- ADX vs portable (N = 8) --
+
+/// Compares the ADX multiply (and the ADX path's square, which is the
+/// multiply with a == b) against the portable CIOS multiply and SOS
+/// square on one 8-limb modulus.
+void check_adx_pair(const FieldElem& p, uint64_t n0, const FieldElem& a, const FieldElem& b) {
+  const FieldElem want = detail::mont_mul8_portable(a, b, p, n0);
+  ASSERT_EQ(detail::mont_mul8_adx(a, b, p, n0), want)
+      << Bignum(a).to_hex() << " * " << Bignum(b).to_hex() << " mod " << Bignum(p).to_hex();
+  const FieldElem want_sq = detail::mont_sqr8_portable(a, p, n0);
+  ASSERT_EQ(detail::mont_mul8_portable(a, a, p, n0), want_sq) << Bignum(a).to_hex();
+  ASSERT_EQ(detail::mont_mul8_adx(a, a, p, n0), want_sq) << Bignum(a).to_hex();
+}
+
+/// Uniform element below p: random limbs, rejected until reduced.
+FieldElem random_reduced(std::mt19937_64& rng, const MontField& f) {
+  for (;;) {
+    FieldElem e;
+    for (uint64_t& v : e.l) v = rng();
+    if (f.is_reduced(e)) return e;
+  }
+}
+
+/// Operands at the edges of the kernel's carry handling: 0, 1, p-1,
+/// p-2, R mod p, values whose top limb equals p's, and values next to p
+/// with every lower limb saturated — products of the last kind push
+/// t + a_i*b + m*p toward 2^577, so the 10th carry word is live.
+std::vector<FieldElem> edge_operands(const MontField& f, std::mt19937_64& rng) {
+  const Bignum& m = f.modulus();
+  const FieldElem p = m;
+  std::vector<FieldElem> out = {FieldElem(), FieldElem::from_u64(1),
+                                Bignum::sub(m, Bignum::from_u64(1)),
+                                Bignum::sub(m, Bignum::from_u64(2)), f.one()};
+  // p - d for d < 2^63: the top limb stays p's.
+  for (int k = 0; k < 4; ++k) out.push_back(Bignum::sub(m, Bignum::from_u64((rng() >> 1) + 1)));
+  FieldElem high;
+  high.l.fill(~uint64_t(0));
+  high.l[7] = p.l[7] - 1;  // top limb of an 8-limb p is nonzero
+  out.push_back(high);
+  FieldElem below = p;
+  below.l[0] -= 1;  // p odd, so p-1 keeps every other limb of p
+  for (int i = 1; i < 7; ++i) below.l[i] = p.l[i] == 0 ? 0 : p.l[i] - 1;
+  out.push_back(below);
+  for (const FieldElem& e : out) EXPECT_TRUE(f.is_reduced(e)) << Bignum(e).to_hex();
+  return out;
+}
+
+void check_adx_modulus(const Bignum& m, std::mt19937_64& rng, int random_pairs) {
+  SCOPED_TRACE("modulus " + m.to_hex());
+  ASSERT_EQ(m.limb_count(), 8);
+  const MontField f(m);
+  const FieldElem p = m;
+  const uint64_t n0 = detail::mont_n0(p.l[0]);
+  const std::vector<FieldElem> edges = edge_operands(f, rng);
+  for (const FieldElem& a : edges)
+    for (const FieldElem& b : edges) ASSERT_NO_FATAL_FAILURE(check_adx_pair(p, n0, a, b));
+  for (int i = 0; i < random_pairs; ++i)
+    ASSERT_NO_FATAL_FAILURE(check_adx_pair(p, n0, random_reduced(rng, f), random_reduced(rng, f)));
+}
+
+TEST(MontFieldKernels, AdxMatchesPortableOnPaperPrime) {
+  if (!detail::adx_kernel_available()) GTEST_SKIP() << "CPU lacks bmi2/adx";
+  std::mt19937_64 rng(0xAD8);
+  check_adx_modulus(Bignum::from_hex(kQ512), rng, 100000);
+}
+
+TEST(MontFieldKernels, AdxMatchesPortableOnGeneratedModuli) {
+  if (!detail::adx_kernel_available()) GTEST_SKIP() << "CPU lacks bmi2/adx";
+  std::mt19937_64 rng(0xAD9);
+  for (int k = 0; k < 8; ++k) check_adx_modulus(odd_modulus(rng, 8, /*top_bit=*/true), rng, 5000);
+  for (int k = 0; k < 4; ++k) check_adx_modulus(odd_modulus(rng, 8, /*top_bit=*/false), rng, 5000);
+  // The widest 8-limb modulus: every limb saturated.
+  std::vector<uint64_t> ones(8, ~uint64_t(0));
+  check_adx_modulus(Bignum::from_limbs_le(ones.data(), 8), rng, 5000);
+}
+
+TEST(MontFieldKernels, N0IsMinusInverseOfLowLimb) {
+  std::mt19937_64 rng(17);
+  for (int i = 0; i < 100; ++i) {
+    const uint64_t p0 = rng() | 1;
+    EXPECT_EQ(p0 * detail::mont_n0(p0), ~uint64_t(0)) << p0;  // p0 * n0 == -1
+  }
+}
+
+// ------------------------------------------------------ windowed pow --
+
+/// Square-and-multiply, one bit at a time: the reference pow.
+FieldElem pow_bitwise(const MontField& f, const FieldElem& base, const Bignum& exp) {
+  FieldElem result = f.one();
+  for (int i = exp.bit_length() - 1; i >= 0; --i) {
+    result = f.sqr(result);
+    if (exp.bit(i)) result = f.mul(result, base);
+  }
+  return result;
+}
+
+TEST(MontField, WindowedPowMatchesBitAtATime) {
+  std::mt19937_64 rng(1951);
+  const Bignum q = Bignum::from_hex(kQ512);
+  const Bignum one = Bignum::from_u64(1);
+  std::vector<Bignum> exps = {Bignum(), one, Bignum::shr(Bignum::add(q, one), 2),
+                              Bignum::shr(Bignum::sub(q, one), 1)};
+  for (int k = 1; k <= 70; ++k) {
+    exps.push_back(Bignum::shl(one, k));                  // 2^k
+    exps.push_back(Bignum::sub(Bignum::shl(one, k), one));  // 2^k - 1
+    // A random exponent of exactly k bits.
+    exps.push_back(Bignum::add(Bignum::shl(one, k - 1),
+                               Bignum::mod(random_below_bits(rng, 2), Bignum::shl(one, k - 1))));
+  }
+  std::mt19937_64 mrng(29);
+  for (const Bignum& m : {q, odd_modulus(mrng, 3, true), Bignum::from_u64(23)}) {
+    SCOPED_TRACE("modulus " + m.to_hex());
+    const MontField f(m);
+    const std::vector<FieldElem> bases = {FieldElem(), f.one(), f.to_mont(random_below(rng, m)),
+                                          f.to_mont(random_below(rng, m))};
+    for (const FieldElem& b : bases)
+      for (const Bignum& e : exps)
+        ASSERT_EQ(f.pow(b, e), pow_bitwise(f, b, e)) << "exp " << e.to_hex();
+  }
 }
 
 }  // namespace
