@@ -30,6 +30,12 @@
 #       /proc/cpuinfo lists adx and bmi2 (elsewhere it reads ~1).
 #       All four are same-process ratios: host speed cancels, guarded by an
 #       absolute floor.
+#       Also emitted, not guarded: the `substrate` object, the paper
+#       curve's per-call ladder (fq_*, zr_inv_us, lsss_reconstruct_wide_us
+#       for the AND of 10 over n_A = 2, lsss_reconstruct_fig3_us for
+#       n_A = 10, l = 50, g1_decode_us, the pairing and exponentiation
+#       rungs) whatever MAABE_BENCH_SMALL says; host-speed dependent, so
+#       it is read by bench/fig_tables.py, not floored here.
 #   revocation     -> BENCH_revocation.json epoch_transport,
 #                     cluster_epoch_efficiency
 #       epoch_transport is a wall time, guarded as a relative

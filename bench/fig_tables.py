@@ -20,9 +20,10 @@ hosts, each written by `build/bench/pairing_micro
 
 Each row is one rung of the JSON's `substrate` object (paper curve,
 best-of per-call times on the F_q kernel that build dispatched to), with
-the base/new ratio. A side given as several comma-separated runs keeps
-each rung's minimum over them, so a burst of host load in one process
-does not set a cell; run the two builds alternately.
+the base/new ratio; a rung one side's build did not emit reads "—". A
+side given as several comma-separated runs keeps each rung's minimum
+over them, so a burst of host load in one process does not set a cell;
+run the two builds alternately.
 """
 import json
 import sys
@@ -56,6 +57,9 @@ SUBSTRATE_ROWS = [
     ("fq_sqr_ns", "F_q square", "ns"),
     ("fq_inv_us", "F_q inverse (binary ext-gcd)", "us"),
     ("g1_decode_us", "G1 decode (square root by (q+1)/4)", "us"),
+    ("zr_inv_us", "Z_r inverse (160-bit r, 3 limbs)", "us"),
+    ("lsss_reconstruct_wide_us", "LSSS solve, AND of 10 (n_A=2)", "us"),
+    ("lsss_reconstruct_fig3_us", "LSSS solve, Fig. 3 right end (n_A=10, l=50)", "us"),
     ("miller_us", "Miller loop", "us"),
     ("miller_precomp_us", "Miller loop, precomputed line table", "us"),
     ("final_exp_us", "final exponentiation", "us"),
@@ -85,7 +89,10 @@ def load_substrate(paths):
         sys.exit(f"{paths}: runs from different kernels {sorted(kernels)}")
     merged = dict(runs[0])
     for key, _, _ in SUBSTRATE_ROWS:
-        merged[key] = min(r[key] for r in runs)
+        if all(key in r for r in runs):
+            merged[key] = min(r[key] for r in runs)
+        else:
+            merged.pop(key, None)  # a build from before the rung existed
     return merged, len(runs)
 
 
@@ -97,8 +104,10 @@ def substrate(base_paths, new_paths):
           "| speedup |")
     print("|---|---|---|---|")
     for key, label, unit in SUBSTRATE_ROWS:
-        b, n = base[key], new[key]
-        print(f"| {label} | {fmt_time(b, unit)} | {fmt_time(n, unit)} | {b / n:.2f}× |")
+        b, n = base.get(key), new.get(key)
+        cells = ["—" if v is None else fmt_time(v, unit) for v in (b, n)]
+        ratio = "—" if b is None or n is None else f"{b / n:.2f}×"
+        print(f"| {label} | {cells[0]} | {cells[1]} | {ratio} |")
     print()
 
 

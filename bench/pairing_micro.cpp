@@ -399,6 +399,16 @@ void engine_batch_report() {
   };
   const double g1_decode_us =
       best_us(10, [&] { benchmark::DoNotOptimize(paper_grp->g1_from_bytes(enc)); });
+  // Decrypt's LSSS solver on Z_r (3 limbs): the full attribute set of the
+  // read-wide policy (AND of 10, n_A = 2) and of Fig. 3's right end
+  // (n_A = 10, l = 50).
+  const auto reconstruct_us = [&](int n_auth, int calls) {
+    const lsss::LsssMatrix m = full_and_policy(n_auth, 5);
+    const std::set<lsss::Attribute> have(m.row_attributes().begin(), m.row_attributes().end());
+    return best_us(calls, [&] { benchmark::DoNotOptimize(m.reconstruction(*paper_grp, have)); });
+  };
+  const double lsss_wide_us = reconstruct_us(2, 20);
+  const double lsss_fig3_us = reconstruct_us(10, 3);
   uint64_t hash_i = 0;
   Json substrate;
   substrate.put("group", "pbc_a512(512-bit q)")
@@ -407,6 +417,9 @@ void engine_batch_report() {
       .put("fq_sqr_ns", 1e3 * best_us(2000, [&] { fe = pfq.sqr(fe); }))
       .put("fq_inv_us", best_us(20, [&] { fe = pfq.inv(fe); }))
       .put("g1_decode_us", g1_decode_us)
+      .put("zr_inv_us", best_us(20, [&] { benchmark::DoNotOptimize(zk.inverse()); }))
+      .put("lsss_reconstruct_wide_us", lsss_wide_us)
+      .put("lsss_reconstruct_fig3_us", lsss_fig3_us)
       .put("pairing_us", best_us(6, [&] { benchmark::DoNotOptimize(paper_grp->pair(g1a, g1b)); }))
       .put("miller_us", best_us(6, [&] { benchmark::DoNotOptimize(paper_grp->miller(g1a, g1b)); }))
       .put("miller_precomp_us",
@@ -431,6 +444,8 @@ void engine_batch_report() {
   std::printf("  dispatched (%s)  : %8.1f ns   speedup %.2fx\n", adx ? "adx     " : "portable",
               dispatched8_ns, adx_kernel_speedup);
   std::printf("  G1 decode           : %8.1f us\n", g1_decode_us);
+  std::printf("  LSSS solve, AND-10  : %8.1f us   (n_A=10, l=50: %.1f us)\n", lsss_wide_us,
+              lsss_fig3_us);
 
   std::printf("\n%zu-pairing product batch (%d reps):\n", kTerms, kReps);
   std::printf("  pair-then-multiply  : %8.3f ms   (%zu final exps)\n", fold_ms, kTerms);

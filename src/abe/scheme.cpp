@@ -159,9 +159,10 @@ EncryptionResult encrypt(const Group& grp, const OwnerMasterKey& mk,
 
 namespace {
 
-// Shared precondition checks for decrypt / can_decrypt. Returns the
-// reconstruction coefficients, or nullopt with `error` filled in.
-std::optional<std::vector<lsss::ReconCoeff>> decryption_plan(
+// Shared precondition checks for decrypt / can_decrypt /
+// decryption_plan. Returns the reconstruction coefficients, or nullopt
+// with `error` filled in.
+std::optional<std::vector<lsss::ReconCoeff>> reconstruction_for(
     const Group& grp, const Ciphertext& ct,
     const std::map<std::string, UserSecretKey>& secret_keys, std::string* error) {
   std::set<Attribute> have;
@@ -198,20 +199,9 @@ std::optional<std::vector<lsss::ReconCoeff>> decryption_plan(
   return coeffs;
 }
 
-}  // namespace
-
-bool can_decrypt(const Group& grp, const Ciphertext& ct,
-                 const std::map<std::string, UserSecretKey>& secret_keys) {
-  std::string error;
-  return decryption_plan(grp, ct, secret_keys, &error).has_value();
-}
-
-GT decrypt(const Group& grp, const Ciphertext& ct, const UserPublicKey& user,
-           const std::map<std::string, UserSecretKey>& secret_keys) {
-  std::string error;
-  const auto coeffs = decryption_plan(grp, ct, secret_keys, &error);
-  if (!coeffs) throw SchemeError(error);
-
+GT decrypt_with(const Group& grp, const Ciphertext& ct, const UserPublicKey& user,
+                const std::map<std::string, UserSecretKey>& secret_keys,
+                const std::vector<lsss::ReconCoeff>& coeffs) {
   const std::set<std::string> involved = ct.involved_authorities();
   const Zr n_a = grp.zr_from_u64(involved.size());
   CryptoEngine& eng = CryptoEngine::for_group(grp);
@@ -228,9 +218,9 @@ GT decrypt(const Group& grp, const Ciphertext& ct, const UserPublicKey& user,
   // exponentiation.
   std::vector<CryptoEngine::PairTerm> terms;
   std::vector<Zr> exps;
-  terms.reserve(2 * coeffs->size() + involved.size());
-  exps.reserve(2 * coeffs->size() + involved.size());
-  for (const auto& [row, w] : *coeffs) {
+  terms.reserve(2 * coeffs.size() + involved.size());
+  exps.reserve(2 * coeffs.size() + involved.size());
+  for (const auto& [row, w] : coeffs) {
     const Attribute& attr = ct.policy.row_attribute(row);
     const UserSecretKey& sk = secret_keys.at(attr.aid);
     const auto kx = sk.kx.find(attr.qualified());
@@ -249,6 +239,35 @@ GT decrypt(const Group& grp, const Ciphertext& ct, const UserPublicKey& user,
   }
   // C * denominator / numerator = m.
   return ct.c * eng.pairing_power_product(terms, exps);
+}
+
+}  // namespace
+
+bool can_decrypt(const Group& grp, const Ciphertext& ct,
+                 const std::map<std::string, UserSecretKey>& secret_keys) {
+  std::string error;
+  return reconstruction_for(grp, ct, secret_keys, &error).has_value();
+}
+
+std::optional<DecryptionPlan> decryption_plan(const Group& grp, const Ciphertext& ct,
+                                              std::map<std::string, UserSecretKey> secret_keys) {
+  std::string error;
+  auto coeffs = reconstruction_for(grp, ct, secret_keys, &error);
+  if (!coeffs) return std::nullopt;
+  return DecryptionPlan{std::move(*coeffs), std::move(secret_keys)};
+}
+
+GT decrypt(const Group& grp, const Ciphertext& ct, const UserPublicKey& user,
+           const std::map<std::string, UserSecretKey>& secret_keys) {
+  std::string error;
+  const auto coeffs = reconstruction_for(grp, ct, secret_keys, &error);
+  if (!coeffs) throw SchemeError(error);
+  return decrypt_with(grp, ct, user, secret_keys, *coeffs);
+}
+
+GT decrypt(const Group& grp, const Ciphertext& ct, const UserPublicKey& user,
+           const DecryptionPlan& plan) {
+  return decrypt_with(grp, ct, user, plan.secret_keys, plan.coeffs);
 }
 
 ReKeyResult aa_rekey(const Group& grp, const AuthorityVersionKey& vk,

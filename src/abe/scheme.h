@@ -94,6 +94,24 @@ pairing::GT decrypt(const pairing::Group& grp, const Ciphertext& ct,
 bool can_decrypt(const pairing::Group& grp, const Ciphertext& ct,
                  const std::map<std::string, UserSecretKey>& secret_keys);
 
+/// Everything Decrypt needs besides the ciphertext and PK_UID: the LSSS
+/// reconstruction coefficients w_i and the keys they were checked
+/// against. A reader that first asks "can I open this?" and then opens
+/// builds the plan once and hands it to decrypt.
+struct DecryptionPlan {
+  std::vector<lsss::ReconCoeff> coeffs;
+  std::map<std::string, UserSecretKey> secret_keys;  ///< keyed by AID
+};
+
+/// The plan for `ct`, or nullopt when the keys cannot decrypt it (the
+/// checks decrypt would throw a SchemeError for).
+std::optional<DecryptionPlan> decryption_plan(const pairing::Group& grp, const Ciphertext& ct,
+                                              std::map<std::string, UserSecretKey> secret_keys);
+
+/// Decrypt with a plan that decryption_plan built for this `ct`.
+pairing::GT decrypt(const pairing::Group& grp, const Ciphertext& ct,
+                    const UserPublicKey& user, const DecryptionPlan& plan);
+
 // ------------------------------------------------------------ ReKey --
 
 struct ReKeyResult {

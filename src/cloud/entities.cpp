@@ -283,21 +283,22 @@ std::map<std::string, UserSecretKey> Consumer::keys_for_owner(
   return out;
 }
 
-bool Consumer::can_open(const SealedSlot& slot) const {
-  return abe::can_decrypt(*grp_, slot.key_ct, keys_for_owner(slot.key_ct.owner_id));
+std::optional<abe::DecryptionPlan> Consumer::decryption_plan(const SealedSlot& slot) const {
+  return abe::decryption_plan(*grp_, slot.key_ct, keys_for_owner(slot.key_ct.owner_id));
 }
 
 std::map<std::string, Bytes> Consumer::open_file(const StoredFile& file) const {
   std::map<std::string, Bytes> out;
-  const std::map<std::string, UserSecretKey> keys = keys_for_owner(file.owner_id);
   for (const SealedSlot& slot : file.slots) {
-    if (!abe::can_decrypt(*grp_, slot.key_ct, keys)) continue;
-    out.emplace(slot.component_name, open_slot(file, slot));
+    const auto plan = decryption_plan(slot);
+    if (!plan) continue;
+    out.emplace(slot.component_name, open_slot(file, slot, *plan));
   }
   return out;
 }
 
-Bytes Consumer::open_slot(const StoredFile& file, const SealedSlot& slot) const {
+Bytes Consumer::open_slot(const StoredFile& file, const SealedSlot& slot,
+                          const abe::DecryptionPlan& plan) const {
   const Bytes cache_key = decrypt_cache_key(file, slot);
   if (!cache_key.empty()) {
     std::lock_guard<std::mutex> lock(cache_->mu);
@@ -309,8 +310,7 @@ Bytes Consumer::open_slot(const StoredFile& file, const SealedSlot& slot) const 
     }
     cache_->misses->inc();
   }
-  const std::map<std::string, UserSecretKey> keys = keys_for_owner(file.owner_id);
-  const GT seed = abe::decrypt(*grp_, slot.key_ct, pk_, keys);
+  const GT seed = abe::decrypt(*grp_, slot.key_ct, pk_, plan);
   const Bytes key = content_key_from_gt(seed);
   Bytes plaintext = crypto::open(key, slot.sealed_data,
                                  slot_aad(file.file_id, slot.component_name));

@@ -190,13 +190,19 @@ class Consumer {
   /// different-granularity property).
   std::map<std::string, Bytes> open_file(const StoredFile& file) const;
 
-  /// Decrypts one slot the consumer's keys satisfy. Throws SchemeError
-  /// when the keys do not satisfy the slot's policy/version, and
+  /// The decryption plan for one slot (reconstruction coefficients and
+  /// this consumer's keys for the slot's owner); nullopt when the keys
+  /// cannot open it.
+  std::optional<abe::DecryptionPlan> decryption_plan(const SealedSlot& slot) const;
+
+  /// Opens one slot with the plan decryption_plan(slot) returned: a
+  /// decrypt-cache lookup, then the decrypt on a miss. Throws
   /// CryptoError when the sealed payload fails authentication.
-  Bytes open_slot(const StoredFile& file, const SealedSlot& slot) const;
+  Bytes open_slot(const StoredFile& file, const SealedSlot& slot,
+                  const abe::DecryptionPlan& plan) const;
 
   /// True when the consumer's keys can open the given slot.
-  bool can_open(const SealedSlot& slot) const;
+  bool can_open(const SealedSlot& slot) const { return decryption_plan(slot).has_value(); }
 
   /// Total serialized size of held secret keys (Table III row "User").
   size_t key_storage_bytes() const;

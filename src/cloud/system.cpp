@@ -438,13 +438,14 @@ CloudSystem::DownloadReport CloudSystem::download_report(const std::string& uid,
     for (const SealedSlot& slot : file.slots) {
       SlotReport sr;
       sr.component = slot.component_name;
-      if (!consumer.can_open(slot)) {
+      const auto plan = consumer.decryption_plan(slot);
+      if (!plan) {
         sr.state = SlotState::kNoKey;
         sr.detail = "no usable key (authority unreachable, attributes "
                     "insufficient, or key version stale)";
       } else {
         try {
-          sr.plaintext = consumer.open_slot(file, slot);
+          sr.plaintext = consumer.open_slot(file, slot, *plan);
           sr.state = SlotState::kOk;
         } catch (const CryptoError& e) {
           sr.state = SlotState::kCorrupt;

@@ -6,7 +6,8 @@
 
 namespace maabe::lsss {
 
-using math::Bignum;
+using math::FieldElem;
+using math::MontField;
 using pairing::Group;
 using pairing::Zr;
 
@@ -76,9 +77,26 @@ struct Converter {
   }
 };
 
+// |e| without signed overflow: a wire-decoded entry can be INT64_MIN,
+// whose negation does not fit an int64.
+uint64_t magnitude(int64_t e) {
+  return e >= 0 ? static_cast<uint64_t>(e) : 0 - static_cast<uint64_t>(e);
+}
+
 Zr entry_to_zr(const Group& grp, int64_t e) {
-  if (e >= 0) return grp.zr_from_u64(static_cast<uint64_t>(e));
-  return grp.zr_from_u64(static_cast<uint64_t>(-e)).neg();
+  const Zr m = grp.zr_from_u64(magnitude(e));
+  return e >= 0 ? m : m.neg();
+}
+
+// e mod r in Montgomery form. Compiled matrices are almost all 0 and +-1.
+FieldElem entry_to_mont(const MontField& f, int64_t e) {
+  if (e == 0) return FieldElem();
+  if (e == 1) return f.one();
+  if (e == -1) return f.neg(f.one());
+  uint64_t v = magnitude(e);
+  if (f.limbs() == 1) v %= f.modulus().limb(0);  // to_mont wants v < r
+  const FieldElem m = f.to_mont(FieldElem::from_u64(v));
+  return e >= 0 ? m : f.neg(m);
 }
 
 }  // namespace
@@ -182,26 +200,23 @@ std::optional<std::vector<ReconCoeff>> LsssMatrix::reconstruction(
   if (selected.empty()) return std::nullopt;
 
   // Solve  M_S^T w = e_1  over Z_r: an n x k system (n = width_,
-  // k = |selected|) with augmented column e_1.
+  // k = |selected|) with augmented column e_1, on fixed-width residues
+  // in Montgomery form. Zero tests and pivot choice do not depend on
+  // the representation, so the coefficients are the canonical solution
+  // whatever arithmetic computes them.
   const int n = width_;
   const int k = static_cast<int>(selected.size());
-  const Bignum& order = grp.order();
+  const int stride = k + 1;
+  const MontField& f = grp.zr_field();
+  const FieldElem minus_one = f.neg(f.one());
 
-  // a[row][col]; col k is the augmented target.
-  std::vector<std::vector<Bignum>> a(n, std::vector<Bignum>(k + 1));
+  // a[row * stride + col]; col k is the augmented target.
+  std::vector<FieldElem> a(static_cast<size_t>(n) * stride);
+  const auto at = [&](int r, int c) -> FieldElem& { return a[r * stride + c]; };
   for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < k; ++j) {
-      const int64_t e = matrix_[selected[j]][i];
-      a[i][j] = e >= 0
-                    ? Bignum::mod(Bignum::from_u64(static_cast<uint64_t>(e)), order)
-                    : Bignum::mod_sub(Bignum(),
-                                      Bignum::mod(Bignum::from_u64(
-                                                      static_cast<uint64_t>(-e)),
-                                                  order),
-                                      order);
-    }
+    for (int j = 0; j < k; ++j) at(i, j) = entry_to_mont(f, matrix_[selected[j]][i]);
   }
-  a[0][k] = Bignum::from_u64(1);
+  at(0, k) = f.one();
 
   // Gaussian elimination (any nonzero pivot works in a field).
   std::vector<int> pivot_col_of_row(n, -1);
@@ -209,20 +224,26 @@ std::optional<std::vector<ReconCoeff>> LsssMatrix::reconstruction(
   for (int col = 0; col < k && rank < n; ++col) {
     int piv = -1;
     for (int r = rank; r < n; ++r) {
-      if (!a[r][col].is_zero()) {
+      if (!at(r, col).is_zero()) {
         piv = r;
         break;
       }
     }
     if (piv < 0) continue;
-    std::swap(a[rank], a[piv]);
-    const Bignum inv = Bignum::mod_inverse(a[rank][col], order);
-    for (int j = col; j <= k; ++j) a[rank][j] = Bignum::mod_mul(a[rank][j], inv, order);
+    if (piv != rank) std::swap_ranges(&at(rank, 0), &at(rank, 0) + stride, &at(piv, 0));
+    // Compiled matrices mostly pivot on +-1, which need no inversion.
+    const FieldElem pivot = at(rank, col);
+    if (pivot == minus_one) {
+      for (int j = col; j <= k; ++j) at(rank, j) = f.neg(at(rank, j));
+    } else if (pivot != f.one()) {
+      const FieldElem inv = f.inv(pivot);
+      for (int j = col; j <= k; ++j) at(rank, j) = f.mul(at(rank, j), inv);
+    }
     for (int r = 0; r < n; ++r) {
-      if (r == rank || a[r][col].is_zero()) continue;
-      const Bignum f = a[r][col];
+      if (r == rank || at(r, col).is_zero()) continue;
+      const FieldElem factor = at(r, col);
       for (int j = col; j <= k; ++j) {
-        a[r][j] = Bignum::mod_sub(a[r][j], Bignum::mod_mul(f, a[rank][j], order), order);
+        if (!at(rank, j).is_zero()) at(r, j) = f.sub(at(r, j), f.mul(factor, at(rank, j)));
       }
     }
     pivot_col_of_row[rank] = col;
@@ -231,17 +252,17 @@ std::optional<std::vector<ReconCoeff>> LsssMatrix::reconstruction(
 
   // Consistency: rows beyond the rank must have zero RHS.
   for (int r = rank; r < n; ++r) {
-    if (!a[r][k].is_zero()) return std::nullopt;
+    if (!at(r, k).is_zero()) return std::nullopt;
   }
 
   // Back-substitute (already reduced): w[pivot_col] = rhs, free vars 0.
-  std::vector<Bignum> w(k);
-  for (int r = 0; r < rank; ++r) w[pivot_col_of_row[r]] = a[r][k];
+  std::vector<FieldElem> w(k);
+  for (int r = 0; r < rank; ++r) w[pivot_col_of_row[r]] = at(r, k);
 
   std::vector<ReconCoeff> out;
   for (int j = 0; j < k; ++j) {
     if (w[j].is_zero()) continue;
-    out.push_back({selected[j], grp.zr_from_bignum(w[j])});
+    out.push_back({selected[j], grp.zr_from_bignum(f.from_mont(w[j]))});
   }
   if (out.empty()) {
     // Unreachable for a consistent nonzero target; defensive.

@@ -25,7 +25,8 @@
 // Shares of a secret s are lambda_i = M_i . v for v = (s, y_2..y_n);
 // an attribute set S is authorized iff (1,0,...,0) lies in the span of
 // the rows labeled by S, and the reconstruction coefficients w_i with
-// sum w_i lambda_i = s come from Gaussian elimination over Z_r.
+// sum w_i lambda_i = s come from Gaussian elimination over Z_r, run on
+// the group's fixed-width Montgomery field (Group::zr_field()).
 #pragma once
 
 #include <cstdint>

@@ -54,7 +54,10 @@ Zr Zr::sub(const Zr& o) const {
 
 Zr Zr::mul(const Zr& o) const {
   require_same_group(g_, o.g_, "Zr::mul");
-  return Zr(g_, Bignum::mod_mul(v_, o.v_, g_->order()));
+  // Montgomery product of aR and b is ab: one product enters the
+  // Montgomery domain, the second multiplies and leaves it.
+  const math::MontField& f = g_->zr_field();
+  return Zr(g_, f.mul(f.to_mont(v_), o.v_));
 }
 
 Zr Zr::neg() const {
@@ -64,7 +67,8 @@ Zr Zr::neg() const {
 
 Zr Zr::inverse() const {
   if (g_ == nullptr) throw MathError("Zr::inverse: uninitialized element");
-  return Zr(g_, Bignum::mod_inverse(v_, g_->order()));
+  const math::MontField& f = g_->zr_field();
+  return Zr(g_, f.from_mont(f.inv(f.to_mont(v_))));
 }
 
 Bytes Zr::to_bytes() const {
@@ -198,7 +202,7 @@ Bytes GT::to_bytes() const {
 
 // ------------------------------------------------------------- Group --
 
-Group::Group(const TypeAParams& params) : ctx_(params) {
+Group::Group(const TypeAParams& params) : ctx_(params), zr_field_(params.r) {
   static std::atomic<uint64_t> next_instance_id{1};
   instance_id_ = next_instance_id.fetch_add(1, std::memory_order_relaxed);
   params.validate();

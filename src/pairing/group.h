@@ -35,7 +35,9 @@ namespace maabe::pairing {
 class Group;
 
 /// Exponent in Z_r (plain representation; arithmetic mod the group
-/// order r).
+/// order r). Storage and wire form are a plain Bignum residue; mul and
+/// inverse run on the group's fixed-width Montgomery field over r
+/// (Group::zr_field()), so Z_r has one arithmetic.
 class Zr {
  public:
   Zr() = default;
@@ -184,6 +186,10 @@ class Group {
   const TypeAParams& params() const { return ctx_.params(); }
   const math::Bignum& order() const { return ctx_.params().r; }
   const PairingCtx& ctx() const { return ctx_; }
+  /// Montgomery arithmetic mod r on fixed-width limbs (3 limbs for
+  /// pbc_a512's 160-bit r): what Zr::mul / Zr::inverse and the LSSS
+  /// reconstruction solver run on.
+  const math::MontField& zr_field() const { return zr_field_; }
 
   // Serialized element sizes in bytes.
   size_t zr_size() const;
@@ -296,6 +302,7 @@ class Group {
   friend class MillerVal;
 
   PairingCtx ctx_;
+  math::MontField zr_field_;
   G1 generator_;
   GT e_gg_;
   std::unique_ptr<G1FixedBase> g_table_;

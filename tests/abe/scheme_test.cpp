@@ -76,6 +76,11 @@ TEST_F(SchemeTest, EncryptDecryptAcrossAuthorities) {
   const auto [ct, rec] = enc("Doctor@Med AND Researcher@Trial", m);
   EXPECT_EQ(ct.involved_authorities(), (std::set<std::string>{"Med", "Trial"}));
   EXPECT_EQ(decrypt(*grp, ct, alice, alice_keys), m);
+  // The plan form: the same coefficients decrypt to the same message.
+  const auto plan = decryption_plan(*grp, ct, alice_keys);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->coeffs.size(), 2u);
+  EXPECT_EQ(decrypt(*grp, ct, alice, *plan), m);
 }
 
 TEST_F(SchemeTest, DecryptFailsWhenPolicyUnsatisfied) {
@@ -83,6 +88,7 @@ TEST_F(SchemeTest, DecryptFailsWhenPolicyUnsatisfied) {
   const auto [ct, rec] = enc("Doctor@Med AND Auditor@Gov", m);
   // Bob has Auditor@Gov but is a Nurse, not a Doctor.
   EXPECT_FALSE(can_decrypt(*grp, ct, bob_keys));
+  EXPECT_FALSE(decryption_plan(*grp, ct, bob_keys).has_value());
   EXPECT_THROW(decrypt(*grp, ct, bob, bob_keys), SchemeError);
 }
 
@@ -92,6 +98,7 @@ TEST_F(SchemeTest, DecryptFailsWithoutInvolvedAuthorityKey) {
   // involves Gov, from which Alice has no key at all.
   const auto [ct, rec] = enc("Doctor@Med OR Auditor@Gov", m);
   EXPECT_FALSE(can_decrypt(*grp, ct, alice_keys));
+  EXPECT_FALSE(decryption_plan(*grp, ct, alice_keys).has_value());
   EXPECT_THROW(decrypt(*grp, ct, alice, alice_keys), SchemeError);
 }
 

@@ -8,8 +8,97 @@
 namespace maabe::lsss {
 namespace {
 
+using math::Bignum;
 using pairing::Group;
 using pairing::Zr;
+
+// e mod r on Bignum, negating in uint64_t so INT64_MIN is defined.
+Bignum reference_entry(int64_t e, const Bignum& order) {
+  const uint64_t mag = e >= 0 ? static_cast<uint64_t>(e) : 0 - static_cast<uint64_t>(e);
+  const Bignum v = Bignum::mod(Bignum::from_u64(mag), order);
+  return e >= 0 ? v : Bignum::mod_sub(Bignum(), v, order);
+}
+
+// The reference solver: the elimination LsssMatrix::reconstruction
+// runs, in the same pivot order, on variable-length Bignum residues
+// (a mod_inverse per pivot, a mod_mul per update).
+std::optional<std::vector<ReconCoeff>> reference_reconstruction(
+    const LsssMatrix& m, const Group& grp, const std::set<Attribute>& have) {
+  std::vector<int> selected;
+  for (int i = 0; i < m.rows(); ++i) {
+    if (have.contains(m.row_attribute(i))) selected.push_back(i);
+  }
+  if (selected.empty()) return std::nullopt;
+  const int n = m.cols();
+  const int k = static_cast<int>(selected.size());
+  const Bignum& order = grp.order();
+
+  std::vector<std::vector<Bignum>> a(n, std::vector<Bignum>(k + 1));
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < k; ++j) a[i][j] = reference_entry(m.row(selected[j])[i], order);
+  }
+  a[0][k] = Bignum::from_u64(1);
+
+  std::vector<int> pivot_col_of_row(n, -1);
+  int rank = 0;
+  for (int col = 0; col < k && rank < n; ++col) {
+    int piv = -1;
+    for (int r = rank; r < n; ++r) {
+      if (!a[r][col].is_zero()) {
+        piv = r;
+        break;
+      }
+    }
+    if (piv < 0) continue;
+    std::swap(a[rank], a[piv]);
+    const Bignum inv = Bignum::mod_inverse(a[rank][col], order);
+    for (int j = col; j <= k; ++j) a[rank][j] = Bignum::mod_mul(a[rank][j], inv, order);
+    for (int r = 0; r < n; ++r) {
+      if (r == rank || a[r][col].is_zero()) continue;
+      const Bignum f = a[r][col];
+      for (int j = col; j <= k; ++j)
+        a[r][j] = Bignum::mod_sub(a[r][j], Bignum::mod_mul(f, a[rank][j], order), order);
+    }
+    pivot_col_of_row[rank] = col;
+    ++rank;
+  }
+  for (int r = rank; r < n; ++r) {
+    if (!a[r][k].is_zero()) return std::nullopt;
+  }
+  std::vector<Bignum> w(k);
+  for (int r = 0; r < rank; ++r) w[pivot_col_of_row[r]] = a[r][k];
+  std::vector<ReconCoeff> out;
+  for (int j = 0; j < k; ++j) {
+    if (!w[j].is_zero()) out.push_back({selected[j], grp.zr_from_bignum(w[j])});
+  }
+  if (out.empty()) return std::nullopt;
+  return out;
+}
+
+// Row for row and value for value.
+void expect_same_coefficients(const std::optional<std::vector<ReconCoeff>>& got,
+                              const std::optional<std::vector<ReconCoeff>>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (!got) return;
+  ASSERT_EQ(got->size(), want->size());
+  for (size_t i = 0; i < got->size(); ++i) {
+    EXPECT_EQ((*got)[i].row, (*want)[i].row) << "coefficient " << i;
+    EXPECT_EQ((*got)[i].w.value(), (*want)[i].w.value()) << "coefficient " << i;
+  }
+}
+
+/// "attr0@AA0 AND attr1@AA0 AND ..." over n_auth authorities with
+/// n_attr attributes each (the Fig. 3 / read-wide policy shape).
+std::string full_and_text(int n_auth, int n_attr) {
+  std::string text;
+  for (int k = 0; k < n_auth; ++k) {
+    for (int j = 0; j < n_attr; ++j) {
+      if (!text.empty()) text += " AND ";
+      text += "attr" + std::to_string(j) + "@AA" + std::to_string(k);
+    }
+  }
+  return text;
+}
 
 class MatrixTest : public ::testing::Test {
  protected:
@@ -192,6 +281,11 @@ TEST_P(MatrixAgreement, MatchesBooleanSemanticsOnAllSubsets) {
       ASSERT_EQ(coeffs.has_value(), boolean)
           << "policy=" << GetParam() << " mask=" << mask
           << " mode=" << (mode == ThresholdMode::kDirect ? "direct" : "expand");
+      // The Montgomery solver returns exactly the reference coefficients.
+      {
+        SCOPED_TRACE(std::string("policy=") + GetParam() + " mask=" + std::to_string(mask));
+        expect_same_coefficients(coeffs, reference_reconstruction(m, *grp, have));
+      }
       if (coeffs) {
         const Zr s = grp->zr_random(rng);
         const auto shares = m.share(*grp, s, rng);
@@ -224,6 +318,65 @@ INSTANTIATE_TEST_SUITE_P(
         "((a@A AND b@B) OR (c@C AND d@D)) AND (e@E OR f@F)",
         "a@A AND b@A AND c@A AND d@A AND e@A AND f@A AND g@A",
         "a@A OR (b@B AND (c@C OR (d@D AND e@E)))"));
+
+// The paper curve (160-bit r, 3 limbs): the read-wide policy (AND of 10
+// over n_A = 2) and the right end of Fig. 3 (n_A = 10, l = 50).
+TEST(MatrixPaperCurve, WideAndsMatchReference) {
+  const auto grp = Group::pbc_a512();
+  crypto::Drbg rng(std::string_view("matrix-paper-curve"));
+  for (const auto& [n_auth, n_attr] : {std::pair{2, 5}, std::pair{10, 5}}) {
+    SCOPED_TRACE("n_A=" + std::to_string(n_auth) + " l=" + std::to_string(n_auth * n_attr));
+    const LsssMatrix m = LsssMatrix::from_policy(parse_policy(full_and_text(n_auth, n_attr)));
+    ASSERT_EQ(m.rows(), n_auth * n_attr);
+    std::set<Attribute> have(m.row_attributes().begin(), m.row_attributes().end());
+    const auto coeffs = m.reconstruction(*grp, have);
+    ASSERT_TRUE(coeffs.has_value());
+    expect_same_coefficients(coeffs, reference_reconstruction(m, *grp, have));
+    // An AND needs every row, each with w = 1 (one merge class per
+    // first argument in the decrypt product).
+    ASSERT_EQ(static_cast<int>(coeffs->size()), m.rows());
+    for (const auto& [row, w] : *coeffs) EXPECT_EQ(w, grp->zr_one()) << "row " << row;
+    const Zr s = grp->zr_random(rng);
+    const auto shares = m.share(*grp, s, rng);
+    Zr acc = grp->zr_zero();
+    for (const auto& [row, w] : *coeffs) acc = acc + w * shares[row];
+    EXPECT_EQ(acc, s);
+
+    have.erase(m.row_attribute(m.rows() / 2));
+    EXPECT_FALSE(m.reconstruction(*grp, have).has_value());
+    EXPECT_FALSE(reference_reconstruction(m, *grp, have).has_value());
+  }
+}
+
+// A wire-decoded matrix may carry INT64_MIN, whose int64 negation is
+// undefined; share and reconstruction must treat it as -2^63 mod r.
+TEST_F(MatrixTest, Int64MinEntryFromTheWire) {
+  Writer w;
+  w.u32(1);  // rows
+  w.u32(1);  // cols
+  w.u64(static_cast<uint64_t>(INT64_MIN) + (uint64_t{1} << 63));  // biased encoding
+  w.str("a");
+  w.str("A");
+  w.str("a@A");
+  Reader r(w.bytes());
+  const LsssMatrix m = LsssMatrix::deserialize(r);
+  ASSERT_EQ(m.row(0)[0], INT64_MIN);
+
+  const Bignum order = grp->order();
+  const Zr entry =
+      grp->zr_from_bignum(Bignum::mod_sub(Bignum(), Bignum::shl(Bignum::from_u64(1), 63), order));
+  const Zr s = grp->zr_random(rng);
+  const std::vector<Zr> shares = m.share(*grp, s, rng);
+  ASSERT_EQ(shares.size(), 1u);
+  EXPECT_EQ(shares[0], entry * s);
+
+  const auto coeffs = m.reconstruction(*grp, {{"a", "A"}});
+  ASSERT_TRUE(coeffs.has_value());
+  ASSERT_EQ(coeffs->size(), 1u);
+  EXPECT_EQ((*coeffs)[0].w.value(), Bignum::mod_inverse(entry.value(), order));
+  expect_same_coefficients(coeffs, reference_reconstruction(m, *grp, {{"a", "A"}}));
+  EXPECT_EQ((*coeffs)[0].w * shares[0], s);
+}
 
 TEST_F(MatrixTest, NullPolicyRejected) {
   EXPECT_THROW(LsssMatrix::from_policy(nullptr), PolicyError);

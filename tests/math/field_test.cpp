@@ -111,6 +111,31 @@ TEST(MontField, MatchesBignumOnPaperPrime) {
   check_modulus(q, rng);
 }
 
+// The group orders r of both curves (pbc_a512: 160 bits, 3 limbs; the
+// test curve: 80 bits, 2 limbs), which Z_r arithmetic and the LSSS
+// solver run on: mul and inv on the operands 1, 2, r-1 and 10^4
+// seeded values against Bignum::mod_mul / mod_inverse.
+TEST(MontField, MatchesBignumOnGroupOrders) {
+  std::mt19937_64 rng(160);
+  for (const char* hex : {"8000000000000800000000000000000000000001", "a8b318d0752b1825bc55"}) {
+    const Bignum r = Bignum::from_hex(hex);
+    SCOPED_TRACE("r = " + r.to_hex());
+    const MontField f(r);
+    std::vector<Bignum> ops = {Bignum::from_u64(1), Bignum::from_u64(2),
+                               Bignum::sub(r, Bignum::from_u64(1))};
+    for (int i = 0; i < 10000; ++i) ops.push_back(random_below(rng, r));
+    for (size_t i = 0; i < ops.size(); ++i) {
+      const Bignum& a = ops[i];
+      const Bignum& b = ops[(i * 7 + 1) % ops.size()];
+      const FieldElem am = f.to_mont(a);
+      ASSERT_EQ(Bignum(f.from_mont(f.mul(am, f.to_mont(b)))), Bignum::mod_mul(a, b, r))
+          << a.to_hex() << " * " << b.to_hex();
+      if (a.is_zero()) continue;
+      ASSERT_EQ(Bignum(f.from_mont(f.inv(am))), Bignum::mod_inverse(a, r)) << a.to_hex();
+    }
+  }
+}
+
 TEST(MontField, SmallModuli) {
   std::mt19937_64 rng(3);
   for (uint64_t m : {3u, 5u, 7u, 9u, 15u, 23u, 255u}) check_modulus(Bignum::from_u64(m), rng);

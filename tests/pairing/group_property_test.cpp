@@ -90,5 +90,29 @@ TEST_P(GroupProperty, HashesDeterministicAndSpread) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GroupProperty, ::testing::Range(0, 12));
 
+// Zr::mul / Zr::inverse run on the group's Montgomery field over r; on
+// both curves they must equal Bignum::mod_mul / mod_inverse for the
+// operands 1, 2, r-1 and 10^4 seeded values.
+TEST(ZrArithmetic, MatchesBignumOnBothCurves) {
+  for (const auto& grp : {Group::test_small(), Group::pbc_a512()}) {
+    const math::Bignum& r = grp->order();
+    SCOPED_TRACE("r = " + r.to_hex());
+    EXPECT_EQ(grp->zr_field().modulus(), r);
+    crypto::Drbg rng(std::string_view("zr-arithmetic"));
+    std::vector<Zr> ops = {grp->zr_one(), grp->zr_from_u64(2), grp->zr_one().neg()};
+    for (int i = 0; i < 10000; ++i) ops.push_back(grp->zr_random(rng));
+    for (size_t i = 0; i < ops.size(); ++i) {
+      const Zr& a = ops[i];
+      const Zr& b = ops[(i * 7 + 1) % ops.size()];
+      ASSERT_EQ((a * b).value(), math::Bignum::mod_mul(a.value(), b.value(), r))
+          << a.value().to_hex() << " * " << b.value().to_hex();
+      if (a.is_zero()) continue;
+      ASSERT_EQ(a.inverse().value(), math::Bignum::mod_inverse(a.value(), r))
+          << a.value().to_hex();
+    }
+    EXPECT_THROW(grp->zr_zero().inverse(), MathError);
+  }
+}
+
 }  // namespace
 }  // namespace maabe::pairing

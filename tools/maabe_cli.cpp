@@ -332,13 +332,14 @@ struct Cli {
     const abe::UserPublicKey user = store.load_user_pk(args[0]);
     const auto keys = store.load_user_keys_for_owner(args[0], file.owner_id);
     const cloud::SealedSlot& slot = file.slots.at(0);
-    if (!abe::can_decrypt(*grp, slot.key_ct, keys)) {
+    const auto plan = abe::decryption_plan(*grp, slot.key_ct, keys);
+    if (!plan) {
       std::printf("ACCESS DENIED: '%s' cannot decrypt '%s' (policy %s)\n",
                   args[0].c_str(), args[1].c_str(),
                   slot.key_ct.policy.policy_text().c_str());
       return 2;
     }
-    const pairing::GT seed = abe::decrypt(*grp, slot.key_ct, user, keys);
+    const pairing::GT seed = abe::decrypt(*grp, slot.key_ct, user, *plan);
     const Bytes plain =
         crypto::open(cloud::content_key_from_gt(seed), slot.sealed_data,
                      cloud::slot_aad(file.file_id, slot.component_name));
