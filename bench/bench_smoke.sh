@@ -21,8 +21,10 @@
 #       reduction — about 5.5x on the small curve; a kernel that stops
 #       merging reads about 1x. field_kernel_speedup: a chain of F_q
 #       multiplies on the fixed-width kernel the pairing stack runs on
-#       vs the variable-length Bignum MontCtx (about 3x on an x86-64
-#       host; the floor leaves room for noise and sanitizer builds).
+#       vs the variable-length Bignum MontCtx, a file-local reference
+#       kept in bench/pairing_micro.cpp since the library dropped it
+#       (about 3x on an x86-64 host; the floor leaves room for noise
+#       and sanitizer builds).
 #       adx_kernel_speedup: a chain of multiplies mod the paper curve's
 #       512-bit q (whatever MAABE_BENCH_SMALL says) on the portable
 #       8-limb kernel vs the one MontField dispatches to, the BMI2/ADX

@@ -10,11 +10,89 @@
 #include "bench_common.h"
 #include "bench_json.h"
 #include "engine/engine.h"
+#include "common/errors.h"
 #include "math/field_kernels.h"
-#include "math/montgomery.h"
 
 namespace maabe::bench {
 namespace {
+
+using u128 = unsigned __int128;
+
+/// Variable-length Montgomery multiplication on Bignum limbs (CIOS): the
+/// reference side of the field_kernel_speedup ablation against the
+/// fixed-width math::MontField.
+class MontCtx {
+ public:
+  /// Modulus must be odd and >= 3. Throws MathError otherwise.
+  explicit MontCtx(const math::Bignum& modulus);
+
+  /// a must be < modulus.
+  math::Bignum to_mont(const math::Bignum& a) const { return mul(a, r2_); }
+  /// Montgomery product of two Montgomery-form values.
+  math::Bignum mul(const math::Bignum& a, const math::Bignum& b) const;
+
+ private:
+  math::Bignum p_;
+  math::Bignum r2_;  // R^2 mod p
+  uint64_t n0_ = 0;  // -p^{-1} mod 2^64
+  int n_ = 0;
+};
+
+MontCtx::MontCtx(const math::Bignum& modulus) : p_(modulus) {
+  using math::Bignum;
+  if (!modulus.is_odd() || modulus.bit_length() < 2)
+    throw MathError("MontCtx: modulus must be odd and >= 3");
+  n_ = modulus.limb_count();
+
+  // n0_ = -p^{-1} mod 2^64 via Newton-Hensel lifting.
+  const uint64_t p0 = modulus.limb(0);
+  uint64_t x = p0;  // 3-bit correct start (x*p == 1 mod 8 for odd p)
+  for (int i = 0; i < 6; ++i) x *= 2 - p0 * x;
+  n0_ = ~x + 1;  // -x
+
+  // R mod p and R^2 mod p via shifting.
+  const Bignum r = Bignum::mod(Bignum::shl(Bignum::from_u64(1), 64 * n_), p_);
+  r2_ = Bignum::mod(Bignum::mul(r, r), p_);
+}
+
+math::Bignum MontCtx::mul(const math::Bignum& a, const math::Bignum& b) const {
+  using math::Bignum;
+  // CIOS (coarsely integrated operand scanning).
+  const int n = n_;
+  uint64_t t[Bignum::kMaxLimbs + 2] = {0};
+  for (int i = 0; i < n; ++i) {
+    const uint64_t ai = a.limb(i);
+    // t += ai * b
+    u128 carry = 0;
+    for (int j = 0; j < n; ++j) {
+      const u128 s = u128(ai) * b.limb(j) + t[j] + static_cast<uint64_t>(carry);
+      t[j] = static_cast<uint64_t>(s);
+      carry = s >> 64;
+    }
+    u128 s = u128(t[n]) + static_cast<uint64_t>(carry);
+    t[n] = static_cast<uint64_t>(s);
+    t[n + 1] = static_cast<uint64_t>(s >> 64);
+
+    // t = (t + m*p) / 2^64
+    const uint64_t m = t[0] * n0_;
+    s = u128(m) * p_.limb(0) + t[0];
+    carry = s >> 64;
+    for (int j = 1; j < n; ++j) {
+      s = u128(m) * p_.limb(j) + t[j] + static_cast<uint64_t>(carry);
+      t[j - 1] = static_cast<uint64_t>(s);
+      carry = s >> 64;
+    }
+    s = u128(t[n]) + static_cast<uint64_t>(carry);
+    t[n - 1] = static_cast<uint64_t>(s);
+    t[n] = t[n + 1] + static_cast<uint64_t>(s >> 64);
+    t[n + 1] = 0;
+  }
+
+  // t[0..n] holds the result, < 2p.
+  Bignum out = Bignum::from_limbs_le(t, n + 1);
+  if (Bignum::cmp(out, p_) >= 0) out = Bignum::sub(out, p_);
+  return out;
+}
 
 void BM_Pairing(benchmark::State& state) {
   auto grp = bench_group();
@@ -108,7 +186,8 @@ void BM_HashToZr(benchmark::State& state) {
 
 // Ablation: Montgomery vs division-based modular multiplication at the
 // base-field size, and the fixed-width kernel the pairing stack runs on
-// (math::MontField through FpCtx) vs the variable-length Bignum MontCtx.
+// (math::MontField, which FpCtx is) vs the variable-length Bignum MontCtx
+// reference above.
 // Justifies the substrate design choices.
 void BM_FieldMul_FixedWidth(benchmark::State& state) {
   auto grp = bench_group();
@@ -147,7 +226,7 @@ void BM_FieldInverse_FixedWidth(benchmark::State& state) {
 
 void BM_FieldMul_Montgomery(benchmark::State& state) {
   auto grp = bench_group();
-  const math::MontCtx mont(grp->params().q);
+  const MontCtx mont(grp->params().q);
   crypto::Drbg rng(std::string_view("micro"));
   const auto a = mont.to_mont(rng.below(grp->params().q));
   const auto b = mont.to_mont(rng.below(grp->params().q));
@@ -307,7 +386,7 @@ void engine_batch_report() {
   // runs on) vs the same chain on the variable-length Bignum MontCtx.
   // Best of several reps each, so a noisy neighbour inflates neither.
   const pairing::FpCtx& fq = grp->ctx().fq();
-  const math::MontCtx mont(grp->params().q);
+  const MontCtx mont(grp->params().q);
   crypto::Drbg frng(std::string_view("micro-field"));
   const math::Bignum fa = frng.below(grp->params().q);
   const math::Bignum fb = frng.below(grp->params().q);
@@ -324,8 +403,8 @@ void engine_batch_report() {
     }
     return best;
   };
-  math::FieldElem xf = fq.enc(fa);
-  const math::FieldElem yf = fq.enc(fb);
+  math::FieldElem xf = fq.to_mont(fa);
+  const math::FieldElem yf = fq.to_mont(fb);
   math::Bignum xm = mont.to_mont(fa);
   const math::Bignum ym = mont.to_mont(fb);
   const double fixed_ns = best_ns([&] {
@@ -348,8 +427,8 @@ void engine_batch_report() {
   const pairing::FpCtx& pfq = paper_grp->ctx().fq();
   const math::FieldElem paper_q = pfq.modulus();
   const uint64_t paper_n0 = math::detail::mont_n0(paper_q.l[0]);
-  const math::FieldElem pa = pfq.enc(frng.below(pfq.modulus()));
-  const math::FieldElem pb = pfq.enc(frng.below(pfq.modulus()));
+  const math::FieldElem pa = pfq.to_mont(frng.below(pfq.modulus()));
+  const math::FieldElem pb = pfq.to_mont(frng.below(pfq.modulus()));
   // The two chains alternate rep by rep, so a burst of host load hits
   // both sides alike.
   math::FieldElem x_portable = pa, x_dispatched = pa;

@@ -155,16 +155,16 @@ uint64_t CloudServer::stage_reencrypt(const abe::UpdateKey& uk,
   // Every slot pairs against the same UK1; build its pairing line table
   // once before fanning out so all slots take the precomputed path.
   engine::CryptoEngine::for_group(*grp_).warm_pair_precomp(uk.uk1);
-  const telemetry::SpanContext slot_parent = stage_span.context();
   try {
-    // Per-slot spans run on pool workers, so they parent on the stage
-    // span's captured context rather than thread-local propagation.
+    // Each slot span is current on the thread that runs it: it nests
+    // under the engine.parallel_for that the worker carries, and the
+    // slot's own pairing nests under it.
     engine::CryptoEngine::for_group(*grp_).parallel_for(
         work.size(), [&](size_t w) {
           abe::Ciphertext& ct =
               staged[work[w].file].staged->slots[work[w].slot].key_ct;
-          telemetry::Span slot_span = telemetry::Tracer::global().start_child(
-              "server.reencrypt_slot", slot_parent);
+          telemetry::Span slot_span = telemetry::Tracer::global().start_span(
+              "server.reencrypt_slot");
           if (slot_span.active()) {
             slot_span.attr("ct_id", ct.id);
             slot_span.attr("node_id", node_name_);

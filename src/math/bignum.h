@@ -34,7 +34,8 @@ class Bignum {
   Bignum() = default;
 
   static Bignum from_u64(uint64_t v);
-  /// Builds from little-endian limbs (used by the Montgomery hot path).
+  /// Builds from little-endian limbs (FieldElem's conversion back to
+  /// Bignum).
   static Bignum from_limbs_le(const uint64_t* limbs, int n);
   /// Parses big-endian hex, optional "0x" prefix. Throws MathError.
   static Bignum from_hex(std::string_view hex);
@@ -84,8 +85,10 @@ class Bignum {
   static Bignum div(const Bignum& a, const Bignum& b);
   static Bignum mod(const Bignum& a, const Bignum& m);
 
-  // Plain (non-Montgomery) modular arithmetic, for setup / one-off paths.
-  // Inputs must already be reduced mod m unless stated otherwise.
+  // Plain (non-Montgomery) modular arithmetic. Inputs must already be
+  // reduced mod m unless stated otherwise. mod_mul, mod_pow and
+  // mod_inverse have no caller in the library: they are the reference
+  // the tests check MontField and the Z_r solver against.
   static Bignum mod_add(const Bignum& a, const Bignum& b, const Bignum& m);
   static Bignum mod_sub(const Bignum& a, const Bignum& b, const Bignum& m);
   static Bignum mod_mul(const Bignum& a, const Bignum& b, const Bignum& m);

@@ -1,8 +1,7 @@
 #include "math/prime.h"
 
-#include <algorithm>
-
-#include "math/montgomery.h"
+#include "common/errors.h"
+#include "math/field.h"
 
 namespace maabe::math {
 
@@ -15,7 +14,9 @@ constexpr uint64_t kBases[] = {2,  3,  5,  7,  11, 13, 17, 19, 23, 29,
 
 }  // namespace
 
-bool is_probable_prime(const Bignum& n, int rounds) {
+bool is_probable_prime(const Bignum& n) {
+  if (n.bit_length() > 64 * FieldElem::kLimbs)
+    throw MathError("is_probable_prime: n exceeds 512 bits");
   if (n.bit_length() <= 6) {
     const uint64_t v = n.to_u64();
     for (uint64_t p : kBases) {
@@ -27,28 +28,26 @@ bool is_probable_prime(const Bignum& n, int rounds) {
   if (!n.is_odd()) return false;
 
   // Cheap trial division first (n may itself be one of the small primes).
+  // An n that gets past it exceeds 173, so every base is below n.
   for (uint64_t p : kBases) {
     if (Bignum::mod(n, Bignum::from_u64(p)).is_zero())
       return n.bit_length() <= 8 && n.to_u64() == p;
   }
 
   // n-1 = d * 2^s with d odd.
-  const Bignum n1 = Bignum::sub(n, Bignum::from_u64(1));
   int s = 0;
-  Bignum d = n1;
+  Bignum d = Bignum::sub(n, Bignum::from_u64(1));
   while (!d.is_odd()) {
     d = Bignum::shr(d, 1);
     ++s;
   }
 
-  const MontCtx mont(n);
-  const Bignum one_m = mont.one();
-  const Bignum minus_one_m = mont.neg(one_m);
+  const MontField mont(n);
+  const FieldElem one_m = mont.one();
+  const FieldElem minus_one_m = mont.neg(one_m);
 
-  const int count = std::min<int>(rounds, std::size(kBases));
-  for (int i = 0; i < count; ++i) {
-    const Bignum a_m = mont.to_mont(Bignum::from_u64(kBases[i]));
-    Bignum x = mont.pow(a_m, d);
+  for (uint64_t base : kBases) {
+    FieldElem x = mont.pow(mont.to_mont(FieldElem::from_u64(base)), d);
     if (x == one_m || x == minus_one_m) continue;
     bool witness = true;
     for (int r = 1; r < s; ++r) {

@@ -9,8 +9,10 @@
 
 namespace maabe::math {
 
-/// Miller-Rabin probable-prime test. `rounds` caps the number of bases
-/// used (at most the 40 built-in small-prime bases).
-bool is_probable_prime(const Bignum& n, int rounds = 40);
+/// Miller-Rabin probable-prime test over all 40 built-in small-prime
+/// bases, run on the fixed-width Montgomery field (math/field.h). n must
+/// be at most 512 bits — the widest modulus the scheme uses — and a
+/// wider n throws MathError.
+bool is_probable_prime(const Bignum& n);
 
 }  // namespace maabe::math

@@ -6,34 +6,14 @@ namespace maabe::pairing {
 
 using math::Bignum;
 
-FpCtx::FpCtx(const Bignum& p) : field_(p) {
-  qr_exp_ = Bignum::shr(Bignum::sub(p, Bignum::from_u64(1)), 1);
-  sqrt_exp_ = Bignum::shr(Bignum::add(p, Bignum::from_u64(1)), 2);
-}
+FpCtx::FpCtx(const Bignum& p)
+    : MontField(p), sqrt_exp_(Bignum::shr(Bignum::add(p, Bignum::from_u64(1)), 2)) {}
 
-FieldElem FpCtx::inv(const FieldElem& a) const {
-  if (a.is_zero()) throw MathError("FpCtx::inv: zero is not invertible");
-  return field_.inv(a);
-}
-
-bool FpCtx::is_qr(const FieldElem& a) const {
-  if (a.is_zero()) return true;
-  return field_.pow(a, qr_exp_) == field_.one();
-}
-
-FieldElem FpCtx::sqrt(const FieldElem& a) const {
-  const FieldElem root = sqrt_candidate(a);
-  if (field_.sqr(root) != a) throw MathError("FpCtx::sqrt: not a quadratic residue");
-  return root;
-}
-
-FieldElem FpCtx::random(crypto::Drbg& rng) const {
-  return enc(rng.below(field_.modulus()));
-}
+FieldElem FpCtx::random(crypto::Drbg& rng) const { return to_mont(rng.below(modulus())); }
 
 Bytes FpCtx::to_bytes(const FieldElem& mont_form) const {
-  const FieldElem plain = dec(mont_form);
-  const size_t width = field_.byte_length();
+  const FieldElem plain = from_mont(mont_form);
+  const size_t width = byte_length();
   Bytes out(width);
   for (size_t k = 0; k < width; ++k)
     out[width - 1 - k] = static_cast<uint8_t>(plain.l[k / 8] >> (8 * (k % 8)));
@@ -41,13 +21,13 @@ Bytes FpCtx::to_bytes(const FieldElem& mont_form) const {
 }
 
 FieldElem FpCtx::from_bytes(ByteView data) const {
-  const size_t width = field_.byte_length();
+  const size_t width = byte_length();
   if (data.size() != width) throw WireError("FpCtx::from_bytes: bad length");
   FieldElem plain;
   for (size_t k = 0; k < width; ++k)
     plain.l[k / 8] |= uint64_t(data[width - 1 - k]) << (8 * (k % 8));
-  if (!field_.is_reduced(plain)) throw WireError("FpCtx::from_bytes: value exceeds modulus");
-  return enc(plain);
+  if (!is_reduced(plain)) throw WireError("FpCtx::from_bytes: value exceeds modulus");
+  return to_mont(plain);
 }
 
 }  // namespace maabe::pairing

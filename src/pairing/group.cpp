@@ -114,7 +114,7 @@ Bytes G1::to_bytes() const {
     return out;
   }
   out = fq.to_bytes(pt_.x);
-  out.push_back(static_cast<uint8_t>(fq.dec(pt_.y).is_odd() ? 1 : 0));
+  out.push_back(static_cast<uint8_t>(fq.from_mont(pt_.y).is_odd() ? 1 : 0));
   return out;
 }
 
@@ -332,7 +332,7 @@ G1 Group::hash_to_g1(ByteView data) const {
     w.u32(counter);
     w.var_bytes(data);
     const Bytes xb = expand("maabe/hash-to-g1", w.bytes(), fq.byte_length() + 16);
-    const FieldElem x = fq.enc(Bignum::mod(Bignum::from_bytes_be(xb), fq.modulus()));
+    const FieldElem x = fq.to_mont(Bignum::mod(Bignum::from_bytes_be(xb), fq.modulus()));
     FieldElem y;
     if (!curve.lift_x(x, &y)) continue;
     // Pick the sign of y from one more hash bit for uniformity.
@@ -363,7 +363,7 @@ G1 Group::g1_from_bytes(ByteView data) const {
   const FieldElem x = fq.from_bytes(xb);
   FieldElem y;
   if (!ctx_.curve().lift_x(x, &y)) throw WireError("g1_from_bytes: x not on curve");
-  if (fq.dec(y).is_odd() != (flag == 1)) y = fq.neg(y);
+  if (fq.from_mont(y).is_odd() != (flag == 1)) y = fq.neg(y);
   return G1(this, {x, y, false});
 }
 

@@ -21,6 +21,7 @@
 #include "common/errors.h"
 #include "common/wire.h"
 #include "crypto/sha256.h"
+#include "engine/engine.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
 #include "telemetry/slo.h"
@@ -435,6 +436,83 @@ TEST_F(ClusterObservability, ReceiveNestsInsideItsFrameSoSelfTimesAddUp) {
   uint64_t total = 0;
   for (const auto& [id, ns] : self_times(records)) total += ns;
   EXPECT_LE(total, root->end_ns - root->start_ns);
+}
+
+TEST_F(ClusterObservability, ReencryptSlotsNestTheirPairingsSoNoSelfTimeIsNegative) {
+  auto grp = Group::test_small();
+  sys_ = make_system(grp, 3, 2);
+  enroll(*sys_);
+  for (const char* f : {"f1", "f2", "f3"}) {
+    sys_->upload("hosp", f,
+                 {{"a", bytes_of("alpha"), "Doctor@Med"}, {"b", bytes_of("bravo"), "Doctor@Med"}});
+  }
+  engine::CryptoEngine& eng = engine::CryptoEngine::for_group(*grp);
+  struct RestoreThreads {
+    engine::CryptoEngine& eng;
+    int threads;
+    ~RestoreThreads() { eng.set_threads(threads); }
+  } restore{eng, eng.threads()};
+
+  // One engine thread runs every slot inline on the stage's thread, two
+  // run them on pool workers; the tree must nest the same way on both.
+  const char* revoked[] = {"alice", "bob"};
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE("engine threads " + std::to_string(threads));
+    eng.set_threads(threads);
+    std::vector<SpanRecord> records;
+    {
+      SpanCollector sink;
+      EXPECT_GT(sys_->revoke_attribute("Med", revoked[threads - 1], "Doctor"), 0u);
+      records = sink.records();
+    }
+    std::map<uint64_t, const SpanRecord*> by_id;
+    const SpanRecord* root = single_root(records, &by_id);
+    ASSERT_NE(root, nullptr);
+    EXPECT_EQ(root->name, "system.revoke_attribute");
+
+    // Each slot runs one pairing, and it nests inside the slot: every
+    // span whose parent chain reaches a slot lies inside that slot's
+    // interval, and no pairing under a stage bypasses its slot.
+    const auto slot_above = [&](const SpanRecord& rec) -> const SpanRecord* {
+      for (auto it = by_id.find(rec.parent_id); it != by_id.end();
+           it = by_id.find(it->second->parent_id)) {
+        if (it->second->name == "server.reencrypt_slot") return it->second;
+        if (it->second->name == "server.reencrypt_stage") return nullptr;
+      }
+      return nullptr;
+    };
+    std::map<uint64_t, size_t> pairs_in_slot;
+    size_t slots = 0;
+    for (const SpanRecord& rec : records) {
+      if (rec.name == "server.reencrypt_slot") {
+        ++slots;
+        pairs_in_slot.try_emplace(rec.span_id, 0);
+      }
+      const SpanRecord* slot = slot_above(rec);
+      if (slot == nullptr) continue;
+      EXPECT_GE(rec.start_ns, slot->start_ns) << rec.name;
+      EXPECT_LE(rec.end_ns, slot->end_ns) << rec.name;
+      if (rec.name == "engine.pair") ++pairs_in_slot[slot->span_id];
+    }
+    EXPECT_GT(slots, 0u);
+    for (const auto& [slot_id, pairs] : pairs_in_slot) EXPECT_EQ(pairs, 1u);
+
+    // Self time: a span's duration minus its children's. On one thread a
+    // well-nested tree keeps it non-negative; a span that overlaps a
+    // sibling (its time counted twice under one parent) drives the
+    // parent's self time below zero.
+    if (threads == 1) {
+      std::map<uint64_t, int64_t> self;
+      for (const SpanRecord& rec : records) {
+        const auto duration = static_cast<int64_t>(rec.end_ns - rec.start_ns);
+        self[rec.span_id] += duration;
+        if (rec.parent_id != 0) self[rec.parent_id] -= duration;
+      }
+      for (const SpanRecord& rec : records) {
+        EXPECT_GE(self[rec.span_id], 0) << rec.name << " has a negative self time";
+      }
+    }
+  }
 }
 
 TEST_F(ClusterObservability, StatusJsonAggregatesClusterHealthAndSlo) {

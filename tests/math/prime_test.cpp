@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/errors.h"
+
 namespace maabe::math {
 namespace {
 
@@ -54,6 +58,47 @@ TEST(Prime, MersennePrimes) {
   EXPECT_TRUE(is_probable_prime(mersenne(107)));
   EXPECT_FALSE(is_probable_prime(mersenne(83)));
   EXPECT_FALSE(is_probable_prime(mersenne(97)));
+}
+
+TEST(Prime, AgreesWithTrialDivisionBelow2To16) {
+  // Every prime above 173 and every composite from 179^2 = 32041 on gets
+  // past the trial division by the 40 bases and runs Miller-Rabin on a
+  // one-limb field.
+  constexpr uint64_t kLimit = uint64_t(1) << 16;
+  std::vector<bool> composite(kLimit, false);
+  composite[0] = composite[1] = true;
+  for (uint64_t p = 2; p * p < kLimit; ++p) {
+    if (composite[p]) continue;
+    for (uint64_t m = p * p; m < kLimit; m += p) composite[m] = true;
+  }
+  int mismatches = 0;
+  for (uint64_t n = 0; n < kLimit; ++n) {
+    if (is_probable_prime(Bignum::from_u64(n)) == composite[n]) {
+      ++mismatches;
+      ADD_FAILURE() << n;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Prime, StrongPseudoprimesRejected) {
+  // 149491 * 747451 * 34233211 passes bases 2..31; base 37 exposes it.
+  EXPECT_FALSE(is_probable_prime(Bignum::from_u64(3825123056546413051ull)));
+  // 399165290221 * 798330580441 passes bases 2..37, the first twelve;
+  // only the thirteenth base, 41, exposes it.
+  EXPECT_FALSE(is_probable_prime(H("437ae92817f9fc85b7e5")));
+}
+
+TEST(Prime, Mersenne127Accepted) {
+  const Bignum m127 = Bignum::sub(Bignum::shl(Bignum::from_u64(1), 127), Bignum::from_u64(1));
+  EXPECT_TRUE(is_probable_prime(m127));
+}
+
+TEST(Prime, WiderThan512BitsThrows) {
+  // 2^521 - 1 is prime, but the test runs on the fixed-width field,
+  // which stops at 512 bits.
+  const Bignum m521 = Bignum::sub(Bignum::shl(Bignum::from_u64(1), 521), Bignum::from_u64(1));
+  EXPECT_THROW(is_probable_prime(m521), MathError);
 }
 
 }  // namespace

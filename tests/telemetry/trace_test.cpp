@@ -314,7 +314,8 @@ TEST(Trace, FaultInjectedRevocationEpochYieldsLinkedSpanTree) {
   EXPECT_EQ(delivered, 1u);
 
   // The 2PC epoch, the node's stage under it and the stage's per-slot
-  // children (pool workers, explicit parent) are in the same tree.
+  // spans are in the same tree; each slot nests under the stage's
+  // engine.parallel_for, on whichever thread ran it.
   const SpanRecord* epoch = nullptr;
   const SpanRecord* stage = nullptr;
   std::vector<const SpanRecord*> slot_spans;
@@ -336,7 +337,10 @@ TEST(Trace, FaultInjectedRevocationEpochYieldsLinkedSpanTree) {
   EXPECT_EQ(attr_of(*stage, "slots"), "2");
   ASSERT_EQ(slot_spans.size(), 2u);
   for (const SpanRecord* slot : slot_spans) {
-    EXPECT_EQ(slot->parent_id, stage->span_id);
+    const auto fan_out = by_id.find(slot->parent_id);
+    ASSERT_NE(fan_out, by_id.end());
+    EXPECT_EQ(fan_out->second->name, "engine.parallel_for");
+    EXPECT_EQ(fan_out->second->parent_id, stage->span_id);
   }
 }
 
