@@ -12,9 +12,12 @@
 # Binary -> guarded fields:
 #   pairing_micro  -> BENCH_pairing_micro.json kernel_speedup,
 #                     field_kernel_speedup, merge_speedup,
+#                     inv_kernel_speedup,
 #                     adx_kernel_speedup (only on ADX hosts)
 #       kernel_speedup: shared-final-exponentiation kernel vs the legacy
-#       pair-then-multiply fold. merge_speedup: a decrypt-shaped 22-term
+#       pair-then-multiply fold, each side the best of three alternating
+#       passes (a cheaper final exponentiation shrinks what sharing it
+#       saves: about 1.55 on the small curve). merge_speedup: a decrypt-shaped 22-term
 #       product (two repeated first arguments) through the engine, which
 #       runs one Miller loop per (first argument, exponent) class, vs a
 #       per-term fold of all 22 loops on the same line tables with one
@@ -30,7 +33,14 @@
 #       8-limb kernel vs the one MontField dispatches to, the BMI2/ADX
 #       kernel when the CPU has both extensions; floored only when
 #       /proc/cpuinfo lists adx and bmi2 (elsewhere it reads ~1).
-#       All four are same-process ratios: host speed cancels, guarded by an
+#       inv_kernel_speedup: a chain of inversions mod the paper curve's
+#       512-bit q (whatever MAABE_BENCH_SMALL says) through MontField::inv,
+#       the batched binary gcd, vs the same chain through the bit-serial
+#       binary gcd it replaced, a file-local copy in
+#       bench/pairing_micro.cpp (about 7x on an x86-64 host; a kernel
+#       that falls back to one modular halving per bit reads about 1x).
+#       The bench exits 1 when the two chains disagree.
+#       All five are same-process ratios: host speed cancels, guarded by an
 #       absolute floor.
 #       Also emitted, not guarded: the `substrate` object, the paper
 #       curve's per-call ladder (fq_*, zr_inv_us, lsss_reconstruct_wide_us
@@ -92,6 +102,7 @@ export MAABE_BENCH_SMALL=1
 "$GUARD" floor BENCH_pairing_micro.json kernel_speedup 1.3
 "$GUARD" floor BENCH_pairing_micro.json field_kernel_speedup 1.5
 "$GUARD" floor BENCH_pairing_micro.json merge_speedup 2.5
+"$GUARD" floor BENCH_pairing_micro.json inv_kernel_speedup 2.5
 if grep -qw adx /proc/cpuinfo 2>/dev/null && grep -qw bmi2 /proc/cpuinfo; then
   "$GUARD" floor BENCH_pairing_micro.json adx_kernel_speedup 1.15
 fi

@@ -11,6 +11,7 @@ using lsss::LsssMatrix;
 using pairing::G1;
 using pairing::Group;
 using pairing::GT;
+using pairing::JacPoint;
 using pairing::Zr;
 
 namespace {
@@ -286,6 +287,7 @@ UserSecretKey aa_regenerate_key(const Group& grp, const AuthorityVersionKey& new
 UpdateKey aa_make_update_key(const Group& grp, const AuthorityVersionKey& old_vk,
                              const AuthorityVersionKey& new_vk,
                              const OwnerSecretShare& owner) {
+  (void)grp;
   if (old_vk.aid != new_vk.aid)
     throw SchemeError("aa_make_update_key: authority mismatch");
   if (new_vk.version != old_vk.version + 1)
@@ -303,7 +305,6 @@ UpdateKey aa_make_update_key(const Group& grp, const AuthorityVersionKey& old_vk
 
 UserSecretKey apply_update_to_secret_key(const Group& grp, const UserSecretKey& sk,
                                          const UpdateKey& uk) {
-  (void)grp;
   if (sk.aid != uk.aid) throw SchemeError("key update: authority mismatch");
   if (sk.owner_id != uk.owner_id) throw SchemeError("key update: owner mismatch");
   if (sk.version != uk.from_version)
@@ -312,7 +313,13 @@ UserSecretKey apply_update_to_secret_key(const Group& grp, const UserSecretKey& 
   UserSecretKey out = sk;
   out.version = uk.to_version;
   out.k = sk.k + uk.uk1;
-  for (auto& [handle, key] : out.kx) key = key.mul(uk.uk2);
+  // Every K_x^{UK2} goes to affine with one inversion.
+  std::vector<JacPoint> kx;
+  kx.reserve(out.kx.size());
+  for (const auto& [handle, key] : out.kx) kx.push_back(grp.g1_mul_jac(key, uk.uk2));
+  const std::vector<G1> updated = grp.g1_normalize(kx);
+  auto next = updated.begin();
+  for (auto& [handle, key] : out.kx) key = *next++;
   return out;
 }
 
@@ -386,15 +393,21 @@ void reencrypt(const Group& grp, Ciphertext* ct, const UpdateKey& uk,
   // hits the pairing line-table cache (CloudServer warms it before
   // fanning slots across the pool).
   ct->c = ct->c * CryptoEngine::for_group(grp).pair(uk.uk1, ct->c_prime);
-  // C~_i = C_i * UI_{rho(i)} for rows labeled by this authority.
+  // C~_i = C_i * UI_{rho(i)} for rows labeled by this authority; the
+  // sums go to affine with one inversion.
+  std::vector<int> rows;
+  std::vector<std::vector<G1>> pairs;
   for (int i = 0; i < ct->policy.rows(); ++i) {
     const lsss::Attribute& attr = ct->policy.row_attribute(i);
     if (attr.aid != uk.aid) continue;
     const auto it = ui.ui.find(attr.qualified());
     if (it == ui.ui.end())
       throw SchemeError("reencrypt: update info lacks UI for '" + attr.qualified() + "'");
-    ct->ci[i] = ct->ci[i] + it->second;
+    rows.push_back(i);
+    pairs.push_back({ct->ci[i], it->second});
   }
+  const std::vector<G1> sums = grp.g1_sums(pairs);
+  for (size_t j = 0; j < rows.size(); ++j) ct->ci[rows[j]] = sums[j];
   ver->second = uk.to_version;
 }
 

@@ -8,8 +8,8 @@
 //
 // This type is deliberately unsigned: the library only ever computes in
 // residue rings, where subtraction is expressed as modular subtraction.
-// Signed intermediates (extended gcd) are handled internally by the
-// modular-inverse routine.
+// Modular multiplication, powers and inverses run on MontField
+// (math/field.h).
 //
 // None of these routines are constant-time; this is a research
 // reproduction, not a hardened production crypto library (see README).
@@ -85,17 +85,9 @@ class Bignum {
   static Bignum div(const Bignum& a, const Bignum& b);
   static Bignum mod(const Bignum& a, const Bignum& m);
 
-  // Plain (non-Montgomery) modular arithmetic. Inputs must already be
-  // reduced mod m unless stated otherwise. mod_mul, mod_pow and
-  // mod_inverse have no caller in the library: they are the reference
-  // the tests check MontField and the Z_r solver against.
+  // Plain modular add/sub; inputs must already be reduced mod m.
   static Bignum mod_add(const Bignum& a, const Bignum& b, const Bignum& m);
   static Bignum mod_sub(const Bignum& a, const Bignum& b, const Bignum& m);
-  static Bignum mod_mul(const Bignum& a, const Bignum& b, const Bignum& m);
-  static Bignum mod_pow(const Bignum& base, const Bignum& exp, const Bignum& m);
-  /// Binary extended gcd for odd m; general extended Euclid otherwise.
-  /// Throws MathError when gcd(a, m) != 1.
-  static Bignum mod_inverse(const Bignum& a, const Bignum& m);
 
  private:
   void normalize();

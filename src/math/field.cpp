@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "common/errors.h"
 #include "math/field_kernels.h"
@@ -16,6 +17,7 @@
 namespace maabe::math {
 
 using u128 = unsigned __int128;
+using i128 = __int128;
 
 FieldElem::FieldElem(const Bignum& v) {
   if (v.limb_count() > kLimbs) throw MathError("FieldElem: value exceeds 512 bits");
@@ -121,7 +123,30 @@ FieldElem mont_sqr(const FieldElem& a, const FieldElem& p, uint64_t n0) {
   return reduce_once<N>(t + N, p);
 }
 
-// N-limb helpers for the gcd.
+// ---------------------------------------------------------- inversion --
+// Pornin's optimized binary GCD (IACR ePrint 2020/972, Algorithm 2):
+// the binary extended gcd on (a, b) = (x, p) with a == u*x and
+// b == v*x (mod p), run in rounds of 31 steps. Each round decides its
+// 31 steps on 64-bit approximations of a and b (their low 31 bits and
+// their top 33 bits at a common bit length n), collecting the steps as
+// a 2x2 matrix of signed factors with |f| + |g| <= 2^31 per row; then
+// one pass applies the matrix to the full (a, b) and one to (u, v).
+// The low 31 bits are exact, so the (a, b) combination is divisible by
+// 2^31; the (u, v) one is divided by 2^31 mod p by adding k*p first
+// (k from n0 = -p^-1 mod 2^64, as in a Montgomery reduction). Each
+// round shrinks len(a) + len(b) by at least 31 bits, so
+// ceil((2*bits(p) - 1) / 31) rounds reach a = 0; the loop stops as soon
+// as a is zero. Variable-time, like the rest of the library.
+
+constexpr int kGcdSteps = 31;
+constexpr uint64_t kLow31 = (uint64_t(1) << kGcdSteps) - 1;
+
+template <int N>
+bool is_zero(const uint64_t* x) {
+  uint64_t acc = 0;
+  for (int i = 0; i < N; ++i) acc |= x[i];
+  return acc == 0;
+}
 
 template <int N>
 bool is_one(const uint64_t* x) {
@@ -131,102 +156,139 @@ bool is_one(const uint64_t* x) {
 }
 
 template <int N>
-bool is_zero(const uint64_t* x) {
-  uint64_t acc = 0;
-  for (int i = 0; i < N; ++i) acc |= x[i];
-  return acc == 0;
-}
-
-/// x >>= k for 0 < k < 64.
-template <int N>
-void shr(uint64_t* x, int k) {
-  for (int i = 0; i < N - 1; ++i) x[i] = (x[i] >> k) | (x[i + 1] << (64 - k));
-  x[N - 1] >>= k;
-}
-
-/// x -= y, returning the borrow.
-template <int N>
-uint64_t sub_in(uint64_t* x, const uint64_t* y) {
-  uint64_t borrow = 0;
-  for (int i = 0; i < N; ++i) {
-    const u128 s = u128(x[i]) - y[i] - borrow;
-    x[i] = static_cast<uint64_t>(s);
-    borrow = static_cast<uint64_t>(s >> 64) & 1;
-  }
-  return borrow;
-}
-
-/// x += y & mask, returning the carry.
-template <int N>
-uint64_t add_masked(uint64_t* x, const uint64_t* y, uint64_t mask) {
-  uint64_t carry = 0;
-  for (int i = 0; i < N; ++i) {
-    const u128 s = u128(x[i]) + (y[i] & mask) + carry;
-    x[i] = static_cast<uint64_t>(s);
-    carry = static_cast<uint64_t>(s >> 64);
-  }
-  return carry;
-}
-
-/// x = x / 2 mod p (p odd): add p when x is odd, then shift in the carry.
-template <int N>
-void half_mod(uint64_t* x, const uint64_t* p) {
-  const uint64_t carry = add_masked<N>(x, p, 0 - (x[0] & 1));
-  shr<N>(x, 1);
-  x[N - 1] |= carry << 63;
-}
-
-/// x = x - y mod p.
-template <int N>
-void sub_mod(uint64_t* x, const uint64_t* y, const uint64_t* p) {
-  const uint64_t borrow = sub_in<N>(x, y);
-  add_masked<N>(x, p, 0 - borrow);
-}
-
-template <int N>
 bool greater_equal(const uint64_t* x, const uint64_t* y) {
   for (int i = N - 1; i >= 0; --i)
     if (x[i] != y[i]) return x[i] > y[i];
   return true;
 }
 
-/// Binary extended gcd on a reduced nonzero a, for odd p: out = a^-1
-/// mod p. Returns false when gcd(a, p) != 1. The invariants are
-/// x1*a == u and x2*a == v (mod p); the same algorithm as
-/// Bignum::mod_inverse, on fixed-width limbs.
+/// Low 31 bits of x, below bits n-33..n-1 of x (x < 2^n, n >= 64).
 template <int N>
-bool gcd_inverse(const FieldElem& a, const FieldElem& p, FieldElem* out) {
-  uint64_t u[N], v[N], x1[N] = {1}, x2[N] = {};
+uint64_t approx(const uint64_t* x, int n) {
+  const int s = n - 33;
+  const int li = s / 64, bi = s % 64;
+  uint64_t top = x[li] >> bi;
+  if (bi != 0 && li + 1 < N) top |= x[li + 1] << (64 - bi);
+  return (top << kGcdSteps) | (x[0] & kLow31);
+}
+
+/// out = |a*f + b*g| / 2^31 for a combination the caller knows is
+/// divisible by 2^31 and at most max(a, b) in magnitude; returns
+/// whether it was negative. Each output limb is shifted into place as
+/// soon as the limb above it is known: a separate shift pass over a
+/// stored t[] gets vectorized into loads that stall on those stores.
+template <int N>
+bool combine_exact(const uint64_t* a, const uint64_t* b, int64_t f, int64_t g, uint64_t* out) {
+  i128 c = 0;
+  uint64_t prev = 0;
   for (int i = 0; i < N; ++i) {
-    u[i] = a.l[i];
-    v[i] = p.l[i];
+    c += i128(a[i]) * f + i128(b[i]) * g;
+    const uint64_t t = static_cast<uint64_t>(c);
+    c >>= 64;
+    if (i > 0) out[i - 1] = (prev >> kGcdSteps) | (t << (64 - kGcdSteps));
+    prev = t;
   }
-  if (is_zero<N>(u)) return false;
-  while (!is_one<N>(u) && !is_one<N>(v)) {
-    while ((u[0] & 1) == 0) {
-      // u is nonzero here, so the loop ends; strip trailing zeros in
-      // one shift, halving x1 once per bit.
-      const int k = u[0] == 0 ? 63 : std::countr_zero(u[0]);
-      shr<N>(u, k);
-      for (int b = 0; b < k; ++b) half_mod<N>(x1, p.l.data());
-    }
-    while ((v[0] & 1) == 0) {
-      const int k = v[0] == 0 ? 63 : std::countr_zero(v[0]);
-      shr<N>(v, k);
-      for (int b = 0; b < k; ++b) half_mod<N>(x2, p.l.data());
-    }
-    if (greater_equal<N>(u, v)) {
-      sub_in<N>(u, v);
-      sub_mod<N>(x1, x2, p.l.data());
-    } else {
-      sub_in<N>(v, u);
-      sub_mod<N>(x2, x1, p.l.data());
-    }
-    if (is_zero<N>(u) || is_zero<N>(v)) return false;
+  const uint64_t top = static_cast<uint64_t>(c);
+  out[N - 1] = (prev >> kGcdSteps) | (top << (64 - kGcdSteps));
+  if (static_cast<int64_t>(top) >= 0) return false;
+  uint64_t carry = 1;
+  for (int i = 0; i < N; ++i) {
+    out[i] = ~out[i] + carry;
+    carry &= out[i] == 0;
   }
-  const uint64_t* r = is_one<N>(u) ? x1 : x2;
+  return true;
+}
+
+/// out = (u*f + v*g) / 2^31 mod p, for u, v < p and |f| + |g| <= 2^31.
+template <int N>
+void combine_mod(const uint64_t* u, const uint64_t* v, int64_t f, int64_t g, const uint64_t* p,
+                 uint64_t n0, uint64_t* out) {
+  // k*p cancels the low 31 bits; the sum lies in (-2^31 p, 2^32 p), so
+  // w = sum / 2^31 lies in (-p, 2p), with its sign or carry in `top`.
+  const uint64_t lo = u[0] * static_cast<uint64_t>(f) + v[0] * static_cast<uint64_t>(g);
+  const uint64_t k = (lo * n0) & kLow31;
+  i128 c = 0;
+  uint64_t prev = 0;
+  for (int i = 0; i < N; ++i) {
+    c += i128(u[i]) * f + i128(v[i]) * g + i128(u128(k) * p[i]);
+    const uint64_t t = static_cast<uint64_t>(c);
+    c >>= 64;
+    if (i > 0) out[i - 1] = (prev >> kGcdSteps) | (t << (64 - kGcdSteps));
+    prev = t;
+  }
+  out[N - 1] = (prev >> kGcdSteps) | (static_cast<uint64_t>(c) << (64 - kGcdSteps));
+  const int64_t top = static_cast<int64_t>(c >> kGcdSteps);
+  if (top != 0 || greater_equal<N>(out, p)) {
+    // Negative: add p. At least p: subtract it. Either way the result
+    // is in [0, p) and the top word cancels.
+    uint64_t carry = 0;
+    for (int i = 0; i < N; ++i) {
+      const u128 s = top < 0 ? u128(out[i]) + p[i] + carry : u128(out[i]) - p[i] - carry;
+      out[i] = static_cast<uint64_t>(s);
+      carry = static_cast<uint64_t>(s >> 64) & 1;
+    }
+  }
+}
+
+/// out = x^-1 mod p for a reduced x and odd p. Returns false when
+/// gcd(x, p) != 1 (x = 0 included).
+template <int N>
+bool gcd_inverse(const FieldElem& x, const FieldElem& p, uint64_t n0, int bits, FieldElem* out) {
+  // Each round writes (a, b, u, v) into the other half of buf and then
+  // swaps the pointers.
+  uint64_t buf[8][N] = {};
+  uint64_t *a = buf[0], *b = buf[1], *u = buf[2], *v = buf[3];
+  uint64_t *na = buf[4], *nb = buf[5], *nu = buf[6], *nv = buf[7];
+  for (int i = 0; i < N; ++i) {
+    a[i] = x.l[i];
+    b[i] = p.l[i];
+  }
+  u[0] = 1;
+  const int rounds = (2 * bits - 1 + kGcdSteps - 1) / kGcdSteps;
+  for (int round = 0; round < rounds && !is_zero<N>(a); ++round) {
+    int top = N - 1;
+    while (top > 0 && (a[top] | b[top]) == 0) --top;
+    const int n = std::max(64 * top + 64 - std::countl_zero(a[top] | b[top]), 64);
+    uint64_t xa = approx<N>(a, n), xb = approx<N>(b, n);
+    int64_t f0 = 1, g0 = 0, f1 = 0, g1 = 1;
+    for (int j = 0; j < kGcdSteps; ++j) {
+      // Masks instead of branches: each step's parity and order are
+      // unpredictable.
+      const uint64_t odd = 0 - (xa & 1);
+      const uint64_t swap = odd & (0 - static_cast<uint64_t>(xa < xb));
+      const int64_t sodd = static_cast<int64_t>(odd), sswap = static_cast<int64_t>(swap);
+      const uint64_t dx = (xa ^ xb) & swap;
+      const int64_t df = (f0 ^ f1) & sswap, dg = (g0 ^ g1) & sswap;
+      xa ^= dx;
+      xb ^= dx;
+      f0 ^= df;
+      f1 ^= df;
+      g0 ^= dg;
+      g1 ^= dg;
+      xa = (xa - (xb & odd)) >> 1;
+      f0 -= f1 & sodd;
+      g0 -= g1 & sodd;
+      f1 += f1;
+      g1 += g1;
+    }
+    if (combine_exact<N>(a, b, f0, g0, na)) {
+      f0 = -f0;
+      g0 = -g0;
+    }
+    if (combine_exact<N>(a, b, f1, g1, nb)) {
+      f1 = -f1;
+      g1 = -g1;
+    }
+    combine_mod<N>(u, v, f0, g0, p.l.data(), n0, nu);
+    combine_mod<N>(u, v, f1, g1, p.l.data(), n0, nv);
+    std::swap(a, na);
+    std::swap(b, nb);
+    std::swap(u, nu);
+    std::swap(v, nv);
+  }
+  if (!is_zero<N>(a) || !is_one<N>(b)) return false;
   *out = FieldElem();
-  for (int i = 0; i < N; ++i) out->l[i] = r[i];
+  for (int i = 0; i < N; ++i) out->l[i] = v[i];
   return true;
 }
 
@@ -536,7 +598,8 @@ FieldElem MontField::inv(const FieldElem& a) const {
   // The gcd inverts aR as a plain residue, giving a^-1 R^-1; one
   // Montgomery product with R^3 lifts it to a^-1 R.
   FieldElem plain_inverse;
-  if (!inv_(a, p_, &plain_inverse)) throw MathError("MontField::inv: element not invertible");
+  if (!inv_(a, p_, n0_, bits_, &plain_inverse))
+    throw MathError("MontField::inv: element not invertible");
   return mul(plain_inverse, r3_);
 }
 

@@ -86,8 +86,8 @@ class MontField {
 
   /// base in Montgomery form, exponent a plain integer; Montgomery result.
   FieldElem pow(const FieldElem& base, const Bignum& exp) const;
-  /// Inverse of a Montgomery-form value, in Montgomery form (binary
-  /// extended gcd). Throws MathError when gcd(a, p) != 1.
+  /// Inverse of a Montgomery-form value, in Montgomery form (batched
+  /// binary gcd, variable-time). Throws MathError when gcd(a, p) != 1.
   FieldElem inv(const FieldElem& a) const;
 
   /// Montgomery form of 1 (R mod p).
@@ -96,7 +96,7 @@ class MontField {
  private:
   using MulFn = FieldElem (*)(const FieldElem&, const FieldElem&, const FieldElem&, uint64_t);
   using SqrFn = FieldElem (*)(const FieldElem&, const FieldElem&, uint64_t);
-  using InvFn = bool (*)(const FieldElem&, const FieldElem&, FieldElem*);
+  using InvFn = bool (*)(const FieldElem&, const FieldElem&, uint64_t, int, FieldElem*);
 
   Bignum modulus_;
   FieldElem p_;

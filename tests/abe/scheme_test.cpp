@@ -278,6 +278,92 @@ TEST_F(SchemeTest, CiphertextStructure) {
 // Attribute revocation (paper Section V-C).
 // ---------------------------------------------------------------------
 
+// The revoke path normalizes in batches: reencrypt sums each slot's
+// C_i + UI_x rows through Group::g1_sums, and a key update raises every
+// K_x to UK2 in Jacobian form and converts them with one g1_normalize.
+// Affine coordinates are canonical, so both must equal, byte for byte,
+// the per-element folds they replaced (kept here as the reference).
+struct RevocationFixture {
+  OwnerMasterKey mk;
+  UserSecretKey med_key;  // Doctor, Nurse and Admin at Med
+  Ciphertext ct;          // rows at Med and at Gov
+  UpdateKey uk;
+  UpdateInfo ui;
+};
+
+RevocationFixture revocation_fixture(const Group& grp) {
+  crypto::Drbg rng("batched-normalization");
+  RevocationFixture out;
+  out.mk = owner_gen(grp, "owner-1", rng);
+  const OwnerSecretShare osk = owner_share(grp, out.mk);
+  std::map<std::string, AuthorityVersionKey> vks;
+  std::map<std::string, AuthorityPublicKey> apks;
+  std::map<std::string, PublicAttributeKey> attr_pks;
+  for (const std::string aid : {"Med", "Gov"}) {
+    vks.emplace(aid, aa_setup(grp, aid, rng));
+    apks.emplace(aid, aa_public_key(grp, vks.at(aid)));
+  }
+  for (const auto& [aid, name] : std::vector<std::pair<std::string, std::string>>{
+           {"Med", "Doctor"}, {"Med", "Nurse"}, {"Med", "Admin"}, {"Gov", "Auditor"}}) {
+    const PublicAttributeKey pk = aa_attribute_key(grp, vks.at(aid), name);
+    attr_pks.emplace(pk.attr.qualified(), pk);
+  }
+  const UserPublicKey carol = ca_register_user(grp, "carol", rng);
+  out.med_key = aa_keygen(grp, vks.at("Med"), osk, carol, {"Doctor", "Nurse", "Admin"});
+  const LsssMatrix policy = LsssMatrix::from_policy(
+      parse_policy("Doctor@Med AND Auditor@Gov AND (Nurse@Med OR Admin@Med)"));
+  auto [ct, rec] = encrypt(grp, out.mk, "ct-batched", grp.gt_random(rng), policy, apks,
+                           attr_pks, rng);
+  out.ct = std::move(ct);
+
+  const AuthorityVersionKey new_vk = aa_rekey(grp, vks.at("Med"), rng).new_vk;
+  out.uk = aa_make_update_key(grp, vks.at("Med"), new_vk, osk);
+  std::map<std::string, PublicAttributeKey> new_attr_pks = attr_pks;
+  for (auto& [handle, pk] : new_attr_pks)
+    if (pk.attr.aid == "Med") pk = apply_update_to_attribute_pk(grp, pk, out.uk);
+  out.ui = owner_update_info(grp, out.mk, rec, out.ct, attr_pks, new_attr_pks, "Med");
+  return out;
+}
+
+void expect_reencrypt_matches_row_fold(const Group& grp) {
+  const RevocationFixture fx = revocation_fixture(grp);
+  // The reference: one G1 addition (one inversion) per affected row.
+  std::vector<G1> want = fx.ct.ci;
+  int affected = 0;
+  for (int i = 0; i < fx.ct.policy.rows(); ++i) {
+    const lsss::Attribute& attr = fx.ct.policy.row_attribute(i);
+    if (attr.aid != "Med") continue;
+    want[i] = want[i] + fx.ui.ui.at(attr.qualified());
+    ++affected;
+  }
+  ASSERT_EQ(affected, 3);
+  Ciphertext got = fx.ct;
+  reencrypt(grp, &got, fx.uk, fx.ui);
+  ASSERT_EQ(got.ci.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got.ci[i].to_bytes(), want[i].to_bytes()) << i;
+}
+
+void expect_key_update_matches_mul_fold(const Group& grp) {
+  const RevocationFixture fx = revocation_fixture(grp);
+  const UserSecretKey got = apply_update_to_secret_key(grp, fx.med_key, fx.uk);
+  EXPECT_EQ(got.version, fx.uk.to_version);
+  EXPECT_EQ(got.k.to_bytes(), (fx.med_key.k + fx.uk.uk1).to_bytes());
+  // The reference: one G1 exponentiation (one inversion) per K_x.
+  ASSERT_EQ(got.kx.size(), 3u);
+  for (const auto& [handle, key] : fx.med_key.kx)
+    EXPECT_EQ(got.kx.at(handle).to_bytes(), key.mul(fx.uk.uk2).to_bytes()) << handle;
+}
+
+TEST_F(SchemeTest, ReencryptSumsMatchPerRowFoldOnBothCurves) {
+  expect_reencrypt_matches_row_fold(*grp);
+  expect_reencrypt_matches_row_fold(*Group::pbc_a512());
+}
+
+TEST_F(SchemeTest, SecretKeyUpdateMatchesPerKeyFoldOnBothCurves) {
+  expect_key_update_matches_mul_fold(*grp);
+  expect_key_update_matches_mul_fold(*Group::pbc_a512());
+}
+
 class RevocationTest : public SchemeTest {
  protected:
   // Revokes "Doctor" from alice at Med, runs the full protocol over the

@@ -4,6 +4,7 @@
 
 #include "common/errors.h"
 #include "lsss/parser.h"
+#include "support/bignum_ref.h"
 
 namespace maabe::lsss {
 namespace {
@@ -51,13 +52,13 @@ std::optional<std::vector<ReconCoeff>> reference_reconstruction(
     }
     if (piv < 0) continue;
     std::swap(a[rank], a[piv]);
-    const Bignum inv = Bignum::mod_inverse(a[rank][col], order);
-    for (int j = col; j <= k; ++j) a[rank][j] = Bignum::mod_mul(a[rank][j], inv, order);
+    const Bignum inv = math::reference::mod_inverse(a[rank][col], order);
+    for (int j = col; j <= k; ++j) a[rank][j] = math::reference::mod_mul(a[rank][j], inv, order);
     for (int r = 0; r < n; ++r) {
       if (r == rank || a[r][col].is_zero()) continue;
       const Bignum f = a[r][col];
       for (int j = col; j <= k; ++j)
-        a[r][j] = Bignum::mod_sub(a[r][j], Bignum::mod_mul(f, a[rank][j], order), order);
+        a[r][j] = Bignum::mod_sub(a[r][j], math::reference::mod_mul(f, a[rank][j], order), order);
     }
     pivot_col_of_row[rank] = col;
     ++rank;
@@ -373,7 +374,7 @@ TEST_F(MatrixTest, Int64MinEntryFromTheWire) {
   const auto coeffs = m.reconstruction(*grp, {{"a", "A"}});
   ASSERT_TRUE(coeffs.has_value());
   ASSERT_EQ(coeffs->size(), 1u);
-  EXPECT_EQ((*coeffs)[0].w.value(), Bignum::mod_inverse(entry.value(), order));
+  EXPECT_EQ((*coeffs)[0].w.value(), math::reference::mod_inverse(entry.value(), order));
   expect_same_coefficients(coeffs, reference_reconstruction(m, *grp, {{"a", "A"}}));
   EXPECT_EQ((*coeffs)[0].w * shares[0], s);
 }

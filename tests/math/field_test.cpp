@@ -1,8 +1,9 @@
 // Differential tests: the fixed-width Montgomery kernels (one template
 // instance per limb count N = 1..8) against the variable-length Bignum
 // reference, on generated odd moduli and on the paper curve's q; the
-// BMI2/ADX kernel against the portable N = 8 kernels; and the windowed
-// MontField::pow against square-and-multiply.
+// BMI2/ADX kernel against the portable N = 8 kernels; the windowed
+// MontField::pow against square-and-multiply; and the batched
+// binary-gcd inversion against the reference and against Fermat.
 #include "math/field.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 
 #include "common/errors.h"
 #include "math/field_kernels.h"
+#include "math/prime.h"
+#include "support/bignum_ref.h"
 
 namespace maabe::math {
 namespace {
@@ -60,20 +63,20 @@ void check_modulus(const Bignum& m, std::mt19937_64& rng) {
 
   // The Montgomery codec: to_mont(a) == a*R mod m, and it round-trips.
   for (const Bignum& a : ops) {
-    EXPECT_EQ(Bignum(f.to_mont(a)), Bignum::mod_mul(a, r_mod, m)) << a.to_hex();
+    EXPECT_EQ(Bignum(f.to_mont(a)), reference::mod_mul(a, r_mod, m)) << a.to_hex();
     EXPECT_EQ(Bignum(f.from_mont(f.to_mont(a))), a) << a.to_hex();
   }
   EXPECT_EQ(Bignum(f.one()), r_mod);
 
   for (const Bignum& a : ops) {
     const FieldElem am = f.to_mont(a);
-    EXPECT_EQ(Bignum(f.from_mont(f.sqr(am))), Bignum::mod_mul(a, a, m)) << a.to_hex();
+    EXPECT_EQ(Bignum(f.from_mont(f.sqr(am))), reference::mod_mul(a, a, m)) << a.to_hex();
     EXPECT_EQ(Bignum(f.neg(a)), Bignum::mod_sub(Bignum(), a, m)) << a.to_hex();
 
     bool ref_invertible = true;
     Bignum ref_inv;
     try {
-      ref_inv = Bignum::mod_inverse(a, m);
+      ref_inv = reference::mod_inverse(a, m);
     } catch (const MathError&) {
       ref_invertible = false;
     }
@@ -85,7 +88,7 @@ void check_modulus(const Bignum& m, std::mt19937_64& rng) {
 
     for (const Bignum& b : ops) {
       const FieldElem bm = f.to_mont(b);
-      EXPECT_EQ(Bignum(f.from_mont(f.mul(am, bm))), Bignum::mod_mul(a, b, m))
+      EXPECT_EQ(Bignum(f.from_mont(f.mul(am, bm))), reference::mod_mul(a, b, m))
           << a.to_hex() << " * " << b.to_hex();
       EXPECT_EQ(Bignum(f.add(a, b)), Bignum::mod_add(a, b, m))
           << a.to_hex() << " + " << b.to_hex();
@@ -114,7 +117,7 @@ TEST(MontField, MatchesBignumOnPaperPrime) {
 // The group orders r of both curves (pbc_a512: 160 bits, 3 limbs; the
 // test curve: 80 bits, 2 limbs), which Z_r arithmetic and the LSSS
 // solver run on: mul and inv on the operands 1, 2, r-1 and 10^4
-// seeded values against Bignum::mod_mul / mod_inverse.
+// seeded values against reference::mod_mul / mod_inverse.
 TEST(MontField, MatchesBignumOnGroupOrders) {
   std::mt19937_64 rng(160);
   for (const char* hex : {"8000000000000800000000000000000000000001", "a8b318d0752b1825bc55"}) {
@@ -128,10 +131,10 @@ TEST(MontField, MatchesBignumOnGroupOrders) {
       const Bignum& a = ops[i];
       const Bignum& b = ops[(i * 7 + 1) % ops.size()];
       const FieldElem am = f.to_mont(a);
-      ASSERT_EQ(Bignum(f.from_mont(f.mul(am, f.to_mont(b)))), Bignum::mod_mul(a, b, r))
+      ASSERT_EQ(Bignum(f.from_mont(f.mul(am, f.to_mont(b)))), reference::mod_mul(a, b, r))
           << a.to_hex() << " * " << b.to_hex();
       if (a.is_zero()) continue;
-      ASSERT_EQ(Bignum(f.from_mont(f.inv(am))), Bignum::mod_inverse(a, r)) << a.to_hex();
+      ASSERT_EQ(Bignum(f.from_mont(f.inv(am))), reference::mod_inverse(a, r)) << a.to_hex();
     }
   }
 }
@@ -148,7 +151,7 @@ TEST(MontField, PowMatchesBignum) {
   for (int i = 0; i < 4; ++i) {
     const Bignum a = random_below(rng, q);
     const Bignum e = random_below_bits(rng, 3);
-    EXPECT_EQ(Bignum(f.from_mont(f.pow(f.to_mont(a), e))), Bignum::mod_pow(a, e, q));
+    EXPECT_EQ(Bignum(f.from_mont(f.pow(f.to_mont(a), e))), reference::mod_pow(a, e, q));
   }
   EXPECT_EQ(f.pow(f.to_mont(Bignum::from_u64(5)), Bignum()), f.one());
 }
@@ -302,6 +305,135 @@ TEST(MontField, WindowedPowMatchesBitAtATime) {
     for (const FieldElem& b : bases)
       for (const Bignum& e : exps)
         ASSERT_EQ(f.pow(b, e), pow_bitwise(f, b, e)) << "exp " << e.to_hex();
+  }
+}
+
+
+// ------------------------------------------------ batched binary gcd --
+
+const char* kR160 = "8000000000000800000000000000000000000001";       // pbc_a512 r
+const char* kQ192 = "a8a00006952d5bd44d531e0f159f2117c2792ecb0de393eb";  // test curve q
+const char* kR80 = "a8b318d0752b1825bc55";                              // test curve r
+
+/// Inversion operands: 0, 1, 2, p-1, p-2, every power of two below p,
+/// R mod p, and values whose top limb equals p's (p minus a random
+/// amount below 2^63, with limbs below the top one saturated or not).
+std::vector<Bignum> inverse_operands(const Bignum& m, std::mt19937_64& rng) {
+  const Bignum one = Bignum::from_u64(1);
+  std::vector<Bignum> out = {Bignum(), one};
+  if (m.bit_length() > 2) out.push_back(Bignum::from_u64(2));
+  out.push_back(Bignum::sub(m, one));
+  if (Bignum::cmp(m, Bignum::from_u64(3)) > 0) out.push_back(Bignum::sub(m, Bignum::from_u64(2)));
+  for (int k = 0; k < m.bit_length() - 1; ++k) out.push_back(Bignum::shl(one, k));
+  out.push_back(Bignum::mod(Bignum::shl(one, 64 * m.limb_count()), m));
+  const int n = m.limb_count();
+  if (n > 1) {
+    for (int k = 0; k < 4; ++k) {
+      const Bignum d = Bignum::from_u64((rng() >> 1) + 1);
+      if (Bignum::cmp(d, m) < 0) out.push_back(Bignum::sub(m, d));
+    }
+    // Top limb of p, every lower limb random or all ones, kept below p.
+    std::vector<uint64_t> l(n);
+    for (int i = 0; i < n - 1; ++i) l[i] = rng();
+    l[n - 1] = m.limb(n - 1);
+    for (const Bignum& v : {Bignum::from_limbs_le(l.data(), n),
+                            Bignum::sub(Bignum::from_limbs_le(l.data(), n), one)})
+      if (Bignum::cmp(v, m) < 0) out.push_back(v);
+  }
+  return out;
+}
+
+/// inv(a) on the Montgomery form of a against the reference inverse
+/// (MathError when the reference says a is not a unit) and, for prime
+/// moduli, against a^(p-2).
+void check_inverse(const MontField& f, const Bignum& a, bool prime) {
+  const Bignum& m = f.modulus();
+  const FieldElem am = f.to_mont(a);
+  Bignum want;
+  try {
+    want = reference::mod_inverse(a, m);
+  } catch (const MathError&) {
+    ASSERT_THROW(f.inv(am), MathError) << a.to_hex();
+    return;
+  }
+  const FieldElem got = f.inv(am);
+  ASSERT_EQ(Bignum(f.from_mont(got)), want) << a.to_hex();
+  if (prime) {
+    ASSERT_EQ(got, f.pow(am, Bignum::sub(m, Bignum::from_u64(2)))) << a.to_hex();
+  }
+}
+
+void check_inverse_modulus(const Bignum& m, bool prime, int random_values,
+                           std::mt19937_64& rng) {
+  SCOPED_TRACE("modulus " + m.to_hex());
+  const MontField f(m);
+  for (const Bignum& a : inverse_operands(m, rng))
+    ASSERT_NO_FATAL_FAILURE(check_inverse(f, a, prime));
+  for (int i = 0; i < random_values; ++i)
+    ASSERT_NO_FATAL_FAILURE(check_inverse(f, random_below(rng, m), prime));
+}
+
+/// The first probable prime at or above an odd n-limb start value.
+Bignum next_prime(Bignum n) {
+  while (!is_probable_prime(n)) n = Bignum::add(n, Bignum::from_u64(2));
+  return n;
+}
+
+TEST(MontFieldInverse, MatchesReferenceForEveryLimbCount) {
+  std::mt19937_64 rng(972);
+  for (int n = 1; n <= FieldElem::kLimbs; ++n) {
+    SCOPED_TRACE("limbs " + std::to_string(n));
+    // Generated odd moduli, top bit set and clear: mostly composite,
+    // so non-units show up among the operands.
+    for (int k = 0; k < 3; ++k) {
+      check_inverse_modulus(odd_modulus(rng, n, /*top_bit=*/true), false, 300, rng);
+      check_inverse_modulus(odd_modulus(rng, n, /*top_bit=*/false), false, 300, rng);
+    }
+    // The all-ones modulus 2^(64n) - 1 (divisible by 3).
+    std::vector<uint64_t> ones(n, ~uint64_t(0));
+    check_inverse_modulus(Bignum::from_limbs_le(ones.data(), n), false, 300, rng);
+    // Primes, top bit set and clear: the result must also be a^(p-2).
+    check_inverse_modulus(next_prime(odd_modulus(rng, n, /*top_bit=*/true)), true, 300, rng);
+    check_inverse_modulus(next_prime(odd_modulus(rng, n, /*top_bit=*/false)), true, 300, rng);
+  }
+  // Both curves' q and r.
+  for (const char* hex : {kQ512, kR160, kQ192, kR80})
+    check_inverse_modulus(Bignum::from_hex(hex), true, 1000, rng);
+}
+
+// The two moduli of the paper curve: 10^5 seeded values each.
+TEST(MontFieldInverse, PaperQOnHundredThousandValues) {
+  std::mt19937_64 rng(2020972);
+  check_inverse_modulus(Bignum::from_hex(kQ512), true, 100000, rng);
+}
+
+TEST(MontFieldInverse, PaperROnHundredThousandValues) {
+  std::mt19937_64 rng(160972);
+  check_inverse_modulus(Bignum::from_hex(kR160), true, 100000, rng);
+}
+
+TEST(MontFieldInverse, ZeroAndNonUnitsThrow) {
+  std::mt19937_64 rng(31);
+  for (int n = 1; n <= FieldElem::kLimbs; ++n) {
+    for (const Bignum& m : {odd_modulus(rng, n, true), odd_modulus(rng, n, false)}) {
+      const MontField f(m);
+      EXPECT_THROW(f.inv(FieldElem()), MathError) << m.to_hex();
+    }
+  }
+  // A composite odd modulus m = s * t: every multiple of s below m is a
+  // non-unit, including s itself and m - s.
+  const Bignum s = next_prime(Bignum::from_hex("c5a1f3e2d4b6978a1"));
+  const Bignum t = next_prime(Bignum::from_hex("e3d2c1b0a9f8e7d6c5b4a3928170f6e5d4c3b2a1"));
+  const Bignum m = Bignum::mul(s, t);
+  const MontField f(m);
+  for (const Bignum& a : {s, t, Bignum::sub(m, s), Bignum::mul(s, Bignum::from_u64(12345))})
+    EXPECT_THROW(f.inv(f.to_mont(a)), MathError) << a.to_hex();
+  EXPECT_NO_THROW(f.inv(f.to_mont(Bignum::from_u64(2))));
+  // 3 divides every all-ones modulus.
+  for (int n = 1; n <= FieldElem::kLimbs; ++n) {
+    std::vector<uint64_t> ones(n, ~uint64_t(0));
+    const MontField g(Bignum::from_limbs_le(ones.data(), n));
+    EXPECT_THROW(g.inv(g.to_mont(Bignum::from_u64(3))), MathError) << n;
   }
 }
 

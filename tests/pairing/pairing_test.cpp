@@ -108,7 +108,9 @@ TEST_F(PairingTest, DecisionalStructure) {
   const Zr c = grp->zr_random(rng);
   const GT lhs = grp->pair(g.mul(a), g.mul(b));
   EXPECT_EQ(lhs, grp->gt_generator().pow(a * b));
-  if (c != a * b) EXPECT_NE(lhs, grp->gt_generator().pow(c));
+  if (c != a * b) {
+    EXPECT_NE(lhs, grp->gt_generator().pow(c));
+  }
 }
 
 TEST(PairingFullSize, Pbc512Bilinearity) {
