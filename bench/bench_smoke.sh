@@ -94,8 +94,8 @@ export MAABE_BENCH_SMALL=1
 # emits (engine_batch_report / emit_phase_breakdown) are the real work.
 # The workload bench has no google-benchmark harness: its scenario loop
 # is the run.
-"$PAIRING_MICRO" --benchmark_filter='BM_FinalExp$'
-"$REVOCATION" --benchmark_filter='BM_KeyUpdate_User/2$'
+"$PAIRING_MICRO" --benchmark_filter='^BM_FinalExp/'
+"$REVOCATION" --benchmark_filter='^BM_KeyUpdate_User/2/'
 "$WORKLOAD"
 
 # pairing_micro guards

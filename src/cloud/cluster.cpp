@@ -59,7 +59,7 @@ Cluster::Cluster(std::shared_ptr<const pairing::Group> grp,
     nodes_.push_back(std::move(n));
   }
   m_.nodes_alive->set(static_cast<int64_t>(nodes_.size()));
-  ring_ = HashRing(names_, config_.replication, config_.vnodes);
+  ring_ = HashRing(names_, config_.replication);
   recovery_ = std::make_unique<RecoveryManager>(*this);
 }
 
@@ -91,12 +91,6 @@ CloudServer& Cluster::node_store(const std::string& name) {
 
 const CloudServer& Cluster::node_store(const std::string& name) const {
   return *nodes_[node_index(name)]->store;
-}
-
-size_t Cluster::read_quorum() const {
-  const size_t r = config_.replication;
-  const size_t q = config_.read_quorum == 0 ? r / 2 + 1 : config_.read_quorum;
-  return std::min(q, r);
 }
 
 Cluster::Node& Cluster::node(const std::string& name) {
@@ -237,26 +231,30 @@ void Cluster::handle_store(const std::string& self, ByteView stored_file_wire) {
   // recovered replica converges without reordering. Any replica that
   // misses the synchronous delivery (parked or shed) gets a hinted
   // hand-off, drained when it rejoins.
-  ReplicationOp op{file_id, version, hash, wire};
-  const Bytes op_wire = encode_replication_op(op);
+  const Bytes op_wire = encode_replication_op({file_id, version, hash, wire});
   for (const std::string& replica : ring_.replicas_for(file_id)) {
     if (replica == self) continue;
     m_.replication_ops->inc();
-    try {
-      const bool delivered = durable_.send_or_park(
-          self, replica, op_wire,
-          [this, replica](ByteView payload) { handle_replication(replica, payload); },
-          ParkedOp(ParkedOp::Kind::kReplicate, file_id, version));
-      if (!delivered) recovery_->record_hint(self, replica, file_id, version);
-    } catch (const TransportError& e) {
-      // Bounded-queue backpressure: the replica's parked queue is full.
-      // The write already succeeded at the coordinator; shed this
-      // maintenance op (counted) and leave a hint so the rejoin drain
-      // (or read-repair) heals the replica.
-      if (e.kind() != TransportError::Kind::kOverloaded) throw;
-      m_.replication_shed->inc();
-      recovery_->record_hint(self, replica, file_id, version);
-    }
+    send_replica(self, replica, op_wire,
+                 ParkedOp(ParkedOp::Kind::kReplicate, file_id, version));
+  }
+}
+
+void Cluster::send_replica(const std::string& self, const std::string& replica,
+                           Bytes op_wire, const ParkedOp& tag) {
+  try {
+    const bool delivered = durable_.send_or_park(
+        self, replica, std::move(op_wire),
+        [this, replica](ByteView payload) { handle_replication(replica, payload); },
+        tag);
+    if (!delivered) recovery_->record_hint(self, replica, tag.subject, tag.number);
+  } catch (const TransportError& e) {
+    // Bounded-queue backpressure: the replica's parked queue is full.
+    // The write or read already succeeded; shed this maintenance op
+    // (counted) and keep the divergence on record for the rejoin drain.
+    if (e.kind() != TransportError::Kind::kOverloaded) throw;
+    m_.replication_shed->inc();
+    recovery_->record_hint(self, replica, tag.subject, tag.number);
   }
 }
 
@@ -270,10 +268,9 @@ void Cluster::apply_replication(Node& n, const ReplicationOp& op) {
     std::lock_guard<std::mutex> lock(n.mu);
     const auto it = n.meta.find(op.file_id);
     if (it != n.meta.end() && op.version < it->second.version) return;
-    if (it != n.meta.end() && op.version == it->second.version &&
-        n.store->has_file(op.file_id)) {
-      const Bytes local = serialize(*grp_, *n.store->fetch(op.file_id));
-      if (sha256_of(local) == op.hash) return;  // already converged
+    if (it != n.meta.end() && op.version == it->second.version) {
+      const FetchReply local = copy_of(n, op.file_id);
+      if (local.found && sha256_of(local.wire) == op.hash) return;  // converged
     }
     n.store->store(deserialize_stored_file(*grp_, op.wire));
     Meta& m = n.meta[op.file_id];
@@ -291,14 +288,12 @@ void Cluster::handle_replication(const std::string& self, ByteView op_wire) {
 
 // ------------------------------------------------------ read path --
 
-FetchReply Cluster::local_read(const Node& n, const std::string& file_id) const {
+FetchReply Cluster::copy_of(const Node& n, const std::string& file_id) const {
   FetchReply reply;
-  // One mu hold across bytes and meta: a concurrent writer can never
-  // make the reply pair new bytes with an old version.
-  std::lock_guard<std::mutex> lock(n.mu);
-  if (!n.store->has_file(file_id)) return reply;
+  std::optional<Bytes> wire = n.store->fetch_bytes(file_id);
+  if (!wire) return reply;
   reply.found = true;
-  reply.wire = serialize(*grp_, *n.store->fetch(file_id));
+  reply.wire = std::move(*wire);
   const auto it = n.meta.find(file_id);
   if (it != n.meta.end()) {
     reply.version = it->second.version;
@@ -311,6 +306,25 @@ FetchReply Cluster::local_read(const Node& n, const std::string& file_id) const 
   return reply;
 }
 
+FetchReply Cluster::local_read(const std::string& name, const std::string& file_id) const {
+  const Node& n = node(name);
+  // One mu hold across bytes and meta: a concurrent writer can never
+  // make the reply pair new bytes with an old version.
+  std::lock_guard<std::mutex> lock(n.mu);
+  return copy_of(n, file_id);
+}
+
+Bytes Cluster::rpc(const std::string& from, const std::string& to, ByteView request,
+                   const std::function<Bytes(ByteView)>& serve) {
+  Bytes reply;
+  link_.send(from, to, request, [&serve, &reply](ByteView payload) { reply = serve(payload); });
+  Bytes out;
+  link_.send(to, from, reply, [&out](ByteView payload) {
+    out.assign(payload.begin(), payload.end());
+  });
+  return out;
+}
+
 Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id) {
   Node& coord = node(self);
   ensure_alive(coord);
@@ -321,7 +335,7 @@ Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id)
     span.attr("file_id", file_id);
   }
   const std::vector<std::string> replicas = ring_.replicas_for(file_id);
-  const size_t quorum = std::min(read_quorum(), replicas.size());
+  const size_t quorum = replicas.size() / 2 + 1;  // majority of R
 
   struct ReplicaReply {
     size_t pref = 0;
@@ -333,26 +347,20 @@ Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id)
   for (size_t i = 0; i < replicas.size(); ++i) {
     const std::string& replica = replicas[i];
     if (replica == self) {
-      replies.push_back({i, replica, local_read(coord, file_id), false});
+      replies.push_back({i, replica, local_read(self, file_id), false});
       continue;
     }
     if (!alive(replica)) continue;  // failure detector: don't wait on the dead
     try {
       // Two legs, like the client download: the request carries the id,
       // the reply carries the versioned bytes, and the meter sees both.
-      Bytes reply_wire;
-      link_.send(self, replica, bytes_of(file_id),
-                 [this, &replica, &reply_wire](ByteView payload) {
-                   Node& remote = node(replica);
-                   ensure_alive(remote);
-                   reply_wire = encode_fetch_reply(local_read(
-                       remote, std::string(payload.begin(), payload.end())));
-                 });
-      FetchReply reply;
-      link_.send(replica, self, reply_wire, [&reply](ByteView payload) {
-        reply = decode_fetch_reply(payload);
-      });
-      replies.push_back({i, replica, std::move(reply), false});
+      const Bytes reply_wire =
+          rpc(self, replica, bytes_of(file_id), [this, &replica](ByteView payload) {
+            ensure_alive(node(replica));
+            return encode_fetch_reply(
+                local_read(replica, std::string(payload.begin(), payload.end())));
+          });
+      replies.push_back({i, replica, decode_fetch_reply(reply_wire), false});
     } catch (const TransportError&) {
       // No reply from this replica; quorum accounting decides below.
     }
@@ -398,23 +406,8 @@ Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id)
       apply_replication(coord, op);  // repair our own stale/corrupt copy
       continue;
     }
-    try {
-      const bool delivered = durable_.send_or_park(
-          self, r.node, encode_replication_op(op),
-          [this, target = r.node](ByteView payload) {
-            handle_replication(target, payload);
-          },
-          ParkedOp(ParkedOp::Kind::kReadRepair, file_id, winner->reply.version));
-      if (!delivered) {
-        recovery_->record_hint(self, r.node, file_id, winner->reply.version);
-      }
-    } catch (const TransportError& e) {
-      // Shed the repair under backpressure; the read itself succeeded.
-      // The hint keeps the divergence on record for the rejoin drain.
-      if (e.kind() != TransportError::Kind::kOverloaded) throw;
-      m_.replication_shed->inc();
-      recovery_->record_hint(self, r.node, file_id, winner->reply.version);
-    }
+    send_replica(self, r.node, encode_replication_op(op),
+                 ParkedOp(ParkedOp::Kind::kReadRepair, file_id, op.version));
   }
   if (span.active()) {
     span.attr("replies", static_cast<uint64_t>(replies.size()));
@@ -511,7 +504,7 @@ bool Cluster::apply_epoch_decision(Node& n, uint64_t epoch_id, bool commit) {
         for (const std::string& fid : committed_files) {
           Meta& m = n.meta[fid];
           ++m.version;
-          m.hash = sha256_of(serialize(*grp_, *n.store->fetch(fid)));
+          m.hash = sha256_of(copy_of(n, fid).wire);
         }
       } else {
         n.store->abort_reencrypt(token);
@@ -667,10 +660,10 @@ Bytes Cluster::snapshot(const std::string& name) const {
   const std::vector<std::string> ids = n.store->file_ids();
   w.u32(static_cast<uint32_t>(ids.size()));
   for (const std::string& id : ids) {
+    const FetchReply copy = copy_of(n, id);
     w.str(id);
-    const auto it = n.meta.find(id);
-    w.u64(it == n.meta.end() ? 0 : it->second.version);
-    w.var_bytes(serialize(*grp_, *n.store->fetch(id)));
+    w.u64(copy.version);
+    w.var_bytes(copy.wire);
   }
   return w.take();
 }

@@ -1,4 +1,4 @@
-// Cluster: N CloudServer nodes joined only through the Transport
+// Cluster: N CloudServer nodes joined only through the transport
 // (DESIGN.md §13).
 //
 // Placement is a consistent-hash ring (HashRing): each file lives on R
@@ -13,9 +13,12 @@
 // an unreachable replica comes back.
 //
 // Reads: the coordinator collects one FetchReply per alive replica
-// (its own copy locally, the rest over the transport), requires a
-// quorum, picks the winner (authentic > newest > preferred) and
-// repairs divergent replicas in the background (read-repair).
+// (its own copy locally, the rest over a two-leg rpc), requires a
+// majority quorum, picks the winner (authentic > newest > preferred) and
+// repairs divergent replicas in the background (read-repair) through
+// the same durable replica send as the write fan-out. Every reader of a
+// node's copy goes through copy_of, which serves the bytes the store
+// kept when it wrote the revision: no node re-serializes what it holds.
 //
 // Revocation epochs: cluster-wide two-phase commit over the server's
 // stage-then-commit hooks, at every cluster size. The coordinator stages
@@ -50,9 +53,6 @@ namespace maabe::cloud {
 struct ClusterConfig {
   size_t nodes = 1;
   size_t replication = 1;  ///< copies per file, clamped to [1, nodes]
-  size_t vnodes = 64;      ///< ring positions per node
-  /// Replies required by a quorum read; 0 means majority (R/2 + 1).
-  size_t read_quorum = 0;
 };
 
 /// Per-node liveness/robustness view (satellite of ISSUE 6): the store
@@ -118,8 +118,6 @@ class Cluster {
   const HashRing& ring() const { return ring_; }
   const ClusterConfig& config() const { return config_; }
   const std::string& instance() const { return link_.instance(); }
-  /// Replies a quorum read needs (config.read_quorum or majority of R).
-  size_t read_quorum() const;
 
   // ---- Liveness (scripted by the chaos harness) ----------------------
   bool alive(const std::string& name) const;
@@ -191,6 +189,10 @@ class Cluster {
   Bytes snapshot(const std::string& name) const;
   /// Version of this node's copy (0 when absent).
   uint64_t version_of(const std::string& name, const std::string& file_id) const;
+  /// This node's copy as its quorum-read reply: version, recorded hash
+  /// and the bytes its store kept (found = false when absent). Counts
+  /// one fetch on the node's store.
+  FetchReply local_read(const std::string& name, const std::string& file_id) const;
 
   /// Human-readable dump of one node's flight-recorder ring (last N
   /// spans + typed events, DESIGN.md §16). Empty-ish ("0 entries")
@@ -236,9 +238,20 @@ class Cluster {
   /// Throws TransportError(kLost) when the node is down, so an apply
   /// aimed at it fails exactly like a lost frame.
   void ensure_alive(const Node& n) const;
-  /// Local read of one node's copy, as a FetchReply.
-  FetchReply local_read(const Node& n, const std::string& file_id) const;
+  /// The one reader of a node's copy; the caller holds n.mu, so the
+  /// bytes and the meta can never come from different revisions. A
+  /// copy stored out of band (no meta) reads as version 0 with its own
+  /// bytes' hash. Counts one fetch on n's store when found.
+  FetchReply copy_of(const Node& n, const std::string& file_id) const;
   void apply_replication(Node& n, const ReplicationOp& op);
+  /// Durable send of a replication or read-repair op: a parked or shed
+  /// (full queue, counted) delivery leaves a hint for the rejoin drain.
+  void send_replica(const std::string& self, const std::string& replica,
+                    Bytes op_wire, const ParkedOp& tag);
+  /// Two transport legs, so the meter and fault injection see both
+  /// directions: `serve` runs at `to` and its result travels back.
+  Bytes rpc(const std::string& from, const std::string& to, ByteView request,
+            const std::function<Bytes(ByteView)>& serve);
   /// Records the verdict in n's decision log and commits or aborts the
   /// staged epoch if n still holds it (store mutation + meta bump under
   /// n.mu). Returns whether staged state was found. Used by phase 2, by

@@ -202,11 +202,10 @@ std::vector<UpdateInfo> DataOwner::update_infos(const std::string& aid,
     if (ver == ct.versions.end() || ver->second != from_version) continue;
     out.push_back(abe::owner_update_info(*grp_, mk_, records_.at(ct_id), ct,
                                          prev_attribute_pks_, attribute_pks_, aid));
-    // Track the owner's own copy forward so later revocations can build
-    // on the current ciphertext state.
+    // Only the version of the owner's copy advances: its C / C_i stay
+    // stale, because owner_update_info reads nothing of the copy but the
+    // policy rows and the per-authority versions.
     ver->second = from_version + 1;
-    // The C / C_i components of the owner's copy also advance; rebuild
-    // them the same way the server will (cheap, local).
   }
   return out;
 }

@@ -122,15 +122,12 @@ RecoveryManager::pair_listing(const std::string& owner,
       return std::find(replicas.begin(), replicas.end(), x) != replicas.end();
     };
     if (!has(owner) || !has(peer)) continue;  // not a shared file
+    const FetchReply copy = cluster_.copy_of(n, fid);
     ShardLeaf leaf;
     leaf.fid = fid;
-    const Bytes wire = serialize(*cluster_.grp_, *n.store->fetch(fid));
-    leaf.content_hash = crypto::Sha256::digest(wire);
-    const auto it = n.meta.find(fid);
-    if (it != n.meta.end()) {
-      leaf.version = it->second.version;
-      leaf.authentic = leaf.content_hash == it->second.hash;
-    }
+    leaf.version = copy.version;
+    leaf.content_hash = crypto::Sha256::digest(copy.wire);
+    leaf.authentic = leaf.content_hash == copy.hash;
     out[n.store->shard_of(fid)].push_back(std::move(leaf));
   }
   return out;
@@ -156,15 +153,20 @@ RecoveryManager::Session& RecoveryManager::session_for(
 
 Bytes RecoveryManager::rpc(const std::string& from, const std::string& to,
                            Bytes request) {
-  Bytes reply;
-  cluster_.link_.send(from, to, request, [this, &to, &reply](ByteView payload) {
-    reply = serve(to, payload);
-  });
-  Bytes out;
-  cluster_.link_.send(to, from, reply, [&out](ByteView payload) {
-    out.assign(payload.begin(), payload.end());
-  });
-  return out;
+  return cluster_.rpc(from, to, request,
+                      [this, &to](ByteView payload) { return serve(to, payload); });
+}
+
+std::optional<ReplicationOp> RecoveryManager::current_op(const std::string& node,
+                                                         const std::string& file_id) {
+  Cluster::Node& n = cluster_.node(node);
+  std::lock_guard<std::mutex> lock(n.mu);
+  FetchReply copy = cluster_.copy_of(n, file_id);
+  if (!copy.found) return std::nullopt;
+  // Transfers carry the hash of the bytes held now, not the recorded
+  // one: the receiver's equal-version check then repairs bit-rot.
+  const Bytes hash = crypto::Sha256::digest(copy.wire);
+  return ReplicationOp{file_id, copy.version, hash, std::move(copy.wire)};
 }
 
 Bytes RecoveryManager::serve(const std::string& self, ByteView request) {
@@ -217,19 +219,9 @@ Bytes RecoveryManager::serve(const std::string& self, ByteView request) {
     case kFilePull: {
       const std::string fid = r.str();
       r.expect_done();
-      std::lock_guard<std::mutex> lock(n.mu);
-      if (!n.store->has_file(fid)) {
-        w.u8(0);
-        break;
-      }
-      ReplicationOp op;
-      op.file_id = fid;
-      op.wire = serialize(*cluster_.grp_, *n.store->fetch(fid));
-      op.hash = crypto::Sha256::digest(op.wire);
-      const auto it = n.meta.find(fid);
-      op.version = it == n.meta.end() ? 0 : it->second.version;
-      w.u8(1);
-      w.var_bytes(encode_replication_op(op));
+      const std::optional<ReplicationOp> op = current_op(self, fid);
+      w.u8(op ? 1 : 0);
+      if (op) w.var_bytes(encode_replication_op(*op));
       break;
     }
     case kHintList: {
@@ -283,23 +275,13 @@ Bytes RecoveryManager::serve(const std::string& self, ByteView request) {
 
 void RecoveryManager::push_file(const std::string& from, const std::string& to,
                                 const ShardLeaf& leaf, SyncReport* rep) {
-  Cluster::Node& n = cluster_.node(from);
-  ReplicationOp op;
-  {
-    std::lock_guard<std::mutex> lock(n.mu);
-    if (!n.store->has_file(leaf.fid)) return;
-    op.file_id = leaf.fid;
-    op.wire = serialize(*cluster_.grp_, *n.store->fetch(leaf.fid));
-    op.hash = crypto::Sha256::digest(op.wire);
-    const auto it = n.meta.find(leaf.fid);
-    op.version = it == n.meta.end() ? 0 : it->second.version;
-  }
-  const Bytes op_wire = encode_replication_op(op);
-  cluster_.link_.send(from, to, op_wire, [this, &to](ByteView payload) {
+  const std::optional<ReplicationOp> op = current_op(from, leaf.fid);
+  if (!op) return;
+  cluster_.link_.send(from, to, encode_replication_op(*op), [this, &to](ByteView payload) {
     cluster_.handle_replication(to, payload);
   });
   ++rep->files_pushed;
-  rep->bytes_transferred += op.wire.size();
+  rep->bytes_transferred += op->wire.size();
 }
 
 bool RecoveryManager::pull_file(const std::string& to, const std::string& from,

@@ -1,6 +1,6 @@
 // Self-healing recovery for the replicated Cluster (DESIGN.md §15).
 //
-// Three protocols, all speaking node-to-node over the same Transport the
+// Three protocols, all speaking node-to-node over the same transport the
 // data plane uses (so the meter and fault injection see every byte):
 //
 //  * Merkle anti-entropy — each node's store state folds into a per-
@@ -39,9 +39,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cloud/replication.h"
 #include "common/bytes.h"
 #include "telemetry/metrics.h"
 
@@ -143,9 +145,12 @@ class RecoveryManager {
   struct ShardLeaf;
   struct Session;
 
-  /// Two transport legs (request then reply), like the quorum read, so
-  /// the meter sees both directions.
+  /// Cluster::rpc with this manager's serve() as the responder.
   Bytes rpc(const std::string& from, const std::string& to, Bytes request);
+  /// `node`'s current copy of a file as a replication op (nullopt when
+  /// absent), the payload of both kFilePull and push_file.
+  std::optional<ReplicationOp> current_op(const std::string& node,
+                                          const std::string& file_id);
   /// Responder dispatch for every recovery verb.
   Bytes serve(const std::string& self, ByteView request);
 

@@ -8,6 +8,8 @@
 
 namespace maabe::cloud {
 
+constexpr size_t kVnodes = 64;  // ring positions per node
+
 uint64_t HashRing::position(const std::string& label) {
   const Bytes digest = crypto::Sha256::digest(bytes_of(label));
   uint64_t v = 0;
@@ -15,8 +17,8 @@ uint64_t HashRing::position(const std::string& label) {
   return v;
 }
 
-HashRing::HashRing(std::vector<std::string> nodes, size_t replication, size_t vnodes)
-    : nodes_(std::move(nodes)), vnodes_(vnodes == 0 ? 1 : vnodes) {
+HashRing::HashRing(std::vector<std::string> nodes, size_t replication)
+    : nodes_(std::move(nodes)) {
   if (nodes_.empty()) throw SchemeError("HashRing: no nodes");
   std::set<std::string> seen;
   for (const std::string& n : nodes_) {
@@ -25,9 +27,9 @@ HashRing::HashRing(std::vector<std::string> nodes, size_t replication, size_t vn
       throw SchemeError("HashRing: duplicate node '" + n + "'");
   }
   replication_ = std::clamp<size_t>(replication, 1, nodes_.size());
-  ring_.reserve(nodes_.size() * vnodes_);
+  ring_.reserve(nodes_.size() * kVnodes);
   for (uint32_t i = 0; i < nodes_.size(); ++i) {
-    for (size_t v = 0; v < vnodes_; ++v) {
+    for (size_t v = 0; v < kVnodes; ++v) {
       ring_.emplace_back(position(nodes_[i] + "#" + std::to_string(v)), i);
     }
   }

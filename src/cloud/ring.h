@@ -1,6 +1,6 @@
 // Consistent-hash ring for cluster file placement (DESIGN.md §13).
 //
-// Each node owns `vnodes` positions on a 64-bit ring (the first 8 bytes
+// Each node owns 64 positions on a 64-bit ring (the first 8 bytes
 // of SHA-256 over "<node>#<i>"); a file lands at the position of its
 // file_id and its replica set is the next `replication` distinct nodes
 // clockwise. Placement is static for a fixed membership: node failure
@@ -25,11 +25,10 @@ class HashRing {
 
   /// `replication` is clamped to [1, nodes.size()]. Node names must be
   /// unique and non-empty; throws SchemeError otherwise.
-  HashRing(std::vector<std::string> nodes, size_t replication, size_t vnodes = 64);
+  HashRing(std::vector<std::string> nodes, size_t replication);
 
   const std::vector<std::string>& nodes() const { return nodes_; }
   size_t replication() const { return replication_; }
-  size_t vnodes() const { return vnodes_; }
 
   /// Every node, ordered by first appearance walking clockwise from the
   /// key's position. The first replication() entries are the replica
@@ -51,7 +50,6 @@ class HashRing {
  private:
   std::vector<std::string> nodes_;
   size_t replication_ = 1;
-  size_t vnodes_ = 0;
   /// Sorted (position, node index). Ties sort by index, so the walk is
   /// deterministic even on (astronomically unlikely) hash collisions.
   std::vector<std::pair<uint64_t, uint32_t>> ring_;

@@ -47,13 +47,11 @@ void CloudServer::store(StoredFile file) {
   if (file.owner_id.empty())
     throw SchemeError("CloudServer: file '" + file.file_id +
                       "' has empty owner id (would escape revocation)");
-  const size_t bytes = serialize(*grp_, file).size();
+  Bytes wire = serialize(*grp_, file);
   Shard& sh = shards_[shard_of(file.file_id)];
   auto snapshot = std::make_shared<const StoredFile>(std::move(file));
   std::unique_lock lk(sh.mu);
-  Entry& entry = sh.files[snapshot->file_id];
-  sh.bytes = sh.bytes - entry.bytes + bytes;
-  entry = Entry{std::move(snapshot), bytes};
+  sh.files[snapshot->file_id] = Entry{snapshot, std::move(wire)};
   m_.stores->inc();
 }
 
@@ -71,6 +69,15 @@ std::shared_ptr<const StoredFile> CloudServer::fetch(const std::string& file_id)
     throw SchemeError("CloudServer: no file '" + file_id + "'");
   m_.fetches->inc();
   return it->second.file;
+}
+
+std::optional<Bytes> CloudServer::fetch_bytes(const std::string& file_id) const {
+  const Shard& sh = shards_[shard_of(file_id)];
+  std::shared_lock lk(sh.mu);
+  const auto it = sh.files.find(file_id);
+  if (it == sh.files.end()) return std::nullopt;
+  m_.fetches->inc();
+  return it->second.wire;
 }
 
 std::vector<std::string> CloudServer::file_ids() const {
@@ -213,10 +220,8 @@ size_t CloudServer::commit_reencrypt(uint64_t token,
     std::unique_lock lk(sh.mu);
     const auto it = sh.files.find(sf.staged->file_id);
     if (it == sh.files.end() || it->second.file != sf.original) continue;
-    const size_t bytes = serialize(*grp_, *sf.staged).size();
-    sh.bytes = sh.bytes - it->second.bytes + bytes;
     if (committed_files != nullptr) committed_files->push_back(sf.staged->file_id);
-    it->second = Entry{std::move(sf.staged), bytes};
+    it->second = Entry{sf.staged, serialize(*grp_, *sf.staged)};
     committed += sf.slot_indices.size();
   }
   m_.epochs_committed->inc();
@@ -249,7 +254,7 @@ size_t CloudServer::storage_bytes() const {
   size_t total = 0;
   for (const Shard& sh : shards_) {
     std::shared_lock lk(sh.mu);
-    total += sh.bytes;
+    for (const auto& [id, entry] : sh.files) total += entry.wire.size();
   }
   return total;
 }
@@ -271,7 +276,7 @@ ServerStats CloudServer::stats() const {
   for (const Shard& sh : shards_) {
     std::shared_lock lk(sh.mu);
     out.files += sh.files.size();
-    out.bytes += sh.bytes;
+    for (const auto& [id, entry] : sh.files) out.bytes += entry.wire.size();
   }
   out.stores = m_.stores->value();
   out.fetches = m_.fetches->value();

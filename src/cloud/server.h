@@ -11,7 +11,8 @@
 // under the shard's read lock, so readers are never invalidated by a
 // concurrent store() or reencrypt(). Writers lock only their shard, so
 // re-encryption of one owner's files never blocks reads of unrelated
-// shards.
+// shards. Each entry keeps the bytes store() or the commit serialized
+// for it, so a reader of the wire form (fetch_bytes) never serializes.
 //
 // Revocation is a failure-atomic epoch in two steps: stage_reencrypt()
 // builds re-encrypted copies of every affected ciphertext off to the
@@ -28,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 
 #include "abe/scheme.h"
@@ -77,6 +79,11 @@ class CloudServer {
   /// snapshot stays valid (and unchanged) however many store() /
   /// reencrypt() calls race with the reader.
   std::shared_ptr<const StoredFile> fetch(const std::string& file_id) const;
+
+  /// serialize() of fetch(file_id)'s snapshot, as kept by the store()
+  /// or commit that wrote it; nullopt when the file is absent. Counts
+  /// one fetch when found, like fetch().
+  std::optional<Bytes> fetch_bytes(const std::string& file_id) const;
 
   /// All file ids, sorted (stable across shard counts).
   std::vector<std::string> file_ids() const;
@@ -145,12 +152,11 @@ class CloudServer {
  private:
   struct Entry {
     std::shared_ptr<const StoredFile> file;
-    size_t bytes = 0;  ///< serialized size, maintained on every swap
+    Bytes wire;  ///< serialize(*file), computed once per revision
   };
   struct Shard {
     mutable std::shared_mutex mu;
     std::map<std::string, Entry> files;     // guarded by mu
-    uint64_t bytes = 0;                     // guarded by mu (exclusive)
   };
   struct StagedFile {
     size_t shard;

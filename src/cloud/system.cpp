@@ -29,7 +29,7 @@ CloudSystem::CloudSystem(std::shared_ptr<const pairing::Group> grp,
     : CloudSystem(std::move(grp), seed, std::make_unique<LoopbackTransport>()) {}
 
 CloudSystem::CloudSystem(std::shared_ptr<const pairing::Group> grp,
-                         const std::string& seed, std::unique_ptr<Transport> transport,
+                         const std::string& seed, std::unique_ptr<LoopbackTransport> transport,
                          RetryPolicy retry, ClusterConfig cluster)
     : grp_(std::move(grp)),
       rng_(std::string_view(seed)),

@@ -2,7 +2,7 @@
 //
 // Wires the CA, attribute authorities, data owners, consumers and the
 // storage cluster together. Every artefact that crosses an entity
-// boundary travels through a Transport as serialized bytes (DESIGN.md
+// boundary travels through the transport as serialized bytes (DESIGN.md
 // §10): serialize -> frame -> deliver -> verify -> deserialize. Sends
 // use a ReliableLink (capped exponential backoff, per-request ids,
 // origin-scoped receiver dedup); revocation and upload traffic
@@ -34,11 +34,11 @@ class CloudSystem {
  public:
   explicit CloudSystem(std::shared_ptr<const pairing::Group> grp,
                        const std::string& seed = "maabe-system");
-  /// Full control: inject a transport (typically a LoopbackTransport
-  /// with a FaultPlan), a retry policy, and the cluster shape (defaults
-  /// to a single node named "server").
+  /// Full control: inject a transport (typically with a FaultPlan), a
+  /// retry policy, and the cluster shape (defaults to a single node
+  /// named "server").
   CloudSystem(std::shared_ptr<const pairing::Group> grp, const std::string& seed,
-              std::unique_ptr<Transport> transport, RetryPolicy retry = RetryPolicy(),
+              std::unique_ptr<LoopbackTransport> transport, RetryPolicy retry = RetryPolicy(),
               ClusterConfig cluster = ClusterConfig());
 
   // ---- Enrollment ----------------------------------------------------
@@ -193,7 +193,7 @@ class CloudSystem {
   CloudServer& server() { return cluster_.node_store(0); }
   Cluster& cluster() { return cluster_; }
   const Cluster& cluster() const { return cluster_; }
-  Transport& transport() { return *transport_; }
+  LoopbackTransport& transport() { return *transport_; }
   const ChannelMeter& meter() const { return transport_->meter(); }
   ChannelMeter& meter() { return transport_->meter(); }
   const pairing::Group& group() const { return *grp_; }
@@ -217,7 +217,7 @@ class CloudSystem {
   std::shared_ptr<const pairing::Group> grp_;
   crypto::Drbg rng_;
   CertificateAuthority ca_;
-  std::unique_ptr<Transport> transport_;
+  std::unique_ptr<LoopbackTransport> transport_;
   ReliableLink link_;
   /// Per-destination write-ahead queues, shared between entity traffic
   /// and the cluster's replication fan-out (one health view).

@@ -327,7 +327,7 @@ void LoopbackTransport::deliver(const std::string& from, const std::string& to,
 
 // ----------------------------------------------------- ReliableLink --
 
-ReliableLink::ReliableLink(Transport& transport, RetryPolicy policy)
+ReliableLink::ReliableLink(LoopbackTransport& transport, RetryPolicy policy)
     : transport_(transport), policy_(policy) {
   auto& reg = telemetry::MetricsRegistry::global();
   const telemetry::Labels l{{"instance", instance()}};

@@ -1,7 +1,7 @@
 // Byte-level transport for the framework protocol (DESIGN.md §10).
 //
 // Every artefact a CloudSystem entity sends — keys, ciphertexts, stored
-// files, update keys — travels through a Transport as serialized bytes:
+// files, update keys — travels through the transport as serialized bytes:
 // the sender serializes, the transport frames (sequence number +
 // checksum) and delivers, the receiver verifies and deserializes.
 // Nothing crosses an entity boundary by reference anymore, so the
@@ -145,43 +145,7 @@ class FaultPlan {
   Injected injected_;
 };
 
-// -------------------------------------------------------- Transport --
-
-class Transport {
- public:
-  virtual ~Transport() = default;
-
-  /// Called once per frame copy that arrives intact — zero times for a
-  /// dropped frame, twice for a duplicated one. Receivers must dedup by
-  /// request id: in the ack-loss case the sink has already run when the
-  /// sender sees the failure and retries.
-  using Sink = std::function<void(uint64_t request_id, ByteView payload)>;
-
-  /// One transmission attempt from->to. Throws TransportError when the
-  /// frame is lost (kLost), fails its checksum (kChecksum), or its
-  /// acknowledgement is lost after delivery (kLost).
-  virtual void deliver(const std::string& from, const std::string& to,
-                       uint64_t request_id, ByteView payload, const Sink& sink) = 0;
-
-  /// Per-channel byte and fault accounting lives inside the transport —
-  /// it is the only layer that sees real wire bytes.
-  ChannelMeter& meter() { return meter_; }
-  const ChannelMeter& meter() const { return meter_; }
-
-  /// Virtual clock (milliseconds). Delay faults and retry backoff
-  /// advance it; nothing ever sleeps, so chaos runs are fast and
-  /// deterministic.
-  virtual uint64_t now_ms() const = 0;
-  virtual void advance_clock(uint64_t ms) = 0;
-
-  /// The `instance` label of this transport's series, shared by every
-  /// component stacked on it (link, queues, cluster, nodes).
-  const std::string& instance() const { return instance_; }
-
- private:
-  const std::string instance_ = telemetry::next_instance();
-  ChannelMeter meter_{instance_};
-};
+// ------------------------------------------------ LoopbackTransport --
 
 /// In-process transport: frames are encoded, run through the FaultPlan,
 /// and decoded on the spot. The real serialize -> frame -> verify ->
@@ -192,23 +156,43 @@ class Transport {
 /// the meter synchronizes itself); no lock is held while the receiver
 /// sink runs, so sinks may nest further sends. faults() hands out the
 /// plan unsynchronized — configure it before concurrent traffic starts.
-class LoopbackTransport : public Transport {
+class LoopbackTransport {
  public:
   explicit LoopbackTransport(FaultPlan plan = FaultPlan());
 
+  /// Called once per frame copy that arrives intact — zero times for a
+  /// dropped frame, twice for a duplicated one. Receivers must dedup by
+  /// request id: in the ack-loss case the sink has already run when the
+  /// sender sees the failure and retries.
+  using Sink = std::function<void(uint64_t request_id, ByteView payload)>;
+
+  /// One transmission attempt from->to. Throws TransportError when the
+  /// frame is lost (kLost), fails its checksum (kChecksum), or its
+  /// acknowledgement is lost after delivery (kLost).
   void deliver(const std::string& from, const std::string& to, uint64_t request_id,
-               ByteView payload, const Sink& sink) override;
-  uint64_t now_ms() const override {
-    return now_ms_.load(std::memory_order_relaxed);
-  }
-  void advance_clock(uint64_t ms) override {
-    now_ms_.fetch_add(ms, std::memory_order_relaxed);
-  }
+               ByteView payload, const Sink& sink);
+
+  /// Per-channel byte and fault accounting lives inside the transport —
+  /// it is the only layer that sees real wire bytes.
+  ChannelMeter& meter() { return meter_; }
+  const ChannelMeter& meter() const { return meter_; }
+
+  /// Virtual clock (milliseconds). Delay faults and retry backoff
+  /// advance it; nothing ever sleeps, so chaos runs are fast and
+  /// deterministic.
+  uint64_t now_ms() const { return now_ms_.load(std::memory_order_relaxed); }
+  void advance_clock(uint64_t ms) { now_ms_.fetch_add(ms, std::memory_order_relaxed); }
+
+  /// The `instance` label of this transport's series, shared by every
+  /// component stacked on it (link, queues, cluster, nodes).
+  const std::string& instance() const { return instance_; }
 
   FaultPlan& faults() { return plan_; }
   const FaultPlan& faults() const { return plan_; }
 
  private:
+  const std::string instance_ = telemetry::next_instance();
+  ChannelMeter meter_{instance_};
   std::mutex mu_;  // guards plan_ decisions + seq_ allocation
   FaultPlan plan_;
   std::map<std::pair<std::string, std::string>, uint64_t> seq_;
@@ -227,7 +211,7 @@ struct RetryPolicy {
   uint64_t deadline_ms = 4000;
 };
 
-/// Reliable unicast over an unreliable Transport: retries with capped
+/// Reliable unicast over an unreliable transport: retries with capped
 /// exponential backoff until the policy is exhausted, and guarantees the
 /// receiver-side apply runs at most once per (origin, request id) even
 /// when frames are duplicated or an applied request is retried after an
@@ -239,7 +223,7 @@ struct RetryPolicy {
 /// duplicate copies are counted as redeliveries on the channel.
 class ReliableLink {
  public:
-  explicit ReliableLink(Transport& transport, RetryPolicy policy = RetryPolicy());
+  explicit ReliableLink(LoopbackTransport& transport, RetryPolicy policy = RetryPolicy());
 
   /// Hands out sender-unique request ids (so a parked delivery can be
   /// replayed later under its original id).
@@ -277,7 +261,7 @@ class ReliableLink {
   }
 
  private:
-  Transport& transport_;
+  LoopbackTransport& transport_;
   RetryPolicy policy_;
   std::atomic<uint64_t> next_request_id_{0};
   mutable std::mutex applied_mu_;  // never held across apply/sink calls

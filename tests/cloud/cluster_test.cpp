@@ -226,6 +226,80 @@ TEST(ClusterTest, QuorumReadRepairsCorruptReplica) {
             serialize(sys->group(), *c.node_store(coord).fetch("f1")));
 }
 
+/// Every replica's copy, as served to quorum reads, is the serialization
+/// of the file its store holds now, under a recorded hash of those bytes.
+void expect_kept_bytes_fresh(CloudSystem& sys, const std::vector<std::string>& files,
+                             const std::string& step) {
+  Cluster& c = sys.cluster();
+  for (const std::string& f : files) {
+    for (const std::string& name : c.replicas_for(f)) {
+      const FetchReply copy = c.local_read(name, f);
+      ASSERT_TRUE(copy.found) << step << ": " << name << " lacks '" << f << "'";
+      EXPECT_EQ(copy.wire, serialize(sys.group(), *c.node_store(name).fetch(f)))
+          << step << ": " << name << " serves stale bytes of '" << f << "'";
+      EXPECT_EQ(copy.hash, crypto::Sha256::digest(copy.wire))
+          << step << ": " << name << " records a stale hash of '" << f << "'";
+    }
+  }
+}
+
+/// Flips one sealed byte of a non-coordinator replica of `file_id`
+/// behind the cluster's back (its recorded hash keeps the old bytes).
+std::string rot_replica(CloudSystem& sys, const std::string& file_id, size_t offset) {
+  Cluster& c = sys.cluster();
+  const std::string coord = c.route_for(file_id);
+  std::string victim;
+  for (const std::string& name : c.replicas_for(file_id)) {
+    if (name != coord) victim = name;
+  }
+  StoredFile rotted = *c.node_store(victim).fetch(file_id);
+  rotted.slots[0].sealed_data.at(offset) ^= 0x40;
+  c.node_store(victim).store(std::move(rotted));
+  return victim;
+}
+
+TEST(ClusterTest, KeptBytesNeverGoStale) {
+  auto sys = make_system(Group::test_small(), 3, 2);
+  enroll(*sys);
+  const std::vector<std::string> files = {"f1", "f2", "f3"};
+  upload_all(*sys, files);
+  EXPECT_EQ(sys->flush_pending(), 0u);
+  expect_kept_bytes_fresh(*sys, files, "upload");
+
+  // A replicated write: the re-upload reaches the second replica as v2.
+  // Owner records are keyed by (file, component): a revision needs a new
+  // component name.
+  sys->upload("hosp", "f1", {{"a#r2", bytes_of("rewritten f1"), "Doctor@Med"}});
+  EXPECT_EQ(sys->flush_pending(), 0u);
+  Cluster& c = sys->cluster();
+  for (const std::string& name : c.replicas_for("f1")) EXPECT_EQ(c.version_of(name, "f1"), 2u);
+  expect_kept_bytes_fresh(*sys, files, "replicated write");
+
+  // Read-repair of a rotted replica.
+  const std::string repaired = rot_replica(*sys, "f2", 10);
+  EXPECT_NE(c.local_read(repaired, "f2").hash,
+            crypto::Sha256::digest(c.local_read(repaired, "f2").wire));
+  EXPECT_TRUE(sys->download_report("alice", "f2").all_ok());
+  EXPECT_EQ(sys->flush_pending(), 0u);
+  expect_kept_bytes_fresh(*sys, files, "read-repair");
+
+  // A recovery sync heals a rotted replica from its authentic peer.
+  const std::string synced = rot_replica(*sys, "f3", 11);
+  const SyncReport rep = c.recovery().sync(synced, c.route_for("f3"));
+  EXPECT_EQ(rep.files_pulled + rep.files_pushed, 1u);
+  expect_kept_bytes_fresh(*sys, files, "recovery sync");
+
+  // A committed revocation epoch re-encrypts every replica's copy; the
+  // kept bytes and the recorded hash move with it.
+  const Bytes before = c.local_read(c.route_for("f3"), "f3").wire;
+  EXPECT_GT(sys->revoke_attribute("Med", "bob", "Doctor"), 0u);
+  EXPECT_EQ(sys->flush_pending(), 0u);
+  EXPECT_EQ(c.stats().epoch_commits, 1u);
+  EXPECT_NE(c.local_read(c.route_for("f3"), "f3").wire, before);
+  expect_kept_bytes_fresh(*sys, files, "revocation epoch");
+  expect_replicas_converged(*sys, files);
+}
+
 TEST(ClusterTest, ReadWithoutQuorumFailsTyped) {
   auto sys = make_system(Group::test_small(), 3, 2);
   enroll(*sys);
