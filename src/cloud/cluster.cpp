@@ -20,8 +20,6 @@ constexpr uint8_t kEpochStage = 1;
 constexpr uint8_t kEpochCommit = 2;
 constexpr uint8_t kEpochAbort = 3;
 
-Bytes sha256_of(ByteView data) { return crypto::Sha256::digest(data); }
-
 }  // namespace
 
 Cluster::Cluster(std::shared_ptr<const pairing::Group> grp,
@@ -67,10 +65,6 @@ const std::string& Cluster::node_name(size_t i) const {
   if (i >= names_.size())
     throw SchemeError("Cluster: no node index " + std::to_string(i));
   return names_[i];
-}
-
-bool Cluster::is_node(const std::string& name) const {
-  return std::find(names_.begin(), names_.end(), name) != names_.end();
 }
 
 size_t Cluster::node_index(const std::string& name) const {
@@ -210,33 +204,21 @@ std::string Cluster::coordinator() const {
 void Cluster::handle_store(const std::string& self, ByteView stored_file_wire) {
   Node& n = node(self);
   ensure_alive(n);
-  StoredFile file = deserialize_stored_file(*grp_, stored_file_wire);
-  const std::string file_id = file.file_id;
-  const Bytes wire(stored_file_wire.begin(), stored_file_wire.end());
-  const Bytes hash = sha256_of(wire);
-  uint64_t version = 0;
-  {
-    // Store mutation and meta bump under one mu hold: snapshot() and
-    // local_read() read under the same lock, so no reader can pair the
-    // new bytes with the old version (or vice versa).
-    std::lock_guard<std::mutex> lock(n.mu);
-    n.store->store(std::move(file));
-    Meta& m = n.meta[file_id];
-    version = ++m.version;
-    m.hash = hash;
-  }
-  // Fan the versioned op out to the other replicas (none at R=1: the
+  // The store keeps the received bytes as the file's next revision.
+  // Fan that revision out to the other replicas (none at R=1: the
   // coordinator is then the file's only replica). Unreachable
   // replicas park; the queue replays in FIFO = version order, so a
   // recovered replica converges without reordering. Any replica that
   // misses the synchronous delivery (parked or shed) gets a hinted
   // hand-off, drained when it rejoins.
-  const Bytes op_wire = encode_replication_op({file_id, version, hash, wire});
-  for (const std::string& replica : ring_.replicas_for(file_id)) {
+  const ReplicationOp op =
+      n.store->apply_next(Bytes(stored_file_wire.begin(), stored_file_wire.end()));
+  const Bytes op_wire = encode_replication_op(op);
+  for (const std::string& replica : ring_.replicas_for(op.file_id)) {
     if (replica == self) continue;
     m_.replication_ops->inc();
     send_replica(self, replica, op_wire,
-                 ParkedOp(ParkedOp::Kind::kReplicate, file_id, version));
+                 ParkedOp(ParkedOp::Kind::kReplicate, op.file_id, op.version));
   }
 }
 
@@ -258,26 +240,8 @@ void Cluster::send_replica(const std::string& self, const std::string& replica,
   }
 }
 
-void Cluster::apply_replication(Node& n, const ReplicationOp& op) {
-  // Newer versions always apply; an equal version applies only when the
-  // stored bytes differ from the op's (corruption repair). Older
-  // versions are ignored, which makes replays and duplicates idempotent.
-  // The check, store mutation and meta update share one mu hold so no
-  // snapshot or local read sees a version/bytes mismatch.
-  {
-    std::lock_guard<std::mutex> lock(n.mu);
-    const auto it = n.meta.find(op.file_id);
-    if (it != n.meta.end() && op.version < it->second.version) return;
-    if (it != n.meta.end() && op.version == it->second.version) {
-      const FetchReply local = copy_of(n, op.file_id);
-      if (local.found && sha256_of(local.wire) == op.hash) return;  // converged
-    }
-    n.store->store(deserialize_stored_file(*grp_, op.wire));
-    Meta& m = n.meta[op.file_id];
-    m.version = op.version;
-    m.hash = op.hash;
-  }
-  m_.replication_applied->inc();
+void Cluster::apply_replication(Node& n, ReplicationOp op) {
+  if (n.store->apply(std::move(op))) m_.replication_applied->inc();
 }
 
 void Cluster::handle_replication(const std::string& self, ByteView op_wire) {
@@ -287,32 +251,6 @@ void Cluster::handle_replication(const std::string& self, ByteView op_wire) {
 }
 
 // ------------------------------------------------------ read path --
-
-FetchReply Cluster::copy_of(const Node& n, const std::string& file_id) const {
-  FetchReply reply;
-  std::optional<Bytes> wire = n.store->fetch_bytes(file_id);
-  if (!wire) return reply;
-  reply.found = true;
-  reply.wire = std::move(*wire);
-  const auto it = n.meta.find(file_id);
-  if (it != n.meta.end()) {
-    reply.version = it->second.version;
-    reply.hash = it->second.hash;
-  } else {
-    // Stored out of band (tests poke node stores directly): treat the
-    // current bytes as authentic at version 0.
-    reply.hash = sha256_of(reply.wire);
-  }
-  return reply;
-}
-
-FetchReply Cluster::local_read(const std::string& name, const std::string& file_id) const {
-  const Node& n = node(name);
-  // One mu hold across bytes and meta: a concurrent writer can never
-  // make the reply pair new bytes with an old version.
-  std::lock_guard<std::mutex> lock(n.mu);
-  return copy_of(n, file_id);
-}
 
 Bytes Cluster::rpc(const std::string& from, const std::string& to, ByteView request,
                    const std::function<Bytes(ByteView)>& serve) {
@@ -381,7 +319,7 @@ Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id)
   ReplicaReply* winner = nullptr;
   for (ReplicaReply& r : replies) {
     if (!r.reply.found) continue;
-    r.valid = sha256_of(r.reply.wire) == r.reply.hash;
+    r.valid = crypto::Sha256::digest(r.reply.wire) == r.reply.hash;
     if (winner == nullptr ||
         std::make_tuple(r.valid, r.reply.version, winner->pref) >
             std::make_tuple(winner->valid, winner->reply.version, r.pref)) {
@@ -392,7 +330,7 @@ Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id)
     throw SchemeError("CloudServer: no file '" + file_id + "'");
 
   // Read-repair: push the winner at divergent replicas, asynchronously.
-  const Bytes true_hash = sha256_of(winner->reply.wire);
+  const Bytes true_hash = crypto::Sha256::digest(winner->reply.wire);
   for (const ReplicaReply& r : replies) {
     if (&r == winner) continue;
     if (r.reply.found && r.reply.wire == winner->reply.wire &&
@@ -495,17 +433,10 @@ bool Cluster::apply_epoch_decision(Node& n, uint64_t epoch_id, bool commit) {
       had_staged = true;
       const uint64_t token = it->second;
       n.staged.erase(it);
+      // The commit stays under this mu hold, ordered against
+      // kill_node's staged wipe.
       if (commit) {
-        // Commit and meta bump under the same mu hold (see
-        // handle_store): no reader pairs re-encrypted bytes with the
-        // old version.
-        std::vector<std::string> committed_files;
-        n.store->commit_reencrypt(token, &committed_files);
-        for (const std::string& fid : committed_files) {
-          Meta& m = n.meta[fid];
-          ++m.version;
-          m.hash = sha256_of(copy_of(n, fid).wire);
-        }
+        n.store->commit_reencrypt(token);
       } else {
         n.store->abort_reencrypt(token);
       }
@@ -649,32 +580,6 @@ void Cluster::handle_epoch(const std::string& self, ByteView epoch_wire) {
 }
 
 // ----------------------------------------------------- inspection --
-
-Bytes Cluster::snapshot(const std::string& name) const {
-  const Node& n = node(name);
-  // One consistent pass under the node mutex: taking version_of() per
-  // file after listing ids would let a concurrent store pair a new
-  // version with old bytes (or vice versa) — a torn read.
-  std::lock_guard<std::mutex> lock(n.mu);
-  Writer w;
-  const std::vector<std::string> ids = n.store->file_ids();
-  w.u32(static_cast<uint32_t>(ids.size()));
-  for (const std::string& id : ids) {
-    const FetchReply copy = copy_of(n, id);
-    w.str(id);
-    w.u64(copy.version);
-    w.var_bytes(copy.wire);
-  }
-  return w.take();
-}
-
-uint64_t Cluster::version_of(const std::string& name,
-                             const std::string& file_id) const {
-  const Node& n = node(name);
-  std::lock_guard<std::mutex> lock(n.mu);
-  const auto it = n.meta.find(file_id);
-  return it == n.meta.end() ? 0 : it->second.version;
-}
 
 std::string Cluster::dump_flight_recorder(const std::string& name) const {
   return telemetry::FlightRegistry::global().dump(name);

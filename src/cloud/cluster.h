@@ -6,19 +6,22 @@
 // of the file's preference order, so node failure changes who serves a
 // request, never where the data belongs.
 //
-// Writes: the coordinator assigns the file the next version of its
-// local copy, stores it, and fans a ReplicationOp out to the other
-// replicas through per-node DurableLink queues — asynchronous
-// replication with write-ahead parking, replayed in version order when
-// an unreachable replica comes back.
+// Each node's CloudServer owns its copies' revisions (version, recorded
+// hash and kept bytes in one record): the cluster reads a copy with
+// CloudServer::copy and writes one with its versioned writes, and never
+// re-serializes a copy it received.
+//
+// Writes: the coordinator's store keeps the file as the next version of
+// its copy (apply_next), and the coordinator fans that ReplicationOp
+// out to the other replicas through per-node DurableLink queues —
+// asynchronous replication with write-ahead parking, replayed in
+// version order when an unreachable replica comes back.
 //
 // Reads: the coordinator collects one FetchReply per alive replica
 // (its own copy locally, the rest over a two-leg rpc), requires a
 // majority quorum, picks the winner (authentic > newest > preferred) and
 // repairs divergent replicas in the background (read-repair) through
-// the same durable replica send as the write fan-out. Every reader of a
-// node's copy goes through copy_of, which serves the bytes the store
-// kept when it wrote the revision: no node re-serializes what it holds.
+// the same durable replica send as the write fan-out.
 //
 // Revocation epochs: cluster-wide two-phase commit over the server's
 // stage-then-commit hooks, at every cluster size. The coordinator stages
@@ -110,7 +113,6 @@ class Cluster {
   size_t size() const { return nodes_.size(); }
   const std::vector<std::string>& node_names() const { return names_; }
   const std::string& node_name(size_t i) const;
-  bool is_node(const std::string& name) const;
   size_t node_index(const std::string& name) const;  ///< throws SchemeError
   CloudServer& node_store(size_t i);
   CloudServer& node_store(const std::string& name);
@@ -183,16 +185,20 @@ class Cluster {
     epoch_fault_hook_ = std::move(hook);
   }
 
-  /// Canonical bytes of one node's store: sorted (file_id, version,
-  /// serialized file). Two replicas converged iff snapshots agree on
-  /// their shared files; chaos tests compare these across runs.
-  Bytes snapshot(const std::string& name) const;
+  /// Canonical bytes of one node's store (CloudServer::snapshot). Two
+  /// replicas converged iff snapshots agree on their shared files;
+  /// chaos tests compare these across runs.
+  Bytes snapshot(const std::string& name) const { return node_store(name).snapshot(); }
   /// Version of this node's copy (0 when absent).
-  uint64_t version_of(const std::string& name, const std::string& file_id) const;
-  /// This node's copy as its quorum-read reply: version, recorded hash
-  /// and the bytes its store kept (found = false when absent). Counts
-  /// one fetch on the node's store.
-  FetchReply local_read(const std::string& name, const std::string& file_id) const;
+  uint64_t version_of(const std::string& name, const std::string& file_id) const {
+    return node_store(name).version_of(file_id);
+  }
+  /// This node's copy as its quorum-read reply (CloudServer::copy):
+  /// version, recorded hash and kept bytes (found = false when absent).
+  /// Counts one fetch on the node's store.
+  FetchReply local_read(const std::string& name, const std::string& file_id) const {
+    return node_store(name).copy(file_id);
+  }
 
   /// Human-readable dump of one node's flight-recorder ring (last N
   /// spans + typed events, DESIGN.md §16). Empty-ish ("0 entries")
@@ -212,15 +218,10 @@ class Cluster {
   static constexpr uint8_t kVerdictCommit = 1;
   static constexpr uint8_t kVerdictAbort = 2;
 
-  struct Meta {
-    uint64_t version = 0;
-    Bytes hash;  ///< SHA-256 over the serialized file as written
-  };
   struct Node {
     std::string name;
     std::unique_ptr<CloudServer> store;
     bool alive = true;                       // guarded by mu
-    std::map<std::string, Meta> meta;        // guarded by mu
     std::map<uint64_t, uint64_t> staged;     // epoch id -> store token, by mu
     /// Hinted hand-off: target node -> (file_id -> newest missed
     /// version). Held by the coordinator that shed/parked the write;
@@ -238,12 +239,8 @@ class Cluster {
   /// Throws TransportError(kLost) when the node is down, so an apply
   /// aimed at it fails exactly like a lost frame.
   void ensure_alive(const Node& n) const;
-  /// The one reader of a node's copy; the caller holds n.mu, so the
-  /// bytes and the meta can never come from different revisions. A
-  /// copy stored out of band (no meta) reads as version 0 with its own
-  /// bytes' hash. Counts one fetch on n's store when found.
-  FetchReply copy_of(const Node& n, const std::string& file_id) const;
-  void apply_replication(Node& n, const ReplicationOp& op);
+  /// CloudServer::apply on n's store, counted when it applied.
+  void apply_replication(Node& n, ReplicationOp op);
   /// Durable send of a replication or read-repair op: a parked or shed
   /// (full queue, counted) delivery leaves a hint for the rejoin drain.
   void send_replica(const std::string& self, const std::string& replica,
@@ -253,9 +250,9 @@ class Cluster {
   Bytes rpc(const std::string& from, const std::string& to, ByteView request,
             const std::function<Bytes(ByteView)>& serve);
   /// Records the verdict in n's decision log and commits or aborts the
-  /// staged epoch if n still holds it (store mutation + meta bump under
-  /// n.mu). Returns whether staged state was found. Used by phase 2, by
-  /// control applies and by the recovery resolver.
+  /// staged epoch if n still holds it (under n.mu, ordered against
+  /// kill_node's staged wipe). Returns whether staged state was found.
+  /// Used by phase 2, by control applies and by the recovery resolver.
   bool apply_epoch_decision(Node& n, uint64_t epoch_id, bool commit);
   void send_epoch_control(const std::string& self, const std::string& peer,
                           uint8_t verb, uint64_t epoch_id);

@@ -111,24 +111,22 @@ std::vector<std::vector<Bytes>> RecoveryManager::build_tree_levels(
 std::vector<std::vector<RecoveryManager::ShardLeaf>>
 RecoveryManager::pair_listing(const std::string& owner,
                               const std::string& peer) {
-  Cluster::Node& n = cluster_.node(owner);
-  const size_t shards = n.store->shard_count();
-  std::vector<std::vector<ShardLeaf>> out(shards);
-  std::lock_guard<std::mutex> lock(n.mu);
+  const CloudServer& store = cluster_.node_store(owner);
+  std::vector<std::vector<ShardLeaf>> out(store.shard_count());
   // file_ids() is sorted, so each shard's leaves come out fid-sorted.
-  for (const std::string& fid : n.store->file_ids()) {
+  for (const std::string& fid : store.file_ids()) {
     const std::vector<std::string> replicas = cluster_.ring_.replicas_for(fid);
     const auto has = [&](const std::string& x) {
       return std::find(replicas.begin(), replicas.end(), x) != replicas.end();
     };
     if (!has(owner) || !has(peer)) continue;  // not a shared file
-    const FetchReply copy = cluster_.copy_of(n, fid);
+    const FetchReply copy = store.copy(fid);
     ShardLeaf leaf;
     leaf.fid = fid;
     leaf.version = copy.version;
     leaf.content_hash = crypto::Sha256::digest(copy.wire);
     leaf.authentic = leaf.content_hash == copy.hash;
-    out[n.store->shard_of(fid)].push_back(std::move(leaf));
+    out[store.shard_of(fid)].push_back(std::move(leaf));
   }
   return out;
 }
@@ -159,9 +157,7 @@ Bytes RecoveryManager::rpc(const std::string& from, const std::string& to,
 
 std::optional<ReplicationOp> RecoveryManager::current_op(const std::string& node,
                                                          const std::string& file_id) {
-  Cluster::Node& n = cluster_.node(node);
-  std::lock_guard<std::mutex> lock(n.mu);
-  FetchReply copy = cluster_.copy_of(n, file_id);
+  FetchReply copy = cluster_.local_read(node, file_id);
   if (!copy.found) return std::nullopt;
   // Transfers carry the hash of the bytes held now, not the recorded
   // one: the receiver's equal-version check then repairs bit-rot.
@@ -294,9 +290,9 @@ bool RecoveryManager::pull_file(const std::string& to, const std::string& from,
   if (r.u8() == 0) return false;
   const Bytes op_wire = r.var_bytes();
   r.expect_done();
-  const ReplicationOp op = decode_replication_op(op_wire);
+  ReplicationOp op = decode_replication_op(op_wire);
   if (bytes != nullptr) *bytes += op.wire.size();
-  cluster_.apply_replication(cluster_.node(to), op);
+  cluster_.apply_replication(cluster_.node(to), std::move(op));
   return true;
 }
 

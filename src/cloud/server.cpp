@@ -6,6 +6,7 @@
 
 #include "abe/serial.h"
 #include "common/errors.h"
+#include "crypto/sha256.h"
 #include "engine/engine.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -42,16 +43,34 @@ size_t CloudServer::shard_of(const std::string& file_id) const {
   return std::hash<std::string>{}(file_id) % shards_.size();
 }
 
-void CloudServer::store(StoredFile file) {
+namespace {
+
+void check_storable(const StoredFile& file) {
   if (file.file_id.empty()) throw SchemeError("CloudServer: empty file id");
   if (file.owner_id.empty())
     throw SchemeError("CloudServer: file '" + file.file_id +
                       "' has empty owner id (would escape revocation)");
+}
+
+std::shared_ptr<const StoredFile> parse(const pairing::Group& grp, ByteView wire) {
+  auto file = std::make_shared<const StoredFile>(deserialize_stored_file(grp, wire));
+  check_storable(*file);
+  return file;
+}
+
+}  // namespace
+
+void CloudServer::store(StoredFile file) {
+  check_storable(file);
   Bytes wire = serialize(*grp_, file);
   Shard& sh = shards_[shard_of(file.file_id)];
   auto snapshot = std::make_shared<const StoredFile>(std::move(file));
   std::unique_lock lk(sh.mu);
-  sh.files[snapshot->file_id] = Entry{snapshot, std::move(wire)};
+  const auto [it, inserted] = sh.files.try_emplace(snapshot->file_id);
+  Entry& e = it->second;
+  if (inserted) e.hash = crypto::Sha256::digest(wire);
+  e.file = std::move(snapshot);
+  e.wire = std::move(wire);
   m_.stores->inc();
 }
 
@@ -71,13 +90,68 @@ std::shared_ptr<const StoredFile> CloudServer::fetch(const std::string& file_id)
   return it->second.file;
 }
 
-std::optional<Bytes> CloudServer::fetch_bytes(const std::string& file_id) const {
+FetchReply CloudServer::copy(const std::string& file_id) const {
   const Shard& sh = shards_[shard_of(file_id)];
   std::shared_lock lk(sh.mu);
   const auto it = sh.files.find(file_id);
-  if (it == sh.files.end()) return std::nullopt;
+  if (it == sh.files.end()) return FetchReply{};
   m_.fetches->inc();
-  return it->second.wire;
+  return FetchReply{true, it->second.version, it->second.hash, it->second.wire};
+}
+
+uint64_t CloudServer::version_of(const std::string& file_id) const {
+  const Shard& sh = shards_[shard_of(file_id)];
+  std::shared_lock lk(sh.mu);
+  const auto it = sh.files.find(file_id);
+  return it == sh.files.end() ? 0 : it->second.version;
+}
+
+bool CloudServer::apply(ReplicationOp op) {
+  auto file = parse(*grp_, op.wire);
+  if (file->file_id != op.file_id)
+    throw SchemeError("CloudServer: replication op for '" + op.file_id +
+                      "' carries file '" + file->file_id + "'");
+  Shard& sh = shards_[shard_of(op.file_id)];
+  std::unique_lock lk(sh.mu);
+  const auto [it, inserted] = sh.files.try_emplace(op.file_id);
+  Entry& e = it->second;
+  if (!inserted) {
+    if (op.version < e.version) return false;
+    if (op.version == e.version && crypto::Sha256::digest(e.wire) == op.hash)
+      return false;  // converged
+  }
+  e = Entry{std::move(file), std::move(op.wire), op.version, std::move(op.hash)};
+  m_.stores->inc();
+  return true;
+}
+
+ReplicationOp CloudServer::apply_next(Bytes wire) {
+  auto file = parse(*grp_, wire);
+  ReplicationOp op{file->file_id, 0, crypto::Sha256::digest(wire), wire};
+  Shard& sh = shards_[shard_of(op.file_id)];
+  std::unique_lock lk(sh.mu);
+  Entry& e = sh.files[op.file_id];
+  op.version = e.version + 1;
+  e = Entry{std::move(file), std::move(wire), op.version, op.hash};
+  m_.stores->inc();
+  return op;
+}
+
+Bytes CloudServer::snapshot() const {
+  std::map<std::string, Entry> entries;  // sorted across shards
+  for (const Shard& sh : shards_) {
+    std::shared_lock lk(sh.mu);
+    entries.insert(sh.files.begin(), sh.files.end());
+  }
+  m_.fetches->add(entries.size());
+  Writer w;
+  w.u32(static_cast<uint32_t>(entries.size()));
+  for (const auto& [id, e] : entries) {
+    w.str(id);
+    w.u64(e.version);
+    w.var_bytes(e.wire);
+  }
+  return w.take();
 }
 
 std::vector<std::string> CloudServer::file_ids() const {
@@ -196,8 +270,7 @@ uint64_t CloudServer::stage_reencrypt(const abe::UpdateKey& uk,
   return token;
 }
 
-size_t CloudServer::commit_reencrypt(uint64_t token,
-                                     std::vector<std::string>* committed_files) {
+size_t CloudServer::commit_reencrypt(uint64_t token) {
   static telemetry::Histogram& epoch_ns =
       telemetry::MetricsRegistry::global().histogram("maabe_server_epoch_ns");
   if (token == 0) return 0;
@@ -211,17 +284,20 @@ size_t CloudServer::commit_reencrypt(uint64_t token,
     epoch = std::move(it->second);
     staged_epochs_.erase(it);
   }
-  // Every slot succeeded; swap the snapshots in under the shard write
-  // locks. A file replaced by a concurrent store() since staging keeps
-  // the replacement (the epoch covered the files present at stage time).
+  // Every slot succeeded; swap the new revisions in under the shard
+  // write locks. A file replaced by a concurrent write since staging
+  // keeps the replacement (the epoch covered the files present at stage
+  // time).
   size_t committed = 0;
   for (StagedFile& sf : epoch.files) {
+    Bytes wire = serialize(*grp_, *sf.staged);
+    Bytes hash = crypto::Sha256::digest(wire);
     Shard& sh = shards_[sf.shard];
     std::unique_lock lk(sh.mu);
     const auto it = sh.files.find(sf.staged->file_id);
     if (it == sh.files.end() || it->second.file != sf.original) continue;
-    if (committed_files != nullptr) committed_files->push_back(sf.staged->file_id);
-    it->second = Entry{sf.staged, serialize(*grp_, *sf.staged)};
+    Entry& e = it->second;
+    e = Entry{sf.staged, std::move(wire), e.version + 1, std::move(hash)};
     committed += sf.slot_indices.size();
   }
   m_.epochs_committed->inc();
@@ -250,14 +326,7 @@ size_t CloudServer::abort_all_staged() {
   return n;
 }
 
-size_t CloudServer::storage_bytes() const {
-  size_t total = 0;
-  for (const Shard& sh : shards_) {
-    std::shared_lock lk(sh.mu);
-    for (const auto& [id, entry] : sh.files) total += entry.wire.size();
-  }
-  return total;
-}
+size_t CloudServer::storage_bytes() const { return stats().bytes; }
 
 size_t CloudServer::ciphertext_group_material_bytes() const {
   size_t total = 0;

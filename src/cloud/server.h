@@ -11,8 +11,11 @@
 // under the shard's read lock, so readers are never invalidated by a
 // concurrent store() or reencrypt(). Writers lock only their shard, so
 // re-encryption of one owner's files never blocks reads of unrelated
-// shards. Each entry keeps the bytes store() or the commit serialized
-// for it, so a reader of the wire form (fetch_bytes) never serializes.
+// shards. Each entry is a replica record — parsed file, kept bytes,
+// version and recorded hash of one revision — read and written under
+// one shard lock, so no reader pairs a version with another revision's
+// bytes. Versioned writes keep the bytes they received; only store()
+// and commit_reencrypt() serialize.
 //
 // Revocation is a failure-atomic epoch in two steps: stage_reencrypt()
 // builds re-encrypted copies of every affected ciphertext off to the
@@ -29,11 +32,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 
 #include "abe/scheme.h"
 #include "cloud/hybrid.h"
+#include "cloud/replication.h"
 #include "telemetry/metrics.h"
 
 namespace maabe::cloud {
@@ -44,7 +47,7 @@ namespace maabe::cloud {
 struct ServerStats {
   uint64_t files = 0;              ///< live files
   uint64_t bytes = 0;              ///< serialized bytes at rest
-  uint64_t stores = 0;             ///< store() calls (inserts + replacements)
+  uint64_t stores = 0;             ///< revisions written (store() + applied writes)
   uint64_t fetches = 0;            ///< successful fetch() snapshots served
   uint64_t reencrypted_slots = 0;  ///< ciphertext slots committed by epochs
   uint64_t epochs_committed = 0;   ///< staged epochs committed
@@ -68,9 +71,11 @@ class CloudServer {
   CloudServer(const CloudServer&) = delete;
   CloudServer& operator=(const CloudServer&) = delete;
 
-  /// Stores (or replaces) a file uploaded by an owner. Both file_id and
+  /// Stores (or replaces) a file out of band. Both file_id and
   /// owner_id must be non-empty — a file without an owner could never
   /// match any UpdateKey.owner_id and would silently escape revocation.
+  /// A replaced file keeps its recorded version and hash; a new one
+  /// gets version 0 and the hash of its own bytes.
   void store(StoredFile file);
 
   bool has_file(const std::string& file_id) const;
@@ -80,10 +85,24 @@ class CloudServer {
   /// reencrypt() calls race with the reader.
   std::shared_ptr<const StoredFile> fetch(const std::string& file_id) const;
 
-  /// serialize() of fetch(file_id)'s snapshot, as kept by the store()
-  /// or commit that wrote it; nullopt when the file is absent. Counts
-  /// one fetch when found, like fetch().
-  std::optional<Bytes> fetch_bytes(const std::string& file_id) const;
+  /// The replica record as a quorum-read reply (found = false when
+  /// absent). Counts one fetch when found, like fetch().
+  FetchReply copy(const std::string& file_id) const;
+  /// Version of the kept revision (0 when absent).
+  uint64_t version_of(const std::string& file_id) const;
+
+  /// Replica write: keeps op's bytes, version and hash when op is newer
+  /// than the kept revision, or the same version while the kept bytes'
+  /// hash differs from op.hash (corruption repair); older ops are
+  /// ignored, so replays are idempotent. Returns whether it applied.
+  bool apply(ReplicationOp op);
+  /// Coordinator write: keeps `wire` as the kept version + 1 under its
+  /// own hash; returns that revision as the op to fan out.
+  ReplicationOp apply_next(Bytes wire);
+
+  /// Canonical bytes of the store: sorted (file_id, version, kept
+  /// bytes). Counts one fetch per file, like copy().
+  Bytes snapshot() const;
 
   /// All file ids, sorted (stable across shard counts).
   std::vector<std::string> file_ids() const;
@@ -111,14 +130,14 @@ class CloudServer {
   uint64_t stage_reencrypt(const abe::UpdateKey& uk,
                            const std::vector<abe::UpdateInfo>& infos);
 
-  /// Commits a staged epoch; returns the slots committed and the ids of
-  /// the files actually swapped (a file replaced by a concurrent
-  /// store() since staging keeps the replacement and is not listed).
-  /// Token 0 is a no-op. Throws SchemeError on an unknown token — a
-  /// node that lost its staged state (restart) must surface that to the
-  /// coordinator rather than silently ack an empty commit.
-  size_t commit_reencrypt(uint64_t token,
-                          std::vector<std::string>* committed_files = nullptr);
+  /// Commits a staged epoch; returns the slots committed. Each swapped
+  /// file moves to the next version under the hash of its new bytes; a
+  /// file replaced by a concurrent write since staging keeps the
+  /// replacement and is neither swapped nor bumped. Token 0 is a no-op.
+  /// Throws SchemeError on an unknown token — a node that lost its
+  /// staged state (restart) must surface that to the coordinator rather
+  /// than silently ack an empty commit.
+  size_t commit_reencrypt(uint64_t token);
 
   /// Discards a staged epoch. Unknown (or 0) tokens are a no-op: aborts
   /// are broadcast best-effort and may race a restart.
@@ -152,7 +171,9 @@ class CloudServer {
  private:
   struct Entry {
     std::shared_ptr<const StoredFile> file;
-    Bytes wire;  ///< serialize(*file), computed once per revision
+    Bytes wire;  ///< serialize(*file), as received or serialized once
+    uint64_t version = 0;
+    Bytes hash;  ///< SHA-256 recorded when the revision was written
   };
   struct Shard {
     mutable std::shared_mutex mu;

@@ -399,12 +399,15 @@ CloudSystem::DownloadReport CloudSystem::download_report(const std::string& uid,
   for (const std::string& name : cluster_.node_names()) durable_.flush_queue(name);
   for (const std::string& name : cluster_.node_names()) {
     const std::vector<ParkedOp> ops = durable_.pending_ops(name);
-    if (std::any_of(ops.begin(), ops.end(),
-                    [](const ParkedOp& op) { return op.gates_reads(); })) {
+    const auto gates = [](const ParkedOp& op) { return op.gates_reads(); };
+    const auto first = std::find_if(ops.begin(), ops.end(), gates);
+    if (first != ops.end()) {
       throw TransportError(
           TransportError::Kind::kDegraded,
-          "CloudSystem: " + name + " has " + std::to_string(ops.size()) +
-              " pending deliveries; refusing download of '" + file_id + "'");
+          "CloudSystem: " + name + " has " +
+              std::to_string(std::count_if(first, ops.end(), gates)) +
+              " pending read-gating deliveries (first: " + first->label() +
+              "); refusing download of '" + file_id + "'");
     }
   }
   // Best effort: deliver any parked key material for this user first so

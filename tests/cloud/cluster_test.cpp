@@ -371,6 +371,41 @@ TEST(ClusterTest, ParkedReplicationLeavesReadsOpenAndParkedCommitFailsThemClosed
   }
 }
 
+TEST(ClusterTest, DegradedReadNamesTheParkedEpochThatBlocksIt) {
+  auto sys = make_system(Group::test_small(), 3, 3);
+  enroll(*sys);
+  const std::vector<std::string> files = {"f1", "f2", "f3", "f4",
+                                          "f5", "f6", "f7", "f8"};
+  upload_all(*sys, files);
+  EXPECT_EQ(sys->flush_pending(), 0u);
+
+  // The 2PC cannot stage on the dead peer: it aborts and the epoch
+  // parks at the coordinator, node:0.
+  Cluster& c = sys->cluster();
+  c.kill_node("node:2");
+  EXPECT_EQ(sys->revoke_attribute("Med", "bob", "Doctor"), 0u);
+  ASSERT_EQ(c.coordinator(), "node:0");
+  // A write coordinated elsewhere queues its node:0 replica copy
+  // behind the epoch: parked at node:0, but not read-gating.
+  std::string elsewhere;
+  for (const std::string& f : files) {
+    if (c.route_for(f) == "node:1") elsewhere = f;
+  }
+  ASSERT_FALSE(elsewhere.empty());
+  sys->upload("hosp", elsewhere, {{"b", bytes_of("v2 " + elsewhere), "Doctor@Med"}});
+  ASSERT_EQ(sys->health("node:0").pending_in, 2u);
+
+  try {
+    sys->download_report("alice", files.front());
+    ADD_FAILURE() << "read served behind a parked revocation epoch";
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.kind(), TransportError::Kind::kDegraded) << e.what();
+    const std::string what = e.what();
+    EXPECT_NE(what.find("node:0 has 1 pending read-gating"), std::string::npos) << what;
+    EXPECT_NE(what.find("revocation epoch v"), std::string::npos) << what;
+  }
+}
+
 // -------------------------------------------------- revocation epochs --
 
 /// Enroll, upload, revoke bob — optionally killing `kill` just before

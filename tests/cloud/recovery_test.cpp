@@ -11,8 +11,9 @@
 //      resolves on the survivors (presumed abort when no decision was
 //      recorded, commit when the write-ahead verdict exists) — no epoch
 //      stays staged-open.
-//   4. snapshot() never pairs a file's bytes with another version's
-//      metadata while writers run (torn-read regression, TSan-backed).
+//   4. snapshot() and local_read() never pair a file's bytes with
+//      another version's metadata while writers run (torn-read
+//      regression, TSan-backed).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -397,6 +398,9 @@ TEST(RecoveryTest, SnapshotNeverTearsVersionFromBytes) {
     wires.push_back(serialize(sys->group(), variant));
   }
   const Bytes initial = serialize(sys->group(), *c.node_store(coord).fetch("tf"));
+  std::vector<Bytes> hashes;
+  for (const Bytes& wire : wires) hashes.push_back(crypto::Sha256::digest(wire));
+  const Bytes initial_hash = crypto::Sha256::digest(initial);
 
   std::atomic<bool> done{false};
   std::atomic<size_t> torn{0};
@@ -419,9 +423,22 @@ TEST(RecoveryTest, SnapshotNeverTearsVersionFromBytes) {
       }
     }
   });
+  // The replica record read directly: version, recorded hash and kept
+  // bytes come from one revision.
+  std::thread record_reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const FetchReply copy = c.local_read(coord, "tf");
+      const bool at_base = copy.version == base;
+      const Bytes& want = at_base ? initial : wires.at(copy.version - base - 1);
+      const Bytes& want_hash = at_base ? initial_hash : hashes.at(copy.version - base - 1);
+      if (!copy.found || copy.wire != want || copy.hash != want_hash)
+        torn.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
   for (const Bytes& wire : wires) c.handle_store(coord, wire);
   done.store(true, std::memory_order_release);
   reader.join();
+  record_reader.join();
   EXPECT_EQ(torn.load(), 0u);
   EXPECT_EQ(c.version_of(coord, "tf"), base + kVersions);
   sys->flush_pending();

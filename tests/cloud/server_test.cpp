@@ -1,8 +1,9 @@
 // The concurrent sharded cloud store: snapshot-fetch semantics, the
 // stage-then-commit revocation epoch (all-or-nothing, proven via the
-// fault hook), per-shard stats, and a concurrent fetch/store/reencrypt
-// stress test (run it under -DMAABE_SANITIZE=thread for tsan-grade
-// evidence).
+// fault hook), the replica record's version rules (apply, apply_next,
+// out-of-band store, commit), per-shard stats, and a concurrent
+// fetch/store/reencrypt stress test (run it under
+// -DMAABE_SANITIZE=thread for tsan-grade evidence).
 #include "cloud/server.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 
 #include "abe/serial.h"
 #include "common/errors.h"
+#include "crypto/sha256.h"
 #include "lsss/parser.h"
 
 namespace maabe::cloud {
@@ -241,6 +243,158 @@ TEST(ServerTest, FaultInjectedEpochLeavesStoreByteIdentical) {
   EXPECT_EQ(server.stats().epochs_committed, 1u);
   const abe::Ciphertext ct = server.fetch("f1")->slots[0].key_ct;
   EXPECT_NO_THROW((void)abe::decrypt(*w.grp, ct, w.user, w.sks));
+}
+
+// ------------------------------------------------- replica records --
+
+/// `file` as a replication op at `version`, under the hash of its bytes.
+ReplicationOp op_of(const Group& grp, const StoredFile& file, uint64_t version) {
+  Bytes wire = serialize(grp, file);
+  Bytes hash = crypto::Sha256::digest(wire);
+  return {file.file_id, version, std::move(hash), std::move(wire)};
+}
+
+TEST(ServerTest, ApplyKeepsNewerVersionsAndIgnoresOlderOnes) {
+  World w;
+  CloudServer server(w.grp, 4);
+  const ReplicationOp v2 = op_of(*w.grp, w.make_file("f"), 2);
+  const ReplicationOp v3 = op_of(*w.grp, w.make_file("f", 2), 3);
+  EXPECT_TRUE(server.apply(v2));
+  EXPECT_TRUE(server.apply(v3));  // newer wins
+  EXPECT_EQ(server.stats().stores, 2u);
+
+  // An older version is ignored and is not a store.
+  EXPECT_FALSE(server.apply(v2));
+  EXPECT_EQ(server.stats().stores, 2u);
+  const FetchReply copy = server.copy("f");
+  ASSERT_TRUE(copy.found);
+  EXPECT_EQ(copy.version, 3u);
+  EXPECT_EQ(copy.wire, v3.wire);
+  EXPECT_EQ(server.fetch("f")->slots.size(), 2u);
+  EXPECT_FALSE(server.copy("absent").found);
+  EXPECT_EQ(server.version_of("absent"), 0u);
+}
+
+TEST(ServerTest, ApplyRepairsAnEqualVersionOnlyWhenHashesDiffer) {
+  World w;
+  CloudServer server(w.grp, 4);
+  const ReplicationOp op = op_of(*w.grp, w.make_file("f"), 4);
+  ASSERT_TRUE(server.apply(op));
+  EXPECT_FALSE(server.apply(op));  // kept bytes hash to op.hash: converged
+  EXPECT_EQ(server.stats().stores, 1u);
+
+  // Replace the bytes out of band: the recorded version and hash stay,
+  // so the kept bytes no longer match them.
+  server.store(w.make_file("f"));
+  const FetchReply rotted = server.copy("f");
+  EXPECT_EQ(rotted.version, 4u);
+  EXPECT_EQ(rotted.hash, op.hash);
+  EXPECT_NE(rotted.wire, op.wire);
+
+  // The same version now repairs, back to the op's own bytes.
+  EXPECT_TRUE(server.apply(op));
+  EXPECT_EQ(server.copy("f").wire, op.wire);
+  EXPECT_EQ(server.stats().stores, 3u);
+}
+
+TEST(ServerTest, ApplyKeepsTheOpsOwnBytesAndHash) {
+  World w;
+  CloudServer server(w.grp, 4);
+  // A transfer may carry a hash that is not its bytes' (a rotted copy
+  // recorded elsewhere); the record keeps exactly what the op carries.
+  ReplicationOp op = op_of(*w.grp, w.make_file("f"), 7);
+  op.hash = Bytes(32, 0xab);
+  ASSERT_TRUE(server.apply(op));
+  const FetchReply copy = server.copy("f");
+  EXPECT_EQ(copy.version, 7u);
+  EXPECT_EQ(copy.hash, op.hash);
+  EXPECT_EQ(copy.wire, op.wire);
+  EXPECT_EQ(server.storage_bytes(), op.wire.size());
+
+  // An op whose bytes name another file is refused.
+  ReplicationOp wrong = op_of(*w.grp, w.make_file("g"), 1);
+  wrong.file_id = "f";
+  EXPECT_THROW(server.apply(wrong), SchemeError);
+  EXPECT_EQ(server.copy("f").wire, op.wire);
+}
+
+TEST(ServerTest, ApplyNextAssignsTheNextVersionUnderTheBytesHash) {
+  World w;
+  CloudServer server(w.grp, 4);
+  // A file stored out of band is version 0; the coordinator write
+  // takes it to 1, then 2.
+  server.store(w.make_file("f"));
+  EXPECT_EQ(server.version_of("f"), 0u);
+  const Bytes wire1 = serialize(*w.grp, w.make_file("f"));
+  const ReplicationOp op1 = server.apply_next(wire1);
+  EXPECT_EQ(op1.file_id, "f");
+  EXPECT_EQ(op1.version, 1u);
+  EXPECT_EQ(op1.hash, crypto::Sha256::digest(wire1));
+  EXPECT_EQ(op1.wire, wire1);
+  EXPECT_EQ(server.apply_next(serialize(*w.grp, w.make_file("f"))).version, 2u);
+  EXPECT_EQ(server.apply_next(serialize(*w.grp, w.make_file("g"))).version, 1u);
+  EXPECT_EQ(server.stats().stores, 4u);
+}
+
+TEST(ServerTest, OutOfBandStoreKeepsTheRecordedIdentity) {
+  World w;
+  CloudServer server(w.grp, 4);
+  // A new file gets version 0 and the hash of its own bytes.
+  server.store(w.make_file("new"));
+  const FetchReply fresh = server.copy("new");
+  EXPECT_EQ(fresh.version, 0u);
+  EXPECT_EQ(fresh.hash, crypto::Sha256::digest(fresh.wire));
+  EXPECT_EQ(fresh.wire, serialize(*w.grp, *server.fetch("new")));
+
+  // A replaced file keeps its version and recorded hash; its bytes are
+  // the replacement's.
+  const ReplicationOp op = op_of(*w.grp, w.make_file("f"), 5);
+  ASSERT_TRUE(server.apply(op));
+  server.store(w.make_file("f", 2));
+  const FetchReply copy = server.copy("f");
+  EXPECT_EQ(copy.version, 5u);
+  EXPECT_EQ(copy.hash, op.hash);
+  EXPECT_EQ(copy.wire, serialize(*w.grp, *server.fetch("f")));
+  EXPECT_EQ(server.fetch("f")->slots.size(), 2u);
+}
+
+TEST(ServerTest, CommitBumpsTheVersionAndRecordsTheNewBytesHash) {
+  World w;
+  CloudServer server(w.grp, 4);
+  ASSERT_TRUE(server.apply(op_of(*w.grp, w.make_file("f", 2), 4)));
+  server.store(w.make_file("g"));  // out of band: version 0
+  const Bytes before = server.copy("f").wire;
+
+  const World::Epoch epoch = w.make_epoch();
+  EXPECT_EQ(server.commit_reencrypt(server.stage_reencrypt(epoch.uk, epoch.infos)), 3u);
+  for (const auto& [id, version] : {std::pair{"f", 5u}, std::pair{"g", 1u}}) {
+    const FetchReply copy = server.copy(id);
+    EXPECT_EQ(copy.version, version) << id;
+    EXPECT_EQ(copy.wire, serialize(*w.grp, *server.fetch(id))) << id;
+    EXPECT_EQ(copy.hash, crypto::Sha256::digest(copy.wire)) << id;
+  }
+  EXPECT_NE(server.copy("f").wire, before);
+}
+
+TEST(ServerTest, FileReplacedDuringStagingIsNeitherSwappedNorBumped) {
+  World w;
+  CloudServer server(w.grp, 4);
+  ASSERT_TRUE(server.apply(op_of(*w.grp, w.make_file("f"), 2)));
+  ASSERT_TRUE(server.apply(op_of(*w.grp, w.make_file("g"), 2)));
+  const ReplicationOp replacement = op_of(*w.grp, w.make_file("f", 2), 3);
+  const World::Epoch epoch = w.make_epoch();
+  const uint64_t token = server.stage_reencrypt(epoch.uk, epoch.infos);
+  ASSERT_NE(token, 0u);
+
+  // A newer replica write lands between stage and commit.
+  ASSERT_TRUE(server.apply(replacement));
+  EXPECT_EQ(server.commit_reencrypt(token), 1u);  // only g's slot
+
+  const FetchReply f = server.copy("f");
+  EXPECT_EQ(f.version, 3u);
+  EXPECT_EQ(f.hash, replacement.hash);
+  EXPECT_EQ(f.wire, replacement.wire);
+  EXPECT_EQ(server.copy("g").version, 3u);
 }
 
 TEST(ServerTest, ConcurrentFetchStoreReencryptStress) {
