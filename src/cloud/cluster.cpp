@@ -113,23 +113,21 @@ void Cluster::kill_node(const std::string& name) {
     std::lock_guard<std::mutex> lock(n.mu);
     if (n.alive) m_.nodes_alive->add(-1);
     n.alive = false;
-    // Staged 2PC epochs are memory-only: a restart loses them. The
-    // epoch ids are dropped here so a replayed commit surfaces as an
-    // orphan instead of committing stale staged state.
-    n.staged.clear();
   }
+  // Staged 2PC epochs are memory-only: a restart loses them, so a
+  // replayed commit surfaces as an orphan instead of committing stale
+  // staged state.
   n.store->abort_all_staged();
 }
 
 void Cluster::restart_node(const std::string& name) {
   Node& n = node(name);
-  std::set<uint64_t> staged_ids;
   {
     std::lock_guard<std::mutex> lock(n.mu);
     if (!n.alive) m_.nodes_alive->add(1);
     n.alive = true;
-    for (const auto& [id, token] : n.staged) staged_ids.insert(id);
   }
+  const std::set<uint64_t> staged_ids = n.store->staged_epoch_ids();
   // Rejoin protocol (DESIGN.md §15): resolve staged-open epochs, drain
   // the hinted hand-offs recorded while this node was down, then run a
   // scoped Merkle anti-entropy round against each alive peer. The node
@@ -145,9 +143,9 @@ void Cluster::restart_node(const std::string& name) {
   //    each op carries the whole file and applies last-write-wins, so
   //    they would replay as no-ops;
   //  * epoch commit/abort controls whose staged 2PC state died with the
-  //    node (kill_node clears it): a dropped commit is recorded as an
-  //    epoch_commit_orphan exactly as a delivered-but-unknown commit
-  //    would be, and the node's stale copy heals via read-repair.
+  //    node (kill_node wipes its store's ledger): a dropped commit is
+  //    recorded as an epoch_commit_orphan exactly as a delivered-but-
+  //    unknown commit would be, and the stale copy heals via read-repair.
   // The survivors replay on the next flush; recovery().sync_all() closes
   // any remaining divergence.
   std::map<std::string, uint64_t> newest;
@@ -424,24 +422,12 @@ void Cluster::send_epoch_control(const std::string& self, const std::string& pee
 }
 
 bool Cluster::apply_epoch_decision(Node& n, uint64_t epoch_id, bool commit) {
-  bool had_staged = false;
   {
     std::lock_guard<std::mutex> lock(n.mu);
     n.decisions[epoch_id] = commit ? kVerdictCommit : kVerdictAbort;
-    const auto it = n.staged.find(epoch_id);
-    if (it != n.staged.end()) {
-      had_staged = true;
-      const uint64_t token = it->second;
-      n.staged.erase(it);
-      // The commit stays under this mu hold, ordered against
-      // kill_node's staged wipe.
-      if (commit) {
-        n.store->commit_reencrypt(token);
-      } else {
-        n.store->abort_reencrypt(token);
-      }
-    }
   }
+  const bool had_staged = commit ? n.store->commit_reencrypt(epoch_id).has_value()
+                                 : n.store->abort_reencrypt(epoch_id);
   // Epoch decisions are the events a 2PC post-mortem needs: which
   // verdict reached which node, and whether staged state was there to
   // apply it to (a commit with no staged state is the orphan case).
@@ -457,6 +443,14 @@ bool Cluster::apply_epoch_decision(Node& n, uint64_t epoch_id, bool commit) {
 bool Cluster::epoch_in_flight(uint64_t epoch_id) const {
   std::lock_guard<std::mutex> g(active_epochs_mu_);
   return active_epochs_.contains(epoch_id);
+}
+
+void Cluster::stage_epoch(const std::string& name, uint64_t epoch_id,
+                          ByteView epoch_wire) {
+  Node& n = node(name);
+  ensure_alive(n);
+  const EpochPayload epoch = decode_epoch(*grp_, epoch_wire);
+  n.store->stage_reencrypt(epoch_id, epoch.uk, epoch.infos);
 }
 
 void Cluster::handle_epoch(const std::string& self, ByteView epoch_wire) {
@@ -485,16 +479,12 @@ void Cluster::handle_epoch(const std::string& self, ByteView epoch_wire) {
     span.attr("epoch_id", epoch_id);
   }
 
-  // ---- Phase 1: stage on every node. Each node re-encrypts only the
-  // files it holds; the staged copies touch no store.
+  // ---- Phase 1: stage on every node, the coordinator first. Each node
+  // re-encrypts only the files it holds; the staged copies touch no
+  // store until phase 2.
   std::vector<std::string> staged_nodes;
   try {
-    {
-      const EpochPayload epoch = decode_epoch(*grp_, epoch_wire);
-      const uint64_t token = coord.store->stage_reencrypt(epoch.uk, epoch.infos);
-      std::lock_guard<std::mutex> lock(coord.mu);
-      coord.staged[epoch_id] = token;
-    }
+    stage_epoch(self, epoch_id, epoch_wire);
     staged_nodes.push_back(self);
     for (const std::string& peer : names_) {
       if (peer == self) continue;
@@ -514,12 +504,7 @@ void Cluster::handle_epoch(const std::string& self, ByteView epoch_wire) {
         const uint64_t id = r.u64();
         const Bytes wire = r.var_bytes();
         r.expect_done();
-        Node& n = node(peer);
-        ensure_alive(n);
-        const EpochPayload epoch = decode_epoch(*grp_, wire);
-        const uint64_t token = n.store->stage_reencrypt(epoch.uk, epoch.infos);
-        std::lock_guard<std::mutex> lock(n.mu);
-        n.staged[id] = token;
+        stage_epoch(peer, id, wire);
       });
       staged_nodes.push_back(peer);
     }

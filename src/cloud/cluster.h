@@ -25,10 +25,11 @@
 //
 // Revocation epochs: cluster-wide two-phase commit over the server's
 // stage-then-commit hooks, at every cluster size. The coordinator stages
-// the epoch on every node (each node re-encrypts only the files it
-// holds), records its commit decision, commits everywhere once all
-// staged — parked commits replay before any read — and aborts
-// everywhere byte-identically if any node cannot stage.
+// the epoch on every node through one path (each node re-encrypts only
+// the files it holds; its store keeps them by epoch id), records its
+// commit decision, commits everywhere once all staged — parked commits
+// replay before any read — and aborts everywhere byte-identically if
+// any node cannot stage.
 //
 // Failure model: alive/killed is scripted by the chaos harness
 // (kill_node / restart_node); a killed node loses its memory-only
@@ -218,11 +219,11 @@ class Cluster {
   static constexpr uint8_t kVerdictCommit = 1;
   static constexpr uint8_t kVerdictAbort = 2;
 
+  /// `mu` guards liveness, hints and decisions; no store call runs under it.
   struct Node {
     std::string name;
     std::unique_ptr<CloudServer> store;
     bool alive = true;                       // guarded by mu
-    std::map<uint64_t, uint64_t> staged;     // epoch id -> store token, by mu
     /// Hinted hand-off: target node -> (file_id -> newest missed
     /// version). Held by the coordinator that shed/parked the write;
     /// survives kill_node like the committed store. Guarded by mu.
@@ -249,9 +250,11 @@ class Cluster {
   /// directions: `serve` runs at `to` and its result travels back.
   Bytes rpc(const std::string& from, const std::string& to, ByteView request,
             const std::function<Bytes(ByteView)>& serve);
-  /// Records the verdict in n's decision log and commits or aborts the
-  /// staged epoch if n still holds it (under n.mu, ordered against
-  /// kill_node's staged wipe). Returns whether staged state was found.
+  /// Phase 1 at one node, coordinator and peers alike: stages the
+  /// decoded epoch in the node's store under `epoch_id`.
+  void stage_epoch(const std::string& name, uint64_t epoch_id, ByteView epoch_wire);
+  /// Records the verdict in n's decision log, then commits or aborts
+  /// the epoch if n's store holds it. Returns whether it did.
   /// Used by phase 2, by control applies and by the recovery resolver.
   bool apply_epoch_decision(Node& n, uint64_t epoch_id, bool commit);
   void send_epoch_control(const std::string& self, const std::string& peer,

@@ -120,7 +120,7 @@ RecoveryManager::pair_listing(const std::string& owner,
       return std::find(replicas.begin(), replicas.end(), x) != replicas.end();
     };
     if (!has(owner) || !has(peer)) continue;  // not a shared file
-    const FetchReply copy = store.copy(fid);
+    const FetchReply copy = store.peek(fid);
     ShardLeaf leaf;
     leaf.fid = fid;
     leaf.version = copy.version;
@@ -566,13 +566,7 @@ size_t RecoveryManager::resolve_staged_epochs() {
   for (const std::string& name : cluster_.names_) {
     if (!cluster_.alive(name)) continue;
     Cluster::Node& n = cluster_.node(name);
-    std::map<uint64_t, uint64_t> staged;
-    {
-      std::lock_guard<std::mutex> lock(n.mu);
-      staged = n.staged;
-    }
-    for (const auto& [epoch_id, token] : staged) {
-      (void)token;
+    for (const uint64_t epoch_id : n.store->staged_epoch_ids()) {
       if (cluster_.epoch_in_flight(epoch_id)) continue;
       uint8_t verdict = 0;
       {

@@ -23,9 +23,9 @@
 //  * 2PC epoch resolution — every commit/abort verdict is recorded in a
 //    per-node decision log that (unlike staged state) survives
 //    kill_node. When a coordinator dies mid-epoch, any alive replica
-//    resolves its staged epochs by querying peers for a decision:
-//    any recorded commit wins, otherwise presumed abort. No epoch
-//    stays staged-open forever.
+//    resolves the epochs its store holds staged by querying peers for
+//    a decision: any recorded commit wins, otherwise presumed abort.
+//    No epoch stays staged-open forever.
 //
 // `rejoin(node)` (run by Cluster::restart_node) strings the three into
 // one traced sequence: resolve staged epochs, drain hints, then a
@@ -126,8 +126,8 @@ class RecoveryManager {
   size_t pending_hints() const;
 
   // ---- 2PC epoch resolution ------------------------------------------
-  /// Resolves every staged-open epoch on every alive node: query alive
-  /// peers for a recorded decision — any commit wins, otherwise
+  /// Resolves every epoch an alive node's store holds staged: query
+  /// alive peers for a recorded decision — any commit wins, otherwise
   /// presumed abort. Skips epochs whose 2PC is still in flight. Returns
   /// the number of epochs resolved.
   size_t resolve_staged_epochs();

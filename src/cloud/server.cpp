@@ -91,11 +91,16 @@ std::shared_ptr<const StoredFile> CloudServer::fetch(const std::string& file_id)
 }
 
 FetchReply CloudServer::copy(const std::string& file_id) const {
+  FetchReply reply = peek(file_id);
+  if (reply.found) m_.fetches->inc();
+  return reply;
+}
+
+FetchReply CloudServer::peek(const std::string& file_id) const {
   const Shard& sh = shards_[shard_of(file_id)];
   std::shared_lock lk(sh.mu);
   const auto it = sh.files.find(file_id);
   if (it == sh.files.end()) return FetchReply{};
-  m_.fetches->inc();
   return FetchReply{true, it->second.version, it->second.hash, it->second.wire};
 }
 
@@ -143,7 +148,6 @@ Bytes CloudServer::snapshot() const {
     std::shared_lock lk(sh.mu);
     entries.insert(sh.files.begin(), sh.files.end());
   }
-  m_.fetches->add(entries.size());
   Writer w;
   w.u32(static_cast<uint32_t>(entries.size()));
   for (const auto& [id, e] : entries) {
@@ -166,11 +170,11 @@ std::vector<std::string> CloudServer::file_ids() const {
 
 size_t CloudServer::reencrypt(const abe::UpdateKey& uk,
                               const std::vector<abe::UpdateInfo>& infos) {
-  return commit_reencrypt(stage_reencrypt(uk, infos));
+  return commit(stage(uk, infos));
 }
 
-uint64_t CloudServer::stage_reencrypt(const abe::UpdateKey& uk,
-                                      const std::vector<abe::UpdateInfo>& infos) {
+CloudServer::StagedEpoch CloudServer::stage(const abe::UpdateKey& uk,
+                                            const std::vector<abe::UpdateInfo>& infos) {
   telemetry::Span stage_span =
       telemetry::Tracer::global().start_span("server.reencrypt_stage");
   if (stage_span.active()) {
@@ -220,7 +224,7 @@ uint64_t CloudServer::stage_reencrypt(const abe::UpdateKey& uk,
   }
   if (staged.empty()) {
     if (stage_span.active()) stage_span.attr("outcome", "empty");
-    return 0;
+    return epoch;
   }
 
   // Flatten to per-slot work items and fan the proxy re-encryption (one
@@ -264,26 +268,13 @@ uint64_t CloudServer::stage_reencrypt(const abe::UpdateKey& uk,
     stage_span.attr("slots", static_cast<uint64_t>(work.size()));
     stage_span.attr("outcome", "staged");
   }
-  std::lock_guard<std::mutex> lock(staged_mu_);
-  const uint64_t token = ++next_token_;
-  staged_epochs_.emplace(token, std::move(epoch));
-  return token;
+  return epoch;
 }
 
-size_t CloudServer::commit_reencrypt(uint64_t token) {
+size_t CloudServer::commit(StagedEpoch epoch) {
   static telemetry::Histogram& epoch_ns =
       telemetry::MetricsRegistry::global().histogram("maabe_server_epoch_ns");
-  if (token == 0) return 0;
-  StagedEpoch epoch;
-  {
-    std::lock_guard<std::mutex> lock(staged_mu_);
-    const auto it = staged_epochs_.find(token);
-    if (it == staged_epochs_.end())
-      throw SchemeError("CloudServer: unknown staged epoch token " +
-                        std::to_string(token));
-    epoch = std::move(it->second);
-    staged_epochs_.erase(it);
-  }
+  if (epoch.files.empty()) return 0;
   // Every slot succeeded; swap the new revisions in under the shard
   // write locks. A file replaced by a concurrent write since staging
   // keeps the replacement (the epoch covered the files present at stage
@@ -309,21 +300,42 @@ size_t CloudServer::commit_reencrypt(uint64_t token) {
   return committed;
 }
 
-void CloudServer::abort_reencrypt(uint64_t token) {
-  if (token == 0) return;
-  std::lock_guard<std::mutex> lock(staged_mu_);
-  const auto it = staged_epochs_.find(token);
-  if (it == staged_epochs_.end()) return;
-  staged_epochs_.erase(it);
-  m_.epochs_aborted->inc();
+void CloudServer::stage_reencrypt(uint64_t epoch_id, const abe::UpdateKey& uk,
+                                  const std::vector<abe::UpdateInfo>& infos) {
+  StagedEpoch epoch = stage(uk, infos);
+  std::lock_guard<std::mutex> lock(ledger_mu_);
+  if (!ledger_.emplace(epoch_id, std::move(epoch)).second)
+    throw SchemeError("CloudServer: epoch " + std::to_string(epoch_id) +
+                      " is already staged");
 }
 
-size_t CloudServer::abort_all_staged() {
-  std::lock_guard<std::mutex> lock(staged_mu_);
-  const size_t n = staged_epochs_.size();
-  staged_epochs_.clear();
-  m_.epochs_aborted->add(n);
-  return n;
+std::optional<size_t> CloudServer::commit_reencrypt(uint64_t epoch_id) {
+  std::unique_lock lock(ledger_mu_);
+  auto held = ledger_.extract(epoch_id);
+  lock.unlock();
+  if (held.empty()) return std::nullopt;
+  return commit(std::move(held.mapped()));
+}
+
+bool CloudServer::abort_reencrypt(uint64_t epoch_id) {
+  std::lock_guard<std::mutex> lock(ledger_mu_);
+  const auto held = ledger_.extract(epoch_id);
+  if (!held.empty() && !held.mapped().files.empty()) m_.epochs_aborted->inc();
+  return !held.empty();
+}
+
+std::set<uint64_t> CloudServer::staged_epoch_ids() const {
+  std::set<uint64_t> ids;
+  std::lock_guard<std::mutex> lock(ledger_mu_);
+  for (const auto& [id, epoch] : ledger_) ids.insert(id);
+  return ids;
+}
+
+void CloudServer::abort_all_staged() {
+  std::lock_guard<std::mutex> lock(ledger_mu_);
+  for (const auto& [id, epoch] : ledger_)
+    if (!epoch.files.empty()) m_.epochs_aborted->inc();
+  ledger_.clear();
 }
 
 size_t CloudServer::storage_bytes() const { return stats().bytes; }
@@ -353,8 +365,8 @@ ServerStats CloudServer::stats() const {
   out.epochs_committed = m_.epochs_committed->value();
   out.epochs_aborted = m_.epochs_aborted->value();
   {
-    std::lock_guard<std::mutex> lock(staged_mu_);
-    out.epochs_staged_open = staged_epochs_.size();
+    std::lock_guard<std::mutex> lock(ledger_mu_);
+    for (const auto& [id, epoch] : ledger_) out.epochs_staged_open += !epoch.files.empty();
   }
   return out;
 }

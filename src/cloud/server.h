@@ -15,23 +15,27 @@
 // version and recorded hash of one revision — read and written under
 // one shard lock, so no reader pairs a version with another revision's
 // bytes. Versioned writes keep the bytes they received; only store()
-// and commit_reencrypt() serialize.
+// and an epoch commit serialize.
 //
-// Revocation is a failure-atomic epoch in two steps: stage_reencrypt()
-// builds re-encrypted copies of every affected ciphertext off to the
-// side (fanned out over CryptoEngine::parallel_for) and commit_reencrypt()
-// swaps them in under the shard write locks, only after every slot has
-// succeeded. If any slot throws, the staged copies are discarded and the
-// stored bytes are exactly what they were before the call — the
-// scheme's strict per-authority version checks (abe::reencrypt) can
-// therefore never observe a half-updated store. reencrypt() is the two
-// steps back to back. A test-only fault hook lets tests prove this.
+// Revocation is a failure-atomic epoch in two steps: staging builds
+// re-encrypted copies of every affected ciphertext off to the side
+// (fanned out over CryptoEngine::parallel_for) and the commit swaps them
+// in under the shard write locks, only after every slot has succeeded;
+// if any slot throws, the store is exactly what it was before, so the
+// scheme's strict per-authority version checks (abe::reencrypt) never
+// observe a half-updated store. The cluster's 2PC holds staged epochs
+// in the store's ledger by epoch id: the store is the one owner of
+// staged state, and its ledger lock orders a commit against a restart's
+// wipe. reencrypt() is the two steps back to back. A test-only fault
+// hook lets tests prove this.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <shared_mutex>
 
 #include "abe/scheme.h"
@@ -88,6 +92,8 @@ class CloudServer {
   /// The replica record as a quorum-read reply (found = false when
   /// absent). Counts one fetch when found, like fetch().
   FetchReply copy(const std::string& file_id) const;
+  /// The same record for introspection (Merkle listings): no fetch.
+  FetchReply peek(const std::string& file_id) const;
   /// Version of the kept revision (0 when absent).
   uint64_t version_of(const std::string& file_id) const;
 
@@ -101,7 +107,7 @@ class CloudServer {
   ReplicationOp apply_next(Bytes wire);
 
   /// Canonical bytes of the store: sorted (file_id, version, kept
-  /// bytes). Counts one fetch per file, like copy().
+  /// bytes). Introspection: counts no fetch.
   Bytes snapshot() const;
 
   /// All file ids, sorted (stable across shard counts).
@@ -109,43 +115,36 @@ class CloudServer {
 
   /// ReEncrypt (paper Section V-C Phase 2): applies the update key and
   /// the per-ciphertext update information to every affected slot, as
-  /// one all-or-nothing epoch — commit_reencrypt(stage_reencrypt(...)).
+  /// one all-or-nothing epoch, staged and committed outside the ledger.
   /// Throws SchemeError on duplicate or missing UpdateInfo; on any
   /// failure the store is unchanged. Returns the number of ciphertext
   /// slots re-encrypted and committed.
   size_t reencrypt(const abe::UpdateKey& uk, const std::vector<abe::UpdateInfo>& infos);
 
   // ---- Two-phase epoch hooks (cluster 2PC, DESIGN.md §13) -------------
-  // stage_reencrypt runs the whole staging pass (select + deep-copy +
-  // re-encrypt into private copies) but does NOT touch the store; the
-  // staged epoch is held under an opaque token until the coordinator
-  // decides its fate. commit_reencrypt swaps the staged copies in;
-  // abort_reencrypt discards them, leaving the store byte-identical to
-  // before the stage. The cluster's 2PC drives these three directly.
+  // The ledger holds staged epochs by the cluster's epoch id, empty ones
+  // too (so their commit is no orphan), but an epoch that affects no
+  // stored file counts in no epochs_* stat. An unknown id is "not held",
+  // never an error.
 
-  /// Stages an epoch. Returns a nonzero token, or 0 when no stored file
-  /// is affected (nothing to commit or abort). Throws SchemeError on
-  /// protocol violations and propagates re-encryption failures; either
-  /// way nothing is retained and the store is unchanged.
-  uint64_t stage_reencrypt(const abe::UpdateKey& uk,
-                           const std::vector<abe::UpdateInfo>& infos);
-
-  /// Commits a staged epoch; returns the slots committed. Each swapped
-  /// file moves to the next version under the hash of its new bytes; a
-  /// file replaced by a concurrent write since staging keeps the
-  /// replacement and is neither swapped nor bumped. Token 0 is a no-op.
-  /// Throws SchemeError on an unknown token — a node that lost its
-  /// staged state (restart) must surface that to the coordinator rather
-  /// than silently ack an empty commit.
-  size_t commit_reencrypt(uint64_t token);
-
-  /// Discards a staged epoch. Unknown (or 0) tokens are a no-op: aborts
-  /// are broadcast best-effort and may race a restart.
-  void abort_reencrypt(uint64_t token);
-
-  /// Discards every staged epoch (process restart: staged state is
-  /// memory-only and does not survive). Returns the number discarded.
-  size_t abort_all_staged();
+  /// Runs the staging pass (select + deep-copy + re-encrypt into private
+  /// copies) and holds the result under `epoch_id`. Throws SchemeError
+  /// on protocol violations or a held id, and propagates re-encryption
+  /// failures; either way the ledger and the store are unchanged.
+  void stage_reencrypt(uint64_t epoch_id, const abe::UpdateKey& uk,
+                       const std::vector<abe::UpdateInfo>& infos);
+  /// Swaps the held epoch in: the slots committed, or nullopt when not
+  /// held (a restart lost it: the orphan case). Each swapped file moves
+  /// to the next version under its new bytes' hash; a file replaced
+  /// since staging keeps the replacement and is neither swapped nor
+  /// bumped.
+  std::optional<size_t> commit_reencrypt(uint64_t epoch_id);
+  /// Discards the held epoch; returns whether it was held.
+  bool abort_reencrypt(uint64_t epoch_id);
+  /// Ids the ledger holds, empty epochs included.
+  std::set<uint64_t> staged_epoch_ids() const;
+  /// Discards every staged epoch (a restart: staged state is memory-only).
+  void abort_all_staged();
 
   /// Bytes at rest (Table III row "Server"): serialized stored files.
   size_t storage_bytes() const;
@@ -186,9 +185,12 @@ class CloudServer {
     std::vector<size_t> slot_indices;
   };
   struct StagedEpoch {
-    std::vector<StagedFile> files;
+    std::vector<StagedFile> files;  ///< empty when no stored file is affected
     uint64_t start_ns = 0;  ///< steady-clock, for the epoch histogram
   };
+
+  StagedEpoch stage(const abe::UpdateKey& uk, const std::vector<abe::UpdateInfo>& infos);
+  size_t commit(StagedEpoch epoch);
 
   std::shared_ptr<const pairing::Group> grp_;
   const std::string node_name_;
@@ -199,9 +201,8 @@ class CloudServer {
         epochs_aborted;
   } m_;
   std::function<void(const std::string&)> fault_hook_;
-  mutable std::mutex staged_mu_;
-  uint64_t next_token_ = 0;                       // guarded by staged_mu_
-  std::map<uint64_t, StagedEpoch> staged_epochs_;  // guarded by staged_mu_
+  mutable std::mutex ledger_mu_;
+  std::map<uint64_t, StagedEpoch> ledger_;  // epoch id -> staged, by ledger_mu_
 };
 
 }  // namespace maabe::cloud

@@ -197,8 +197,6 @@ class CloudSystem {
   const ChannelMeter& meter() const { return transport_->meter(); }
   ChannelMeter& meter() { return transport_->meter(); }
   const pairing::Group& group() const { return *grp_; }
-  RetryPolicy retry_policy() const { return link_.policy(); }
-  void set_retry_policy(const RetryPolicy& policy) { link_.set_policy(policy); }
 
   /// Table III storage accounting. AA storage is the version key |p|;
   /// owner storage is MK_o + cached public keys; user storage is held

@@ -246,7 +246,6 @@ class ReliableLink {
                ByteView payload, const Apply& apply);
 
   const RetryPolicy& policy() const { return policy_; }
-  void set_policy(const RetryPolicy& policy) { policy_ = policy; }
 
   const std::string& instance() const { return transport_.instance(); }
 

@@ -10,14 +10,18 @@
 //   3. A 2PC epoch whose coordinator dies between stage and commit
 //      resolves on the survivors (presumed abort when no decision was
 //      recorded, commit when the write-ahead verdict exists) — no epoch
-//      stays staged-open.
+//      stays staged-open. A peer that restarts between stage and commit
+//      counts one orphan commit and converges through anti-entropy.
 //   4. snapshot() and local_read() never pair a file's bytes with
 //      another version's metadata while writers run (torn-read
 //      regression, TSan-backed).
+//   5. Snapshots and Merkle listings are introspection: they count no
+//      fetch on any node.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <thread>
 
 #include "cloud/system.h"
@@ -118,6 +122,24 @@ TEST(RecoveryTest, SyncOnConvergedPairMovesNothing) {
   EXPECT_GE(rep.rounds, 1u);  // root digests compared and matched
   EXPECT_EQ(rep.shards_divergent, 0u);
   EXPECT_EQ(rep.bytes_transferred, 0u);
+}
+
+TEST(RecoveryTest, SnapshotsAndSyncCountNoFetches) {
+  auto sys = make_system(Group::test_small(), 3, 2);
+  enroll(*sys);
+  upload_all(*sys, eight_files());
+  ASSERT_EQ(sys->flush_pending(), 0u);
+
+  // Introspection serves no read: snapshots and Merkle listings leave
+  // every node's "fetches served" where it was.
+  Cluster& c = sys->cluster();
+  std::map<std::string, uint64_t> before;
+  for (const std::string& name : c.node_names())
+    before[name] = c.node_store(name).stats().fetches;
+  for (const std::string& name : c.node_names()) (void)c.snapshot(name);
+  EXPECT_TRUE(c.recovery().sync_all().converged_without_transfer());
+  for (const std::string& name : c.node_names())
+    EXPECT_EQ(c.node_store(name).stats().fetches, before[name]) << name;
 }
 
 TEST(RecoveryTest, SyncRestoresCorruptReplicaFromAuthenticCopy) {
@@ -369,6 +391,49 @@ TEST(RecoveryChaos, CoordinatorKilledAfterDecisionResolvesCommit) {
   // re-encrypted slots: it stages an empty change set and commits as a
   // no-op, leaving state untouched.
   EXPECT_EQ(sys->flush_pending(), 0u);
+  expect_replicas_converged(*sys, files);
+  for (const std::string& f : files) {
+    EXPECT_TRUE(sys->download_report("bob", f).opened().empty());
+    EXPECT_TRUE(sys->download_report("alice", f).all_ok());
+  }
+}
+
+TEST(RecoveryChaos, PeerRestartedBetweenStageAndCommitCountsOneOrphan) {
+  auto sys = make_system(Group::test_small(), 3, 3);
+  enroll(*sys);
+  const std::vector<std::string> files = {"f1", "f2", "f3"};
+  upload_all(*sys, files);
+  ASSERT_EQ(sys->flush_pending(), 0u);
+
+  // A peer restarts after every node staged and the commit verdict was
+  // recorded, then the 2PC carries on: the restart wiped the peer's
+  // staged epoch, so its commit finds nothing to apply (the orphan row
+  // of the DESIGN.md §13 failure matrix).
+  Cluster& c = sys->cluster();
+  const std::string coord = c.coordinator();
+  std::string peer;
+  for (const std::string& name : c.node_names()) {
+    if (name != coord) {
+      peer = name;
+      break;
+    }
+  }
+  std::atomic<bool> fired{false};
+  c.set_epoch_fault_hook([&](uint64_t, const std::string& phase) {
+    if (phase == "decided" && !fired.exchange(true)) {
+      c.kill_node(peer);
+      c.restart_node(peer);
+    }
+  });
+  EXPECT_NO_THROW(sys->revoke_attribute("Med", "bob", "Doctor"));
+  ASSERT_TRUE(fired.load());
+  c.set_epoch_fault_hook({});
+  const ClusterStats stats = c.stats();
+  EXPECT_EQ(stats.epoch_commit_orphans, 1u);
+  EXPECT_EQ(stats.epoch_commits, 1u);
+
+  // Anti-entropy carries the re-encrypted bytes to the orphaned peer.
+  c.recovery().sync_all();
   expect_replicas_converged(*sys, files);
   for (const std::string& f : files) {
     EXPECT_TRUE(sys->download_report("bob", f).opened().empty());

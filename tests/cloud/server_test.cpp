@@ -1,7 +1,8 @@
 // The concurrent sharded cloud store: snapshot-fetch semantics, the
 // stage-then-commit revocation epoch (all-or-nothing, proven via the
 // fault hook), the replica record's version rules (apply, apply_next,
-// out-of-band store, commit), per-shard stats, and a concurrent
+// out-of-band store, commit), the staged-epoch ledger keyed by epoch
+// id, per-shard stats, and a concurrent
 // fetch/store/reencrypt stress test (run it under
 // -DMAABE_SANITIZE=thread for tsan-grade evidence).
 #include "cloud/server.h"
@@ -9,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
+#include <set>
 #include <thread>
 
 #include "abe/serial.h"
@@ -366,7 +369,8 @@ TEST(ServerTest, CommitBumpsTheVersionAndRecordsTheNewBytesHash) {
   const Bytes before = server.copy("f").wire;
 
   const World::Epoch epoch = w.make_epoch();
-  EXPECT_EQ(server.commit_reencrypt(server.stage_reencrypt(epoch.uk, epoch.infos)), 3u);
+  server.stage_reencrypt(1, epoch.uk, epoch.infos);
+  EXPECT_EQ(server.commit_reencrypt(1), 3u);
   for (const auto& [id, version] : {std::pair{"f", 5u}, std::pair{"g", 1u}}) {
     const FetchReply copy = server.copy(id);
     EXPECT_EQ(copy.version, version) << id;
@@ -383,18 +387,114 @@ TEST(ServerTest, FileReplacedDuringStagingIsNeitherSwappedNorBumped) {
   ASSERT_TRUE(server.apply(op_of(*w.grp, w.make_file("g"), 2)));
   const ReplicationOp replacement = op_of(*w.grp, w.make_file("f", 2), 3);
   const World::Epoch epoch = w.make_epoch();
-  const uint64_t token = server.stage_reencrypt(epoch.uk, epoch.infos);
-  ASSERT_NE(token, 0u);
+  server.stage_reencrypt(7, epoch.uk, epoch.infos);
+  ASSERT_EQ(server.stats().epochs_staged_open, 1u);
 
   // A newer replica write lands between stage and commit.
   ASSERT_TRUE(server.apply(replacement));
-  EXPECT_EQ(server.commit_reencrypt(token), 1u);  // only g's slot
+  EXPECT_EQ(server.commit_reencrypt(7), 1u);  // only g's slot
 
   const FetchReply f = server.copy("f");
   EXPECT_EQ(f.version, 3u);
   EXPECT_EQ(f.hash, replacement.hash);
   EXPECT_EQ(f.wire, replacement.wire);
   EXPECT_EQ(server.copy("g").version, 3u);
+}
+
+// ---------------------------------------------------- staged ledger --
+
+TEST(ServerTest, LedgerCommitsOrAbortsAnEpochByItsId) {
+  World w;
+  CloudServer server(w.grp, 4);
+  server.store(w.make_file("f0", 2));
+  server.store(w.make_file("f1"));
+  const World::Epoch epoch = w.make_epoch();
+  const Bytes before = serialize_whole_store(server, *w.grp);
+
+  server.stage_reencrypt(3, epoch.uk, epoch.infos);
+  EXPECT_THROW(server.stage_reencrypt(3, epoch.uk, epoch.infos), SchemeError);
+  EXPECT_EQ(server.staged_epoch_ids(), std::set<uint64_t>{3});
+  EXPECT_TRUE(server.abort_reencrypt(3));
+  EXPECT_EQ(serialize_whole_store(server, *w.grp), before);
+  EXPECT_EQ(server.stats().epochs_aborted, 1u);
+
+  server.stage_reencrypt(4, epoch.uk, epoch.infos);
+  EXPECT_EQ(server.stats().epochs_staged_open, 1u);
+  EXPECT_EQ(server.commit_reencrypt(4), std::optional<size_t>(3));
+  EXPECT_EQ(server.commit_reencrypt(4), std::nullopt);  // consumed
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.epochs_committed, 1u);
+  EXPECT_EQ(stats.epochs_aborted, 1u);
+  EXPECT_EQ(stats.epochs_staged_open, 0u);
+  EXPECT_EQ(stats.reencrypted_slots, 3u);
+  EXPECT_TRUE(server.staged_epoch_ids().empty());
+}
+
+TEST(ServerTest, UnknownEpochIdIsNotHeldAndChangesNothing) {
+  World w;
+  CloudServer server(w.grp, 4);
+  server.store(w.make_file("f"));
+  const World::Epoch epoch = w.make_epoch();
+  server.stage_reencrypt(1, epoch.uk, epoch.infos);
+  const Bytes before = serialize_whole_store(server, *w.grp);
+  const ServerStats stats = server.stats();
+
+  EXPECT_EQ(server.commit_reencrypt(99), std::nullopt);
+  EXPECT_FALSE(server.abort_reencrypt(99));
+  EXPECT_EQ(serialize_whole_store(server, *w.grp), before);
+  EXPECT_EQ(server.staged_epoch_ids(), std::set<uint64_t>{1});
+  const ServerStats after = server.stats();
+  EXPECT_EQ(after.epochs_committed, stats.epochs_committed);
+  EXPECT_EQ(after.epochs_aborted, stats.epochs_aborted);
+  EXPECT_EQ(after.epochs_staged_open, 1u);
+  EXPECT_EQ(after.reencrypted_slots, stats.reencrypted_slots);
+  EXPECT_EQ(after.stores, stats.stores);
+}
+
+TEST(ServerTest, EmptyStageIsHeldButItsCommitCountsNothing) {
+  World w;
+  CloudServer server(w.grp, 4);
+  server.store(w.make_file("f"));
+  World::Epoch epoch = w.make_epoch();
+  epoch.uk.owner_id = "another-owner";  // matches no stored file
+  const Bytes before = serialize_whole_store(server, *w.grp);
+
+  server.stage_reencrypt(5, epoch.uk, epoch.infos);
+  server.stage_reencrypt(6, epoch.uk, epoch.infos);
+  EXPECT_EQ(server.staged_epoch_ids(), (std::set<uint64_t>{5, 6}));
+  EXPECT_EQ(server.stats().epochs_staged_open, 0u);
+  EXPECT_EQ(server.commit_reencrypt(5), std::optional<size_t>(0));
+  EXPECT_TRUE(server.abort_reencrypt(6));
+  EXPECT_EQ(serialize_whole_store(server, *w.grp), before);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.epochs_committed, 0u);
+  EXPECT_EQ(stats.epochs_aborted, 0u);
+  EXPECT_EQ(stats.reencrypted_slots, 0u);
+  EXPECT_TRUE(server.staged_epoch_ids().empty());
+}
+
+TEST(ServerTest, AbortAllStagedEmptiesTheLedgerCountingOnlyNonEmptyEpochs) {
+  World w;
+  CloudServer server(w.grp, 4);
+  server.store(w.make_file("f0", 2));
+  server.store(w.make_file("f1"));
+  const World::Epoch epoch = w.make_epoch();
+  World::Epoch empty = epoch;
+  empty.uk.owner_id = "another-owner";
+  const Bytes before = serialize_whole_store(server, *w.grp);
+
+  server.stage_reencrypt(1, epoch.uk, epoch.infos);
+  server.stage_reencrypt(2, epoch.uk, epoch.infos);
+  server.stage_reencrypt(3, empty.uk, empty.infos);
+  EXPECT_EQ(server.stats().epochs_staged_open, 2u);
+  server.abort_all_staged();
+  EXPECT_TRUE(server.staged_epoch_ids().empty());
+  EXPECT_EQ(serialize_whole_store(server, *w.grp), before);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.epochs_aborted, 2u);
+  EXPECT_EQ(stats.epochs_committed, 0u);
+  EXPECT_EQ(stats.epochs_staged_open, 0u);
+  EXPECT_EQ(server.commit_reencrypt(1), std::nullopt);  // a restart's orphan
 }
 
 TEST(ServerTest, ConcurrentFetchStoreReencryptStress) {
