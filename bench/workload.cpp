@@ -9,8 +9,9 @@
 //   storm     a mid-run revocation storm; shows the epoch pipeline
 //             sharing the cluster with reads.
 //   outage    kill node:1 mid-run, restart at 2/3 — quorum reads
-//             degrade (fail-closed) but never error, restart prunes
-//             superseded parked ops.
+//             degrade (fail-closed) but never error; writes node:1
+//             misses are owed as one hint per file, drained on restart
+//             (nothing parks, so restart_prunes reads 0).
 //   overload  whole cluster down with a tiny durable-queue cap —
 //             uploads park up to the cap, then callers see the typed
 //             kOverloaded rejection and queue depth stays bounded

@@ -127,44 +127,27 @@ void Cluster::restart_node(const std::string& name) {
     if (!n.alive) m_.nodes_alive->add(1);
     n.alive = true;
   }
+  // Drop the epoch commit/abort controls parked for this node whose
+  // staged 2PC state died with it (kill_node wipes its store's ledger):
+  // the gauges stop counting them and the rejoin's hint drain does not
+  // wait behind them. A dropped commit counts as an epoch_commit_orphan,
+  // as a delivered-but-unknown one would, and the stale copy heals via
+  // read-repair. Entity traffic and still-staged epochs' controls stay.
   const std::set<uint64_t> staged_ids = n.store->staged_epoch_ids();
-  // Rejoin protocol (DESIGN.md §15): resolve staged-open epochs, drain
-  // the hinted hand-offs recorded while this node was down, then run a
-  // scoped Merkle anti-entropy round against each alive peer. The node
-  // is byte-identical to its peers afterwards without a full-store
-  // scan or quorum read. Rejoin sends only over the link, never through
-  // the durable queues, so the reconciliation below sees them intact.
-  recovery_->rejoin(name);
-  // Reconcile the restarted node's parked queue against what the node
-  // can still use, so pending/replication-lag gauges stop reporting ops
-  // it will never meaningfully drain:
-  //  * replication/read-repair ops superseded by a newer parked version
-  //    of the same file, or at or below the version the node now holds —
-  //    each op carries the whole file and applies last-write-wins, so
-  //    they would replay as no-ops;
-  //  * epoch commit/abort controls whose staged 2PC state died with the
-  //    node (kill_node wipes its store's ledger): a dropped commit is
-  //    recorded as an epoch_commit_orphan exactly as a delivered-but-
-  //    unknown commit would be, and the stale copy heals via read-repair.
-  // The survivors replay on the next flush; recovery().sync_all() closes
-  // any remaining divergence.
-  std::map<std::string, uint64_t> newest;
-  for (const ParkedOp& op : durable_.pending_ops(name)) {
-    if (!op.replicates()) continue;
-    uint64_t& v = newest[op.subject];
-    v = std::max(v, op.number);
-  }
   uint64_t orphans = 0;
   durable_.prune_queue(name, [&](const ParkedOp& op) {
-    if (op.replicates())
-      return op.number < newest[op.subject] || op.number <= version_of(name, op.subject);
-    // What is left is entity traffic or an epoch commit/abort.
     if (op.kind == ParkedOp::Kind::kEntity || staged_ids.contains(op.number))
       return false;
     if (op.kind == ParkedOp::Kind::kEpochCommit) ++orphans;
     return true;
   });
   m_.epoch_commit_orphans->add(orphans);
+  // Rejoin protocol (DESIGN.md §15): resolve staged-open epochs, drain
+  // the hints owed to and held by this node, then run a scoped Merkle
+  // anti-entropy round against each alive peer. The node is
+  // byte-identical to its peers afterwards without a full-store scan or
+  // quorum read.
+  recovery_->rejoin(name);
 }
 
 void Cluster::ensure_alive(const Node& n) const {
@@ -202,40 +185,47 @@ std::string Cluster::coordinator() const {
 void Cluster::handle_store(const std::string& self, ByteView stored_file_wire) {
   Node& n = node(self);
   ensure_alive(n);
+  // A coordinator owed a hint for the file may lack a write its holder
+  // took: a revision of its copy could rank at or below the holder's
+  // and lose to it when the hint drains. The write fails instead, and
+  // the client's durable send parks it until the hint has drained.
+  const std::string file_id = stored_file_id(stored_file_wire);
+  if (const auto holders = recovery_->holders_owing(self, file_id); !holders.empty())
+    throw TransportError(TransportError::Kind::kDegraded,
+                         "cluster: " + self + " is owed a write of '" + file_id +
+                             "' by " + holders.front() + "; refusing a write");
   // The store keeps the received bytes as the file's next revision.
-  // Fan that revision out to the other replicas (none at R=1: the
-  // coordinator is then the file's only replica). Unreachable
-  // replicas park; the queue replays in FIFO = version order, so a
-  // recovered replica converges without reordering. Any replica that
-  // misses the synchronous delivery (parked or shed) gets a hinted
-  // hand-off, drained when it rejoins.
+  // Send that revision to the other replicas (none at R=1: the
+  // coordinator is then the file's only replica). A replica the send
+  // misses is owed a hint, drained by a read, flush_pending or a rejoin.
   const ReplicationOp op =
       n.store->apply_next(Bytes(stored_file_wire.begin(), stored_file_wire.end()));
   const Bytes op_wire = encode_replication_op(op);
   for (const std::string& replica : ring_.replicas_for(op.file_id)) {
     if (replica == self) continue;
     m_.replication_ops->inc();
-    send_replica(self, replica, op_wire,
-                 ParkedOp(ParkedOp::Kind::kReplicate, op.file_id, op.version));
+    send_replica(self, replica, op.file_id, op.version, op_wire);
   }
 }
 
 void Cluster::send_replica(const std::string& self, const std::string& replica,
-                           Bytes op_wire, const ParkedOp& tag) {
-  try {
-    const bool delivered = durable_.send_or_park(
-        self, replica, std::move(op_wire),
-        [this, replica](ByteView payload) { handle_replication(replica, payload); },
-        tag);
-    if (!delivered) recovery_->record_hint(self, replica, tag.subject, tag.number);
-  } catch (const TransportError& e) {
-    // Bounded-queue backpressure: the replica's parked queue is full.
-    // The write or read already succeeded; shed this maintenance op
-    // (counted) and keep the divergence on record for the rejoin drain.
-    if (e.kind() != TransportError::Kind::kOverloaded) throw;
-    m_.replication_shed->inc();
-    recovery_->record_hint(self, replica, tag.subject, tag.number);
+                           const std::string& file_id, uint64_t version,
+                           ByteView op_wire) {
+  // A replica with deliveries parked for it, or owed this file's hint
+  // by this holder, stays behind them: the drain ships the holder's
+  // current copy, so this write rides the hint instead of overtaking.
+  const std::vector<std::string> owing = recovery_->holders_owing(replica, file_id);
+  if (durable_.pending_for(replica) == 0 &&
+      std::find(owing.begin(), owing.end(), self) == owing.end()) {
+    try {
+      link_.send(self, replica, op_wire,
+                 [this, &replica](ByteView payload) { handle_replication(replica, payload); });
+      return;
+    } catch (const TransportError&) {
+      // Missed: the hint below is its one record.
+    }
   }
+  recovery_->record_hint(self, replica, file_id, version);
 }
 
 void Cluster::apply_replication(Node& n, ReplicationOp op) {
@@ -326,6 +316,17 @@ Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id)
   }
   if (winner == nullptr)
     throw SchemeError("CloudServer: no file '" + file_id + "'");
+  // The newest reply may still lack a write: one its hint holder took
+  // and has not drained. Unless that holder answered, fail closed.
+  for (const std::string& holder : recovery_->holders_owing(winner->node, file_id)) {
+    if (std::none_of(replies.begin(), replies.end(),
+                     [&](const ReplicaReply& r) { return r.node == holder; })) {
+      if (span.active()) span.attr("outcome", "hint_undrained");
+      throw TransportError(TransportError::Kind::kDegraded,
+                           "cluster: read of '" + file_id + "' at " + winner->node +
+                               " waits on " + holder + "'s hint");
+    }
+  }
 
   // Read-repair: push the winner at divergent replicas, asynchronously.
   const Bytes true_hash = crypto::Sha256::digest(winner->reply.wire);
@@ -342,8 +343,7 @@ Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id)
       apply_replication(coord, op);  // repair our own stale/corrupt copy
       continue;
     }
-    send_replica(self, r.node, encode_replication_op(op),
-                 ParkedOp(ParkedOp::Kind::kReadRepair, file_id, op.version));
+    send_replica(self, r.node, file_id, op.version, encode_replication_op(op));
   }
   if (span.active()) {
     span.attr("replies", static_cast<uint64_t>(replies.size()));
@@ -381,7 +381,7 @@ void Cluster::send_epoch_control(const std::string& self, const std::string& pee
                                  uint8_t verb, uint64_t epoch_id) {
   const ParkedOp op(
       verb == kEpochCommit ? ParkedOp::Kind::kEpochCommit : ParkedOp::Kind::kEpochAbort,
-      "", epoch_id);
+      epoch_id);
   Writer w;
   w.u8(verb);
   w.u64(epoch_id);
@@ -575,6 +575,7 @@ NodeHealth Cluster::node_health(const std::string& name) const {
   NodeHealth h;
   h.node = name;
   h.store = n.store->stats();
+  h.replication_lag = recovery_->hint_count(name);
   std::lock_guard<std::mutex> lock(n.mu);
   h.alive = n.alive;
   return h;

@@ -12,16 +12,18 @@
 // re-serializes a copy it received.
 //
 // Writes: the coordinator's store keeps the file as the next version of
-// its copy (apply_next), and the coordinator fans that ReplicationOp
-// out to the other replicas through per-node DurableLink queues —
-// asynchronous replication with write-ahead parking, replayed in
-// version order when an unreachable replica comes back.
+// its copy (apply_next), and the coordinator sends that ReplicationOp
+// to the other replicas. A replica the send misses is owed a hint at
+// the coordinator — the one record of the miss — and the drain later
+// ships the coordinator's current copy (DESIGN.md §15). A node owed a
+// hint for a file takes no write of it: the write parks until it drains.
 //
 // Reads: the coordinator collects one FetchReply per alive replica
 // (its own copy locally, the rest over a two-leg rpc), requires a
 // majority quorum, picks the winner (authentic > newest > preferred) and
-// repairs divergent replicas in the background (read-repair) through
-// the same durable replica send as the write fan-out.
+// repairs divergent replicas (read-repair) through the same replica
+// send as the write fan-out. A winner owed a hint by a replica that did
+// not answer fails the read closed.
 //
 // Revocation epochs: cluster-wide two-phase commit over the server's
 // stage-then-commit hooks, at every cluster size. The coordinator stages
@@ -67,8 +69,8 @@ struct NodeHealth {
   std::string node;
   bool alive = true;
   ServerStats store;                 ///< the node's store, epoch ledger included
-  uint64_t pending_in = 0;           ///< deliveries parked for this node
-  uint64_t replication_lag = 0;      ///< parked replicate/read-repair ops to it
+  uint64_t pending_in = 0;           ///< parked deliveries + replication_lag
+  uint64_t replication_lag = 0;      ///< hints owed to it (hint_count)
   ChannelStats transport_in;         ///< meter rows with to == node
   ChannelStats transport_out;        ///< meter rows with from == node
 };
@@ -78,7 +80,7 @@ struct ClusterStats {
   size_t nodes = 0;
   size_t alive = 0;
   size_t replication = 0;
-  uint64_t replication_ops_sent = 0;  ///< ops fanned out (incl. parked)
+  uint64_t replication_ops_sent = 0;  ///< ops fanned out (incl. hinted)
   uint64_t replication_ops_applied = 0;
   uint64_t read_repairs = 0;          ///< repair ops issued by quorum reads
   uint64_t quorum_reads = 0;          ///< reads that met quorum
@@ -87,13 +89,12 @@ struct ClusterStats {
   uint64_t epoch_commits = 0;         ///< 2PC epochs committed everywhere
   uint64_t epoch_aborts = 0;          ///< 2PC epochs aborted everywhere
   uint64_t epoch_commit_orphans = 0;  ///< commits for staged state lost to a restart
-  /// Maintenance ops (replication fan-out, read-repair, epoch controls)
-  /// dropped because the destination's bounded durable queue was full.
-  /// The replica stays stale until read-repair / recovery().sync_all()
-  /// heals it.
+  /// Epoch controls dropped because the destination's bounded durable
+  /// queue was full. The replica stays stale until read-repair /
+  /// recovery().sync_all() heals it.
   uint64_t replication_sheds = 0;
-  /// Parked ops dropped by restart_node reconciliation (superseded
-  /// replication versions, epoch controls whose staged state died).
+  /// Parked epoch controls dropped by restart_node reconciliation
+  /// because their staged state died with the node.
   uint64_t restart_prunes = 0;
   /// Totals over every node's store, epoch ledger included.
   ServerStats store_totals;
@@ -129,17 +130,14 @@ class Cluster {
   /// (restart semantics: the committed store is durable, stage state is
   /// not). Messages to it now fail; durable sends park.
   void kill_node(const std::string& name);
-  /// Marks the node alive again, runs the rejoin protocol (DESIGN.md
-  /// §15: resolve staged epochs, drain hinted hand-offs, scoped Merkle
-  /// anti-entropy against each alive peer), then reconciles its parked
-  /// durable queue in one typed pass: a replicate/read-repair op is
-  /// dropped when a newer version of the same file is parked or the
-  /// node already holds that version or newer (each op carries the whole
-  /// file and applies last-write-wins), and an epoch commit/abort whose
-  /// staged 2PC state died with the node is dropped, a dropped commit
-  /// counting as an epoch_commit_orphan. After this the node is
-  /// byte-identical to its peers on the files it replicates, without a
-  /// full-store scan. A single node rejoins the same way, with no peers.
+  /// Marks the node alive again, drops the epoch commits/aborts parked
+  /// for it whose staged 2PC state died with the node (a dropped commit
+  /// counts as an epoch_commit_orphan), then runs the rejoin protocol
+  /// (DESIGN.md §15: resolve staged epochs, drain the hints owed to and
+  /// held by the node, scoped Merkle anti-entropy against each alive
+  /// peer). After this the node is byte-identical to its peers on the
+  /// files it replicates, without a full-store scan. A single node
+  /// rejoins the same way, with no peers.
   void restart_node(const std::string& name);
 
   // ---- Placement -----------------------------------------------------
@@ -151,18 +149,20 @@ class Cluster {
   std::string coordinator() const;
 
   // ---- Node-side handlers (run inside transport applies) -------------
-  /// Write path at the coordinator: assign version, store locally, fan
-  /// ReplicationOps to the other replicas. Throws TransportError(kLost)
-  /// when `self` is dead (the delivery never happened).
+  /// Write path at the coordinator: assign version, store locally,
+  /// send_replica to the other replicas. Throws TransportError(kLost)
+  /// when `self` is dead and kDegraded when it is owed a hint for the
+  /// file (the delivery never happened; a durable send parks it).
   void handle_store(const std::string& self, ByteView stored_file_wire);
   /// Replica side of replication and read-repair: applies the op iff it
   /// is newer than the local copy, or same-version with differing bytes
   /// (corruption repair). Idempotent.
   void handle_replication(const std::string& self, ByteView op_wire);
   /// Quorum read at the coordinator. Returns the winner's serialized
-  /// StoredFile; issues read-repair ops for divergent replicas. Throws
-  /// TransportError(kDegraded) when quorum cannot be met, SchemeError
-  /// when no replica has the file.
+  /// StoredFile; sends read-repair ops to divergent replicas. Throws
+  /// TransportError(kDegraded) when quorum cannot be met or a silent
+  /// replica holds a hint for the winner, SchemeError when no replica
+  /// has the file.
   Bytes handle_fetch(const std::string& self, const std::string& file_id);
   /// Revocation epoch at the coordinator, as a 2PC at every cluster
   /// size: stage on every node, record the commit decision, commit
@@ -224,9 +224,10 @@ class Cluster {
     std::string name;
     std::unique_ptr<CloudServer> store;
     bool alive = true;                       // guarded by mu
-    /// Hinted hand-off: target node -> (file_id -> newest missed
-    /// version). Held by the coordinator that shed/parked the write;
-    /// survives kill_node like the committed store. Guarded by mu.
+    /// Hinted hand-off, the one record of a missed replica write:
+    /// target node -> (file_id -> newest missed version), held by the
+    /// node whose send missed; survives kill_node like the committed
+    /// store. Guarded by mu.
     std::map<std::string, std::map<std::string, uint64_t>> hints;
     /// 2PC decision log: epoch id -> kVerdict*. The durable half of the
     /// presumed-abort protocol — kill_node wipes staged state but never
@@ -242,10 +243,12 @@ class Cluster {
   void ensure_alive(const Node& n) const;
   /// CloudServer::apply on n's store, counted when it applied.
   void apply_replication(Node& n, ReplicationOp op);
-  /// Durable send of a replication or read-repair op: a parked or shed
-  /// (full queue, counted) delivery leaves a hint for the rejoin drain.
+  /// The one replica send, write fan-out and read-repair alike. A send
+  /// that fails, or that would overtake deliveries parked for `replica`
+  /// or the hint `self` already owes it for the file, records a hint and
+  /// parks nothing.
   void send_replica(const std::string& self, const std::string& replica,
-                    Bytes op_wire, const ParkedOp& tag);
+                    const std::string& file_id, uint64_t version, ByteView op_wire);
   /// Two transport legs, so the meter and fault injection see both
   /// directions: `serve` runs at `to` and its result travels back.
   Bytes rpc(const std::string& from, const std::string& to, ByteView request,

@@ -41,6 +41,12 @@ Bytes serialize(const pairing::Group& grp, const StoredFile& v) {
   return w.take();
 }
 
+std::string stored_file_id(ByteView data) {
+  Reader r(data);
+  if (r.u8() != 0x60) throw WireError("deserialize: wrong tag for StoredFile");
+  return r.str();
+}
+
 StoredFile deserialize_stored_file(const pairing::Group& grp, ByteView data) {
   Reader r(data);
   if (r.u8() != 0x60) throw WireError("deserialize: wrong tag for StoredFile");

@@ -54,5 +54,7 @@ Bytes slot_aad(const std::string& file_id, const std::string& component_name);
 
 Bytes serialize(const pairing::Group& grp, const StoredFile& v);
 StoredFile deserialize_stored_file(const pairing::Group& grp, ByteView data);
+/// The file id of a serialized StoredFile, read without decoding its slots.
+std::string stored_file_id(ByteView data);
 
 }  // namespace maabe::cloud

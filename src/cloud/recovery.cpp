@@ -223,16 +223,18 @@ Bytes RecoveryManager::serve(const std::string& self, ByteView request) {
     case kHintList: {
       const std::string target = r.str();
       r.expect_done();
-      std::lock_guard<std::mutex> lock(n.mu);
-      const auto it = n.hints.find(target);
-      if (it == n.hints.end()) {
-        w.u32(0);
-        break;
+      std::map<std::string, uint64_t> hints;
+      {
+        std::lock_guard<std::mutex> lock(n.mu);
+        if (const auto it = n.hints.find(target); it != n.hints.end()) hints = it->second;
       }
-      w.u32(static_cast<uint32_t>(it->second.size()));
-      for (const auto& [fid, version] : it->second) {
+      // Each hint with the version guarding its clear and this node's
+      // current version (0 once gone), the one the drain decides on.
+      w.u32(static_cast<uint32_t>(hints.size()));
+      for (const auto& [fid, version] : hints) {
         w.str(fid);
         w.u64(version);
+        w.u64(cluster_.version_of(self, fid));
       }
       break;
     }
@@ -476,68 +478,82 @@ void RecoveryManager::record_hint(const std::string& holder,
   m_.hints_recorded->inc();
 }
 
-void RecoveryManager::clear_hint(const std::string& target,
-                                 const std::string& holder,
-                                 const std::string& file_id, uint64_t version) {
-  Writer w;
-  w.u8(kHintClear);
-  w.str(target);
-  w.str(file_id);
-  w.u64(version);
-  rpc(target, holder, w.take());
-}
-
-size_t RecoveryManager::drain_hints_for(const std::string& target) {
-  if (!cluster_.alive(target)) return 0;
+size_t RecoveryManager::drain_hints(const std::string& holder,
+                                    const std::string& target) {
+  // A pair with no hints costs no round trip. A holder with an epoch
+  // commit parked for it may hold a copy that commit has yet to re-key,
+  // so its hints wait for the commit.
+  {
+    const Cluster::Node& h = cluster_.node(holder);
+    std::lock_guard<std::mutex> lock(h.mu);
+    if (!h.hints.contains(target)) return 0;
+  }
+  if (!cluster_.alive(holder) || !cluster_.alive(target)) return 0;
+  for (const ParkedOp& op : cluster_.durable_.pending_ops(holder)) {
+    if (op.kind == ParkedOp::Kind::kEpochCommit) return 0;
+  }
   telemetry::Span span =
       telemetry::Tracer::global().start_span("recovery.drain_hints");
   if (span.active()) {
     span.attr("node", target);
     span.attr("node_id", target);
+    span.attr("holder", holder);
   }
   size_t drained = 0;
-  for (const std::string& holder : cluster_.names_) {
-    if (holder == target || !cluster_.alive(holder)) continue;
-    try {
-      Writer w;
-      w.u8(kHintList);
-      w.str(target);
-      const Bytes reply = rpc(target, holder, w.take());
-      Reader r(reply);
-      const uint32_t count = r.u32();
-      std::vector<std::pair<std::string, uint64_t>> entries(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        entries[i].first = r.str();
-        entries[i].second = r.u64();
+  try {
+    Writer w;
+    w.u8(kHintList);
+    w.str(target);
+    const Bytes reply = rpc(target, holder, w.take());
+    Reader r(reply);
+    for (uint32_t i = r.u32(); i > 0; --i) {
+      const std::string fid = r.str();
+      const uint64_t hinted = r.u64();   // guards the clear
+      const uint64_t current = r.u64();  // the holder's copy now; 0 when gone
+      uint64_t bytes = 0;
+      if (current != 0 && cluster_.version_of(target, fid) >= current) {
+        m_.hints_superseded->inc();
+      } else if (current != 0 && pull_file(target, holder, fid, &bytes)) {
+        m_.hints_replayed->inc();
+        m_.files_transferred->inc();
+        m_.bytes_transferred->add(bytes);
+      } else {
+        m_.hints_dropped->inc();
       }
-      r.expect_done();
-      for (const auto& [fid, version] : entries) {
-        if (cluster_.version_of(target, fid) >= version) {
-          clear_hint(target, holder, fid, version);
-          m_.hints_superseded->inc();
-          ++drained;
-          continue;
-        }
-        uint64_t bytes = 0;
-        if (pull_file(target, holder, fid, &bytes)) {
-          m_.hints_replayed->inc();
-          m_.files_transferred->inc();
-          m_.bytes_transferred->add(bytes);
-        } else {
-          m_.hints_dropped->inc();
-        }
-        clear_hint(target, holder, fid,
-                   std::max(version, cluster_.version_of(target, fid)));
-        ++drained;
-      }
-    } catch (const TransportError&) {
-      // This holder's hints stay put for a later drain; anti-entropy
-      // covers the files in the meantime.
-      m_.sync_failures->inc();
+      Writer clear;
+      clear.u8(kHintClear);
+      clear.str(target);
+      clear.str(fid);
+      clear.u64(hinted);
+      rpc(target, holder, clear.take());
+      ++drained;
     }
+    r.expect_done();
+  } catch (const TransportError&) {
+    // The undrained hints stay put for a later drain; anti-entropy
+    // covers the files in the meantime.
+    m_.sync_failures->inc();
   }
   if (span.active()) span.attr("drained", static_cast<uint64_t>(drained));
   return drained;
+}
+
+size_t RecoveryManager::drain_all_hints() {
+  for (const std::string& holder : cluster_.names_) {
+    for (const std::string& target : cluster_.names_) drain_hints(holder, target);
+  }
+  return pending_hints();
+}
+
+std::vector<std::string> RecoveryManager::holders_owing(const std::string& target,
+                                                        const std::string& file_id) const {
+  std::vector<std::string> holders;
+  for (const auto& n : cluster_.nodes_) {
+    std::lock_guard<std::mutex> lock(n->mu);
+    const auto it = n->hints.find(target);
+    if (it != n->hints.end() && it->second.contains(file_id)) holders.push_back(n->name);
+  }
+  return holders;
 }
 
 size_t RecoveryManager::hint_count(const std::string& target) const {
@@ -627,11 +643,14 @@ void RecoveryManager::rejoin(const std::string& name) {
   }
   m_.rejoins->inc();
   // Order matters: resolve staged epochs first so anti-entropy compares
-  // committed state, then drain the writes that missed this node, then
-  // a scoped sync against each alive peer closes whatever is left
-  // (shed controls, lost repairs, bit-rot).
+  // committed state, then drain the writes that missed this node and
+  // those it holds hints for (a holder that died before draining hands
+  // them off now), then a scoped sync against each alive peer closes
+  // whatever is left (shed controls, lost repairs, bit-rot).
   const size_t resolved = resolve_staged_epochs();
-  const size_t drained = drain_hints_for(name);
+  size_t drained = 0;
+  for (const std::string& peer : cluster_.names_)
+    drained += drain_hints(peer, name) + drain_hints(name, peer);
   SyncReport agg;
   for (const std::string& peer : cluster_.names_) {
     if (peer == name || !cluster_.alive(peer)) continue;

@@ -12,13 +12,15 @@
 //    corrupt and missing replicas with O(divergence) transfers instead
 //    of O(files) quorum fetches.
 //
-//  * Hinted hand-off — when a write sheds or parks for a dead replica,
-//    the coordinator records a typed hint (target, file_id, version).
-//    On rejoin the node drains its hints from every alive holder,
-//    pulling exactly the files written while it was down. Rejoin sends
-//    only over the link: the parked ops behind a hint stay queued, and
-//    Cluster::restart_node prunes those the drained state supersedes
-//    once rejoin returns.
+//  * Hinted hand-off — the one record of a missed replica write: the
+//    sending node records (target, file_id, version), one per file. A
+//    drain (a read, flush_pending, or rejoin of either node) ships the
+//    holder's *current* copy where the target's is older: epochs bump
+//    each replica's version on its own, so a version hinted before one
+//    compares to nothing. It only guards the clear, so a hint
+//    re-recorded during a drain survives it. Until it drains, the
+//    target takes no write of the file and wins no read without the
+//    holder (holders_owing).
 //
 //  * 2PC epoch resolution — every commit/abort verdict is recorded in a
 //    per-node decision log that (unlike staged state) survives
@@ -28,10 +30,11 @@
 //    No epoch stays staged-open forever.
 //
 // `rejoin(node)` (run by Cluster::restart_node) strings the three into
-// one traced sequence: resolve staged epochs, drain hints, then a
-// scoped anti-entropy round against each alive peer — byte-identical
-// state without a full-store scan. It runs at every cluster size; a
-// single node has no holder or peer, so its drain and sync are empty.
+// one traced sequence: resolve staged epochs, drain the hints owed to
+// and held by the node, then a scoped anti-entropy round against each
+// alive peer — byte-identical state without a full-store scan. It runs
+// at every cluster size; a single node has no holder or peer, so its
+// drain and sync are empty.
 #pragma once
 
 #include <atomic>
@@ -75,8 +78,8 @@ struct SyncReport {
 /// Monotonic counters (snapshot/subtract, ClusterStats style).
 struct RecoveryStats {
   uint64_t hints_recorded = 0;
-  uint64_t hints_replayed = 0;    ///< hinted files pulled and applied
-  uint64_t hints_superseded = 0;  ///< cleared: local copy already as new
+  uint64_t hints_replayed = 0;    ///< holder's current copy pulled and applied
+  uint64_t hints_superseded = 0;  ///< cleared: target as new as the holder's copy
   uint64_t hints_dropped = 0;     ///< cleared: holder no longer had the file
   uint64_t syncs = 0;             ///< pairwise anti-entropy sessions
   uint64_t sync_rounds = 0;       ///< tree-level exchanges across sessions
@@ -111,15 +114,24 @@ class RecoveryManager {
   SyncReport sync_all();
 
   // ---- Hinted hand-off -----------------------------------------------
-  /// Records at `holder` that `target` missed (file_id, version). Called
-  /// by the write paths when a fan-out parks or sheds.
+  /// Records at `holder` that `target` missed (file_id, version); one
+  /// hint per (holder, target, file), at the newest version. Called by
+  /// Cluster::send_replica.
   void record_hint(const std::string& holder, const std::string& target,
                    const std::string& file_id, uint64_t version);
-  /// Rejoining side: pull every hinted file from every alive holder and
-  /// clear the served hints. Returns hints drained (replayed, superseded
-  /// or dropped). Per-holder transport failures leave that holder's
-  /// hints for a later drain.
-  size_t drain_hints_for(const std::string& target);
+  /// Drains the hints `holder` owes `target`, both alive and no epoch
+  /// commit parked for the holder: the target pulls the holder's current
+  /// copy of each file it holds older, then clears the hint. Returns
+  /// hints drained (replayed, superseded or dropped); a transport
+  /// failure leaves the rest for a later drain.
+  size_t drain_hints(const std::string& holder, const std::string& target);
+  /// drain_hints over every (holder, target) pair; returns the hints
+  /// still owed afterwards (pending_hints).
+  size_t drain_all_hints();
+  /// The nodes that owe `target` a hint for `file_id`. Until each has
+  /// drained it, `target`'s copy may miss a write that holder took.
+  std::vector<std::string> holders_owing(const std::string& target,
+                                         const std::string& file_id) const;
   /// Hints currently held for `target`, across all holders.
   size_t hint_count(const std::string& target) const;
   /// All hints across all holders and targets.
@@ -134,9 +146,9 @@ class RecoveryManager {
 
   // ---- Rejoin orchestration ------------------------------------------
   /// The restart_node recovery sequence, linked under one
-  /// "recovery.rejoin" span: resolve staged epochs, drain this node's
-  /// hints, scoped anti-entropy against each alive peer. No full-store
-  /// scan and no quorum reads.
+  /// "recovery.rejoin" span: resolve staged epochs, drain the hints owed
+  /// to and held by this node, scoped anti-entropy against each alive
+  /// peer. No full-store scan and no quorum reads.
   void rejoin(const std::string& name);
 
   RecoveryStats stats() const;
@@ -164,8 +176,6 @@ class RecoveryManager {
                  const ShardLeaf& leaf, SyncReport* rep);
   bool pull_file(const std::string& to, const std::string& from,
                  const std::string& file_id, uint64_t* bytes);
-  void clear_hint(const std::string& target, const std::string& holder,
-                  const std::string& file_id, uint64_t version);
 
   Cluster& cluster_;
 

@@ -59,10 +59,6 @@ FetchReply decode_fetch_reply(ByteView data) {
 
 std::string ParkedOp::label() const {
   switch (kind) {
-    case Kind::kReplicate:
-      return "replicate " + subject + " v" + std::to_string(number);
-    case Kind::kReadRepair:
-      return "read-repair " + subject + " v" + std::to_string(number);
     case Kind::kEpochCommit:
       return "epoch commit #" + std::to_string(number);
     case Kind::kEpochAbort:

@@ -3,8 +3,8 @@
 // Two pieces:
 //
 //  * Wire formats for the node-to-node protocol: ReplicationOp (a
-//    versioned copy of a stored file, fanned out from the coordinator
-//    of a write and replayed in version order), FetchReply (one
+//    versioned copy of a stored file, sent from the coordinator of a
+//    write, by read-repair and by recovery transfers), FetchReply (one
 //    replica's answer in a quorum read, carrying the version and
 //    recorded content hash so the coordinator can detect stale or
 //    corrupt copies) and ParkedOp (what a parked delivery is: the tag
@@ -14,10 +14,11 @@
 //    cannot reach its destination parks in FIFO order under its
 //    original request id and replays head-first on the next flush, so
 //    order is preserved per destination and a recovered node receives
-//    exactly the ops it missed, in the order they were issued. This is
-//    the park-and-replay machinery PR 3 built into CloudSystem,
-//    extracted so the Cluster's replication fan-out and the system's
-//    entity traffic share one implementation (and one health view).
+//    exactly the ops it missed, in the order they were issued. It
+//    carries entity traffic and the cluster's epoch controls. A replica
+//    copy never parks: a missed replica write is recorded once, as a
+//    hint at the holder (recovery.h), and drained from the holder's
+//    current copy.
 #pragma once
 
 #include <deque>
@@ -63,39 +64,30 @@ FetchReply decode_fetch_reply(ByteView data);  ///< throws WireError
 
 /// What a durable send is, recorded beside it while it is parked. Entity
 /// traffic (uploads, owner shares, keys, revocation epochs) carries free
-/// text; the cluster's own ops carry a file id and version, or an epoch
-/// id. A string converts implicitly to an entity op.
+/// text; the cluster's epoch controls carry an epoch id. A string
+/// converts implicitly to an entity op.
 struct ParkedOp {
   enum class Kind : uint8_t {
     kEntity,
-    kReplicate,
-    kReadRepair,
     kEpochCommit,
     kEpochAbort,
   };
 
   Kind kind = Kind::kEntity;
-  std::string subject;  ///< file id; for an entity op, its whole text
-  uint64_t number = 0;  ///< version (replicate, read-repair) or epoch id
+  std::string subject;  ///< an entity op's whole text
+  uint64_t number = 0;  ///< epoch id of an epoch control
 
   ParkedOp(std::string text) : subject(std::move(text)) {}
   ParkedOp(const char* text) : subject(text) {}
-  ParkedOp(Kind k, std::string subj, uint64_t n)
-      : kind(k), subject(std::move(subj)), number(n) {}
+  ParkedOp(Kind k, uint64_t epoch_id) : kind(k), number(epoch_id) {}
 
-  /// Operator-facing text: "replicate f v3", "read-repair f v3",
-  /// "epoch commit #7", "epoch abort #7", or the entity text.
+  /// Operator-facing text: "epoch commit #7", "epoch abort #7", or the
+  /// entity text.
   std::string label() const;
-  /// Whether a read must wait for this op. Replication, read-repair and
-  /// epoch aborts only rewrite a replica toward the state a quorum
-  /// already serves, so a stale copy behind one of them can never open
-  /// under a revoked key; entity traffic and epoch commits gate reads.
+  /// Whether a read must wait for this op. An epoch abort only discards
+  /// staged state, so a copy behind one can never open under a revoked
+  /// key; entity traffic and epoch commits gate reads.
   bool gates_reads() const;
-  /// Replication fan-out or read-repair: a whole-file copy of `subject`
-  /// at version `number`, applied last-write-wins.
-  bool replicates() const {
-    return kind == Kind::kReplicate || kind == Kind::kReadRepair;
-  }
 };
 
 // ----------------------------------------------------- DurableLink --

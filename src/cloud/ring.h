@@ -5,8 +5,8 @@
 // file_id and its replica set is the next `replication` distinct nodes
 // clockwise. Placement is static for a fixed membership: node failure
 // changes who *coordinates* an operation (the first alive replica), not
-// where the file lives, so a recovered node finds its parked replication
-// queue addressed to exactly the files it still owns.
+// where the file lives, so the hints owed to a recovered node name
+// exactly the files it still owns.
 //
 // Virtual nodes smooth the load: with 64 vnodes per node the largest
 // per-node share of a uniform keyspace stays within a small factor of

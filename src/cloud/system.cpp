@@ -15,13 +15,6 @@ std::string owner_name(const std::string& id) { return "owner:" + id; }
 std::string user_name(const std::string& uid) { return "user:" + uid; }
 constexpr const char* kCa = "ca";
 
-/// Parked replicate/read-repair ops for `node`: its replication lag.
-uint64_t replication_lag_of(const DurableLink& durable, const std::string& node) {
-  const std::vector<ParkedOp> ops = durable.pending_ops(node);
-  return static_cast<uint64_t>(std::count_if(
-      ops.begin(), ops.end(), [](const ParkedOp& op) { return op.replicates(); }));
-}
-
 }  // namespace
 
 CloudSystem::CloudSystem(std::shared_ptr<const pairing::Group> grp,
@@ -74,7 +67,13 @@ crypto::Drbg CloudSystem::fork_rng(const std::string& label) {
 
 // ---------------------------------------------- degraded-mode plumbing --
 
-size_t CloudSystem::flush_pending() { return durable_.flush_all(); }
+size_t CloudSystem::flush_pending() {
+  // Parked deliveries first, so no holder's hints wait on a parked epoch
+  // commit; then the hints; then the writes parked behind them.
+  durable_.flush_all();
+  cluster_.recovery().drain_all_hints();
+  return durable_.flush_all() + cluster_.recovery().pending_hints();
+}
 
 CloudSystem::Health CloudSystem::health() const {
   Health h;
@@ -90,8 +89,7 @@ CloudSystem::Health CloudSystem::health() const {
 
 NodeHealth CloudSystem::health(const std::string& node_id) const {
   NodeHealth h = cluster_.node_health(node_id);
-  h.pending_in = durable_.pending_for(node_id);
-  h.replication_lag = replication_lag_of(durable_, node_id);
+  h.pending_in = durable_.pending_for(node_id) + h.replication_lag;
   for (const auto& [channel, stats] : transport_->meter().entries()) {
     if (channel.second == node_id) h.transport_in += stats;
     if (channel.first == node_id) h.transport_out += stats;
@@ -107,10 +105,7 @@ std::vector<NodeHealth> CloudSystem::cluster_health() const {
 }
 
 uint64_t CloudSystem::replication_lag() const {
-  uint64_t lag = 0;
-  for (const std::string& name : cluster_.node_names())
-    lag += replication_lag_of(durable_, name);
-  return lag;
+  return cluster_.recovery().pending_hints();
 }
 
 telemetry::Snapshot CloudSystem::telemetry_snapshot() const {
@@ -393,9 +388,10 @@ CloudSystem::DownloadReport CloudSystem::download_report(const std::string& uid,
   Consumer& consumer = user(uid);
   // Fail closed: never serve reads while revocation epochs (or earlier
   // uploads) are parked for any node — a stale ciphertext could still
-  // open under a revoked key. Ops that do not gate reads (ParkedOp::
-  // gates_reads) only rewrite a replica toward state a quorum already
-  // serves.
+  // open under a revoked key. A parked epoch abort does not gate reads
+  // (ParkedOp::gates_reads): it only discards staged state. Hints drain
+  // first, so a write parked behind one replays in this flush.
+  cluster_.recovery().drain_all_hints();
   for (const std::string& name : cluster_.node_names()) durable_.flush_queue(name);
   for (const std::string& name : cluster_.node_names()) {
     const std::vector<ParkedOp> ops = durable_.pending_ops(name);

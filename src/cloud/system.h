@@ -13,11 +13,11 @@
 //
 // The storage tier is a Cluster (DESIGN.md §13): client traffic is
 // routed over the consistent-hash ring to the first alive replica,
-// writes replicate asynchronously through per-node op queues, reads are
-// quorum reads with read-repair, and revocation epochs are cluster-wide
-// two-phase commits. The default single-node cluster runs the same
-// paths with one participant, named "server". Canonical entity names
-// used for channels and metering:
+// writes replicate to the other replicas (a missed one is owed a hint),
+// reads are quorum reads with read-repair, and revocation epochs are
+// cluster-wide two-phase commits. The default single-node cluster runs
+// the same paths with one participant, named "server". Canonical
+// entity names used for channels and metering:
 //   "ca", "aa:<AID>", "owner:<id>", "user:<UID>",
 //   "server" (single-node cluster) or "node:<i>" (multi-node).
 #pragma once
@@ -96,9 +96,10 @@ class CloudSystem {
 
   /// Degraded-mode download: decrypts the slots it can and reports the
   /// rest as kNoKey/kCorrupt/kError per slot, instead of failing the
-  /// whole file. Reads are fail-closed against parked revocation epochs:
-  /// throws TransportError(kDegraded) while server deliveries are
-  /// pending and the flush could not drain them.
+  /// whole file. Drains the hints between alive nodes, then flushes.
+  /// Reads are fail-closed against parked revocation epochs: throws
+  /// TransportError(kDegraded) while server deliveries are pending and
+  /// the flush could not drain them.
   DownloadReport download_report(const std::string& uid, const std::string& file_id);
 
   /// Legacy strict download: the opened slots; re-throws the first
@@ -124,8 +125,11 @@ class CloudSystem {
 
   // ---- Degraded-mode plumbing ------------------------------------------
   /// Attempts to replay every parked delivery, in per-destination FIFO
-  /// order. Stops a queue at its first transport failure (order must be
-  /// preserved). Returns the number of deliveries still parked.
+  /// order, then drains every hint between alive nodes (the target gets
+  /// the holder's current copy), then replays again for the writes that
+  /// waited on a hint. Stops a queue at its first transport failure
+  /// (order must be preserved). Returns the parked deliveries plus the
+  /// hints still owed.
   size_t flush_pending();
 
   /// Liveness/robustness counters for operators and the chaos harness.
@@ -151,8 +155,8 @@ class CloudSystem {
   /// health(node) for every node of the cluster, in node order.
   std::vector<NodeHealth> cluster_health() const;
 
-  /// Parked replication/read-repair deliveries across all nodes — the
-  /// cluster's replication lag in ops.
+  /// Hints owed across all nodes (RecoveryManager::pending_hints) — the
+  /// cluster's replication lag in missed (replica, file) writes.
   uint64_t replication_lag() const;
 
   // ---- Admission control -----------------------------------------------
@@ -160,10 +164,11 @@ class CloudSystem {
   /// kDefaultPendingCap ops; 0 restores the default). When a queue is
   /// full further sends are rejected with TransportError(kOverloaded):
   /// entity traffic (uploads, revocation distribution) sees the typed
-  /// error, cluster maintenance fan-out sheds and lets read-repair heal.
+  /// error, epoch controls shed and let read-repair heal. Replica writes
+  /// never park: their hints are bounded at one per (holder, target, file).
   void set_pending_cap(size_t cap) { durable_.set_pending_cap(cap); }
   size_t pending_cap() const { return durable_.pending_cap(); }
-  /// Sends rejected at the cap / parked ops dropped by restart
+  /// Sends rejected at the cap / parked epoch controls dropped by restart
   /// reconciliation (maabe_transport_parked_{rejected,pruned}_total).
   uint64_t parked_rejected_total() const { return durable_.rejected_total(); }
   uint64_t parked_pruned_total() const { return durable_.pruned_total(); }
@@ -218,7 +223,7 @@ class CloudSystem {
   std::unique_ptr<LoopbackTransport> transport_;
   ReliableLink link_;
   /// Per-destination write-ahead queues, shared between entity traffic
-  /// and the cluster's replication fan-out (one health view).
+  /// and the cluster's epoch controls (one health view).
   DurableLink durable_;
   Cluster cluster_;
   std::map<std::string, AttributeAuthority> authorities_;

@@ -161,9 +161,9 @@ TEST(ClusterTest, NodeHealthAttributesOutageAndReplicationLag) {
   const std::vector<std::string> files = {"f1", "f2", "f3", "f4", "f5", "f6"};
   upload_all(*sys, files);
 
-  // Every file with node:2 in its replica set has a replication (or
-  // whole-upload) delivery parked for it; lag counts the replication
-  // share and health pins it to the dead node.
+  // Every file with node:2 in its replica set leaves node:2 owed one
+  // write (a hint at its coordinator); lag counts them and health pins
+  // them to the dead node.
   size_t on_dead = 0;
   for (const std::string& f : files) {
     const auto replicas = sys->cluster().replicas_for(f);
@@ -345,13 +345,13 @@ TEST(ClusterTest, ParkedReplicationLeavesReadsOpenAndParkedCommitFailsThemClosed
   ASSERT_FALSE(on_dead.empty());
   ASSERT_FALSE(healthy.empty());
 
-  // Replica maintenance parked for a dead node does not gate a read
-  // whose quorum is met.
+  // Replica writes owed to a dead node do not gate a read whose quorum
+  // is met.
   sys->cluster().kill_node("node:2");
   sys->upload("hosp", on_dead, {{"b", bytes_of("v2 " + on_dead), "Doctor@Med"}});
   const NodeHealth dead = sys->health("node:2");
   ASSERT_GT(dead.pending_in, 0u);
-  EXPECT_EQ(dead.replication_lag, dead.pending_in);  // replicate ops only
+  EXPECT_EQ(dead.replication_lag, dead.pending_in);  // hints only
   EXPECT_TRUE(sys->download_report("alice", healthy).all_ok());
 
   // A commit parked for a peer that died after the decision does.
@@ -385,8 +385,8 @@ TEST(ClusterTest, DegradedReadNamesTheParkedEpochThatBlocksIt) {
   c.kill_node("node:2");
   EXPECT_EQ(sys->revoke_attribute("Med", "bob", "Doctor"), 0u);
   ASSERT_EQ(c.coordinator(), "node:0");
-  // A write coordinated elsewhere queues its node:0 replica copy
-  // behind the epoch: parked at node:0, but not read-gating.
+  // A write coordinated elsewhere leaves its node:0 replica copy
+  // behind the epoch as a hint: owed to node:0, but not read-gating.
   std::string elsewhere;
   for (const std::string& f : files) {
     if (c.route_for(f) == "node:1") elsewhere = f;
@@ -506,7 +506,7 @@ TEST(ClusterTest, PartitionDuring2PCAbortsCleanlyThenCommitsOnHeal) {
   }
 }
 
-TEST(ClusterTest, RestartReconcilesStaleGaugesAndPrunesSupersededOps) {
+TEST(ClusterTest, RestartReconcilesStaleGauges) {
   auto sys = make_system(Group::test_small(), 3, 2);
   enroll(*sys);
   std::vector<std::string> files;
@@ -528,21 +528,15 @@ TEST(ClusterTest, RestartReconcilesStaleGaugesAndPrunesSupersededOps) {
   ASSERT_FALSE(fx.empty());
 
   // Kill node:1, then write two more versions of fx: the surviving
-  // coordinator stores them, and two versioned replicate ops park for
-  // the dead node. The per-node gauges now show real lag.
+  // coordinator stores them and owes the dead node a hint. The per-node
+  // gauges now show real lag.
   sys->cluster().kill_node("node:1");
   sys->upload("hosp", fx, {{"b", bytes_of("v2 " + fx), "Doctor@Med"}});
   sys->upload("hosp", fx, {{"c", bytes_of("v3 " + fx), "Doctor@Med"}});
   EXPECT_GT(sys->replication_lag(), 0u);
-  EXPECT_GT(sys->health().pending_by_destination.at("node:1"), 0u);
-  const uint64_t prunes_before = sys->cluster().stats().restart_prunes;
 
-  // Restart reconciles the parked queue against what replay can use:
-  // the superseded v2 replicate op is pruned (apply is last-write-wins
-  // and each op carries the whole file), the newest survives and
-  // replays. Gauges return to zero once converged.
+  // Restart drains the hint; gauges return to zero once converged.
   sys->cluster().restart_node("node:1");
-  EXPECT_GE(sys->cluster().stats().restart_prunes, prunes_before + 1);
   EXPECT_EQ(sys->flush_pending(), 0u);
   EXPECT_EQ(sys->replication_lag(), 0u);
   EXPECT_EQ(sys->health().pending_by_destination.count("node:1"), 0u);
@@ -550,6 +544,151 @@ TEST(ClusterTest, RestartReconcilesStaleGaugesAndPrunesSupersededOps) {
     EXPECT_EQ(nh.replication_lag, 0u) << nh.node;
   }
   expect_replicas_converged(*sys, files);
+  EXPECT_TRUE(sys->download_report("alice", fx).all_ok());
+}
+
+TEST(ClusterTest, MissedReplicaNeverHoldsPreEpochBytes) {
+  auto sys = make_system(Group::test_small(), 3, 2, FaultPlan(1));
+  enroll(*sys);
+  const std::vector<std::string> files = {"f1", "f2", "f3", "f4",
+                                          "f5", "f6", "f7", "f8"};
+  upload_all(*sys, files);
+  ASSERT_EQ(sys->flush_pending(), 0u);
+
+  // A file node:0 coordinates and node:2 replicates.
+  Cluster& c = sys->cluster();
+  std::string fx;
+  for (const std::string& f : files) {
+    if (fx.empty() && c.replicas_for(f) == std::vector<std::string>{"node:0", "node:2"})
+      fx = f;
+  }
+  ASSERT_FALSE(fx.empty());
+
+  // Cut node:0 -> node:2 and rewrite fx: node:2 misses the new version.
+  FaultSpec down;
+  down.drop = 1.0;
+  sys->transport().faults().set_channel("node:0", "node:2", down);
+  sys->upload("hosp", fx, {{"b", bytes_of("v2 " + fx), "Doctor@Med"}});
+  sys->transport().faults().set_channel("node:0", "node:2", FaultSpec());
+  ASSERT_LT(c.version_of("node:2", fx), c.version_of("node:0", fx));
+
+  // Healed, the epoch re-keys Med. Its commit must reach every replica
+  // of fx: no copy of the missed write, frozen before the epoch, may
+  // land on node:2 between its stage and its commit.
+  sys->revoke_attribute("Med", "bob", "Doctor");
+  ASSERT_EQ(c.stats().epoch_commits, 1u);
+  const uint32_t med = sys->authority("Med").version();
+  for (const std::string& replica : c.replicas_for(fx)) {
+    for (const SealedSlot& slot : c.node_store(replica).fetch(fx)->slots) {
+      EXPECT_EQ(slot.key_ct.versions.at("Med"), med)
+          << replica << " holds '" << fx << "' slot " << slot.component_name
+          << " under a pre-epoch key";
+    }
+  }
+
+  // The missed write then lands as the holder's current copy.
+  EXPECT_EQ(sys->flush_pending(), 0u);
+  expect_replicas_converged(*sys, files);
+  EXPECT_TRUE(sys->download_report("bob", fx).opened().empty());
+  EXPECT_TRUE(sys->download_report("alice", fx).all_ok());
+}
+
+TEST(ClusterTest, OneMissedFileKeepsTheRestReplicatingAndAReadDrainsIt) {
+  auto sys = make_system(Group::test_small(), 3, 2, FaultPlan(1));
+  enroll(*sys);
+  std::vector<std::string> files;
+  for (int i = 0; i < 16; ++i) files.push_back("f" + std::to_string(i));
+  upload_all(*sys, files);
+  ASSERT_EQ(sys->flush_pending(), 0u);
+
+  // Two files node:0 coordinates and node:2 replicates.
+  Cluster& c = sys->cluster();
+  std::vector<std::string> pair;
+  for (const std::string& f : files) {
+    if (c.replicas_for(f) == std::vector<std::string>{"node:0", "node:2"}) pair.push_back(f);
+  }
+  ASSERT_GE(pair.size(), 2u) << "placement left node:0 -> node:2 short; add more files";
+  const std::string& fx = pair[0];
+  const std::string& fy = pair[1];
+
+  // node:2 misses one write of fx: one hint, for fx alone.
+  FaultSpec down;
+  down.drop = 1.0;
+  sys->transport().faults().set_channel("node:0", "node:2", down);
+  sys->upload("hosp", fx, {{"b", bytes_of("v2 " + fx), "Doctor@Med"}});
+  sys->transport().faults().set_channel("node:0", "node:2", FaultSpec());
+  RecoveryManager& rec = c.recovery();
+  ASSERT_EQ(rec.hint_count("node:2"), 1u);
+
+  // Healed, a write of another file still reaches node:2 directly.
+  sys->upload("hosp", fy, {{"b", bytes_of("v2 " + fy), "Doctor@Med"}});
+  EXPECT_EQ(c.version_of("node:2", fy), c.version_of("node:0", fy));
+  EXPECT_EQ(rec.hint_count("node:2"), 1u);
+
+  // Any read drains the hint before it is served.
+  EXPECT_TRUE(sys->download_report("alice", fy).all_ok());
+  EXPECT_EQ(rec.hint_count("node:2"), 0u);
+  EXPECT_EQ(c.version_of("node:2", fx), c.version_of("node:0", fx));
+  expect_replicas_converged(*sys, files);
+}
+
+TEST(ClusterTest, HolderDrainsNothingWhileItsEpochCommitIsParked) {
+  auto sys = make_system(Group::test_small(), 3, 2, FaultPlan(1));
+  enroll(*sys);
+  std::vector<std::string> files;
+  for (int i = 0; i < 16; ++i) files.push_back("f" + std::to_string(i));
+  upload_all(*sys, files);
+  ASSERT_EQ(sys->flush_pending(), 0u);
+
+  // node:1 coordinates fx and owes node:2 two missed writes of it.
+  Cluster& c = sys->cluster();
+  std::string fx;
+  for (const std::string& f : files) {
+    if (fx.empty() && c.replicas_for(f) == std::vector<std::string>{"node:1", "node:2"})
+      fx = f;
+  }
+  ASSERT_FALSE(fx.empty());
+  FaultSpec down;
+  down.drop = 1.0;
+  sys->transport().faults().set_channel("node:1", "node:2", down);
+  sys->upload("hosp", fx, {{"b", bytes_of("v2 " + fx), "Doctor@Med"}});
+  sys->upload("hosp", fx, {{"c", bytes_of("v3 " + fx), "Doctor@Med"}});
+  sys->transport().faults().set_channel("node:1", "node:2", FaultSpec());
+  ASSERT_EQ(c.recovery().hint_count("node:2"), 1u);
+
+  // The epoch commits on node:0 and node:2; node:1's commit parks, so
+  // node:1 still holds fx under the old Med key.
+  ASSERT_EQ(c.coordinator(), "node:0");
+  c.set_epoch_fault_hook([&](uint64_t, const std::string& phase) {
+    if (phase == "decided")
+      sys->transport().faults().set_channel("node:0", "node:1", down);
+  });
+  sys->revoke_attribute("Med", "bob", "Doctor");
+  c.set_epoch_fault_hook(nullptr);
+  sys->transport().faults().set_channel("node:0", "node:1", FaultSpec());
+  ASSERT_EQ(c.stats().epoch_commits, 1u);
+  ASSERT_EQ(sys->health("node:1").pending_in, 1u);
+  const uint32_t med = sys->authority("Med").version();
+  const auto keyed = [&](const std::string& node) {
+    for (const SealedSlot& slot : c.node_store(node).fetch(fx)->slots) {
+      if (slot.key_ct.versions.at("Med") != med) return false;
+    }
+    return true;
+  };
+  ASSERT_FALSE(keyed("node:1"));
+  ASSERT_TRUE(keyed("node:2"));
+
+  // A drain now would ship node:1's pre-epoch v3 over node:2's re-keyed
+  // copy. It waits for the commit instead.
+  c.recovery().drain_all_hints();
+  EXPECT_TRUE(keyed("node:2"));
+  EXPECT_EQ(c.recovery().hint_count("node:2"), 1u);
+
+  EXPECT_EQ(sys->flush_pending(), 0u);
+  EXPECT_TRUE(keyed("node:1"));
+  EXPECT_TRUE(keyed("node:2"));
+  expect_replicas_converged(*sys, files);
+  EXPECT_TRUE(sys->download_report("bob", fx).opened().empty());
   EXPECT_TRUE(sys->download_report("alice", fx).all_ok());
 }
 

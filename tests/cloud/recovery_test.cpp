@@ -219,6 +219,133 @@ TEST(RecoveryTest, HintsRecordedForDeadReplicaAndDrainedOnRejoin) {
   EXPECT_TRUE(sys->download_report("alice", fx).all_ok());
 }
 
+TEST(RecoveryTest, HolderDeathFailsReadsClosedAndRejoinHandsTheHintOff) {
+  auto sys = make_system(Group::test_small(), 3, 2);
+  enroll(*sys);
+  const std::vector<std::string> files = eight_files();
+  upload_all(*sys, files);
+  ASSERT_EQ(sys->flush_pending(), 0u);
+
+  // Coordinator A holds fx; B is its other replica.
+  Cluster& c = sys->cluster();
+  const std::string fx = files.front();
+  const std::vector<std::string> replicas = c.replicas_for(fx);
+  ASSERT_EQ(replicas.size(), 2u);
+  const std::string a = replicas[0];
+  const std::string b = replicas[1];
+  RecoveryManager& rec = c.recovery();
+  const RecoveryStats before = rec.stats();
+
+  // A writes fx twice while B is dead: two missed versions, one hint.
+  c.kill_node(b);
+  ASSERT_EQ(c.route_for(fx), a);
+  sys->upload("hosp", fx, {{"b", bytes_of("v2 " + fx), "Doctor@Med"}});
+  sys->upload("hosp", fx, {{"c", bytes_of("v3 " + fx), "Doctor@Med"}});
+  EXPECT_EQ(rec.hint_count(b), 1u);
+  EXPECT_EQ(rec.stats().hints_recorded, before.hints_recorded + 2);
+  const Bytes newest = serialize(sys->group(), *c.node_store(a).fetch(fx));
+
+  // A dies still holding the hint, and B comes back without it: B's
+  // reads fail closed on quorum and never serve the version it holds.
+  c.kill_node(a);
+  c.restart_node(b);
+  EXPECT_EQ(rec.hint_count(b), 1u);
+  EXPECT_LT(c.version_of(b, fx), c.version_of(a, fx));
+  try {
+    sys->download_report("alice", fx);
+    ADD_FAILURE() << "read of '" << fx << "' served without its quorum";
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.kind(), TransportError::Kind::kDegraded) << e.what();
+  }
+
+  // A's rejoin hands the hint off: both missed writes cost one transfer.
+  c.restart_node(a);
+  rec.sync_all();
+  EXPECT_EQ(rec.hint_count(b), 0u);
+  EXPECT_EQ(rec.pending_hints(), 0u);
+  EXPECT_EQ(rec.stats().hints_replayed, before.hints_replayed + 1);
+  EXPECT_EQ(sys->flush_pending(), 0u);
+  expect_replicas_converged(*sys, files);
+  EXPECT_EQ(serialize(sys->group(), *c.node_store(b).fetch(fx)), newest);
+  const auto report = sys->download_report("alice", fx);
+  EXPECT_TRUE(report.all_ok());
+  EXPECT_EQ(report.opened().at("c"), bytes_of("v3 " + fx));
+}
+
+TEST(RecoveryTest, StaleCoordinatorParksItsWriteUntilTheHintDrains) {
+  auto sys = make_system(Group::test_small(), 3, 2);
+  enroll(*sys);
+  const std::vector<std::string> files = eight_files();
+  upload_all(*sys, files);
+  ASSERT_EQ(sys->flush_pending(), 0u);
+
+  Cluster& c = sys->cluster();
+  const std::string fx = files.front();
+  const std::vector<std::string> replicas = c.replicas_for(fx);
+  ASSERT_EQ(replicas.size(), 2u);
+  const std::string a = replicas[0];
+  const std::string b = replicas[1];
+
+  // B misses v2 and v3, A dies holding the hint, and B comes back to
+  // coordinate the next write of fx from its v1.
+  c.kill_node(b);
+  sys->upload("hosp", fx, {{"b", bytes_of("v2 " + fx), "Doctor@Med"}});
+  sys->upload("hosp", fx, {{"c", bytes_of("v3 " + fx), "Doctor@Med"}});
+  c.kill_node(a);
+  c.restart_node(b);
+  ASSERT_EQ(c.route_for(fx), b);
+  const uint64_t stale = c.version_of(b, fx);
+  ASSERT_LT(stale, c.version_of(a, fx));
+
+  // Taking it would rank the write at or below A's v3, and A's copy
+  // would win once the hint drained. It parks instead, untaken.
+  sys->upload("hosp", fx, {{"d", bytes_of("v4 " + fx), "Doctor@Med"}});
+  EXPECT_EQ(c.version_of(b, fx), stale);
+  EXPECT_EQ(sys->health().pending_by_destination.at(b), 1u);
+  EXPECT_EQ(sys->flush_pending(), 2u);  // the parked write + the hint
+
+  // A's rejoin hands the hint off; the parked write then lands on v3.
+  c.restart_node(a);
+  EXPECT_EQ(sys->flush_pending(), 0u);
+  EXPECT_EQ(c.version_of(a, fx), c.version_of(b, fx));
+  expect_replicas_converged(*sys, files);
+  const auto report = sys->download_report("alice", fx);
+  EXPECT_TRUE(report.all_ok());
+  EXPECT_EQ(report.opened().at("d"), bytes_of("v4 " + fx));
+}
+
+TEST(RecoveryTest, ReadNeverServesACopyWhoseHintHolderIsDown) {
+  auto sys = make_system(Group::test_small(), 3, 3);
+  enroll(*sys);
+  const std::vector<std::string> files = eight_files();
+  upload_all(*sys, files);
+  ASSERT_EQ(sys->flush_pending(), 0u);
+
+  // The coordinator writes fx while both other replicas are down, then
+  // dies; they come back as a quorum of two stale copies.
+  Cluster& c = sys->cluster();
+  const std::string fx = files.front();
+  const std::vector<std::string> replicas = c.replicas_for(fx);
+  ASSERT_EQ(replicas.size(), 3u);
+  c.kill_node(replicas[1]);
+  c.kill_node(replicas[2]);
+  sys->upload("hosp", fx, {{"b", bytes_of("v2 " + fx), "Doctor@Med"}});
+  c.kill_node(replicas[0]);
+  c.restart_node(replicas[1]);
+  c.restart_node(replicas[2]);
+  try {
+    const auto report = sys->download_report("alice", fx);
+    EXPECT_EQ(report.opened().count("b"), 1u) << "served a copy without v2";
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.kind(), TransportError::Kind::kDegraded) << e.what();
+  }
+
+  c.restart_node(replicas[0]);
+  EXPECT_EQ(sys->flush_pending(), 0u);
+  expect_replicas_converged(*sys, files);
+  EXPECT_EQ(sys->download_report("alice", fx).opened().at("b"), bytes_of("v2 " + fx));
+}
+
 // ------------------------------------ rejoin without a full-store scan --
 
 TEST(RecoveryChaos, KilledNodeRejoinsByteIdenticallyWithoutFullScan) {
@@ -442,6 +569,50 @@ TEST(RecoveryChaos, PeerRestartedBetweenStageAndCommitCountsOneOrphan) {
 }
 
 // ---------------------------------------------- snapshot consistency --
+
+// A drain on one thread (the flush loop's) races writes on another that
+// record hints for the same target: node mutexes order them (TSan-backed),
+// and once the channel heals nothing is owed and the replicas converge.
+TEST(RecoveryTest, HintDrainRacesWritesThatRecordHints) {
+  ClusterConfig cfg;
+  cfg.nodes = 3;
+  cfg.replication = 2;
+  auto sys = std::make_unique<CloudSystem>(
+      Group::test_small(), "recovery-suite",
+      std::make_unique<LoopbackTransport>(FaultPlan(5)), RetryPolicy(), cfg);
+  enroll(*sys);
+  const std::vector<std::string> files = eight_files();
+  upload_all(*sys, files);
+  ASSERT_EQ(sys->flush_pending(), 0u);
+
+  RecoveryManager& rec = sys->cluster().recovery();
+  const uint64_t recorded = rec.stats().hints_recorded;
+  FaultSpec lossy;
+  lossy.drop = 0.8;
+  sys->transport().faults().set_channel("node:0", "node:2", lossy);
+  std::atomic<bool> done{false};
+  std::thread drainer([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      rec.drain_all_hints();
+      (void)sys->health("node:2");
+    }
+  });
+  for (int round = 0; round < 4; ++round) {
+    const std::string slot = "w" + std::to_string(round);
+    for (const std::string& f : files)
+      sys->upload("hosp", f, {{slot, bytes_of(slot + " " + f), "Doctor@Med"}});
+  }
+  done.store(true, std::memory_order_release);
+  drainer.join();
+  EXPECT_GT(rec.stats().hints_recorded, recorded);
+
+  sys->transport().faults().set_channel("node:0", "node:2", FaultSpec());
+  size_t left = sys->flush_pending();
+  for (int i = 0; i < 3 && left != 0; ++i) left = sys->flush_pending();
+  EXPECT_EQ(left, 0u);
+  EXPECT_EQ(rec.pending_hints(), 0u);
+  expect_replicas_converged(*sys, files);
+}
 
 TEST(RecoveryTest, SnapshotNeverTearsVersionFromBytes) {
   auto sys = make_system(Group::test_small(), 3, 2);

@@ -181,26 +181,18 @@ TEST(DurableLinkTest, ParkedOpsRenderTheirLabelsAndClassifyByKind) {
   ReliableLink link(t);
   DurableLink durable(link);
   using Kind = ParkedOp::Kind;
-  const std::vector<ParkedOp> ops = {
-      ParkedOp(Kind::kReplicate, "f", 3), ParkedOp(Kind::kReadRepair, "f", 3),
-      ParkedOp(Kind::kEpochCommit, "", 7), ParkedOp(Kind::kEpochAbort, "", 7),
-      "revocation epoch v2"};
+  const std::vector<ParkedOp> ops = {ParkedOp(Kind::kEpochCommit, 7),
+                                     ParkedOp(Kind::kEpochAbort, 7), "revocation epoch v2"};
   for (const ParkedOp& op : ops) {
     EXPECT_FALSE(durable.send_or_park("a", "b", bytes_of("x"), [](ByteView) {}, op));
   }
   EXPECT_EQ(labels_of(durable.pending_ops("b")),
-            (std::vector<std::string>{"replicate f v3", "read-repair f v3",
-                                      "epoch commit #7", "epoch abort #7",
+            (std::vector<std::string>{"epoch commit #7", "epoch abort #7",
                                       "revocation epoch v2"}));
-  // Only entity traffic and epoch commits gate reads; only replication
-  // and read-repair count as replication lag.
-  std::vector<bool> gates, replicates;
-  for (const ParkedOp& op : ops) {
-    gates.push_back(op.gates_reads());
-    replicates.push_back(op.replicates());
-  }
-  EXPECT_EQ(gates, (std::vector<bool>{false, false, true, false, true}));
-  EXPECT_EQ(replicates, (std::vector<bool>{true, true, false, false, false}));
+  // Only entity traffic and epoch commits gate reads.
+  std::vector<bool> gates;
+  for (const ParkedOp& op : ops) gates.push_back(op.gates_reads());
+  EXPECT_EQ(gates, (std::vector<bool>{true, false, true}));
 }
 
 TEST(DurableLinkTest, FlushStopsAtFirstFailureToPreserveOrder) {

@@ -116,8 +116,8 @@ struct WorkloadReport {
   uint64_t decrypt_cache_hits = 0;
   uint64_t decrypt_cache_misses = 0;
   uint64_t parked_rejected = 0;    ///< durable-queue cap rejections
-  uint64_t replication_sheds = 0;  ///< maintenance ops shed under backpressure
-  uint64_t restart_prunes = 0;     ///< parked ops reconciled away on restart
+  uint64_t replication_sheds = 0;  ///< epoch controls shed under backpressure
+  uint64_t restart_prunes = 0;     ///< parked epoch controls dropped on restart
 
   // ---- recovery (populated by kRejoinNode events) ----
   uint64_t rejoins = 0;                       ///< kRejoinNode events fired
