@@ -24,6 +24,12 @@ const PublicAttributeKey& require_attribute_pk(
   return it->second;
 }
 
+// The owner's record of `ct`, encrypted with exponent s.
+EncryptionRecord record_of(const Ciphertext& ct, const Zr& s) {
+  const std::vector<Attribute>& rows = ct.policy.row_attributes();
+  return {ct.id, s, {rows.begin(), rows.end()}, ct.versions};
+}
+
 }  // namespace
 
 UserPublicKey ca_register_user(const Group& grp, const std::string& uid,
@@ -155,7 +161,8 @@ EncryptionResult encrypt(const Group& grp, const OwnerMasterKey& mk,
   for (int i = 0; i < policy.rows(); ++i) pairs.push_back({gen_parts[i], pk_parts[i].neg()});
   ct.ci = grp.g1_sums(pairs);
 
-  return {std::move(ct), EncryptionRecord{ct_id, s}};
+  EncryptionRecord record = record_of(ct, s);
+  return {std::move(ct), std::move(record)};
 }
 
 namespace {
@@ -348,19 +355,32 @@ UpdateInfo owner_update_info(const Group& grp, const OwnerMasterKey& mk,
                              const std::map<std::string, PublicAttributeKey>& old_attribute_pks,
                              const std::map<std::string, PublicAttributeKey>& new_attribute_pks,
                              const std::string& aid) {
-  (void)grp;
   if (record.ct_id != ct.id) throw SchemeError("owner_update_info: record/ciphertext mismatch");
   if (ct.owner_id != mk.owner_id) throw SchemeError("owner_update_info: foreign ciphertext");
+  return owner_update_info(grp, mk, record_of(ct, record.s), old_attribute_pks,
+                           new_attribute_pks, aid);
+}
+
+UpdateInfo owner_update_info(const Group& grp, const OwnerMasterKey& mk,
+                             const EncryptionRecord& record,
+                             const std::map<std::string, PublicAttributeKey>& old_attribute_pks,
+                             const std::map<std::string, PublicAttributeKey>& new_attribute_pks,
+                             const std::string& aid) {
+  (void)grp;
+  const auto version = record.versions.find(aid);
+  if (version == record.versions.end())
+    throw SchemeError("owner_update_info: ciphertext '" + record.ct_id +
+                      "' does not involve authority '" + aid + "'");
 
   UpdateInfo ui;
   ui.aid = aid;
   ui.owner_id = mk.owner_id;
-  ui.ct_id = ct.id;
-  ui.from_version = ct.versions.at(aid);
+  ui.ct_id = record.ct_id;
+  ui.from_version = version->second;
   ui.to_version = ui.from_version + 1;
 
   const Zr beta_s = mk.beta * record.s;
-  for (const lsss::Attribute& attr : ct.policy.row_attributes()) {
+  for (const Attribute& attr : record.attributes) {
     if (attr.aid != aid) continue;
     const std::string handle = attr.qualified();
     const auto old_it = old_attribute_pks.find(handle);

@@ -150,8 +150,21 @@ PublicAttributeKey apply_update_to_attribute_pk(const pairing::Group& grp,
                                                 const PublicAttributeKey& pk,
                                                 const UpdateKey& uk);
 
-/// Owner-side UpdateInfo for one ciphertext: UI_x = (PK_x/PK'_x)^{beta*s}
-/// for every policy attribute of the re-keyed authority.
+/// Owner-side UpdateInfo for one ciphertext, from the owner's record
+/// alone: UI_x = (PK_x/PK'_x)^{beta*s} for every row attribute of the
+/// re-keyed authority `aid`, from version record.versions[aid] to the
+/// next; the caller advances the record. Throws SchemeError when the
+/// record does not involve `aid` or an attribute key is missing or at
+/// the wrong version.
+UpdateInfo owner_update_info(const pairing::Group& grp, const OwnerMasterKey& mk,
+                             const EncryptionRecord& record,
+                             const std::map<std::string, PublicAttributeKey>& old_attribute_pks,
+                             const std::map<std::string, PublicAttributeKey>& new_attribute_pks,
+                             const std::string& aid);
+
+/// Checked adapter for callers that hold the ciphertext: requires
+/// `record` to be ct's and ct to be this owner's, then runs the record
+/// form on the record's s with ct's rows and versions.
 UpdateInfo owner_update_info(const pairing::Group& grp, const OwnerMasterKey& mk,
                              const EncryptionRecord& record, const Ciphertext& ct,
                              const std::map<std::string, PublicAttributeKey>& old_attribute_pks,

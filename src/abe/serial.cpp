@@ -67,6 +67,28 @@ lsss::Attribute parse_handle(const std::string& handle) {
   return {handle.substr(0, at), handle.substr(at + 1)};
 }
 
+// The per-authority versions of a Ciphertext and of an EncryptionRecord:
+// a count, then (aid, version) pairs in AID order.
+void put_versions(Writer& w, const std::map<std::string, uint32_t>& versions) {
+  w.u32(static_cast<uint32_t>(versions.size()));
+  for (const auto& [aid, version] : versions) {
+    w.str(aid);
+    w.u32(version);
+  }
+}
+
+std::map<std::string, uint32_t> get_versions(Reader& r) {
+  std::map<std::string, uint32_t> versions;
+  const uint32_t n = r.u32();
+  for (uint32_t i = 0; i < n; ++i) {
+    const std::string aid = r.str();
+    const uint32_t version = r.u32();
+    if (!versions.emplace(aid, version).second)
+      throw WireError("deserialize: duplicate authority version");
+  }
+  return versions;
+}
+
 }  // namespace
 
 Bytes serialize(const Group& grp, const UserPublicKey& v) {
@@ -202,11 +224,7 @@ Bytes serialize(const Group& grp, const Ciphertext& v) {
   put_g1(w, v.c_prime);
   w.u32(static_cast<uint32_t>(v.ci.size()));
   for (const G1& c : v.ci) put_g1(w, c);
-  w.u32(static_cast<uint32_t>(v.versions.size()));
-  for (const auto& [aid, version] : v.versions) {
-    w.str(aid);
-    w.u32(version);
-  }
+  put_versions(w, v.versions);
   return w.take();
 }
 
@@ -224,13 +242,7 @@ Ciphertext deserialize_ciphertext(const Group& grp, ByteView data) {
     throw WireError("deserialize: ciphertext row count mismatch");
   v.ci.reserve(rows);
   for (uint32_t i = 0; i < rows; ++i) v.ci.push_back(get_g1(grp, r));
-  const uint32_t nv = r.u32();
-  for (uint32_t i = 0; i < nv; ++i) {
-    const std::string aid = r.str();
-    const uint32_t version = r.u32();
-    if (!v.versions.emplace(aid, version).second)
-      throw WireError("deserialize: duplicate authority version");
-  }
+  v.versions = get_versions(r);
   r.expect_done();
   return v;
 }
@@ -352,6 +364,9 @@ Bytes serialize(const Group& grp, const EncryptionRecord& v) {
   w.u8(kEncryptionRecord);
   w.str(v.ct_id);
   put_zr(w, v.s);
+  w.u32(static_cast<uint32_t>(v.attributes.size()));
+  for (const lsss::Attribute& attr : v.attributes) w.str(attr.qualified());
+  put_versions(w, v.versions);
   return w.take();
 }
 
@@ -361,7 +376,18 @@ EncryptionRecord deserialize_encryption_record(const Group& grp, ByteView data) 
   EncryptionRecord v;
   v.ct_id = r.str();
   v.s = get_zr(grp, r);
+  const uint32_t n = r.u32();
+  for (uint32_t i = 0; i < n; ++i) {
+    if (!v.attributes.insert(parse_handle(r.str())).second)
+      throw WireError("deserialize: duplicate attribute in EncryptionRecord");
+  }
+  v.versions = get_versions(r);
   r.expect_done();
+  for (const lsss::Attribute& attr : v.attributes) {
+    if (!v.versions.contains(attr.aid))
+      throw WireError("deserialize: no version for the authority of '" + attr.qualified() +
+                      "' in EncryptionRecord");
+  }
   return v;
 }
 

@@ -108,12 +108,16 @@ struct Ciphertext {
   std::set<std::string> involved_authorities() const;
 };
 
-/// Owner-side record of the encryption exponent s for ciphertext `ct_id`;
-/// required to build UpdateInfo during revocation (the paper implicitly
-/// assumes owners can recompute (PK_x/PK'_x)^{beta*s}).
+/// The owner's per-ciphertext revocation state, and all it keeps of
+/// ciphertext `ct_id`: UI_x = (PK_x/PK'_x)^{beta*s} needs s, the row
+/// attributes x of the re-keyed authority and that authority's current
+/// version, and nothing else of the ciphertext (the paper implicitly
+/// assumes owners can recompute it). Each epoch advances `versions`.
 struct EncryptionRecord {
   std::string ct_id;
   pairing::Zr s;
+  std::set<lsss::Attribute> attributes;      ///< Distinct policy row attributes.
+  std::map<std::string, uint32_t> versions;  ///< AID -> version, as in Ciphertext.
 };
 
 /// UK_AID for one owner. UK1 depends on the owner's beta, so each owner

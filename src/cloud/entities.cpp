@@ -8,7 +8,6 @@
 namespace maabe::cloud {
 
 using abe::AuthorityPublicKey;
-using abe::Ciphertext;
 using abe::EncryptionRecord;
 using abe::PublicAttributeKey;
 using abe::UpdateInfo;
@@ -172,10 +171,9 @@ StoredFile DataOwner::protect(const std::string& file_id,
     slot.component_name = comp.name;
     slot.sealed_data =
         crypto::seal(content_key, comp.data, slot_aad(file_id, comp.name), rng_);
-    slot.key_ct = enc.ct;
+    slot.key_ct = std::move(enc.ct);
 
-    records_.emplace(ct_id, enc.record);
-    ciphertexts_.emplace(ct_id, std::move(enc.ct));
+    records_.emplace(ct_id, std::move(enc.record));
     file.slots.push_back(std::move(slot));
   }
   return file;
@@ -197,17 +195,21 @@ bool DataOwner::apply_update(const UpdateKey& uk) {
 std::vector<UpdateInfo> DataOwner::update_infos(const std::string& aid,
                                                 uint32_t from_version) {
   std::vector<UpdateInfo> out;
-  for (auto& [ct_id, ct] : ciphertexts_) {
-    const auto ver = ct.versions.find(aid);
-    if (ver == ct.versions.end() || ver->second != from_version) continue;
-    out.push_back(abe::owner_update_info(*grp_, mk_, records_.at(ct_id), ct,
-                                         prev_attribute_pks_, attribute_pks_, aid));
-    // Only the version of the owner's copy advances: its C / C_i stay
-    // stale, because owner_update_info reads nothing of the copy but the
-    // policy rows and the per-authority versions.
+  for (auto& [ct_id, record] : records_) {
+    const auto ver = record.versions.find(aid);
+    if (ver == record.versions.end() || ver->second != from_version) continue;
+    out.push_back(abe::owner_update_info(*grp_, mk_, record, prev_attribute_pks_,
+                                         attribute_pks_, aid));
     ver->second = from_version + 1;
   }
   return out;
+}
+
+const EncryptionRecord& DataOwner::record(const std::string& ct_id) const {
+  const auto it = records_.find(ct_id);
+  if (it == records_.end())
+    throw SchemeError("DataOwner: no record of ciphertext '" + ct_id + "'");
+  return it->second;
 }
 
 // ----------------------------------------------------------- Consumer --

@@ -118,9 +118,9 @@ class DataOwner {
   void learn_attribute_key(const abe::PublicAttributeKey& pk);
 
   /// Splits `components` per Fig. 2: symmetric-encrypts each component
-  /// under a fresh content key, CP-ABE-protects the keys. Remembers the
-  /// encryption exponents (EncryptionRecord) and ciphertext copies for
-  /// later re-keying.
+  /// under a fresh content key, CP-ABE-protects the keys. Keeps one
+  /// EncryptionRecord per key ciphertext for later re-keying, and no
+  /// copy of the ciphertext: the slots go to the cloud.
   StoredFile protect(const std::string& file_id,
                      const std::vector<DataComponent>& components);
 
@@ -128,14 +128,18 @@ class DataOwner {
   /// Returns false if the update does not concern this owner.
   bool apply_update(const abe::UpdateKey& uk);
 
-  /// Revocation phase 2 prep: UpdateInfo for every ciphertext of this
-  /// owner that involves `aid` at `from_version`.
-  /// `new_attribute_pks` must already be at the target version (i.e.
-  /// call apply_update first).
+  /// Revocation phase 2 prep: UpdateInfo for every record of this owner
+  /// that involves `aid` at `from_version`, in ct-id order, advancing
+  /// each such record to the next version. The cached attribute keys
+  /// must already be at the target version (call apply_update first).
   std::vector<abe::UpdateInfo> update_infos(const std::string& aid,
                                             uint32_t from_version);
 
-  size_t tracked_ciphertexts() const { return ciphertexts_.size(); }
+  /// Ciphertexts the owner keeps a record of, superseded revisions
+  /// included.
+  size_t tracked_ciphertexts() const { return records_.size(); }
+  /// The record of ciphertext `ct_id`; throws SchemeError if unknown.
+  const abe::EncryptionRecord& record(const std::string& ct_id) const;
 
  private:
   std::shared_ptr<const pairing::Group> grp_;
@@ -146,8 +150,9 @@ class DataOwner {
   std::map<std::string, abe::AuthorityPublicKey> authority_pks_;
   std::map<std::string, abe::PublicAttributeKey> attribute_pks_;      // current
   std::map<std::string, abe::PublicAttributeKey> prev_attribute_pks_; // one version back
-  std::map<std::string, abe::EncryptionRecord> records_;   // ct_id -> s
-  std::map<std::string, abe::Ciphertext> ciphertexts_;     // ct_id -> copy
+  /// ct_id -> {s, row attributes, versions}: the owner's only
+  /// per-ciphertext state (Table III counts MK_o and the cached keys).
+  std::map<std::string, abe::EncryptionRecord> records_;
 };
 
 /// A data consumer: accumulates per-(owner, authority) secret keys,

@@ -48,7 +48,6 @@ CloudSystem::CloudSystem(std::shared_ptr<const pairing::Group> grp,
         put("maabe_system_channel_bytes_delivered", l, t.bytes_delivered);
         put("maabe_system_channel_bytes_accepted", l, t.bytes_accepted);
         put("maabe_cluster_replication_lag", l, replication_lag());
-        put("maabe_recovery_hints_pending", l, cluster_.recovery().pending_hints());
         for (const std::string& node : cluster_.node_names()) {
           const ServerStats ss = cluster_.node_store(node).stats();
           const telemetry::Labels nl{{"instance", instance()}, {"node", node}};

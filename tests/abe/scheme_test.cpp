@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "abe/serial.h"
 #include "common/errors.h"
 #include "engine/engine.h"
 #include "lsss/parser.h"
@@ -530,6 +531,46 @@ TEST_F(RevocationTest, OwnerUpdateInfoValidatesRecord) {
   EncryptionRecord wrong = rec;
   wrong.ct_id = "someone-else";
   EXPECT_THROW(owner_update_info(*grp, owner_mk, wrong, ct, attr_pks, attr_pks, "Med"),
+               SchemeError);
+}
+
+TEST_F(RevocationTest, RecordFormMatchesCiphertextFormWhenAnAttributeRepeats) {
+  // Nurse@Med labels two rows. The record keeps it once, and its one UI
+  // value re-encrypts both rows.
+  const GT m = grp->gt_random(rng);
+  const LsssMatrix policy = LsssMatrix::from_policy(
+      parse_policy("2 of (Nurse@Med, Doctor@Med, Auditor@Gov) AND (Nurse@Med OR Admin@Med)"),
+      /*allow_attribute_reuse=*/true);
+  auto [ct, rec] = encrypt(*grp, owner_mk, "ct-reuse", m, policy, apks, attr_pks, rng);
+  ASSERT_EQ(ct.policy.rows(), 5);
+  EXPECT_EQ(rec.attributes.size(), 4u);
+  EXPECT_EQ(rec.versions, ct.versions);
+
+  const AuthorityVersionKey new_vk = aa_rekey(*grp, vks.at("Med"), rng).new_vk;
+  const UpdateKey uk = aa_make_update_key(*grp, vks.at("Med"), new_vk, owner_sk);
+  std::map<std::string, PublicAttributeKey> new_pks = attr_pks;
+  for (auto& [h, pk] : new_pks)
+    if (pk.attr.aid == "Med") pk = apply_update_to_attribute_pk(*grp, pk, uk);
+  const UpdateInfo from_record = owner_update_info(*grp, owner_mk, rec, attr_pks, new_pks, "Med");
+  const UpdateInfo from_ct = owner_update_info(*grp, owner_mk, rec, ct, attr_pks, new_pks, "Med");
+  EXPECT_EQ(serialize(*grp, from_record), serialize(*grp, from_ct));
+  EXPECT_EQ(from_record.ui.size(), 3u);  // Nurse, Doctor, Admin
+
+  reencrypt(*grp, &ct, uk, from_record);
+  std::map<std::string, UserSecretKey> bob_new = bob_keys;
+  bob_new.at("Med") = apply_update_to_secret_key(*grp, bob_keys.at("Med"), uk);
+  EXPECT_EQ(decrypt(*grp, ct, bob, bob_new), m);
+}
+
+TEST_F(RevocationTest, OwnerUpdateInfoRejectsUninvolvedAuthority) {
+  // A re-key at Gov concerns no row of a Med-only ciphertext: a typed
+  // SchemeError from the record form and through the ciphertext adapter.
+  const GT m = grp->gt_random(rng);
+  auto [ct, rec] = enc("Nurse@Med", m);
+  ASSERT_EQ(rec.versions, (std::map<std::string, uint32_t>{{"Med", 1}}));
+  EXPECT_THROW(owner_update_info(*grp, owner_mk, rec, attr_pks, attr_pks, "Gov"),
+               SchemeError);
+  EXPECT_THROW(owner_update_info(*grp, owner_mk, rec, ct, attr_pks, attr_pks, "Gov"),
                SchemeError);
 }
 

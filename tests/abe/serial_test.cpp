@@ -13,6 +13,7 @@ using lsss::LsssMatrix;
 using lsss::parse_policy;
 using pairing::Group;
 using pairing::GT;
+using pairing::Zr;
 
 class SerialTest : public ::testing::Test {
  protected:
@@ -175,10 +176,73 @@ TEST_F(SerialTest, SecretMaterialRoundTrips) {
   EXPECT_EQ(vk2.version, vk.version);
   EXPECT_EQ(vk2.alpha, vk.alpha);
 
-  EncryptionRecord rec{"ct-9", grp->zr_random(rng)};
+  // The record encrypt() fills: Doctor@Med repeats across rows but is
+  // kept once, and each involved authority carries its version.
+  const AuthorityVersionKey gov = aa_setup(*grp, "Gov", rng);
+  std::map<std::string, PublicAttributeKey> attr_pks;
+  for (const PublicAttributeKey& pk :
+       {aa_attribute_key(*grp, vk, "Doctor"), aa_attribute_key(*grp, vk, "Nurse"),
+        aa_attribute_key(*grp, gov, "Auditor")})
+    attr_pks.emplace(pk.attr.qualified(), pk);
+  const LsssMatrix policy = LsssMatrix::from_policy(
+      parse_policy("2 of (Doctor@Med, Nurse@Med, Auditor@Gov) AND (Doctor@Med OR Auditor@Gov)"),
+      /*allow_attribute_reuse=*/true);
+  ASSERT_EQ(policy.rows(), 5);
+  EncryptionRecord rec =
+      encrypt(*grp, mk, "ct-9", grp->gt_random(rng), policy,
+              {{"Med", aa_public_key(*grp, vk)}, {"Gov", aa_public_key(*grp, gov)}},
+              attr_pks, rng)
+          .record;
+  rec.versions.at("Gov") = 7;
+  ASSERT_EQ(rec.attributes.size(), 3u);
   const EncryptionRecord rec2 = deserialize_encryption_record(*grp, serialize(*grp, rec));
   EXPECT_EQ(rec2.ct_id, "ct-9");
   EXPECT_EQ(rec2.s, rec.s);
+  EXPECT_EQ(rec2.attributes,
+            (std::set<lsss::Attribute>{{"Doctor", "Med"}, {"Nurse", "Med"}, {"Auditor", "Gov"}}));
+  EXPECT_EQ(rec2.versions, (std::map<std::string, uint32_t>{{"Gov", 7}, {"Med", 1}}));
+}
+
+TEST_F(SerialTest, EncryptionRecordRejectsIncoherentInput) {
+  const Zr s = grp->zr_random(rng);
+  // Hand-built keystore bytes: tag, ct id, s, handles, (aid, version)s.
+  const auto record_bytes = [&](const std::vector<std::string>& handles,
+                                const std::vector<std::pair<std::string, uint32_t>>& versions) {
+    Writer w;
+    w.u8(0x0b);
+    w.str("ct-1");
+    w.raw(s.to_bytes());
+    w.u32(static_cast<uint32_t>(handles.size()));
+    for (const std::string& h : handles) w.str(h);
+    w.u32(static_cast<uint32_t>(versions.size()));
+    for (const auto& [aid, version] : versions) {
+      w.str(aid);
+      w.u32(version);
+    }
+    return w.take();
+  };
+  const EncryptionRecord ok =
+      deserialize_encryption_record(*grp, record_bytes({"Doctor@Med"}, {{"Med", 3}}));
+  EXPECT_EQ(ok.versions.at("Med"), 3u);
+  EXPECT_EQ(serialize(*grp, ok), record_bytes({"Doctor@Med"}, {{"Med", 3}}));
+
+  // A duplicate authority.
+  EXPECT_THROW(deserialize_encryption_record(
+                   *grp, record_bytes({"Doctor@Med"}, {{"Med", 1}, {"Med", 2}})),
+               WireError);
+  // A row attribute whose authority has no version.
+  EXPECT_THROW(deserialize_encryption_record(
+                   *grp, record_bytes({"Doctor@Med", "Auditor@Gov"}, {{"Med", 1}})),
+               WireError);
+  // Malformed handles.
+  for (const std::string bad : {"Doctor", "@Med", "Doctor@"})
+    EXPECT_THROW(deserialize_encryption_record(*grp, record_bytes({bad}, {{"Med", 1}})),
+                 WireError)
+        << bad;
+  // The same attribute twice.
+  EXPECT_THROW(deserialize_encryption_record(
+                   *grp, record_bytes({"Doctor@Med", "Doctor@Med"}, {{"Med", 1}})),
+               WireError);
 }
 
 TEST_F(SerialTest, SecretMaterialRejectsDegenerateValues) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "abe/serial.h"
 #include "cloud/server.h"
 #include "common/errors.h"
 
@@ -133,6 +134,84 @@ TEST_F(EntitiesTest, OwnerProtectAndConsumerOpen) {
   ASSERT_EQ(view.size(), 2u);
   EXPECT_EQ(string_of(view.at("c1")), "payload-1");
   EXPECT_EQ(string_of(view.at("c2")), "payload-2");
+}
+
+TEST_F(EntitiesTest, OwnerUpdateInfosFromRecordsMatchTheCiphertextForm) {
+  // The owner computes every epoch's UpdateInfo from its records alone.
+  // The reference runs the ciphertext form of owner_update_info on the
+  // test's own copies of the uploaded slots, which are re-encrypted after
+  // each epoch as the cloud re-encrypts its own.
+  AttributeAuthority gov(grp, "Gov", crypto::Drbg(std::string_view("gov")));
+  for (const std::string name : {"Doctor", "Nurse", "Admin"}) aa.define_attribute(name);
+  gov.define_attribute("Auditor");
+  for (AttributeAuthority* a : {&aa, &gov}) {
+    a->accept_owner_share(owner.share());
+    owner.learn_authority_key(a->public_key());
+    for (const auto& [h, pk] : a->attribute_public_keys()) owner.learn_attribute_key(pk);
+  }
+  const auto& alice = ca.register_user("alice");
+  aa.assign("alice", {"Doctor", "Nurse"});
+  gov.assign("alice", {"Auditor"});
+
+  // MK_o is the first draw of the owner's seeded Drbg; the share pins it.
+  crypto::Drbg twin_rng(std::string_view("owner"));
+  const abe::OwnerMasterKey mk = abe::owner_gen(*grp, "hosp", twin_rng);
+  ASSERT_EQ(abe::owner_share(*grp, mk).g_inv_beta, owner.share().g_inv_beta);
+
+  std::map<std::string, abe::Ciphertext> copies;  // ct_id -> slot key_ct
+  const auto upload = [&](const std::string& file_id, const std::string& component,
+                          const std::string& policy) {
+    for (const SealedSlot& slot :
+         owner.protect(file_id, {{component, bytes_of("x"), policy}}).slots)
+      copies.emplace(slot.key_ct.id, slot.key_ct);
+  };
+  // protect() compiles injective policies only, so a repeated row
+  // attribute is RevocationTest.RecordFormMatchesCiphertextFormWhenAnAttributeRepeats.
+  upload("f1", "and", "Doctor@Med AND Auditor@Gov");
+  upload("f2", "threshold", "2 of (Doctor@Med, Nurse@Med, Auditor@Gov) OR Admin@Med");
+  upload("f3", "gov-only", "Auditor@Gov");  // involves no Med row
+
+  struct Epoch {
+    AttributeAuthority* authority;
+    std::string attribute;
+    size_t infos;
+  };
+  const std::vector<Epoch> epochs{{&aa, "Doctor", 2}, {&gov, "Auditor", 3}, {&aa, "Nurse", 3}};
+  for (size_t e = 0; e < epochs.size(); ++e) {
+    // A re-upload between epochs: a new revision of f1, recorded at Med
+    // version 2, which only the last epoch re-keys.
+    if (e == 1) upload("f1", "and#r2", "Doctor@Med OR Nurse@Med");
+    AttributeAuthority& a = *epochs[e].authority;
+    const uint32_t from = a.version();
+    const auto old_pks = a.attribute_public_keys();
+    const auto bundle = a.revoke(alice, epochs[e].attribute);
+    const abe::UpdateKey& uk = bundle.update_keys.at("hosp");
+    const auto new_pks = a.attribute_public_keys();
+    ASSERT_TRUE(owner.apply_update(uk));
+    const std::vector<abe::UpdateInfo> got = owner.update_infos(a.aid(), from);
+
+    std::vector<abe::UpdateInfo> want;
+    for (const auto& [ct_id, ct] : copies) {
+      const auto ver = ct.versions.find(a.aid());
+      if (ver == ct.versions.end() || ver->second != from) continue;
+      want.push_back(abe::owner_update_info(*grp, mk, owner.record(ct_id), ct, old_pks,
+                                            new_pks, a.aid()));
+    }
+    ASSERT_EQ(want.size(), epochs[e].infos) << "epoch " << e;
+    ASSERT_EQ(got.size(), want.size()) << "epoch " << e;
+    for (size_t i = 0; i < want.size(); ++i)
+      EXPECT_EQ(abe::serialize(*grp, got[i]), abe::serialize(*grp, want[i]))
+          << "epoch " << e << ", " << want[i].ct_id;
+    for (const abe::UpdateInfo& ui : want) abe::reencrypt(*grp, &copies.at(ui.ct_id), uk, ui);
+
+    EXPECT_EQ(owner.tracked_ciphertexts(), copies.size());
+    for (const auto& [ct_id, ct] : copies)
+      EXPECT_EQ(owner.record(ct_id).versions, ct.versions) << "epoch " << e << ", " << ct_id;
+  }
+  EXPECT_EQ(owner.tracked_ciphertexts(), 4u);
+  // A second pass over an epoch already run finds nothing to re-key.
+  EXPECT_TRUE(owner.update_infos("Med", 1).empty());
+  EXPECT_THROW(owner.record("f9/none"), SchemeError);
 }
 
 TEST_F(EntitiesTest, ConsumerRejectsForeignKeys) {

@@ -38,8 +38,7 @@ struct World {
   std::map<std::string, abe::PublicAttributeKey> attr_pks;
   abe::UserPublicKey user;
   std::map<std::string, abe::UserSecretKey> sks;
-  std::map<std::string, abe::EncryptionRecord> records;  // ct_id -> s
-  std::map<std::string, abe::Ciphertext> cts;            // owner copies
+  std::map<std::string, abe::EncryptionRecord> records;  // the owner's, by ct_id
 
   World() {
     mk = abe::owner_gen(*grp, "owner", rng);
@@ -64,7 +63,6 @@ struct World {
       abe::EncryptionResult enc = abe::encrypt(*grp, mk, ct_id, grp->gt_random(rng),
                                                policy, apks, attr_pks, rng);
       records.emplace(ct_id, enc.record);
-      cts.emplace(ct_id, enc.ct);
       file.slots.push_back({name, std::move(enc.ct), Bytes{}});
     }
     return file;
@@ -75,9 +73,8 @@ struct World {
     std::vector<abe::UpdateInfo> infos;
   };
 
-  /// ReKeys authority A and emits UpdateInfo for every tracked
-  /// ciphertext at the pre-rekey version; advances the world's keys and
-  /// owner-side ciphertext copies.
+  /// ReKeys authority A and emits UpdateInfo for every record at the
+  /// pre-rekey version; advances the world's keys and the records.
   Epoch make_epoch() {
     const abe::AuthorityVersionKey old_vk = vk;
     vk = abe::aa_rekey(*grp, old_vk, rng).new_vk;
@@ -86,11 +83,11 @@ struct World {
     std::map<std::string, abe::PublicAttributeKey> new_pks = attr_pks;
     for (auto& [handle, pk] : new_pks)
       pk = abe::apply_update_to_attribute_pk(*grp, pk, epoch.uk);
-    for (auto& [ct_id, ct] : cts) {
-      if (ct.versions.at("A") != old_vk.version) continue;
-      epoch.infos.push_back(abe::owner_update_info(*grp, mk, records.at(ct_id), ct,
-                                                   attr_pks, new_pks, "A"));
-      ct.versions.at("A") = vk.version;
+    for (auto& [ct_id, record] : records) {
+      if (record.versions.at("A") != old_vk.version) continue;
+      epoch.infos.push_back(
+          abe::owner_update_info(*grp, mk, record, attr_pks, new_pks, "A"));
+      record.versions.at("A") = vk.version;
     }
     attr_pks = std::move(new_pks);
     sks.at("A") = abe::apply_update_to_secret_key(*grp, sks.at("A"), epoch.uk);

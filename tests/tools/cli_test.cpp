@@ -108,6 +108,67 @@ TEST_F(CliTest, RevocationAcrossInvocations) {
   EXPECT_EQ(read_file("o3.txt"), "ward census");
 }
 
+TEST_F(CliTest, RepeatedRevocationAdvancesTheOwnersRecord) {
+  // The second epoch at Med finds the file only if the first one moved
+  // the owner's persisted record to Med version 2.
+  ASSERT_EQ(run("init --test-curve"), 0);
+  ASSERT_EQ(run("add-authority Med Doctor"), 0);
+  ASSERT_EQ(run("add-owner hosp"), 0);
+  for (const std::string uid : {"alice", "bob", "carol"}) {
+    ASSERT_EQ(run("add-user " + uid), 0);
+    ASSERT_EQ(run("grant Med " + uid + " Doctor"), 0);
+    ASSERT_EQ(run("issue-key Med " + uid + " hosp"), 0);
+  }
+  write_file("in.txt", "ward census");
+  ASSERT_EQ(run("encrypt hosp f1 \"Doctor@Med\" " + (home_ / "in.txt").string()), 0);
+
+  ASSERT_EQ(run("revoke Med alice Doctor"), 0);
+  EXPECT_EQ(run("decrypt alice f1 " + (home_ / "a1.txt").string()), 2);
+  ASSERT_EQ(run("decrypt bob f1 " + (home_ / "b1.txt").string()), 0);
+  EXPECT_EQ(read_file("b1.txt"), "ward census");
+  ASSERT_EQ(run("decrypt carol f1 " + (home_ / "c1.txt").string()), 0);
+  EXPECT_EQ(read_file("c1.txt"), "ward census");
+
+  ASSERT_EQ(run("revoke Med bob Doctor"), 0);
+  EXPECT_EQ(run("decrypt alice f1 " + (home_ / "a2.txt").string()), 2);
+  EXPECT_EQ(run("decrypt bob f1 " + (home_ / "b2.txt").string()), 2);
+  ASSERT_EQ(run("decrypt carol f1 " + (home_ / "c2.txt").string()), 0);
+  EXPECT_EQ(read_file("c2.txt"), "ward census");
+}
+
+TEST_F(CliTest, UnreadableRecordFailsRevokeBeforeTheReKey) {
+  // A record that does not decode (here truncated, as is one written
+  // before records carried attributes and versions) stops the revoke
+  // before the authority re-keys or any key or file changes.
+  ASSERT_EQ(run("init --test-curve"), 0);
+  ASSERT_EQ(run("add-authority Med Doctor"), 0);
+  ASSERT_EQ(run("add-owner hosp"), 0);
+  for (const std::string uid : {"alice", "carol"}) {
+    ASSERT_EQ(run("add-user " + uid), 0);
+    ASSERT_EQ(run("grant Med " + uid + " Doctor"), 0);
+    ASSERT_EQ(run("issue-key Med " + uid + " hosp"), 0);
+  }
+  write_file("in.txt", "ward census");
+  ASSERT_EQ(run("encrypt hosp f1 \"Doctor@Med\" " + (home_ / "in.txt").string()), 0);
+
+  const fs::path record = home_ / "owners" / "hosp" / "records" / "f1%2Fdata";
+  const std::string intact = read_path(record);
+  const auto put_record = [&](const std::string& bytes) {
+    std::ofstream out(record, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  };
+  put_record(intact.substr(0, intact.size() - 1));
+  EXPECT_EQ(run("revoke Med alice Doctor"), 1);
+  EXPECT_EQ(run("decrypt alice f1 " + (home_ / "a1.txt").string()), 0);
+  EXPECT_EQ(run("decrypt carol f1 " + (home_ / "c1.txt").string()), 0);
+
+  put_record(intact);
+  ASSERT_EQ(run("revoke Med alice Doctor"), 0);
+  EXPECT_EQ(run("decrypt alice f1 " + (home_ / "a2.txt").string()), 2);
+  ASSERT_EQ(run("decrypt carol f1 " + (home_ / "c2.txt").string()), 0);
+  EXPECT_EQ(read_file("c2.txt"), "ward census");
+}
+
 TEST_F(CliTest, ErrorsAndUsage) {
   EXPECT_NE(run(""), 0);                           // usage
   EXPECT_NE(run("bogus-command"), 0);              // unknown command
@@ -139,10 +200,11 @@ TEST_F(CliTest, HybridCiphertextIdsSurviveTheKeystore) {
   write_file("in.txt", "slot id has a slash");
   ASSERT_EQ(run("encrypt hosp f1 \"Doctor@Med\" " + (home_ / "in.txt").string()), 0);
 
-  // The owner-side record/ciphertext for "f1/data" landed on disk as a
-  // percent-encoded leaf, not a nested directory.
+  // The owner-side record for "f1/data" landed on disk as a
+  // percent-encoded leaf, not a nested directory, and the owner keeps
+  // no ciphertext copy.
   EXPECT_TRUE(fs::exists(home_ / "owners" / "hosp" / "records" / "f1%2Fdata"));
-  EXPECT_TRUE(fs::exists(home_ / "owners" / "hosp" / "cts" / "f1%2Fdata"));
+  EXPECT_FALSE(fs::exists(home_ / "owners" / "hosp" / "cts"));
   EXPECT_FALSE(fs::exists(home_ / "owners" / "hosp" / "records" / "f1" / "data"));
 
   ASSERT_EQ(run("decrypt alice f1 " + (home_ / "o1.txt").string()), 0);

@@ -82,13 +82,10 @@ TEST_F(KeystoreTest, HybridCiphertextIdsRoundTrip) {
       lsss::LsssMatrix::from_policy(lsss::parse_policy("Doctor@Med")), apks,
       attr_pks, rng_);
   store_->save_record("hosp", enc.record);
-  store_->save_owner_ciphertext("hosp", enc.ct);
 
   EXPECT_EQ(store_->load_record("hosp", ct_id).ct_id, ct_id);
-  EXPECT_EQ(store_->load_owner_ciphertext("hosp", ct_id).id, ct_id);
   // Listing decodes the escaped path leaves back to the raw ids.
-  EXPECT_EQ(store_->list_owner_ciphertexts("hosp"),
-            std::vector<std::string>{ct_id});
+  EXPECT_EQ(store_->list_records("hosp"), std::vector<std::string>{ct_id});
 }
 
 TEST_F(KeystoreTest, UninitializedGroupThrows) {

@@ -253,26 +253,9 @@ abe::EncryptionRecord Keystore::load_record(const std::string& owner_id,
       *group(), read(fs::path("owners") / owner_id / "records" / encode_ct_id(ct_id)));
 }
 
-void Keystore::save_owner_ciphertext(const std::string& owner_id,
-                                     const abe::Ciphertext& ct) {
-  validate_id(owner_id);
-  validate_ct_id(ct.id);
-  write(fs::path("owners") / owner_id / "cts" / encode_ct_id(ct.id),
-        abe::serialize(*group(), ct));
-}
-
-abe::Ciphertext Keystore::load_owner_ciphertext(const std::string& owner_id,
-                                                const std::string& ct_id) {
-  validate_id(owner_id);
-  validate_ct_id(ct_id);
-  return abe::deserialize_ciphertext(
-      *group(), read(fs::path("owners") / owner_id / "cts" / encode_ct_id(ct_id)));
-}
-
-std::vector<std::string> Keystore::list_owner_ciphertexts(
-    const std::string& owner_id) const {
+std::vector<std::string> Keystore::list_records(const std::string& owner_id) const {
   std::vector<std::string> out;
-  for (const std::string& name : list_dir(fs::path("owners") / owner_id / "cts"))
+  for (const std::string& name : list_dir(fs::path("owners") / owner_id / "records"))
     out.push_back(decode_ct_id(name));
   return out;
 }

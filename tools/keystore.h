@@ -8,8 +8,9 @@
 //                                    universe, assignments)
 //   owners/<id>/master               OwnerMasterKey        (secret)
 //   owners/<id>/share                OwnerSecretShare      (for AAs)
-//   owners/<id>/records/<ct>         EncryptionRecord      (secret)
-//   owners/<id>/cts/<ct>             owner's ciphertext copy
+//   owners/<id>/records/<ct>         EncryptionRecord      (secret; the
+//                                    owner's only per-ciphertext state:
+//                                    s, row attributes, versions)
 //   users/<uid>/keys/<owner>__<aid>  UserSecretKey         (secret)
 //   server/<file_id>                 StoredFile
 //
@@ -86,10 +87,8 @@ class Keystore {
 
   void save_record(const std::string& owner_id, const abe::EncryptionRecord& rec);
   abe::EncryptionRecord load_record(const std::string& owner_id, const std::string& ct_id);
-  void save_owner_ciphertext(const std::string& owner_id, const abe::Ciphertext& ct);
-  abe::Ciphertext load_owner_ciphertext(const std::string& owner_id,
-                                        const std::string& ct_id);
-  std::vector<std::string> list_owner_ciphertexts(const std::string& owner_id) const;
+  /// The ct ids the owner keeps records of (decoded path leaves).
+  std::vector<std::string> list_records(const std::string& owner_id) const;
 
   // ---- user secret keys --------------------------------------------------
   void save_user_key(const abe::UserSecretKey& sk);

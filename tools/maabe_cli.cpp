@@ -298,7 +298,7 @@ struct Cli {
     // Hybrid encryption (Fig. 2), single component per file in the CLI.
     // The ciphertext carries the canonical hybrid slot id
     // "<file_id>/<component>" (cloud::slot_ct_id) — the keystore
-    // percent-encodes it for record/ciphertext paths.
+    // percent-encodes it for the record's path.
     const std::string ct_id = cloud::slot_ct_id(file_id, "data");
     const pairing::GT seed = grp->gt_random(rng);
     abe::EncryptionResult enc =
@@ -317,7 +317,6 @@ struct Cli {
     const Bytes wire = cloud::serialize(*grp, file);
     server_put(args[0], file_id, wire);
     store.save_record(args[0], enc.record);
-    store.save_owner_ciphertext(args[0], enc.ct);
     std::printf("stored '%s' (%zu bytes) under policy %s\n", file_id.c_str(),
                 wire.size(), policy.policy_text().c_str());
     return 0;
@@ -359,6 +358,14 @@ struct Cli {
     if (assignment == state.assignments.end() || assignment->second.erase(attr) == 0)
       throw SchemeError("user '" + uid + "' does not hold '" + attr + "' at '" + aid + "'");
 
+    // Every owner's records are read before anything is written, so a
+    // record that does not decode fails the revoke before the re-key.
+    std::map<std::string, std::vector<abe::EncryptionRecord>> records;
+    for (const std::string& owner_id : store.list_owners()) {
+      for (const std::string& ct_id : store.list_records(owner_id))
+        records[owner_id].push_back(store.load_record(owner_id, ct_id));
+    }
+
     // Phase 1: new version key; per-attribute old/new public keys.
     const abe::AuthorityVersionKey old_vk = state.vk;
     state.vk = abe::aa_rekey(*grp, old_vk, rng).new_vk;
@@ -391,26 +398,25 @@ struct Cli {
         }
       }
 
-      // Phase 2: owner emits UpdateInfo; "server" re-encrypts in place.
+      // Phase 2: the owner emits UpdateInfo from its records; the
+      // "server" re-encrypts the served slot in place (slot ids are
+      // "<file_id>/<component>"), and the record advances a version.
       const abe::OwnerMasterKey mk = store.load_owner_master(owner_id);
-      for (const std::string& ct_id : store.list_owner_ciphertexts(owner_id)) {
-        abe::Ciphertext ct = store.load_owner_ciphertext(owner_id, ct_id);
-        const auto ver = ct.versions.find(aid);
-        if (ver == ct.versions.end() || ver->second != old_vk.version) continue;
-        const abe::EncryptionRecord rec = store.load_record(owner_id, ct_id);
+      for (abe::EncryptionRecord& rec : records[owner_id]) {
+        const std::string& ct_id = rec.ct_id;
+        const auto ver = rec.versions.find(aid);
+        if (ver == rec.versions.end() || ver->second != old_vk.version) continue;
         const abe::UpdateInfo ui =
-            abe::owner_update_info(*grp, mk, rec, ct, old_pks, new_pks, aid);
-        abe::reencrypt(*grp, &ct, uk, ui);
-        store.save_owner_ciphertext(owner_id, ct);
-        // Propagate into the stored file (slot ids are
-        // "<file_id>/<component>").
+            abe::owner_update_info(*grp, mk, rec, old_pks, new_pks, aid);
         const std::string file_id = cloud::split_slot_ct_id(ct_id).first;
         cloud::StoredFile file = cloud::deserialize_stored_file(
             *grp, server_get("owner:" + owner_id, file_id));
         for (cloud::SealedSlot& slot : file.slots) {
-          if (slot.key_ct.id == ct_id) slot.key_ct = ct;
+          if (slot.key_ct.id == ct_id) abe::reencrypt(*grp, &slot.key_ct, uk, ui);
         }
         server_put(owner_id, file_id, cloud::serialize(*grp, file));
+        ver->second = ui.to_version;
+        store.save_record(owner_id, rec);
         ++cts_reencrypted;
       }
     }
