@@ -10,8 +10,7 @@
 //             sharing the cluster with reads.
 //   outage    kill node:1 mid-run, restart at 2/3 — quorum reads
 //             degrade (fail-closed) but never error; writes node:1
-//             misses are owed as one hint per file, drained on restart
-//             (nothing parks, so restart_prunes reads 0).
+//             misses are owed as one hint per file, drained on restart.
 //   overload  whole cluster down with a tiny durable-queue cap —
 //             uploads park up to the cap, then callers see the typed
 //             kOverloaded rejection and queue depth stays bounded
@@ -110,8 +109,6 @@ Json report_json(const WorkloadReport& r) {
       .put("decrypt_cache_hits", r.decrypt_cache_hits)
       .put("decrypt_cache_misses", r.decrypt_cache_misses)
       .put("parked_rejected", r.parked_rejected)
-      .put("replication_sheds", r.replication_sheds)
-      .put("restart_prunes", r.restart_prunes)
       .put("rejoins", r.rejoins)
       .put("recovery_convergence_ms", r.recovery_convergence_ms)
       .put("recovery_bytes_transferred", r.recovery_bytes_transferred)

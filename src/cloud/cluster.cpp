@@ -1,7 +1,6 @@
 #include "cloud/cluster.h"
 
 #include <algorithm>
-#include <set>
 #include <tuple>
 
 #include "abe/serial.h"
@@ -47,7 +46,6 @@ Cluster::Cluster(std::shared_ptr<const pairing::Group> grp,
         reg.counter("maabe_cluster_epoch_commits_total", l),
         reg.counter("maabe_cluster_epoch_aborts_total", l),
         reg.counter("maabe_cluster_epoch_commit_orphans_total", l),
-        reg.counter("maabe_cluster_replication_shed_total", l),
         reg.gauge("maabe_cluster_nodes_alive", l)};
   for (const std::string& name : names_) {
     auto n = std::make_unique<Node>();
@@ -115,8 +113,8 @@ void Cluster::kill_node(const std::string& name) {
     n.alive = false;
   }
   // Staged 2PC epochs are memory-only: a restart loses them, so a
-  // replayed commit surfaces as an orphan instead of committing stale
-  // staged state.
+  // commit it misses or receives later counts as an orphan instead of
+  // committing stale staged state.
   n.store->abort_all_staged();
 }
 
@@ -127,21 +125,6 @@ void Cluster::restart_node(const std::string& name) {
     if (!n.alive) m_.nodes_alive->add(1);
     n.alive = true;
   }
-  // Drop the epoch commit/abort controls parked for this node whose
-  // staged 2PC state died with it (kill_node wipes its store's ledger):
-  // the gauges stop counting them and the rejoin's hint drain does not
-  // wait behind them. A dropped commit counts as an epoch_commit_orphan,
-  // as a delivered-but-unknown one would, and the stale copy heals via
-  // read-repair. Entity traffic and still-staged epochs' controls stay.
-  const std::set<uint64_t> staged_ids = n.store->staged_epoch_ids();
-  uint64_t orphans = 0;
-  durable_.prune_queue(name, [&](const ParkedOp& op) {
-    if (op.kind == ParkedOp::Kind::kEntity || staged_ids.contains(op.number))
-      return false;
-    if (op.kind == ParkedOp::Kind::kEpochCommit) ++orphans;
-    return true;
-  });
-  m_.epoch_commit_orphans->add(orphans);
   // Rejoin protocol (DESIGN.md §15): resolve staged-open epochs, drain
   // the hints owed to and held by this node, then run a scoped Merkle
   // anti-entropy round against each alive peer. The node is
@@ -379,45 +362,28 @@ EpochPayload decode_epoch(const pairing::Group& grp, ByteView wire) {
 
 void Cluster::send_epoch_control(const std::string& self, const std::string& peer,
                                  uint8_t verb, uint64_t epoch_id) {
-  const ParkedOp op(
-      verb == kEpochCommit ? ParkedOp::Kind::kEpochCommit : ParkedOp::Kind::kEpochAbort,
-      epoch_id);
   Writer w;
   w.u8(verb);
   w.u64(epoch_id);
   try {
-  durable_.send_or_park(
-      self, peer, w.take(),
-      [this, peer](ByteView payload) {
-        Reader r(payload);
-        const uint8_t v = r.u8();
-        const uint64_t id = r.u64();
-        r.expect_done();
-        Node& n = node(peer);
-        ensure_alive(n);
-        // The verdict lands in the node's decision log either way, so
-        // recovery resolution can answer queries about this epoch.
-        const bool known = apply_epoch_decision(n, id, v == kEpochCommit);
-        if (v == kEpochCommit && !known) {
-          // The node restarted between stage and commit and lost its
-          // staged state: the commit is an orphan. Its copy is stale
-          // until anti-entropy / read-repair catches it up — counted,
-          // never silent.
-          m_.epoch_commit_orphans->inc();
-        }
-      },
-      op);
-  } catch (const TransportError& e) {
-    // Phase-2 controls must not unwind a half-committed epoch: under
-    // backpressure the control is shed (counted) and the peer's copy
-    // stays stale — its staged state shows in epochs_staged_open and
-    // quorum reads route around it until read-repair catches it up.
-    if (e.kind() != TransportError::Kind::kOverloaded) throw;
-    m_.replication_shed->inc();
-    if (telemetry::FlightRegistry::armed())
-      telemetry::FlightRegistry::global().record_event(
-          peer, telemetry::FlightEntry::Kind::kOverloadShed, "epoch_control_shed",
-          "label=" + op.label() + " from=" + self);
+    link_.send(self, peer, w.bytes(), [this, peer](ByteView payload) {
+      Reader r(payload);
+      const uint8_t v = r.u8();
+      const uint64_t id = r.u64();
+      r.expect_done();
+      Node& n = node(peer);
+      ensure_alive(n);
+      // A commit that finds no staged state is an orphan: the node
+      // restarted between stage and commit, and its copy stays stale
+      // until anti-entropy or read-repair catches it up.
+      if (!apply_epoch_decision(n, id, v == kEpochCommit) && v == kEpochCommit)
+        m_.epoch_commit_orphans->inc();
+    });
+  } catch (const TransportError&) {
+    // The verdict is already in the coordinator's decision log, the one
+    // record the recovery resolver reads, so nothing parks. A dead
+    // peer's staged state died with it: a commit it misses is an orphan.
+    if (verb == kEpochCommit && !alive(peer)) m_.epoch_commit_orphans->inc();
   }
 }
 
@@ -549,9 +515,9 @@ void Cluster::handle_epoch(const std::string& self, ByteView epoch_wire) {
   // Crash point "decided": decision durable, nothing committed yet.
   if (epoch_fault_hook_) epoch_fault_hook_(epoch_id, "decided");
 
-  // ---- Phase 2: every node staged; commit everywhere. The local
-  // commit happens first, the rest go through the durable queues —
-  // a parked commit is a blocking delivery, replayed before any read.
+  // ---- Phase 2: every node staged; commit everywhere, the local commit
+  // first. A peer the commit misses stays staged until a read, a flush
+  // or a rejoin resolves it from the decision log.
   apply_epoch_decision(coord, epoch_id, /*commit=*/true);
   for (const std::string& peer : names_) {
     if (peer == self) continue;
@@ -595,8 +561,6 @@ ClusterStats Cluster::stats() const {
   s.epoch_commits = m_.epoch_commits->value();
   s.epoch_aborts = m_.epoch_aborts->value();
   s.epoch_commit_orphans = m_.epoch_commit_orphans->value();
-  s.replication_sheds = m_.replication_shed->value();
-  s.restart_prunes = durable_.pruned_total();
   for (const auto& n : nodes_) s.store_totals += n->store->stats();
   return s;
 }

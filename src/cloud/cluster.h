@@ -29,15 +29,19 @@
 // stage-then-commit hooks, at every cluster size. The coordinator stages
 // the epoch on every node through one path (each node re-encrypts only
 // the files it holds; its store keeps them by epoch id), records its
-// commit decision, commits everywhere once all staged — parked commits
-// replay before any read — and aborts everywhere byte-identically if
-// any node cannot stage.
+// commit decision, commits everywhere once all staged, and aborts
+// everywhere byte-identically if any node cannot stage. The decision
+// log is the one record of a verdict: a commit or abort that misses a
+// peer is never parked, and the peer stays staged until the recovery
+// resolver applies the logged verdict (a read, flush_pending or a
+// rejoin runs it first).
 //
 // Failure model: alive/killed is scripted by the chaos harness
 // (kill_node / restart_node); a killed node loses its memory-only
-// staged epochs (abort_all_staged) but keeps its committed store, and a
-// message addressed to a dead node fails like any lost frame, so the
-// ReliableLink retry/park machinery needs no special cases.
+// staged epochs (abort_all_staged) but keeps its committed store and
+// its decision log, and a message addressed to a dead node fails like
+// any lost frame, so the ReliableLink retry machinery needs no special
+// cases.
 //
 // A single-node cluster (the default) runs the same paths with one
 // participant: the node is named "server", writes have no replica to
@@ -88,14 +92,11 @@ struct ClusterStats {
   uint64_t epochs_2pc = 0;            ///< epochs attempted (every cluster size)
   uint64_t epoch_commits = 0;         ///< 2PC epochs committed everywhere
   uint64_t epoch_aborts = 0;          ///< 2PC epochs aborted everywhere
-  uint64_t epoch_commit_orphans = 0;  ///< commits for staged state lost to a restart
-  /// Epoch controls dropped because the destination's bounded durable
-  /// queue was full. The replica stays stale until read-repair /
-  /// recovery().sync_all() heals it.
-  uint64_t replication_sheds = 0;
-  /// Parked epoch controls dropped by restart_node reconciliation
-  /// because their staged state died with the node.
-  uint64_t restart_prunes = 0;
+  /// Commit notifications that found no staged state: the peer was
+  /// dead when the commit was sent, or had restarted since it staged.
+  /// A commit lost to an alive peer that is then killed before the
+  /// resolver runs is not counted; its rejoin re-keys the copy.
+  uint64_t epoch_commit_orphans = 0;
   /// Totals over every node's store, epoch ledger included.
   ServerStats store_totals;
 };
@@ -130,14 +131,12 @@ class Cluster {
   /// (restart semantics: the committed store is durable, stage state is
   /// not). Messages to it now fail; durable sends park.
   void kill_node(const std::string& name);
-  /// Marks the node alive again, drops the epoch commits/aborts parked
-  /// for it whose staged 2PC state died with the node (a dropped commit
-  /// counts as an epoch_commit_orphan), then runs the rejoin protocol
-  /// (DESIGN.md §15: resolve staged epochs, drain the hints owed to and
-  /// held by the node, scoped Merkle anti-entropy against each alive
-  /// peer). After this the node is byte-identical to its peers on the
-  /// files it replicates, without a full-store scan. A single node
-  /// rejoins the same way, with no peers.
+  /// Marks the node alive again and runs the rejoin protocol (DESIGN.md
+  /// §15: resolve staged epochs, drain the hints owed to and held by the
+  /// node, scoped Merkle anti-entropy against each alive peer). After
+  /// this the node is byte-identical to its peers on the files it
+  /// replicates, without a full-store scan. A single node rejoins the
+  /// same way, with no peers.
   void restart_node(const std::string& name);
 
   // ---- Placement -----------------------------------------------------
@@ -166,9 +165,10 @@ class Cluster {
   Bytes handle_fetch(const std::string& self, const std::string& file_id);
   /// Revocation epoch at the coordinator, as a 2PC at every cluster
   /// size: stage on every node, record the commit decision, commit
-  /// everywhere when all staged (parked commits replay before reads),
-  /// abort everywhere otherwise and throw so the epoch message itself
-  /// stays parked and replays. One node is one participant.
+  /// everywhere when all staged, abort everywhere otherwise and throw so
+  /// the epoch message itself stays parked and replays. A verdict that
+  /// misses a peer is resolved from the decision log later. One node is
+  /// one participant.
   void handle_epoch(const std::string& self, ByteView epoch_wire);
 
   // ---- Anti-entropy / introspection ----------------------------------
@@ -179,8 +179,9 @@ class Cluster {
 
   /// Test hook for 2PC crash injection: called during an epoch with
   /// phase "staged" (all nodes staged, no decision recorded) and
-  /// "decided" (commit decision recorded, before any commit applies). A hook that kills the coordinator and throws
-  /// TransportError simulates a coordinator crash at that point.
+  /// "decided" (commit decision recorded, before any commit applies).
+  /// A hook that kills the coordinator and throws TransportError
+  /// simulates a coordinator crash at that point.
   using EpochFaultHook = std::function<void(uint64_t, const std::string&)>;
   void set_epoch_fault_hook(EpochFaultHook hook) {
     epoch_fault_hook_ = std::move(hook);
@@ -260,6 +261,9 @@ class Cluster {
   /// the epoch if n's store holds it. Returns whether it did.
   /// Used by phase 2, by control applies and by the recovery resolver.
   bool apply_epoch_decision(Node& n, uint64_t epoch_id, bool commit);
+  /// Notifies `peer` of a verdict over the link's retries, and never
+  /// parks it: a lost notification leaves the peer staged for the
+  /// resolver. A commit that misses a dead peer counts one orphan.
   void send_epoch_control(const std::string& self, const std::string& peer,
                           uint8_t verb, uint64_t epoch_id);
   bool epoch_in_flight(uint64_t epoch_id) const;
@@ -282,7 +286,7 @@ class Cluster {
   struct {
     telemetry::CounterSeries replication_ops, replication_applied, read_repairs,
         quorum_reads, quorum_failures, epochs_2pc, epoch_commits, epoch_aborts,
-        epoch_commit_orphans, replication_shed;
+        epoch_commit_orphans;
     telemetry::GaugeSeries nodes_alive;
   } m_;
 };

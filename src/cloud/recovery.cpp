@@ -23,7 +23,6 @@ constexpr uint8_t kShardListing = 2;  ///< leaf entries of divergent shards
 constexpr uint8_t kFilePull = 3;      ///< current copy of one file
 constexpr uint8_t kHintList = 4;      ///< hints held for a target node
 constexpr uint8_t kHintClear = 5;     ///< ack a drained hint
-constexpr uint8_t kDecisionQuery = 6; ///< 2PC decision-log lookup
 
 }  // namespace
 
@@ -255,14 +254,6 @@ Bytes RecoveryManager::serve(const std::string& self, ByteView request) {
       w.u8(1);
       break;
     }
-    case kDecisionQuery: {
-      const uint64_t epoch_id = r.u64();
-      r.expect_done();
-      std::lock_guard<std::mutex> lock(n.mu);
-      const auto it = n.decisions.find(epoch_id);
-      w.u8(it == n.decisions.end() ? 0 : it->second);
-      break;
-    }
     default:
       throw SchemeError("recovery: unknown verb " + std::to_string(verb));
   }
@@ -480,17 +471,18 @@ void RecoveryManager::record_hint(const std::string& holder,
 
 size_t RecoveryManager::drain_hints(const std::string& holder,
                                     const std::string& target) {
-  // A pair with no hints costs no round trip. A holder with an epoch
-  // commit parked for it may hold a copy that commit has yet to re-key,
-  // so its hints wait for the commit.
+  // A pair with no hints costs no round trip. A holder whose store holds
+  // a staged epoch that is not in flight may hold a copy that epoch's
+  // lost commit has yet to re-key, so its hints wait for the resolver. A
+  // running 2PC delivers its own verdict and does not hold them up.
+  const Cluster::Node& h = cluster_.node(holder);
   {
-    const Cluster::Node& h = cluster_.node(holder);
     std::lock_guard<std::mutex> lock(h.mu);
     if (!h.hints.contains(target)) return 0;
   }
   if (!cluster_.alive(holder) || !cluster_.alive(target)) return 0;
-  for (const ParkedOp& op : cluster_.durable_.pending_ops(holder)) {
-    if (op.kind == ParkedOp::Kind::kEpochCommit) return 0;
+  for (const uint64_t epoch_id : h.store->staged_epoch_ids()) {
+    if (!cluster_.epoch_in_flight(epoch_id)) return 0;
   }
   telemetry::Span span =
       telemetry::Tracer::global().start_span("recovery.drain_hints");
@@ -577,54 +569,43 @@ size_t RecoveryManager::pending_hints() const {
 
 // ---------------------------------------------- 2PC epoch resolution --
 
+uint8_t RecoveryManager::logged_verdict(uint64_t epoch_id) const {
+  // Every node's log, dead or alive: like the hints, it is durable node
+  // state, and a dead coordinator's log may be the only commit record.
+  uint8_t verdict = 0;
+  for (const auto& n : cluster_.nodes_) {
+    std::lock_guard<std::mutex> lock(n->mu);
+    const auto it = n->decisions.find(epoch_id);
+    if (it == n->decisions.end()) continue;
+    if (it->second == Cluster::kVerdictCommit) return it->second;
+    verdict = it->second;
+  }
+  return verdict;
+}
+
 size_t RecoveryManager::resolve_staged_epochs() {
   size_t resolved = 0;
-  for (const std::string& name : cluster_.names_) {
-    if (!cluster_.alive(name)) continue;
-    Cluster::Node& n = cluster_.node(name);
-    for (const uint64_t epoch_id : n.store->staged_epoch_ids()) {
+  for (const auto& n : cluster_.nodes_) {
+    if (!cluster_.alive(n->name)) continue;
+    for (const uint64_t epoch_id : n->store->staged_epoch_ids()) {
       if (cluster_.epoch_in_flight(epoch_id)) continue;
-      uint8_t verdict = 0;
-      {
-        std::lock_guard<std::mutex> lock(n.mu);
-        const auto it = n.decisions.find(epoch_id);
-        if (it != n.decisions.end()) verdict = it->second;
-      }
-      if (verdict == 0) {
-        for (const std::string& peer : cluster_.names_) {
-          if (peer == name || !cluster_.alive(peer)) continue;
-          try {
-            Writer w;
-            w.u8(kDecisionQuery);
-            w.u64(epoch_id);
-            const Bytes reply = rpc(name, peer, w.take());
-            Reader r(reply);
-            const uint8_t v = r.u8();
-            r.expect_done();
-            if (v != 0) {
-              verdict = v;
-              break;  // a recorded decision is final either way
-            }
-          } catch (const Error&) {
-            // Unreachable peer: no decision learned from it.
-          }
-        }
-      }
-      // Presumed abort: a staged epoch with no recorded decision
-      // anywhere reachable never committed — the coordinator records
-      // its commit decision before applying any commit.
+      // Presumed abort: an epoch no log records never committed — the
+      // coordinator records its commit decision before any commit applies.
+      const uint8_t verdict = logged_verdict(epoch_id);
       const bool commit = verdict == Cluster::kVerdictCommit;
       telemetry::Span span =
           telemetry::Tracer::global().start_span("recovery.resolve_epoch");
       if (span.active()) {
-        span.attr("node", name);
-        span.attr("node_id", name);
+        span.attr("node", n->name);
+        span.attr("node_id", n->name);
         span.attr("epoch_id", epoch_id);
         span.attr("verdict", commit            ? "commit"
                              : verdict == 0    ? "presumed_abort"
                                                : "abort");
       }
-      cluster_.apply_epoch_decision(n, epoch_id, commit);
+      // Counted only when staged state was there to apply it to: the 2PC
+      // may have finished, or a kill wiped the ledger, since the listing.
+      if (!cluster_.apply_epoch_decision(*n, epoch_id, commit)) continue;
       (commit ? m_.epochs_resolved_commit : m_.epochs_resolved_abort)->inc();
       ++resolved;
     }
@@ -646,7 +627,7 @@ void RecoveryManager::rejoin(const std::string& name) {
   // committed state, then drain the writes that missed this node and
   // those it holds hints for (a holder that died before draining hands
   // them off now), then a scoped sync against each alive peer closes
-  // whatever is left (shed controls, lost repairs, bit-rot).
+  // whatever is left (orphaned commits, lost repairs, bit-rot).
   const size_t resolved = resolve_staged_epochs();
   size_t drained = 0;
   for (const std::string& peer : cluster_.names_)

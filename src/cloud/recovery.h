@@ -24,10 +24,16 @@
 //
 //  * 2PC epoch resolution — every commit/abort verdict is recorded in a
 //    per-node decision log that (unlike staged state) survives
-//    kill_node. When a coordinator dies mid-epoch, any alive replica
-//    resolves the epochs its store holds staged by querying peers for
-//    a decision: any recorded commit wins, otherwise presumed abort.
-//    No epoch stays staged-open forever.
+//    kill_node, and that log is the one record of a verdict: a
+//    notification that misses a peer is never parked. The resolver
+//    applies to each alive node's staged epochs the verdict it reads
+//    directly from every node's log, dead or alive: a recorded commit
+//    wins, then a recorded abort, otherwise presumed abort. It runs
+//    first in every read (CloudSystem::download_report, and again
+//    after the read's queue flush), in flush_pending and in a rejoin,
+//    so after any of them no alive node holds a staged epoch except one
+//    still in flight. A holder whose store holds a staged epoch that is
+//    not in flight drains no hint until it is resolved.
 //
 // `rejoin(node)` (run by Cluster::restart_node) strings the three into
 // one traced sequence: resolve staged epochs, drain the hints owed to
@@ -120,7 +126,7 @@ class RecoveryManager {
   void record_hint(const std::string& holder, const std::string& target,
                    const std::string& file_id, uint64_t version);
   /// Drains the hints `holder` owes `target`, both alive and no epoch
-  /// commit parked for the holder: the target pulls the holder's current
+  /// staged in the holder's store: the target pulls the holder's current
   /// copy of each file it holds older, then clears the hint. Returns
   /// hints drained (replayed, superseded or dropped); a transport
   /// failure leaves the rest for a later drain.
@@ -138,10 +144,10 @@ class RecoveryManager {
   size_t pending_hints() const;
 
   // ---- 2PC epoch resolution ------------------------------------------
-  /// Resolves every epoch an alive node's store holds staged: query
-  /// alive peers for a recorded decision — any commit wins, otherwise
-  /// presumed abort. Skips epochs whose 2PC is still in flight. Returns
-  /// the number of epochs resolved.
+  /// Resolves every epoch an alive node's store holds staged from every
+  /// node's decision log, dead or alive: a recorded commit wins, then a
+  /// recorded abort, otherwise presumed abort. Skips epochs whose 2PC is
+  /// still in flight. Returns the number of staged epochs resolved.
   size_t resolve_staged_epochs();
 
   // ---- Rejoin orchestration ------------------------------------------
@@ -165,6 +171,9 @@ class RecoveryManager {
                                           const std::string& file_id);
   /// Responder dispatch for every recovery verb.
   Bytes serve(const std::string& self, ByteView request);
+  /// The verdict recorded for an epoch across every node's decision log
+  /// (Cluster::kVerdict*; a commit wins), 0 when no log records one.
+  uint8_t logged_verdict(uint64_t epoch_id) const;
 
   std::vector<std::vector<ShardLeaf>> pair_listing(const std::string& owner,
                                                    const std::string& peer);

@@ -57,30 +57,12 @@ FetchReply decode_fetch_reply(ByteView data) {
   return reply;
 }
 
-std::string ParkedOp::label() const {
-  switch (kind) {
-    case Kind::kEpochCommit:
-      return "epoch commit #" + std::to_string(number);
-    case Kind::kEpochAbort:
-      return "epoch abort #" + std::to_string(number);
-    case Kind::kEntity:
-      break;
-  }
-  return subject;
-}
-
-bool ParkedOp::gates_reads() const {
-  return kind == Kind::kEntity || kind == Kind::kEpochCommit;
-}
-
 // ----------------------------------------------------- DurableLink --
 
 DurableLink::DurableLink(ReliableLink& link)
     : link_(link),
       rejected_(telemetry::MetricsRegistry::global().counter(
-          "maabe_transport_parked_rejected_total", {{"instance", link.instance()}})),
-      pruned_(telemetry::MetricsRegistry::global().counter(
-          "maabe_transport_parked_pruned_total", {{"instance", link.instance()}})) {}
+          "maabe_transport_parked_rejected_total", {{"instance", link.instance()}})) {}
 
 void DurableLink::set_pending_cap(size_t cap) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
@@ -93,7 +75,7 @@ size_t DurableLink::pending_cap() const {
 }
 
 bool DurableLink::send_or_park(const std::string& from, const std::string& to,
-                               Bytes payload, Apply apply, ParkedOp op) {
+                               Bytes payload, Apply apply, std::string label) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   // Order must be preserved per destination: never jump a parked queue.
   flush_queue(to);
@@ -103,48 +85,27 @@ bool DurableLink::send_or_park(const std::string& from, const std::string& to,
     if (telemetry::FlightRegistry::armed())
       telemetry::FlightRegistry::global().record_event(
           to, telemetry::FlightEntry::Kind::kOverloadShed, "parked_rejected",
-          "label=" + op.label() + " cap=" + std::to_string(pending_cap_));
+          "label=" + label + " cap=" + std::to_string(pending_cap_));
     throw TransportError(TransportError::Kind::kOverloaded,
                          "durable queue for '" + to + "' at cap (" +
                              std::to_string(pending_cap_) + "): rejecting '" +
-                             op.label() + "'");
+                             label + "'");
   }
   if (!queue.empty()) {
     queue.push_back({link_.allocate_request_id(), from, std::move(payload),
-                     std::move(apply), std::move(op), telemetry::Tracer::current()});
+                     std::move(apply), std::move(label), telemetry::Tracer::current()});
     return false;
   }
   const uint64_t rid = link_.allocate_request_id();
   try {
     link_.send_as(rid, from, to, payload, apply);
   } catch (const TransportError&) {
-    queue.push_back({rid, from, std::move(payload), std::move(apply), std::move(op),
+    queue.push_back({rid, from, std::move(payload), std::move(apply), std::move(label),
                      telemetry::Tracer::current()});
     return false;
   }
   pending_.erase(to);  // drop the empty deque we may have created
   return true;
-}
-
-size_t DurableLink::prune_queue(
-    const std::string& to, const std::function<bool(const ParkedOp&)>& drop) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  const auto it = pending_.find(to);
-  if (it == pending_.end()) return 0;
-  auto& queue = it->second;
-  std::deque<Pending> kept;
-  size_t dropped = 0;
-  for (Pending& p : queue) {
-    if (drop(p.op)) {
-      ++dropped;
-    } else {
-      kept.push_back(std::move(p));
-    }
-  }
-  queue = std::move(kept);
-  if (queue.empty()) pending_.erase(it);
-  pruned_->add(dropped);
-  return dropped;
 }
 
 void DurableLink::flush_queue(const std::string& to) {
@@ -162,7 +123,7 @@ void DurableLink::flush_queue(const std::string& to) {
         telemetry::Tracer::global().start_span("durable.replay");
     if (replay.active()) {
       replay.attr("to", to);
-      replay.attr("label", head.op.label());
+      replay.attr("label", head.label);
       replay.attr("node_id", head.from);
     }
     try {
@@ -208,13 +169,13 @@ std::map<std::string, size_t> DurableLink::pending_by_destination() const {
   return out;
 }
 
-std::vector<ParkedOp> DurableLink::pending_ops(const std::string& to) const {
+std::vector<std::string> DurableLink::pending_labels(const std::string& to) const {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  std::vector<ParkedOp> out;
+  std::vector<std::string> out;
   const auto it = pending_.find(to);
   if (it == pending_.end()) return out;
   out.reserve(it->second.size());
-  for (const Pending& p : it->second) out.push_back(p.op);
+  for (const Pending& p : it->second) out.push_back(p.label);
   return out;
 }
 

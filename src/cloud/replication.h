@@ -7,22 +7,22 @@
 //    write, by read-repair and by recovery transfers), FetchReply (one
 //    replica's answer in a quorum read, carrying the version and
 //    recorded content hash so the coordinator can detect stale or
-//    corrupt copies) and ParkedOp (what a parked delivery is: the tag
-//    read gating and restart reconciliation decide on).
+//    corrupt copies).
 //
 //  * DurableLink: the per-destination write-ahead op queue. A send that
 //    cannot reach its destination parks in FIFO order under its
 //    original request id and replays head-first on the next flush, so
 //    order is preserved per destination and a recovered node receives
 //    exactly the ops it missed, in the order they were issued. It
-//    carries entity traffic and the cluster's epoch controls. A replica
-//    copy never parks: a missed replica write is recorded once, as a
-//    hint at the holder (recovery.h), and drained from the holder's
-//    current copy.
+//    carries entity traffic only, and every parked op gates reads. The
+//    cluster's own misses each have one record elsewhere: a missed
+//    replica write is a hint at the holder (recovery.h), drained from
+//    the holder's current copy, and a lost epoch verdict is the entry
+//    in the coordinator's decision log, which the recovery resolver
+//    reads.
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -62,34 +62,6 @@ struct FetchReply {
 Bytes encode_fetch_reply(const FetchReply& r);
 FetchReply decode_fetch_reply(ByteView data);  ///< throws WireError
 
-/// What a durable send is, recorded beside it while it is parked. Entity
-/// traffic (uploads, owner shares, keys, revocation epochs) carries free
-/// text; the cluster's epoch controls carry an epoch id. A string
-/// converts implicitly to an entity op.
-struct ParkedOp {
-  enum class Kind : uint8_t {
-    kEntity,
-    kEpochCommit,
-    kEpochAbort,
-  };
-
-  Kind kind = Kind::kEntity;
-  std::string subject;  ///< an entity op's whole text
-  uint64_t number = 0;  ///< epoch id of an epoch control
-
-  ParkedOp(std::string text) : subject(std::move(text)) {}
-  ParkedOp(const char* text) : subject(text) {}
-  ParkedOp(Kind k, uint64_t epoch_id) : kind(k), number(epoch_id) {}
-
-  /// Operator-facing text: "epoch commit #7", "epoch abort #7", or the
-  /// entity text.
-  std::string label() const;
-  /// Whether a read must wait for this op. An epoch abort only discards
-  /// staged state, so a copy behind one can never open under a revoked
-  /// key; entity traffic and epoch commits gate reads.
-  bool gates_reads() const;
-};
-
 // ----------------------------------------------------- DurableLink --
 
 /// Default bound on a single destination's parked queue; see
@@ -108,8 +80,8 @@ inline constexpr size_t kDefaultPendingCap = 4096;
 ///
 /// Thread-safety: all public methods lock the (recursive) queue mutex.
 /// Recursive because a parked delivery's apply may nest another
-/// send_or_park — a replayed revocation epoch fans its commit messages
-/// out from inside its own apply.
+/// send_or_park — a replayed owner update key sends its revocation
+/// epoch from inside its own apply.
 class DurableLink {
  public:
   using Apply = ReliableLink::Apply;
@@ -124,25 +96,16 @@ class DurableLink {
   void set_pending_cap(size_t cap);
   size_t pending_cap() const;
 
-  /// Rejections (kOverloaded) / ops dropped by prune_queue since
-  /// construction: maabe_transport_parked_{rejected,pruned}_total.
+  /// Rejections (kOverloaded) since construction:
+  /// maabe_transport_parked_rejected_total.
   uint64_t rejected_total() const { return rejected_->value(); }
-  uint64_t pruned_total() const { return pruned_->value(); }
 
   /// Flushes `to`'s queue first (order must be preserved), then either
-  /// delivers now (returns true) or parks (returns false) tagged with
-  /// `op`, which health views, read gating and restart reconciliation
-  /// inspect; its label() names it in spans, events and errors. Throws
+  /// delivers now (returns true) or parks (returns false) under `label`,
+  /// which names it in health views, spans, events and errors. Throws
   /// TransportError(kOverloaded) when `to`'s queue is already at the cap.
   bool send_or_park(const std::string& from, const std::string& to, Bytes payload,
-                    Apply apply, ParkedOp op);
-
-  /// Reconciliation hook for node restart: drops every parked op for
-  /// `to` that `drop` selects, preserving the relative order of
-  /// survivors. Returns the number of ops dropped (also added to
-  /// pruned_total).
-  size_t prune_queue(const std::string& to,
-                     const std::function<bool(const ParkedOp&)>& drop);
+                    Apply apply, std::string label);
 
   /// Replays `to`'s queue head-first; stops at the first transport
   /// failure so per-destination order is never violated.
@@ -154,8 +117,8 @@ class DurableLink {
   size_t pending_count() const;
   size_t pending_for(const std::string& to) const;
   std::map<std::string, size_t> pending_by_destination() const;
-  /// The deliveries parked for `to`, head first.
-  std::vector<ParkedOp> pending_ops(const std::string& to) const;
+  /// The labels of the deliveries parked for `to`, head first.
+  std::vector<std::string> pending_labels(const std::string& to) const;
 
  private:
   struct Pending {
@@ -163,7 +126,7 @@ class DurableLink {
     std::string from;
     Bytes payload;
     Apply apply;
-    ParkedOp op;
+    std::string label;
     /// The sender's span context at park time. Replays run under it
     /// (ContextOverride), so a parked frame carries its ORIGINATING
     /// trace over the wire instead of whichever operation happened to
@@ -176,7 +139,6 @@ class DurableLink {
   std::map<std::string, std::deque<Pending>> pending_;  // keyed by destination
   size_t pending_cap_ = kDefaultPendingCap;
   const telemetry::CounterSeries rejected_;
-  const telemetry::CounterSeries pruned_;
 };
 
 }  // namespace maabe::cloud

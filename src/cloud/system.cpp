@@ -1,7 +1,5 @@
 #include "cloud/system.h"
 
-#include <algorithm>
-
 #include "abe/serial.h"
 #include "common/errors.h"
 #include "telemetry/trace.h"
@@ -67,8 +65,10 @@ crypto::Drbg CloudSystem::fork_rng(const std::string& label) {
 // ---------------------------------------------- degraded-mode plumbing --
 
 size_t CloudSystem::flush_pending() {
-  // Parked deliveries first, so no holder's hints wait on a parked epoch
-  // commit; then the hints; then the writes parked behind them.
+  // Staged epochs resolve first and parked deliveries replay next, so no
+  // holder's hints wait on a staged epoch; then the hints; then the
+  // writes parked behind them.
+  cluster_.recovery().resolve_staged_epochs();
   durable_.flush_all();
   cluster_.recovery().drain_all_hints();
   return durable_.flush_all() + cluster_.recovery().pending_hints();
@@ -153,8 +153,7 @@ std::string CloudSystem::status_json() const {
   for (const auto& [to, n] : durable_.pending_by_destination()) put(to, num(n));
   out += "}";
   put("link", "{");
-  for (const char* f :
-       {"sends_ok", "sends_failed", "retries", "parked_rejected", "parked_pruned"})
+  for (const char* f : {"sends_ok", "sends_failed", "retries", "parked_rejected"})
     put(f, num(snap.counter("maabe_transport_" + std::string(f) + "_total", l)));
   out += "}";
   int64_t staged_total = 0;
@@ -387,22 +386,24 @@ CloudSystem::DownloadReport CloudSystem::download_report(const std::string& uid,
   Consumer& consumer = user(uid);
   // Fail closed: never serve reads while revocation epochs (or earlier
   // uploads) are parked for any node — a stale ciphertext could still
-  // open under a revoked key. A parked epoch abort does not gate reads
-  // (ParkedOp::gates_reads): it only discards staged state. Hints drain
-  // first, so a write parked behind one replays in this flush.
+  // open under a revoked key. Staged epochs resolve first from the
+  // decision logs, so a committed epoch whose notification was lost is
+  // applied before the read; then hints drain, so a write parked behind
+  // one replays in this flush. The flush may replay a parked epoch whose
+  // notifications are lost in turn, so the resolver runs again after it.
+  cluster_.recovery().resolve_staged_epochs();
   cluster_.recovery().drain_all_hints();
   for (const std::string& name : cluster_.node_names()) durable_.flush_queue(name);
+  cluster_.recovery().resolve_staged_epochs();
   for (const std::string& name : cluster_.node_names()) {
-    const std::vector<ParkedOp> ops = durable_.pending_ops(name);
-    const auto gates = [](const ParkedOp& op) { return op.gates_reads(); };
-    const auto first = std::find_if(ops.begin(), ops.end(), gates);
-    if (first != ops.end()) {
-      throw TransportError(
-          TransportError::Kind::kDegraded,
-          "CloudSystem: " + name + " has " +
-              std::to_string(std::count_if(first, ops.end(), gates)) +
-              " pending read-gating deliveries (first: " + first->label() +
-              "); refusing download of '" + file_id + "'");
+    const std::vector<std::string> labels = durable_.pending_labels(name);
+    if (!labels.empty()) {
+      throw TransportError(TransportError::Kind::kDegraded,
+                           "CloudSystem: " + name + " has " +
+                               std::to_string(labels.size()) +
+                               " pending read-gating deliveries (first: " +
+                               labels.front() + "); refusing download of '" +
+                               file_id + "'");
     }
   }
   // Best effort: deliver any parked key material for this user first so

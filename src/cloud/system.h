@@ -96,8 +96,10 @@ class CloudSystem {
 
   /// Degraded-mode download: decrypts the slots it can and reports the
   /// rest as kNoKey/kCorrupt/kError per slot, instead of failing the
-  /// whole file. Drains the hints between alive nodes, then flushes.
-  /// Reads are fail-closed against parked revocation epochs: throws
+  /// whole file. Resolves staged epochs from the decision logs, drains
+  /// the hints between alive nodes, flushes, then resolves again (a
+  /// replayed epoch may lose its own notifications). Reads are fail-closed
+  /// against parked revocation epochs: throws
   /// TransportError(kDegraded) while server deliveries are pending and
   /// the flush could not drain them.
   DownloadReport download_report(const std::string& uid, const std::string& file_id);
@@ -124,8 +126,9 @@ class CloudSystem {
   size_t revoke_user(const std::string& aid, const std::string& uid);
 
   // ---- Degraded-mode plumbing ------------------------------------------
-  /// Attempts to replay every parked delivery, in per-destination FIFO
-  /// order, then drains every hint between alive nodes (the target gets
+  /// Resolves every staged epoch from the decision logs, attempts to
+  /// replay every parked delivery, in per-destination FIFO order, then
+  /// drains every hint between alive nodes (the target gets
   /// the holder's current copy), then replays again for the writes that
   /// waited on a hint. Stops a queue at its first transport failure
   /// (order must be preserved). Returns the parked deliveries plus the
@@ -162,16 +165,15 @@ class CloudSystem {
   // ---- Admission control -----------------------------------------------
   /// Caps every per-destination durable queue (default
   /// kDefaultPendingCap ops; 0 restores the default). When a queue is
-  /// full further sends are rejected with TransportError(kOverloaded):
-  /// entity traffic (uploads, revocation distribution) sees the typed
-  /// error, epoch controls shed and let read-repair heal. Replica writes
-  /// never park: their hints are bounded at one per (holder, target, file).
+  /// full further sends are rejected with TransportError(kOverloaded),
+  /// and the entity traffic (uploads, revocation distribution) sees the
+  /// typed error. Nothing else parks: a replica write's hints are bounded
+  /// at one per (holder, target, file), and an epoch verdict is recorded
+  /// once, in the coordinator's decision log.
   void set_pending_cap(size_t cap) { durable_.set_pending_cap(cap); }
   size_t pending_cap() const { return durable_.pending_cap(); }
-  /// Sends rejected at the cap / parked epoch controls dropped by restart
-  /// reconciliation (maabe_transport_parked_{rejected,pruned}_total).
+  /// Sends rejected at the cap (maabe_transport_parked_rejected_total).
   uint64_t parked_rejected_total() const { return durable_.rejected_total(); }
-  uint64_t parked_pruned_total() const { return durable_.pruned_total(); }
 
   /// Point-in-time view of the process-wide telemetry registry
   /// (maabe_engine_*, maabe_transport_*, maabe_server_*, ... counters
@@ -222,8 +224,7 @@ class CloudSystem {
   CertificateAuthority ca_;
   std::unique_ptr<LoopbackTransport> transport_;
   ReliableLink link_;
-  /// Per-destination write-ahead queues, shared between entity traffic
-  /// and the cluster's epoch controls (one health view).
+  /// Per-destination write-ahead queues for entity traffic.
   DurableLink durable_;
   Cluster cluster_;
   std::map<std::string, AttributeAuthority> authorities_;

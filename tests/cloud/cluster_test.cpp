@@ -327,7 +327,7 @@ TEST(ClusterTest, ReadWithoutQuorumFailsTyped) {
   EXPECT_TRUE(sys->download_report("alice", healthy).all_ok());
 }
 
-TEST(ClusterTest, ParkedReplicationLeavesReadsOpenAndParkedCommitFailsThemClosed) {
+TEST(ClusterTest, DeadReplicaBlocksNoReadOfAFileItDoesNotHold) {
   auto sys = make_system(Group::test_small(), 3, 2);
   enroll(*sys);
   const std::vector<std::string> files = {"f1", "f2", "f3", "f4",
@@ -354,7 +354,10 @@ TEST(ClusterTest, ParkedReplicationLeavesReadsOpenAndParkedCommitFailsThemClosed
   EXPECT_EQ(dead.replication_lag, dead.pending_in);  // hints only
   EXPECT_TRUE(sys->download_report("alice", healthy).all_ok());
 
-  // A commit parked for a peer that died after the decision does.
+  // Nor does a commit lost to a peer that died after the decision: the
+  // decision log records it and nothing parks. A file whose replicas all
+  // committed reads normally; one the dead peer holds fails closed on
+  // quorum.
   sys->cluster().restart_node("node:2");
   EXPECT_EQ(sys->flush_pending(), 0u);
   sys->cluster().set_epoch_fault_hook([&](uint64_t, const std::string& phase) {
@@ -362,12 +365,26 @@ TEST(ClusterTest, ParkedReplicationLeavesReadsOpenAndParkedCommitFailsThemClosed
   });
   sys->revoke_attribute("Med", "bob", "Doctor");
   sys->cluster().set_epoch_fault_hook(nullptr);
-  EXPECT_EQ(sys->cluster().stats().epoch_commits, 1u);
+  const ClusterStats cs = sys->cluster().stats();
+  EXPECT_EQ(cs.epoch_commits, 1u);
+  EXPECT_EQ(cs.epoch_commit_orphans, 1u);
+  EXPECT_EQ(sys->health().pending_deliveries, 0u);
+  EXPECT_TRUE(sys->download_report("alice", healthy).all_ok());
+  EXPECT_TRUE(sys->download_report("bob", healthy).opened().empty());
   try {
-    sys->download_report("alice", healthy);
-    ADD_FAILURE() << "read served behind a parked epoch commit";
+    sys->download_report("alice", on_dead);
+    ADD_FAILURE() << "read of '" << on_dead << "' met quorum without node:2";
   } catch (const TransportError& e) {
     EXPECT_EQ(e.kind(), TransportError::Kind::kDegraded) << e.what();
+  }
+
+  // The rejoin carries the re-keyed copies to node:2.
+  sys->cluster().restart_node("node:2");
+  EXPECT_EQ(sys->flush_pending(), 0u);
+  expect_replicas_converged(*sys, files);
+  for (const std::string& f : files) {
+    EXPECT_TRUE(sys->download_report("bob", f).opened().empty()) << f;
+    EXPECT_TRUE(sys->download_report("alice", f).all_ok()) << f;
   }
 }
 
@@ -632,7 +649,7 @@ TEST(ClusterTest, OneMissedFileKeepsTheRestReplicatingAndAReadDrainsIt) {
   expect_replicas_converged(*sys, files);
 }
 
-TEST(ClusterTest, HolderDrainsNothingWhileItsEpochCommitIsParked) {
+TEST(ClusterTest, HolderDrainsNothingWhileItHoldsAStagedEpoch) {
   auto sys = make_system(Group::test_small(), 3, 2, FaultPlan(1));
   enroll(*sys);
   std::vector<std::string> files;
@@ -656,8 +673,8 @@ TEST(ClusterTest, HolderDrainsNothingWhileItsEpochCommitIsParked) {
   sys->transport().faults().set_channel("node:1", "node:2", FaultSpec());
   ASSERT_EQ(c.recovery().hint_count("node:2"), 1u);
 
-  // The epoch commits on node:0 and node:2; node:1's commit parks, so
-  // node:1 still holds fx under the old Med key.
+  // The epoch commits on node:0 and node:2; node:1's commit is lost, so
+  // node:1 stays staged and still holds fx under the old Med key.
   ASSERT_EQ(c.coordinator(), "node:0");
   c.set_epoch_fault_hook([&](uint64_t, const std::string& phase) {
     if (phase == "decided")
@@ -667,7 +684,7 @@ TEST(ClusterTest, HolderDrainsNothingWhileItsEpochCommitIsParked) {
   c.set_epoch_fault_hook(nullptr);
   sys->transport().faults().set_channel("node:0", "node:1", FaultSpec());
   ASSERT_EQ(c.stats().epoch_commits, 1u);
-  ASSERT_EQ(sys->health("node:1").pending_in, 1u);
+  ASSERT_EQ(sys->health("node:1").store.epochs_staged_open, 1u);
   const uint32_t med = sys->authority("Med").version();
   const auto keyed = [&](const std::string& node) {
     for (const SealedSlot& slot : c.node_store(node).fetch(fx)->slots) {
@@ -679,7 +696,7 @@ TEST(ClusterTest, HolderDrainsNothingWhileItsEpochCommitIsParked) {
   ASSERT_TRUE(keyed("node:2"));
 
   // A drain now would ship node:1's pre-epoch v3 over node:2's re-keyed
-  // copy. It waits for the commit instead.
+  // copy. It waits for the resolver to commit node:1's staged epoch.
   c.recovery().drain_all_hints();
   EXPECT_TRUE(keyed("node:2"));
   EXPECT_EQ(c.recovery().hint_count("node:2"), 1u);

@@ -59,7 +59,7 @@ std::string describe(CloudSystem& sys) {
     << c.replication_ops_sent << ' ' << c.replication_ops_applied << ' ' << c.read_repairs
     << ' ' << c.quorum_reads << ' ' << c.quorum_failures << ' ' << c.epochs_2pc << ' '
     << c.epoch_commits << ' ' << c.epoch_aborts << ' ' << c.epoch_commit_orphans << ' '
-    << c.replication_sheds << ' ' << c.restart_prunes << ' ' << c.store_totals.files << ' '
+    << c.store_totals.files << ' '
     << c.store_totals.bytes << ' ' << c.store_totals.stores << ' '
     << c.store_totals.fetches << ' ' << c.store_totals.reencrypted_slots << ' '
     << c.store_totals.epochs_committed << ' ' << c.store_totals.epochs_aborted << '\n';
@@ -169,8 +169,7 @@ TEST(InstanceMetrics, StatusJsonMatchesPrometheusText) {
             sample(text, "maabe_system_pending_deliveries", l));
   const size_t link = doc.find("\"link\":{");
   ASSERT_NE(link, std::string::npos);
-  for (const char* f :
-       {"sends_ok", "sends_failed", "retries", "parked_rejected", "parked_pruned"}) {
+  for (const char* f : {"sends_ok", "sends_failed", "retries", "parked_rejected"}) {
     EXPECT_EQ(json_field(doc, f, link),
               sample(text, "maabe_transport_" + std::string(f) + "_total", l))
         << f;

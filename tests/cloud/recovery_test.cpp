@@ -11,7 +11,9 @@
 //      resolves on the survivors (presumed abort when no decision was
 //      recorded, commit when the write-ahead verdict exists) — no epoch
 //      stays staged-open. A peer that restarts between stage and commit
-//      counts one orphan commit and converges through anti-entropy.
+//      counts one orphan commit and converges through anti-entropy. A
+//      verdict whose notification was lost resolves from the decision
+//      logs, read directly even on a dead coordinator.
 //   4. snapshot() and local_read() never pair a file's bytes with
 //      another version's metadata while writers run (torn-read
 //      regression, TSan-backed).
@@ -41,13 +43,20 @@ using pairing::Group;
     maabe::test_support::install_flight_dump_on_failure();
 
 std::unique_ptr<CloudSystem> make_system(std::shared_ptr<const Group> grp,
-                                         size_t nodes, size_t replication) {
+                                         size_t nodes, size_t replication,
+                                         FaultPlan plan = FaultPlan()) {
   ClusterConfig cfg;
   cfg.nodes = nodes;
   cfg.replication = replication;
   return std::make_unique<CloudSystem>(
-      grp, "recovery-suite", std::make_unique<LoopbackTransport>(),
+      grp, "recovery-suite", std::make_unique<LoopbackTransport>(std::move(plan)),
       RetryPolicy(), cfg);
+}
+
+FaultSpec down_channel() {
+  FaultSpec spec;
+  spec.drop = 1.0;
+  return spec;
 }
 
 void enroll(CloudSystem& sys) {
@@ -565,6 +574,159 @@ TEST(RecoveryChaos, PeerRestartedBetweenStageAndCommitCountsOneOrphan) {
   for (const std::string& f : files) {
     EXPECT_TRUE(sys->download_report("bob", f).opened().empty());
     EXPECT_TRUE(sys->download_report("alice", f).all_ok());
+  }
+}
+
+// Every commit notification is lost and then the coordinator dies: its
+// decision log is the only record that the epoch committed. The next
+// read must resolve the staged peers from that dead node's log. Bob's
+// regenerated key never reaches him, so he still holds his pre-epoch
+// Doctor key: a resolver that presumed abort would leave the peers'
+// pre-epoch copies for that key to open.
+TEST(RecoveryChaos, LostCommitsResolveFromTheDeadCoordinatorsLog) {
+  auto sys = make_system(Group::test_small(), 3, 3, FaultPlan(1));
+  enroll(*sys);
+  const std::vector<std::string> files = {"f1", "f2", "f3"};
+  upload_all(*sys, files);
+  ASSERT_EQ(sys->flush_pending(), 0u);
+  sys->transport().faults().set_channel("aa:Med", "user:bob", down_channel());
+
+  Cluster& c = sys->cluster();
+  const std::string coord = c.coordinator();
+  c.set_epoch_fault_hook([&](uint64_t, const std::string& phase) {
+    if (phase != "decided") return;
+    for (const std::string& peer : c.node_names()) {
+      if (peer != coord) sys->transport().faults().set_channel(coord, peer, down_channel());
+    }
+  });
+  sys->revoke_attribute("Med", "bob", "Doctor");
+  c.set_epoch_fault_hook({});
+  ASSERT_EQ(c.stats().epoch_commits, 1u);
+  for (const std::string& name : c.node_names()) {
+    if (name != coord) {
+      ASSERT_EQ(sys->health(name).store.epochs_staged_open, 1u) << name;
+    }
+  }
+  for (const std::string& name : c.node_names())
+    EXPECT_EQ(sys->health(name).pending_in, 0u) << name;  // nothing parks
+  ASSERT_EQ(sys->health().pending_by_destination.at("user:bob"), 1u);
+  c.kill_node(coord);
+
+  const RecoveryStats before = c.recovery().stats();
+  for (const std::string& f : files)
+    EXPECT_TRUE(sys->download_report("bob", f).opened().empty()) << f;
+  EXPECT_EQ(c.recovery().stats().epochs_resolved_commit,
+            before.epochs_resolved_commit + 2);
+  for (const std::string& f : files) {
+    const auto report = sys->download_report("alice", f);
+    EXPECT_TRUE(report.all_ok()) << f;
+    EXPECT_EQ(string_of(report.opened().at("a")), record_of(f));
+  }
+  for (const std::string& name : c.node_names()) {
+    if (c.alive(name)) {
+      EXPECT_EQ(sys->health(name).store.epochs_staged_open, 0u) << name;
+    }
+  }
+}
+
+// A revocation epoch parks while a peer is down and replays in the flush
+// of the next read, after the peer is back. That replay commits, and a
+// partition cuts the coordinator off at "decided", so both peers stay
+// staged with their pre-epoch copies and form a read quorum on their
+// own. Nothing is parked any more, so only a resolver run after the
+// flush keeps the read from serving bob those copies under his
+// pre-epoch key.
+TEST(RecoveryChaos, CommitLostInTheReadsOwnReplayResolvesBeforeTheRead) {
+  auto sys = make_system(Group::test_small(), 3, 3, FaultPlan(1));
+  enroll(*sys);
+  const std::vector<std::string> files = {"f1", "f2", "f3"};
+  upload_all(*sys, files);
+  ASSERT_EQ(sys->flush_pending(), 0u);
+  sys->transport().faults().set_channel("aa:Med", "user:bob", down_channel());
+
+  Cluster& c = sys->cluster();
+  const std::string coord = c.coordinator();
+  const std::string down = c.node_name(c.size() - 1);
+  ASSERT_NE(down, coord);
+  c.kill_node(down);
+  sys->revoke_attribute("Med", "bob", "Doctor");
+  ASSERT_EQ(c.stats().epoch_commits, 0u);
+  ASSERT_EQ(sys->health(coord).pending_in, 1u);  // the parked epoch
+  c.restart_node(down);
+
+  std::atomic<bool> cut{false};
+  c.set_epoch_fault_hook([&](uint64_t, const std::string& phase) {
+    if (phase != "decided" || cut.exchange(true)) return;
+    for (const std::string& peer : c.node_names()) {
+      if (peer == coord) continue;
+      sys->transport().faults().set_channel(coord, peer, down_channel());
+      sys->transport().faults().set_channel(peer, coord, down_channel());
+    }
+  });
+  const RecoveryStats before = c.recovery().stats();
+  for (const std::string& f : files) {
+    std::map<std::string, Bytes> opened;
+    try {
+      opened = sys->download_report("bob", f).opened();
+    } catch (const Error&) {
+      // A read the partition fails closed opens nothing either.
+    }
+    EXPECT_TRUE(opened.empty()) << f;
+  }
+  ASSERT_TRUE(cut.load());
+  c.set_epoch_fault_hook({});
+  EXPECT_EQ(c.stats().epoch_commits, 1u);
+  EXPECT_EQ(c.recovery().stats().epochs_resolved_commit,
+            before.epochs_resolved_commit + 2);
+  for (const std::string& name : c.node_names())
+    EXPECT_EQ(sys->health(name).store.epochs_staged_open, 0u) << name;
+
+  for (const std::string& peer : c.node_names()) {
+    if (peer == coord) continue;
+    sys->transport().faults().set_channel(coord, peer, FaultSpec());
+    sys->transport().faults().set_channel(peer, coord, FaultSpec());
+  }
+  for (const std::string& f : files) {
+    const auto report = sys->download_report("alice", f);
+    EXPECT_TRUE(report.all_ok()) << f;
+    EXPECT_EQ(string_of(report.opened().at("a")), record_of(f));
+  }
+}
+
+// A stage fault on node:2 aborts the epoch, and the abort notification
+// to the already-staged node:1 is lost. The next flush resolves node:1
+// from the coordinator's logged abort; the replayed epoch aborts again
+// (the fault stays armed) and every store is byte-identical to before.
+TEST(RecoveryChaos, LostAbortResolvesOnTheNextFlush) {
+  auto sys = make_system(Group::test_small(), 3, 3, FaultPlan(1));
+  enroll(*sys);
+  const std::vector<std::string> files = {"f1", "f2", "f3"};
+  upload_all(*sys, files);
+  ASSERT_EQ(sys->flush_pending(), 0u);
+  Cluster& c = sys->cluster();
+  ASSERT_EQ(c.coordinator(), "node:0");
+  std::vector<Bytes> before;
+  for (const std::string& name : c.node_names()) before.push_back(c.snapshot(name));
+
+  // The hook runs on engine workers, one call per slot.
+  std::atomic<bool> cut{false};
+  c.node_store("node:2").set_reencrypt_fault_hook([&](const std::string&) {
+    if (!cut.exchange(true))
+      sys->transport().faults().set_channel("node:0", "node:1", down_channel());
+    throw TransportError(TransportError::Kind::kLost, "injected stage fault");
+  });
+  EXPECT_EQ(sys->revoke_attribute("Med", "bob", "Doctor"), 0u);
+  ASSERT_TRUE(cut.load());
+  EXPECT_EQ(c.stats().epoch_commits, 0u);
+  EXPECT_EQ(sys->health("node:1").store.epochs_staged_open, 1u);
+
+  sys->transport().faults().set_channel("node:0", "node:1", FaultSpec());
+  sys->flush_pending();
+  EXPECT_EQ(c.stats().epoch_commits, 0u);
+  for (size_t i = 0; i < c.size(); ++i) {
+    const std::string& name = c.node_name(i);
+    EXPECT_EQ(sys->health(name).store.epochs_staged_open, 0u) << name;
+    EXPECT_EQ(c.snapshot(name), before[i]) << name;
   }
 }
 

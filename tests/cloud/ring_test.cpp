@@ -136,12 +136,6 @@ TEST(ReplicationWireTest, MalformedInputIsTyped) {
 
 // ------------------------------------------------------- DurableLink --
 
-std::vector<std::string> labels_of(const std::vector<ParkedOp>& ops) {
-  std::vector<std::string> out;
-  for (const ParkedOp& op : ops) out.push_back(op.label());
-  return out;
-}
-
 FaultSpec down_channel() {
   FaultSpec spec;
   spec.drop = 1.0;
@@ -160,8 +154,7 @@ TEST(DurableLinkTest, ParksOnFailureAndReplaysInFifoOrder) {
   EXPECT_FALSE(durable.send_or_park("a", "b", bytes_of("2"),
                                     [&](ByteView) { order.push_back(2); }, "second"));
   EXPECT_EQ(durable.pending_for("b"), 2u);
-  EXPECT_EQ(labels_of(durable.pending_ops("b")),
-            (std::vector<std::string>{"first", "second"}));
+  EXPECT_EQ(durable.pending_labels("b"), (std::vector<std::string>{"first", "second"}));
   // Other destinations are unaffected by b's outage.
   EXPECT_TRUE(durable.send_or_park("a", "c", bytes_of("3"),
                                    [&](ByteView) { order.push_back(3); }, "other"));
@@ -173,26 +166,6 @@ TEST(DurableLinkTest, ParksOnFailureAndReplaysInFifoOrder) {
   EXPECT_EQ(durable.flush_all(), 0u);
   EXPECT_EQ(order, (std::vector<int>{3, 1, 2}));
   EXPECT_EQ(durable.pending_for("b"), 0u);
-}
-
-TEST(DurableLinkTest, ParkedOpsRenderTheirLabelsAndClassifyByKind) {
-  LoopbackTransport t{FaultPlan(1)};
-  t.faults().set_channel("a", "b", down_channel());
-  ReliableLink link(t);
-  DurableLink durable(link);
-  using Kind = ParkedOp::Kind;
-  const std::vector<ParkedOp> ops = {ParkedOp(Kind::kEpochCommit, 7),
-                                     ParkedOp(Kind::kEpochAbort, 7), "revocation epoch v2"};
-  for (const ParkedOp& op : ops) {
-    EXPECT_FALSE(durable.send_or_park("a", "b", bytes_of("x"), [](ByteView) {}, op));
-  }
-  EXPECT_EQ(labels_of(durable.pending_ops("b")),
-            (std::vector<std::string>{"epoch commit #7", "epoch abort #7",
-                                      "revocation epoch v2"}));
-  // Only entity traffic and epoch commits gate reads.
-  std::vector<bool> gates;
-  for (const ParkedOp& op : ops) gates.push_back(op.gates_reads());
-  EXPECT_EQ(gates, (std::vector<bool>{true, false, true}));
 }
 
 TEST(DurableLinkTest, FlushStopsAtFirstFailureToPreserveOrder) {

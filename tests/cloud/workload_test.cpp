@@ -85,8 +85,8 @@ TEST(WorkloadChaosTest, KillAndRestartMidWorkloadMeetsDegradedSlo) {
     EXPECT_EQ(outage.per_op.at("store").errors, 0u);
   }
 
-  // Restart + replay: reconciliation prunes superseded parked versions,
-  // the durable queues drain, anti-entropy fixes what replay missed.
+  // Restart + replay: the rejoin resolves staged epochs and drains the
+  // hints, the durable queues drain, anti-entropy fixes what replay missed.
   sys.cluster().restart_node("node:1");
   EXPECT_EQ(sys.flush_pending(), 0u);
   sys.cluster().recovery().sync_all();

@@ -102,8 +102,6 @@ WorkloadReport& WorkloadReport::operator+=(const WorkloadReport& o) {
   decrypt_cache_hits += o.decrypt_cache_hits;
   decrypt_cache_misses += o.decrypt_cache_misses;
   parked_rejected += o.parked_rejected;
-  replication_sheds += o.replication_sheds;
-  restart_prunes += o.restart_prunes;
   rejoins += o.rejoins;
   recovery_convergence_ms += o.recovery_convergence_ms;
   recovery_bytes_transferred += o.recovery_bytes_transferred;
@@ -389,8 +387,6 @@ WorkloadReport LoadGenerator::run_ops(size_t n) {
   setup();
   WorkloadReport report;
   const uint64_t rejected_before = sys_->parked_rejected_total();
-  const uint64_t pruned_before = sys_->parked_pruned_total();
-  const cloud::ClusterStats cluster_before = sys_->cluster().stats();
   uint64_t cache_hits_before = 0, cache_misses_before = 0;
   for (const std::string& uid : user_ids_) {
     cache_hits_before += sys_->user(uid).decrypt_cache_hits();
@@ -424,10 +420,6 @@ WorkloadReport LoadGenerator::run_ops(size_t n) {
   for (const auto& [cls, stats] : report.per_op) report.total_ops += stats.attempts();
 
   report.parked_rejected = sys_->parked_rejected_total() - rejected_before;
-  report.restart_prunes = sys_->parked_pruned_total() - pruned_before;
-  const cloud::ClusterStats cluster_after = sys_->cluster().stats();
-  report.replication_sheds =
-      cluster_after.replication_sheds - cluster_before.replication_sheds;
   for (const std::string& uid : user_ids_) {
     report.decrypt_cache_hits += sys_->user(uid).decrypt_cache_hits();
     report.decrypt_cache_misses += sys_->user(uid).decrypt_cache_misses();

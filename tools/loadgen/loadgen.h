@@ -115,9 +115,7 @@ struct WorkloadReport {
   // ---- system-level deltas over the run ----
   uint64_t decrypt_cache_hits = 0;
   uint64_t decrypt_cache_misses = 0;
-  uint64_t parked_rejected = 0;    ///< durable-queue cap rejections
-  uint64_t replication_sheds = 0;  ///< epoch controls shed under backpressure
-  uint64_t restart_prunes = 0;     ///< parked epoch controls dropped on restart
+  uint64_t parked_rejected = 0;  ///< durable-queue cap rejections
 
   // ---- recovery (populated by kRejoinNode events) ----
   uint64_t rejoins = 0;                       ///< kRejoinNode events fired

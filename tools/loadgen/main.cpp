@@ -173,11 +173,8 @@ int main(int argc, char** argv) {
   std::printf("  decrypt cache: %llu hits / %llu misses\n",
               static_cast<unsigned long long>(report.decrypt_cache_hits),
               static_cast<unsigned long long>(report.decrypt_cache_misses));
-  std::printf("  admission: %llu queue rejections, %llu replication sheds, "
-              "%llu restart prunes\n",
-              static_cast<unsigned long long>(report.parked_rejected),
-              static_cast<unsigned long long>(report.replication_sheds),
-              static_cast<unsigned long long>(report.restart_prunes));
+  std::printf("  admission: %llu queue rejections\n",
+              static_cast<unsigned long long>(report.parked_rejected));
   if (!report.slo.empty()) {
     std::printf("\n  %-18s %9s %9s %7s %10s %10s %5s\n", "slo", "samples",
                 "bad", "target", "burn_short", "burn_long", "met");
@@ -212,8 +209,6 @@ int main(int argc, char** argv) {
       .put("decrypt_cache_hits", report.decrypt_cache_hits)
       .put("decrypt_cache_misses", report.decrypt_cache_misses)
       .put("parked_rejected", report.parked_rejected)
-      .put("replication_sheds", report.replication_sheds)
-      .put("restart_prunes", report.restart_prunes)
       .put("rejoins", report.rejoins)
       .put("recovery_convergence_ms", report.recovery_convergence_ms)
       .put("recovery_bytes_transferred", report.recovery_bytes_transferred)
