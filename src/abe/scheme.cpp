@@ -11,7 +11,6 @@ using lsss::LsssMatrix;
 using pairing::G1;
 using pairing::Group;
 using pairing::GT;
-using pairing::JacPoint;
 using pairing::Zr;
 
 namespace {
@@ -320,11 +319,14 @@ UserSecretKey apply_update_to_secret_key(const Group& grp, const UserSecretKey& 
   UserSecretKey out = sk;
   out.version = uk.to_version;
   out.k = sk.k + uk.uk1;
-  // Every K_x^{UK2} goes to affine with one inversion.
-  std::vector<JacPoint> kx;
-  kx.reserve(out.kx.size());
-  for (const auto& [handle, key] : out.kx) kx.push_back(grp.g1_mul_jac(key, uk.uk2));
-  const std::vector<G1> updated = grp.g1_normalize(kx);
+  // Every K_x^{UK2} through the engine, where it is counted; the bases
+  // are this user's one-offs, so they stay out of the LRU, and the batch
+  // goes to affine with one inversion.
+  std::vector<CryptoEngine::G1Term> terms;
+  terms.reserve(out.kx.size());
+  for (const auto& [handle, key] : out.kx) terms.push_back({key, uk.uk2});
+  const std::vector<G1> updated =
+      CryptoEngine::for_group(grp).multi_exp_g1(terms, /*cache_bases=*/false);
   auto next = updated.begin();
   for (auto& [handle, key] : out.kx) key = *next++;
   return out;
@@ -350,37 +352,71 @@ PublicAttributeKey apply_update_to_attribute_pk(const Group& grp,
   return {pk.attr, uk.to_version, pk.key.mul(uk.uk2)};
 }
 
+std::vector<UpdateInfo> owner_update_infos(const Group& grp, const OwnerMasterKey& mk,
+                                           const std::vector<const EncryptionRecord*>& records,
+                                           const UpdateKey& uk) {
+  if (uk.owner_id != mk.owner_id)
+    throw SchemeError("owner_update_infos: update key for owner '" + uk.owner_id + "'");
+  // PK_x / PK~_x = g^{(alpha - alpha~)H(x)} = UK1^{-beta*H(x)}, so every
+  // UI_x = (PK_x / PK~_x)^{beta*s} = UK1^{-beta^2*s*H(x)} is a power of
+  // the epoch's one base UK1: no attribute key, no subtraction and no
+  // per-row inversion. Exact for UK1 in the order-r subgroup, which the
+  // owner's deserialize_update_key checks.
+  const Zr neg_beta_sq = (mk.beta * mk.beta).neg();
+  std::map<std::string, Zr> hx;  // H(x), once per attribute per pass
+  std::vector<UpdateInfo> out;
+  // One exponent per (record, attribute of uk.aid): its UI's index in
+  // `out` and its handle.
+  std::vector<size_t> info_of;
+  std::vector<std::string> handles;
+  std::vector<Zr> exps;
+  for (const EncryptionRecord* record : records) {
+    const auto version = record->versions.find(uk.aid);
+    if (version == record->versions.end() || version->second != uk.from_version) continue;
+    UpdateInfo& ui = out.emplace_back();
+    ui.aid = uk.aid;
+    ui.owner_id = mk.owner_id;
+    ui.ct_id = record->ct_id;
+    ui.from_version = uk.from_version;
+    ui.to_version = uk.to_version;
+    const Zr k = neg_beta_sq * record->s;
+    for (const Attribute& attr : record->attributes) {
+      if (attr.aid != uk.aid) continue;
+      const std::string handle = attribute_handle(attr);
+      auto it = hx.find(handle);
+      if (it == hx.end()) it = hx.emplace(handle, grp.hash_to_zr(handle)).first;
+      info_of.push_back(out.size() - 1);
+      handles.push_back(handle);
+      exps.push_back(k * it->second);
+    }
+  }
+  const std::vector<G1> powers = CryptoEngine::for_group(grp).base_pow_batch(uk.uk1, exps);
+  for (size_t j = 0; j < powers.size(); ++j) out[info_of[j]].ui.emplace(handles[j], powers[j]);
+  return out;
+}
+
 UpdateInfo owner_update_info(const Group& grp, const OwnerMasterKey& mk,
                              const EncryptionRecord& record, const Ciphertext& ct,
                              const std::map<std::string, PublicAttributeKey>& old_attribute_pks,
                              const std::map<std::string, PublicAttributeKey>& new_attribute_pks,
                              const std::string& aid) {
+  (void)grp;
   if (record.ct_id != ct.id) throw SchemeError("owner_update_info: record/ciphertext mismatch");
   if (ct.owner_id != mk.owner_id) throw SchemeError("owner_update_info: foreign ciphertext");
-  return owner_update_info(grp, mk, record_of(ct, record.s), old_attribute_pks,
-                           new_attribute_pks, aid);
-}
-
-UpdateInfo owner_update_info(const Group& grp, const OwnerMasterKey& mk,
-                             const EncryptionRecord& record,
-                             const std::map<std::string, PublicAttributeKey>& old_attribute_pks,
-                             const std::map<std::string, PublicAttributeKey>& new_attribute_pks,
-                             const std::string& aid) {
-  (void)grp;
-  const auto version = record.versions.find(aid);
-  if (version == record.versions.end())
-    throw SchemeError("owner_update_info: ciphertext '" + record.ct_id +
+  const auto version = ct.versions.find(aid);
+  if (version == ct.versions.end())
+    throw SchemeError("owner_update_info: ciphertext '" + ct.id +
                       "' does not involve authority '" + aid + "'");
 
   UpdateInfo ui;
   ui.aid = aid;
   ui.owner_id = mk.owner_id;
-  ui.ct_id = record.ct_id;
+  ui.ct_id = ct.id;
   ui.from_version = version->second;
   ui.to_version = ui.from_version + 1;
 
   const Zr beta_s = mk.beta * record.s;
-  for (const Attribute& attr : record.attributes) {
+  for (const Attribute& attr : record_of(ct, record.s).attributes) {
     if (attr.aid != aid) continue;
     const std::string handle = attr.qualified();
     const auto old_it = old_attribute_pks.find(handle);
@@ -389,7 +425,7 @@ UpdateInfo owner_update_info(const Group& grp, const OwnerMasterKey& mk,
       throw SchemeError("owner_update_info: missing attribute key for '" + handle + "'");
     if (new_it->second.version != ui.to_version)
       throw SchemeError("owner_update_info: new attribute key has wrong version");
-    // UI_x = (PK_x / PK'_x)^{beta*s}.
+    // UI_x = (PK_x / PK'_x)^{beta*s}, the paper's formula.
     ui.ui.emplace(handle, (old_it->second.key - new_it->second.key).mul(beta_s));
   }
   return ui;

@@ -12,7 +12,7 @@
 //   Encrypt    -> encrypt
 //   Decrypt    -> decrypt
 //   ReKey      -> aa_rekey + aa_make_update_key + apply_update_* +
-//                 owner_update_info
+//                 owner_update_infos
 //   ReEncrypt  -> reencrypt
 #pragma once
 
@@ -150,21 +150,24 @@ PublicAttributeKey apply_update_to_attribute_pk(const pairing::Group& grp,
                                                 const PublicAttributeKey& pk,
                                                 const UpdateKey& uk);
 
-/// Owner-side UpdateInfo for one ciphertext, from the owner's record
-/// alone: UI_x = (PK_x/PK'_x)^{beta*s} for every row attribute of the
-/// re-keyed authority `aid`, from version record.versions[aid] to the
-/// next; the caller advances the record. Throws SchemeError when the
-/// record does not involve `aid` or an attribute key is missing or at
-/// the wrong version.
-UpdateInfo owner_update_info(const pairing::Group& grp, const OwnerMasterKey& mk,
-                             const EncryptionRecord& record,
-                             const std::map<std::string, PublicAttributeKey>& old_attribute_pks,
-                             const std::map<std::string, PublicAttributeKey>& new_attribute_pks,
-                             const std::string& aid);
+/// Owner-side UpdateInfo pass for one epoch, from the owner's records
+/// and the applied update key alone: one UpdateInfo, in input order, for
+/// each record of `records` at uk.from_version of uk.aid (others are
+/// skipped), with UI_x = UK1^{-beta^2*s*H(x)} for every row attribute x
+/// of uk.aid. That is the paper's (PK_x/PK'_x)^{beta*s} for UK1 in the
+/// order-r subgroup; every exponentiation shares the base UK1, so the
+/// pass is one engine batch. The caller advances the records. Throws
+/// SchemeError when `uk` is another owner's.
+std::vector<UpdateInfo> owner_update_infos(const pairing::Group& grp, const OwnerMasterKey& mk,
+                                           const std::vector<const EncryptionRecord*>& records,
+                                           const UpdateKey& uk);
 
-/// Checked adapter for callers that hold the ciphertext: requires
-/// `record` to be ct's and ct to be this owner's, then runs the record
-/// form on the record's s with ct's rows and versions.
+/// The paper's formula, UI_x = (PK_x/PK'_x)^{beta*s}, for one ciphertext
+/// from the old and new attribute keys: the reference owner_update_infos
+/// is checked against. Requires `record` to be ct's and ct to be this
+/// owner's, and uses ct's rows and versions. Throws SchemeError when ct
+/// does not involve `aid` or an attribute key is missing or at the wrong
+/// version.
 UpdateInfo owner_update_info(const pairing::Group& grp, const OwnerMasterKey& mk,
                              const EncryptionRecord& record, const Ciphertext& ct,
                              const std::map<std::string, PublicAttributeKey>& old_attribute_pks,

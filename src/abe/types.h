@@ -109,10 +109,11 @@ struct Ciphertext {
 };
 
 /// The owner's per-ciphertext revocation state, and all it keeps of
-/// ciphertext `ct_id`: UI_x = (PK_x/PK'_x)^{beta*s} needs s, the row
-/// attributes x of the re-keyed authority and that authority's current
-/// version, and nothing else of the ciphertext (the paper implicitly
-/// assumes owners can recompute it). Each epoch advances `versions`.
+/// ciphertext `ct_id`: UI_x = (PK_x/PK'_x)^{beta*s} = UK1^{-beta^2*s*H(x)}
+/// needs s, the row attributes x of the re-keyed authority and that
+/// authority's current version, and nothing else of the ciphertext (the
+/// paper implicitly assumes owners can recompute it). Each epoch
+/// advances `versions`.
 struct EncryptionRecord {
   std::string ct_id;
   pairing::Zr s;

@@ -447,18 +447,21 @@ void Cluster::handle_epoch(const std::string& self, ByteView epoch_wire) {
 
   // ---- Phase 1: stage on every node, the coordinator first. Each node
   // re-encrypts only the files it holds; the staged copies touch no
-  // store until phase 2.
+  // store until phase 2. A dead peer aborts the epoch before any node
+  // re-encrypts a slot, and again at its turn should it die meanwhile.
   std::vector<std::string> staged_nodes;
+  const auto require_alive = [this](const std::string& peer) {
+    if (!alive(peer))
+      throw TransportError(TransportError::Kind::kLost,
+                           "cluster: cannot stage epoch on dead node '" + peer + "'");
+  };
   try {
+    for (const std::string& peer : names_) require_alive(peer);
     stage_epoch(self, epoch_id, epoch_wire);
     staged_nodes.push_back(self);
     for (const std::string& peer : names_) {
       if (peer == self) continue;
-      if (!alive(peer)) {
-        throw TransportError(TransportError::Kind::kLost,
-                             "cluster: cannot stage epoch on dead node '" + peer +
-                                 "'");
-      }
+      require_alive(peer);
       Writer w;
       w.u8(kEpochStage);
       w.u64(epoch_id);

@@ -186,22 +186,17 @@ bool DataOwner::apply_update(const UpdateKey& uk) {
   apk->second = abe::apply_update_to_authority_pk(*grp_, apk->second, uk);
   for (auto& [handle, pk] : attribute_pks_) {
     if (pk.attr.aid != uk.aid) continue;
-    prev_attribute_pks_.insert_or_assign(handle, pk);
     pk = abe::apply_update_to_attribute_pk(*grp_, pk, uk);
   }
   return true;
 }
 
-std::vector<UpdateInfo> DataOwner::update_infos(const std::string& aid,
-                                                uint32_t from_version) {
-  std::vector<UpdateInfo> out;
-  for (auto& [ct_id, record] : records_) {
-    const auto ver = record.versions.find(aid);
-    if (ver == record.versions.end() || ver->second != from_version) continue;
-    out.push_back(abe::owner_update_info(*grp_, mk_, record, prev_attribute_pks_,
-                                         attribute_pks_, aid));
-    ver->second = from_version + 1;
-  }
+std::vector<UpdateInfo> DataOwner::update_infos(const UpdateKey& uk) {
+  std::vector<const EncryptionRecord*> records;
+  records.reserve(records_.size());
+  for (const auto& [ct_id, record] : records_) records.push_back(&record);
+  std::vector<UpdateInfo> out = abe::owner_update_infos(*grp_, mk_, records, uk);
+  for (const UpdateInfo& ui : out) records_.at(ui.ct_id).versions.at(uk.aid) = ui.to_version;
   return out;
 }
 

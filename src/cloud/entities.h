@@ -129,11 +129,10 @@ class DataOwner {
   bool apply_update(const abe::UpdateKey& uk);
 
   /// Revocation phase 2 prep: UpdateInfo for every record of this owner
-  /// that involves `aid` at `from_version`, in ct-id order, advancing
-  /// each such record to the next version. The cached attribute keys
-  /// must already be at the target version (call apply_update first).
-  std::vector<abe::UpdateInfo> update_infos(const std::string& aid,
-                                            uint32_t from_version);
+  /// at uk.from_version of uk.aid, in ct-id order, advancing each such
+  /// record to uk.to_version. One engine batch on the base UK1
+  /// (abe::owner_update_infos); the cached keys play no part.
+  std::vector<abe::UpdateInfo> update_infos(const abe::UpdateKey& uk);
 
   /// Ciphertexts the owner keeps a record of, superseded revisions
   /// included.
@@ -148,8 +147,7 @@ class DataOwner {
   abe::OwnerMasterKey mk_;
   abe::OwnerSecretShare share_;
   std::map<std::string, abe::AuthorityPublicKey> authority_pks_;
-  std::map<std::string, abe::PublicAttributeKey> attribute_pks_;      // current
-  std::map<std::string, abe::PublicAttributeKey> prev_attribute_pks_; // one version back
+  std::map<std::string, abe::PublicAttributeKey> attribute_pks_;
   /// ct_id -> {s, row attributes, versions}: the owner's only
   /// per-ciphertext state (Table III counts MK_o and the cached keys).
   std::map<std::string, abe::EncryptionRecord> records_;

@@ -557,12 +557,12 @@ size_t CloudSystem::distribute_revocation(
     if (uk_it == bundle.update_keys.end()) continue;
     durable_.send_or_park(
         aa_name(aid), owner_name(owner_id), abe::serialize(*grp_, uk_it->second),
-        [this, aid, from_version, owner_id](ByteView payload) {
+        [this, from_version, owner_id](ByteView payload) {
           DataOwner& o = owners_.at(owner_id);
           const abe::UpdateKey uk = abe::deserialize_update_key(*grp_, payload);
           if (!o.apply_update(uk)) return;
           // ---- Phase 2: Data Re-encryption -----------------------------
-          const std::vector<abe::UpdateInfo> infos = o.update_infos(aid, from_version);
+          const std::vector<abe::UpdateInfo> infos = o.update_infos(uk);
           if (infos.empty()) return;
           Writer w;
           w.var_bytes(abe::serialize(*grp_, uk));

@@ -37,6 +37,7 @@ struct EngineMetrics {
   telemetry::Histogram& multi_exp_gt_ns;
   telemetry::Histogram& g_pow_batch_ns;
   telemetry::Histogram& egg_pow_batch_ns;
+  telemetry::Histogram& base_pow_batch_ns;
   std::array<telemetry::Counter*, kEngineStatCount> totals{};
 
   static EngineMetrics& get() {
@@ -48,6 +49,7 @@ struct EngineMetrics {
           reg.histogram("maabe_engine_multi_exp_gt_ns"),
           reg.histogram("maabe_engine_g_pow_batch_ns"),
           reg.histogram("maabe_engine_egg_pow_batch_ns"),
+          reg.histogram("maabe_engine_base_pow_batch_ns"),
       };
       for (size_t i = 0; i < kEngineStatCount; ++i)
         em->totals[i] = &reg.counter(kEngineStatFields[i].metric);
@@ -584,6 +586,33 @@ std::vector<GT> CryptoEngine::egg_pow_batch(const std::vector<Zr>& exps) {
   std::vector<GT> out(exps.size());
   run_items(exps.size(), [&](size_t i) { out[i] = grp_->egg_pow(exps[i]); });
   return out;
+}
+
+std::vector<G1> CryptoEngine::base_pow_batch(const G1& base, const std::vector<Zr>& exps) {
+  BatchScope scope(*this, EngineMetrics::get().base_pow_batch_ns,
+                   "engine.base_pow_batch");
+  const size_t n = exps.size();
+  scope.delta.g1_exps = n;
+  scope.delta.tasks = n;
+  scope.set_items(n);
+  // The table lives for this batch only; counted as multi_exp_g1 counts
+  // an LRU table: one build, and a hit for every exponent it serves.
+  std::unique_ptr<const pairing::G1FixedBase> table;
+  if (!base.is_identity() && n >= LruCache::kBuildThreshold) {
+    table = grp_->g1_precompute(base);
+    scope.delta.table_builds = 1;
+    scope.delta.table_hits = n;
+  }
+  std::vector<pairing::JacPoint> jac(n);
+  run_items(n, [&](size_t i) {
+    jac[i] = table ? grp_->g1_pow_with_jac(*table, exps[i]) : grp_->g1_mul_jac(base, exps[i]);
+  });
+  return grp_->g1_normalize(jac);
+}
+
+size_t CryptoEngine::cached_bases() const {
+  std::lock_guard<std::mutex> lk(cache_->mu);
+  return cache_->index.size();
 }
 
 EngineStats CryptoEngine::stats() const {

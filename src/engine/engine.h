@@ -21,6 +21,9 @@
 //     window table built once and reused, the same machinery Group
 //     already uses for g and e(g,g).
 //   * g_pow_batch / egg_pow_batch — batches over the two fixed bases.
+//   * base_pow_batch — one variable base raised to many exponents (an
+//     epoch's UK1 in the owner's UpdateInfo pass), through a window
+//     table scoped to the batch.
 //   * parallel_for — generic data-parallel sweep (CloudServer uses it
 //     to re-encrypt stored ciphertexts concurrently).
 //
@@ -187,6 +190,14 @@ class CryptoEngine {
   /// g ^ exp_i / e(g,g) ^ exp_i via the Group's fixed-base tables.
   std::vector<pairing::G1> g_pow_batch(const std::vector<pairing::Zr>& exps);
   std::vector<pairing::GT> egg_pow_batch(const std::vector<pairing::Zr>& exps);
+  /// base ^ exp_i for one base shared by the whole batch. From the
+  /// LRU's break-even count of exponents on, the batch builds a window
+  /// table for `base` (one table build, every exponent a table hit) and
+  /// drops it on return: the base is a one-off per call (an epoch's
+  /// UK1), so it never enters the LRU. Below that count, or for the
+  /// identity, plain multiplies. One inversion normalizes the batch.
+  std::vector<pairing::G1> base_pow_batch(const pairing::G1& base,
+                                          const std::vector<pairing::Zr>& exps);
 
   /// Runs fn(0..n-1), work-stealing across the pool; blocks until all
   /// items finish. Exceptions from fn are rethrown on the caller (first
@@ -206,6 +217,9 @@ class CryptoEngine {
   /// pairings without its wall_ns). The same deltas feed the global
   /// telemetry::MetricsRegistry under maabe_engine_* names.
   EngineStats stats() const;
+  /// Entries in the variable-base LRU (window and line tables share
+  /// one entry per base).
+  size_t cached_bases() const;
 
  private:
   struct Pool;

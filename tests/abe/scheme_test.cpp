@@ -401,11 +401,14 @@ class RevocationTest : public SchemeTest {
         pk = apply_update_to_attribute_pk(*grp, pk, out.uk);
     }
 
-    // Owner builds UpdateInfo; server re-encrypts.
+    // Owner builds UpdateInfo from its record, which has advanced with
+    // every earlier epoch of ct; server re-encrypts.
     if (ct != nullptr) {
-      const UpdateInfo ui =
-          owner_update_info(*grp, owner_mk, rec, *ct, attr_pks, out.new_attr_pks, "Med");
-      reencrypt(*grp, ct, out.uk, ui);
+      EncryptionRecord current = rec;
+      current.versions = ct->versions;
+      const std::vector<UpdateInfo> infos =
+          owner_update_infos(*grp, owner_mk, {&current}, out.uk);
+      reencrypt(*grp, ct, out.uk, infos.at(0));
     }
     return out;
   }
@@ -551,7 +554,9 @@ TEST_F(RevocationTest, RecordFormMatchesCiphertextFormWhenAnAttributeRepeats) {
   std::map<std::string, PublicAttributeKey> new_pks = attr_pks;
   for (auto& [h, pk] : new_pks)
     if (pk.attr.aid == "Med") pk = apply_update_to_attribute_pk(*grp, pk, uk);
-  const UpdateInfo from_record = owner_update_info(*grp, owner_mk, rec, attr_pks, new_pks, "Med");
+  const std::vector<UpdateInfo> pass = owner_update_infos(*grp, owner_mk, {&rec}, uk);
+  ASSERT_EQ(pass.size(), 1u);
+  const UpdateInfo& from_record = pass[0];
   const UpdateInfo from_ct = owner_update_info(*grp, owner_mk, rec, ct, attr_pks, new_pks, "Med");
   EXPECT_EQ(serialize(*grp, from_record), serialize(*grp, from_ct));
   EXPECT_EQ(from_record.ui.size(), 3u);  // Nurse, Doctor, Admin
@@ -563,15 +568,190 @@ TEST_F(RevocationTest, RecordFormMatchesCiphertextFormWhenAnAttributeRepeats) {
 }
 
 TEST_F(RevocationTest, OwnerUpdateInfoRejectsUninvolvedAuthority) {
-  // A re-key at Gov concerns no row of a Med-only ciphertext: a typed
-  // SchemeError from the record form and through the ciphertext adapter.
+  // A re-key at Gov concerns no row of a Med-only ciphertext: the
+  // owner's pass skips its record, and the ciphertext adapter throws a
+  // typed SchemeError.
   const GT m = grp->gt_random(rng);
   auto [ct, rec] = enc("Nurse@Med", m);
   ASSERT_EQ(rec.versions, (std::map<std::string, uint32_t>{{"Med", 1}}));
-  EXPECT_THROW(owner_update_info(*grp, owner_mk, rec, attr_pks, attr_pks, "Gov"),
-               SchemeError);
+  const AuthorityVersionKey new_vk = aa_rekey(*grp, vks.at("Gov"), rng).new_vk;
+  const UpdateKey uk = aa_make_update_key(*grp, vks.at("Gov"), new_vk, owner_sk);
+  EXPECT_TRUE(owner_update_infos(*grp, owner_mk, {&rec}, uk).empty());
   EXPECT_THROW(owner_update_info(*grp, owner_mk, rec, ct, attr_pks, attr_pks, "Gov"),
                SchemeError);
+}
+
+TEST_F(RevocationTest, RelabeledPreRevokeKeyOpensNothingOnceReencrypted) {
+  // The version check alone would lock alice's old key out even if the
+  // server never re-encrypted. Relabeled to the new version, that key
+  // passes every check; only the re-encrypted C and C_i keep it from
+  // the plaintext. Bob, not revoked, still opens the slot.
+  const GT m = grp->gt_random(rng);
+  auto [ct, rec] = enc("Doctor@Med OR Nurse@Med", m);
+  const auto world = revoke_doctor_from_alice(&ct, rec);
+  ASSERT_EQ(ct.versions.at("Med"), world.uk.to_version);
+  std::map<std::string, UserSecretKey> relabeled = alice_keys;
+  relabeled.at("Med").version = world.uk.to_version;
+  ASSERT_TRUE(can_decrypt(*grp, ct, relabeled));
+  EXPECT_NE(decrypt(*grp, ct, alice, relabeled), m);
+  EXPECT_EQ(decrypt(*grp, ct, bob, world.bob_updated), m);
+}
+
+// ----------------------------------------- the owner's UpdateInfo pass --
+
+// Every record of a two-authority owner: AND, OR and threshold policies
+// across both authorities, and one policy of each authority alone.
+struct OwnerPassWorld {
+  explicit OwnerPassWorld(const Group& g) : grp(g), rng("owner-pass") {
+    mk = owner_gen(grp, "owner-1", rng);
+    osk = owner_share(grp, mk);
+    std::map<std::string, AuthorityPublicKey> apks;
+    for (const std::string aid : {"Med", "Gov"}) {
+      vks.emplace(aid, aa_setup(grp, aid, rng));
+      apks.emplace(aid, aa_public_key(grp, vks.at(aid)));
+    }
+    for (const auto& [aid, name] : std::vector<std::pair<std::string, std::string>>{
+             {"Med", "Doctor"}, {"Med", "Nurse"}, {"Med", "Admin"},
+             {"Gov", "Auditor"}, {"Gov", "Inspector"}}) {
+      const PublicAttributeKey pk = aa_attribute_key(grp, vks.at(aid), name);
+      pks.emplace(pk.attr.qualified(), pk);
+    }
+    for (const auto& [id, text] : std::vector<std::pair<std::string, std::string>>{
+             {"and", "Doctor@Med AND Auditor@Gov"},
+             {"or", "Nurse@Med OR Inspector@Gov"},
+             {"threshold", "2 of (Doctor@Med, Nurse@Med, Auditor@Gov, Inspector@Gov)"},
+             {"med-only", "Admin@Med AND Nurse@Med"},
+             {"gov-only", "Auditor@Gov"}}) {
+      encs.push_back(encrypt(grp, mk, id, grp.gt_random(rng),
+                             LsssMatrix::from_policy(parse_policy(text)), apks, pks, rng));
+    }
+  }
+
+  std::vector<const EncryptionRecord*> records() const {
+    std::vector<const EncryptionRecord*> out;
+    for (const EncryptionResult& e : encs) out.push_back(&e.record);
+    return out;
+  }
+
+  /// The update key of re-keying `aid` once, and the attribute keys
+  /// after it.
+  UpdateKey rekey(const std::string& aid, std::map<std::string, PublicAttributeKey>* new_pks) {
+    const AuthorityVersionKey new_vk = aa_rekey(grp, vks.at(aid), rng).new_vk;
+    const UpdateKey uk = aa_make_update_key(grp, vks.at(aid), new_vk, osk);
+    *new_pks = pks;
+    for (auto& [h, pk] : *new_pks)
+      if (pk.attr.aid == aid) pk = apply_update_to_attribute_pk(grp, pk, uk);
+    return uk;
+  }
+
+  const Group& grp;
+  crypto::Drbg rng;
+  OwnerMasterKey mk;
+  OwnerSecretShare osk;
+  std::map<std::string, AuthorityVersionKey> vks;
+  std::map<std::string, PublicAttributeKey> pks;
+  std::vector<EncryptionResult> encs;
+};
+
+void expect_owner_pass_matches_adapter(const Group& grp) {
+  OwnerPassWorld w(grp);
+  engine::CryptoEngine& eng = engine::CryptoEngine::for_group(grp);
+  for (const std::string aid : {"Med", "Gov"}) {
+    SCOPED_TRACE(aid);
+    std::map<std::string, PublicAttributeKey> new_pks;
+    const UpdateKey uk = w.rekey(aid, &new_pks);
+    // The reference: the PK-difference formula, per record with a row
+    // of `aid`; the other authority's lone record is skipped.
+    std::vector<Bytes> want;
+    for (const EncryptionResult& e : w.encs) {
+      if (!e.record.versions.contains(aid)) continue;
+      want.push_back(
+          serialize(grp, owner_update_info(grp, w.mk, e.record, e.ct, w.pks, new_pks, aid)));
+    }
+    ASSERT_EQ(want.size(), 4u);
+
+    // One pass over every record: 6 (Med) or 5 (Gov) exponents, at or
+    // above the engine's break-even count, so one table.
+    engine::EngineStats before = eng.stats();
+    const std::vector<UpdateInfo> got = owner_update_infos(grp, w.mk, w.records(), uk);
+    EXPECT_EQ((eng.stats() - before).table_builds, 1u);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i)
+      EXPECT_EQ(serialize(grp, got[i]), want[i]) << got[i].ct_id;
+
+    // One pass per record: one or two exponents, below the break-even
+    // count, so plain multiplies.
+    size_t next = 0;
+    for (const EncryptionResult& e : w.encs) {
+      before = eng.stats();
+      const std::vector<UpdateInfo> one = owner_update_infos(grp, w.mk, {&e.record}, uk);
+      EXPECT_EQ((eng.stats() - before).table_builds, 0u) << e.record.ct_id;
+      if (!e.record.versions.contains(aid)) {
+        EXPECT_TRUE(one.empty()) << e.record.ct_id;
+        continue;
+      }
+      ASSERT_EQ(one.size(), 1u) << e.record.ct_id;
+      EXPECT_EQ(serialize(grp, one[0]), want[next++]) << e.record.ct_id;
+    }
+
+    // A record already past uk.from_version is skipped too.
+    EncryptionRecord advanced = w.encs.front().record;
+    advanced.versions.at(aid) = uk.to_version;
+    EXPECT_TRUE(owner_update_infos(grp, w.mk, {&advanced}, uk).empty());
+  }
+}
+
+TEST(OwnerUpdateInfos, MatchThePkDifferenceAdapterOnBothCurves) {
+  expect_owner_pass_matches_adapter(*Group::test_small());
+  expect_owner_pass_matches_adapter(*Group::pbc_a512());
+}
+
+TEST(OwnerUpdateInfos, OnePassCostsOneTableBuildAndLeavesTheLruNoLarger) {
+  const auto grp = Group::test_small();
+  OwnerPassWorld w(*grp);
+  std::map<std::string, PublicAttributeKey> new_pks;
+  const UpdateKey uk = w.rekey("Med", &new_pks);
+  engine::CryptoEngine& eng = engine::CryptoEngine::for_group(*grp);
+  const size_t lru = eng.cached_bases();
+  ASSERT_LT(lru, 64u) << "a full LRU would hide a new entry";
+  const engine::EngineStats before = eng.stats();
+  const std::vector<UpdateInfo> infos = owner_update_infos(*grp, w.mk, w.records(), uk);
+  const engine::EngineStats d = eng.stats() - before;
+  uint64_t n = 0;
+  for (const UpdateInfo& ui : infos) n += ui.ui.size();
+  EXPECT_EQ(n, 6u);
+  EXPECT_EQ(d.g1_exps, n);
+  EXPECT_EQ(d.table_builds, 1u);
+  EXPECT_EQ(d.table_hits, n);
+  EXPECT_EQ(d.batches, 1u);
+  EXPECT_EQ(d.pairings, 0u);
+  EXPECT_LE(eng.cached_bases(), lru);
+}
+
+TEST(OwnerUpdateInfos, IdentityUk1PassesTheSubgroupCheckAndDoesNotCrash) {
+  // UK1 = g^0 only if alpha' == alpha, which aa_rekey never draws; a
+  // forged key can still carry it, and kKeyMaterial's subgroup check
+  // accepts the identity. The pass then yields identity UIs.
+  const auto grp = Group::test_small();
+  OwnerPassWorld w(*grp);
+  std::map<std::string, PublicAttributeKey> new_pks;
+  UpdateKey forged = w.rekey("Med", &new_pks);
+  forged.uk1 = grp->g1_identity();
+  const UpdateKey uk = deserialize_update_key(*grp, serialize(*grp, forged));
+  ASSERT_TRUE(uk.uk1.is_identity());
+  const std::vector<UpdateInfo> infos = owner_update_infos(*grp, w.mk, w.records(), uk);
+  ASSERT_EQ(infos.size(), 4u);
+  for (const UpdateInfo& ui : infos)
+    for (const auto& [handle, value] : ui.ui) EXPECT_TRUE(value.is_identity()) << handle;
+}
+
+TEST(OwnerUpdateInfos, RejectAnotherOwnersUpdateKey) {
+  const auto grp = Group::test_small();
+  OwnerPassWorld w(*grp);
+  std::map<std::string, PublicAttributeKey> new_pks;
+  UpdateKey uk = w.rekey("Med", &new_pks);
+  uk.owner_id = "owner-2";
+  EXPECT_THROW(owner_update_infos(*grp, w.mk, w.records(), uk), SchemeError);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 
 #include "cloud/system.h"
 #include "common/errors.h"
@@ -420,6 +421,51 @@ TEST(ClusterTest, DegradedReadNamesTheParkedEpochThatBlocksIt) {
     const std::string what = e.what();
     EXPECT_NE(what.find("node:0 has 1 pending read-gating"), std::string::npos) << what;
     EXPECT_NE(what.find("revocation epoch v"), std::string::npos) << what;
+  }
+}
+
+TEST(ClusterTest, DeadPeerAbortsTheEpochBeforeAnyNodeReencrypts) {
+  auto sys = make_system(Group::test_small(), 3, 3);
+  enroll(*sys);
+  const std::vector<std::string> files = {"f1", "f2", "f3", "f4"};
+  upload_all(*sys, files);
+  EXPECT_EQ(sys->flush_pending(), 0u);
+
+  // Every slot a store stages passes its fault hook first.
+  Cluster& c = sys->cluster();
+  auto staged = std::make_shared<std::atomic<int>>(0);
+  std::map<std::string, ServerStats> before;
+  for (const std::string& node : c.node_names()) {
+    c.node_store(node).set_reencrypt_fault_hook([staged](const std::string&) { ++*staged; });
+    before[node] = c.node_store(node).stats();
+  }
+  const ClusterStats start = c.stats();
+
+  // Every attempt of the epoch that cannot stage on node:2 aborts, and
+  // re-encrypts no slot on any node: the coordinator checks its peers
+  // before staging.
+  c.kill_node("node:2");
+  EXPECT_EQ(sys->revoke_attribute("Med", "bob", "Doctor"), 0u);
+  const ClusterStats aborted = c.stats();
+  EXPECT_GE(aborted.epochs_2pc - start.epochs_2pc, 1u);
+  EXPECT_EQ(aborted.epoch_aborts - start.epoch_aborts, aborted.epochs_2pc - start.epochs_2pc);
+  EXPECT_EQ(aborted.epoch_commits, start.epoch_commits);
+  EXPECT_EQ(staged->load(), 0);
+  for (const std::string& node : c.node_names()) {
+    const ServerStats now = c.node_store(node).stats();
+    EXPECT_TRUE(c.node_store(node).staged_epoch_ids().empty()) << node;
+    EXPECT_EQ(now.reencrypted_slots, before[node].reencrypted_slots) << node;
+    EXPECT_EQ(now.epochs_aborted, before[node].epochs_aborted) << node;
+  }
+
+  // The parked epoch replays once the peer is back, and commits.
+  c.restart_node("node:2");
+  EXPECT_EQ(sys->flush_pending(), 0u);
+  EXPECT_EQ(c.stats().epoch_commits - start.epoch_commits, 1u);
+  EXPECT_GT(staged->load(), 0);
+  for (const std::string& f : files) {
+    EXPECT_TRUE(sys->download_report("bob", f).opened().empty()) << f;
+    EXPECT_TRUE(sys->download_report("alice", f).all_ok()) << f;
   }
 }
 

@@ -177,6 +177,7 @@ TEST_F(EntitiesTest, OwnerUpdateInfosFromRecordsMatchTheCiphertextForm) {
     size_t infos;
   };
   const std::vector<Epoch> epochs{{&aa, "Doctor", 2}, {&gov, "Auditor", 3}, {&aa, "Nurse", 3}};
+  std::vector<abe::UpdateKey> applied;
   for (size_t e = 0; e < epochs.size(); ++e) {
     // A re-upload between epochs: a new revision of f1, recorded at Med
     // version 2, which only the last epoch re-keys.
@@ -188,7 +189,8 @@ TEST_F(EntitiesTest, OwnerUpdateInfosFromRecordsMatchTheCiphertextForm) {
     const abe::UpdateKey& uk = bundle.update_keys.at("hosp");
     const auto new_pks = a.attribute_public_keys();
     ASSERT_TRUE(owner.apply_update(uk));
-    const std::vector<abe::UpdateInfo> got = owner.update_infos(a.aid(), from);
+    applied.push_back(uk);
+    const std::vector<abe::UpdateInfo> got = owner.update_infos(uk);
 
     std::vector<abe::UpdateInfo> want;
     for (const auto& [ct_id, ct] : copies) {
@@ -210,7 +212,7 @@ TEST_F(EntitiesTest, OwnerUpdateInfosFromRecordsMatchTheCiphertextForm) {
   }
   EXPECT_EQ(owner.tracked_ciphertexts(), 4u);
   // A second pass over an epoch already run finds nothing to re-key.
-  EXPECT_TRUE(owner.update_infos("Med", 1).empty());
+  EXPECT_TRUE(owner.update_infos(applied.front()).empty());
   EXPECT_THROW(owner.record("f9/none"), SchemeError);
 }
 

@@ -220,12 +220,22 @@ TEST_F(ClusterObservability, FaultInjectedClusterEpochYieldsOneTraceTree) {
   // ---- Traced window 1: the epoch against a degraded cluster --------
   std::vector<SpanRecord> records;
   size_t committed = 0;
+  // The victim dies while the survivor stages its first slot, so the
+  // coordinator has staged and sent the survivor its stage frame (past
+  // the two scripted drops) before the 2PC reaches the victim. A victim
+  // dead from the start would abort the epoch before any node stages.
+  Cluster& cluster = sys_->cluster();
+  CloudServer& survivor_store = cluster.node_store(survivor);
+  ASSERT_FALSE(survivor_store.file_ids().empty()) << "the survivor stages nothing";
+  survivor_store.set_reencrypt_fault_hook(
+      [&cluster, victim](const std::string&) { cluster.kill_node(victim); });
   {
     SpanCollector sink;
-    sys_->cluster().kill_node(victim);
     committed = sys_->revoke_attribute("Med", "bob", "Doctor");
     records = sink.records();
   }
+  survivor_store.set_reencrypt_fault_hook(nullptr);
+  ASSERT_FALSE(cluster.alive(victim));
   // The victim cannot stage, so the 2PC aborts everywhere and the epoch
   // delivery stays parked; nothing commits during this call.
   EXPECT_EQ(committed, 0u);

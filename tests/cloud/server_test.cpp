@@ -83,12 +83,11 @@ struct World {
     std::map<std::string, abe::PublicAttributeKey> new_pks = attr_pks;
     for (auto& [handle, pk] : new_pks)
       pk = abe::apply_update_to_attribute_pk(*grp, pk, epoch.uk);
-    for (auto& [ct_id, record] : records) {
-      if (record.versions.at("A") != old_vk.version) continue;
-      epoch.infos.push_back(
-          abe::owner_update_info(*grp, mk, record, attr_pks, new_pks, "A"));
-      record.versions.at("A") = vk.version;
-    }
+    std::vector<const abe::EncryptionRecord*> pass;
+    for (const auto& [ct_id, record] : records) pass.push_back(&record);
+    epoch.infos = abe::owner_update_infos(*grp, mk, pass, epoch.uk);
+    for (const abe::UpdateInfo& ui : epoch.infos)
+      records.at(ui.ct_id).versions.at("A") = ui.to_version;
     attr_pks = std::move(new_pks);
     sks.at("A") = abe::apply_update_to_secret_key(*grp, sks.at("A"), epoch.uk);
     return epoch;

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "common/errors.h"
+#include "crypto/authenc.h"
 
 namespace maabe::cloud {
 namespace {
@@ -336,6 +337,65 @@ TEST_F(SystemTest, LateAuthorityGetsOwnerShares) {
   sys.issue_user_key("Gov", "dave", "hospital");
   sys.upload("hospital", "audit-log", {{"log", bytes_of("entries"), "Auditor@Gov"}});
   EXPECT_EQ(sys.download("dave", "audit-log").size(), 1u);
+}
+
+// ------------------------------------------- re-encryption is real --
+
+TEST(RevocationReencrypts, RelabeledPreRevokeKeyOpensNoReplicaOfAThreeNodeCluster) {
+  // The version check alone would lock bob's pre-revoke key out even
+  // if no store re-encrypted. Relabeled to the new version, that key
+  // passes every check; only the re-encrypted slot on each replica
+  // keeps it from the plaintext. Alice, not revoked, still opens it.
+  ClusterConfig cfg;
+  cfg.nodes = 3;
+  cfg.replication = 2;
+  CloudSystem sys(Group::test_small(), "reencrypt-real",
+                  std::make_unique<LoopbackTransport>(FaultPlan()), RetryPolicy(), cfg);
+  sys.add_authority("Med", {"Doctor"});
+  sys.add_owner("hosp");
+  sys.publish_authority_keys("Med", "hosp");
+  for (const char* uid : {"alice", "bob"}) {
+    sys.add_user(uid);
+    sys.assign_attributes("Med", uid, {"Doctor"});
+    sys.issue_user_key("Med", uid, "hosp");
+  }
+  const std::vector<std::string> files = {"f1", "f2", "f3"};
+  for (const std::string& f : files)
+    sys.upload("hosp", f, {{"a", bytes_of("alpha " + f), "Doctor@Med"}});
+
+  abe::UserSecretKey relabeled = sys.user("bob").key("hosp", "Med");
+  EXPECT_EQ(sys.revoke_attribute("Med", "bob", "Doctor"), 2 * files.size());
+  EXPECT_EQ(sys.flush_pending(), 0u);
+  relabeled.version = sys.authority("Med").version();
+  const std::map<std::string, abe::UserSecretKey> bob_old{{"Med", relabeled}};
+  const std::map<std::string, abe::UserSecretKey> alice_now{
+      {"Med", sys.user("alice").key("hosp", "Med")}};
+
+  const Group& grp = sys.group();
+  Cluster& c = sys.cluster();
+  for (const std::string& f : files) {
+    for (const std::string& node : c.replicas_for(f)) {
+      SCOPED_TRACE(node + " " + f);
+      const std::shared_ptr<const StoredFile> file = c.node_store(node).fetch(f);
+      ASSERT_NE(file, nullptr);
+      const SealedSlot& slot = file->slots.at(0);
+      ASSERT_EQ(slot.key_ct.versions.at("Med"), relabeled.version);
+      ASSERT_TRUE(abe::can_decrypt(grp, slot.key_ct, bob_old));
+      const pairing::GT seed =
+          abe::decrypt(grp, slot.key_ct, sys.user("alice").public_key(), alice_now);
+      const pairing::GT stale =
+          abe::decrypt(grp, slot.key_ct, sys.user("bob").public_key(), bob_old);
+      EXPECT_NE(stale, seed);
+      EXPECT_THROW(
+          crypto::open(content_key_from_gt(stale), slot.sealed_data, slot_aad(f, "a")),
+          CryptoError);
+      EXPECT_EQ(crypto::open(content_key_from_gt(seed), slot.sealed_data, slot_aad(f, "a")),
+                bytes_of("alpha " + f));
+    }
+    EXPECT_TRUE(sys.download_report("bob", f).opened().empty());
+    EXPECT_EQ(sys.download_report("alice", f).opened(),
+              (std::map<std::string, Bytes>{{"a", bytes_of("alpha " + f)}}));
+  }
 }
 
 // -------------------------------------------- epoch path parity --

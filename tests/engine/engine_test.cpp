@@ -305,6 +305,36 @@ TEST_F(EngineTest, FixedBaseBatchesMatchGroupTables) {
   }
 }
 
+TEST_F(EngineTest, BasePowBatchMatchesMulBelowAndAboveTheBuildThreshold) {
+  // 3 exponents stay on plain multiplies; 9 build one table for the
+  // batch, which never enters the LRU. The identity base builds none.
+  // Zero and one exponents ride along.
+  for (const int threads : {1, 4}) {
+    CryptoEngine eng(*grp, threads);
+    const G1 base = grp->g1_random(rng);
+    for (const size_t n : {size_t{3}, size_t{9}}) {
+      std::vector<Zr> exps{grp->zr_zero(), grp->zr_one()};
+      while (exps.size() < n) exps.push_back(grp->zr_random(rng));
+      for (const G1& b : {base, grp->g1_identity()}) {
+        const EngineStats before = eng.stats();
+        const std::vector<G1> got = eng.base_pow_batch(b, exps);
+        const EngineStats d = eng.stats() - before;
+        ASSERT_EQ(got.size(), n);
+        for (size_t i = 0; i < n; ++i)
+          EXPECT_EQ(got[i].to_bytes(), b.mul(exps[i]).to_bytes())
+              << "threads=" << threads << " n=" << n << " i=" << i;
+        const uint64_t tabled = (n == 9 && !b.is_identity()) ? 1 : 0;
+        EXPECT_EQ(d.g1_exps, n);
+        EXPECT_EQ(d.table_builds, tabled);
+        EXPECT_EQ(d.table_hits, tabled * n);
+        EXPECT_EQ(d.batches, 1u);
+      }
+    }
+    EXPECT_EQ(eng.cached_bases(), 0u);
+    EXPECT_TRUE(eng.base_pow_batch(base, {}).empty());
+  }
+}
+
 TEST_F(EngineTest, SerialEngineBypassesPool) {
   CryptoEngine eng(*grp, 1);
   EXPECT_EQ(eng.threads(), 1);

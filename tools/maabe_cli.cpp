@@ -366,17 +366,10 @@ struct Cli {
         records[owner_id].push_back(store.load_record(owner_id, ct_id));
     }
 
-    // Phase 1: new version key; per-attribute old/new public keys.
+    // Phase 1: new version key.
     const abe::AuthorityVersionKey old_vk = state.vk;
     state.vk = abe::aa_rekey(*grp, old_vk, rng).new_vk;
     store.save_authority(state);
-    std::map<std::string, abe::PublicAttributeKey> old_pks, new_pks;
-    for (const std::string& name : state.universe) {
-      const auto op = abe::aa_attribute_key(*grp, old_vk, name);
-      old_pks.emplace(op.attr.qualified(), op);
-      const auto np = abe::aa_attribute_key(*grp, state.vk, name);
-      new_pks.emplace(np.attr.qualified(), np);
-    }
     const abe::UserPublicKey revoked_pk = store.load_user_pk(uid);
 
     size_t keys_updated = 0, cts_reencrypted = 0;
@@ -398,25 +391,26 @@ struct Cli {
         }
       }
 
-      // Phase 2: the owner emits UpdateInfo from its records; the
-      // "server" re-encrypts the served slot in place (slot ids are
-      // "<file_id>/<component>"), and the record advances a version.
+      // Phase 2: the owner emits every UpdateInfo of the epoch from its
+      // records in one batch; the "server" re-encrypts the served slot in
+      // place (slot ids are "<file_id>/<component>"), and the record
+      // advances a version.
       const abe::OwnerMasterKey mk = store.load_owner_master(owner_id);
-      for (abe::EncryptionRecord& rec : records[owner_id]) {
-        const std::string& ct_id = rec.ct_id;
-        const auto ver = rec.versions.find(aid);
-        if (ver == rec.versions.end() || ver->second != old_vk.version) continue;
-        const abe::UpdateInfo ui =
-            abe::owner_update_info(*grp, mk, rec, old_pks, new_pks, aid);
-        const std::string file_id = cloud::split_slot_ct_id(ct_id).first;
+      std::vector<abe::EncryptionRecord>& owned = records[owner_id];
+      std::vector<const abe::EncryptionRecord*> pass;
+      for (const abe::EncryptionRecord& rec : owned) pass.push_back(&rec);
+      auto rec = owned.begin();  // the infos follow the records' order
+      for (const abe::UpdateInfo& ui : abe::owner_update_infos(*grp, mk, pass, uk)) {
+        while (rec->ct_id != ui.ct_id) ++rec;
+        const std::string file_id = cloud::split_slot_ct_id(ui.ct_id).first;
         cloud::StoredFile file = cloud::deserialize_stored_file(
             *grp, server_get("owner:" + owner_id, file_id));
         for (cloud::SealedSlot& slot : file.slots) {
-          if (slot.key_ct.id == ct_id) abe::reencrypt(*grp, &slot.key_ct, uk, ui);
+          if (slot.key_ct.id == ui.ct_id) abe::reencrypt(*grp, &slot.key_ct, uk, ui);
         }
         server_put(owner_id, file_id, cloud::serialize(*grp, file));
-        ver->second = ui.to_version;
-        store.save_record(owner_id, rec);
+        rec->versions.at(aid) = ui.to_version;
+        store.save_record(owner_id, *rec);
         ++cts_reencrypted;
       }
     }
