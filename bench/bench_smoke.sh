@@ -16,13 +16,14 @@
 #                     adx_kernel_speedup (only on ADX hosts)
 #       kernel_speedup: shared-final-exponentiation kernel vs the legacy
 #       pair-then-multiply fold, each side the best of three alternating
-#       passes (a cheaper final exponentiation shrinks what sharing it
-#       saves: about 1.55 on the small curve). merge_speedup: a decrypt-shaped 22-term
-#       product (two repeated first arguments) through the engine, which
-#       runs one Miller loop per (first argument, exponent) class, vs a
-#       per-term fold of all 22 loops on the same line tables with one
-#       reduction — about 5.5x on the small curve; a kernel that stops
-#       merging reads about 1x. field_kernel_speedup: a chain of F_q
+#       passes on the calling thread's CPU clock (a cheaper final
+#       exponentiation shrinks what sharing it saves: about 1.45-1.55 on
+#       the small curve since the windowed one). merge_speedup: a
+#       decrypt-shaped 22-term product (two repeated first arguments)
+#       through the engine, which folds the small exponents and runs one
+#       Miller loop per first argument, vs a per-term fold of all 22
+#       loops on the same line tables with one reduction — about 7x on
+#       the small curve; a kernel that stops merging reads about 1x. field_kernel_speedup: a chain of F_q
 #       multiplies on the fixed-width kernel the pairing stack runs on
 #       vs the variable-length Bignum MontCtx, a file-local reference
 #       kept in bench/pairing_micro.cpp since the library dropped it

@@ -7,6 +7,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdlib>
+#include <ctime>
 #include <thread>
 
 #include "bench_common.h"
@@ -380,17 +381,28 @@ void engine_batch_report() {
   engine::CryptoEngine serial_eng(*grp, 1);
   engine::CryptoEngine pool_eng(*grp, pool_threads);
 
-  const auto time_reps = [&](engine::CryptoEngine& eng, int reps) {
+  // Wall time for the pool comparison; the calling thread's CPU time
+  // for the single-threaded kernel/fold ratio below, whose both sides
+  // run on this thread, so a pass the host deschedules does not read
+  // slow.
+  const auto wall_ms = [] {
+    return std::chrono::duration<double, std::milli>(Clock::now().time_since_epoch()).count();
+  };
+  const auto thread_cpu_ms = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
+  };
+  const auto time_reps = [&](engine::CryptoEngine& eng, int reps, const auto& now) {
     (void)eng.pairing_product(terms);  // warm up (pool spin-up, caches)
-    const auto t0 = Clock::now();
+    const double t0 = now();
     for (int i = 0; i < reps; ++i) benchmark::DoNotOptimize(eng.pairing_product(terms));
-    const auto t1 = Clock::now();
-    return std::chrono::duration<double, std::milli>(t1 - t0).count() / reps;
+    return (now() - t0) / reps;
   };
 
   constexpr int kReps = 5;
-  const double serial_ms = time_reps(serial_eng, kReps);
-  const double pool_ms = time_reps(pool_eng, kReps);
+  const double serial_ms = time_reps(serial_eng, kReps, wall_ms);
+  const double pool_ms = time_reps(pool_eng, kReps, wall_ms);
   const double speedup = pool_ms > 0 ? serial_ms / pool_ms : 0.0;
 
   // The kernel's algorithmic headline, independent of thread count: the
@@ -403,10 +415,9 @@ void engine_batch_report() {
   };
   const auto time_fold = [&](int reps) {
     (void)fold_once();
-    const auto t0 = Clock::now();
+    const double t0 = thread_cpu_ms();
     for (int i = 0; i < reps; ++i) benchmark::DoNotOptimize(fold_once());
-    const auto t1 = Clock::now();
-    return std::chrono::duration<double, std::milli>(t1 - t0).count() / reps;
+    return (thread_cpu_ms() - t0) / reps;
   };
   // Best of three passes per side, alternating. Each kernel pass repeats
   // the serial timing above on a fresh single-thread engine (same warm-up,
@@ -416,7 +427,7 @@ void engine_batch_report() {
   double fold_ms = 0, kernel_ms = 0;
   for (int pass = 0; pass < kKernelPasses; ++pass) {
     engine::CryptoEngine pass_eng(*grp, 1);
-    const double k_ms = time_reps(pass_eng, kReps);
+    const double k_ms = time_reps(pass_eng, kReps, thread_cpu_ms);
     const double f_ms = time_fold(kReps);
     if (pass == 0 || k_ms < kernel_ms) kernel_ms = k_ms;
     if (pass == 0 || f_ms < fold_ms) fold_ms = f_ms;
@@ -426,10 +437,11 @@ void engine_batch_report() {
   // Term merging, same-process: a decrypt-shaped product (AND of 10
   // rows over 2 authorities: 10 terms on PK_UID and 10 on C' with
   // exponent n_A, 2 numerator terms on C' with exponent 1) through the
-  // engine, which runs one Miller loop per (first argument, exponent)
-  // class, against a per-term fold that runs all 22 loops on the same
-  // line tables and reduces once. The engine's op counts are a declared
-  // model; this ratio is the independent evidence that it merges.
+  // engine, which folds the small exponents into the second arguments
+  // and runs one Miller loop per first argument, against a per-term
+  // fold that runs all 22 loops on the same line tables and reduces
+  // once. The engine's op counts are a declared model; this ratio is
+  // the independent evidence that it merges.
   constexpr size_t kRows = 10;
   const pairing::G1 pk_uid = grp->g1_random(rng), c_prime = grp->g1_random(rng);
   const pairing::Zr n_a = grp->zr_from_u64(2);
@@ -466,6 +478,34 @@ void engine_batch_report() {
     std::fprintf(stderr, "pairing_micro: merged and per-term products disagree\n");
     std::exit(1);
   }
+  // The threshold shape through the same check: 4 rows with distinct
+  // full-size w_i * n_A, which keep a (first argument, exponent) class
+  // each, and 2 numerator terms on C' with exponent -1, which fold.
+  std::vector<engine::CryptoEngine::PairTerm> th_terms;
+  std::vector<pairing::Zr> th_exps;
+  for (int i = 0; i < 4; ++i) {
+    const pairing::Zr e = grp->zr_random(rng) * n_a;
+    th_terms.push_back({pk_uid, grp->g1_random(rng)});
+    th_terms.push_back({c_prime, grp->g1_random(rng)});
+    th_exps.insert(th_exps.end(), {e, e});
+  }
+  for (int k = 0; k < 2; ++k) {
+    th_terms.push_back({c_prime, grp->g1_random(rng)});
+    th_exps.push_back(grp->zr_one().neg());
+  }
+  pairing::MillerVal th_fold = grp->miller_one();
+  for (size_t k = 0; k < th_terms.size(); ++k) {
+    const auto& t = th_terms[k];
+    th_fold = th_fold *
+              grp->miller_with(t.a == pk_uid ? *pk_table : *c_table, t.b).pow(th_exps[k]);
+  }
+  const engine::EngineStats th_before = merge_eng.stats();
+  if (merge_eng.pairing_power_product(th_terms, th_exps).to_bytes() !=
+      grp->miller_reduce(th_fold).to_bytes()) {
+    std::fprintf(stderr, "pairing_micro: threshold-shaped product disagrees\n");
+    std::exit(1);
+  }
+  const uint64_t th_loops = (merge_eng.stats() - th_before).miller_loops;
   for (int i = 0; i < 4; ++i) (void)merged();  // promote both line tables
   constexpr int kMergeReps = 7;
   const auto best_ms = [&](const auto& product) {
@@ -664,7 +704,8 @@ void engine_batch_report() {
   std::printf("  LSSS solve, AND-10  : %8.1f us   (n_A=10, l=50: %.1f us)\n", lsss_wide_us,
               lsss_fig3_us);
 
-  std::printf("\n%zu-pairing product batch (%d reps; fold and kernel best of %d passes):\n",
+  std::printf("\n%zu-pairing product batch (%d reps; fold and kernel best of %d passes,"
+              " thread CPU time):\n",
               kTerms, kReps, kKernelPasses);
   std::printf("  pair-then-multiply  : %8.3f ms   (%zu final exps)\n", fold_ms, kTerms);
   std::printf("  kernel (1 thread)   : %8.3f ms   (1 final exp)  speedup %.2fx\n",
@@ -678,6 +719,8 @@ void engine_batch_report() {
   std::printf("  merged kernel       : %8.3f ms   (%.0f Miller loops)  speedup %.2fx\n",
               merged_ms,
               static_cast<double>(merge_delta.miller_loops) / kMergeReps, merge_speedup);
+  std::printf("  threshold shape     : %zu terms -> %llu Miller loops (bytes match)\n",
+              th_terms.size(), static_cast<unsigned long long>(th_loops));
   if (std::thread::hardware_concurrency() <= 1)
     std::printf("  (host exposes 1 hardware thread; no parallel gain is possible)\n");
 
@@ -694,8 +737,8 @@ void engine_batch_report() {
       .put("serial_wall_ms", serial_ms)
       .put("pool_wall_ms", pool_ms)
       .put("speedup", speedup)
-      .put("fold_wall_ms", fold_ms)
-      .put("kernel_wall_ms", kernel_ms)
+      .put("fold_cpu_ms", fold_ms)
+      .put("kernel_cpu_ms", kernel_ms)
       .put("kernel_speedup", kernel_speedup)
       .put("field_mul_fixed_ns", fixed_ns)
       .put("field_mul_montctx_ns", montctx_ns)
@@ -714,6 +757,8 @@ void engine_batch_report() {
       .put("merge_kernel_ms", merged_ms)
       .put("merge_speedup", merge_speedup)
       .put("merge_stats", stats_json(merge_delta))
+      .put("merge_threshold_terms", th_terms.size())
+      .put("merge_threshold_loops", th_loops)
       .put("serial_stats", stats_json(serial_eng.stats()))
       .put("pool_stats", stats_json(pool_eng.stats()));
   write_bench_json("pairing_micro", root);

@@ -218,11 +218,12 @@ GT decrypt_with(const Group& grp, const Ciphertext& ct, const UserPublicKey& use
   // numerator terms prod_k e(C', K_{UID,AID_k}) folded with a negated
   // argument (e(a, -b) is exactly e(a, b)^{-1}). Every one of the
   // 2l + N_A pairings — the decryption bottleneck (DESIGN.md sections 5,
-  // 12) — has PK_UID or C' as its first argument, so the engine merges
-  // terms sharing a (first argument, exponent) into one Miller loop:
-  // an AND policy (every w_i = 1) runs 3 loops, (PK_UID, n_A),
-  // (C', n_A) and (C', 1), and the product shares one final
-  // exponentiation.
+  // 12) — has PK_UID or C' as its first argument, and the engine folds
+  // every small exponent into the second argument: an AND policy
+  // (every w_i = 1) runs 2 loops, e(PK_UID, n_A * sum C_i) and
+  // e(C', n_A * sum K_x - sum K), with no Miller-value power, and the
+  // product shares one final exponentiation. A threshold policy's
+  // full-size w_i keep a (first argument, exponent) class each.
   std::vector<CryptoEngine::PairTerm> terms;
   std::vector<Zr> exps;
   terms.reserve(2 * coeffs.size() + involved.size());

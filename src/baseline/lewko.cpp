@@ -149,7 +149,8 @@ GT lewko_decrypt(const Group& grp, const LewkoCiphertext& ct, const LewkoUserKey
   // (e(H(GID), C3_i) / e(K_x, C2_i))^{w_i} becomes two kernel terms with
   // exponent w_i, the divisor's point negated (e(K_x, -C2_i) is exactly
   // e(K_x, C2_i)^{-1}). H(GID) repeats as first argument, so the engine
-  // merges its terms of equal w_i into one Miller loop. The C1_i^{w_i}
+  // merges its terms into one Miller loop per full-size w_i, plus one
+  // for all the small w_i it folds into C3_i. The C1_i^{w_i}
   // factors stay a GT multi-exponentiation.
   CryptoEngine& eng = CryptoEngine::for_group(grp);
   std::vector<CryptoEngine::PairTerm> pair_terms;

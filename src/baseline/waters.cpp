@@ -113,8 +113,9 @@ GT waters_decrypt(const Group& grp, const WatersCiphertext& ct,
   // to w_i on the unreduced Miller values, the blinding pairing folded
   // with a negated argument (e(C', -K) = e(C', K)^{-1}), a single
   // shared final exponentiation. L repeats across rows as the first
-  // argument, so the engine merges the L terms of equal w_i into one
-  // Miller loop; each D_i is its own.
+  // argument, so the engine merges the L terms into one Miller loop per
+  // full-size w_i, plus one for all the small w_i it folds into C_i;
+  // each D_i is its own.
   CryptoEngine& eng = CryptoEngine::for_group(grp);
   std::vector<CryptoEngine::PairTerm> pair_terms;
   std::vector<Zr> exps;

@@ -1,5 +1,6 @@
 #include "engine/engine.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -7,6 +8,7 @@
 #include <cstdlib>
 #include <list>
 #include <map>
+#include <optional>
 #include <thread>
 
 #include "common/errors.h"
@@ -27,6 +29,28 @@ namespace {
 thread_local bool tl_in_worker = false;
 
 std::atomic<int> g_default_override{0};
+
+/// base_pow_batch's table threshold: the break-even of a window table
+/// used once, its build cost over the saving per exponent,
+/// pairing.g1_table_build_ms / (g1_exp_us - g1_exp_table_us). That is
+/// 6.1 to 7.8 on pbc_a512 (DESIGN.md section 20); from 8 exponents on the
+/// table is the cheaper path on both measurements. The LRU's
+/// kBuildThreshold is lower because its tables are reused.
+constexpr size_t kBatchTableThreshold = 8;
+
+/// The fold rule, decided from the exponent alone so that the engine's
+/// counts repeat exactly: the k with k == e (mod r) and a magnitude
+/// below 2^64, if there is one. e(a,b)^e == e(a, k*b) exactly in GT for
+/// a in the order-r subgroup; a full-size exponent (a threshold
+/// policy's Lagrange fraction) gets nothing, since a 160-bit G1
+/// multiply costs more than the Miller loop and GT power it would save.
+std::optional<pairing::SmallScalar> small_exponent(const Zr& e, const math::Bignum& r) {
+  const math::Bignum& v = e.value();
+  if (v.bit_length() <= 64) return pairing::SmallScalar{v.to_u64(), false};
+  const math::Bignum neg = math::Bignum::sub(r, v);
+  if (neg.bit_length() <= 64) return pairing::SmallScalar{neg.to_u64(), true};
+  return std::nullopt;
+}
 
 /// Registry handles for the engine's global counters/histograms,
 /// interned once (the registry returns process-lifetime references).
@@ -398,39 +422,54 @@ GT CryptoEngine::pairing_power_product(const std::vector<PairTerm>& terms,
   const size_t n = terms.size();
   scope.delta.pairings = n;
   scope.set_items(n);
-  // Sort the live terms into classes keyed by (first argument,
-  // exponent), in first-appearance order. pair() defines identity
-  // inputs as 1, and a zero exponent makes the factor 1 outright; both
-  // would inject degenerate values into the shared reduction, so they
-  // are skipped — which is exactly what the serial fold multiplies by
-  // anyway. By bilinearity a class is ONE pairing,
-  //   prod_i e(a, b_i)^e == e(a, sum_i b_i)^e,
+  // Sort the live terms into classes, in first-appearance order. pair()
+  // defines identity inputs as 1, and a zero exponent makes the factor
+  // 1 outright; both would inject degenerate values into the shared
+  // reduction, so they are skipped — which is exactly what the serial
+  // fold multiplies by anyway. A term whose exponent is small folds it
+  // into its second argument and joins its first argument's folded
+  // class; a full-size exponent keys a class by (first argument,
+  // exponent). By bilinearity a class is ONE pairing,
+  //   prod_i e(a, b_i)^{k_i} == e(a, sum_i k_i*b_i),
+  //   prod_i e(a, b_i)^e     == e(a, sum_i b_i)^e,
   // exact in GT for a in the order-r subgroup.
-  std::vector<size_t> heads;            // each class's first term
-  std::vector<std::vector<G1>> seconds;  // each class's second arguments
-  std::map<Bytes, size_t> index;        // a || exponent bytes -> class
+  std::vector<size_t> heads;                   // each class's first term
+  std::vector<const Zr*> powers;               // full-size exponent, or null
+  std::vector<std::vector<pairing::G1Run>> runs;  // one run per distinct k
+  std::vector<uint64_t> uses;                  // terms per class
+  std::map<Bytes, size_t> index;  // a, or a || exponent bytes -> class
   for (size_t i = 0; i < n; ++i) {
     if (terms[i].a.is_identity() || terms[i].b.is_identity()) continue;
     if (!exps.empty() && exps[i].is_zero()) continue;
+    const std::optional<pairing::SmallScalar> small =
+        exps.empty() ? pairing::SmallScalar{} : small_exponent(exps[i], grp_->order());
     Bytes key = terms[i].a.to_bytes();
-    if (!exps.empty()) {
+    if (!small) {
       const Bytes e = exps[i].to_bytes();
       key.insert(key.end(), e.begin(), e.end());
     }
     const auto [it, fresh] = index.try_emplace(std::move(key), heads.size());
     if (fresh) {
       heads.push_back(i);
-      seconds.emplace_back();
+      powers.push_back(small ? nullptr : &exps[i]);
+      runs.emplace_back();
+      uses.push_back(0);
     }
-    seconds[it->second].push_back(terms[i].b);
+    const size_t c = it->second;
+    const pairing::SmallScalar k = small.value_or(pairing::SmallScalar{});
+    auto run = std::find_if(runs[c].begin(), runs[c].end(),
+                            [&](const pairing::G1Run& r) { return r.k == k; });
+    if (run == runs[c].end()) run = runs[c].insert(run, {k, {}});
+    run->pts.push_back(terms[i].b);
+    ++uses[c];
   }
-  // One batch inversion takes every class sum to affine. A class whose
-  // sum cancels to the identity is a factor of 1, skipped like an
-  // identity term.
-  const std::vector<G1> sums = grp_->g1_sums(seconds);
+  // One batch inversion takes every class's second argument to affine.
+  // A class whose argument cancels to the identity is a factor of 1,
+  // skipped like an identity term.
+  const std::vector<G1> seconds = grp_->g1_combinations(runs);
   std::vector<size_t> live;
-  for (size_t k = 0; k < sums.size(); ++k)
-    if (!sums[k].is_identity()) live.push_back(k);
+  for (size_t c = 0; c < seconds.size(); ++c)
+    if (!seconds[c].is_identity()) live.push_back(c);
   if (live.empty()) return grp_->gt_one();
   scope.delta.tasks = live.size();
   scope.delta.miller_loops = live.size();
@@ -443,9 +482,8 @@ GT CryptoEngine::pairing_power_product(const std::vector<PairTerm>& terms,
   {
     std::lock_guard<std::mutex> lk(cache_->mu);
     for (size_t j = 0; j < live.size(); ++j) {
-      const size_t k = live[j];
-      pre[j] = cache_->line_table(*grp_, terms[heads[k]].a, seconds[k].size(), false,
-                                  scope.delta);
+      const size_t c = live[j];
+      pre[j] = cache_->line_table(*grp_, terms[heads[c]].a, uses[c], false, scope.delta);
     }
   }
 
@@ -453,30 +491,33 @@ GT CryptoEngine::pairing_power_product(const std::vector<PairTerm>& terms,
   // the caller.
   std::vector<pairing::MillerVal> parts(live.size());
   run_items(live.size(), [&](size_t j) {
-    const size_t k = live[j];
-    parts[j] = pre[j] ? grp_->miller_with(*pre[j], sums[k])
-                      : grp_->miller(terms[heads[k]].a, sums[k]);
+    const size_t c = live[j];
+    parts[j] = pre[j] ? grp_->miller_with(*pre[j], seconds[c])
+                      : grp_->miller(terms[heads[c]].a, seconds[c]);
   });
 
   // Fold unreduced values in class order — exact arithmetic makes the
   // reduced product byte-identical to the serial pair-then-multiply
-  // loop at any thread count. Runs of classes with equal adjacent
-  // exponents fold first and are raised once ((m1*m2)^e == m1^e * m2^e
-  // exactly).
+  // loop at any thread count. Runs of adjacent classes with equal
+  // full-size exponents fold first and are raised once
+  // ((m1*m2)^e == m1^e * m2^e exactly); folded classes are raised to
+  // nothing.
+  const auto same_power = [&](size_t x, size_t y) {
+    const Zr* ex = powers[live[x]];
+    const Zr* ey = powers[live[y]];
+    return ex == nullptr ? ey == nullptr : ey != nullptr && *ex == *ey;
+  };
   pairing::MillerVal acc = grp_->miller_one();
-  if (exps.empty()) {
-    for (const pairing::MillerVal& p : parts) acc = acc.mul(p);
-  } else {
-    for (size_t j = 0; j < live.size();) {
-      pairing::MillerVal run = parts[j];
-      const Zr& e = exps[heads[live[j]]];
-      size_t end = j + 1;
-      for (; end < live.size() && exps[heads[live[end]]] == e; ++end)
-        run = run.mul(parts[end]);
+  for (size_t j = 0; j < live.size();) {
+    pairing::MillerVal run = parts[j];
+    size_t end = j + 1;
+    for (; end < live.size() && same_power(j, end); ++end) run = run.mul(parts[end]);
+    if (const Zr* e = powers[live[j]]) {
       ++scope.delta.gt_exps;
-      acc = acc.mul(run.pow(e));
-      j = end;
+      run = run.pow(*e);
     }
+    acc = acc.mul(run);
+    j = end;
   }
   // The single shared final exponentiation for the whole product.
   return grp_->miller_reduce(acc);
@@ -598,7 +639,7 @@ std::vector<G1> CryptoEngine::base_pow_batch(const G1& base, const std::vector<Z
   // The table lives for this batch only; counted as multi_exp_g1 counts
   // an LRU table: one build, and a hit for every exponent it serves.
   std::unique_ptr<const pairing::G1FixedBase> table;
-  if (!base.is_identity() && n >= LruCache::kBuildThreshold) {
+  if (!base.is_identity() && n >= kBatchTableThreshold) {
     table = grp_->g1_precompute(base);
     scope.delta.table_builds = 1;
     scope.delta.table_hits = n;

@@ -6,14 +6,14 @@
 // those serial loops into batches executed on a fixed-size thread pool:
 //
 //   * pairing_product / pairing_power_product — the multi-pairing
-//     kernel: terms sharing a (first argument, exponent) merge by
-//     bilinearity into one Miller loop on the sum of their second
-//     arguments (an AND decrypt's 2l + N_A terms run 3 loops), the
-//     loops run in parallel (with fixed-argument line tables cached in
-//     the LRU), unreduced values fold in class order, and the product
-//     pays one shared final exponentiation. pair() is the single-term
-//     form for callers that pair one term at a time against a warmed
-//     base.
+//     kernel: by bilinearity, terms sharing a first argument merge into
+//     one Miller loop, small exponents folded into their second
+//     arguments (an AND decrypt's 2l + N_A terms run 2 loops) and each
+//     full-size exponent keeping a class of its own; the loops run in
+//     parallel (with fixed-argument line tables cached in the LRU),
+//     unreduced values fold in class order, and the product pays one
+//     shared final exponentiation. pair() is the single-term form for
+//     callers that pair one term at a time against a warmed base.
 //   * multi_exp_g1 / multi_exp_gt — batched variable-base
 //     exponentiation with a per-Group LRU precomputation cache:
 //     bases seen repeatedly across batches (PK_UID in KeyGen, the
@@ -150,16 +150,21 @@ class CryptoEngine {
   /// prod_i e(a_i, b_i) through the multi-pairing kernel below, with no
   /// exponents (classes are keyed by first argument alone).
   pairing::GT pairing_product(const std::vector<PairTerm>& terms);
-  /// prod_i e(a_i, b_i)^{e_i}. The live terms sort into classes keyed
-  /// by (a_i, e_i), in first-appearance order, and each class runs ONE
-  /// Miller loop on e(a, sum_i b_i) — bilinearity makes that exact in
-  /// GT for a in the order-r subgroup. Group::g1_sums adds each class's
-  /// second arguments and takes all sums to affine with one batch
-  /// inversion. The loops run in parallel (a class's first argument
-  /// touches the LRU's line tables once, counting one use per term, so
-  /// merging does not delay a table's promotion), exponents apply to the
-  /// unreduced values (runs of classes with equal adjacent exponents
-  /// are raised once), and the product pays ONE final exponentiation.
+  /// prod_i e(a_i, b_i)^{e_i}. The live terms sort into classes in
+  /// first-appearance order. An exponent with a signed representative
+  /// k, |k| < 2^64, is small: the term joins a_i's folded class as
+  /// k*b_i (e(a,b)^e == e(a, k*b) exactly in GT for a in the order-r
+  /// subgroup). Any other exponent keys a class by (a_i, e_i), whose
+  /// second arguments are summed and whose Miller value is raised to
+  /// e_i. The rule reads the exponent only, so counts repeat exactly.
+  /// Each class runs ONE Miller loop; Group::g1_combinations forms
+  /// every class's second argument and takes them all to affine with
+  /// one batch inversion. The loops run in parallel (a class's first
+  /// argument touches the LRU's line tables once, counting one use per
+  /// term, so merging does not delay a table's promotion), full-size
+  /// exponents apply to the unreduced values (runs of classes with
+  /// equal adjacent exponents are raised once), and the product pays
+  /// ONE final exponentiation.
   /// Identity terms, zero exponents and classes whose sum cancels are
   /// skipped — each is a factor of 1, and a degenerate Miller value
   /// must never reach the shared reduction; a product with nothing left
@@ -191,11 +196,12 @@ class CryptoEngine {
   std::vector<pairing::G1> g_pow_batch(const std::vector<pairing::Zr>& exps);
   std::vector<pairing::GT> egg_pow_batch(const std::vector<pairing::Zr>& exps);
   /// base ^ exp_i for one base shared by the whole batch. From the
-  /// LRU's break-even count of exponents on, the batch builds a window
-  /// table for `base` (one table build, every exponent a table hit) and
-  /// drops it on return: the base is a one-off per call (an epoch's
-  /// UK1), so it never enters the LRU. Below that count, or for the
-  /// identity, plain multiplies. One inversion normalizes the batch.
+  /// break-even count of a once-used table on (8 exponents), the batch
+  /// builds a window table for `base` (one table build, every exponent
+  /// a table hit) and drops it on return: the base is a one-off per
+  /// call (an epoch's UK1), so it never enters the LRU. Below that
+  /// count, or for the identity, plain multiplies. One inversion
+  /// normalizes the batch.
   std::vector<pairing::G1> base_pow_batch(const pairing::G1& base,
                                           const std::vector<pairing::Zr>& exps);
 

@@ -6,6 +6,7 @@
 
 #include "common/errors.h"
 #include "math/field_kernels.h"
+#include "math/window_pow.h"
 
 #if defined(__x86_64__) && defined(__GNUC__) && defined(__ELF__)
 #define MAABE_FIELD_ADX 1
@@ -554,44 +555,9 @@ MontField::MontField(const Bignum& modulus) : modulus_(modulus) {
 }
 
 FieldElem MontField::pow(const FieldElem& base, const Bignum& exp) const {
-  // Sliding window over odd powers: the exponent splits into runs of
-  // zeros (one squaring per bit) and windows of at most w bits that
-  // start and end on a set bit (w squarings, then one multiply by the
-  // window's odd power). A 510-bit exponent with half its bits set
-  // pays ~509 squarings + ~89 multiplies instead of 509 + 260, plus 16
-  // for the table. Canonical residues make the result the same bits as
-  // square-and-multiply.
-  const int bits = exp.bit_length();
-  if (bits == 0) return one_;
-  const int w = bits > 256 ? 5 : bits > 64 ? 4 : bits > 16 ? 3 : bits > 4 ? 2 : 1;
-  FieldElem odd[16];  // odd[k] = base^(2k+1)
-  odd[0] = base;
-  if (w > 1) {
-    const FieldElem base2 = sqr(base);
-    for (int k = 1; k < (1 << (w - 1)); ++k) odd[k] = mul(odd[k - 1], base2);
-  }
-  FieldElem result;
-  bool first = true;  // the top bit is set, so the first step is a window
-  for (int i = bits - 1; i >= 0;) {
-    if (!exp.bit(i)) {
-      result = sqr(result);
-      --i;
-      continue;
-    }
-    int low = std::max(i - w + 1, 0);
-    while (!exp.bit(low)) ++low;
-    int digit = 0;
-    for (int b = i; b >= low; --b) digit = (digit << 1) | static_cast<int>(exp.bit(b));
-    if (first) {
-      result = odd[digit >> 1];
-      first = false;
-    } else {
-      for (int b = i; b >= low; --b) result = sqr(result);
-      result = mul(result, odd[digit >> 1]);
-    }
-    i = low - 1;
-  }
-  return result;
+  return window_pow(
+      one_, base, exp, [this](const FieldElem& x, const FieldElem& y) { return mul(x, y); },
+      [this](const FieldElem& x) { return sqr(x); });
 }
 
 FieldElem MontField::inv(const FieldElem& a) const {

@@ -1,5 +1,7 @@
 #include "pairing/curve.h"
 
+#include <bit>
+
 #include "common/errors.h"
 
 namespace maabe::pairing {
@@ -93,6 +95,38 @@ JacPoint CurveCtx::jac_add_mixed(const JacPoint& p, const AffinePoint& q) const 
   const FieldElem yr = fq_.sub(fq_.mul(rr, fq_.sub(v, xr)), fq_.mul(p.y, h3));
   const FieldElem zr = fq_.mul(p.z, hh);
   return {xr, yr, zr};
+}
+
+JacPoint CurveCtx::jac_add(const JacPoint& p, const JacPoint& q) const {
+  if (p.z.is_zero()) return q;
+  if (q.z.is_zero()) return p;
+  // jac_add_mixed with q's Z^2 and Z^3 scaled into p's side.
+  const FieldElem pz2 = fq_.sqr(p.z), qz2 = fq_.sqr(q.z);
+  const FieldElem u1 = fq_.mul(p.x, qz2), u2 = fq_.mul(q.x, pz2);
+  const FieldElem s1 = fq_.mul(p.y, fq_.mul(qz2, q.z));
+  const FieldElem s2 = fq_.mul(q.y, fq_.mul(pz2, p.z));
+  const FieldElem hh = fq_.sub(u2, u1);
+  const FieldElem rr = fq_.sub(s2, s1);
+  if (hh.is_zero()) {
+    if (rr.is_zero()) return jac_dbl(p);
+    return {fq_.one(), fq_.one(), fq_.zero()};  // p == -q
+  }
+  const FieldElem h2 = fq_.sqr(hh);
+  const FieldElem h3 = fq_.mul(hh, h2);
+  const FieldElem v = fq_.mul(u1, h2);
+  const FieldElem xr = fq_.sub(fq_.sub(fq_.sqr(rr), h3), fq_.dbl(v));
+  const FieldElem yr = fq_.sub(fq_.mul(rr, fq_.sub(v, xr)), fq_.mul(s1, h3));
+  const FieldElem zr = fq_.mul(fq_.mul(p.z, q.z), hh);
+  return {xr, yr, zr};
+}
+
+JacPoint CurveCtx::jac_mul_u64(const JacPoint& p, uint64_t k) const {
+  JacPoint acc{fq_.one(), fq_.one(), fq_.zero()};
+  for (int i = std::bit_width(k) - 1; i >= 0; --i) {
+    acc = jac_dbl(acc);
+    if ((k >> i) & 1) acc = jac_add(acc, p);
+  }
+  return acc;
 }
 
 AffinePoint CurveCtx::dbl(const AffinePoint& p) const {

@@ -56,6 +56,11 @@ class CurveCtx {
   JacPoint jac_dbl(const JacPoint& p) const;
   /// Mixed addition with an affine q; q must not be infinity.
   JacPoint jac_add_mixed(const JacPoint& p, const AffinePoint& q) const;
+  /// Full Jacobian addition; either operand may be infinity.
+  JacPoint jac_add(const JacPoint& p, const JacPoint& q) const;
+  /// k*p by double-and-add on a Jacobian point, for scalars that fit a
+  /// machine word (the multi-pairing kernel's folded exponents).
+  JacPoint jac_mul_u64(const JacPoint& p, uint64_t k) const;
 
   /// Solves y^2 = x^3 + x for y given x (Montgomery form); returns false
   /// if the RHS is a non-residue.

@@ -1,6 +1,7 @@
 #include "pairing/fp2.h"
 
 #include "common/errors.h"
+#include "math/window_pow.h"
 
 namespace maabe::pairing {
 
@@ -36,12 +37,9 @@ Fp2 Fp2Ctx::inv(const Fp2& x) const {
 }
 
 Fp2 Fp2Ctx::pow(const Fp2& base, const Bignum& exp) const {
-  Fp2 result = one();
-  for (int i = exp.bit_length() - 1; i >= 0; --i) {
-    result = sqr(result);
-    if (exp.bit(i)) result = mul(result, base);
-  }
-  return result;
+  return math::window_pow(
+      one(), base, exp, [this](const Fp2& x, const Fp2& y) { return mul(x, y); },
+      [this](const Fp2& x) { return sqr(x); });
 }
 
 bool Fp2Ctx::is_norm_one(const Fp2& x) const {
@@ -58,15 +56,11 @@ Fp2 Fp2Ctx::sqr_cyclotomic(const Fp2& x) const {
 }
 
 Fp2 Fp2Ctx::pow_cyclotomic(const Fp2& base, const Bignum& exp) const {
-  // The running value stays in the cyclotomic subgroup (it is a power
-  // of `base`), so every square step may use the cheap form. one() is
-  // norm-1 too, so the identity-prefix squarings are covered.
-  Fp2 result = one();
-  for (int i = exp.bit_length() - 1; i >= 0; --i) {
-    result = sqr_cyclotomic(result);
-    if (exp.bit(i)) result = mul(result, base);
-  }
-  return result;
+  // Every value the window routine squares is a power of `base`, so it
+  // stays in the cyclotomic subgroup and may use the cheap square.
+  return math::window_pow(
+      one(), base, exp, [this](const Fp2& x, const Fp2& y) { return mul(x, y); },
+      [this](const Fp2& x) { return sqr_cyclotomic(x); });
 }
 
 Fp2 Fp2Ctx::random(crypto::Drbg& rng) const {

@@ -39,6 +39,8 @@ class Fp2Ctx {
   Fp2 conj(const Fp2& x) const { return {x.a, fq_.neg(x.b)}; }
   /// (a+bi)^{-1} = (a-bi) / (a^2+b^2). Throws MathError on zero.
   Fp2 inv(const Fp2& x) const;
+  /// Sliding-window exponentiation (math::window_pow, up to 5-bit
+  /// windows over odd powers).
   Fp2 pow(const Fp2& base, const math::Bignum& exp) const;
 
   /// Norm a^2 + b^2 == 1, i.e. membership in the order-(q+1) cyclotomic
@@ -49,7 +51,9 @@ class Fp2Ctx {
   /// base-field *squarings* and no multiplications. Only valid when
   /// is_norm_one(x); produces bits identical to sqr(x) there.
   Fp2 sqr_cyclotomic(const Fp2& x) const;
-  /// pow() with cyclotomic squarings; base must satisfy is_norm_one.
+  /// pow() with cyclotomic squarings — the same window routine, so the
+  /// final exponentiation's hard part and GT::pow share one loop; base
+  /// must satisfy is_norm_one.
   Fp2 pow_cyclotomic(const Fp2& base, const math::Bignum& exp) const;
 
   /// Uniform nonzero-capable random element.

@@ -413,15 +413,35 @@ GT Group::miller_reduce(const MillerVal& f) const {
   return GT(this, ctx_.final_exponentiation(f.v_));
 }
 
-std::vector<G1> Group::g1_sums(const std::vector<std::vector<G1>>& sets) const {
+JacPoint Group::g1_sum_jac(const std::vector<G1>& pts) const {
   const CurveCtx& curve = ctx_.curve();
+  JacPoint acc = curve.to_jac(AffinePoint::infinity());
+  for (const G1& p : pts) {
+    require_same_group(this, p.g_, "Group::g1_sums");
+    if (!p.pt_.inf) acc = curve.jac_add_mixed(acc, p.pt_);
+  }
+  return acc;
+}
+
+std::vector<G1> Group::g1_sums(const std::vector<std::vector<G1>>& sets) const {
   std::vector<JacPoint> jac;
   jac.reserve(sets.size());
-  for (const std::vector<G1>& set : sets) {
+  for (const std::vector<G1>& set : sets) jac.push_back(g1_sum_jac(set));
+  return g1_normalize(jac);
+}
+
+std::vector<G1> Group::g1_combinations(const std::vector<std::vector<G1Run>>& combos) const {
+  const CurveCtx& curve = ctx_.curve();
+  const FpCtx& fq = ctx_.fq();
+  std::vector<JacPoint> jac;
+  jac.reserve(combos.size());
+  for (const std::vector<G1Run>& runs : combos) {
     JacPoint acc = curve.to_jac(AffinePoint::infinity());
-    for (const G1& p : set) {
-      require_same_group(this, p.g_, "Group::g1_sums");
-      if (!p.pt_.inf) acc = curve.jac_add_mixed(acc, p.pt_);
+    for (const G1Run& run : runs) {
+      JacPoint part = g1_sum_jac(run.pts);
+      if (run.k.mag != 1) part = curve.jac_mul_u64(part, run.k.mag);
+      if (run.k.neg) part.y = fq.neg(part.y);
+      acc = curve.jac_add(acc, part);
     }
     jac.push_back(acc);
   }

@@ -173,6 +173,21 @@ class GT {
   Fp2 v_;
 };
 
+/// A signed scalar with a machine-word magnitude, k = neg ? -mag : mag:
+/// the small exponents the multi-pairing kernel folds into G1.
+struct SmallScalar {
+  uint64_t mag = 1;
+  bool neg = false;
+
+  friend bool operator==(const SmallScalar&, const SmallScalar&) = default;
+};
+
+/// k * (p_1 + ... + p_n): one run of a G1 linear combination.
+struct G1Run {
+  SmallScalar k;
+  std::vector<G1> pts;
+};
+
 class Group {
  public:
   /// The paper's setting: 512-bit base field, 160-bit order (PBC a.param).
@@ -260,6 +275,14 @@ class Group {
   /// Affine coordinates are canonical, so each sum has the same bits as
   /// a G1::add fold.
   std::vector<G1> g1_sums(const std::vector<std::vector<G1>>& sets) const;
+  /// g1_sums generalized to small scalars: each combination is
+  /// sum_runs k * (sum of the run's points). Each run is summed with
+  /// mixed additions, scaled by its k in Jacobian form (double-and-add,
+  /// then a negation for k < 0) and added to the combination; every
+  /// combination goes to affine with ONE inversion. The result is the
+  /// point itself, so its bits do not depend on how the terms were
+  /// grouped into runs.
+  std::vector<G1> g1_combinations(const std::vector<std::vector<G1Run>>& combos) const;
 
   /// Line-coefficient table for a fixed first pairing argument (the
   /// pairing analogue of g1_precompute). `base` may be the identity —
@@ -300,6 +323,10 @@ class Group {
   friend class G1;
   friend class GT;
   friend class MillerVal;
+
+  /// The points' sum in Jacobian form (mixed additions; identity
+  /// entries add nothing).
+  JacPoint g1_sum_jac(const std::vector<G1>& pts) const;
 
   PairingCtx ctx_;
   math::MontField zr_field_;

@@ -55,6 +55,42 @@ class SchemeTest : public ::testing::Test {
     return encrypt(*grp, owner_mk, id, m, policy, apks, attr_pks, rng);
   }
 
+  // A threshold policy's rows carry distinct w_i; the product must still
+  // equal the serial per-pairing fold of the paper's formula, byte for
+  // byte. Alice's Doctor@Med and Researcher@Trial decrypt `policy`;
+  // `loops` is what the kernel's fold rule leaves of its 6 pairings.
+  void expect_threshold_decrypt_matches_fold(const std::string& policy, uint64_t loops) {
+    const GT m = grp->gt_random(rng);
+    const auto [ct, rec] = enc(policy, m);
+    std::set<lsss::Attribute> have;
+    for (const auto& [aid, sk] : alice_keys)
+      for (const lsss::Attribute& a : sk.attributes()) have.insert(a);
+    const auto coeffs = ct.policy.reconstruction(*grp, have);
+    ASSERT_TRUE(coeffs.has_value());
+    ASSERT_EQ(coeffs->size(), 2u);
+    ASSERT_NE((*coeffs)[0].w, (*coeffs)[1].w);
+
+    const Zr n_a = grp->zr_from_u64(ct.involved_authorities().size());
+    GT expected = ct.c;
+    for (const auto& [row, w] : *coeffs) {
+      const lsss::Attribute& attr = ct.policy.row_attribute(row);
+      const G1& kx = alice_keys.at(attr.aid).kx.at(attr.qualified());
+      expected = expected * (grp->pair(alice.pk, ct.ci[row]) * grp->pair(ct.c_prime, kx))
+                                .pow(w * n_a);
+    }
+    for (const std::string& aid : ct.involved_authorities())
+      expected = expected / grp->pair(ct.c_prime, alice_keys.at(aid).k);
+    ASSERT_EQ(expected, m);
+
+    engine::CryptoEngine& eng = engine::CryptoEngine::for_group(*grp);
+    const engine::EngineStats before = eng.stats();
+    EXPECT_EQ(decrypt(*grp, ct, alice, alice_keys).to_bytes(), expected.to_bytes());
+    const engine::EngineStats d = eng.stats() - before;
+    EXPECT_EQ(d.pairings, 6u);
+    EXPECT_EQ(d.miller_loops, loops);
+    EXPECT_EQ(d.final_exps, 1u);
+  }
+
   std::shared_ptr<const Group> grp;
   crypto::Drbg rng;
   OwnerMasterKey owner_mk;
@@ -175,11 +211,12 @@ TEST_F(SchemeTest, DecryptRejectsForeignOwnerKeys) {
   EXPECT_THROW(decrypt(*grp, ct, alice, foreign), SchemeError);
 }
 
-// Decrypt is ONE pairing product of 2l + N_A terms, and the kernel runs
-// one Miller loop per (first argument, exponent) class. An AND policy
-// gives every row the exponent w_i * N_A = N_A, so its 22 terms fall
-// into three classes: (PK_UID, N_A), (C', N_A) and the numerator (C', 1).
-TEST_F(SchemeTest, AndOfTenAcrossTwoAuthoritiesRunsThreeMillerLoops) {
+// Decrypt is ONE pairing product of 2l + N_A terms, and the kernel folds
+// every small exponent into the second argument, so it runs one Miller
+// loop per first argument. An AND policy gives every row the exponent
+// w_i * N_A = N_A and the numerator -1, so its 22 terms fall into two
+// classes: e(PK_UID, N_A * sum C_i) and e(C', N_A * sum K_x - sum K).
+TEST_F(SchemeTest, AndOfTenAcrossTwoAuthoritiesRunsTwoMillerLoops) {
   std::string policy;
   std::set<std::string> med, trial;
   for (int i = 0; i < 5; ++i) {
@@ -203,43 +240,26 @@ TEST_F(SchemeTest, AndOfTenAcrossTwoAuthoritiesRunsThreeMillerLoops) {
   EXPECT_EQ(decrypt(*grp, ct, carol, keys), m);
   const engine::EngineStats d = eng.stats() - before;
   EXPECT_EQ(d.pairings, 22u);  // 2l + N_A, as Table I counts them
-  EXPECT_EQ(d.miller_loops, 3u);
+  EXPECT_EQ(d.miller_loops, 2u);
+  EXPECT_EQ(d.gt_exps, 0u);
   EXPECT_EQ(d.final_exps, 1u);
 }
 
-// A threshold policy's rows carry distinct w_i, so no two rows merge;
-// the product must still equal the serial per-pairing fold of the
-// paper's formula, byte for byte.
+// Shares at x = 1 and x = 2 reconstruct with w = (2, -1): with N_A = 2
+// every exponent is small, so all six terms fold into the two first
+// arguments.
 TEST_F(SchemeTest, ThresholdDecryptMatchesSerialPairingFold) {
-  const GT m = grp->gt_random(rng);
-  const auto [ct, rec] = enc("2of(Doctor@Med, Researcher@Trial, Reviewer@Trial)", m);
-  std::set<lsss::Attribute> have;
-  for (const auto& [aid, sk] : alice_keys)
-    for (const lsss::Attribute& a : sk.attributes()) have.insert(a);
-  const auto coeffs = ct.policy.reconstruction(*grp, have);
-  ASSERT_TRUE(coeffs.has_value());
-  ASSERT_EQ(coeffs->size(), 2u);
-  ASSERT_NE((*coeffs)[0].w, (*coeffs)[1].w);
+  expect_threshold_decrypt_matches_fold("2of(Doctor@Med, Researcher@Trial, Reviewer@Trial)",
+                                        2);
+}
 
-  const Zr n_a = grp->zr_from_u64(ct.involved_authorities().size());
-  GT expected = ct.c;
-  for (const auto& [row, w] : *coeffs) {
-    const lsss::Attribute& attr = ct.policy.row_attribute(row);
-    const G1& kx = alice_keys.at(attr.aid).kx.at(attr.qualified());
-    expected = expected * (grp->pair(alice.pk, ct.ci[row]) * grp->pair(ct.c_prime, kx))
-                              .pow(w * n_a);
-  }
-  for (const std::string& aid : ct.involved_authorities())
-    expected = expected / grp->pair(ct.c_prime, alice_keys.at(aid).k);
-  ASSERT_EQ(expected, m);
-
-  engine::CryptoEngine& eng = engine::CryptoEngine::for_group(*grp);
-  const engine::EngineStats before = eng.stats();
-  EXPECT_EQ(decrypt(*grp, ct, alice, alice_keys).to_bytes(), expected.to_bytes());
-  const engine::EngineStats d = eng.stats() - before;
-  EXPECT_EQ(d.pairings, 6u);
-  EXPECT_EQ(d.miller_loops, 5u);  // two rows x two first arguments + numerator
-  EXPECT_EQ(d.final_exps, 1u);
+// Shares at x = 1 and x = 4 reconstruct with w = (4/3, -1/3), full-size
+// residues mod r: each row keeps a (first argument, exponent) class of
+// its own and only the numerator folds — two rows x two first
+// arguments + the numerator.
+TEST_F(SchemeTest, ThresholdWithFractionalCoefficientsKeepsFullSizeClasses) {
+  expect_threshold_decrypt_matches_fold(
+      "2of(Doctor@Med, Nurse@Med, Reviewer@Trial, Researcher@Trial)", 5);
 }
 
 TEST_F(SchemeTest, RandomizedEncryption) {
@@ -611,7 +631,8 @@ struct OwnerPassWorld {
       apks.emplace(aid, aa_public_key(grp, vks.at(aid)));
     }
     for (const auto& [aid, name] : std::vector<std::pair<std::string, std::string>>{
-             {"Med", "Doctor"}, {"Med", "Nurse"}, {"Med", "Admin"},
+             {"Med", "Doctor"}, {"Med", "Nurse"}, {"Med", "Admin"}, {"Med", "Surgeon"},
+             {"Med", "Intern"},
              {"Gov", "Auditor"}, {"Gov", "Inspector"}}) {
       const PublicAttributeKey pk = aa_attribute_key(grp, vks.at(aid), name);
       pks.emplace(pk.attr.qualified(), pk);
@@ -620,7 +641,7 @@ struct OwnerPassWorld {
              {"and", "Doctor@Med AND Auditor@Gov"},
              {"or", "Nurse@Med OR Inspector@Gov"},
              {"threshold", "2 of (Doctor@Med, Nurse@Med, Auditor@Gov, Inspector@Gov)"},
-             {"med-only", "Admin@Med AND Nurse@Med"},
+             {"med-only", "Admin@Med AND Nurse@Med AND Surgeon@Med AND Intern@Med"},
              {"gov-only", "Auditor@Gov"}}) {
       encs.push_back(encrypt(grp, mk, id, grp.gt_random(rng),
                              LsssMatrix::from_policy(parse_policy(text)), apks, pks, rng));
@@ -670,16 +691,17 @@ void expect_owner_pass_matches_adapter(const Group& grp) {
     }
     ASSERT_EQ(want.size(), 4u);
 
-    // One pass over every record: 6 (Med) or 5 (Gov) exponents, at or
-    // above the engine's break-even count, so one table.
+    // One pass over every record: 8 (Med) exponents, at the break-even
+    // count of a once-used table, so one table; 5 (Gov), below it, so
+    // plain multiplies.
     engine::EngineStats before = eng.stats();
     const std::vector<UpdateInfo> got = owner_update_infos(grp, w.mk, w.records(), uk);
-    EXPECT_EQ((eng.stats() - before).table_builds, 1u);
+    EXPECT_EQ((eng.stats() - before).table_builds, aid == "Med" ? 1u : 0u);
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < want.size(); ++i)
       EXPECT_EQ(serialize(grp, got[i]), want[i]) << got[i].ct_id;
 
-    // One pass per record: one or two exponents, below the break-even
+    // One pass per record: one to four exponents, below the break-even
     // count, so plain multiplies.
     size_t next = 0;
     for (const EncryptionResult& e : w.encs) {
@@ -719,7 +741,7 @@ TEST(OwnerUpdateInfos, OnePassCostsOneTableBuildAndLeavesTheLruNoLarger) {
   const engine::EngineStats d = eng.stats() - before;
   uint64_t n = 0;
   for (const UpdateInfo& ui : infos) n += ui.ui.size();
-  EXPECT_EQ(n, 6u);
+  EXPECT_EQ(n, 8u);
   EXPECT_EQ(d.g1_exps, n);
   EXPECT_EQ(d.table_builds, 1u);
   EXPECT_EQ(d.table_hits, n);

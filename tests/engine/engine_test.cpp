@@ -89,11 +89,14 @@ TEST_F(EngineTest, PairingPowerProductMatchesSerialFold) {
 }
 
 // ---- Bilinear term merging ------------------------------------------
-// The kernel runs ONE Miller loop per (first argument, exponent) class,
-// on e(a, sum of the class's b_i). Each case below compares against the
-// serial per-pairing fold byte for byte at 1 and 4 threads and pins the
-// exact op delta: every submitted term counts as a pairing, every class
-// that does not cancel as a Miller loop.
+// The kernel runs ONE Miller loop per (first argument, full-size
+// exponent) class, on e(a, sum of the class's b_i), and one per first
+// argument for all its small exponents. Each case below compares
+// against the serial per-pairing fold byte for byte at 1 and 4 threads
+// and pins the exact op delta: every submitted term counts as a
+// pairing, every class that does not cancel as a Miller loop, every
+// run of equal full-size exponents as a GT exponentiation. Random
+// exponents are full-size.
 
 GT serial_power_fold(const Group& grp, const std::vector<CryptoEngine::PairTerm>& terms,
                      const std::vector<Zr>& exps) {
@@ -109,7 +112,7 @@ struct MergeCase {
 };
 
 void expect_merged(const Group& grp, const MergeCase& c, uint64_t loops,
-                   uint64_t final_exps) {
+                   uint64_t final_exps, uint64_t gt_exps) {
   const Bytes expected = serial_power_fold(grp, c.terms, c.exps).to_bytes();
   for (const int threads : {1, 4}) {
     CryptoEngine eng(grp, threads);
@@ -120,6 +123,7 @@ void expect_merged(const Group& grp, const MergeCase& c, uint64_t loops,
     EXPECT_EQ(d.pairings, c.terms.size()) << threads << " threads";
     EXPECT_EQ(d.miller_loops, loops) << threads << " threads";
     EXPECT_EQ(d.final_exps, final_exps) << threads << " threads";
+    EXPECT_EQ(d.gt_exps, gt_exps) << threads << " threads";
   }
 }
 
@@ -134,7 +138,7 @@ TEST_F(EngineTest, MergesRepeatedFirstArgumentsWithEqualExponents) {
     mc.terms.push_back({c, grp->g1_random(rng)});
     mc.exps.insert(mc.exps.end(), {e, e});
   }
-  expect_merged(*grp, mc, 2, 1);
+  expect_merged(*grp, mc, 2, 1, 1);
 }
 
 TEST_F(EngineTest, MergeSplitsOneFirstArgumentByExponent) {
@@ -145,7 +149,7 @@ TEST_F(EngineTest, MergeSplitsOneFirstArgumentByExponent) {
     mc.terms.push_back({a, grp->g1_random(rng)});
     mc.exps.push_back(e);
   }
-  expect_merged(*grp, mc, 2, 1);
+  expect_merged(*grp, mc, 2, 1, 2);
 }
 
 TEST_F(EngineTest, MergeSkipsAClassWhoseSecondArgumentsCancel) {
@@ -154,7 +158,7 @@ TEST_F(EngineTest, MergeSkipsAClassWhoseSecondArgumentsCancel) {
   MergeCase mc;
   mc.terms = {{a, b}, {grp->g1_random(rng), grp->g1_random(rng)}, {a, b.neg()}};
   mc.exps = {e, grp->zr_random(rng), e};
-  expect_merged(*grp, mc, 1, 1);
+  expect_merged(*grp, mc, 1, 1, 1);
 }
 
 TEST_F(EngineTest, MergeDoublesDuplicateSecondArguments) {
@@ -164,10 +168,10 @@ TEST_F(EngineTest, MergeDoublesDuplicateSecondArguments) {
   MergeCase mc;
   mc.terms = {{a, b}, {a, b}, {a, grp->g1_random(rng)}};
   mc.exps = {e, e, e};
-  expect_merged(*grp, mc, 1, 1);
+  expect_merged(*grp, mc, 1, 1, 1);
   mc.terms.pop_back();
   mc.exps.pop_back();
-  expect_merged(*grp, mc, 1, 1);
+  expect_merged(*grp, mc, 1, 1, 1);
 }
 
 TEST_F(EngineTest, AllCancellingProductIsOneWithoutFinalExponentiation) {
@@ -179,7 +183,116 @@ TEST_F(EngineTest, AllCancellingProductIsOneWithoutFinalExponentiation) {
   mc.exps = {e, f, e, f};
   ASSERT_EQ(serial_power_fold(*grp, mc.terms, mc.exps).to_bytes(),
             grp->gt_one().to_bytes());
-  expect_merged(*grp, mc, 0, 0);
+  expect_merged(*grp, mc, 0, 0, 0);
+}
+
+// ---- Small exponents fold into the second argument -------------------
+// An exponent e with min(e, r - e) below 2^64 becomes a signed k with
+// e(a,b)^e == e(a, k*b), and the term joins its first argument's folded
+// class: one Miller loop per first argument and no Miller-value power.
+
+/// The residue of -k mod r.
+Zr neg_small(const Group& grp, uint64_t k) { return grp.zr_from_u64(k).neg(); }
+
+TEST_F(EngineTest, SmallPositiveAndNegativeExponentsFoldPerFirstArgument) {
+  const G1 p = grp->g1_random(rng), c = grp->g1_random(rng);
+  MergeCase mc;
+  const uint64_t top = ~uint64_t{0};  // the largest magnitude that folds
+  for (const uint64_t k : {uint64_t{1}, uint64_t{2}, uint64_t{3}, uint64_t{2}, top}) {
+    mc.terms.push_back({p, grp->g1_random(rng)});
+    mc.exps.push_back(grp->zr_from_u64(k));
+    mc.terms.push_back({c, grp->g1_random(rng)});
+    mc.exps.push_back(neg_small(*grp, k));
+  }
+  expect_merged(*grp, mc, 2, 1, 0);
+}
+
+TEST_F(EngineTest, SmallAndLargeExponentsSharingAFirstArgument) {
+  // The folded class and each full-size class run their own loop; the
+  // one just past the 64-bit bound on either side is full-size.
+  const G1 a = grp->g1_random(rng);
+  const Zr big = grp->zr_random(rng);
+  const Zr two64 = grp->zr_from_u64(~uint64_t{0}) + grp->zr_one();
+  MergeCase mc;
+  for (const Zr& e : {grp->zr_from_u64(2), big, neg_small(*grp, 1), two64, big, two64.neg(),
+                      grp->zr_from_u64(7)}) {
+    mc.terms.push_back({a, grp->g1_random(rng)});
+    mc.exps.push_back(e);
+  }
+  // Classes in first-appearance order: folded, big, 2^64, -2^64, each
+  // raised once.
+  expect_merged(*grp, mc, 4, 1, 3);
+}
+
+TEST_F(EngineTest, FoldedClassThatCancelsCountsNoLoop) {
+  // e(a,b)^2 * e(a,-2b) == 1: the folded argument 2b - 2b is the
+  // identity, so the class drops out like an identity term.
+  const G1 a = grp->g1_random(rng), b = grp->g1_random(rng);
+  const G1 minus_2b = (b + b).neg();
+  MergeCase mc;
+  mc.terms = {{a, b}, {a, minus_2b}};
+  mc.exps = {grp->zr_from_u64(2), grp->zr_one()};
+  ASSERT_EQ(serial_power_fold(*grp, mc.terms, mc.exps).to_bytes(),
+            grp->gt_one().to_bytes());
+  expect_merged(*grp, mc, 0, 0, 0);
+  // Beside a live full-size class it costs that class's loop only.
+  mc.terms.push_back({a, grp->g1_random(rng)});
+  mc.exps.push_back(grp->zr_random(rng));
+  expect_merged(*grp, mc, 1, 1, 1);
+}
+
+TEST_F(EngineTest, FoldSkipsZeroExponentsAndIdentityTerms) {
+  const G1 a = grp->g1_random(rng);
+  MergeCase mc;
+  mc.terms = {{a, grp->g1_random(rng)},
+              {a, grp->g1_random(rng)},
+              {grp->g1_identity(), grp->g1_random(rng)},
+              {a, grp->g1_identity()},
+              {a, grp->g1_random(rng)}};
+  mc.exps = {grp->zr_from_u64(3), grp->zr_zero(), grp->zr_from_u64(5),
+             neg_small(*grp, 4), neg_small(*grp, 1)};
+  expect_merged(*grp, mc, 1, 1, 0);
+}
+
+TEST_F(EngineTest, PairingProductRunsOneLoopPerFirstArgument) {
+  // No exponents: every term is k = 1.
+  const G1 p = grp->g1_random(rng), c = grp->g1_random(rng);
+  std::vector<CryptoEngine::PairTerm> terms;
+  for (int i = 0; i < 4; ++i) {
+    terms.push_back({p, grp->g1_random(rng)});
+    terms.push_back({c, grp->g1_random(rng)});
+  }
+  terms.push_back({grp->g1_random(rng), grp->g1_random(rng)});
+  const Bytes expected =
+      serial_power_fold(*grp, terms, std::vector<Zr>(terms.size(), grp->zr_one())).to_bytes();
+  for (const int threads : {1, 4}) {
+    CryptoEngine eng(*grp, threads);
+    const EngineStats before = eng.stats();
+    EXPECT_EQ(eng.pairing_product(terms).to_bytes(), expected) << threads << " threads";
+    const EngineStats d = eng.stats() - before;
+    EXPECT_EQ(d.miller_loops, 3u) << threads << " threads";
+    EXPECT_EQ(d.gt_exps, 0u) << threads << " threads";
+  }
+}
+
+// The MA-ABE AND decrypt's shape on the paper curve: rows
+// (PK_UID, C_i, N_A) and (C', K_x, N_A), numerators (C', -K, 1).
+TEST(EnginePaperCurve, AndDecryptShapeRunsTwoLoopsAndMatchesSerialFold) {
+  const auto grp = Group::pbc_a512();
+  crypto::Drbg rng(std::string_view("engine-paper-curve"));
+  const G1 pk_uid = grp->g1_random(rng), c_prime = grp->g1_random(rng);
+  const Zr n_a = grp->zr_from_u64(2);
+  MergeCase mc;
+  for (int row = 0; row < 3; ++row) {
+    mc.terms.push_back({pk_uid, grp->g1_random(rng)});
+    mc.terms.push_back({c_prime, grp->g1_random(rng)});
+    mc.exps.insert(mc.exps.end(), {n_a, n_a});
+  }
+  for (int aid = 0; aid < 2; ++aid) {
+    mc.terms.push_back({c_prime, grp->g1_random(rng).neg()});
+    mc.exps.push_back(grp->zr_one());
+  }
+  expect_merged(*grp, mc, 2, 1, 0);
 }
 
 TEST_F(EngineTest, PairingProductPaysExactlyOneFinalExponentiation) {
@@ -306,13 +419,14 @@ TEST_F(EngineTest, FixedBaseBatchesMatchGroupTables) {
 }
 
 TEST_F(EngineTest, BasePowBatchMatchesMulBelowAndAboveTheBuildThreshold) {
-  // 3 exponents stay on plain multiplies; 9 build one table for the
-  // batch, which never enters the LRU. The identity base builds none.
-  // Zero and one exponents ride along.
+  // 7 exponents, one short of the once-used table's break-even, stay on
+  // plain multiplies; 8 build one table for the batch, which never
+  // enters the LRU. The identity base builds none. Zero and one
+  // exponents ride along.
   for (const int threads : {1, 4}) {
     CryptoEngine eng(*grp, threads);
     const G1 base = grp->g1_random(rng);
-    for (const size_t n : {size_t{3}, size_t{9}}) {
+    for (const size_t n : {size_t{7}, size_t{8}}) {
       std::vector<Zr> exps{grp->zr_zero(), grp->zr_one()};
       while (exps.size() < n) exps.push_back(grp->zr_random(rng));
       for (const G1& b : {base, grp->g1_identity()}) {
@@ -323,7 +437,7 @@ TEST_F(EngineTest, BasePowBatchMatchesMulBelowAndAboveTheBuildThreshold) {
         for (size_t i = 0; i < n; ++i)
           EXPECT_EQ(got[i].to_bytes(), b.mul(exps[i]).to_bytes())
               << "threads=" << threads << " n=" << n << " i=" << i;
-        const uint64_t tabled = (n == 9 && !b.is_identity()) ? 1 : 0;
+        const uint64_t tabled = (n == 8 && !b.is_identity()) ? 1 : 0;
         EXPECT_EQ(d.g1_exps, n);
         EXPECT_EQ(d.table_builds, tabled);
         EXPECT_EQ(d.table_hits, tabled * n);

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/errors.h"
 #include "pairing/params.h"
+#include "support/fp2_ref.h"
 
 namespace maabe::pairing {
 namespace {
@@ -115,6 +118,36 @@ TEST_F(Fp2Test, MultiplicativeGroupOrder) {
   const Bignum q = fq.modulus();
   const Bignum order = Bignum::sub(Bignum::mul(q, q), Bignum::from_u64(1));
   EXPECT_EQ(fq2.pow(a, order), fq2.one());
+}
+
+// pow and pow_cyclotomic run one sliding-window routine; both must give
+// the square-and-multiply reference's bits on both curves, for the
+// edge exponents (empty, one-bit and all-ones windows), r - 1, the final
+// exponentiation's h, and random ones of field and group size.
+TEST(Fp2WindowPow, MatchesSquareAndMultiplyOnBothCurves) {
+  for (const TypeAParams* params : {&TypeAParams::test_small(), &TypeAParams::pbc_a512()}) {
+    const FpCtx fq(params->q);
+    const Fp2Ctx fq2(fq);
+    crypto::Drbg rng(std::string_view("fp2-window"));
+    const Bignum one = Bignum::from_u64(1);
+    std::vector<Bignum> exps = {Bignum{}, one, Bignum::from_u64(2),
+                                Bignum::sub(params->r, one), params->h};
+    for (const int k : {2, 5, 6, 17, 64, 65, 160, 257})
+      exps.push_back(Bignum::sub(Bignum::shl(one, k), one));
+    for (int i = 0; i < 3; ++i) {
+      exps.push_back(rng.below(params->r));
+      exps.push_back(rng.below(params->q));
+    }
+    for (int i = 0; i < 2; ++i) {
+      const Fp2 a = fq2.random(rng);
+      const Fp2 u = fq2.mul(fq2.conj(a), fq2.inv(a));
+      for (const Bignum& e : exps) {
+        EXPECT_EQ(fq2.pow(a, e), reference::fp2_pow(fq2, a, e)) << e.to_hex();
+        EXPECT_EQ(fq2.pow_cyclotomic(u, e), reference::fp2_pow_cyclotomic(fq2, u, e))
+            << e.to_hex();
+      }
+    }
+  }
 }
 
 TEST_F(Fp2Test, SerializationRoundTrip) {

@@ -115,6 +115,38 @@ TEST_F(MultiPairTest, G1SumsMatchAdditionFolds) {
   EXPECT_TRUE(sums[3].is_identity());
 }
 
+TEST_F(MultiPairTest, G1CombinationsMatchScalarMultiplyFolds) {
+  // sum_runs k * (sum of the run's points) against G1::mul and add: the
+  // multiply's doubling and addition steps, negative k, and runs that
+  // meet (jac_add's doubling branch), cancel or are empty.
+  const G1 b = grp->g1_random(rng), c = grp->g1_random(rng);
+  const uint64_t top = ~uint64_t{0};
+  const std::vector<std::vector<G1Run>> combos = {
+      {{{2, false}, {b, c}}, {{1, true}, {grp->g1_random(rng)}}},
+      {{{3, true}, {b}}, {{top, false}, {c}}, {{top, true}, {b}}},
+      {{{2, false}, {b}}, {{1, false}, {b + b}}},   // 2b + 2b doubles
+      {{{2, false}, {b}}, {{1, true}, {b + b}}},    // 2b - 2b cancels
+      {{{5, false}, {}}, {{1, false}, {grp->g1_identity(), c}}},
+      {},
+  };
+  const std::vector<G1> got = grp->g1_combinations(combos);
+  ASSERT_EQ(got.size(), combos.size());
+  for (size_t i = 0; i < combos.size(); ++i) {
+    G1 fold = grp->g1_identity();
+    for (const G1Run& run : combos[i]) {
+      G1 sum = grp->g1_identity();
+      for (const G1& p : run.pts) sum = sum + p;
+      Zr k = grp->zr_from_u64(run.k.mag);
+      if (run.k.neg) k = k.neg();
+      fold = fold + sum.mul(k);
+    }
+    EXPECT_EQ(got[i].to_bytes(), fold.to_bytes()) << "combination " << i;
+  }
+  EXPECT_EQ(got[2].to_bytes(), b.mul(grp->zr_from_u64(4)).to_bytes());
+  EXPECT_TRUE(got[3].is_identity());
+  EXPECT_TRUE(got[5].is_identity());
+}
+
 TEST_F(MultiPairTest, PrecomputedLineTableMatchesPair) {
   for (int i = 0; i < 3; ++i) {
     const G1 base = grp->g1_random(rng);
