@@ -13,7 +13,9 @@
 #   pairing_micro  -> BENCH_pairing_micro.json kernel_speedup,
 #                     field_kernel_speedup, merge_speedup,
 #                     inv_kernel_speedup,
-#                     adx_kernel_speedup (only on ADX hosts)
+#                     adx_kernel_speedup (only on ADX hosts),
+#                     sha256_kernel_speedup (only on SHA-NI hosts),
+#                     aes_ctr_kernel_speedup (only on AES-NI hosts)
 #       kernel_speedup: shared-final-exponentiation kernel vs the legacy
 #       pair-then-multiply fold, each side the best of three alternating
 #       passes on the calling thread's CPU clock (a cheaper final
@@ -41,8 +43,15 @@
 #       bench/pairing_micro.cpp (about 7x on an x86-64 host; a kernel
 #       that falls back to one modular halving per bit reads about 1x).
 #       The bench exits 1 when the two chains disagree.
-#       All five are same-process ratios: host speed cancels, guarded by an
-#       absolute floor.
+#       sha256_kernel_speedup / aes_ctr_kernel_speedup: 64 SHA-256
+#       compressions and a 4 KiB AES-256-CTR keystream on the portable
+#       kernel vs the one Sha256 / aes_ctr dispatch to, each side the
+#       best of three alternating passes on the calling thread's CPU
+#       clock (about 10x and 20-80x with SHA-NI and AES-NI); floored
+#       only when /proc/cpuinfo lists sha_ni / aes (elsewhere they read
+#       ~1). The bench exits 1 when the two sides disagree.
+#       All seven are same-process ratios: host speed cancels, guarded by
+#       an absolute floor.
 #       Also emitted, not guarded: the `substrate` object, the paper
 #       curve's per-call ladder (fq_*, zr_inv_us, lsss_reconstruct_wide_us
 #       for the AND of 10 over n_A = 2, lsss_reconstruct_fig3_us for
@@ -106,6 +115,12 @@ export MAABE_BENCH_SMALL=1
 "$GUARD" floor BENCH_pairing_micro.json inv_kernel_speedup 2.5
 if grep -qw adx /proc/cpuinfo 2>/dev/null && grep -qw bmi2 /proc/cpuinfo; then
   "$GUARD" floor BENCH_pairing_micro.json adx_kernel_speedup 1.15
+fi
+if grep -qw sha_ni /proc/cpuinfo 2>/dev/null; then
+  "$GUARD" floor BENCH_pairing_micro.json sha256_kernel_speedup 3
+fi
+if grep -qw aes /proc/cpuinfo 2>/dev/null; then
+  "$GUARD" floor BENCH_pairing_micro.json aes_ctr_kernel_speedup 5
 fi
 
 # revocation guards

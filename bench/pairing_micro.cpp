@@ -3,6 +3,7 @@
 // modular-multiplication ablation called out in DESIGN.md.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <chrono>
@@ -14,6 +15,7 @@
 #include "bench_json.h"
 #include "engine/engine.h"
 #include "common/errors.h"
+#include "crypto/kernels.h"
 #include "math/field_kernels.h"
 #include "support/bignum_ref.h"
 
@@ -364,6 +366,82 @@ BENCHMARK(BM_FieldMul_Montgomery)->Unit(benchmark::kNanosecond)->MinTime(0.05);
 BENCHMARK(BM_FieldMul_PlainDivision)->Unit(benchmark::kNanosecond)->MinTime(0.05);
 BENCHMARK(BM_FieldInverse)->Unit(benchmark::kMicrosecond)->MinTime(0.05);
 
+// ------------------------------------------------ symmetric kernels --
+
+double thread_cpu_us() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e6 + static_cast<double>(ts.tv_nsec) / 1e3;
+}
+
+/// Per-call microseconds of the portable and the dispatched kernel on
+/// one input, each side the best of three alternating passes of `reps`
+/// calls on the calling thread's CPU clock.
+struct KernelPair {
+  double portable_us = 0;
+  double dispatched_us = 0;
+  double speedup() const { return dispatched_us > 0 ? portable_us / dispatched_us : 0.0; }
+};
+
+template <typename Portable, typename Dispatched>
+KernelPair time_kernel_pair(int reps, const Portable& portable, const Dispatched& dispatched) {
+  constexpr int kPasses = 3;
+  const auto per_call_us = [&](const auto& call) {
+    const double t0 = thread_cpu_us();
+    for (int i = 0; i < reps; ++i) call();
+    return (thread_cpu_us() - t0) / reps;
+  };
+  KernelPair best;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    const double p = per_call_us(portable);
+    const double d = per_call_us(dispatched);
+    if (pass == 0 || p < best.portable_us) best.portable_us = p;
+    if (pass == 0 || d < best.dispatched_us) best.dispatched_us = d;
+  }
+  return best;
+}
+
+/// SHA-256 compression and AES-256-CTR on a 4 KiB buffer: the portable
+/// kernel against the one Sha256 / aes_ctr dispatch to (SHA-NI / AES-NI
+/// when CPUID reports them; otherwise the portable one again, ratio ~1).
+/// Exits 1 when the two sides disagree.
+struct SymmetricKernels {
+  KernelPair sha256, aes_ctr;
+};
+
+SymmetricKernels symmetric_kernel_report() {
+  constexpr size_t kBytes = 4096;
+  crypto::Drbg rng(std::string_view("micro-symmetric"));
+  const Bytes buf = rng.bytes(kBytes);
+  const Bytes key = rng.bytes(32), iv = rng.bytes(16);
+
+  const auto sha_dispatched = crypto::detail::sha_ni_available()
+                                  ? &crypto::detail::sha256_blocks_shani
+                                  : &crypto::detail::sha256_blocks_portable;
+  uint32_t h_portable[8] = {}, h_dispatched[8] = {};
+  SymmetricKernels out;
+  out.sha256 = time_kernel_pair(
+      200,
+      [&] { crypto::detail::sha256_blocks_portable(h_portable, buf.data(), kBytes / 64); },
+      [&] { sha_dispatched(h_dispatched, buf.data(), kBytes / 64); });
+
+  const crypto::Aes aes(key);
+  const auto aes_dispatched = crypto::detail::aes_ni_available()
+                                  ? &crypto::detail::aes_ctr_aesni
+                                  : &crypto::detail::aes_ctr_portable;
+  Bytes ct_portable, ct_dispatched;
+  out.aes_ctr = time_kernel_pair(
+      100, [&] { ct_portable = crypto::detail::aes_ctr_portable(aes, iv, buf); },
+      [&] { ct_dispatched = aes_dispatched(aes, iv, buf); });
+
+  // Both sides ran the same number of compressions from the same state.
+  if (!std::equal(h_portable, h_portable + 8, h_dispatched) || ct_portable != ct_dispatched) {
+    std::fprintf(stderr, "pairing_micro: portable and dispatched symmetric kernels disagree\n");
+    std::exit(1);
+  }
+  return out;
+}
+
 // The engine's headline batch: a 16-term pairing product (decrypt's
 // shape at l=8, N_A=... — the dominant cost in Fig. 3b), timed on the
 // legacy serial path vs the thread pool. Emits BENCH_pairing_micro.json.
@@ -704,6 +782,17 @@ void engine_batch_report() {
   std::printf("  LSSS solve, AND-10  : %8.1f us   (n_A=10, l=50: %.1f us)\n", lsss_wide_us,
               lsss_fig3_us);
 
+  const SymmetricKernels sym = symmetric_kernel_report();
+  std::printf("\n4 KiB symmetric kernels (best of 3 passes, thread CPU time):\n");
+  std::printf("  SHA-256 portable    : %8.2f us\n", sym.sha256.portable_us);
+  std::printf("  SHA-256 %s    : %8.2f us   speedup %.2fx\n",
+              crypto::detail::sha_ni_available() ? "sha-ni  " : "portable",
+              sym.sha256.dispatched_us, sym.sha256.speedup());
+  std::printf("  AES-CTR portable    : %8.2f us\n", sym.aes_ctr.portable_us);
+  std::printf("  AES-CTR %s    : %8.2f us   speedup %.2fx\n",
+              crypto::detail::aes_ni_available() ? "aes-ni  " : "portable",
+              sym.aes_ctr.dispatched_us, sym.aes_ctr.speedup());
+
   std::printf("\n%zu-pairing product batch (%d reps; fold and kernel best of %d passes,"
               " thread CPU time):\n",
               kTerms, kReps, kKernelPasses);
@@ -750,6 +839,14 @@ void engine_batch_report() {
       .put("field_inv_legacy_us", legacy_inv_us)
       .put("field_inv_batched_us", batched_inv_us)
       .put("inv_kernel_speedup", inv_kernel_speedup)
+      .put("sha_ni_kernel", crypto::detail::sha_ni_available() ? 1 : 0)
+      .put("sha256_4k_portable_us", sym.sha256.portable_us)
+      .put("sha256_4k_dispatched_us", sym.sha256.dispatched_us)
+      .put("sha256_kernel_speedup", sym.sha256.speedup())
+      .put("aes_ni_kernel", crypto::detail::aes_ni_available() ? 1 : 0)
+      .put("aes_ctr_4k_portable_us", sym.aes_ctr.portable_us)
+      .put("aes_ctr_4k_dispatched_us", sym.aes_ctr.dispatched_us)
+      .put("aes_ctr_kernel_speedup", sym.aes_ctr.speedup())
       .put("g1_decode_us", g1_decode_us)
       .put("substrate", substrate)
       .put("merge_terms", dec_terms.size())

@@ -466,12 +466,11 @@ void emit_phase_breakdown() {
   // pass: a burst of host load then slows both sides of the guarded
   // ratio alike instead of whichever side it happened to overlap, and
   // one clean pass per side is enough. The engine runs on the calling
-  // thread here: a pool join waits out any preempted worker, which on a
-  // loaded host inflates the cluster's many small batches far more than
-  // the single-node epoch and says nothing about replication or 2PC.
+  // thread (main pins it): a pool join waits out any preempted worker,
+  // which on a loaded host inflates the cluster's many small batches far
+  // more than the single-node epoch and says nothing about replication
+  // or 2PC.
   constexpr int kEpochPasses = 9;
-  const int pool_threads = eng.threads();
-  eng.set_threads(1);
   double transported_ms = 0.0;
   double cluster_ms = 0.0;
   for (int pass = -1; pass < kEpochPasses; ++pass) {
@@ -481,7 +480,6 @@ void emit_phase_breakdown() {
     transported_ms = pass == 0 ? t_ms : std::min(transported_ms, t_ms);
     cluster_ms = pass == 0 ? c_ms : std::min(cluster_ms, c_ms);
   }
-  eng.set_threads(pool_threads);
   phase_wall_ms.put("epoch_transport", transported_ms);
   phase_wall_ms.put("epoch_cluster", cluster_ms);
 
@@ -515,10 +513,15 @@ void emit_phase_breakdown() {
 }  // namespace maabe::bench
 
 int main(int argc, char** argv) {
+  // One engine thread, as bench/e2e runs: google-benchmark's CPU column
+  // counts only the calling thread, so the engine-backed rows are
+  // comparable with the single-threaded _Reference rows beside them.
+  maabe::engine::CryptoEngine::set_default_threads(1);
   std::printf("Revocation cost + partial-vs-full re-encryption ablation (Eq. 2)\n");
-  std::printf("group: %s, %d attrs/authority, revocation at one authority\n\n",
+  std::printf("group: %s, %d attrs/authority, revocation at one authority\n",
               maabe::bench::bench_group_label().c_str(),
               maabe::bench::kAttrsPerAuthority);
+  std::printf("engine threads: %d\n\n", maabe::engine::CryptoEngine::default_threads());
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   maabe::bench::emit_phase_breakdown();

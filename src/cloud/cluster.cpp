@@ -251,12 +251,13 @@ Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id)
     std::string node;
     FetchReply reply;
     bool valid = false;
+    Bytes digest;  ///< SHA-256 of reply.wire, when found
   };
   std::vector<ReplicaReply> replies;
   for (size_t i = 0; i < replicas.size(); ++i) {
     const std::string& replica = replicas[i];
     if (replica == self) {
-      replies.push_back({i, replica, local_read(self, file_id), false});
+      replies.push_back({i, replica, local_read(self, file_id), false, {}});
       continue;
     }
     if (!alive(replica)) continue;  // failure detector: don't wait on the dead
@@ -269,7 +270,7 @@ Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id)
             return encode_fetch_reply(
                 local_read(replica, std::string(payload.begin(), payload.end())));
           });
-      replies.push_back({i, replica, decode_fetch_reply(reply_wire), false});
+      replies.push_back({i, replica, decode_fetch_reply(reply_wire), false, {}});
     } catch (const TransportError&) {
       // No reply from this replica; quorum accounting decides below.
     }
@@ -290,7 +291,8 @@ Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id)
   ReplicaReply* winner = nullptr;
   for (ReplicaReply& r : replies) {
     if (!r.reply.found) continue;
-    r.valid = crypto::Sha256::digest(r.reply.wire) == r.reply.hash;
+    r.digest = crypto::Sha256::digest(r.reply.wire);
+    r.valid = r.digest == r.reply.hash;
     if (winner == nullptr ||
         std::make_tuple(r.valid, r.reply.version, winner->pref) >
             std::make_tuple(winner->valid, winner->reply.version, r.pref)) {
@@ -312,14 +314,13 @@ Bytes Cluster::handle_fetch(const std::string& self, const std::string& file_id)
   }
 
   // Read-repair: push the winner at divergent replicas, asynchronously.
-  const Bytes true_hash = crypto::Sha256::digest(winner->reply.wire);
   for (const ReplicaReply& r : replies) {
     if (&r == winner) continue;
     if (r.reply.found && r.reply.wire == winner->reply.wire &&
         r.reply.version == winner->reply.version) {
       continue;
     }
-    const ReplicationOp op{file_id, winner->reply.version, true_hash,
+    const ReplicationOp op{file_id, winner->reply.version, winner->digest,
                            winner->reply.wire};
     m_.read_repairs->inc();
     if (r.node == self) {

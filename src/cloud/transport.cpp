@@ -370,14 +370,17 @@ void ReliableLink::send_as(uint64_t request_id, const std::string& from,
             // mutex must not be held while apply runs, because applies
             // nest further sends back through this link. A request id
             // is only in flight once per logical send, so the split is
-            // not a race window. Keys are (origin, request id): ids are
-            // per-origin counters, and a retry of an applied request
-            // must dedup even when failover re-routes it elsewhere.
+            // not a race window. Keys are (origin, request id): callers
+            // may reuse an id under another origin, and a retry of an
+            // applied request must dedup even when failover re-routes
+            // it elsewhere.
             const auto key = std::make_pair(from, rid);
             bool fresh;
             {
               std::lock_guard<std::mutex> lock(applied_mu_);
-              fresh = !applied_.contains(key);
+              const auto acked = last_acked_.find(from);
+              fresh = !unacked_.contains(key) &&
+                      (acked == last_acked_.end() || acked->second != rid);
             }
             if (!fresh) {
               transport_.meter().redelivery(from, to);
@@ -398,8 +401,16 @@ void ReliableLink::send_as(uint64_t request_id, const std::string& from,
             apply(delivered);
             transport_.meter().accepted(from, to, delivered.size());
             std::lock_guard<std::mutex> lock(applied_mu_);
-            applied_.insert(key);
+            unacked_.insert(key);
+            ++applied_count_;
           });
+      // Acknowledged: the sender never replays this id again except as
+      // the origin's newest, so only that id is remembered.
+      {
+        std::lock_guard<std::mutex> lock(applied_mu_);
+        unacked_.erase({from, request_id});
+        last_acked_[from] = request_id;
+      }
       m_.sends_ok->inc();
       if (span.active()) {
         span.attr("attempts", attempt + 1);

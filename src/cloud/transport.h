@@ -20,6 +20,7 @@
 #include <atomic>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -215,12 +216,22 @@ struct RetryPolicy {
 /// exponential backoff until the policy is exhausted, and guarantees the
 /// receiver-side apply runs at most once per (origin, request id) even
 /// when frames are duplicated or an applied request is retried after an
-/// ack loss (idempotent request handling). Dedup keys are scoped by the
-/// origin because request-id counters are per sender process: two nodes
-/// can legitimately allocate the same id, while one origin retrying a
-/// request against a *different* destination (a store re-routed to a
-/// new primary after failover) must still be a no-op. Suppressed
-/// duplicate copies are counted as redeliveries on the channel.
+/// ack loss (idempotent request handling). The link hands out ids from
+/// one counter, but send_as takes any caller-held id, so dedup keys are
+/// scoped by the origin: two origins sending under the same id both
+/// apply, while one origin retrying a request against a *different*
+/// destination (a store re-routed to a new primary after failover) is
+/// still a no-op. Suppressed duplicate copies are counted as
+/// redeliveries on the channel.
+///
+/// The dedup state is bounded by what is in flight, not by history: a
+/// key is kept only while its request is applied but not acknowledged
+/// to the sender (send_as has not yet returned successfully), plus each
+/// origin's newest acknowledged id. That covers every replay the
+/// protocol makes: duplicate frames arrive within one transmission,
+/// retries within one send_as, and a caller reuses an id only after
+/// send_as threw (DurableLink parks the request and replays it) or for
+/// the send it just completed.
 class ReliableLink {
  public:
   explicit ReliableLink(LoopbackTransport& transport, RetryPolicy policy = RetryPolicy());
@@ -240,8 +251,9 @@ class ReliableLink {
             const Apply& apply);
 
   /// Same, under a caller-held request id: if an earlier attempt already
-  /// applied this id (ack lost), the replay is a no-op that still counts
-  /// as success.
+  /// applied this id (ack lost, so that send_as threw), or this id is
+  /// the origin's newest acknowledged one, the replay is a no-op that
+  /// still counts as success.
   void send_as(uint64_t request_id, const std::string& from, const std::string& to,
                ByteView payload, const Apply& apply);
 
@@ -249,14 +261,21 @@ class ReliableLink {
 
   const std::string& instance() const { return transport_.instance(); }
 
-  // Reads of the link's series and the mutex-guarded dedup set: safe
+  // Reads of the link's series and the mutex-guarded dedup state: safe
   // from any thread, like concurrent sends.
   uint64_t sends_ok() const { return m_.sends_ok->value(); }
   uint64_t sends_failed() const { return m_.sends_failed->value(); }
   uint64_t retries() const { return transport_.meter().totals().retries; }
+  /// Distinct (origin, request id) pairs applied so far.
   uint64_t applied_requests() const {
     std::lock_guard<std::mutex> lock(applied_mu_);
-    return applied_.size();
+    return applied_count_;
+  }
+  /// Entries the dedup state holds: applied-but-unacknowledged keys
+  /// plus one per origin that has had a send acknowledged.
+  size_t dedup_entries() const {
+    std::lock_guard<std::mutex> lock(applied_mu_);
+    return unacked_.size() + last_acked_.size();
   }
 
  private:
@@ -264,7 +283,9 @@ class ReliableLink {
   RetryPolicy policy_;
   std::atomic<uint64_t> next_request_id_{0};
   mutable std::mutex applied_mu_;  // never held across apply/sink calls
-  std::set<std::pair<std::string, uint64_t>> applied_;  // (origin, request id)
+  std::set<std::pair<std::string, uint64_t>> unacked_;  // (origin, request id)
+  std::map<std::string, uint64_t> last_acked_;         // origin -> request id
+  uint64_t applied_count_ = 0;
   /// maabe_transport_sends_{ok,failed}_total{instance}: one add per send;
   /// the per-attempt events are the transport meter's.
   struct {

@@ -1,9 +1,19 @@
 #include "crypto/aes.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
 #include "common/errors.h"
+#include "crypto/kernels.h"
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define MAABE_CRYPTO_AESNI 1
+#include <cpuid.h>
+#include <immintrin.h>
+#else
+#define MAABE_CRYPTO_AESNI 0
+#endif
 
 namespace maabe::crypto {
 
@@ -151,9 +161,9 @@ void Aes::decrypt_block(uint8_t b[kBlockSize]) const {
   add_round_key(0);
 }
 
-Bytes aes_ctr(ByteView key, ByteView iv, ByteView data) {
-  if (iv.size() != Aes::kBlockSize) throw CryptoError("aes_ctr: IV must be 16 bytes");
-  const Aes aes(key);
+namespace detail {
+
+Bytes aes_ctr_portable(const Aes& aes, ByteView iv, ByteView data) {
   uint8_t counter[16];
   std::memcpy(counter, iv.data(), 16);
 
@@ -170,6 +180,94 @@ Bytes aes_ctr(ByteView key, ByteView iv, ByteView data) {
     }
   }
   return out;
+}
+
+bool aes_ni_available() {
+#if MAABE_CRYPTO_AESNI
+  static const bool available = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+    return (ecx & bit_AES) != 0 && (ecx & bit_SSE4_1) != 0;
+  }();
+  return available;
+#else
+  return false;
+#endif
+}
+
+#if MAABE_CRYPTO_AESNI
+namespace {
+
+/// Encrypts `n` counter blocks (n <= 8) under the loaded round keys.
+/// The counter block is the IV's 12-byte prefix with the big-endian
+/// 32-bit count in its last 4 bytes.
+__attribute__((target("aes,sse4.1"))) inline void encrypt_counters(
+    const __m128i* rk, int rounds, __m128i prefix, uint32_t count, int n, __m128i* b) {
+  for (int i = 0; i < n; ++i)
+    b[i] = _mm_xor_si128(
+        _mm_insert_epi32(prefix, static_cast<int>(__builtin_bswap32(count + i)), 3), rk[0]);
+  for (int r = 1; r < rounds; ++r)
+    for (int i = 0; i < n; ++i) b[i] = _mm_aesenc_si128(b[i], rk[r]);
+  for (int i = 0; i < n; ++i) b[i] = _mm_aesenclast_si128(b[i], rk[rounds]);
+}
+
+}  // namespace
+
+__attribute__((target("aes,sse4.1"))) Bytes aes_ctr_aesni(const Aes& aes, ByteView iv,
+                                                          ByteView data) {
+  constexpr int kLanes = 8;
+  const int rounds = aes.rounds();
+  __m128i rk[15];
+  for (int r = 0; r <= rounds; ++r)
+    rk[r] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(aes.round_key(r)));
+  const __m128i prefix = _mm_loadu_si128(reinterpret_cast<const __m128i*>(iv.data()));
+  uint32_t count = uint32_t(iv[12]) << 24 | uint32_t(iv[13]) << 16 | uint32_t(iv[14]) << 8 |
+                   uint32_t(iv[15]);
+
+  Bytes out(data.size());
+  const uint8_t* in = data.data();
+  uint8_t* dst = out.data();
+  size_t left = data.size();
+  __m128i ks[kLanes];
+  while (left > 0) {
+    const size_t blocks = std::min<size_t>(kLanes, (left + 15) / 16);
+    const int n = static_cast<int>(blocks);
+    if (n == kLanes)
+      encrypt_counters(rk, rounds, prefix, count, kLanes, ks);  // constant trip count
+    else
+      encrypt_counters(rk, rounds, prefix, count, n, ks);
+    count += static_cast<uint32_t>(n);
+    const size_t whole = std::min(left / 16, blocks);
+    for (size_t i = 0; i < whole; ++i) {
+      const __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 16 * i));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 16 * i), _mm_xor_si128(x, ks[i]));
+    }
+    if (whole < blocks) {  // trailing partial block
+      uint8_t pad[16];
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(pad), ks[whole]);
+      const size_t tail = left - 16 * whole;
+      for (size_t i = 0; i < tail; ++i) dst[16 * whole + i] = in[16 * whole + i] ^ pad[i];
+      break;
+    }
+    in += 16 * blocks;
+    dst += 16 * blocks;
+    left -= 16 * blocks;
+  }
+  return out;
+}
+#else
+Bytes aes_ctr_aesni(const Aes& aes, ByteView iv, ByteView data) {
+  return aes_ctr_portable(aes, iv, data);  // unreachable: aes_ni_available() is false
+}
+#endif
+
+}  // namespace detail
+
+Bytes aes_ctr(ByteView key, ByteView iv, ByteView data) {
+  if (iv.size() != Aes::kBlockSize) throw CryptoError("aes_ctr: IV must be 16 bytes");
+  const Aes aes(key);
+  return detail::aes_ni_available() ? detail::aes_ctr_aesni(aes, iv, data)
+                                    : detail::aes_ctr_portable(aes, iv, data);
 }
 
 }  // namespace maabe::crypto

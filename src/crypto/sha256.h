@@ -3,7 +3,13 @@
 // Used as the random oracle H:{0,1}* -> Z_p of the paper (via
 // pairing::hash_to_zr), as the hash-to-group primitive needed by the
 // Lewko-Waters baseline, inside HMAC, and as the core of the
-// deterministic random bit generator.
+// deterministic random bit generator; the cloud layer hashes every
+// transport frame, quorum reply and stored file with it.
+//
+// The compression runs on SHA-NI when CPUID reports sha, sse4.1 and
+// ssse3, and on portable byte-oriented code everywhere else; the choice
+// is made once per process, and both kernels (crypto/kernels.h) produce
+// the same digests.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +35,6 @@ class Sha256 {
   static Bytes digest(ByteView data);
 
  private:
-  void compress(const uint8_t* block);
-
   uint32_t h_[8];
   uint8_t buf_[kBlockSize];
   size_t buf_len_ = 0;

@@ -309,6 +309,41 @@ TEST(ReliableLinkTest, FailoverRetryToNewDestinationIsNoOp) {
   EXPECT_EQ(link.applied_requests(), 1u);
 }
 
+TEST(ReliableLinkTest, AckLostRequestReplayedAfterManyAckedSendsIsNoOp) {
+  // The dedup state keeps a key only until its sender sees the ack, so
+  // an ack-lost request must stay remembered however much acknowledged
+  // traffic passes before the parked copy is replayed.
+  FaultPlan plan(11);
+  FaultSpec lossy;
+  lossy.ack_loss = 1.0;
+  plan.set_channel("owner:o", "node:0", lossy);
+  LoopbackTransport t(std::move(plan));
+  ReliableLink link(t);
+  const uint64_t rid = link.allocate_request_id();
+  int parked_applies = 0;
+  EXPECT_THROW(link.send_as(rid, "owner:o", "node:0", bytes_of("x"),
+                            [&](ByteView) { ++parked_applies; }),
+               TransportError);
+  EXPECT_EQ(parked_applies, 1);
+
+  t.faults().set_channel("owner:o", "node:0", FaultSpec());
+  int applied = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const std::string from = i % 2 == 0 ? "owner:o" : "user:" + std::to_string(i % 3);
+    link.send(from, i % 5 == 0 ? "node:0" : "node:1", bytes_of("y"),
+              [&](ByteView) { ++applied; });
+  }
+  EXPECT_EQ(applied, 10000);
+  EXPECT_EQ(link.applied_requests(), 10001u);
+  // Bounded: the parked key plus one newest-acked id per origin.
+  EXPECT_EQ(link.dedup_entries(), 1u + 4u);
+
+  link.send_as(rid, "owner:o", "node:0", bytes_of("x"), [&](ByteView) { ++parked_applies; });
+  EXPECT_EQ(parked_applies, 1);
+  EXPECT_EQ(link.applied_requests(), 10001u);
+  EXPECT_EQ(link.dedup_entries(), 4u);
+}
+
 TEST(ReliableLinkTest, NonTransportExceptionsPropagateUnretried) {
   LoopbackTransport t;
   ReliableLink link(t);

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <random>
 
 #include "common/errors.h"
+#include "crypto/kernels.h"
 
 namespace maabe::crypto {
 namespace {
@@ -94,6 +96,54 @@ TEST(AesCtr, CounterIncrementsAcrossBlocks) {
   const Bytes ks = aes_ctr(key, iv, zeros);
   EXPECT_NE(Bytes(ks.begin(), ks.begin() + 16), Bytes(ks.begin() + 16, ks.begin() + 32));
   EXPECT_NE(Bytes(ks.begin() + 16, ks.begin() + 32), Bytes(ks.begin() + 32, ks.end()));
+}
+
+// ------------------------------------------------------------ kernels --
+
+/// Every length 0..5000 on the AES-NI kernel against a prefix of the
+/// portable keystream (CTR's output for a prefix is the prefix of the
+/// output), for one key and IV.
+void check_aesni_against_portable(const Bytes& key, const Bytes& iv, std::mt19937_64& rng) {
+  constexpr size_t kMaxLen = 5000;
+  Bytes data(kMaxLen);
+  for (auto& b : data) b = static_cast<uint8_t>(rng());
+  const Aes aes(key);
+  const Bytes expect = detail::aes_ctr_portable(aes, iv, data);
+  for (size_t len = 0; len <= kMaxLen; ++len) {
+    const Bytes got = detail::aes_ctr_aesni(aes, iv, ByteView(data.data(), len));
+    ASSERT_EQ(got, Bytes(expect.begin(), expect.begin() + len))
+        << key.size() * 8 << "-bit key, len " << len;
+  }
+}
+
+TEST(AesCtrKernels, AesNiMatchesPortable) {
+  if (!detail::aes_ni_available()) GTEST_SKIP() << "CPU lacks aes/sse4.1";
+  std::mt19937_64 rng(0xae5);
+  for (size_t key_len : {16u, 24u, 32u}) {
+    Bytes key(key_len), iv(16);
+    for (auto& b : key) b = static_cast<uint8_t>(rng());
+    for (auto& b : iv) b = static_cast<uint8_t>(rng());
+    ASSERT_NO_FATAL_FAILURE(check_aesni_against_portable(key, iv, rng));
+  }
+}
+
+TEST(AesCtrKernels, AesNiCounterWrapsLow32Bits) {
+  if (!detail::aes_ni_available()) GTEST_SKIP() << "CPU lacks aes/sse4.1";
+  std::mt19937_64 rng(0xae6);
+  for (size_t key_len : {16u, 24u, 32u}) {
+    Bytes key(key_len);
+    for (auto& b : key) b = static_cast<uint8_t>(rng());
+    Bytes iv = from_hex("0123456789abcdef01234567fffffffe");
+    ASSERT_NO_FATAL_FAILURE(check_aesni_against_portable(key, iv, rng));
+    // The third block's counter wraps to ...00000000; the 96-bit prefix
+    // does not carry.
+    const Bytes ks = detail::aes_ctr_aesni(Aes(key), iv, Bytes(48, 0));
+    uint8_t block[16];
+    std::memcpy(block, iv.data(), 16);
+    std::memset(block + 12, 0, 4);
+    Aes(key).encrypt_block(block);
+    EXPECT_EQ(Bytes(ks.begin() + 32, ks.end()), Bytes(block, block + 16));
+  }
 }
 
 }  // namespace
