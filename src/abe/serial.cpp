@@ -83,8 +83,12 @@ std::map<std::string, uint32_t> get_versions(Reader& r) {
   for (uint32_t i = 0; i < n; ++i) {
     const std::string aid = r.str();
     const uint32_t version = r.u32();
-    if (!versions.emplace(aid, version).second)
-      throw WireError("deserialize: duplicate authority version");
+    // Strictly ascending, as put_versions writes them, so that every
+    // accepted encoding is the one serialize() would produce.
+    if (!versions.empty() && aid <= versions.rbegin()->first)
+      throw WireError(versions.contains(aid) ? "deserialize: duplicate authority version"
+                                             : "deserialize: authority versions out of order");
+    versions.emplace_hint(versions.end(), aid, version);
   }
   return versions;
 }
@@ -245,6 +249,13 @@ Ciphertext deserialize_ciphertext(const Group& grp, ByteView data) {
   v.versions = get_versions(r);
   r.expect_done();
   return v;
+}
+
+std::string ciphertext_owner_id(ByteView data) {
+  Reader r(data);
+  expect_tag(r, kCiphertext, "Ciphertext");
+  r.str();  // id
+  return r.str();
 }
 
 Bytes serialize(const Group& grp, const UpdateKey& v) {

@@ -41,6 +41,10 @@ UserSecretKey deserialize_user_secret_key(const pairing::Group& grp, ByteView da
 
 Bytes serialize(const pairing::Group& grp, const Ciphertext& v);
 Ciphertext deserialize_ciphertext(const pairing::Group& grp, ByteView data);
+/// The owner id of a serialized Ciphertext, read after its tag and id
+/// without decoding the rest. Throws WireError on a wrong tag or a
+/// truncated prefix.
+std::string ciphertext_owner_id(ByteView data);
 
 /// Receiver-dependent validation depth for update keys. Users folding a
 /// UK into their secret key must insist on the order-r subgroup

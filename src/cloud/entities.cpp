@@ -288,28 +288,24 @@ std::map<std::string, Bytes> Consumer::open_file(const StoredFile& file) const {
   for (const SealedSlot& slot : file.slots) {
     const auto plan = decryption_plan(slot);
     if (!plan) continue;
-    out.emplace(slot.component_name, open_slot(file, slot, *plan));
+    const Bytes key_ct = abe::serialize(*grp_, slot.key_ct);
+    const Bytes cache_key = decrypt_cache_key(
+        file.file_id, {slot.component_name, key_ct, slot.sealed_data});
+    out.emplace(slot.component_name, open_slot(file.file_id, slot, *plan, cache_key));
   }
   return out;
 }
 
-Bytes Consumer::open_slot(const StoredFile& file, const SealedSlot& slot,
-                          const abe::DecryptionPlan& plan) const {
-  const Bytes cache_key = decrypt_cache_key(file, slot);
+Bytes Consumer::open_slot(const std::string& file_id, const SealedSlot& slot,
+                          const abe::DecryptionPlan& plan, const Bytes& cache_key) const {
   if (!cache_key.empty()) {
-    std::lock_guard<std::mutex> lock(cache_->mu);
-    const auto it = cache_->index.find(cache_key);
-    if (it != cache_->index.end()) {
-      cache_->order.splice(cache_->order.begin(), cache_->order, it->second);
-      cache_->hits->inc();
-      return cache_->order.front().second;
-    }
+    if (std::optional<Bytes> plaintext = cached_plaintext(cache_key)) return *plaintext;
     cache_->misses->inc();
   }
   const GT seed = abe::decrypt(*grp_, slot.key_ct, pk_, plan);
   const Bytes key = content_key_from_gt(seed);
-  Bytes plaintext = crypto::open(key, slot.sealed_data,
-                                 slot_aad(file.file_id, slot.component_name));
+  Bytes plaintext =
+      crypto::open(key, slot.sealed_data, slot_aad(file_id, slot.component_name));
   if (!cache_key.empty()) {
     // Only a fully authenticated decrypt reaches this point — failures
     // threw above and are never cached.
@@ -332,24 +328,48 @@ size_t Consumer::key_storage_bytes() const {
   return total;
 }
 
+namespace {
+ByteView view_of(std::string_view s) {
+  return {reinterpret_cast<const uint8_t*>(s.data()), s.size()};
+}
+}  // namespace
+
 // The key covers the slot's complete ciphertext bytes: the ABE key-ct
 // serialization embeds every per-authority version, and a revocation
 // epoch rewrites C / C_i, so a re-encrypted slot can never collide with
-// its pre-epoch plaintext. The consumer's own key state is handled by
-// wholesale invalidation in add_key / apply_update instead of being
-// folded into the key — cheaper than hashing every held key per read.
-Bytes Consumer::decrypt_cache_key(const StoredFile& file,
-                                  const SealedSlot& slot) const {
+// its pre-epoch plaintext. It hashes the bytes as they arrived, in the
+// layout str(file_id) || str(component) || var_bytes(key_ct) ||
+// var_bytes(sealed); because the encoding is canonical these are the
+// bytes the decoded slot would re-serialize to. The consumer's own key
+// state is handled by wholesale invalidation in add_key / apply_update
+// instead of being folded into the key — cheaper than hashing every
+// held key per read.
+Bytes Consumer::decrypt_cache_key(std::string_view file_id, const SlotView& slot) const {
   {
     std::lock_guard<std::mutex> lock(cache_->mu);
     if (cache_->capacity == 0) return {};
   }
-  Writer w;
-  w.str(file.file_id);
-  w.str(slot.component_name);
-  w.var_bytes(abe::serialize(*grp_, slot.key_ct));
-  w.var_bytes(slot.sealed_data);
-  return crypto::Sha256::digest(w.bytes());
+  crypto::Sha256 h;
+  for (const ByteView field : {view_of(file_id), view_of(slot.component_name), slot.key_ct,
+                               slot.sealed_data}) {
+    h.update(var_bytes_prefix(field));
+    h.update(field);
+  }
+  return h.finish();
+}
+
+bool Consumer::decrypt_cached(const Bytes& cache_key) const {
+  std::lock_guard<std::mutex> lock(cache_->mu);
+  return cache_->index.contains(cache_key);
+}
+
+std::optional<Bytes> Consumer::cached_plaintext(const Bytes& cache_key) const {
+  std::lock_guard<std::mutex> lock(cache_->mu);
+  const auto it = cache_->index.find(cache_key);
+  if (it == cache_->index.end()) return std::nullopt;
+  cache_->order.splice(cache_->order.begin(), cache_->order, it->second);
+  cache_->hits->inc();
+  return cache_->order.front().second;
 }
 
 void Consumer::invalidate_decrypt_cache() {

@@ -157,13 +157,17 @@ class DataOwner {
 /// applies update keys, opens stored files.
 ///
 /// Decrypt-result cache: open_slot memoizes successful plaintexts in a
-/// bounded LRU keyed by a hash of the slot's full ciphertext bytes
-/// (ABE key-ct — which embeds every per-authority version — plus the
-/// sealed payload). A revocation epoch rewrites the ciphertext, so the
-/// re-encrypted slot misses by construction; and any change to this
-/// consumer's own keys (update key applied, key replaced/regenerated)
-/// invalidates the whole cache, so a stale plaintext can never be
-/// served across a key-version bump. Failed decrypts are never cached.
+/// bounded LRU keyed by a hash of the slot's wire bytes (file id,
+/// component name, the serialized ABE key-ct — which embeds every
+/// per-authority version — and the sealed payload). The encoding is
+/// canonical, so the bytes a slot arrives in are the bytes its decoded
+/// value serializes to, and a reader can look a slot up before decoding
+/// it (CloudSystem::download_report decodes only the misses). A
+/// revocation epoch rewrites the ciphertext, so the re-encrypted slot
+/// misses by construction; and any change to this consumer's own keys
+/// (update key applied, key replaced/regenerated) invalidates the whole
+/// cache, so a stale plaintext can never be served across a key-version
+/// bump. Failed decrypts are never cached.
 class Consumer {
  public:
   /// `instance` labels the consumer's cache series; CloudSystem passes
@@ -198,11 +202,22 @@ class Consumer {
   /// cannot open it.
   std::optional<abe::DecryptionPlan> decryption_plan(const SealedSlot& slot) const;
 
-  /// Opens one slot with the plan decryption_plan(slot) returned: a
-  /// decrypt-cache lookup, then the decrypt on a miss. Throws
+  /// The decrypt-cache key of one slot, hashed over its wire bytes;
+  /// empty when caching is disabled.
+  Bytes decrypt_cache_key(std::string_view file_id, const SlotView& slot) const;
+  /// True when `cache_key` holds a plaintext. Counts nothing and leaves
+  /// the LRU order alone.
+  bool decrypt_cached(const Bytes& cache_key) const;
+  /// The plaintext cached under `cache_key`: counts a hit and makes it
+  /// the most recent entry. Never counts a miss.
+  std::optional<Bytes> cached_plaintext(const Bytes& cache_key) const;
+
+  /// Opens one slot of file `file_id` with the plan decryption_plan(slot)
+  /// returned: cached_plaintext(cache_key), then on a miss (counted) the
+  /// decrypt, whose plaintext is cached under `cache_key`. Throws
   /// CryptoError when the sealed payload fails authentication.
-  Bytes open_slot(const StoredFile& file, const SealedSlot& slot,
-                  const abe::DecryptionPlan& plan) const;
+  Bytes open_slot(const std::string& file_id, const SealedSlot& slot,
+                  const abe::DecryptionPlan& plan, const Bytes& cache_key) const;
 
   /// True when the consumer's keys can open the given slot.
   bool can_open(const SealedSlot& slot) const { return decryption_plan(slot).has_value(); }
@@ -227,8 +242,6 @@ class Consumer {
   struct DecryptCache;
 
   std::map<std::string, abe::UserSecretKey> keys_for_owner(const std::string& owner_id) const;
-  /// Cache key for one slot; empty when caching is disabled.
-  Bytes decrypt_cache_key(const StoredFile& file, const SealedSlot& slot) const;
   void invalidate_decrypt_cache();
 
   std::shared_ptr<const pairing::Group> grp_;

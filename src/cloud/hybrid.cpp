@@ -47,24 +47,36 @@ std::string stored_file_id(ByteView data) {
   return r.str();
 }
 
-StoredFile deserialize_stored_file(const pairing::Group& grp, ByteView data) {
+StoredFileView view_stored_file(ByteView data) {
   Reader r(data);
   if (r.u8() != 0x60) throw WireError("deserialize: wrong tag for StoredFile");
-  StoredFile v;
+  StoredFileView v;
   v.file_id = r.str();
   v.owner_id = r.str();
   const uint32_t n = r.u32();
-  v.slots.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    SealedSlot slot;
+    SlotView slot;
     slot.component_name = r.str();
-    slot.key_ct = abe::deserialize_ciphertext(grp, r.var_bytes());
-    slot.sealed_data = r.var_bytes();
-    if (slot.key_ct.owner_id != v.owner_id)
+    slot.key_ct = r.var_view();
+    slot.sealed_data = r.var_view();
+    if (abe::ciphertext_owner_id(slot.key_ct) != v.owner_id)
       throw WireError("deserialize: slot ciphertext owner mismatch");
     v.slots.push_back(std::move(slot));
   }
   r.expect_done();
+  return v;
+}
+
+SealedSlot decode_slot(const pairing::Group& grp, const SlotView& slot) {
+  return {slot.component_name, abe::deserialize_ciphertext(grp, slot.key_ct),
+          Bytes(slot.sealed_data.begin(), slot.sealed_data.end())};
+}
+
+StoredFile deserialize_stored_file(const pairing::Group& grp, ByteView data) {
+  StoredFileView view = view_stored_file(data);
+  StoredFile v{std::move(view.file_id), std::move(view.owner_id), {}};
+  v.slots.reserve(view.slots.size());
+  for (const SlotView& slot : view.slots) v.slots.push_back(decode_slot(grp, slot));
   return v;
 }
 

@@ -11,6 +11,10 @@
 // 32-byte AES/HMAC key. Users whose attributes satisfy a component's
 // policy recover that component only — different users obtain different
 // granularities of the same file.
+//
+// A stored file's wire form can be walked without decoding a point
+// (view_stored_file): a reader keys its decrypt cache on each slot's
+// bytes and decodes only the slots it must decrypt (decode_slot).
 #pragma once
 
 #include "abe/types.h"
@@ -52,7 +56,31 @@ std::pair<std::string, std::string> split_slot_ct_id(const std::string& ct_id);
 /// Additional authenticated data binding a sealed box to its slot.
 Bytes slot_aad(const std::string& file_id, const std::string& component_name);
 
+/// One slot of a serialized StoredFile, walked but not decoded. The
+/// views point into the wire it was read from and are valid only while
+/// that buffer lives.
+struct SlotView {
+  std::string component_name;
+  ByteView key_ct;       ///< serialized abe::Ciphertext
+  ByteView sealed_data;  ///< authenc box
+};
+
+struct StoredFileView {
+  std::string file_id;
+  std::string owner_id;
+  std::vector<SlotView> slots;
+};
+
 Bytes serialize(const pairing::Group& grp, const StoredFile& v);
+/// Walks a serialized StoredFile without decoding a point: checks its
+/// tag, every length and count, that nothing trails, and that each
+/// slot's ciphertext names the file's owner. Throws WireError.
+StoredFileView view_stored_file(ByteView data);
+/// Decodes one walked slot (abe::deserialize_ciphertext on its key_ct).
+SealedSlot decode_slot(const pairing::Group& grp, const SlotView& slot);
+/// view_stored_file, then decode_slot on every slot. The encoding is
+/// canonical: serialize(grp, deserialize_stored_file(grp, w)) == w for
+/// every accepted w, so a slot's wire bytes identify its decoded value.
 StoredFile deserialize_stored_file(const pairing::Group& grp, ByteView data);
 /// The file id of a serialized StoredFile, read without decoding its slots.
 std::string stored_file_id(ByteView data);

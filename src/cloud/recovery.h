@@ -140,7 +140,9 @@ class RecoveryManager {
                                          const std::string& file_id) const;
   /// Hints currently held for `target`, across all holders.
   size_t hint_count(const std::string& target) const;
-  /// All hints across all holders and targets.
+  /// All hints across all holders and targets: the cluster's replication
+  /// lag in missed (replica, file) writes, exported as the
+  /// maabe_cluster_replication_lag gauge.
   size_t pending_hints() const;
 
   // ---- 2PC epoch resolution ------------------------------------------

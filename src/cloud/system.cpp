@@ -45,7 +45,7 @@ CloudSystem::CloudSystem(std::shared_ptr<const pairing::Group> grp,
         put("maabe_system_channel_payload_bytes", l, t.payload_bytes);
         put("maabe_system_channel_bytes_delivered", l, t.bytes_delivered);
         put("maabe_system_channel_bytes_accepted", l, t.bytes_accepted);
-        put("maabe_cluster_replication_lag", l, replication_lag());
+        put("maabe_cluster_replication_lag", l, cluster_.recovery().pending_hints());
         for (const std::string& node : cluster_.node_names()) {
           const ServerStats ss = cluster_.node_store(node).stats();
           const telemetry::Labels nl{{"instance", instance()}, {"node", node}};
@@ -101,10 +101,6 @@ std::vector<NodeHealth> CloudSystem::cluster_health() const {
   out.reserve(cluster_.size());
   for (const std::string& name : cluster_.node_names()) out.push_back(health(name));
   return out;
-}
-
-uint64_t CloudSystem::replication_lag() const {
-  return cluster_.recovery().pending_hints();
 }
 
 telemetry::Snapshot CloudSystem::telemetry_snapshot() const {
@@ -431,33 +427,59 @@ CloudSystem::DownloadReport CloudSystem::download_report(const std::string& uid,
   // transport meters the actual frame, there is no second serialization.
   DownloadReport report;
   report.file_id = file_id;
-  link_.send(coord, user_name(uid), wire, [&](ByteView payload) {
-    const StoredFile file = deserialize_stored_file(*grp_, payload);
-    report.slots.clear();  // redundant on dedup'd applies, cheap insurance
-    for (const SealedSlot& slot : file.slots) {
-      SlotReport sr;
-      sr.component = slot.component_name;
-      const auto plan = consumer.decryption_plan(slot);
-      if (!plan) {
-        sr.state = SlotState::kNoKey;
-        sr.detail = "no usable key (authority unreachable, attributes "
-                    "insufficient, or key version stale)";
-      } else {
-        try {
-          sr.plaintext = consumer.open_slot(file, slot, *plan);
-          sr.state = SlotState::kOk;
-        } catch (const CryptoError& e) {
-          sr.state = SlotState::kCorrupt;
-          sr.detail = e.what();
-        } catch (const Error& e) {
-          sr.state = SlotState::kError;
-          sr.detail = e.what();
-        }
-      }
-      report.slots.push_back(std::move(sr));
-    }
-  });
+  link_.send(coord, user_name(uid), wire,
+             [&](ByteView payload) { report.slots = open_wire(consumer, payload); });
   return report;
+}
+
+std::vector<CloudSystem::SlotReport> CloudSystem::open_wire(const Consumer& consumer,
+                                                           ByteView wire) const {
+  // The views point into `wire` and do not outlive this call. A hit needs
+  // no plan: its bytes decrypted under the keys held now, since every key
+  // change empties the cache. Decoding every miss before opening any slot
+  // keeps a malformed point from failing the file halfway through.
+  const StoredFileView file = view_stored_file(wire);
+  const size_t n = file.slots.size();
+  std::vector<Bytes> cache_keys(n);
+  std::vector<std::optional<SealedSlot>> decoded(n);
+  for (size_t i = 0; i < n; ++i) {
+    cache_keys[i] = consumer.decrypt_cache_key(file.file_id, file.slots[i]);
+    if (!consumer.decrypt_cached(cache_keys[i])) decoded[i] = decode_slot(*grp_, file.slots[i]);
+  }
+  std::vector<SlotReport> out;
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    SlotReport& sr = out.emplace_back();
+    sr.component = file.slots[i].component_name;
+    if (!decoded[i]) {
+      if (std::optional<Bytes> plaintext = consumer.cached_plaintext(cache_keys[i])) {
+        sr.plaintext = std::move(*plaintext);
+        sr.state = SlotState::kOk;
+        continue;
+      }
+      // An earlier slot of this file evicted it; bytes that decoded once
+      // decode again.
+      decoded[i] = decode_slot(*grp_, file.slots[i]);
+    }
+    const auto plan = consumer.decryption_plan(*decoded[i]);
+    if (!plan) {
+      sr.state = SlotState::kNoKey;
+      sr.detail = "no usable key (authority unreachable, attributes "
+                  "insufficient, or key version stale)";
+      continue;
+    }
+    try {
+      sr.plaintext = consumer.open_slot(file.file_id, *decoded[i], *plan, cache_keys[i]);
+      sr.state = SlotState::kOk;
+    } catch (const CryptoError& e) {
+      sr.state = SlotState::kCorrupt;
+      sr.detail = e.what();
+    } catch (const Error& e) {
+      sr.state = SlotState::kError;
+      sr.detail = e.what();
+    }
+  }
+  return out;
 }
 
 std::map<std::string, Bytes> CloudSystem::download(const std::string& uid,

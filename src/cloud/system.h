@@ -104,6 +104,14 @@ class CloudSystem {
   /// the flush could not drain them.
   DownloadReport download_report(const std::string& uid, const std::string& file_id);
 
+  /// download_report's receive step on the bytes of one stored file as
+  /// `consumer` gets them: walk the wire (view_stored_file), look each
+  /// slot up in the decrypt cache by its bytes, decode every slot that
+  /// missed, then plan and open. A malformed file throws WireError before
+  /// any slot is opened or counted. Public so that a test can hand it
+  /// the bytes a faulty or hostile server would send.
+  std::vector<SlotReport> open_wire(const Consumer& consumer, ByteView wire) const;
+
   /// Legacy strict download: the opened slots; re-throws the first
   /// kCorrupt/kError slot's failure as a typed error.
   std::map<std::string, Bytes> download(const std::string& uid,
@@ -157,10 +165,6 @@ class CloudSystem {
   NodeHealth health(const std::string& node_id) const;
   /// health(node) for every node of the cluster, in node order.
   std::vector<NodeHealth> cluster_health() const;
-
-  /// Hints owed across all nodes (RecoveryManager::pending_hints) — the
-  /// cluster's replication lag in missed (replica, file) writes.
-  uint64_t replication_lag() const;
 
   // ---- Admission control -----------------------------------------------
   /// Caps every per-destination durable queue (default

@@ -19,13 +19,19 @@ void Writer::u64(uint64_t v) {
 void Writer::raw(ByteView data) { buf_.insert(buf_.end(), data.begin(), data.end()); }
 
 void Writer::var_bytes(ByteView data) {
-  if (data.size() > UINT32_MAX) throw WireError("var_bytes: field too large");
-  u32(static_cast<uint32_t>(data.size()));
+  raw(var_bytes_prefix(data));
   raw(data);
 }
 
 void Writer::str(std::string_view s) {
   var_bytes(ByteView(reinterpret_cast<const uint8_t*>(s.data()), s.size()));
+}
+
+std::array<uint8_t, 4> var_bytes_prefix(ByteView data) {
+  if (data.size() > UINT32_MAX) throw WireError("var_bytes: field too large");
+  const auto n = static_cast<uint32_t>(data.size());
+  return {static_cast<uint8_t>(n >> 24), static_cast<uint8_t>(n >> 16),
+          static_cast<uint8_t>(n >> 8), static_cast<uint8_t>(n)};
 }
 
 void Reader::need(size_t n) const {
@@ -59,12 +65,20 @@ Bytes Reader::raw(size_t n) {
 }
 
 Bytes Reader::var_bytes() {
+  const ByteView v = var_view();
+  return Bytes(v.begin(), v.end());
+}
+
+ByteView Reader::var_view() {
   const uint32_t n = u32();
-  return raw(n);
+  need(n);
+  const ByteView out = data_.subspan(pos_, n);
+  pos_ += n;
+  return out;
 }
 
 std::string Reader::str() {
-  const Bytes b = var_bytes();
+  const ByteView b = var_view();
   return std::string(b.begin(), b.end());
 }
 

@@ -8,6 +8,7 @@
 // and throws WireError on any malformed input.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -34,6 +35,10 @@ class Writer {
   Bytes buf_;
 };
 
+/// The u32 length prefix Writer::var_bytes puts before `data`: streams
+/// Writer's layout into a hash without building the buffer.
+std::array<uint8_t, 4> var_bytes_prefix(ByteView data);
+
 class Reader {
  public:
   explicit Reader(ByteView data) : data_(data) {}
@@ -43,6 +48,9 @@ class Reader {
   uint64_t u64();
   Bytes raw(size_t n);
   Bytes var_bytes();
+  /// var_bytes() without the copy: a view into the buffer this Reader
+  /// reads, valid only while that buffer lives.
+  ByteView var_view();
   std::string str();
 
   size_t remaining() const { return data_.size() - pos_; }

@@ -12,34 +12,32 @@ namespace {
 constexpr size_t kIvSize = 16;
 constexpr size_t kTagSize = 32;
 
-// Independent subkeys for encryption and authentication.
-struct SubKeys {
-  Bytes enc;
-  Bytes mac;
-};
-
-SubKeys derive(ByteView key) {
+// Independent subkeys: bytes [0, 32) encrypt, bytes [32, 64) authenticate.
+Bytes derive(ByteView key) {
   if (key.size() != kContentKeySize) throw CryptoError("authenc: key must be 32 bytes");
-  const Bytes material = kdf(key, "authenc/subkeys", 64);
-  return {Bytes(material.begin(), material.begin() + 32),
-          Bytes(material.begin() + 32, material.end())};
+  return kdf(key, "authenc/subkeys", 64);
 }
+ByteView enc_key(const Bytes& keys) { return ByteView(keys).first(32); }
+ByteView mac_key(const Bytes& keys) { return ByteView(keys).subspan(32); }
 
-Bytes mac_input(ByteView iv, ByteView ct, ByteView aad) {
-  Writer w;
-  w.var_bytes(aad);
-  w.raw(iv);
-  w.raw(ct);
-  return w.take();
+// The tag over var_bytes(aad) || iv || ct (Writer's layout), streamed
+// through the MAC without assembling that buffer.
+Bytes mac_tag(ByteView key, ByteView iv, ByteView ct, ByteView aad) {
+  HmacSha256 mac(key);
+  mac.update(var_bytes_prefix(aad));
+  mac.update(aad);
+  mac.update(iv);
+  mac.update(ct);
+  return mac.finish();
 }
 
 }  // namespace
 
 Bytes seal(ByteView key, ByteView plaintext, ByteView aad, Drbg& rng) {
-  const SubKeys keys = derive(key);
+  const Bytes keys = derive(key);
   const Bytes iv = rng.bytes(kIvSize);
-  const Bytes ct = aes_ctr(keys.enc, iv, plaintext);
-  const Bytes tag = hmac_sha256(keys.mac, mac_input(iv, ct, aad));
+  const Bytes ct = aes_ctr(enc_key(keys), iv, plaintext);
+  const Bytes tag = mac_tag(mac_key(keys), iv, ct, aad);
   Bytes out;
   out.reserve(iv.size() + ct.size() + tag.size());
   out.insert(out.end(), iv.begin(), iv.end());
@@ -50,13 +48,13 @@ Bytes seal(ByteView key, ByteView plaintext, ByteView aad, Drbg& rng) {
 
 Bytes open(ByteView key, ByteView box, ByteView aad) {
   if (box.size() < kIvSize + kTagSize) throw CryptoError("authenc: box too short");
-  const SubKeys keys = derive(key);
+  const Bytes keys = derive(key);
   const ByteView iv = box.subspan(0, kIvSize);
   const ByteView ct = box.subspan(kIvSize, box.size() - kIvSize - kTagSize);
   const ByteView tag = box.subspan(box.size() - kTagSize);
-  const Bytes expect = hmac_sha256(keys.mac, mac_input(iv, ct, aad));
+  const Bytes expect = mac_tag(mac_key(keys), iv, ct, aad);
   if (!secure_equal(expect, tag)) throw CryptoError("authenc: authentication failed");
-  return aes_ctr(keys.enc, iv, ct);
+  return aes_ctr(enc_key(keys), iv, ct);
 }
 
 }  // namespace maabe::crypto

@@ -169,6 +169,7 @@ Sha256::Sha256() {
 
 void Sha256::update(ByteView data) {
   if (finished_) throw CryptoError("Sha256: update after finish");
+  if (data.empty()) return;  // data() may be null, which memcpy must not see
   total_len_ += data.size();
   size_t off = 0;
   if (buf_len_ > 0) {

@@ -152,6 +152,9 @@ LsssMatrix LsssMatrix::deserialize(Reader& r) {
   const uint32_t cols = r.u32();
   if (rows == 0 || cols == 0 || rows > 100000 || cols > 100000)
     throw WireError("lsss: implausible matrix dimensions");
+  // Each entry is 8 wire bytes: refuse a header that asks for more
+  // entries than the input holds before allocating them.
+  if (uint64_t{rows} * cols > r.remaining() / 8) throw WireError("wire: truncated input");
   out.width_ = static_cast<int>(cols);
   out.matrix_.assign(rows, std::vector<int64_t>(cols, 0));
   for (auto& row : out.matrix_) {

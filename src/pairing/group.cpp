@@ -363,6 +363,8 @@ G1 Group::g1_from_bytes(ByteView data) const {
   const FieldElem x = fq.from_bytes(xb);
   FieldElem y;
   if (!ctx_.curve().lift_x(x, &y)) throw WireError("g1_from_bytes: x not on curve");
+  // y = 0 has no odd root; flag 1 there would be a second encoding.
+  if (flag == 1 && y.is_zero()) throw WireError("g1_from_bytes: bad sign flag");
   if (fq.from_mont(y).is_odd() != (flag == 1)) y = fq.neg(y);
   return G1(this, {x, y, false});
 }

@@ -176,8 +176,8 @@ TEST(ClusterTest, NodeHealthAttributesOutageAndReplicationLag) {
   const NodeHealth dead = sys->health("node:2");
   EXPECT_FALSE(dead.alive);
   EXPECT_EQ(dead.pending_in, on_dead);
-  EXPECT_EQ(dead.replication_lag, sys->replication_lag());
-  EXPECT_GT(sys->replication_lag(), 0u);
+  EXPECT_EQ(dead.replication_lag, sys->cluster().recovery().pending_hints());
+  EXPECT_GT(sys->cluster().recovery().pending_hints(), 0u);
 
   const std::vector<NodeHealth> all = sys->cluster_health();
   ASSERT_EQ(all.size(), 3u);
@@ -187,7 +187,7 @@ TEST(ClusterTest, NodeHealthAttributesOutageAndReplicationLag) {
 
   sys->cluster().restart_node("node:2");
   EXPECT_EQ(sys->flush_pending(), 0u);
-  EXPECT_EQ(sys->replication_lag(), 0u);
+  EXPECT_EQ(sys->cluster().recovery().pending_hints(), 0u);
   expect_replicas_converged(*sys, files);
 }
 
@@ -596,12 +596,12 @@ TEST(ClusterTest, RestartReconcilesStaleGauges) {
   sys->cluster().kill_node("node:1");
   sys->upload("hosp", fx, {{"b", bytes_of("v2 " + fx), "Doctor@Med"}});
   sys->upload("hosp", fx, {{"c", bytes_of("v3 " + fx), "Doctor@Med"}});
-  EXPECT_GT(sys->replication_lag(), 0u);
+  EXPECT_GT(sys->cluster().recovery().pending_hints(), 0u);
 
   // Restart drains the hint; gauges return to zero once converged.
   sys->cluster().restart_node("node:1");
   EXPECT_EQ(sys->flush_pending(), 0u);
-  EXPECT_EQ(sys->replication_lag(), 0u);
+  EXPECT_EQ(sys->cluster().recovery().pending_hints(), 0u);
   EXPECT_EQ(sys->health().pending_by_destination.count("node:1"), 0u);
   for (const NodeHealth& nh : sys->cluster_health()) {
     EXPECT_EQ(nh.replication_lag, 0u) << nh.node;

@@ -91,7 +91,7 @@ TEST(WorkloadChaosTest, KillAndRestartMidWorkloadMeetsDegradedSlo) {
   EXPECT_EQ(sys.flush_pending(), 0u);
   sys.cluster().recovery().sync_all();
   sys.flush_pending();
-  EXPECT_EQ(sys.replication_lag(), 0u);
+  EXPECT_EQ(sys.cluster().recovery().pending_hints(), 0u);
 
   // Phase 3 — recovered: the cluster serves like phase 1 again.
   const WorkloadReport recovered = gen.run_ops(80);

@@ -62,5 +62,43 @@ TEST(Kdf, RejectsBadLengths) {
   EXPECT_THROW(kdf(bytes_of("x"), "l", 255 * 32 + 1), CryptoError);
 }
 
+// One context, many messages: streamed in pieces, and again after
+// finish(), the tag is the one-shot tag; short and long (hashed) keys.
+TEST(HmacContext, StreamedAndReusedMatchesOneShot) {
+  for (const Bytes& key : {Bytes(20, 0x0b), Bytes(131, 0xaa)}) {
+    HmacSha256 mac(key);
+    for (const size_t len : {0u, 1u, 55u, 64u, 65u, 1000u}) {
+      Bytes msg(len);
+      for (size_t i = 0; i < len; ++i) msg[i] = static_cast<uint8_t>(i * 7 + len);
+      const size_t cut = len / 3;
+      mac.update(ByteView(msg).first(cut));
+      mac.update(ByteView(msg).subspan(cut));
+      EXPECT_EQ(mac.finish(), hmac_sha256(key, msg)) << key.size() << "/" << len;
+    }
+  }
+}
+
+// The KDF on contexts gives the bytes of extract-then-expand written out
+// with one-shot HMACs.
+TEST(Kdf, MatchesOneShotHmacConstruction) {
+  const auto reference = [](ByteView ikm, std::string_view label, size_t out_len) {
+    const Bytes prk = hmac_sha256(bytes_of("maabe/kdf/v1"), ikm);
+    Bytes out, t;
+    for (uint8_t counter = 1; out.size() < out_len; ++counter) {
+      Bytes block = t;
+      block.insert(block.end(), label.begin(), label.end());
+      block.push_back(counter);
+      t = hmac_sha256(prk, block);
+      out.insert(out.end(), t.begin(), t.end());
+    }
+    out.resize(out_len);
+    return out;
+  };
+  for (const size_t len : {1u, 32u, 64u, 100u, 255u * 32u}) {
+    const Bytes ikm = bytes_of("ikm-" + std::to_string(len));
+    EXPECT_EQ(kdf(ikm, "authenc/subkeys", len), reference(ikm, "authenc/subkeys", len)) << len;
+  }
+}
+
 }  // namespace
 }  // namespace maabe::crypto

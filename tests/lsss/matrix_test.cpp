@@ -351,6 +351,17 @@ TEST(MatrixPaperCurve, WideAndsMatchReference) {
 
 // A wire-decoded matrix may carry INT64_MIN, whose int64 negation is
 // undefined; share and reconstruction must treat it as -2^63 mod r.
+// A 9-byte header may claim up to 10^5 × 10^5 entries; the decoder
+// must refuse it from the input's length, not allocate 80 GB first.
+TEST_F(MatrixTest, DimensionsBeyondTheInputAreRefusedBeforeAllocating) {
+  Writer w;
+  w.u32(100000);  // rows
+  w.u32(100000);  // cols
+  w.u64(0);
+  Reader r(w.bytes());
+  EXPECT_THROW(LsssMatrix::deserialize(r), WireError);
+}
+
 TEST_F(MatrixTest, Int64MinEntryFromTheWire) {
   Writer w;
   w.u32(1);  // rows
