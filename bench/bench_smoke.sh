@@ -15,7 +15,8 @@
 #                     inv_kernel_speedup,
 #                     adx_kernel_speedup (only on ADX hosts),
 #                     sha256_kernel_speedup (only on SHA-NI hosts),
-#                     aes_ctr_kernel_speedup (only on AES-NI hosts)
+#                     aes_ctr_kernel_speedup (only on AES-NI hosts),
+#                     sqrt_batch_speedup (only on AVX-512 IFMA hosts)
 #       kernel_speedup: shared-final-exponentiation kernel vs the legacy
 #       pair-then-multiply fold, each side the best of three alternating
 #       passes on the calling thread's CPU clock (a cheaper final
@@ -50,14 +51,23 @@
 #       clock (about 10x and 20-80x with SHA-NI and AES-NI); floored
 #       only when /proc/cpuinfo lists sha_ni / aes (elsewhere they read
 #       ~1). The bench exits 1 when the two sides disagree.
-#       All seven are same-process ratios: host speed cancels, guarded by
+#       sqrt_batch_speedup: eleven square roots by (q+1)/4 mod the paper
+#       curve's q (a read-wide ciphertext's points) as a loop over
+#       FpCtx::sqrt_candidate vs one FpCtx::sqrt_candidates batch, each
+#       side the best of three alternating passes on the calling thread's
+#       CPU clock (about 4x with two 8-lane IFMA passes); floored only
+#       when /proc/cpuinfo lists avx512ifma (elsewhere it reads ~1). The
+#       bench exits 1 when any lane differs.
+#       All eight are same-process ratios: host speed cancels, guarded by
 #       an absolute floor.
 #       Also emitted, not guarded: the `substrate` object, the paper
 #       curve's per-call ladder (fq_*, zr_inv_us, lsss_reconstruct_wide_us
 #       for the AND of 10 over n_A = 2, lsss_reconstruct_fig3_us for
-#       n_A = 10, l = 50, g1_decode_us, the pairing and exponentiation
-#       rungs) whatever MAABE_BENCH_SMALL says; host-speed dependent, so
-#       it is read by bench/fig_tables.py, not floored here.
+#       n_A = 10, l = 50, g1_decode_us, g1_decode_batch_us per point of
+#       an 11-point batch, sqrt_scalar_us and sqrt_pass_us, the pairing
+#       and exponentiation rungs) whatever MAABE_BENCH_SMALL says;
+#       host-speed dependent, so it is read by bench/fig_tables.py, not
+#       floored here.
 #   revocation     -> BENCH_revocation.json epoch_transport,
 #                     cluster_epoch_efficiency
 #       epoch_transport is a wall time, guarded as a relative
@@ -121,6 +131,9 @@ if grep -qw sha_ni /proc/cpuinfo 2>/dev/null; then
 fi
 if grep -qw aes /proc/cpuinfo 2>/dev/null; then
   "$GUARD" floor BENCH_pairing_micro.json aes_ctr_kernel_speedup 5
+fi
+if grep -qw avx512ifma /proc/cpuinfo 2>/dev/null; then
+  "$GUARD" floor BENCH_pairing_micro.json sqrt_batch_speedup 2
 fi
 
 # revocation guards

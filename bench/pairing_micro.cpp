@@ -9,7 +9,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <ctime>
+#include <span>
 #include <thread>
+#include <vector>
 
 #include "bench_common.h"
 #include "bench_json.h"
@@ -442,6 +444,59 @@ SymmetricKernels symmetric_kernel_report() {
   return out;
 }
 
+/// Square roots by (q+1)/4 on the paper curve, eleven at a time (the
+/// C' and ten C_i of a read-wide ciphertext): the scalar loop over
+/// FpCtx::sqrt_candidate against the FpCtx::sqrt_candidates batch
+/// (8-lane IFMA passes where CPUID reports them; otherwise the same
+/// loop, ratio ~1). `scalar_us` is one scalar root and `pass_us` one
+/// 8-lane pass (0 without the IFMA kernel): the figures behind
+/// math::detail::kMinLanesPerPass. Exits 1 when any lane differs.
+struct SqrtBatch {
+  KernelPair loop_vs_batch;
+  double scalar_us = 0;
+  double pass_us = 0;
+};
+
+SqrtBatch sqrt_batch_report(const pairing::Group& grp) {
+  constexpr size_t kRoots = 11;
+  const pairing::FpCtx& fq = grp.ctx().fq();
+  crypto::Drbg rng(std::string_view("micro-sqrt-batch"));
+  std::vector<math::FieldElem> in;
+  for (size_t k = 0; k < kRoots; ++k) in.push_back(grp.ctx().curve().rhs(fq.random(rng)));
+  std::vector<math::FieldElem> scalar(kRoots), batch(kRoots);
+  SqrtBatch out;
+  out.loop_vs_batch = time_kernel_pair(
+      5,
+      [&] {
+        for (size_t k = 0; k < kRoots; ++k) scalar[k] = fq.sqrt_candidate(in[k]);
+      },
+      [&] { fq.sqrt_candidates(in, batch); });
+  if (scalar != batch) {
+    std::fprintf(stderr, "pairing_micro: scalar and batched square roots disagree\n");
+    std::exit(1);
+  }
+  out.scalar_us = out.loop_vs_batch.portable_us / kRoots;
+  if (math::detail::ifma_kernel_available()) {
+    const math::detail::LaneModulus lanes = math::detail::lane_modulus(fq.modulus());
+    const math::Bignum exp =
+        math::Bignum::shr(math::Bignum::add(fq.modulus(), math::Bignum::from_u64(1)), 2);
+    std::vector<math::FieldElem> one(1);
+    for (int pass = 0; pass < 3; ++pass) {
+      constexpr int kReps = 5;
+      const double t0 = thread_cpu_us();
+      for (int i = 0; i < kReps; ++i)
+        math::detail::pow8_ifma(lanes, fq.modulus(), std::span(in).first(1), exp, one);
+      const double us = (thread_cpu_us() - t0) / kReps;
+      if (pass == 0 || us < out.pass_us) out.pass_us = us;
+    }
+    if (one[0] != scalar[0]) {
+      std::fprintf(stderr, "pairing_micro: IFMA pass and scalar square root disagree\n");
+      std::exit(1);
+    }
+  }
+  return out;
+}
+
 // The engine's headline batch: a 16-term pairing product (decrypt's
 // shape at l=8, N_A=... — the dominant cost in Fig. 3b), timed on the
 // legacy serial path vs the thread pool. Emits BENCH_pairing_micro.json.
@@ -731,6 +786,15 @@ void engine_batch_report() {
   };
   const double g1_decode_us =
       best_us(10, [&] { benchmark::DoNotOptimize(paper_grp->g1_from_bytes(enc)); });
+  // Per point of one g1_from_bytes_batch over read-wide's eleven points.
+  std::vector<Bytes> wide_encs;
+  for (int k = 0; k < 11; ++k) wide_encs.push_back(paper_grp->g1_random(drng).to_bytes());
+  const std::vector<ByteView> wide_views(wide_encs.begin(), wide_encs.end());
+  const double g1_decode_batch_us =
+      best_us(2, [&] { benchmark::DoNotOptimize(paper_grp->g1_from_bytes_batch(wide_views)); }) /
+      static_cast<double>(wide_views.size());
+  const SqrtBatch sqrt_batch = sqrt_batch_report(*paper_grp);
+  const bool ifma = math::detail::ifma_kernel_available();
   // Decrypt's LSSS solver on Z_r (3 limbs): the full attribute set of the
   // read-wide policy (AND of 10, n_A = 2) and of Fig. 3's right end
   // (n_A = 10, l = 50).
@@ -749,6 +813,9 @@ void engine_batch_report() {
       .put("fq_sqr_ns", 1e3 * best_us(2000, [&] { fe = pfq.sqr(fe); }))
       .put("fq_inv_us", best_us(20, [&] { fe = pfq.inv(fe); }))
       .put("g1_decode_us", g1_decode_us)
+      .put("g1_decode_batch_us", g1_decode_batch_us)
+      .put("sqrt_scalar_us", sqrt_batch.scalar_us)
+      .put("sqrt_pass_us", sqrt_batch.pass_us)
       .put("zr_inv_us", best_us(20, [&] { benchmark::DoNotOptimize(zk.inverse()); }))
       .put("lsss_reconstruct_wide_us", lsss_wide_us)
       .put("lsss_reconstruct_fig3_us", lsss_fig3_us)
@@ -779,6 +846,11 @@ void engine_batch_report() {
   std::printf("  inverse, batched    : %8.2f us   speedup %.2fx\n", batched_inv_us,
               inv_kernel_speedup);
   std::printf("  G1 decode           : %8.1f us\n", g1_decode_us);
+  std::printf("  G1 decode, batch 11 : %8.1f us per point\n", g1_decode_batch_us);
+  std::printf("  11 roots, scalar    : %8.1f us\n", sqrt_batch.loop_vs_batch.portable_us);
+  std::printf("  11 roots, %s  : %8.1f us   speedup %.2fx (8-lane pass %.1f us, root %.1f us)\n",
+              ifma ? "ifma    " : "portable", sqrt_batch.loop_vs_batch.dispatched_us,
+              sqrt_batch.loop_vs_batch.speedup(), sqrt_batch.pass_us, sqrt_batch.scalar_us);
   std::printf("  LSSS solve, AND-10  : %8.1f us   (n_A=10, l=50: %.1f us)\n", lsss_wide_us,
               lsss_fig3_us);
 
@@ -848,6 +920,11 @@ void engine_batch_report() {
       .put("aes_ctr_4k_dispatched_us", sym.aes_ctr.dispatched_us)
       .put("aes_ctr_kernel_speedup", sym.aes_ctr.speedup())
       .put("g1_decode_us", g1_decode_us)
+      .put("ifma_kernel", ifma ? 1 : 0)
+      .put("g1_decode_batch_us", g1_decode_batch_us)
+      .put("sqrt_batch_scalar_us", sqrt_batch.loop_vs_batch.portable_us)
+      .put("sqrt_batch_dispatched_us", sqrt_batch.loop_vs_batch.dispatched_us)
+      .put("sqrt_batch_speedup", sqrt_batch.loop_vs_batch.speedup())
       .put("substrate", substrate)
       .put("merge_terms", dec_terms.size())
       .put("merge_per_term_ms", per_term_ms)

@@ -30,7 +30,10 @@ void put_g1(Writer& w, const G1& v) { w.raw(v.to_bytes()); }
 void put_gt(Writer& w, const GT& v) { w.raw(v.to_bytes()); }
 void put_zr(Writer& w, const Zr& v) { w.raw(v.to_bytes()); }
 
-G1 get_g1(const Group& grp, Reader& r) { return grp.g1_from_bytes(r.raw(grp.g1_size())); }
+/// One compressed point's bytes. A decoder with several points reads
+/// all their views first and decodes them as one
+/// Group::g1_from_bytes_batch.
+ByteView g1_view(const Group& grp, Reader& r) { return r.raw_view(grp.g1_size()); }
 
 // Transient revocation-protocol messages (update keys / update infos)
 // use the uncompressed x||y encoding: decoding skips the per-point
@@ -39,7 +42,7 @@ G1 get_g1(const Group& grp, Reader& r) { return grp.g1_from_bytes(r.raw(grp.g1_s
 // form whose sizes Tables II-IV count.
 void put_g1_xy(Writer& w, const G1& v) { w.raw(v.to_bytes_uncompressed()); }
 G1 get_g1_xy(const Group& grp, Reader& r) {
-  return grp.g1_from_bytes_uncompressed(r.raw(grp.g1_uncompressed_size()));
+  return grp.g1_from_bytes_uncompressed(r.raw_view(grp.g1_uncompressed_size()));
 }
 
 // Key material additionally gets an order check: decompression only
@@ -47,14 +50,17 @@ G1 get_g1_xy(const Group& grp, Reader& r) {
 // to the handful of points inside keys (not to per-row ciphertext
 // components, where it would cost one scalar multiplication per policy
 // row on every load; see README "Architecture notes").
-G1 get_g1_checked(const Group& grp, Reader& r) {
-  G1 point = get_g1(grp, r);
+void check_subgroup(const G1& point) {
   if (!point.in_subgroup())
     throw WireError("deserialize: point outside the order-r subgroup");
+}
+G1 get_g1_checked(const Group& grp, Reader& r) {
+  G1 point = grp.g1_from_bytes(g1_view(grp, r));
+  check_subgroup(point);
   return point;
 }
-GT get_gt(const Group& grp, Reader& r) { return grp.gt_from_bytes(r.raw(grp.gt_size())); }
-Zr get_zr(const Group& grp, Reader& r) { return grp.zr_from_bytes(r.raw(grp.zr_size())); }
+GT get_gt(const Group& grp, Reader& r) { return grp.gt_from_bytes(r.raw_view(grp.gt_size())); }
+Zr get_zr(const Group& grp, Reader& r) { return grp.zr_from_bytes(r.raw_view(grp.zr_size())); }
 
 void expect_tag(Reader& r, Tag tag, const char* what) {
   if (r.u8() != tag) throw WireError(std::string("deserialize: wrong tag for ") + what);
@@ -204,16 +210,23 @@ UserSecretKey deserialize_user_secret_key(const Group& grp, ByteView data) {
   v.aid = r.str();
   v.owner_id = r.str();
   v.version = r.u32();
-  v.k = get_g1_checked(grp, r);
+  std::vector<ByteView> points = {g1_view(grp, r)};  // K, then each K_x
+  std::vector<G1*> slots = {&v.k};
   const uint32_t n = r.u32();
   for (uint32_t i = 0; i < n; ++i) {
     const std::string handle = r.str();
     (void)parse_handle(handle);  // validate shape
-    const G1 key = get_g1_checked(grp, r);
-    if (!v.kx.emplace(handle, key).second)
-      throw WireError("deserialize: duplicate attribute in UserSecretKey");
+    points.push_back(g1_view(grp, r));
+    const auto [it, fresh] = v.kx.try_emplace(handle);
+    if (!fresh) throw WireError("deserialize: duplicate attribute in UserSecretKey");
+    slots.push_back(&it->second);
   }
   r.expect_done();
+  std::vector<G1> decoded = grp.g1_from_bytes_batch(points);
+  for (size_t i = 0; i < decoded.size(); ++i) {
+    check_subgroup(decoded[i]);
+    *slots[i] = std::move(decoded[i]);
+  }
   return v;
 }
 
@@ -240,14 +253,19 @@ Ciphertext deserialize_ciphertext(const Group& grp, ByteView data) {
   v.owner_id = r.str();
   v.policy = lsss::LsssMatrix::deserialize(r);
   v.c = get_gt(grp, r);
-  v.c_prime = get_g1(grp, r);
+  std::vector<ByteView> points = {g1_view(grp, r)};  // C', then each C_i
   const uint32_t rows = r.u32();
   if (rows != static_cast<uint32_t>(v.policy.rows()))
     throw WireError("deserialize: ciphertext row count mismatch");
-  v.ci.reserve(rows);
-  for (uint32_t i = 0; i < rows; ++i) v.ci.push_back(get_g1(grp, r));
+  points.reserve(rows + 1);
+  for (uint32_t i = 0; i < rows; ++i) points.push_back(g1_view(grp, r));
   v.versions = get_versions(r);
   r.expect_done();
+  // Every structural check has passed: the square roots run as one batch.
+  std::vector<G1> decoded = grp.g1_from_bytes_batch(points);
+  v.c_prime = std::move(decoded.front());
+  v.ci.assign(std::make_move_iterator(decoded.begin() + 1),
+              std::make_move_iterator(decoded.end()));
   return v;
 }
 

@@ -37,8 +37,8 @@ LewkoAttributePublicKey deserialize_lewko_attribute_pk(const Group& grp, ByteVie
   LewkoAttributePublicKey v;
   v.attr.name = r.str();
   v.attr.aid = r.str();
-  v.e_gg_alpha = grp.gt_from_bytes(r.raw(grp.gt_size()));
-  v.g_y = grp.g1_from_bytes(r.raw(grp.g1_size()));
+  v.e_gg_alpha = grp.gt_from_bytes(r.raw_view(grp.gt_size()));
+  v.g_y = grp.g1_from_bytes(r.raw_view(grp.g1_size()));
   r.expect_done();
   return v;
 }
@@ -61,14 +61,19 @@ LewkoUserKey deserialize_lewko_user_key(const Group& grp, ByteView data) {
   expect_tag(r, kTagUserKey, "LewkoUserKey");
   LewkoUserKey v;
   v.gid = r.str();
+  std::vector<ByteView> points;
+  std::vector<G1*> slots;
   const uint32_t n = r.u32();
   for (uint32_t i = 0; i < n; ++i) {
     const std::string handle = r.str();
-    const G1 key = grp.g1_from_bytes(r.raw(grp.g1_size()));
-    if (!v.k.emplace(handle, key).second)
-      throw WireError("deserialize: duplicate attribute in LewkoUserKey");
+    points.push_back(r.raw_view(grp.g1_size()));
+    const auto [it, fresh] = v.k.try_emplace(handle);
+    if (!fresh) throw WireError("deserialize: duplicate attribute in LewkoUserKey");
+    slots.push_back(&it->second);
   }
   r.expect_done();
+  std::vector<G1> decoded = grp.g1_from_bytes_batch(points);
+  for (size_t i = 0; i < decoded.size(); ++i) *slots[i] = std::move(decoded[i]);
   return v;
 }
 
@@ -92,16 +97,23 @@ LewkoCiphertext deserialize_lewko_ciphertext(const Group& grp, ByteView data) {
   expect_tag(r, kTagCiphertext, "LewkoCiphertext");
   LewkoCiphertext v;
   v.policy = lsss::LsssMatrix::deserialize(r);
-  v.c0 = grp.gt_from_bytes(r.raw(grp.gt_size()));
+  v.c0 = grp.gt_from_bytes(r.raw_view(grp.gt_size()));
   const uint32_t rows = r.u32();
   if (rows != static_cast<uint32_t>(v.policy.rows()))
     throw WireError("deserialize: lewko ciphertext row count mismatch");
+  std::vector<ByteView> points;  // C2_i, C3_i per row
+  points.reserve(2 * size_t{rows});
   for (uint32_t i = 0; i < rows; ++i) {
-    v.c1.push_back(grp.gt_from_bytes(r.raw(grp.gt_size())));
-    v.c2.push_back(grp.g1_from_bytes(r.raw(grp.g1_size())));
-    v.c3.push_back(grp.g1_from_bytes(r.raw(grp.g1_size())));
+    v.c1.push_back(grp.gt_from_bytes(r.raw_view(grp.gt_size())));
+    points.push_back(r.raw_view(grp.g1_size()));
+    points.push_back(r.raw_view(grp.g1_size()));
   }
   r.expect_done();
+  const std::vector<G1> decoded = grp.g1_from_bytes_batch(points);
+  for (size_t i = 0; i < decoded.size(); i += 2) {
+    v.c2.push_back(decoded[i]);
+    v.c3.push_back(decoded[i + 1]);
+  }
   return v;
 }
 

@@ -59,6 +59,7 @@ RecoveryManager::RecoveryManager(Cluster& cluster) : cluster_(cluster) {
         reg.counter("maabe_recovery_hints_superseded_total", l),
         reg.counter("maabe_recovery_hints_dropped_total", l),
         reg.counter("maabe_recovery_syncs_total", l),
+        reg.counter("maabe_recovery_leaves_hashed_total", l),
         reg.counter("maabe_recovery_sync_rounds_total", l),
         reg.counter("maabe_recovery_shards_divergent_total", l),
         reg.counter("maabe_recovery_files_transferred_total", l),
@@ -109,7 +110,7 @@ std::vector<std::vector<Bytes>> RecoveryManager::build_tree_levels(
 
 std::vector<std::vector<RecoveryManager::ShardLeaf>>
 RecoveryManager::pair_listing(const std::string& owner,
-                              const std::string& peer) {
+                              const std::string& peer, LeafMemo* memo) {
   const CloudServer& store = cluster_.node_store(owner);
   std::vector<std::vector<ShardLeaf>> out(store.shard_count());
   // file_ids() is sorted, so each shard's leaves come out fid-sorted.
@@ -119,13 +120,23 @@ RecoveryManager::pair_listing(const std::string& owner,
       return std::find(replicas.begin(), replicas.end(), x) != replicas.end();
     };
     if (!has(owner) || !has(peer)) continue;  // not a shared file
+    std::vector<ShardLeaf>& shard = out[store.shard_of(fid)];
+    if (memo != nullptr) {
+      const auto it = memo->find(fid);
+      if (it != memo->end() && it->second.version == store.version_of(fid)) {
+        shard.push_back(it->second);
+        continue;
+      }
+    }
     const FetchReply copy = store.peek(fid);
     ShardLeaf leaf;
     leaf.fid = fid;
     leaf.version = copy.version;
     leaf.content_hash = crypto::Sha256::digest(copy.wire);
     leaf.authentic = leaf.content_hash == copy.hash;
-    out[store.shard_of(fid)].push_back(std::move(leaf));
+    m_.leaves_hashed->inc();
+    if (memo != nullptr) (*memo)[fid] = leaf;
+    shard.push_back(std::move(leaf));
   }
   return out;
 }
@@ -291,6 +302,11 @@ bool RecoveryManager::pull_file(const std::string& to, const std::string& from,
 
 SyncReport RecoveryManager::sync(const std::string& initiator,
                                  const std::string& peer) {
+  return sync_session(initiator, peer, nullptr);
+}
+
+SyncReport RecoveryManager::sync_session(const std::string& initiator,
+                                         const std::string& peer, LeafMemo* memo) {
   Cluster::Node& a = cluster_.node(initiator);
   cluster_.ensure_alive(a);
   cluster_.ensure_alive(cluster_.node(peer));
@@ -304,7 +320,13 @@ SyncReport RecoveryManager::sync(const std::string& initiator,
   const uint64_t sync_id =
       next_sync_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   const std::vector<std::vector<ShardLeaf>> listing =
-      pair_listing(initiator, peer);
+      pair_listing(initiator, peer, memo);
+  // A pulled file changed under its leaf; the next session hashes it anew.
+  const auto pull = [&](const std::string& fid, uint64_t* bytes) {
+    if (!pull_file(initiator, peer, fid, bytes)) return false;
+    if (memo != nullptr) memo->erase(fid);
+    return true;
+  };
   const std::vector<std::vector<Bytes>> levels = build_tree_levels(listing);
 
   SyncReport rep;
@@ -382,8 +404,7 @@ SyncReport RecoveryManager::sync(const std::string& initiator,
         }
         if (only_remote) {
           uint64_t bytes = 0;
-          if (pull_file(initiator, peer, remote[ri].fid, &bytes))
-            ++rep.files_pulled;
+          if (pull(remote[ri].fid, &bytes)) ++rep.files_pulled;
           rep.bytes_transferred += bytes;
           ++ri;
           continue;
@@ -415,7 +436,7 @@ SyncReport RecoveryManager::sync(const std::string& initiator,
           push_file(initiator, peer, l, &rep);
         } else {
           uint64_t bytes = 0;
-          if (pull_file(initiator, peer, l.fid, &bytes)) ++rep.files_pulled;
+          if (pull(l.fid, &bytes)) ++rep.files_pulled;
           rep.bytes_transferred += bytes;
         }
       }
@@ -440,12 +461,13 @@ SyncReport RecoveryManager::sync(const std::string& initiator,
 SyncReport RecoveryManager::sync_all() {
   SyncReport agg;
   for (size_t i = 0; i < cluster_.names_.size(); ++i) {
+    LeafMemo memo;  // node i initiates every session of its row
     for (size_t j = i + 1; j < cluster_.names_.size(); ++j) {
       const std::string& a = cluster_.names_[i];
       const std::string& b = cluster_.names_[j];
       if (!cluster_.alive(a) || !cluster_.alive(b)) continue;
       try {
-        agg += sync(a, b);
+        agg += sync_session(a, b, &memo);
       } catch (const TransportError&) {
         m_.sync_failures->inc();
       }
@@ -633,10 +655,11 @@ void RecoveryManager::rejoin(const std::string& name) {
   for (const std::string& peer : cluster_.names_)
     drained += drain_hints(peer, name) + drain_hints(name, peer);
   SyncReport agg;
+  LeafMemo memo;  // this node's files, hashed once across its sessions
   for (const std::string& peer : cluster_.names_) {
     if (peer == name || !cluster_.alive(peer)) continue;
     try {
-      agg += sync(name, peer);
+      agg += sync_session(name, peer, &memo);
     } catch (const TransportError&) {
       m_.sync_failures->inc();
     }
@@ -656,6 +679,7 @@ RecoveryStats RecoveryManager::stats() const {
   s.hints_superseded = m_.hints_superseded->value();
   s.hints_dropped = m_.hints_dropped->value();
   s.syncs = m_.syncs->value();
+  s.leaves_hashed = m_.leaves_hashed->value();
   s.sync_rounds = m_.sync_rounds->value();
   s.shards_divergent = m_.shards_divergent->value();
   s.files_transferred = m_.files_transferred->value();

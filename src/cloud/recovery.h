@@ -88,6 +88,7 @@ struct RecoveryStats {
   uint64_t hints_superseded = 0;  ///< cleared: target as new as the holder's copy
   uint64_t hints_dropped = 0;     ///< cleared: holder no longer had the file
   uint64_t syncs = 0;             ///< pairwise anti-entropy sessions
+  uint64_t leaves_hashed = 0;     ///< held files hashed into Merkle listings
   uint64_t sync_rounds = 0;       ///< tree-level exchanges across sessions
   uint64_t shards_divergent = 0;
   uint64_t files_transferred = 0;
@@ -177,8 +178,20 @@ class RecoveryManager {
   /// (Cluster::kVerdict*; a commit wins), 0 when no log records one.
   uint8_t logged_verdict(uint64_t epoch_id) const;
 
+  /// Leaves an initiator already hashed, by file id: one rejoin (or one
+  /// initiator's row of sync_all) hashes each file it holds once across
+  /// its sessions. A leaf is reused while the store keeps its version; a
+  /// session drops the leaf of each file it pulls.
+  using LeafMemo = std::map<std::string, ShardLeaf>;
+
+  /// `owner`'s leaves for the files it shares with `peer`, hashing the
+  /// bytes held now (or taking them from `memo`, which it fills).
   std::vector<std::vector<ShardLeaf>> pair_listing(const std::string& owner,
-                                                   const std::string& peer);
+                                                   const std::string& peer,
+                                                   LeafMemo* memo = nullptr);
+  /// sync() with the initiator's leaves shared through `memo` (nullable).
+  SyncReport sync_session(const std::string& initiator, const std::string& peer,
+                          LeafMemo* memo);
   static std::vector<std::vector<Bytes>> build_tree_levels(
       const std::vector<std::vector<ShardLeaf>>& listing);
   Session& session_for(const std::string& owner, const std::string& peer,
@@ -197,7 +210,7 @@ class RecoveryManager {
   /// maabe_recovery_<name>_total{instance}: one add per event.
   struct {
     telemetry::CounterSeries hints_recorded, hints_replayed, hints_superseded,
-        hints_dropped, syncs, sync_rounds, shards_divergent, files_transferred,
+        hints_dropped, syncs, leaves_hashed, sync_rounds, shards_divergent, files_transferred,
         bytes_transferred, epochs_resolved_commit, epochs_resolved_abort, rejoins,
         sync_failures;
   } m_;

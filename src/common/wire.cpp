@@ -58,8 +58,13 @@ uint64_t Reader::u64() {
 }
 
 Bytes Reader::raw(size_t n) {
+  const ByteView v = raw_view(n);
+  return Bytes(v.begin(), v.end());
+}
+
+ByteView Reader::raw_view(size_t n) {
   need(n);
-  Bytes out(data_.begin() + pos_, data_.begin() + pos_ + n);
+  const ByteView out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
 }
@@ -69,13 +74,7 @@ Bytes Reader::var_bytes() {
   return Bytes(v.begin(), v.end());
 }
 
-ByteView Reader::var_view() {
-  const uint32_t n = u32();
-  need(n);
-  const ByteView out = data_.subspan(pos_, n);
-  pos_ += n;
-  return out;
-}
+ByteView Reader::var_view() { return raw_view(u32()); }
 
 std::string Reader::str() {
   const ByteView b = var_view();

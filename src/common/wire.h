@@ -47,6 +47,9 @@ class Reader {
   uint32_t u32();
   uint64_t u64();
   Bytes raw(size_t n);
+  /// raw() without the copy: a view into the buffer this Reader reads,
+  /// valid only while that buffer lives.
+  ByteView raw_view(size_t n);
   Bytes var_bytes();
   /// var_bytes() without the copy: a view into the buffer this Reader
   /// reads, valid only while that buffer lives.

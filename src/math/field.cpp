@@ -15,10 +15,22 @@
 #define MAABE_FIELD_ADX 0
 #endif
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#define MAABE_FIELD_IFMA 1
+#include <cpuid.h>
+#include <immintrin.h>
+#else
+#define MAABE_FIELD_IFMA 0
+#endif
+
 namespace maabe::math {
 
 using u128 = unsigned __int128;
 using i128 = __int128;
+using detail::LaneModulus;
+using detail::Lanes;
+
+constexpr uint64_t kMask52 = (uint64_t(1) << 52) - 1;  // one radix-2^52 limb
 
 FieldElem::FieldElem(const Bignum& v) {
   if (v.limb_count() > kLimbs) throw MathError("FieldElem: value exceeds 512 bits");
@@ -454,6 +466,144 @@ extern "C" void maabe_mont_mul8_adx(uint64_t* out, const uint64_t* a, const uint
                                     const uint64_t* p, uint64_t n0);
 #endif  // MAABE_FIELD_ADX
 
+#if MAABE_FIELD_IFMA
+// ------------------------------------------------------ IFMA kernels --
+// Eight residues side by side, one per 64-bit lane of a zmm register,
+// in ten radix-2^52 limbs (DESIGN.md §22). vpmadd52luq / vpmadd52huq add
+// the low / high 52 bits of a 52x52-bit product to a 64-bit lane, so a
+// limb's sum of partial products needs no carry until the end: an
+// accumulator limb collects at most ~42 terms below 2^52 (< 2^58) before
+// the one carry pass that normalizes the result. Montgomery radix
+// R' = 2^520; inputs below 2p give outputs below (4p^2 + R'p)/R' < 2p.
+
+#define MAABE_IFMA_TARGET __attribute__((target("avx512f,avx512ifma")))
+
+namespace {
+
+constexpr int kLaneLimbs = LaneModulus::kLimbs;
+
+/// x >> 52 per lane. The zero-masking form: GCC 12's plain
+/// _mm512_srli_epi64 trips -Wuninitialized on its undefined pass-through.
+MAABE_IFMA_TARGET inline __m512i carry52(__m512i x) {
+  return _mm512_maskz_srli_epi64(0xFF, x, 52);
+}
+
+/// Carries t[0..9] into ten limbs below 2^52 and stores them; the value
+/// is below 2^520, so nothing carries out of limb 9.
+MAABE_IFMA_TARGET inline Lanes normalize_lanes(__m512i* t) {
+  const __m512i mask = _mm512_set1_epi64(static_cast<long long>(kMask52));
+  Lanes out;
+  #pragma GCC unroll 20
+  for (int j = 0; j + 1 < kLaneLimbs; ++j) {
+    t[j + 1] = _mm512_add_epi64(t[j + 1], carry52(t[j]));
+    _mm512_storeu_si512(out.limb[j], _mm512_and_si512(t[j], mask));
+  }
+  _mm512_storeu_si512(out.limb[kLaneLimbs - 1], t[kLaneLimbs - 1]);
+  return out;
+}
+
+}  // namespace
+
+namespace detail {
+
+// Word-by-word: each round adds a_i*b, then m*p with m chosen so the
+// low limb vanishes, then drops that limb (its carry moves up).
+MAABE_IFMA_TARGET Lanes mont_mul52x8_ifma(const Lanes& a, const Lanes& b,
+                                          const LaneModulus& m) {
+  const __m512i n0 = _mm512_set1_epi64(static_cast<long long>(m.n0));
+  const __m512i zero = _mm512_setzero_si512();
+  __m512i bv[kLaneLimbs], t[kLaneLimbs + 1];
+  #pragma GCC unroll 20
+  for (int j = 0; j < kLaneLimbs; ++j) {
+    bv[j] = _mm512_loadu_si512(b.limb[j]);
+    t[j] = zero;
+  }
+  t[kLaneLimbs] = zero;
+  #pragma GCC unroll 20
+  for (int i = 0; i < kLaneLimbs; ++i) {
+    const __m512i ai = _mm512_loadu_si512(a.limb[i]);
+    #pragma GCC unroll 20
+    for (int j = 0; j < kLaneLimbs; ++j) {
+      t[j] = _mm512_madd52lo_epu64(t[j], ai, bv[j]);
+      t[j + 1] = _mm512_madd52hi_epu64(t[j + 1], ai, bv[j]);
+    }
+    const __m512i mi = _mm512_madd52lo_epu64(zero, t[0], n0);
+    #pragma GCC unroll 20
+    for (int j = 0; j < kLaneLimbs; ++j) {
+      const __m512i pj = _mm512_set1_epi64(static_cast<long long>(m.p[j]));
+      t[j] = _mm512_madd52lo_epu64(t[j], mi, pj);
+      t[j + 1] = _mm512_madd52hi_epu64(t[j + 1], mi, pj);
+    }
+    // t[0] is now a multiple of 2^52: shift its carry into t[1] and
+    // rename the limbs down by one.
+    const __m512i carry = carry52(t[0]);
+    #pragma GCC unroll 20
+    for (int j = 0; j < kLaneLimbs; ++j) t[j] = t[j + 1];
+    t[0] = _mm512_add_epi64(t[0], carry);
+    t[kLaneLimbs] = zero;
+  }
+  return normalize_lanes(t);
+}
+
+// SOS: the 20-limb square from the 45 cross products (the accumulators
+// doubled once) plus the 10 diagonal ones, then ten reduction rounds
+// over the low half.
+MAABE_IFMA_TARGET Lanes mont_sqr52x8_ifma(const Lanes& a, const LaneModulus& m) {
+  const __m512i n0 = _mm512_set1_epi64(static_cast<long long>(m.n0));
+  const __m512i zero = _mm512_setzero_si512();
+  __m512i av[kLaneLimbs], t[2 * kLaneLimbs];
+  #pragma GCC unroll 20
+  for (int j = 0; j < kLaneLimbs; ++j) av[j] = _mm512_loadu_si512(a.limb[j]);
+  #pragma GCC unroll 20
+  for (int k = 0; k < 2 * kLaneLimbs; ++k) t[k] = zero;
+  #pragma GCC unroll 20
+  for (int i = 0; i < kLaneLimbs; ++i) {
+    #pragma GCC unroll 20
+    for (int j = i + 1; j < kLaneLimbs; ++j) {
+      t[i + j] = _mm512_madd52lo_epu64(t[i + j], av[i], av[j]);
+      t[i + j + 1] = _mm512_madd52hi_epu64(t[i + j + 1], av[i], av[j]);
+    }
+  }
+  #pragma GCC unroll 20
+  for (int k = 1; k < 2 * kLaneLimbs; ++k) t[k] = _mm512_add_epi64(t[k], t[k]);
+  #pragma GCC unroll 20
+  for (int i = 0; i < kLaneLimbs; ++i) {
+    t[2 * i] = _mm512_madd52lo_epu64(t[2 * i], av[i], av[i]);
+    t[2 * i + 1] = _mm512_madd52hi_epu64(t[2 * i + 1], av[i], av[i]);
+  }
+  #pragma GCC unroll 20
+  for (int i = 0; i < kLaneLimbs; ++i) {
+    const __m512i mi = _mm512_madd52lo_epu64(zero, t[i], n0);
+    #pragma GCC unroll 20
+    for (int j = 0; j < kLaneLimbs; ++j) {
+      const __m512i pj = _mm512_set1_epi64(static_cast<long long>(m.p[j]));
+      t[i + j] = _mm512_madd52lo_epu64(t[i + j], mi, pj);
+      t[i + j + 1] = _mm512_madd52hi_epu64(t[i + j + 1], mi, pj);
+    }
+    t[i + 1] = _mm512_add_epi64(t[i + 1], carry52(t[i]));
+  }
+  return normalize_lanes(t + kLaneLimbs);
+}
+
+}  // namespace detail
+#endif  // MAABE_FIELD_IFMA
+
+namespace {
+
+/// Ten radix-2^52 limbs of a value below 2^512.
+std::array<uint64_t, LaneModulus::kLimbs> to_radix52(const FieldElem& x) {
+  std::array<uint64_t, LaneModulus::kLimbs> out{};
+  for (int i = 0; i < LaneModulus::kLimbs; ++i) {
+    const int bit = 52 * i, w = bit / 64, s = bit % 64;
+    uint64_t v = x.l[w] >> s;
+    if (s > 12 && w + 1 < FieldElem::kLimbs) v |= x.l[w + 1] << (64 - s);
+    out[i] = v & kMask52;
+  }
+  return out;
+}
+
+}  // namespace
+
 namespace detail {
 
 uint64_t mont_n0(uint64_t p0) {
@@ -495,6 +645,77 @@ FieldElem mont_mul8_adx(const FieldElem& a, const FieldElem& b, const FieldElem&
 #else
   return mont_mul<8>(a, b, p, n0);  // unreachable: adx_kernel_available() is false
 #endif
+}
+
+LaneModulus lane_modulus(const Bignum& p) {
+  const Bignum one = Bignum::from_u64(1);
+  LaneModulus m;
+  m.p = to_radix52(FieldElem(p));
+  m.to_lanes = to_radix52(FieldElem(Bignum::mod(Bignum::shl(one, 528), p)));
+  m.from_lanes = to_radix52(FieldElem(Bignum::mod(Bignum::shl(one, 512), p)));
+  m.n0 = mont_n0(p.limb(0)) & kMask52;
+  return m;
+}
+
+bool ifma_kernel_available() {
+#if MAABE_FIELD_IFMA
+  static const bool available = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx) || (ecx & bit_OSXSAVE) == 0) return false;
+    // XCR0 bits 1, 2 (SSE, AVX) and 5, 6, 7 (opmask, ZMM_Hi256,
+    // Hi16_ZMM): the OS saves every register the kernels touch.
+    uint32_t xcr0_lo = 0, xcr0_hi = 0;
+    __asm__ volatile("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
+    (void)xcr0_hi;
+    if ((xcr0_lo & 0xE6) != 0xE6) return false;
+    if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+    return (ebx & bit_AVX512F) != 0 && (ebx & bit_AVX512IFMA) != 0;
+  }();
+  return available;
+#else
+  return false;
+#endif
+}
+
+#if !MAABE_FIELD_IFMA
+// Unreachable: ifma_kernel_available() is false in such builds.
+Lanes mont_mul52x8_ifma(const Lanes&, const Lanes&, const LaneModulus&) {
+  throw MathError("mont_mul52x8_ifma: not built for this target");
+}
+Lanes mont_sqr52x8_ifma(const Lanes&, const LaneModulus&) {
+  throw MathError("mont_sqr52x8_ifma: not built for this target");
+}
+#endif
+
+void pow8_ifma(const LaneModulus& m, const FieldElem& p, std::span<const FieldElem> bases,
+               const Bignum& exp, std::span<FieldElem> out) {
+  if (bases.empty() || bases.size() > Lanes::kLanes || out.size() != bases.size())
+    throw MathError("pow8_ifma: needs 1..8 bases and as many outputs");
+  Lanes x, to_lanes, from_lanes;
+  for (int k = 0; k < Lanes::kLanes; ++k) {
+    const std::array<uint64_t, LaneModulus::kLimbs> limbs =
+        to_radix52(static_cast<size_t>(k) < bases.size() ? bases[k] : FieldElem());
+    for (int i = 0; i < LaneModulus::kLimbs; ++i) {
+      x.limb[i][k] = limbs[i];
+      to_lanes.limb[i][k] = m.to_lanes[i];
+      from_lanes.limb[i][k] = m.from_lanes[i];
+    }
+  }
+  const auto mul = [&m](const Lanes& a, const Lanes& b) { return mont_mul52x8_ifma(a, b, m); };
+  const auto sqr = [&m](const Lanes& a) { return mont_sqr52x8_ifma(a, m); };
+  // aR * 2^528 / R' = aR'; R * 2^528 / R' = R' is the lanes' one; the
+  // product with R on the way out leaves a^e R below 2p.
+  const Lanes one = mul(from_lanes, to_lanes);
+  const Lanes r = mul(window_pow(one, mul(x, to_lanes), exp, mul, sqr), from_lanes);
+  for (size_t k = 0; k < bases.size(); ++k) {
+    uint64_t t[FieldElem::kLimbs + 1] = {};
+    for (int i = 0; i < LaneModulus::kLimbs; ++i) {
+      const int bit = 52 * i, w = bit / 64, s = bit % 64;
+      t[w] |= r.limb[i][k] << s;
+      if (s > 12) t[w + 1] |= r.limb[i][k] >> (64 - s);
+    }
+    out[k] = reduce_once<FieldElem::kLimbs>(t, p);
+  }
 }
 
 }  // namespace detail
@@ -543,6 +764,7 @@ MontField::MontField(const Bignum& modulus) : modulus_(modulus) {
     mul_ = &detail::mont_mul8_adx;
     sqr_ = &mont_sqr8_adx;
   }
+  if (n_ == 8 && detail::ifma_kernel_available()) lanes_ = detail::lane_modulus(modulus);
 
   n0_ = detail::mont_n0(p_.l[0]);
 
@@ -558,6 +780,19 @@ FieldElem MontField::pow(const FieldElem& base, const Bignum& exp) const {
   return window_pow(
       one_, base, exp, [this](const FieldElem& x, const FieldElem& y) { return mul(x, y); },
       [this](const FieldElem& x) { return sqr(x); });
+}
+
+void MontField::pow_batch(std::span<const FieldElem> bases, const Bignum& exp,
+                          std::span<FieldElem> out) const {
+  if (out.size() != bases.size()) throw MathError("MontField::pow_batch: size mismatch");
+  for (size_t at = 0; at < bases.size(); at += detail::Lanes::kLanes) {
+    const size_t live = std::min<size_t>(bases.size() - at, detail::Lanes::kLanes);
+    if (lanes_ && live >= detail::kMinLanesPerPass) {
+      detail::pow8_ifma(*lanes_, p_, bases.subspan(at, live), exp, out.subspan(at, live));
+      continue;
+    }
+    for (size_t k = at; k < at + live; ++k) out[k] = pow(bases[k], exp);
+  }
 }
 
 FieldElem MontField::inv(const FieldElem& a) const {

@@ -12,13 +12,17 @@
 // and inversion run through kernels templated on N in field.cpp, picked
 // once at construction; everything above this layer is written against
 // FieldElem and never sees N. Moduli wider than 512 bits throw
-// MathError — there is no fallback.
+// MathError — there is no fallback. pow_batch runs up to eight
+// exponentiations by one exponent as lanes of an AVX-512 IFMA kernel
+// when the CPU has it (DESIGN.md §22).
 //
 // Like the rest of the library, nothing here is constant-time.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <optional>
+#include <span>
 
 #include "math/bignum.h"
 
@@ -51,6 +55,20 @@ struct FieldElem {
 
   friend bool operator==(const FieldElem& a, const FieldElem& b) = default;
 };
+
+namespace detail {
+
+/// The modulus side of the 8-lane IFMA exponentiation (DESIGN.md §22):
+/// ten radix-2^52 limbs, Montgomery radix R' = 2^520.
+struct LaneModulus {
+  static constexpr int kLimbs = 10;
+  std::array<uint64_t, kLimbs> p{};
+  std::array<uint64_t, kLimbs> to_lanes{};    ///< 2^528 mod p: aR -> aR'
+  std::array<uint64_t, kLimbs> from_lanes{};  ///< 2^512 mod p: aR' -> aR
+  uint64_t n0 = 0;                            ///< -p^-1 mod 2^52
+};
+
+}  // namespace detail
 
 class MontField {
  public:
@@ -86,6 +104,12 @@ class MontField {
 
   /// base in Montgomery form, exponent a plain integer; Montgomery result.
   FieldElem pow(const FieldElem& base, const Bignum& exp) const;
+  /// out[k] = pow(bases[k], exp) for every k, the same residues. Runs as
+  /// 8-lane IFMA passes on an 8-limb modulus when the CPU has the
+  /// kernel, and as a loop over pow otherwise. Throws MathError when the
+  /// spans differ in size.
+  void pow_batch(std::span<const FieldElem> bases, const Bignum& exp,
+                 std::span<FieldElem> out) const;
   /// Inverse of a Montgomery-form value, in Montgomery form (batched
   /// binary gcd, variable-time). Throws MathError when gcd(a, p) != 1.
   FieldElem inv(const FieldElem& a) const;
@@ -109,6 +133,7 @@ class MontField {
   MulFn mul_ = nullptr;
   SqrFn sqr_ = nullptr;
   InvFn inv_ = nullptr;
+  std::optional<detail::LaneModulus> lanes_;  // set when pow_batch runs on IFMA
 };
 
 // Fixed-width add/sub/neg: inline because they are too short to pay for

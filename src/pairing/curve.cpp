@@ -157,9 +157,9 @@ JacPoint CurveCtx::mul_jac(const AffinePoint& p, const Bignum& k) const {
 bool CurveCtx::lift_x(const FieldElem& x, FieldElem* y) const {
   // For q = 3 (mod 4), s = rhs^((q+1)/4) squares to rhs exactly when rhs
   // is a residue, so one exponentiation both tests and extracts the root.
-  const FieldElem rhs = fq_.add(fq_.mul(fq_.sqr(x), x), x);
-  const FieldElem s = fq_.sqrt_candidate(rhs);
-  if (fq_.sqr(s) != rhs) return false;
+  const FieldElem r = rhs(x);
+  const FieldElem s = fq_.sqrt_candidate(r);
+  if (fq_.sqr(s) != r) return false;
   *y = s;
   return true;
 }

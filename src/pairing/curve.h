@@ -62,6 +62,8 @@ class CurveCtx {
   /// machine word (the multi-pairing kernel's folded exponents).
   JacPoint jac_mul_u64(const JacPoint& p, uint64_t k) const;
 
+  /// x^3 + x, the right-hand side of the curve equation (Montgomery form).
+  FieldElem rhs(const FieldElem& x) const { return fq_.add(fq_.mul(fq_.sqr(x), x), x); }
   /// Solves y^2 = x^3 + x for y given x (Montgomery form); returns false
   /// if the RHS is a non-residue.
   bool lift_x(const FieldElem& x, FieldElem* y) const;

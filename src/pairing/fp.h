@@ -29,6 +29,11 @@ class FpCtx : public math::MontField {
   /// exactly when a is a residue — check sqr(result) == a. One
   /// exponentiation, no residuosity test.
   FieldElem sqrt_candidate(const FieldElem& a) const { return pow(a, sqrt_exp_); }
+  /// out[k] = sqrt_candidate(in[k]) for every k, as one batch
+  /// (MontField::pow_batch: 8-lane IFMA passes where the CPU has them).
+  void sqrt_candidates(std::span<const FieldElem> in, std::span<FieldElem> out) const {
+    pow_batch(in, sqrt_exp_, out);
+  }
 
   /// Uniform field element (Montgomery form).
   FieldElem random(crypto::Drbg& rng) const;

@@ -350,23 +350,41 @@ G1 Group::hash_to_g1(std::string_view s) const {
 }
 
 G1 Group::g1_from_bytes(ByteView data) const {
-  if (data.size() != g1_size()) throw WireError("g1_from_bytes: bad length");
+  return std::move(g1_from_bytes_batch(std::span<const ByteView>(&data, 1)).front());
+}
+
+std::vector<G1> Group::g1_from_bytes_batch(std::span<const ByteView> encodings) const {
   const FpCtx& fq = ctx_.fq();
-  const uint8_t flag = data[data.size() - 1];
-  const ByteView xb = data.subspan(0, data.size() - 1);
-  if (flag == 2) {
-    for (uint8_t b : xb)
-      if (b != 0) throw WireError("g1_from_bytes: malformed infinity encoding");
-    return g1_identity();
+  std::vector<G1> out(encodings.size(), g1_identity());
+  std::vector<size_t> finite;  // indices into encodings, in order
+  std::vector<FieldElem> xs, rhs;
+  for (size_t k = 0; k < encodings.size(); ++k) {
+    const ByteView data = encodings[k];
+    if (data.size() != g1_size()) throw WireError("g1_from_bytes: bad length");
+    const uint8_t flag = data.back();
+    const ByteView xb = data.first(data.size() - 1);
+    if (flag == 2) {
+      for (uint8_t b : xb)
+        if (b != 0) throw WireError("g1_from_bytes: malformed infinity encoding");
+      continue;
+    }
+    if (flag > 1) throw WireError("g1_from_bytes: bad sign flag");
+    finite.push_back(k);
+    xs.push_back(fq.from_bytes(xb));
+    rhs.push_back(ctx_.curve().rhs(xs.back()));
   }
-  if (flag > 1) throw WireError("g1_from_bytes: bad sign flag");
-  const FieldElem x = fq.from_bytes(xb);
-  FieldElem y;
-  if (!ctx_.curve().lift_x(x, &y)) throw WireError("g1_from_bytes: x not on curve");
-  // y = 0 has no odd root; flag 1 there would be a second encoding.
-  if (flag == 1 && y.is_zero()) throw WireError("g1_from_bytes: bad sign flag");
-  if (fq.from_mont(y).is_odd() != (flag == 1)) y = fq.neg(y);
-  return G1(this, {x, y, false});
+  std::vector<FieldElem> ys(rhs.size());
+  fq.sqrt_candidates(rhs, ys);
+  for (size_t i = 0; i < finite.size(); ++i) {
+    FieldElem& y = ys[i];
+    if (fq.sqr(y) != rhs[i]) throw WireError("g1_from_bytes: x not on curve");
+    // y = 0 has no odd root; flag 1 there would be a second encoding.
+    const bool odd = encodings[finite[i]].back() == 1;
+    if (odd && y.is_zero()) throw WireError("g1_from_bytes: bad sign flag");
+    if (fq.from_mont(y).is_odd() != odd) y = fq.neg(y);
+    out[finite[i]] = G1(this, {xs[i], y, false});
+  }
+  return out;
 }
 
 G1 Group::g1_from_bytes_uncompressed(ByteView data) const {

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -237,7 +238,15 @@ class Group {
   /// Lewko-Waters baseline's H: {0,1}* -> G).
   G1 hash_to_g1(ByteView data) const;
   G1 hash_to_g1(std::string_view s) const;
+  /// Decodes one compressed point x || flag: g1_from_bytes_batch of one.
   G1 g1_from_bytes(ByteView data) const;
+  /// Decodes compressed points as one batch: each encoding's length,
+  /// flag, infinity form and x < q are checked in order, then every
+  /// finite point's square root comes from one FpCtx::sqrt_candidates
+  /// call, then each root is checked and signed in order. The same
+  /// points, and for a single malformed encoding the same WireError, as
+  /// g1_from_bytes on each; on-curve, not subgroup-checked.
+  std::vector<G1> g1_from_bytes_batch(std::span<const ByteView> encodings) const;
   /// Decodes the x || y || flag form. Validates the curve equation
   /// (cheap) instead of re-deriving y by square root; like
   /// g1_from_bytes, the result is on-curve but not subgroup-checked.

@@ -187,6 +187,53 @@ TEST(RecoveryTest, SyncRestoresCorruptReplicaFromAuthenticCopy) {
   EXPECT_TRUE(c.recovery().sync(victim, coord).converged_without_transfer());
 }
 
+TEST(RecoveryTest, RejoinHashesEachHeldFileOnceAcrossItsSessions) {
+  // R = 3 on 3 nodes: every file is shared with both peers, so a rejoin
+  // runs two sessions over the same eight files.
+  auto sys = make_system(Group::test_small(), 3, 3);
+  enroll(*sys);
+  const std::vector<std::string> files = eight_files();
+  upload_all(*sys, files);
+  ASSERT_EQ(sys->flush_pending(), 0u);
+  Cluster& c = sys->cluster();
+  RecoveryManager& rec = c.recovery();
+
+  // A converged rejoin: the node hashes its eight files once for both
+  // sessions, and each peer its own eight as responder.
+  c.kill_node("node:0");
+  RecoveryStats before = rec.stats();
+  c.restart_node("node:0");
+  RecoveryStats after = rec.stats();
+  EXPECT_EQ(after.syncs - before.syncs, 2u);
+  EXPECT_EQ(after.leaves_hashed - before.leaves_hashed, 3 * files.size());
+  EXPECT_EQ(after.files_transferred, before.files_transferred);
+
+  // Bit-rot on the rejoining node: the first session pulls the authentic
+  // copy and drops its leaf, so the second hashes that one file again
+  // and finds it converged instead of pulling it a second time.
+  c.kill_node("node:0");
+  StoredFile rotted = *c.node_store("node:0").fetch(files[0]);
+  ASSERT_FALSE(rotted.slots.empty());
+  ASSERT_GT(rotted.slots[0].sealed_data.size(), 10u);
+  rotted.slots[0].sealed_data[10] ^= 0x40;
+  c.node_store("node:0").store(std::move(rotted));
+  before = rec.stats();
+  c.restart_node("node:0");
+  after = rec.stats();
+  EXPECT_EQ(after.syncs - before.syncs, 2u);
+  EXPECT_EQ(after.files_transferred - before.files_transferred, 1u);
+  EXPECT_EQ(after.leaves_hashed - before.leaves_hashed, 3 * files.size() + 1);
+  expect_replicas_converged(*sys, files);
+  EXPECT_TRUE(sys->download_report("alice", files[0]).all_ok());
+
+  // sync_all shares one memo per initiator: node:0 leads two sessions,
+  // node:1 one; each responder lists its own files per session.
+  before = rec.stats();
+  EXPECT_TRUE(rec.sync_all().converged_without_transfer());
+  after = rec.stats();
+  EXPECT_EQ(after.leaves_hashed - before.leaves_hashed, 5 * files.size());
+}
+
 TEST(RecoveryTest, SyncRefusesDeadPeer) {
   auto sys = make_system(Group::test_small(), 3, 2);
   enroll(*sys);

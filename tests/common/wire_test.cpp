@@ -46,6 +46,18 @@ TEST(Wire, RawFixedWidth) {
   EXPECT_EQ(r.raw(3), (Bytes{3, 4, 5}));
 }
 
+TEST(Wire, RawViewPointsIntoTheBuffer) {
+  const Bytes buf{1, 2, 3, 4, 5};
+  Reader r(buf);
+  const ByteView head = r.raw_view(2);
+  EXPECT_EQ(head.data(), buf.data());
+  EXPECT_EQ(Bytes(head.begin(), head.end()), (Bytes{1, 2}));
+  EXPECT_EQ(r.raw(1), (Bytes{3}));
+  EXPECT_EQ(r.raw_view(2).data(), buf.data() + 3);
+  r.expect_done();
+  EXPECT_THROW(r.raw_view(1), WireError);
+}
+
 TEST(Wire, TruncationDetected) {
   Writer w;
   w.u32(7);

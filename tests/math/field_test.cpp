@@ -1,14 +1,18 @@
 // Differential tests: the fixed-width Montgomery kernels (one template
 // instance per limb count N = 1..8) against the variable-length Bignum
 // reference, on generated odd moduli and on the paper curve's q; the
-// BMI2/ADX kernel against the portable N = 8 kernels; the windowed
+// BMI2/ADX kernel against the portable N = 8 kernels; the 8-lane IFMA
+// kernels against the reference and their exponentiation against the
+// scalar pow; MontField::pow_batch against pow; the windowed
 // MontField::pow against square-and-multiply; and the batched
 // binary-gcd inversion against the reference and against Fermat.
 #include "math/field.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "common/errors.h"
@@ -261,6 +265,139 @@ TEST(MontFieldKernels, AdxMatchesPortableOnGeneratedModuli) {
   // The widest 8-limb modulus: every limb saturated.
   std::vector<uint64_t> ones(8, ~uint64_t(0));
   check_adx_modulus(Bignum::from_limbs_le(ones.data(), 8), rng, 5000);
+}
+
+// ------------------------------------------------- IFMA lanes (N = 8) --
+
+constexpr uint64_t kMask52 = (uint64_t(1) << 52) - 1;
+
+void set_lane(detail::Lanes& x, int k, const Bignum& v) {
+  for (int i = 0; i < detail::LaneModulus::kLimbs; ++i)
+    x.limb[i][k] = Bignum::shr(v, 52 * i).limb(0) & kMask52;
+}
+
+Bignum get_lane(const detail::Lanes& x, int k) {
+  Bignum v;
+  for (int i = detail::LaneModulus::kLimbs - 1; i >= 0; --i)
+    v = Bignum::add(Bignum::shl(v, 52), Bignum::from_u64(x.limb[i][k]));
+  return v;
+}
+
+/// Lane k of `got` is a*b/2^520 mod m, below 2m, with every limb below
+/// 2^52 (the kernels' output contract).
+void check_lane(const detail::Lanes& got, int k, const Bignum& a, const Bignum& b,
+                const Bignum& m, const Bignum& r_inv) {
+  for (int i = 0; i < detail::LaneModulus::kLimbs; ++i)
+    ASSERT_EQ(got.limb[i][k] >> 52, 0u) << "lane " << k << " limb " << i;
+  const Bignum v = get_lane(got, k);
+  ASSERT_LT(Bignum::cmp(v, Bignum::shl(m, 1)), 0) << v.to_hex();
+  ASSERT_EQ(Bignum::mod(v, m), reference::mod_mul(reference::mod_mul(a, b, m), r_inv, m))
+      << a.to_hex() << " * " << b.to_hex() << " mod " << m.to_hex();
+}
+
+/// Eight lanes at a time of operands below 2m — 0, 1, m-1, m, m+1,
+/// 2m-1 and random ones on each side of m — through both kernels.
+void check_ifma_modulus(const Bignum& m, std::mt19937_64& rng, int random_passes) {
+  SCOPED_TRACE("modulus " + m.to_hex());
+  const detail::LaneModulus lm = detail::lane_modulus(m);
+  const Bignum one = Bignum::from_u64(1);
+  const Bignum two_m = Bignum::shl(m, 1);
+  const Bignum r_inv = reference::mod_inverse(Bignum::mod(Bignum::shl(one, 520), m), m);
+  std::vector<Bignum> ops = {Bignum(), one, Bignum::sub(m, one), m, Bignum::add(m, one),
+                             Bignum::sub(two_m, one)};
+  for (int k = 0; k < 8 * random_passes; ++k)
+    ops.push_back(Bignum::mod(random_below_bits(rng, 9), two_m));
+  // Each operand meets the next eight (so every edge operand meets every
+  // other) and a sample of the far ones.
+  for (size_t shift = 0; shift < ops.size(); shift += shift < 8 ? 1 : 37) {
+    for (size_t at = 0; at < ops.size(); at += 8) {
+      detail::Lanes a, b;
+      std::vector<Bignum> av, bv;
+      for (int k = 0; k < 8; ++k) {
+        av.push_back(ops[(at + k) % ops.size()]);
+        bv.push_back(ops[(at + k + shift) % ops.size()]);
+        set_lane(a, k, av.back());
+        set_lane(b, k, bv.back());
+      }
+      const detail::Lanes prod = detail::mont_mul52x8_ifma(a, b, lm);
+      const detail::Lanes sq = detail::mont_sqr52x8_ifma(a, lm);
+      for (int k = 0; k < 8; ++k) {
+        ASSERT_NO_FATAL_FAILURE(check_lane(prod, k, av[k], bv[k], m, r_inv));
+        ASSERT_NO_FATAL_FAILURE(check_lane(sq, k, av[k], av[k], m, r_inv));
+      }
+    }
+  }
+}
+
+TEST(MontFieldKernels, IfmaMulSqrMatchReferenceOnPaperPrime) {
+  if (!detail::ifma_kernel_available()) GTEST_SKIP() << "CPU lacks avx512f/avx512ifma";
+  std::mt19937_64 rng(0x1F3A);
+  check_ifma_modulus(Bignum::from_hex(kQ512), rng, 40);
+}
+
+TEST(MontFieldKernels, IfmaMulSqrMatchReferenceOnGeneratedModuli) {
+  if (!detail::ifma_kernel_available()) GTEST_SKIP() << "CPU lacks avx512f/avx512ifma";
+  std::mt19937_64 rng(0x1F3B);
+  for (int k = 0; k < 4; ++k) check_ifma_modulus(odd_modulus(rng, 8, /*top_bit=*/true), rng, 8);
+  for (int k = 0; k < 2; ++k) check_ifma_modulus(odd_modulus(rng, 8, /*top_bit=*/false), rng, 8);
+  std::vector<uint64_t> ones(8, ~uint64_t(0));
+  check_ifma_modulus(Bignum::from_limbs_le(ones.data(), 8), rng, 8);
+}
+
+/// pow8_ifma on 1..8 bases against MontField::pow lane by lane.
+void check_ifma_pow(const MontField& f, const std::vector<FieldElem>& bases, const Bignum& exp) {
+  const detail::LaneModulus lm = detail::lane_modulus(f.modulus());
+  for (size_t n = 1; n <= bases.size() && n <= 8; ++n) {
+    std::vector<FieldElem> out(n);
+    detail::pow8_ifma(lm, f.modulus(), std::span(bases).first(n), exp, out);
+    for (size_t k = 0; k < n; ++k)
+      ASSERT_EQ(out[k], f.pow(bases[k], exp))
+          << "lane " << k << " of " << n << ", base " << Bignum(bases[k]).to_hex() << " ^ "
+          << exp.to_hex();
+  }
+}
+
+TEST(MontFieldKernels, IfmaPowMatchesScalarPow) {
+  if (!detail::ifma_kernel_available()) GTEST_SKIP() << "CPU lacks avx512f/avx512ifma";
+  std::mt19937_64 rng(0x1F3C);
+  const Bignum one = Bignum::from_u64(1);
+  for (const Bignum& m : {Bignum::from_hex(kQ512), odd_modulus(rng, 8, /*top_bit=*/false)}) {
+    SCOPED_TRACE("modulus " + m.to_hex());
+    const MontField f(m);
+    std::vector<FieldElem> bases = {FieldElem(), f.one(), FieldElem::from_u64(1),
+                                    Bignum::sub(m, one)};
+    while (bases.size() < 8) bases.push_back(random_reduced(rng, f));
+    std::vector<Bignum> exps = {Bignum(), one, Bignum::from_u64(2), Bignum::from_u64(3),
+                                Bignum::shr(Bignum::add(m, one), 2),
+                                Bignum::sub(m, Bignum::from_u64(2))};
+    for (int k = 0; k < 4; ++k) exps.push_back(Bignum::mod(random_below_bits(rng, 8), m));
+    for (const Bignum& e : exps) ASSERT_NO_FATAL_FAILURE(check_ifma_pow(f, bases, e));
+    // A base at every lane position of a full pass.
+    std::rotate(bases.begin(), bases.begin() + 3, bases.end());
+    ASSERT_NO_FATAL_FAILURE(check_ifma_pow(f, bases, exps[4]));
+  }
+}
+
+TEST(MontField, PowBatchMatchesPowForEverySize) {
+  // The paper prime runs 8-lane passes where the CPU has IFMA; the
+  // 3-limb modulus always loops over pow.
+  std::mt19937_64 rng(0x1F3D);
+  const Bignum one = Bignum::from_u64(1);
+  for (const Bignum& m : {Bignum::from_hex(kQ512), odd_modulus(rng, 3, /*top_bit=*/true)}) {
+    SCOPED_TRACE("modulus " + m.to_hex());
+    const MontField f(m);
+    const Bignum exp = Bignum::shr(Bignum::add(m, one), 2);
+    for (size_t n = 0; n <= 20; ++n) {
+      std::vector<FieldElem> bases;
+      for (size_t k = 0; k < n; ++k)
+        bases.push_back(k % 5 == 0 ? FieldElem() : FieldElem(random_below(rng, m)));
+      std::vector<FieldElem> out(n);
+      f.pow_batch(bases, exp, out);
+      for (size_t k = 0; k < n; ++k) ASSERT_EQ(out[k], f.pow(bases[k], exp)) << k << " of " << n;
+    }
+    std::vector<FieldElem> out(2);
+    EXPECT_THROW(f.pow_batch(std::vector<FieldElem>(3), exp, out), MathError);
+  }
 }
 
 TEST(MontFieldKernels, N0IsMinusInverseOfLowLimb) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/errors.h"
 #include "pairing/group.h"
 #include "pairing/params.h"
@@ -171,6 +175,111 @@ TEST_F(CurveTest, UninitializedElementsRejected) {
   Zr z;
   EXPECT_THROW((void)z.to_bytes(), MathError);
 }
+
+// --------------------------------------------------- batched decode --
+
+/// The reference: g1_from_bytes on each encoding in order. Returns the
+/// first WireError's message, or "" when every encoding decodes.
+std::string decode_each(const Group& grp, const std::vector<Bytes>& encs, std::vector<G1>* out) {
+  try {
+    for (const Bytes& e : encs) out->push_back(grp.g1_from_bytes(e));
+  } catch (const WireError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string decode_batch(const Group& grp, const std::vector<Bytes>& encs, std::vector<G1>* out) {
+  const std::vector<ByteView> views(encs.begin(), encs.end());
+  try {
+    *out = grp.g1_from_bytes_batch(views);
+  } catch (const WireError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Valid encodings of batch size n: subgroup points of either sign,
+/// the identity and the on-curve point (0, 0).
+std::vector<Bytes> valid_encodings(const Group& grp, crypto::Drbg& rng, size_t n) {
+  std::vector<Bytes> encs;
+  for (size_t k = 0; k < n; ++k) {
+    switch (k % 7) {
+      case 3: encs.push_back(grp.g1_identity().to_bytes()); break;
+      case 5: encs.push_back(Bytes(grp.g1_size(), 0)); break;  // x = 0, y = 0
+      default: encs.push_back(grp.g1_random(rng).to_bytes());
+    }
+  }
+  return encs;
+}
+
+/// An x whose x^3 + x is a non-residue, encoded with `flag`.
+Bytes off_curve_encoding(const Group& grp, uint8_t flag) {
+  crypto::Drbg local(std::string_view("batch-off-curve"));
+  const math::Bignum& q = grp.params().q;
+  for (;;) {
+    Bytes enc = local.below(q).to_bytes_be(grp.g1_size() - 1);
+    enc.push_back(flag);
+    try {
+      (void)grp.g1_from_bytes(enc);
+    } catch (const WireError&) {
+      return enc;
+    }
+  }
+}
+
+void check_batch_decode(const Group& grp) {
+  crypto::Drbg rng(std::string_view("g1-batch"));
+  for (size_t n = 0; n <= 20; ++n) {
+    const std::vector<Bytes> encs = valid_encodings(grp, rng, n);
+    std::vector<G1> each, batch;
+    ASSERT_EQ(decode_each(grp, encs, &each), "");
+    ASSERT_EQ(decode_batch(grp, encs, &batch), "");
+    ASSERT_EQ(batch.size(), n);
+    for (size_t k = 0; k < n; ++k) {
+      EXPECT_EQ(batch[k].to_bytes(), each[k].to_bytes()) << k << " of " << n;
+      EXPECT_EQ(batch[k].to_bytes(), encs[k]) << k << " of " << n;
+    }
+  }
+
+  // One fault at every position of batches around the 8-lane pass size.
+  const size_t w = grp.g1_size() - 1;  // x bytes
+  Bytes bad_flag = grp.g1_random(rng).to_bytes();
+  bad_flag.back() = 3;
+  Bytes bad_infinity(grp.g1_size(), 0);
+  bad_infinity.back() = 2;
+  bad_infinity[w / 2] = 1;
+  Bytes x_too_big = grp.params().q.to_bytes_be(w);
+  x_too_big.push_back(0);
+  Bytes odd_zero(grp.g1_size(), 0);
+  odd_zero.back() = 1;  // flag 1 on y = 0
+  const std::vector<std::pair<const char*, Bytes>> faults = {
+      {"bad flag", bad_flag},
+      {"malformed infinity", bad_infinity},
+      {"x >= q", x_too_big},
+      {"non-residue, flag 0", off_curve_encoding(grp, 0)},
+      {"non-residue, flag 1", off_curve_encoding(grp, 1)},
+      {"flag 1 on y = 0", odd_zero},
+      {"short", Bytes(grp.g1_size() - 1, 0)},
+  };
+  for (const size_t n : {1, 2, 3, 8, 9, 11, 17}) {
+    const std::vector<Bytes> good = valid_encodings(grp, rng, n);
+    for (const auto& [what, fault] : faults) {
+      for (size_t at = 0; at < n; ++at) {
+        std::vector<Bytes> encs = good;
+        encs[at] = fault;
+        std::vector<G1> each, batch;
+        const std::string want = decode_each(grp, encs, &each);
+        ASSERT_NE(want, "") << what;
+        EXPECT_EQ(decode_batch(grp, encs, &batch), want) << what << " at " << at << " of " << n;
+      }
+    }
+  }
+}
+
+TEST(G1Batch, MatchesPerPointDecodeOnTestCurve) { check_batch_decode(*Group::test_small()); }
+
+TEST(G1Batch, MatchesPerPointDecodeOnPaperCurve) { check_batch_decode(*Group::pbc_a512()); }
 
 }  // namespace
 }  // namespace maabe::pairing

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/errors.h"
 #include "pairing/params.h"
 
@@ -122,6 +125,45 @@ TEST_F(FpTest, FromBytesRejectsBadInput) {
   EXPECT_THROW(fq.from_bytes(Bytes(fq.byte_length() + 1)), WireError);
   // The modulus itself is not a reduced residue.
   EXPECT_THROW(fq.from_bytes(fq.modulus().to_bytes_be(fq.byte_length())), WireError);
+}
+
+// ---------------------------------------------------- batched roots --
+
+/// sqrt_candidates against sqrt_candidate, lane for lane, on batches of
+/// 0..20: residues and non-residues mixed with the edge values 0 (whose
+/// root is 0), the raw words 1 and q-1, R mod q (Montgomery one) and -1.
+void check_sqrt_batches(const TypeAParams& params) {
+  SCOPED_TRACE("q of " + std::to_string(params.q.bit_length()) + " bits");
+  const FpCtx fq(params.q);
+  crypto::Drbg rng(std::string_view("fp-sqrt-batch"));
+  const Bignum q_minus_one = Bignum::sub(fq.modulus(), Bignum::from_u64(1));
+  const std::vector<FieldElem> edges = {fq.zero(), FieldElem::from_u64(1), FieldElem(q_minus_one),
+                                        fq.one(), fq.neg(fq.one())};
+  for (size_t n = 0; n <= 20; ++n) {
+    std::vector<FieldElem> in;
+    for (size_t k = 0; k < n; ++k) {
+      const FieldElem s = fq.sqr(fq.random(rng));
+      switch ((k + n) % 4) {
+        case 0: in.push_back(edges[(k + n) % edges.size()]); break;
+        case 1: in.push_back(s); break;  // a residue
+        default: in.push_back(rng.below(fq.modulus()).is_odd() ? s : fq.neg(s));  // either
+      }
+    }
+    std::vector<FieldElem> out(n);
+    fq.sqrt_candidates(in, out);
+    for (size_t k = 0; k < n; ++k) {
+      ASSERT_EQ(out[k], fq.sqrt_candidate(in[k])) << "lane " << k << " of " << n;
+      EXPECT_EQ(fq.sqr(out[k]) == in[k], is_qr(fq, in[k])) << "lane " << k << " of " << n;
+    }
+  }
+}
+
+TEST(FpBatch, SqrtCandidatesMatchScalarOnTestCurve) {
+  check_sqrt_batches(TypeAParams::test_small());
+}
+
+TEST(FpBatch, SqrtCandidatesMatchScalarOnPaperCurve) {
+  check_sqrt_batches(TypeAParams::pbc_a512());
 }
 
 }  // namespace
