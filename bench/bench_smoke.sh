@@ -16,7 +16,8 @@
 #                     adx_kernel_speedup (only on ADX hosts),
 #                     sha256_kernel_speedup (only on SHA-NI hosts),
 #                     aes_ctr_kernel_speedup (only on AES-NI hosts),
-#                     sqrt_batch_speedup (only on AVX-512 IFMA hosts)
+#                     sqrt_batch_speedup, pair_batch_speedup,
+#                     g1_pow_batch_speedup (only on AVX-512 IFMA hosts)
 #       kernel_speedup: shared-final-exponentiation kernel vs the legacy
 #       pair-then-multiply fold, each side the best of three alternating
 #       passes on the calling thread's CPU clock (a cheaper final
@@ -58,14 +59,24 @@
 #       CPU clock (about 4x with two 8-lane IFMA passes); floored only
 #       when /proc/cpuinfo lists avx512ifma (elsewhere it reads ~1). The
 #       bench exits 1 when any lane differs.
-#       All eight are same-process ratios: host speed cancels, guarded by
+#       pair_batch_speedup / g1_pow_batch_speedup: eight pairings against
+#       one line table mod the paper curve's q (a server stage's slots
+#       against UK1) as a loop of miller_with + miller_reduce vs one
+#       Group::pair_batch, and eight G1 bases to one scalar (a key
+#       update) as a loop of G1::mul vs one Group::g1_pow_batch, each side
+#       the best of three alternating passes on the calling thread's CPU
+#       clock (about 6x with one 8-lane IFMA pass); floored only when
+#       /proc/cpuinfo lists avx512ifma (elsewhere they read ~1). The
+#       bench exits 1 when any item differs.
+#       All ten are same-process ratios: host speed cancels, guarded by
 #       an absolute floor.
 #       Also emitted, not guarded: the `substrate` object, the paper
 #       curve's per-call ladder (fq_*, zr_inv_us, lsss_reconstruct_wide_us
 #       for the AND of 10 over n_A = 2, lsss_reconstruct_fig3_us for
 #       n_A = 10, l = 50, g1_decode_us, g1_decode_batch_us per point of
-#       an 11-point batch, sqrt_scalar_us and sqrt_pass_us, the pairing
-#       and exponentiation rungs) whatever MAABE_BENCH_SMALL says;
+#       an 11-point batch, sqrt_scalar_us and sqrt_pass_us,
+#       pair_pass_us and g1_pow_pass_us, the pairing and exponentiation
+#       rungs) whatever MAABE_BENCH_SMALL says;
 #       host-speed dependent, so it is read by bench/fig_tables.py, not
 #       floored here.
 #   revocation     -> BENCH_revocation.json epoch_transport,
@@ -134,6 +145,8 @@ if grep -qw aes /proc/cpuinfo 2>/dev/null; then
 fi
 if grep -qw avx512ifma /proc/cpuinfo 2>/dev/null; then
   "$GUARD" floor BENCH_pairing_micro.json sqrt_batch_speedup 2
+  "$GUARD" floor BENCH_pairing_micro.json pair_batch_speedup 2
+  "$GUARD" floor BENCH_pairing_micro.json g1_pow_batch_speedup 2
 fi
 
 # revocation guards

@@ -60,6 +60,8 @@ SUBSTRATE_ROWS = [
     ("g1_decode_batch_us", "G1 decode, per point of an 11-point batch", "us"),
     ("sqrt_scalar_us", "square root by (q+1)/4, scalar", "us"),
     ("sqrt_pass_us", "square roots by (q+1)/4, one 8-lane IFMA pass", "us"),
+    ("pair_pass_us", "8 pairings on one line table, one 8-lane IFMA pass", "us"),
+    ("g1_pow_pass_us", "8 G1 multiplies by one scalar, one 8-lane IFMA pass", "us"),
     ("zr_inv_us", "Z_r inverse (160-bit r, 3 limbs)", "us"),
     ("lsss_reconstruct_wide_us", "LSSS solve, AND of 10 (n_A=2)", "us"),
     ("lsss_reconstruct_fig3_us", "LSSS solve, Fig. 3 right end (n_A=10, l=50)", "us"),

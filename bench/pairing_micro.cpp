@@ -477,7 +477,7 @@ SqrtBatch sqrt_batch_report(const pairing::Group& grp) {
   }
   out.scalar_us = out.loop_vs_batch.portable_us / kRoots;
   if (math::detail::ifma_kernel_available()) {
-    const math::detail::LaneModulus lanes = math::detail::lane_modulus(fq.modulus());
+    const math::detail::LaneField lanes(fq.modulus());
     const math::Bignum exp =
         math::Bignum::shr(math::Bignum::add(fq.modulus(), math::Bignum::from_u64(1)), 2);
     std::vector<math::FieldElem> one(1);
@@ -485,7 +485,7 @@ SqrtBatch sqrt_batch_report(const pairing::Group& grp) {
       constexpr int kReps = 5;
       const double t0 = thread_cpu_us();
       for (int i = 0; i < kReps; ++i)
-        math::detail::pow8_ifma(lanes, fq.modulus(), std::span(in).first(1), exp, one);
+        lanes.pow(std::span(in).first(1), exp, one);
       const double us = (thread_cpu_us() - t0) / kReps;
       if (pass == 0 || us < out.pass_us) out.pass_us = us;
     }
@@ -493,6 +493,62 @@ SqrtBatch sqrt_batch_report(const pairing::Group& grp) {
       std::fprintf(stderr, "pairing_micro: IFMA pass and scalar square root disagree\n");
       std::exit(1);
     }
+  }
+  return out;
+}
+
+/// The revoke's same-schedule batches on the paper curve, eight items
+/// each: e(UK1, C'_k) for eight C' against one line table (a node
+/// stage's slots) as a loop of miller_with + miller_reduce vs one
+/// Group::pair_batch, and K_x^{UK2} for eight bases and one scalar (a
+/// key update) as a loop of G1::mul vs one Group::g1_pow_batch. Each
+/// side the best of three alternating passes on the thread CPU clock;
+/// without the IFMA kernel the batches are the same loops (ratio ~1).
+/// `*_pass_us` is the batch side, one 8-lane pass (0 without the
+/// kernel): against miller_precomp_us + final_exp_us and g1_exp_us, the
+/// figures behind pairing::kMinPairLanesPerPass and
+/// kMinG1PowLanesPerPass. Exits 1 when any item differs.
+struct RevokeBatches {
+  KernelPair pair, g1_pow;
+  double pair_pass_us = 0;
+  double g1_pow_pass_us = 0;
+};
+
+RevokeBatches revoke_batch_report(const pairing::Group& grp) {
+  constexpr size_t kItems = 8;
+  crypto::Drbg rng(std::string_view("micro-revoke-batch"));
+  const pairing::G1 uk1 = grp.g1_random(rng);
+  const pairing::Zr uk2 = grp.zr_nonzero_random(rng);
+  const auto pre = grp.pair_precompute(uk1);
+  std::vector<pairing::G1> points;
+  for (size_t k = 0; k < kItems; ++k) points.push_back(grp.g1_random(rng));
+
+  std::vector<pairing::GT> pairs_loop(kItems), pairs_batch;
+  std::vector<pairing::G1> pows_loop(kItems), pows_batch;
+  RevokeBatches out;
+  out.pair = time_kernel_pair(
+      2,
+      [&] {
+        for (size_t k = 0; k < kItems; ++k)
+          pairs_loop[k] = grp.miller_reduce(grp.miller_with(*pre, points[k]));
+      },
+      [&] { pairs_batch = grp.pair_batch(*pre, points); });
+  out.g1_pow = time_kernel_pair(
+      2,
+      [&] {
+        for (size_t k = 0; k < kItems; ++k) pows_loop[k] = points[k].mul(uk2);
+      },
+      [&] { pows_batch = grp.g1_pow_batch(points, uk2); });
+  for (size_t k = 0; k < kItems; ++k) {
+    if (pairs_loop[k] != pairs_batch[k] ||
+        pows_loop[k].to_bytes() != pows_batch[k].to_bytes()) {
+      std::fprintf(stderr, "pairing_micro: scalar and batched revoke items disagree\n");
+      std::exit(1);
+    }
+  }
+  if (grp.ctx().fq().lanes() != nullptr) {
+    out.pair_pass_us = out.pair.dispatched_us;
+    out.g1_pow_pass_us = out.g1_pow.dispatched_us;
   }
   return out;
 }
@@ -794,6 +850,7 @@ void engine_batch_report() {
       best_us(2, [&] { benchmark::DoNotOptimize(paper_grp->g1_from_bytes_batch(wide_views)); }) /
       static_cast<double>(wide_views.size());
   const SqrtBatch sqrt_batch = sqrt_batch_report(*paper_grp);
+  const RevokeBatches revoke_batches = revoke_batch_report(*paper_grp);
   const bool ifma = math::detail::ifma_kernel_available();
   // Decrypt's LSSS solver on Z_r (3 limbs): the full attribute set of the
   // read-wide policy (AND of 10, n_A = 2) and of Fig. 3's right end
@@ -816,6 +873,8 @@ void engine_batch_report() {
       .put("g1_decode_batch_us", g1_decode_batch_us)
       .put("sqrt_scalar_us", sqrt_batch.scalar_us)
       .put("sqrt_pass_us", sqrt_batch.pass_us)
+      .put("pair_pass_us", revoke_batches.pair_pass_us)
+      .put("g1_pow_pass_us", revoke_batches.g1_pow_pass_us)
       .put("zr_inv_us", best_us(20, [&] { benchmark::DoNotOptimize(zk.inverse()); }))
       .put("lsss_reconstruct_wide_us", lsss_wide_us)
       .put("lsss_reconstruct_fig3_us", lsss_fig3_us)
@@ -851,6 +910,12 @@ void engine_batch_report() {
   std::printf("  11 roots, %s  : %8.1f us   speedup %.2fx (8-lane pass %.1f us, root %.1f us)\n",
               ifma ? "ifma    " : "portable", sqrt_batch.loop_vs_batch.dispatched_us,
               sqrt_batch.loop_vs_batch.speedup(), sqrt_batch.pass_us, sqrt_batch.scalar_us);
+  std::printf("  8 pairings, scalar  : %8.1f us\n", revoke_batches.pair.portable_us);
+  std::printf("  8 pairings, %s: %8.1f us   speedup %.2fx\n", ifma ? "ifma    " : "portable",
+              revoke_batches.pair.dispatched_us, revoke_batches.pair.speedup());
+  std::printf("  8 G1 pows, scalar   : %8.1f us\n", revoke_batches.g1_pow.portable_us);
+  std::printf("  8 G1 pows, %s : %8.1f us   speedup %.2fx\n", ifma ? "ifma    " : "portable",
+              revoke_batches.g1_pow.dispatched_us, revoke_batches.g1_pow.speedup());
   std::printf("  LSSS solve, AND-10  : %8.1f us   (n_A=10, l=50: %.1f us)\n", lsss_wide_us,
               lsss_fig3_us);
 
@@ -925,6 +990,12 @@ void engine_batch_report() {
       .put("sqrt_batch_scalar_us", sqrt_batch.loop_vs_batch.portable_us)
       .put("sqrt_batch_dispatched_us", sqrt_batch.loop_vs_batch.dispatched_us)
       .put("sqrt_batch_speedup", sqrt_batch.loop_vs_batch.speedup())
+      .put("pair_batch_scalar_us", revoke_batches.pair.portable_us)
+      .put("pair_batch_dispatched_us", revoke_batches.pair.dispatched_us)
+      .put("pair_batch_speedup", revoke_batches.pair.speedup())
+      .put("g1_pow_batch_scalar_us", revoke_batches.g1_pow.portable_us)
+      .put("g1_pow_batch_dispatched_us", revoke_batches.g1_pow.dispatched_us)
+      .put("g1_pow_batch_speedup", revoke_batches.g1_pow.speedup())
       .put("substrate", substrate)
       .put("merge_terms", dec_terms.size())
       .put("merge_per_term_ms", per_term_ms)

@@ -320,14 +320,13 @@ UserSecretKey apply_update_to_secret_key(const Group& grp, const UserSecretKey& 
   UserSecretKey out = sk;
   out.version = uk.to_version;
   out.k = sk.k + uk.uk1;
-  // Every K_x^{UK2} through the engine, where it is counted; the bases
-  // are this user's one-offs, so they stay out of the LRU, and the batch
-  // goes to affine with one inversion.
-  std::vector<CryptoEngine::G1Term> terms;
-  terms.reserve(out.kx.size());
-  for (const auto& [handle, key] : out.kx) terms.push_back({key, uk.uk2});
-  const std::vector<G1> updated =
-      CryptoEngine::for_group(grp).multi_exp_g1(terms, /*cache_bases=*/false);
+  // Every K_x^{UK2} in one engine batch, where it is counted: the
+  // same exponent for every base, so the bases run as lanes of one
+  // double-and-add, and the batch goes to affine with one inversion.
+  std::vector<G1> bases;
+  bases.reserve(out.kx.size());
+  for (const auto& [handle, key] : out.kx) bases.push_back(key);
+  const std::vector<G1> updated = CryptoEngine::for_group(grp).pow_batch_g1(bases, uk.uk2);
   auto next = updated.begin();
   for (auto& [handle, key] : out.kx) key = *next++;
   return out;
@@ -346,11 +345,25 @@ AuthorityPublicKey apply_update_to_authority_pk(const Group& grp,
 PublicAttributeKey apply_update_to_attribute_pk(const Group& grp,
                                                 const PublicAttributeKey& pk,
                                                 const UpdateKey& uk) {
-  (void)grp;
-  if (pk.attr.aid != uk.aid) throw SchemeError("attribute pk update: authority mismatch");
-  if (pk.version != uk.from_version)
-    throw SchemeError("attribute pk update: version mismatch");
-  return {pk.attr, uk.to_version, pk.key.mul(uk.uk2)};
+  return apply_update_to_attribute_pks(grp, {pk}, uk).front();
+}
+
+std::vector<PublicAttributeKey> apply_update_to_attribute_pks(
+    const Group& grp, const std::vector<PublicAttributeKey>& pks, const UpdateKey& uk) {
+  std::vector<G1> bases;
+  bases.reserve(pks.size());
+  for (const PublicAttributeKey& pk : pks) {
+    if (pk.attr.aid != uk.aid) throw SchemeError("attribute pk update: authority mismatch");
+    if (pk.version != uk.from_version)
+      throw SchemeError("attribute pk update: version mismatch");
+    bases.push_back(pk.key);
+  }
+  if (bases.empty()) return {};
+  const std::vector<G1> updated = CryptoEngine::for_group(grp).pow_batch_g1(bases, uk.uk2);
+  std::vector<PublicAttributeKey> out;
+  out.reserve(pks.size());
+  for (size_t i = 0; i < pks.size(); ++i) out.push_back({pks[i].attr, uk.to_version, updated[i]});
+  return out;
 }
 
 std::vector<UpdateInfo> owner_update_infos(const Group& grp, const OwnerMasterKey& mk,
@@ -434,38 +447,60 @@ UpdateInfo owner_update_info(const Group& grp, const OwnerMasterKey& mk,
 
 void reencrypt(const Group& grp, Ciphertext* ct, const UpdateKey& uk,
                const UpdateInfo& ui) {
-  if (ct == nullptr) throw SchemeError("reencrypt: null ciphertext");
-  if (uk.aid != ui.aid || uk.to_version != ui.to_version)
-    throw SchemeError("reencrypt: update key / update info mismatch");
-  if (ui.ct_id != ct->id) throw SchemeError("reencrypt: update info for another ciphertext");
-  if (uk.owner_id != ct->owner_id) throw SchemeError("reencrypt: owner mismatch");
-  const auto ver = ct->versions.find(uk.aid);
-  if (ver == ct->versions.end())
-    throw SchemeError("reencrypt: ciphertext does not involve authority '" + uk.aid + "'");
-  if (ver->second != uk.from_version)
-    throw SchemeError("reencrypt: ciphertext at version " + std::to_string(ver->second) +
-                      ", update expects " + std::to_string(uk.from_version));
+  const UpdateInfo* info = &ui;
+  reencrypt_batch(grp, std::span(&ct, 1), uk, std::span(&info, 1));
+}
 
-  // C~ = C * e(UK1, C') — through the engine, so the epoch's shared UK1
-  // hits the pairing line-table cache (CloudServer warms it before
-  // fanning slots across the pool).
-  ct->c = ct->c * CryptoEngine::for_group(grp).pair(uk.uk1, ct->c_prime);
-  // C~_i = C_i * UI_{rho(i)} for rows labeled by this authority; the
-  // sums go to affine with one inversion.
-  std::vector<int> rows;
+void reencrypt_batch(const Group& grp, std::span<Ciphertext* const> cts, const UpdateKey& uk,
+                     std::span<const UpdateInfo* const> infos,
+                     const std::function<void(size_t)>& before_write) {
+  if (infos.size() != cts.size())
+    throw SchemeError("reencrypt: one update info per ciphertext");
+  // Check everything before computing anything. Each ciphertext's rows
+  // labeled by this authority get C_i + UI_{rho(i)}: collected as
+  // (ciphertext, row) with their point pair, for one g1_sums.
+  std::vector<G1> c_primes;
+  std::vector<std::pair<size_t, int>> rows;
   std::vector<std::vector<G1>> pairs;
-  for (int i = 0; i < ct->policy.rows(); ++i) {
-    const lsss::Attribute& attr = ct->policy.row_attribute(i);
-    if (attr.aid != uk.aid) continue;
-    const auto it = ui.ui.find(attr.qualified());
-    if (it == ui.ui.end())
-      throw SchemeError("reencrypt: update info lacks UI for '" + attr.qualified() + "'");
-    rows.push_back(i);
-    pairs.push_back({ct->ci[i], it->second});
+  c_primes.reserve(cts.size());
+  for (size_t k = 0; k < cts.size(); ++k) {
+    const Ciphertext* ct = cts[k];
+    const UpdateInfo& ui = *infos[k];
+    if (ct == nullptr) throw SchemeError("reencrypt: null ciphertext");
+    if (uk.aid != ui.aid || uk.to_version != ui.to_version)
+      throw SchemeError("reencrypt: update key / update info mismatch");
+    if (ui.ct_id != ct->id) throw SchemeError("reencrypt: update info for another ciphertext");
+    if (uk.owner_id != ct->owner_id) throw SchemeError("reencrypt: owner mismatch");
+    const auto ver = ct->versions.find(uk.aid);
+    if (ver == ct->versions.end())
+      throw SchemeError("reencrypt: ciphertext does not involve authority '" + uk.aid + "'");
+    if (ver->second != uk.from_version)
+      throw SchemeError("reencrypt: ciphertext at version " + std::to_string(ver->second) +
+                        ", update expects " + std::to_string(uk.from_version));
+    for (int i = 0; i < ct->policy.rows(); ++i) {
+      const lsss::Attribute& attr = ct->policy.row_attribute(i);
+      if (attr.aid != uk.aid) continue;
+      const auto it = ui.ui.find(attr.qualified());
+      if (it == ui.ui.end())
+        throw SchemeError("reencrypt: update info lacks UI for '" + attr.qualified() + "'");
+      rows.emplace_back(k, i);
+      pairs.push_back({ct->ci[i], it->second});
+    }
+    c_primes.push_back(ct->c_prime);
   }
+  // C~ = C * e(UK1, C'): every slot against the epoch's one UK1, as one
+  // engine batch on UK1's line table (CloudServer warms it first).
+  const std::vector<GT> factors = CryptoEngine::for_group(grp).pair_batch(uk.uk1, c_primes);
   const std::vector<G1> sums = grp.g1_sums(pairs);
-  for (size_t j = 0; j < rows.size(); ++j) ct->ci[rows[j]] = sums[j];
-  ver->second = uk.to_version;
+  size_t row = 0;
+  for (size_t k = 0; k < cts.size(); ++k) {
+    if (before_write) before_write(k);
+    Ciphertext& ct = *cts[k];
+    ct.c = ct.c * factors[k];
+    for (; row < rows.size() && rows[row].first == k; ++row)
+      ct.ci[rows[row].second] = sums[row];
+    ct.versions.at(uk.aid) = uk.to_version;
+  }
 }
 
 }  // namespace maabe::abe

@@ -16,6 +16,9 @@
 //   ReEncrypt  -> reencrypt
 #pragma once
 
+#include <functional>
+#include <span>
+
 #include "abe/types.h"
 #include "crypto/drbg.h"
 
@@ -146,9 +149,16 @@ UserSecretKey apply_update_to_secret_key(const pairing::Group& grp,
 AuthorityPublicKey apply_update_to_authority_pk(const pairing::Group& grp,
                                                 const AuthorityPublicKey& pk,
                                                 const UpdateKey& uk);
+/// apply_update_to_attribute_pks of one.
 PublicAttributeKey apply_update_to_attribute_pk(const pairing::Group& grp,
                                                 const PublicAttributeKey& pk,
                                                 const UpdateKey& uk);
+/// Every PK_{x,AID} ^= UK2 in one engine pow_batch_g1, in input order.
+/// Throws SchemeError (before any exponentiation) when a key is another
+/// authority's or at another version.
+std::vector<PublicAttributeKey> apply_update_to_attribute_pks(
+    const pairing::Group& grp, const std::vector<PublicAttributeKey>& pks,
+    const UpdateKey& uk);
 
 /// Owner-side UpdateInfo pass for one epoch, from the owner's records
 /// and the applied update key alone: one UpdateInfo, in input order, for
@@ -180,7 +190,17 @@ UpdateInfo owner_update_info(const pairing::Group& grp, const OwnerMasterKey& mk
 ///   C  *= e(UK1, C')              (moves e(g,g)^{alpha*s} to alpha')
 ///   C_i *= UI_{rho(i)}            (only rows labeled by the AA)
 /// The server never decrypts. Updates versions[aid] in place.
+/// reencrypt_batch of one.
 void reencrypt(const pairing::Group& grp, Ciphertext* ct, const UpdateKey& uk,
                const UpdateInfo& ui);
+/// reencrypt(cts[k], uk, *infos[k]) for every k of one epoch. Checks
+/// every ciphertext first (the same SchemeErrors, nothing written), then
+/// pairs every C' against UK1 in one engine pair_batch and forms every
+/// row sum C_i * UI_{rho(i)} with one Group::g1_sums (one inversion).
+/// `before_write(k)`, when set, runs for each k in order just before
+/// cts[k] is written; if it throws, cts[k..] stay unwritten.
+void reencrypt_batch(const pairing::Group& grp, std::span<Ciphertext* const> cts,
+                     const UpdateKey& uk, std::span<const UpdateInfo* const> infos,
+                     const std::function<void(size_t)>& before_write = {});
 
 }  // namespace maabe::abe

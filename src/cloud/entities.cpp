@@ -184,10 +184,17 @@ bool DataOwner::apply_update(const UpdateKey& uk) {
   const auto apk = authority_pks_.find(uk.aid);
   if (apk == authority_pks_.end()) return false;
   apk->second = abe::apply_update_to_authority_pk(*grp_, apk->second, uk);
+  // Every attribute key of the authority in one batch: they share UK2.
+  std::vector<PublicAttributeKey*> keys;
+  std::vector<PublicAttributeKey> current;
   for (auto& [handle, pk] : attribute_pks_) {
     if (pk.attr.aid != uk.aid) continue;
-    pk = abe::apply_update_to_attribute_pk(*grp_, pk, uk);
+    keys.push_back(&pk);
+    current.push_back(pk);
   }
+  const std::vector<PublicAttributeKey> updated =
+      abe::apply_update_to_attribute_pks(*grp_, current, uk);
+  for (size_t i = 0; i < keys.size(); ++i) *keys[i] = updated[i];
   return true;
 }
 

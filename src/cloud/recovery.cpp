@@ -150,7 +150,9 @@ RecoveryManager::Session& RecoveryManager::session_for(
     auto s = std::make_unique<Session>();
     s->peer = peer;
     s->sync_id = sync_id;
-    s->listing = pair_listing(owner, peer);
+    const auto run = session_memos_.find(sync_id);
+    s->listing = pair_listing(owner, peer,
+                              run != session_memos_.end() ? &run->second->at(owner) : nullptr);
     s->levels = build_tree_levels(s->listing);
     slot = std::move(s);
   }
@@ -305,8 +307,14 @@ SyncReport RecoveryManager::sync(const std::string& initiator,
   return sync_session(initiator, peer, nullptr);
 }
 
+RecoveryManager::RunMemos RecoveryManager::run_memos() const {
+  RunMemos memos;
+  for (const std::string& name : cluster_.names_) memos[name];
+  return memos;
+}
+
 SyncReport RecoveryManager::sync_session(const std::string& initiator,
-                                         const std::string& peer, LeafMemo* memo) {
+                                         const std::string& peer, RunMemos* memos) {
   Cluster::Node& a = cluster_.node(initiator);
   cluster_.ensure_alive(a);
   cluster_.ensure_alive(cluster_.node(peer));
@@ -319,17 +327,36 @@ SyncReport RecoveryManager::sync_session(const std::string& initiator,
   }
   const uint64_t sync_id =
       next_sync_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+  SyncReport rep;
+  // The responder lists through the same run's memos while this
+  // session is open.
+  struct OpenSession {
+    OpenSession(RecoveryManager& owner, uint64_t sync, RunMemos* memos) : rm(owner), id(sync) {
+      std::lock_guard<std::mutex> lock(rm.mu_);
+      if (memos != nullptr) rm.session_memos_[id] = memos;
+    }
+    ~OpenSession() {
+      std::lock_guard<std::mutex> lock(rm.mu_);
+      rm.session_memos_.erase(id);
+    }
+    RecoveryManager& rm;
+    uint64_t id;
+  } open(*this, sync_id, memos);
   const std::vector<std::vector<ShardLeaf>> listing =
-      pair_listing(initiator, peer, memo);
-  // A pulled file changed under its leaf; the next session hashes it anew.
+      pair_listing(initiator, peer, memos != nullptr ? &memos->at(initiator) : nullptr);
+  // A transferred file changed under its receiver's leaf; the next
+  // session hashes it anew.
   const auto pull = [&](const std::string& fid, uint64_t* bytes) {
     if (!pull_file(initiator, peer, fid, bytes)) return false;
-    if (memo != nullptr) memo->erase(fid);
+    if (memos != nullptr) memos->at(initiator).erase(fid);
     return true;
+  };
+  const auto push = [&](const ShardLeaf& leaf) {
+    push_file(initiator, peer, leaf, &rep);
+    if (memos != nullptr) memos->at(peer).erase(leaf.fid);
   };
   const std::vector<std::vector<Bytes>> levels = build_tree_levels(listing);
 
-  SyncReport rep;
   const uint32_t leaf_depth = static_cast<uint32_t>(levels.size()) - 1;
   std::vector<uint32_t> want = {0};
   std::vector<uint32_t> divergent;
@@ -398,7 +425,7 @@ SyncReport RecoveryManager::sync_session(const std::string& initiator,
             li == local.size() ||
             (ri < remote.size() && remote[ri].fid < local[li].fid);
         if (only_local) {
-          push_file(initiator, peer, local[li], &rep);
+          push(local[li]);
           ++li;
           continue;
         }
@@ -415,25 +442,25 @@ SyncReport RecoveryManager::sync_session(const std::string& initiator,
         ++ri;
         if (l.version == m.version && l.content_hash == m.content_hash)
           continue;  // converged leaf
-        bool push;
+        bool push_wins;
         if (l.version != m.version) {
-          push = l.version > m.version;  // newest version wins
+          push_wins = l.version > m.version;  // newest version wins
         } else if (l.authentic != m.authentic) {
-          push = l.authentic;  // authentic copy beats bit-rot
+          push_wins = l.authentic;  // authentic copy beats bit-rot
         } else {
           // Same version, both (or neither) authentic yet different
           // bytes: deterministic tie-break by ring preference order.
-          push = true;
+          push_wins = true;
           for (const std::string& p : cluster_.ring_.preference_order(l.fid)) {
             if (p == initiator) break;
             if (p == peer) {
-              push = false;
+              push_wins = false;
               break;
             }
           }
         }
-        if (push) {
-          push_file(initiator, peer, l, &rep);
+        if (push_wins) {
+          push(l);
         } else {
           uint64_t bytes = 0;
           if (pull(l.fid, &bytes)) ++rep.files_pulled;
@@ -460,14 +487,14 @@ SyncReport RecoveryManager::sync_session(const std::string& initiator,
 
 SyncReport RecoveryManager::sync_all() {
   SyncReport agg;
+  RunMemos memos = run_memos();  // each node's files, hashed once per run
   for (size_t i = 0; i < cluster_.names_.size(); ++i) {
-    LeafMemo memo;  // node i initiates every session of its row
     for (size_t j = i + 1; j < cluster_.names_.size(); ++j) {
       const std::string& a = cluster_.names_[i];
       const std::string& b = cluster_.names_[j];
       if (!cluster_.alive(a) || !cluster_.alive(b)) continue;
       try {
-        agg += sync_session(a, b, &memo);
+        agg += sync_session(a, b, &memos);
       } catch (const TransportError&) {
         m_.sync_failures->inc();
       }
@@ -655,11 +682,11 @@ void RecoveryManager::rejoin(const std::string& name) {
   for (const std::string& peer : cluster_.names_)
     drained += drain_hints(peer, name) + drain_hints(name, peer);
   SyncReport agg;
-  LeafMemo memo;  // this node's files, hashed once across its sessions
+  RunMemos memos = run_memos();  // this node's files, hashed once across its sessions
   for (const std::string& peer : cluster_.names_) {
     if (peer == name || !cluster_.alive(peer)) continue;
     try {
-      agg += sync_session(name, peer, &memo);
+      agg += sync_session(name, peer, &memos);
     } catch (const TransportError&) {
       m_.sync_failures->inc();
     }

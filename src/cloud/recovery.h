@@ -178,20 +178,25 @@ class RecoveryManager {
   /// (Cluster::kVerdict*; a commit wins), 0 when no log records one.
   uint8_t logged_verdict(uint64_t epoch_id) const;
 
-  /// Leaves an initiator already hashed, by file id: one rejoin (or one
-  /// initiator's row of sync_all) hashes each file it holds once across
-  /// its sessions. A leaf is reused while the store keeps its version; a
-  /// session drops the leaf of each file it pulls.
+  /// Leaves a node already hashed, by file id. A leaf is reused while
+  /// the store keeps its version; a session drops the leaf of each file
+  /// it pulls into or pushes to that node.
   using LeafMemo = std::map<std::string, ShardLeaf>;
+  /// One LeafMemo per node (every node has an entry) for a run of
+  /// sessions — one rejoin or one sync_all: each node hashes each file
+  /// it holds once across the run, as initiator and as responder.
+  using RunMemos = std::map<std::string, LeafMemo>;
 
   /// `owner`'s leaves for the files it shares with `peer`, hashing the
   /// bytes held now (or taking them from `memo`, which it fills).
   std::vector<std::vector<ShardLeaf>> pair_listing(const std::string& owner,
                                                    const std::string& peer,
                                                    LeafMemo* memo = nullptr);
-  /// sync() with the initiator's leaves shared through `memo` (nullable).
+  /// sync() with both sides' leaves shared through `memos` (nullable).
   SyncReport sync_session(const std::string& initiator, const std::string& peer,
-                          LeafMemo* memo);
+                          RunMemos* memos);
+  /// A RunMemos with an empty memo for every node.
+  RunMemos run_memos() const;
   static std::vector<std::vector<Bytes>> build_tree_levels(
       const std::vector<std::vector<ShardLeaf>>& listing);
   Session& session_for(const std::string& owner, const std::string& peer,
@@ -203,8 +208,9 @@ class RecoveryManager {
 
   Cluster& cluster_;
 
-  std::mutex mu_;  ///< guards sessions_
+  std::mutex mu_;  ///< guards sessions_ and session_memos_
   std::map<std::string, std::unique_ptr<Session>> sessions_;  // responder → latest
+  std::map<uint64_t, RunMemos*> session_memos_;  // open sync_id → its run's memos
   std::atomic<uint64_t> next_sync_id_{0};
 
   /// maabe_recovery_<name>_total{instance}: one add per event.

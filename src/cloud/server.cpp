@@ -227,45 +227,42 @@ CloudServer::StagedEpoch CloudServer::stage(const abe::UpdateKey& uk,
     return epoch;
   }
 
-  // Flatten to per-slot work items and fan the proxy re-encryption (one
-  // pairing + per-row point additions each) across the engine's pool.
-  // Slots are independent; results don't depend on order.
-  struct SlotRef {
-    size_t file, slot;
-  };
-  std::vector<SlotRef> work;
-  for (size_t f = 0; f < staged.size(); ++f) {
-    for (size_t i : staged[f].slot_indices) work.push_back({f, i});
+  // Flatten to per-slot work items and re-encrypt them as one batch:
+  // every slot's pairing against the epoch's one UK1 in one engine
+  // pair_batch (lane passes fanned across the pool) and every row sum
+  // with one inversion. Each slot then passes its fault hook, in slot
+  // order under its own span, just before it is written to its staged
+  // copy.
+  std::vector<abe::Ciphertext*> cts;
+  std::vector<const abe::UpdateInfo*> slot_infos;
+  for (StagedFile& sf : staged) {
+    for (size_t i : sf.slot_indices) {
+      abe::Ciphertext& ct = sf.staged->slots[i].key_ct;
+      cts.push_back(&ct);
+      slot_infos.push_back(by_ct.at(ct.id));
+    }
   }
-  // Every slot pairs against the same UK1; build its pairing line table
-  // once before fanning out so all slots take the precomputed path.
+  // Build UK1's pairing line table up front so every slot takes the
+  // precomputed path.
   engine::CryptoEngine::for_group(*grp_).warm_pair_precomp(uk.uk1);
   try {
-    // Each slot span is current on the thread that runs it: it nests
-    // under the engine.parallel_for that the worker carries, and the
-    // slot's own pairing nests under it.
-    engine::CryptoEngine::for_group(*grp_).parallel_for(
-        work.size(), [&](size_t w) {
-          abe::Ciphertext& ct =
-              staged[work[w].file].staged->slots[work[w].slot].key_ct;
-          telemetry::Span slot_span = telemetry::Tracer::global().start_span(
-              "server.reencrypt_slot");
-          if (slot_span.active()) {
-            slot_span.attr("ct_id", ct.id);
-            slot_span.attr("node_id", node_name_);
-          }
-          if (fault_hook_) fault_hook_(ct.id);
-          abe::reencrypt(*grp_, &ct, uk, *by_ct.at(ct.id));
-        });
+    abe::reencrypt_batch(*grp_, cts, uk, slot_infos, [&](size_t k) {
+      telemetry::Span slot_span =
+          telemetry::Tracer::global().start_span("server.reencrypt_slot");
+      if (slot_span.active()) {
+        slot_span.attr("ct_id", cts[k]->id);
+        slot_span.attr("node_id", node_name_);
+      }
+      if (fault_hook_) fault_hook_(cts[k]->id);
+    });
   } catch (...) {
-    // parallel_for rethrows the first failure and may abandon remaining
-    // slots — both fine here: the staged copies are simply dropped.
+    // The staged copies, written or not, are simply dropped.
     m_.epochs_aborted->inc();
     throw;
   }
   if (stage_span.active()) {
     stage_span.attr("files", static_cast<uint64_t>(staged.size()));
-    stage_span.attr("slots", static_cast<uint64_t>(work.size()));
+    stage_span.attr("slots", static_cast<uint64_t>(cts.size()));
     stage_span.attr("outcome", "staged");
   }
   return epoch;

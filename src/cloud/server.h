@@ -19,7 +19,8 @@
 //
 // Revocation is a failure-atomic epoch in two steps: staging builds
 // re-encrypted copies of every affected ciphertext off to the side
-// (fanned out over CryptoEngine::parallel_for) and the commit swaps them
+// (one abe::reencrypt_batch, whose pairings the engine fans out) and
+// the commit swaps them
 // in under the shard write locks, only after every slot has succeeded;
 // if any slot throws, the store is exactly what it was before, so the
 // scheme's strict per-authority version checks (abe::reencrypt) never
@@ -159,9 +160,10 @@ class CloudServer {
 
   const std::string& node_name() const { return node_name_; }
 
-  /// Test-only: invoked (from pool workers) once per slot during the
-  /// staging pass, before the slot is re-encrypted; throwing from the
-  /// hook aborts the epoch. Not thread-safe against a running
+  /// Test-only: invoked once per slot during the staging pass, in slot
+  /// order on the staging thread, just before the slot's re-encryption
+  /// is written to its staged copy; throwing from the hook aborts the
+  /// epoch. Not thread-safe against a running
   /// reencrypt() — install before use.
   void set_reencrypt_fault_hook(std::function<void(const std::string& ct_id)> hook) {
     fault_hook_ = std::move(hook);

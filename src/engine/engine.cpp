@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "common/errors.h"
+#include "math/field_kernels.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -234,28 +235,36 @@ struct CryptoEngine::LruCache {
   /// announced a run of uses). Counts the build into `builds`, and the
   /// hit into `hits` unless warming — a warm-up runs no operation.
   /// Caller holds `mu`.
+  /// `served` is the number of operations the table runs for this
+  /// call (1 unless `uses` counts operations, as in a pair_batch): each
+  /// counts a hit, except that a table built by this call counts the
+  /// ones a run of single uses would have served, from the use that
+  /// reached kBuildThreshold on.
   template <class T, class Build>
   std::shared_ptr<const T> table(std::shared_ptr<const T> Node::*slot,
                                  const Bytes& key, uint64_t uses, bool warm,
-                                 uint64_t& builds, uint64_t& hits, const Build& build) {
+                                 uint64_t& builds, uint64_t& hits, const Build& build,
+                                 uint64_t served = 1) {
     Node& node = touch(key, uses);
     if (warm && node.uses < kBuildThreshold) node.uses = kBuildThreshold;
     std::shared_ptr<const T>& t = node.*slot;
     if (!t && node.uses >= kBuildThreshold) {
       t = build();
       ++builds;
+      served = std::min(served, node.uses - kBuildThreshold + 1);
     }
-    if (t && !warm) ++hits;
+    if (t && !warm) hits += served;
     return t;
   }
 
-  /// The line table for first argument `a`; `uses` and `warm` as for
-  /// table().
+  /// The line table for first argument `a`; `uses`, `warm` and `served`
+  /// as for table().
   std::shared_ptr<const pairing::PairingPrecomp> line_table(const Group& grp,
                                                            const G1& a, uint64_t uses,
-                                                           bool warm, EngineStats& d) {
+                                                           bool warm, EngineStats& d,
+                                                           uint64_t served = 1) {
     return table(&Node::pair, a.to_bytes(), uses, warm, d.precomp_builds,
-                 d.precomp_hits, [&] { return grp.pair_precompute(a); });
+                 d.precomp_hits, [&] { return grp.pair_precompute(a); }, served);
   }
 };
 
@@ -539,6 +548,48 @@ GT CryptoEngine::pair(const pairing::G1& a, const pairing::G1& b) {
              : grp_->pair(a, b);
 }
 
+namespace {
+
+/// Group's lane passes take eight items; the engine fans such chunks.
+constexpr size_t kChunk = math::detail::Lanes::kLanes;
+
+size_t chunks_of(size_t n) { return (n + kChunk - 1) / kChunk; }
+
+}  // namespace
+
+std::vector<GT> CryptoEngine::pair_batch(const G1& a, const std::vector<G1>& bs) {
+  BatchScope scope(*this, EngineMetrics::get().pair_batch_ns, "engine.pair_batch");
+  const size_t n = bs.size();
+  scope.delta.pairings = n;
+  scope.set_items(n);
+  std::vector<GT> out(n, grp_->gt_one());
+  const uint64_t live =
+      a.is_identity() ? 0
+                      : static_cast<uint64_t>(std::count_if(
+                            bs.begin(), bs.end(), [](const G1& b) { return !b.is_identity(); }));
+  if (live == 0) return out;
+  scope.delta.miller_loops = live;
+  scope.delta.final_exps = live;
+  std::shared_ptr<const pairing::PairingPrecomp> pre;
+  {
+    std::lock_guard<std::mutex> lk(cache_->mu);
+    pre = cache_->line_table(*grp_, a, live, false, scope.delta, live);
+  }
+  if (!pre) {
+    scope.delta.tasks = n;
+    run_items(n, [&](size_t i) { out[i] = grp_->pair(a, bs[i]); });
+    return out;
+  }
+  scope.delta.tasks = chunks_of(n);
+  run_items(chunks_of(n), [&](size_t c) {
+    const size_t at = c * kChunk;
+    const std::vector<GT> part =
+        grp_->pair_batch(*pre, std::span(bs).subspan(at, std::min(kChunk, n - at)));
+    std::copy(part.begin(), part.end(), out.begin() + static_cast<ptrdiff_t>(at));
+  });
+  return out;
+}
+
 void CryptoEngine::warm_pair_precomp(const pairing::G1& base) {
   if (base.is_identity()) return;
   EngineStats d;
@@ -649,6 +700,22 @@ std::vector<G1> CryptoEngine::base_pow_batch(const G1& base, const std::vector<Z
     jac[i] = table ? grp_->g1_pow_with_jac(*table, exps[i]) : grp_->g1_mul_jac(base, exps[i]);
   });
   return grp_->g1_normalize(jac);
+}
+
+std::vector<G1> CryptoEngine::pow_batch_g1(const std::vector<G1>& bases, const Zr& k) {
+  BatchScope scope(*this, EngineMetrics::get().multi_exp_g1_ns, "engine.pow_batch_g1");
+  const size_t n = bases.size();
+  scope.delta.g1_exps = n;
+  scope.delta.tasks = n;
+  scope.set_items(n);
+  std::vector<G1> out(n);
+  run_items(chunks_of(n), [&](size_t c) {
+    const size_t at = c * kChunk;
+    const std::vector<G1> part =
+        grp_->g1_pow_batch(std::span(bases).subspan(at, std::min(kChunk, n - at)), k);
+    std::copy(part.begin(), part.end(), out.begin() + static_cast<ptrdiff_t>(at));
+  });
+  return out;
 }
 
 size_t CryptoEngine::cached_bases() const {

@@ -24,6 +24,10 @@
 //   * base_pow_batch — one variable base raised to many exponents (an
 //     epoch's UK1 in the owner's UpdateInfo pass), through a window
 //     table scoped to the batch.
+//   * pair_batch / pow_batch_g1 — the revoke's same-schedule runs: many
+//     pairings against one first argument (an epoch's UK1 against every
+//     slot's C') and many bases raised to one exponent (a key's K_x or
+//     the owner's PK_x to UK2), as 8-lane IFMA passes in Group.
 //   * parallel_for — generic data-parallel sweep (CloudServer uses it
 //     to re-encrypt stored ciphertexts concurrently).
 //
@@ -175,9 +179,16 @@ class CryptoEngine {
   pairing::GT pairing_power_product(const std::vector<PairTerm>& terms,
                                     const std::vector<pairing::Zr>& exps);
   /// A single e(a, b) through the precomp cache — repeated first
-  /// arguments (an epoch's UK1 in proxy re-encryption) become table
-  /// hits. Same bits as Group::pair.
+  /// arguments become table hits. Same bits as Group::pair.
   pairing::GT pair(const pairing::G1& a, const pairing::G1& b);
+  /// e(a, b_i) for every b_i, with ONE LRU lookup for a's line table:
+  /// Group::pair_batch over chunks of eight, fanned across the pool.
+  /// Counted as the pair() calls it replaces: every b_i a pairing, every
+  /// finite pair one Miller loop and one final exponentiation, and a
+  /// precomp hit for each that a one-at-a-time run would have served
+  /// from the table. Without a table (a first argument seen too rarely)
+  /// each pair runs Group::pair. Same bits as pair() on each.
+  std::vector<pairing::GT> pair_batch(const pairing::G1& a, const std::vector<pairing::G1>& bs);
   /// Forces the line table for `base` to exist in the LRU (epoch
   /// warm-up: build once before fanning slots across the pool).
   void warm_pair_precomp(const pairing::G1& base);
@@ -204,6 +215,13 @@ class CryptoEngine {
   /// normalizes the batch.
   std::vector<pairing::G1> base_pow_batch(const pairing::G1& base,
                                           const std::vector<pairing::Zr>& exps);
+  /// base_i ^ k for many bases and one exponent: Group::g1_pow_batch
+  /// over chunks of eight, fanned across the pool. The bases are
+  /// one-offs (a user's K_x, the owner's PK_x), so the LRU is not
+  /// consulted; counted as multi_exp_g1 counts them uncached (one g1_exp
+  /// and one task per base). Same bits as base_i.mul(k).
+  std::vector<pairing::G1> pow_batch_g1(const std::vector<pairing::G1>& bases,
+                                        const pairing::Zr& k);
 
   /// Runs fn(0..n-1), work-stealing across the pool; blocks until all
   /// items finish. Exceptions from fn are rethrown on the caller (first

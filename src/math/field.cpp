@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <utility>
+#include <vector>
 
 #include "common/errors.h"
 #include "math/field_kernels.h"
@@ -586,6 +587,71 @@ MAABE_IFMA_TARGET Lanes mont_sqr52x8_ifma(const Lanes& a, const LaneModulus& m) 
 }
 
 }  // namespace detail
+
+namespace {
+
+/// Carries signed limbs t[0..9] (each of magnitude below 2^62) so that
+/// limbs 0..8 lie below 2^52; the value's sign is left in t[9].
+MAABE_IFMA_TARGET inline void carry_signed(__m512i* t) {
+  const __m512i mask = _mm512_set1_epi64(static_cast<long long>(kMask52));
+  #pragma GCC unroll 20
+  for (int j = 0; j + 1 < kLaneLimbs; ++j) {
+    t[j + 1] = _mm512_add_epi64(t[j + 1], _mm512_maskz_srai_epi64(0xFF, t[j], 52));
+    t[j] = _mm512_and_si512(t[j], mask);
+  }
+}
+
+/// Per lane: x - y and x - y + 2p (x, y in [0, 2p)), both carried, then
+/// the one in [0, 2p). `x` null reads as zero.
+MAABE_IFMA_TARGET inline Lanes sub_lanes(const Lanes* x, const Lanes& y, const LaneModulus& m) {
+  __m512i d[kLaneLimbs], e[kLaneLimbs];
+  #pragma GCC unroll 20
+  for (int j = 0; j < kLaneLimbs; ++j) {
+    const __m512i xj = x ? _mm512_loadu_si512(x->limb[j]) : _mm512_setzero_si512();
+    d[j] = _mm512_sub_epi64(xj, _mm512_loadu_si512(y.limb[j]));
+    e[j] = _mm512_add_epi64(d[j], _mm512_set1_epi64(static_cast<long long>(m.p2[j])));
+  }
+  carry_signed(d);
+  carry_signed(e);
+  const __mmask8 borrow = _mm512_cmplt_epi64_mask(d[kLaneLimbs - 1], _mm512_setzero_si512());
+  Lanes out;
+  #pragma GCC unroll 20
+  for (int j = 0; j < kLaneLimbs; ++j)
+    _mm512_storeu_si512(out.limb[j], _mm512_mask_blend_epi64(borrow, d[j], e[j]));
+  return out;
+}
+
+}  // namespace
+
+namespace detail {
+
+// a + b < 4p, and a + b - 2p is kept unless it is negative.
+MAABE_IFMA_TARGET Lanes lane_add52x8_ifma(const Lanes& a, const Lanes& b, const LaneModulus& m) {
+  __m512i s[kLaneLimbs], d[kLaneLimbs];
+  #pragma GCC unroll 20
+  for (int j = 0; j < kLaneLimbs; ++j) {
+    s[j] = _mm512_add_epi64(_mm512_loadu_si512(a.limb[j]), _mm512_loadu_si512(b.limb[j]));
+    d[j] = _mm512_sub_epi64(s[j], _mm512_set1_epi64(static_cast<long long>(m.p2[j])));
+  }
+  carry_signed(s);
+  carry_signed(d);
+  const __mmask8 below = _mm512_cmplt_epi64_mask(d[kLaneLimbs - 1], _mm512_setzero_si512());
+  Lanes out;
+  #pragma GCC unroll 20
+  for (int j = 0; j < kLaneLimbs; ++j)
+    _mm512_storeu_si512(out.limb[j], _mm512_mask_blend_epi64(below, d[j], s[j]));
+  return out;
+}
+
+MAABE_IFMA_TARGET Lanes lane_sub52x8_ifma(const Lanes& a, const Lanes& b, const LaneModulus& m) {
+  return sub_lanes(&a, b, m);
+}
+
+MAABE_IFMA_TARGET Lanes lane_neg52x8_ifma(const Lanes& a, const LaneModulus& m) {
+  return sub_lanes(nullptr, a, m);
+}
+
+}  // namespace detail
 #endif  // MAABE_FIELD_IFMA
 
 namespace {
@@ -651,6 +717,13 @@ LaneModulus lane_modulus(const Bignum& p) {
   const Bignum one = Bignum::from_u64(1);
   LaneModulus m;
   m.p = to_radix52(FieldElem(p));
+  // 2p needs 513 bits: radix-convert p and double limb by limb.
+  uint64_t carry = 0;
+  for (int i = 0; i < LaneModulus::kLimbs; ++i) {
+    const uint64_t v = 2 * m.p[i] + carry;
+    m.p2[i] = i + 1 < LaneModulus::kLimbs ? v & kMask52 : v;
+    carry = v >> 52;
+  }
   m.to_lanes = to_radix52(FieldElem(Bignum::mod(Bignum::shl(one, 528), p)));
   m.from_lanes = to_radix52(FieldElem(Bignum::mod(Bignum::shl(one, 512), p)));
   m.n0 = mont_n0(p.limb(0)) & kMask52;
@@ -685,37 +758,84 @@ Lanes mont_mul52x8_ifma(const Lanes&, const Lanes&, const LaneModulus&) {
 Lanes mont_sqr52x8_ifma(const Lanes&, const LaneModulus&) {
   throw MathError("mont_sqr52x8_ifma: not built for this target");
 }
+Lanes lane_add52x8_ifma(const Lanes&, const Lanes&, const LaneModulus&) {
+  throw MathError("lane_add52x8_ifma: not built for this target");
+}
+Lanes lane_sub52x8_ifma(const Lanes&, const Lanes&, const LaneModulus&) {
+  throw MathError("lane_sub52x8_ifma: not built for this target");
+}
+Lanes lane_neg52x8_ifma(const Lanes&, const LaneModulus&) {
+  throw MathError("lane_neg52x8_ifma: not built for this target");
+}
 #endif
 
-void pow8_ifma(const LaneModulus& m, const FieldElem& p, std::span<const FieldElem> bases,
-               const Bignum& exp, std::span<FieldElem> out) {
-  if (bases.empty() || bases.size() > Lanes::kLanes || out.size() != bases.size())
-    throw MathError("pow8_ifma: needs 1..8 bases and as many outputs");
-  Lanes x, to_lanes, from_lanes;
-  for (int k = 0; k < Lanes::kLanes; ++k) {
-    const std::array<uint64_t, LaneModulus::kLimbs> limbs =
-        to_radix52(static_cast<size_t>(k) < bases.size() ? bases[k] : FieldElem());
-    for (int i = 0; i < LaneModulus::kLimbs; ++i) {
-      x.limb[i][k] = limbs[i];
-      to_lanes.limb[i][k] = m.to_lanes[i];
-      from_lanes.limb[i][k] = m.from_lanes[i];
-    }
+LaneField::LaneField(const Bignum& p) : m_(lane_modulus(p)), p_(p) {
+  to_lanes_ = broadcast(m_.to_lanes);
+  from_lanes_ = broadcast(m_.from_lanes);
+  // 2^512 * 2^528 / R' = R' mod p, the lanes' one.
+  one_ = mul(from_lanes_, to_lanes_);
+}
+
+Lanes LaneField::to_lanes(std::span<const FieldElem> xs) const {
+  if (xs.empty() || xs.size() > Lanes::kLanes)
+    throw MathError("LaneField::to_lanes: needs 1..8 values");
+  Lanes x;
+  for (size_t k = 0; k < xs.size(); ++k) {
+    const LaneLimbs limbs = to_radix52(xs[k]);
+    for (int i = 0; i < LaneModulus::kLimbs; ++i) x.limb[i][k] = limbs[i];
   }
-  const auto mul = [&m](const Lanes& a, const Lanes& b) { return mont_mul52x8_ifma(a, b, m); };
-  const auto sqr = [&m](const Lanes& a) { return mont_sqr52x8_ifma(a, m); };
-  // aR * 2^528 / R' = aR'; R * 2^528 / R' = R' is the lanes' one; the
-  // product with R on the way out leaves a^e R below 2p.
-  const Lanes one = mul(from_lanes, to_lanes);
-  const Lanes r = mul(window_pow(one, mul(x, to_lanes), exp, mul, sqr), from_lanes);
-  for (size_t k = 0; k < bases.size(); ++k) {
+  // aR * 2^528 / R' = aR'.
+  return mul(x, to_lanes_);
+}
+
+void LaneField::from_lanes(const Lanes& x, std::span<FieldElem> out) const {
+  if (out.size() > Lanes::kLanes) throw MathError("LaneField::from_lanes: at most 8 outputs");
+  // aR' * 2^512 / R' = aR, below 2p; one conditional subtraction.
+  const Lanes r = mul(x, from_lanes_);
+  for (size_t k = 0; k < out.size(); ++k) {
     uint64_t t[FieldElem::kLimbs + 1] = {};
     for (int i = 0; i < LaneModulus::kLimbs; ++i) {
       const int bit = 52 * i, w = bit / 64, s = bit % 64;
       t[w] |= r.limb[i][k] << s;
       if (s > 12) t[w + 1] |= r.limb[i][k] >> (64 - s);
     }
-    out[k] = reduce_once<FieldElem::kLimbs>(t, p);
+    out[k] = reduce_once<FieldElem::kLimbs>(t, p_);
   }
+}
+
+Lanes LaneField::broadcast(const LaneLimbs& limbs) {
+  Lanes x;
+  for (int i = 0; i < LaneModulus::kLimbs; ++i)
+    for (int k = 0; k < Lanes::kLanes; ++k) x.limb[i][k] = limbs[i];
+  return x;
+}
+
+LaneLimbs LaneField::lane(const Lanes& x, int k) {
+  LaneLimbs out;
+  for (int i = 0; i < LaneModulus::kLimbs; ++i) out[i] = x.limb[i][k];
+  return out;
+}
+
+unsigned LaneField::zero_mask(const Lanes& x) const {
+  unsigned mask = 0;
+  for (int k = 0; k < Lanes::kLanes; ++k) {
+    bool zero = true, p = true;
+    for (int i = 0; i < LaneModulus::kLimbs; ++i) {
+      zero = zero && x.limb[i][k] == 0;
+      p = p && x.limb[i][k] == m_.p[i];
+    }
+    if (zero || p) mask |= 1u << k;
+  }
+  return mask;
+}
+
+void LaneField::pow(std::span<const FieldElem> bases, const Bignum& exp,
+                    std::span<FieldElem> out) const {
+  if (out.size() != bases.size()) throw MathError("LaneField::pow: size mismatch");
+  const Lanes r = window_pow(
+      one_, to_lanes(bases), exp, [this](const Lanes& a, const Lanes& b) { return mul(a, b); },
+      [this](const Lanes& a) { return sqr(a); });
+  from_lanes(r, out);
 }
 
 }  // namespace detail
@@ -764,7 +884,8 @@ MontField::MontField(const Bignum& modulus) : modulus_(modulus) {
     mul_ = &detail::mont_mul8_adx;
     sqr_ = &mont_sqr8_adx;
   }
-  if (n_ == 8 && detail::ifma_kernel_available()) lanes_ = detail::lane_modulus(modulus);
+  if (n_ == 8 && detail::ifma_kernel_available())
+    lanes_ = std::make_shared<const detail::LaneField>(modulus);
 
   n0_ = detail::mont_n0(p_.l[0]);
 
@@ -788,7 +909,7 @@ void MontField::pow_batch(std::span<const FieldElem> bases, const Bignum& exp,
   for (size_t at = 0; at < bases.size(); at += detail::Lanes::kLanes) {
     const size_t live = std::min<size_t>(bases.size() - at, detail::Lanes::kLanes);
     if (lanes_ && live >= detail::kMinLanesPerPass) {
-      detail::pow8_ifma(*lanes_, p_, bases.subspan(at, live), exp, out.subspan(at, live));
+      lanes_->pow(bases.subspan(at, live), exp, out.subspan(at, live));
       continue;
     }
     for (size_t k = at; k < at + live; ++k) out[k] = pow(bases[k], exp);
@@ -802,6 +923,28 @@ FieldElem MontField::inv(const FieldElem& a) const {
   if (!inv_(a, p_, n0_, bits_, &plain_inverse))
     throw MathError("MontField::inv: element not invertible");
   return mul(plain_inverse, r3_);
+}
+
+void MontField::inv_batch(std::span<FieldElem> xs) const {
+  // prefix[i] = product of the nonzero xs[0..i].
+  std::vector<FieldElem> prefix(xs.size());
+  FieldElem acc = one_;
+  bool any = false;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    if (!xs[i].is_zero()) {
+      acc = mul(acc, xs[i]);
+      any = true;
+    }
+    prefix[i] = acc;
+  }
+  if (!any) return;
+  FieldElem inverse = inv(acc);  // of every nonzero element at once
+  for (size_t i = xs.size(); i-- > 0;) {
+    if (xs[i].is_zero()) continue;
+    const FieldElem xi = i > 0 ? mul(inverse, prefix[i - 1]) : inverse;
+    inverse = mul(inverse, xs[i]);
+    xs[i] = xi;
+  }
 }
 
 }  // namespace maabe::math

@@ -14,14 +14,15 @@
 // FieldElem and never sees N. Moduli wider than 512 bits throw
 // MathError — there is no fallback. pow_batch runs up to eight
 // exponentiations by one exponent as lanes of an AVX-512 IFMA kernel
-// when the CPU has it (DESIGN.md §22).
+// when the CPU has it (DESIGN.md §22), and lanes() hands the same 8-lane
+// field to the pairing layer's batch passes (§23).
 //
 // Like the rest of the library, nothing here is constant-time.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <span>
 
 #include "math/bignum.h"
@@ -58,15 +59,18 @@ struct FieldElem {
 
 namespace detail {
 
-/// The modulus side of the 8-lane IFMA exponentiation (DESIGN.md §22):
-/// ten radix-2^52 limbs, Montgomery radix R' = 2^520.
+/// The modulus side of the 8-lane IFMA field (DESIGN.md §22-23): ten
+/// radix-2^52 limbs, Montgomery radix R' = 2^520.
 struct LaneModulus {
   static constexpr int kLimbs = 10;
   std::array<uint64_t, kLimbs> p{};
+  std::array<uint64_t, kLimbs> p2{};          ///< 2p: lane values lie in [0, 2p)
   std::array<uint64_t, kLimbs> to_lanes{};    ///< 2^528 mod p: aR -> aR'
   std::array<uint64_t, kLimbs> from_lanes{};  ///< 2^512 mod p: aR' -> aR
   uint64_t n0 = 0;                            ///< -p^-1 mod 2^52
 };
+
+class LaneField;  // math/field_kernels.h
 
 }  // namespace detail
 
@@ -113,6 +117,15 @@ class MontField {
   /// Inverse of a Montgomery-form value, in Montgomery form (batched
   /// binary gcd, variable-time). Throws MathError when gcd(a, p) != 1.
   FieldElem inv(const FieldElem& a) const;
+  /// Inverts every nonzero element of `xs` in place with one inv
+  /// (Montgomery's trick); zeros stay zero. The inverses are unique, so
+  /// each is the same value inv gives. Throws MathError like inv when a
+  /// nonzero element is not invertible (p not prime).
+  void inv_batch(std::span<FieldElem> xs) const;
+
+  /// The 8-lane IFMA view of this field (math/field_kernels.h), or null
+  /// when the modulus is not 8 limbs or the CPU lacks the kernels.
+  const detail::LaneField* lanes() const { return lanes_.get(); }
 
   /// Montgomery form of 1 (R mod p).
   const FieldElem& one() const { return one_; }
@@ -133,7 +146,7 @@ class MontField {
   MulFn mul_ = nullptr;
   SqrFn sqr_ = nullptr;
   InvFn inv_ = nullptr;
-  std::optional<detail::LaneModulus> lanes_;  // set when pow_batch runs on IFMA
+  std::shared_ptr<const detail::LaneField> lanes_;  // set when IFMA passes run
 };
 
 // Fixed-width add/sub/neg: inline because they are too short to pay for

@@ -1,5 +1,6 @@
 #include "pairing/curve.h"
 
+#include <array>
 #include <bit>
 
 #include "common/errors.h"
@@ -40,61 +41,33 @@ AffinePoint CurveCtx::to_affine(const JacPoint& p) const {
 
 std::vector<AffinePoint> CurveCtx::to_affine_batch(const JacPoint* pts,
                                                   size_t n) const {
-  if (n == 0) return {};
-  // prefix[i] = product of the nonzero z's of pts[0..i].
-  std::vector<FieldElem> prefix(n);
-  FieldElem acc = fq_.one();
-  for (size_t i = 0; i < n; ++i) {
-    if (!pts[i].z.is_zero()) acc = fq_.mul(acc, pts[i].z);
-    prefix[i] = acc;
-  }
+  std::vector<FieldElem> zi(n);
+  for (size_t i = 0; i < n; ++i) zi[i] = pts[i].z;
+  fq_.inv_batch(zi);  // one inversion; a zero z (infinity) stays zero
   std::vector<AffinePoint> out(n);
-  FieldElem inv = fq_.inv(acc);  // a product of nonzero z's, so invertible
-  for (size_t i = n; i-- > 0;) {
-    const JacPoint& p = pts[i];
-    if (p.z.is_zero()) continue;  // infinity, already in place
-    const FieldElem zi = i > 0 ? fq_.mul(inv, prefix[i - 1]) : inv;
-    inv = fq_.mul(inv, p.z);
-    const FieldElem zi2 = fq_.sqr(zi);
-    out[i] = {fq_.mul(p.x, zi2), fq_.mul(p.y, fq_.mul(zi2, zi)), false};
+  for (size_t i = 0; i < n; ++i) {
+    if (zi[i].is_zero()) continue;  // infinity, already in place
+    const FieldElem zi2 = fq_.sqr(zi[i]);
+    out[i] = {fq_.mul(pts[i].x, zi2), fq_.mul(pts[i].y, fq_.mul(zi2, zi[i])), false};
   }
   return out;
 }
 
 JacPoint CurveCtx::jac_dbl(const JacPoint& p) const {
   if (p.z.is_zero() || p.y.is_zero()) return {fq_.one(), fq_.one(), fq_.zero()};
-  // dbl-2007-bl style with a = 1 handled via M = 3X^2 + Z^4.
-  const FieldElem y2 = fq_.sqr(p.y);
-  const FieldElem s = fq_.dbl(fq_.dbl(fq_.mul(p.x, y2)));       // 4XY^2
-  const FieldElem z2 = fq_.sqr(p.z);
-  const FieldElem x2 = fq_.sqr(p.x);
-  const FieldElem m = fq_.add(fq_.add(fq_.dbl(x2), x2), fq_.sqr(z2));  // 3X^2 + Z^4
-  const FieldElem xr = fq_.sub(fq_.sqr(m), fq_.dbl(s));
-  const FieldElem y4 = fq_.sqr(y2);
-  const FieldElem yr = fq_.sub(fq_.mul(m, fq_.sub(s, xr)), fq_.dbl(fq_.dbl(fq_.dbl(y4))));
-  const FieldElem zr = fq_.dbl(fq_.mul(p.y, p.z));
-  return {xr, yr, zr};
+  return jac::dbl(fq_, p);
 }
 
 JacPoint CurveCtx::jac_add_mixed(const JacPoint& p, const AffinePoint& q) const {
   if (q.inf) throw MathError("jac_add_mixed: affine operand is infinity");
   if (p.z.is_zero()) return {q.x, q.y, fq_.one()};
-  const FieldElem z2 = fq_.sqr(p.z);
-  const FieldElem u2 = fq_.mul(q.x, z2);
-  const FieldElem s2 = fq_.mul(q.y, fq_.mul(z2, p.z));
-  const FieldElem hh = fq_.sub(u2, p.x);
-  const FieldElem rr = fq_.sub(s2, p.y);
+  FieldElem hh, rr;
+  jac::chord(fq_, p, q.x, q.y, &hh, &rr);
   if (hh.is_zero()) {
     if (rr.is_zero()) return jac_dbl(p);
     return {fq_.one(), fq_.one(), fq_.zero()};  // p == -q
   }
-  const FieldElem h2 = fq_.sqr(hh);
-  const FieldElem h3 = fq_.mul(hh, h2);
-  const FieldElem v = fq_.mul(p.x, h2);
-  const FieldElem xr = fq_.sub(fq_.sub(fq_.sqr(rr), h3), fq_.dbl(v));
-  const FieldElem yr = fq_.sub(fq_.mul(rr, fq_.sub(v, xr)), fq_.mul(p.y, h3));
-  const FieldElem zr = fq_.mul(p.z, hh);
-  return {xr, yr, zr};
+  return jac::add_chord(fq_, p, hh, rr);
 }
 
 JacPoint CurveCtx::jac_add(const JacPoint& p, const JacPoint& q) const {
@@ -111,13 +84,9 @@ JacPoint CurveCtx::jac_add(const JacPoint& p, const JacPoint& q) const {
     if (rr.is_zero()) return jac_dbl(p);
     return {fq_.one(), fq_.one(), fq_.zero()};  // p == -q
   }
-  const FieldElem h2 = fq_.sqr(hh);
-  const FieldElem h3 = fq_.mul(hh, h2);
-  const FieldElem v = fq_.mul(u1, h2);
-  const FieldElem xr = fq_.sub(fq_.sub(fq_.sqr(rr), h3), fq_.dbl(v));
-  const FieldElem yr = fq_.sub(fq_.mul(rr, fq_.sub(v, xr)), fq_.mul(s1, h3));
-  const FieldElem zr = fq_.mul(fq_.mul(p.z, q.z), hh);
-  return {xr, yr, zr};
+  // The mixed-addition tail on (U1 : S1 : Z1*Z2), which is p scaled to
+  // q's denominators.
+  return jac::add_chord(fq_, JacPoint{u1, s1, fq_.mul(p.z, q.z)}, hh, rr);
 }
 
 JacPoint CurveCtx::jac_mul_u64(const JacPoint& p, uint64_t k) const {
@@ -152,6 +121,40 @@ JacPoint CurveCtx::mul_jac(const AffinePoint& p, const Bignum& k) const {
     if (k.bit(i)) acc = jac_add_mixed(acc, p);
   }
   return acc;
+}
+
+unsigned CurveCtx::mul_jac_lanes(const math::detail::LaneField& lf,
+                                 std::span<const AffinePoint> ps, const Bignum& k,
+                                 std::span<JacPoint> out) const {
+  using math::detail::Lanes;
+  const size_t n = ps.size();
+  if (n == 0 || n > Lanes::kLanes || out.size() != n || k.is_zero())
+    throw MathError("mul_jac_lanes: needs 1..8 points, as many outputs and k >= 1");
+  std::array<FieldElem, Lanes::kLanes> xs{}, ys{}, zs{};
+  for (size_t j = 0; j < n; ++j) {
+    if (ps[j].inf) throw MathError("mul_jac_lanes: point at infinity");
+    xs[j] = ps[j].x;
+    ys[j] = ps[j].y;
+  }
+  const Lanes px = lf.to_lanes(std::span(xs).first(n));
+  const Lanes py = lf.to_lanes(std::span(ys).first(n));
+  // mul_jac's first step turns the identity into P; the rest is the
+  // same schedule without its branches.
+  JacOf<Lanes> acc{px, py, lf.one()};
+  for (int i = k.bit_length() - 2; i >= 0; --i) {
+    acc = jac::dbl(lf, acc);
+    if (!k.bit(i)) continue;
+    Lanes hh, rr;
+    jac::chord(lf, acc, px, py, &hh, &rr);
+    acc = jac::add_chord(lf, acc, hh, rr);
+  }
+  const unsigned exceptional = lf.zero_mask(acc.z) & ((1u << n) - 1);
+  lf.from_lanes(acc.x, std::span(xs).first(n));
+  lf.from_lanes(acc.y, std::span(ys).first(n));
+  lf.from_lanes(acc.z, std::span(zs).first(n));
+  for (size_t j = 0; j < n; ++j)
+    if (!(exceptional >> j & 1)) out[j] = {xs[j], ys[j], zs[j]};
+  return exceptional;
 }
 
 bool CurveCtx::lift_x(const FieldElem& x, FieldElem* y) const {

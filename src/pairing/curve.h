@@ -5,8 +5,10 @@
 // x = X/Z^2, y = Y/Z^3) to avoid per-step field inversions.
 #pragma once
 
+#include <span>
 #include <vector>
 
+#include "math/field_kernels.h"
 #include "pairing/fp.h"
 
 namespace maabe::pairing {
@@ -21,12 +23,63 @@ struct AffinePoint {
   static AffinePoint infinity() { return {}; }
 };
 
-/// Jacobian point used internally by scalar multiplication and pairing.
-struct JacPoint {
-  FieldElem x;
-  FieldElem y;
-  FieldElem z;  // zero z encodes infinity
+/// Jacobian point used internally by scalar multiplication and pairing,
+/// over a base field's element type (FieldElem, or math::detail::Lanes
+/// for eight points at a time).
+template <class E>
+struct JacOf {
+  E x;
+  E y;
+  E z;  // zero z encodes infinity
 };
+using JacPoint = JacOf<FieldElem>;
+
+// The Jacobian formulas, once, over any base field F with MontField's
+// method names (FpCtx, math::detail::LaneField). They take no branch on
+// the values: CurveCtx handles infinity and the exceptional cases
+// around them, and a lane pass detects them from the result's z. Always
+// inlined, so CurveCtx's scalar additions keep the one-function shape
+// they had before the formulas were shared.
+namespace jac {
+
+/// 2T (dbl-2007-bl with a = 1: M = 3X^2 + Z^4). z = 2YZ, zero exactly
+/// when Y or Z is.
+template <class F, class E>
+[[gnu::always_inline]] inline JacOf<E> dbl(const F& fq, const JacOf<E>& p) {
+  const E y2 = fq.sqr(p.y);
+  const E s = fq.dbl(fq.dbl(fq.mul(p.x, y2)));  // 4XY^2
+  const E z2 = fq.sqr(p.z);
+  const E x2 = fq.sqr(p.x);
+  const E m = fq.add(fq.add(fq.dbl(x2), x2), fq.sqr(z2));  // 3X^2 + Z^4
+  const E xr = fq.sub(fq.sqr(m), fq.dbl(s));
+  const E y4 = fq.sqr(y2);
+  const E yr = fq.sub(fq.mul(m, fq.sub(s, xr)), fq.dbl(fq.dbl(fq.dbl(y4))));
+  const E zr = fq.dbl(fq.mul(p.y, p.z));
+  return {xr, yr, zr};
+}
+
+/// The chord pieces of T + Q for an affine Q = (qx, qy):
+/// H = qx*Z^2 - X and R = qy*Z^3 - Y. H is zero exactly when T = +-Q.
+template <class F, class E>
+[[gnu::always_inline]] inline void chord(const F& fq, const JacOf<E>& t, const E& qx, const E& qy, E* hh, E* rr) {
+  const E z2 = fq.sqr(t.z);
+  *hh = fq.sub(fq.mul(qx, z2), t.x);
+  *rr = fq.sub(fq.mul(qy, fq.mul(z2, t.z)), t.y);
+}
+
+/// T + Q from chord(t, Q)'s pieces (mixed addition). z = Z*H.
+template <class F, class E>
+[[gnu::always_inline]] inline JacOf<E> add_chord(const F& fq, const JacOf<E>& t, const E& hh, const E& rr) {
+  const E h2 = fq.sqr(hh);
+  const E h3 = fq.mul(hh, h2);
+  const E v = fq.mul(t.x, h2);
+  const E xr = fq.sub(fq.sub(fq.sqr(rr), h3), fq.dbl(v));
+  const E yr = fq.sub(fq.mul(rr, fq.sub(v, xr)), fq.mul(t.y, h3));
+  const E zr = fq.mul(t.z, hh);
+  return {xr, yr, zr};
+}
+
+}  // namespace jac
 
 class CurveCtx {
  public:
@@ -45,6 +98,16 @@ class CurveCtx {
   /// mul() before its affine conversion, for callers that convert a
   /// batch with to_affine_batch.
   JacPoint mul_jac(const AffinePoint& p, const math::Bignum& k) const;
+  /// mul_jac(ps[j], k) for up to eight finite points at once, one per
+  /// lane, by k >= 1: the same double-and-add on jac::dbl and
+  /// jac::add_chord over the lanes. out[j] gets lane j's point, the
+  /// same residues, except in the lanes of the returned mask: those met
+  /// a doubling at Y = 0 or an addition at H = 0 (seen as z = 0 at the
+  /// end, since z only ever multiplies by 2Y or H), where mul_jac takes
+  /// another branch; their out[j] is left for the caller to take from
+  /// mul_jac.
+  unsigned mul_jac_lanes(const math::detail::LaneField& lf, std::span<const AffinePoint> ps,
+                         const math::Bignum& k, std::span<JacPoint> out) const;
 
   // Jacobian core (also used by the Miller loop).
   JacPoint to_jac(const AffinePoint& p) const;

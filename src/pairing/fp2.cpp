@@ -17,18 +17,9 @@ Fp2 Fp2Ctx::sub(const Fp2& x, const Fp2& y) const {
 
 Fp2 Fp2Ctx::neg(const Fp2& x) const { return {fq_.neg(x.a), fq_.neg(x.b)}; }
 
-Fp2 Fp2Ctx::mul(const Fp2& x, const Fp2& y) const {
-  const FieldElem t0 = fq_.mul(x.a, y.a);
-  const FieldElem t1 = fq_.mul(x.b, y.b);
-  const FieldElem mixed = fq_.mul(fq_.add(x.a, x.b), fq_.add(y.a, y.b));
-  return {fq_.sub(t0, t1), fq_.sub(fq_.sub(mixed, t0), t1)};
-}
+Fp2 Fp2Ctx::mul(const Fp2& x, const Fp2& y) const { return fp2::mul(fq_, x, y); }
 
-Fp2 Fp2Ctx::sqr(const Fp2& x) const {
-  const FieldElem t = fq_.mul(fq_.sub(x.a, x.b), fq_.add(x.a, x.b));
-  const FieldElem ab = fq_.mul(x.a, x.b);
-  return {t, fq_.dbl(ab)};
-}
+Fp2 Fp2Ctx::sqr(const Fp2& x) const { return fp2::sqr(fq_, x); }
 
 Fp2 Fp2Ctx::inv(const Fp2& x) const {
   const FieldElem norm = fq_.add(fq_.sqr(x.a), fq_.sqr(x.b));
@@ -47,12 +38,8 @@ bool Fp2Ctx::is_norm_one(const Fp2& x) const {
 }
 
 Fp2 Fp2Ctx::sqr_cyclotomic(const Fp2& x) const {
-  // With a^2 + b^2 = 1: (a+bi)^2 = (a^2 - b^2) + 2ab i
-  //                             = (2a^2 - 1) + ((a+b)^2 - 1) i.
   // Exact canonical arithmetic makes this bit-identical to sqr(x).
-  const FieldElem a2 = fq_.sqr(x.a);
-  const FieldElem s2 = fq_.sqr(fq_.add(x.a, x.b));
-  return {fq_.sub(fq_.dbl(a2), fq_.one()), fq_.sub(s2, fq_.one())};
+  return fp2::sqr_cyclotomic(fq_, x);
 }
 
 Fp2 Fp2Ctx::pow_cyclotomic(const Fp2& base, const Bignum& exp) const {

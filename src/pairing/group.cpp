@@ -1,5 +1,7 @@
 #include "pairing/group.h"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 
 #include "common/errors.h"
@@ -420,6 +422,84 @@ GT Group::pair(const G1& a, const G1& b) const {
   require_same_group(this, b.g_, "Group::pair");
   if (a.pt_.inf || b.pt_.inf) return GT(this, ctx_.fq2().one());
   return GT(this, ctx_.final_exponentiation(ctx_.miller_loop(a.pt_, b.pt_)));
+}
+
+namespace {
+
+using math::detail::Lanes;
+
+/// Runs the items `live` in passes of up to eight: `lanes(pass)` on each
+/// pass of at least `min_lanes` items when `has_lanes`, which returns
+/// the mask of the pass's items it left undone; `scalar(i)` on every
+/// item left undone and on every other pass.
+template <class LanePass, class Scalar>
+void run_passes(const std::vector<size_t>& live, bool has_lanes, size_t min_lanes,
+                const LanePass& lanes, const Scalar& scalar) {
+  for (size_t at = 0; at < live.size(); at += Lanes::kLanes) {
+    const std::span<const size_t> pass =
+        std::span(live).subspan(at, std::min<size_t>(Lanes::kLanes, live.size() - at));
+    unsigned left = (1u << pass.size()) - 1;
+    if (has_lanes && pass.size() >= min_lanes) left = lanes(pass);
+    for (size_t j = 0; j < pass.size(); ++j)
+      if (left >> j & 1) scalar(pass[j]);
+  }
+}
+
+}  // namespace
+
+std::vector<GT> Group::pair_batch(const PairingPrecomp& pre, std::span<const G1> bs) const {
+  std::vector<GT> out(bs.size(), gt_one());
+  std::vector<size_t> live;
+  for (size_t i = 0; i < bs.size(); ++i) {
+    require_same_group(this, bs[i].g_, "Group::pair_batch");
+    if (!pre.base_is_infinity() && !bs[i].pt_.inf) live.push_back(i);
+  }
+  const math::detail::LaneField* lf = ctx_.fq().lanes();
+  const auto lanes = [&](std::span<const size_t> pass) {
+    const size_t n = pass.size();
+    std::array<FieldElem, Lanes::kLanes> xs{}, ys{};
+    for (size_t j = 0; j < n; ++j) {
+      xs[j] = bs[pass[j]].pt_.x;
+      ys[j] = bs[pass[j]].pt_.y;
+    }
+    const Fp2Of<Lanes> f = pre.miller_lanes(*lf, lf->to_lanes(std::span(xs).first(n)),
+                                            lf->to_lanes(std::span(ys).first(n)));
+    std::array<Fp2, Lanes::kLanes> vals;
+    const unsigned left = ctx_.final_exponentiation_lanes(*lf, f, std::span(vals).first(n));
+    for (size_t j = 0; j < n; ++j)
+      if (!(left >> j & 1)) out[pass[j]] = GT(this, vals[j]);
+    return left;
+  };
+  run_passes(live, lf != nullptr, kMinPairLanesPerPass, lanes, [&](size_t i) {
+    out[i] = GT(this, ctx_.final_exponentiation(pre.miller(bs[i].pt_)));
+  });
+  return out;
+}
+
+std::vector<G1> Group::g1_pow_batch(std::span<const G1> bases, const Zr& k) const {
+  require_same_group(this, k.group(), "Group::g1_pow_batch");
+  const CurveCtx& curve = ctx_.curve();
+  std::vector<JacPoint> jac(bases.size(), curve.to_jac(AffinePoint::infinity()));
+  std::vector<size_t> live;
+  for (size_t i = 0; i < bases.size(); ++i) {
+    require_same_group(this, bases[i].g_, "Group::g1_pow_batch");
+    if (!bases[i].pt_.inf && !k.is_zero()) live.push_back(i);
+  }
+  const math::detail::LaneField* lf = ctx_.fq().lanes();
+  const auto lanes = [&](std::span<const size_t> pass) {
+    const size_t n = pass.size();
+    std::array<AffinePoint, Lanes::kLanes> pts;
+    std::array<JacPoint, Lanes::kLanes> got;
+    for (size_t j = 0; j < n; ++j) pts[j] = bases[pass[j]].pt_;
+    const unsigned left = curve.mul_jac_lanes(*lf, std::span(pts).first(n), k.value(),
+                                              std::span(got).first(n));
+    for (size_t j = 0; j < n; ++j)
+      if (!(left >> j & 1)) jac[pass[j]] = got[j];
+    return left;
+  };
+  run_passes(live, lf != nullptr, kMinG1PowLanesPerPass, lanes,
+             [&](size_t i) { jac[i] = curve.mul_jac(bases[i].pt_, k.value()); });
+  return g1_normalize(jac);
 }
 
 MillerVal Group::miller(const G1& a, const G1& b) const {

@@ -189,6 +189,19 @@ struct G1Run {
   std::vector<G1> pts;
 };
 
+/// Fewest live lanes that earn a pairing pass in Group::pair_batch. A
+/// pass costs about 1.35 scalar pairings against a line table whatever
+/// its live lanes (bench/pairing_micro `pair_pass_us` 287 us against
+/// `miller_precomp_us` + `final_exp_us` 214 us on the paper curve, on a
+/// 4-vCPU Xeon VM), so
+/// two pairings already gain and a lone one stays scalar.
+inline constexpr size_t kMinPairLanesPerPass = 2;
+/// Fewest live lanes that earn a G1 pass in Group::g1_pow_batch. A pass
+/// costs about 1.35 scalar multiplies whatever its live lanes
+/// (`g1_pow_pass_us` 308 us against `g1_exp_us` 226 us), so likewise
+/// from two points on.
+inline constexpr size_t kMinG1PowLanesPerPass = 2;
+
 class Group {
  public:
   /// The paper's setting: 512-bit base field, 160-bit order (PBC a.param).
@@ -228,6 +241,14 @@ class Group {
 
   // ---- G1 ----------------------------------------------------------
   G1 g1_identity() const { return G1(this, AffinePoint::infinity()); }
+  /// base * k for every base: the same bits as G1::mul on each. Passes of
+  /// up to eight finite bases run mul_jac's double-and-add as lanes of
+  /// the IFMA field (CurveCtx::mul_jac_lanes); identity bases, k = 0,
+  /// lanes that meet an exceptional addition or doubling (only possible
+  /// outside the order-r subgroup), passes below kMinG1PowLanesPerPass
+  /// and CPUs without the kernels run mul_jac. Every result goes to
+  /// affine with one inversion.
+  std::vector<G1> g1_pow_batch(std::span<const G1> bases, const Zr& k) const;
   /// The fixed generator g (deterministically derived from the params).
   const G1& g() const { return generator_; }
   /// g^k via the precomputed window table — 4-6x faster than g().mul(k);
@@ -265,6 +286,15 @@ class Group {
 
   /// The bilinear map e: G1 x G1 -> GT.
   GT pair(const G1& a, const G1& b) const;
+  /// e(base, b) for every b, base being `pre`'s first argument (a table
+  /// from this Group's pair_precompute): the same bits as pair on each,
+  /// or pair's MathError. Passes of up to eight finite b run the Miller
+  /// replay, the easy part and the hard part as lanes of the IFMA field
+  /// (DESIGN.md §23) with the norms inverted in one batch; an identity
+  /// b or base is 1 without a loop, and a lane whose Miller value is
+  /// zero, a pass below kMinPairLanesPerPass and every pass on a CPU
+  /// without the kernels run the scalar path.
+  std::vector<GT> pair_batch(const PairingPrecomp& pre, std::span<const G1> bs) const;
 
   // ---- Multi-pairing kernel ----------------------------------------
   /// The fold-neutral Miller value (what an empty product reduces from).

@@ -1,6 +1,7 @@
 #include "pairing/pairing.h"
 
 #include "common/errors.h"
+#include "math/window_pow.h"
 
 namespace maabe::pairing {
 
@@ -51,6 +52,35 @@ Fp2 PairingCtx::final_exponentiation(const Fp2& f) const {
   return fq2_.pow_cyclotomic(f1, params_.h);
 }
 
+unsigned PairingCtx::final_exponentiation_lanes(const math::detail::LaneField& lf,
+                                                const Fp2Of<math::detail::Lanes>& f,
+                                                std::span<Fp2> out) const {
+  using math::detail::Lanes;
+  using L2 = Fp2Of<Lanes>;
+  const size_t n = out.size();
+  // f^(q-1) = conj(f) / f = conj(f)^2 / N(f), N(f) = a^2 + b^2 in F_q:
+  // the norms leave the lanes for one batch inversion and come back.
+  std::array<FieldElem, Lanes::kLanes> norms{};
+  lf.from_lanes(lf.add(lf.sqr(f.a), lf.sqr(f.b)), std::span(norms).first(n));
+  unsigned zero = 0;
+  for (size_t k = 0; k < n; ++k)
+    if (norms[k].is_zero()) zero |= 1u << k;
+  fq_.inv_batch(std::span(norms).first(n));
+  const Lanes inv_norm = lf.to_lanes(std::span(norms).first(n));
+  const L2 c = fp2::sqr(lf, L2{f.a, lf.neg(f.b)});
+  const L2 f1{lf.mul(c.a, inv_norm), lf.mul(c.b, inv_norm)};
+  const L2 h = math::window_pow(
+      L2{lf.one(), lf.zero()}, f1, params_.h,
+      [&lf](const L2& x, const L2& y) { return fp2::mul(lf, x, y); },
+      [&lf](const L2& x) { return fp2::sqr_cyclotomic(lf, x); });
+  std::array<FieldElem, Lanes::kLanes> a{}, b{};
+  lf.from_lanes(h.a, std::span(a).first(n));
+  lf.from_lanes(h.b, std::span(b).first(n));
+  for (size_t k = 0; k < n; ++k)
+    if (!(zero >> k & 1)) out[k] = {a[k], b[k]};
+  return zero;
+}
+
 Fp2 PairingCtx::miller_loop(const AffinePoint& p, const AffinePoint& q) const {
   if (p.inf || q.inf) return fq2_.one();
 
@@ -67,9 +97,8 @@ Fp2 PairingCtx::miller_loop(const AffinePoint& p, const AffinePoint& q) const {
     }
     if (r.bit(i) && !t.z.is_zero()) {
       // Mixed addition, reusing H and R for the line.
-      const FieldElem z2 = fq_.sqr(t.z);
-      const FieldElem hh = fq_.sub(fq_.mul(p.x, z2), t.x);
-      const FieldElem rr = fq_.sub(fq_.mul(p.y, fq_.mul(z2, t.z)), t.y);
+      FieldElem hh, rr;
+      jac::chord(fq_, t, p.x, p.y, &hh, &rr);
       if (hh.is_zero()) {
         if (rr.is_zero()) {
           // T == P: tangent case (cannot occur for points of prime order
@@ -82,13 +111,7 @@ Fp2 PairingCtx::miller_loop(const AffinePoint& p, const AffinePoint& q) const {
         }
       } else {
         f = fq2_.mul(f, chord_line(fq_, t, p, q, hh, rr));
-        const FieldElem h2 = fq_.sqr(hh);
-        const FieldElem h3 = fq_.mul(hh, h2);
-        const FieldElem v = fq_.mul(t.x, h2);
-        const FieldElem xr = fq_.sub(fq_.sub(fq_.sqr(rr), h3), fq_.dbl(v));
-        const FieldElem yr = fq_.sub(fq_.mul(rr, fq_.sub(v, xr)), fq_.mul(t.y, h3));
-        const FieldElem zr = fq_.mul(t.z, hh);
-        t = {xr, yr, zr};
+        t = jac::add_chord(fq_, t, hh, rr);
       }
     }
   }
@@ -123,9 +146,9 @@ PairingPrecomp::PairingPrecomp(const PairingCtx& ctx, const AffinePoint& p)
     const FieldElem z2 = fq.sqr(t.z);
     const FieldElem x2 = fq.sqr(t.x);
     const FieldElem m = fq.add(fq.add(fq.dbl(x2), x2), fq.sqr(z2));
-    lines_.push_back({fq.mul(m, z2),
-                      fq.sub(fq.mul(m, t.x), fq.dbl(fq.sqr(t.y))),
-                      fq.dbl(fq.mul(t.y, fq.mul(z2, t.z))), pending});
+    lines_.push_back({{fq.mul(m, z2), fq.sub(fq.mul(m, t.x), fq.dbl(fq.sqr(t.y))),
+                       fq.dbl(fq.mul(t.y, fq.mul(z2, t.z)))},
+                      pending});
     pending = 0;
   };
 
@@ -136,9 +159,8 @@ PairingPrecomp::PairingPrecomp(const PairingCtx& ctx, const AffinePoint& p)
       t = curve.jac_dbl(t);
     }
     if (r.bit(i) && !t.z.is_zero()) {
-      const FieldElem z2 = fq.sqr(t.z);
-      const FieldElem hh = fq.sub(fq.mul(p.x, z2), t.x);
-      const FieldElem rr = fq.sub(fq.mul(p.y, fq.mul(z2, t.z)), t.y);
+      FieldElem hh, rr;
+      jac::chord(fq, t, p.x, p.y, &hh, &rr);
       if (hh.is_zero()) {
         if (rr.is_zero()) {
           push_tangent();
@@ -148,33 +170,55 @@ PairingPrecomp::PairingPrecomp(const PairingCtx& ctx, const AffinePoint& p)
         }
       } else {
         const FieldElem hz = fq.mul(hh, t.z);
-        lines_.push_back({rr, fq.sub(fq.mul(rr, p.x), fq.mul(hz, p.y)), hz,
-                          pending});
+        lines_.push_back({{rr, fq.sub(fq.mul(rr, p.x), fq.mul(hz, p.y)), hz}, pending});
         pending = 0;
-        const FieldElem h2 = fq.sqr(hh);
-        const FieldElem h3 = fq.mul(hh, h2);
-        const FieldElem v = fq.mul(t.x, h2);
-        const FieldElem xr = fq.sub(fq.sub(fq.sqr(rr), h3), fq.dbl(v));
-        const FieldElem yr = fq.sub(fq.mul(rr, fq.sub(v, xr)), fq.mul(t.y, h3));
-        const FieldElem zr = fq.mul(t.z, hh);
-        t = {xr, yr, zr};
+        t = jac::add_chord(fq, t, hh, rr);
       }
     }
   }
   trailing_sqrs_ = pending;
 }
 
-Fp2 PairingPrecomp::miller(const AffinePoint& q) const {
-  const Fp2Ctx& fq2 = ctx_->fq2();
-  if (inf_ || q.inf) return fq2.one();
-  const FpCtx& fq = ctx_->fq();
-  Fp2 f = fq2.one();
-  for (const Line& l : lines_) {
-    for (uint32_t s = 0; s < l.sqrs_before; ++s) f = fq2.sqr(f);
-    f = fq2.mul(f, {fq.add(fq.mul(l.c0, q.x), l.c1), fq.mul(l.c2, q.y)});
+template <class F, class E, class Coef>
+Fp2Of<E> PairingPrecomp::replay(const F& fq, const E& qx, const E& qy,
+                                const Coef& coef) const {
+  Fp2Of<E> f{fq.one(), fq.zero()};
+  for (size_t i = 0; i < lines_.size(); ++i) {
+    for (uint32_t s = 0; s < lines_[i].sqrs_before; ++s) f = fp2::sqr(fq, f);
+    f = fp2::mul(fq, f, Fp2Of<E>{fq.add(fq.mul(coef(i, 0), qx), coef(i, 1)),
+                                 fq.mul(coef(i, 2), qy)});
   }
-  for (uint32_t s = 0; s < trailing_sqrs_; ++s) f = fq2.sqr(f);
+  for (uint32_t s = 0; s < trailing_sqrs_; ++s) f = fp2::sqr(fq, f);
   return f;
+}
+
+Fp2 PairingPrecomp::miller(const AffinePoint& q) const {
+  if (inf_ || q.inf) return ctx_->fq2().one();
+  return replay(ctx_->fq(), q.x, q.y,
+                [this](size_t i, int j) -> const FieldElem& { return lines_[i].c[j]; });
+}
+
+Fp2Of<math::detail::Lanes> PairingPrecomp::miller_lanes(const math::detail::LaneField& lf,
+                                                        const math::detail::Lanes& qx,
+                                                        const math::detail::Lanes& qy) const {
+  using math::detail::Lanes;
+  std::call_once(lane_once_, [&] {
+    // Coefficients go to lane form eight at a time: one conversion
+    // multiply per eight, then each lane's limbs are kept compact.
+    std::vector<FieldElem> flat;
+    flat.reserve(3 * lines_.size());
+    for (const Line& l : lines_) flat.insert(flat.end(), l.c.begin(), l.c.end());
+    lane_lines_.resize(lines_.size());
+    for (size_t at = 0; at < flat.size(); at += Lanes::kLanes) {
+      const size_t n = std::min<size_t>(Lanes::kLanes, flat.size() - at);
+      const Lanes x = lf.to_lanes(std::span(flat).subspan(at, n));
+      for (size_t k = 0; k < n; ++k)
+        lane_lines_[(at + k) / 3][(at + k) % 3] = math::detail::LaneField::lane(x, static_cast<int>(k));
+    }
+  });
+  return replay(lf, qx, qy, [this](size_t i, int j) {
+    return math::detail::LaneField::broadcast(lane_lines_[i][j]);
+  });
 }
 
 }  // namespace maabe::pairing

@@ -23,11 +23,19 @@
 //    against a fresh Q then costs two F_q multiplications per line
 //    instead of re-deriving tangents/chords and advancing the Jacobian
 //    accumulator.
+//  * Batches against one precomputed P (Group::pair_batch) run the
+//    replay and the final exponentiation on eight Qs at once, as lanes
+//    of the AVX-512 IFMA field (DESIGN.md §23): the same templated
+//    formulas, so each lane is the residue the scalar path computes.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <mutex>
+#include <span>
 #include <vector>
 
+#include "math/field_kernels.h"
 #include "pairing/curve.h"
 #include "pairing/fp2.h"
 #include "pairing/params.h"
@@ -55,16 +63,30 @@ class PairingPrecomp {
 
   /// The unreduced Miller value f_{r,P}(phi(Q)).
   Fp2 miller(const AffinePoint& q) const;
+  /// miller() for up to eight finite Qs at once: lane k of (qx, qy) is
+  /// Q_k's affine coordinates, and lane k of the result is the residue
+  /// miller(Q_k) gives. The lanes' copy of the coefficients is built on
+  /// first use (thread-safe) and kept with the table: 3 x 80 bytes per
+  /// line, 8 coefficients per conversion multiply.
+  Fp2Of<math::detail::Lanes> miller_lanes(const math::detail::LaneField& lf,
+                                          const math::detail::Lanes& qx,
+                                          const math::detail::Lanes& qy) const;
 
  private:
   struct Line {
-    FieldElem c0, c1, c2;
-    uint32_t sqrs_before;  ///< f-squarings preceding this line multiply
+    std::array<FieldElem, 3> c;  ///< c0, c1, c2
+    uint32_t sqrs_before;        ///< f-squarings preceding this line multiply
   };
+  /// The replay over base field F; coef(i, j) is line i's c_j as an E.
+  template <class F, class E, class Coef>
+  Fp2Of<E> replay(const F& fq, const E& qx, const E& qy, const Coef& coef) const;
+
   const PairingCtx* ctx_;
   bool inf_ = false;
   std::vector<Line> lines_;
   uint32_t trailing_sqrs_ = 0;
+  mutable std::once_flag lane_once_;
+  mutable std::vector<std::array<math::detail::LaneLimbs, 3>> lane_lines_;
 };
 
 /// Bundles every context needed to evaluate pairings on one parameter
@@ -88,7 +110,17 @@ class PairingCtx {
   Fp2 miller_loop(const AffinePoint& p, const AffinePoint& q) const;
 
   /// Maps an arbitrary f in F_{q^2}^* to the order-r target group.
+  /// Throws MathError on zero.
   Fp2 final_exponentiation(const Fp2& f) const;
+  /// final_exponentiation of lanes 0..out.size()-1 of `f` at once: the
+  /// easy part as conj(f)^2 / N(f) with every norm inverted in one
+  /// batch, the hard part by h over the lanes with cyclotomic squarings.
+  /// out[k] gets lane k's value, the bits final_exponentiation gives,
+  /// except in the lanes of the returned mask: there f is zero, out[k]
+  /// is left alone, and final_exponentiation would throw.
+  unsigned final_exponentiation_lanes(const math::detail::LaneField& lf,
+                                      const Fp2Of<math::detail::Lanes>& f,
+                                      std::span<Fp2> out) const;
 
  private:
   TypeAParams params_;

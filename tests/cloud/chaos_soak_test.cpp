@@ -291,11 +291,11 @@ TEST(ChaosSoak, EmitsTelemetryArtifacts) {
   EXPECT_GT(out.faults, 0u);
 
   // Span stream: non-empty, and the revocation root is present with a
-  // committed 2PC epoch tree (epoch -> stage -> engine.parallel_for ->
-  // slots) and transport activity underneath it somewhere in the run.
+  // committed 2PC epoch tree (epoch -> stage -> slots) and transport
+  // activity underneath it somewhere in the run.
   ASSERT_FALSE(records.empty());
   size_t revoke_roots = 0, frames = 0, slots = 0;
-  std::set<uint64_t> epochs, stages, fan_outs;
+  std::set<uint64_t> epochs, stages;
   for (const telemetry::SpanRecord& rec : records) {
     EXPECT_NE(rec.trace_id, 0u);
     EXPECT_NE(rec.span_id, 0u);
@@ -310,11 +310,7 @@ TEST(ChaosSoak, EmitsTelemetryArtifacts) {
       stages.insert(rec.span_id);
   }
   for (const telemetry::SpanRecord& rec : records) {
-    if (rec.name == "engine.parallel_for" && stages.contains(rec.parent_id))
-      fan_outs.insert(rec.span_id);
-  }
-  for (const telemetry::SpanRecord& rec : records) {
-    if (rec.name == "server.reencrypt_slot" && fan_outs.contains(rec.parent_id)) ++slots;
+    if (rec.name == "server.reencrypt_slot" && stages.contains(rec.parent_id)) ++slots;
   }
   EXPECT_EQ(revoke_roots, 1u);
   EXPECT_GE(epochs.size(), 1u);

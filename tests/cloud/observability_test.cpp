@@ -480,32 +480,42 @@ TEST_F(ClusterObservability, ReencryptSlotsNestTheirPairingsSoNoSelfTimeIsNegati
     ASSERT_NE(root, nullptr);
     EXPECT_EQ(root->name, "system.revoke_attribute");
 
-    // Each slot runs one pairing, and it nests inside the slot: every
-    // span whose parent chain reaches a slot lies inside that slot's
-    // interval, and no pairing under a stage bypasses its slot.
-    const auto slot_above = [&](const SpanRecord& rec) -> const SpanRecord* {
+    // Each stage pairs its slots in one engine.pair_batch, which nests
+    // inside the stage and counts one item per slot; each slot span
+    // sits directly under its stage. Every span whose parent chain
+    // reaches a stage lies inside that stage's interval.
+    const auto stage_above = [&](const SpanRecord& rec) -> const SpanRecord* {
       for (auto it = by_id.find(rec.parent_id); it != by_id.end();
            it = by_id.find(it->second->parent_id)) {
-        if (it->second->name == "server.reencrypt_slot") return it->second;
-        if (it->second->name == "server.reencrypt_stage") return nullptr;
+        if (it->second->name == "server.reencrypt_stage") return it->second;
       }
       return nullptr;
     };
-    std::map<uint64_t, size_t> pairs_in_slot;
+    std::map<uint64_t, size_t> slots_in_stage, pairs_in_stage, batches_in_stage;
     size_t slots = 0;
     for (const SpanRecord& rec : records) {
+      if (rec.name == "server.reencrypt_stage") slots_in_stage.try_emplace(rec.span_id, 0);
+      const SpanRecord* stage = stage_above(rec);
+      if (stage == nullptr) continue;
+      EXPECT_GE(rec.start_ns, stage->start_ns) << rec.name;
+      EXPECT_LE(rec.end_ns, stage->end_ns) << rec.name;
       if (rec.name == "server.reencrypt_slot") {
         ++slots;
-        pairs_in_slot.try_emplace(rec.span_id, 0);
+        ++slots_in_stage[stage->span_id];
+        EXPECT_EQ(rec.parent_id, stage->span_id);
       }
-      const SpanRecord* slot = slot_above(rec);
-      if (slot == nullptr) continue;
-      EXPECT_GE(rec.start_ns, slot->start_ns) << rec.name;
-      EXPECT_LE(rec.end_ns, slot->end_ns) << rec.name;
-      if (rec.name == "engine.pair") ++pairs_in_slot[slot->span_id];
+      if (rec.name == "engine.pair_batch") {
+        ++batches_in_stage[stage->span_id];
+        pairs_in_stage[stage->span_id] += std::stoull(attr_of(rec, "items"));
+      }
+      EXPECT_NE(rec.name, "engine.pair") << "a stage pairs its slots in one batch";
     }
     EXPECT_GT(slots, 0u);
-    for (const auto& [slot_id, pairs] : pairs_in_slot) EXPECT_EQ(pairs, 1u);
+    for (const auto& [stage_id, n] : slots_in_stage) {
+      if (n == 0) continue;
+      EXPECT_EQ(batches_in_stage[stage_id], 1u);
+      EXPECT_EQ(pairs_in_stage[stage_id], n);
+    }
 
     // Self time: a span's duration minus its children's. On one thread a
     // well-nested tree keeps it non-negative; a span that overlaps a

@@ -226,12 +226,14 @@ TEST(RecoveryTest, RejoinHashesEachHeldFileOnceAcrossItsSessions) {
   expect_replicas_converged(*sys, files);
   EXPECT_TRUE(sys->download_report("alice", files[0]).all_ok());
 
-  // sync_all shares one memo per initiator: node:0 leads two sessions,
-  // node:1 one; each responder lists its own files per session.
+  // sync_all shares one memo per node across its sessions: node:0 leads
+  // two, node:1 answers one and leads one, node:2 answers two, and each
+  // hashes its eight files once.
   before = rec.stats();
   EXPECT_TRUE(rec.sync_all().converged_without_transfer());
   after = rec.stats();
-  EXPECT_EQ(after.leaves_hashed - before.leaves_hashed, 5 * files.size());
+  EXPECT_EQ(after.leaves_hashed - before.leaves_hashed, 3 * files.size());
+  EXPECT_EQ(after.leaves_hashed - before.leaves_hashed, 24u);
 }
 
 TEST(RecoveryTest, SyncRefusesDeadPeer) {

@@ -352,6 +352,59 @@ TEST_F(EngineTest, EnginePairUsesWarmedPrecomp) {
             grp->gt_one().to_bytes());
 }
 
+TEST_F(EngineTest, PairBatchMatchesAndCountsLikeSinglePairs) {
+  // The same run of pairings against one first argument, once as single
+  // pair() calls and once as one pair_batch, on fresh engines: the same
+  // bytes and the same counts, through the line table's build at the
+  // 4th use, identity items and a batch wider than one pass.
+  const G1 base = grp->g1_random(rng);
+  std::vector<G1> bs;
+  for (int i = 0; i < 19; ++i) bs.push_back(i % 6 == 4 ? grp->g1_identity() : grp->g1_random(rng));
+  for (const int threads : {1, 3}) {
+    CryptoEngine single(*grp, threads), batched(*grp, threads);
+    std::vector<GT> want;
+    for (const G1& b : bs) want.push_back(single.pair(base, b));
+    const std::vector<GT> got = batched.pair_batch(base, bs);
+    ASSERT_EQ(got.size(), bs.size());
+    for (size_t i = 0; i < bs.size(); ++i) EXPECT_EQ(got[i].to_bytes(), want[i].to_bytes()) << i;
+    const EngineStats s = single.stats(), b = batched.stats();
+    EXPECT_EQ(b.pairings, s.pairings);
+    EXPECT_EQ(b.miller_loops, s.miller_loops);
+    EXPECT_EQ(b.final_exps, s.final_exps);
+    EXPECT_EQ(b.precomp_builds, s.precomp_builds);
+    EXPECT_EQ(b.precomp_hits, s.precomp_hits);
+    EXPECT_EQ(b.precomp_hits, 16u - 3u) << "live pairs from the table's 4th use on";
+    EXPECT_EQ(b.batches, 1u);
+    // A warmed table serves every live pair of the next batch.
+    const std::vector<GT> again = batched.pair_batch(base, bs);
+    EXPECT_EQ((batched.stats() - b).precomp_hits, 16u);
+    EXPECT_EQ(again.front().to_bytes(), want.front().to_bytes());
+  }
+  CryptoEngine eng(*grp, 1);
+  for (const GT& one : eng.pair_batch(grp->g1_identity(), bs)) EXPECT_TRUE(one.is_one());
+  EXPECT_EQ(eng.stats().miller_loops, 0u);
+  EXPECT_TRUE(eng.pair_batch(base, {}).empty());
+}
+
+TEST_F(EngineTest, PowBatchG1MatchesMulAndCountsOneExpPerBase) {
+  const Zr k = grp->zr_random(rng);
+  std::vector<G1> bases;
+  for (int i = 0; i < 19; ++i) bases.push_back(i == 5 ? grp->g1_identity() : grp->g1_random(rng));
+  for (const int threads : {1, 3}) {
+    CryptoEngine eng(*grp, threads);
+    const std::vector<G1> got = eng.pow_batch_g1(bases, k);
+    ASSERT_EQ(got.size(), bases.size());
+    for (size_t i = 0; i < bases.size(); ++i)
+      EXPECT_EQ(got[i].to_bytes(), bases[i].mul(k).to_bytes()) << i;
+    const EngineStats s = eng.stats();
+    EXPECT_EQ(s.g1_exps, bases.size());
+    EXPECT_EQ(s.tasks, bases.size());
+    EXPECT_EQ(s.table_builds, 0u);
+    EXPECT_EQ(s.batches, 1u);
+    EXPECT_EQ(eng.cached_bases(), 0u);
+  }
+}
+
 TEST_F(EngineTest, MultiExpG1MatchesSerialAcrossCachePromotion) {
   CryptoEngine eng(*grp, 4);
   // One base repeated often enough to cross the table-build threshold

@@ -344,12 +344,95 @@ TEST(MontFieldKernels, IfmaMulSqrMatchReferenceOnGeneratedModuli) {
   check_ifma_modulus(Bignum::from_limbs_le(ones.data(), 8), rng, 8);
 }
 
-/// pow8_ifma on 1..8 bases against MontField::pow lane by lane.
+/// Lane k of `got` is `want` mod m, below 2m, with every limb below 2^52.
+void check_lane_residue(const detail::Lanes& got, int k, const Bignum& want, const Bignum& m) {
+  for (int i = 0; i < detail::LaneModulus::kLimbs; ++i)
+    ASSERT_EQ(got.limb[i][k] >> 52, 0u) << "lane " << k << " limb " << i;
+  const Bignum v = get_lane(got, k);
+  ASSERT_LT(Bignum::cmp(v, Bignum::shl(m, 1)), 0) << v.to_hex();
+  ASSERT_EQ(Bignum::mod(v, m), Bignum::mod(want, m)) << v.to_hex();
+}
+
+/// The lane add, sub and neg on operands in [0, 2m) — 0, 1, m-1, m,
+/// m+1, 2m-1 and random ones — against MontField::add/sub/neg on the
+/// operands reduced mod m.
+void check_ifma_add_sub(const Bignum& m, std::mt19937_64& rng, int random_passes) {
+  SCOPED_TRACE("modulus " + m.to_hex());
+  const detail::LaneModulus lm = detail::lane_modulus(m);
+  const MontField f(m);
+  const Bignum one = Bignum::from_u64(1);
+  const Bignum two_m = Bignum::shl(m, 1);
+  std::vector<Bignum> ops = {Bignum(), one, Bignum::sub(m, one), m, Bignum::add(m, one),
+                             Bignum::sub(two_m, one)};
+  for (int k = 0; k < 8 * random_passes; ++k)
+    ops.push_back(Bignum::mod(random_below_bits(rng, 9), two_m));
+  for (size_t shift = 0; shift < ops.size(); shift += shift < 8 ? 1 : 37) {
+    for (size_t at = 0; at < ops.size(); at += 8) {
+      detail::Lanes a, b;
+      std::vector<Bignum> av, bv;
+      for (int k = 0; k < 8; ++k) {
+        av.push_back(ops[(at + k) % ops.size()]);
+        bv.push_back(ops[(at + k + shift) % ops.size()]);
+        set_lane(a, k, av.back());
+        set_lane(b, k, bv.back());
+      }
+      const detail::Lanes sum = detail::lane_add52x8_ifma(a, b, lm);
+      const detail::Lanes diff = detail::lane_sub52x8_ifma(a, b, lm);
+      const detail::Lanes neg = detail::lane_neg52x8_ifma(a, lm);
+      for (int k = 0; k < 8; ++k) {
+        const FieldElem x = Bignum::mod(av[k], m), y = Bignum::mod(bv[k], m);
+        ASSERT_NO_FATAL_FAILURE(check_lane_residue(sum, k, Bignum(f.add(x, y)), m));
+        ASSERT_NO_FATAL_FAILURE(check_lane_residue(diff, k, Bignum(f.sub(x, y)), m));
+        ASSERT_NO_FATAL_FAILURE(check_lane_residue(neg, k, Bignum(f.neg(x)), m));
+      }
+    }
+  }
+}
+
+TEST(MontFieldKernels, IfmaAddSubNegMatchMontField) {
+  if (!detail::ifma_kernel_available()) GTEST_SKIP() << "CPU lacks avx512f/avx512ifma";
+  std::mt19937_64 rng(0x1F3D);
+  check_ifma_add_sub(Bignum::from_hex(kQ512), rng, 40);
+  for (int k = 0; k < 3; ++k) check_ifma_add_sub(odd_modulus(rng, 8, /*top_bit=*/true), rng, 8);
+  check_ifma_add_sub(odd_modulus(rng, 8, /*top_bit=*/false), rng, 8);
+  std::vector<uint64_t> ones(8, ~uint64_t(0));
+  check_ifma_add_sub(Bignum::from_limbs_le(ones.data(), 8), rng, 8);
+}
+
+/// LaneField's conversions: to_lanes then from_lanes is the identity on
+/// canonical Montgomery values, zero_mask finds the zero lanes, and
+/// broadcast/lane round-trip one lane's limbs.
+TEST(MontFieldKernels, IfmaLaneFieldConversionsRoundTrip) {
+  if (!detail::ifma_kernel_available()) GTEST_SKIP() << "CPU lacks avx512f/avx512ifma";
+  std::mt19937_64 rng(0x1F3E);
+  const Bignum m = Bignum::from_hex(kQ512);
+  const MontField f(m);
+  ASSERT_NE(f.lanes(), nullptr);
+  const detail::LaneField& lf = *f.lanes();
+  std::vector<FieldElem> xs = {FieldElem(), f.one(), Bignum::sub(m, Bignum::from_u64(1))};
+  while (xs.size() < 8) xs.push_back(random_reduced(rng, f));
+  for (size_t n = 1; n <= 8; ++n) {
+    const detail::Lanes x = lf.to_lanes(std::span(xs).first(n));
+    std::vector<FieldElem> back(n);
+    lf.from_lanes(x, back);
+    EXPECT_EQ(back, std::vector<FieldElem>(xs.begin(), xs.begin() + n));
+    // Lane 0 holds zero, and so does every lane from n on.
+    EXPECT_EQ(lf.zero_mask(x), 0xFFu & ~((1u << n) - 1) | 1u) << n;
+    // x - x is zero in every lane, whichever of 0 or p it lands on.
+    EXPECT_EQ(lf.zero_mask(lf.sub(x, x)), 0xFFu);
+    const detail::Lanes b = detail::LaneField::broadcast(detail::LaneField::lane(x, 1));
+    std::vector<FieldElem> all(8);
+    lf.from_lanes(b, all);
+    EXPECT_EQ(all, std::vector<FieldElem>(8, n > 1 ? xs[1] : FieldElem())) << n;
+  }
+}
+
+/// LaneField::pow on 1..8 bases against MontField::pow lane by lane.
 void check_ifma_pow(const MontField& f, const std::vector<FieldElem>& bases, const Bignum& exp) {
-  const detail::LaneModulus lm = detail::lane_modulus(f.modulus());
+  const detail::LaneField lf(f.modulus());
   for (size_t n = 1; n <= bases.size() && n <= 8; ++n) {
     std::vector<FieldElem> out(n);
-    detail::pow8_ifma(lm, f.modulus(), std::span(bases).first(n), exp, out);
+    lf.pow(std::span(bases).first(n), exp, out);
     for (size_t k = 0; k < n; ++k)
       ASSERT_EQ(out[k], f.pow(bases[k], exp))
           << "lane " << k << " of " << n << ", base " << Bignum(bases[k]).to_hex() << " ^ "

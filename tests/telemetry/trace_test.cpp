@@ -313,11 +313,13 @@ TEST(Trace, FaultInjectedRevocationEpochYieldsLinkedSpanTree) {
   EXPECT_EQ(scripted, 2u);
   EXPECT_EQ(delivered, 1u);
 
-  // The 2PC epoch, the node's stage under it and the stage's per-slot
-  // spans are in the same tree; each slot nests under the stage's
-  // engine.parallel_for, on whichever thread ran it.
+  // The 2PC epoch, the node's stage under it, the stage's one pairing
+  // batch and its per-slot spans are in the same tree: the batch and
+  // each slot nest directly under the stage, and the batch pairs every
+  // slot.
   const SpanRecord* epoch = nullptr;
   const SpanRecord* stage = nullptr;
+  const SpanRecord* pairs = nullptr;
   std::vector<const SpanRecord*> slot_spans;
   for (const SpanRecord& rec : records) {
     if (rec.name == "cluster.epoch_2pc") {
@@ -328,6 +330,10 @@ TEST(Trace, FaultInjectedRevocationEpochYieldsLinkedSpanTree) {
       ASSERT_EQ(stage, nullptr) << "two stages";
       stage = &rec;
     }
+    if (rec.name == "engine.pair_batch") {
+      ASSERT_EQ(pairs, nullptr) << "two pairing batches";
+      pairs = &rec;
+    }
     if (rec.name == "server.reencrypt_slot") slot_spans.push_back(&rec);
   }
   ASSERT_NE(epoch, nullptr);
@@ -335,12 +341,13 @@ TEST(Trace, FaultInjectedRevocationEpochYieldsLinkedSpanTree) {
   ASSERT_NE(stage, nullptr);
   EXPECT_EQ(stage->parent_id, epoch->span_id);
   EXPECT_EQ(attr_of(*stage, "slots"), "2");
+  ASSERT_NE(pairs, nullptr);
+  EXPECT_EQ(pairs->parent_id, stage->span_id);
+  EXPECT_EQ(attr_of(*pairs, "items"), "2");
   ASSERT_EQ(slot_spans.size(), 2u);
   for (const SpanRecord* slot : slot_spans) {
-    const auto fan_out = by_id.find(slot->parent_id);
-    ASSERT_NE(fan_out, by_id.end());
-    EXPECT_EQ(fan_out->second->name, "engine.parallel_for");
-    EXPECT_EQ(fan_out->second->parent_id, stage->span_id);
+    EXPECT_EQ(slot->parent_id, stage->span_id);
+    EXPECT_GE(slot->start_ns, pairs->end_ns) << "a slot is written after its pairing";
   }
 }
 
