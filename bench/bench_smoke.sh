@@ -17,7 +17,8 @@
 #                     sha256_kernel_speedup (only on SHA-NI hosts),
 #                     aes_ctr_kernel_speedup (only on AES-NI hosts),
 #                     sqrt_batch_speedup, pair_batch_speedup,
-#                     g1_pow_batch_speedup (only on AVX-512 IFMA hosts)
+#                     g1_pow_batch_speedup,
+#                     g1_table_batch_speedup (only on AVX-512 IFMA hosts)
 #       kernel_speedup: shared-final-exponentiation kernel vs the legacy
 #       pair-then-multiply fold, each side the best of three alternating
 #       passes on the calling thread's CPU clock (a cheaper final
@@ -68,7 +69,15 @@
 #       clock (about 6x with one 8-lane IFMA pass); floored only when
 #       /proc/cpuinfo lists avx512ifma (elsewhere they read ~1). The
 #       bench exits 1 when any item differs.
-#       All ten are same-process ratios: host speed cancels, guarded by
+#       g1_table_batch_speedup: eight walks of one fixed-base window
+#       table mod the paper curve's q (a chunk of the owner's UpdateInfo
+#       pass) as a loop of G1FixedBase::pow_jac vs one
+#       Group::g1_pow_with_batch_jac, each side the best of three
+#       alternating passes on the calling thread's CPU clock (about 4x
+#       with one 8-lane IFMA pass); floored only when /proc/cpuinfo lists
+#       avx512ifma (elsewhere it reads ~1). The bench exits 1 when any
+#       lane or table entry differs.
+#       All eleven are same-process ratios: host speed cancels, guarded by
 #       an absolute floor.
 #       Also emitted, not guarded: the `substrate` object, the paper
 #       curve's per-call ladder (fq_*, zr_inv_us, lsss_reconstruct_wide_us
@@ -147,6 +156,7 @@ if grep -qw avx512ifma /proc/cpuinfo 2>/dev/null; then
   "$GUARD" floor BENCH_pairing_micro.json sqrt_batch_speedup 2
   "$GUARD" floor BENCH_pairing_micro.json pair_batch_speedup 2
   "$GUARD" floor BENCH_pairing_micro.json g1_pow_batch_speedup 2
+  "$GUARD" floor BENCH_pairing_micro.json g1_table_batch_speedup 2
 fi
 
 # revocation guards

@@ -62,6 +62,10 @@ SUBSTRATE_ROWS = [
     ("sqrt_pass_us", "square roots by (q+1)/4, one 8-lane IFMA pass", "us"),
     ("pair_pass_us", "8 pairings on one line table, one 8-lane IFMA pass", "us"),
     ("g1_pow_pass_us", "8 G1 multiplies by one scalar, one 8-lane IFMA pass", "us"),
+    ("g1_exp_table_us", "G1 table walk (fixed-base, Jacobian), scalar", "us"),
+    ("g1_table_pass_us", "8 G1 table walks, one 8-lane IFMA pass", "us"),
+    ("g1_table_build_scalar_ms", "G1 window table build, scalar rows", "ms"),
+    ("g1_table_build_lanes_ms", "G1 window table build, 8-lane IFMA rows", "ms"),
     ("zr_inv_us", "Z_r inverse (160-bit r, 3 limbs)", "us"),
     ("lsss_reconstruct_wide_us", "LSSS solve, AND of 10 (n_A=2)", "us"),
     ("lsss_reconstruct_fig3_us", "LSSS solve, Fig. 3 right end (n_A=10, l=50)", "us"),

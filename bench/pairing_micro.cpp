@@ -553,6 +553,74 @@ RevokeBatches revoke_batch_report(const pairing::Group& grp) {
   return out;
 }
 
+/// The fixed-base table walk on the paper curve, eight exponents on one
+/// table (a chunk of the owner's UpdateInfo pass): a loop of
+/// G1FixedBase::pow_jac against one Group::g1_pow_with_batch_jac, each
+/// side the best of three alternating passes on the thread CPU clock;
+/// without the IFMA kernel the batch is the same loop (ratio ~1).
+/// `scalar_us` is one scalar walk and `pass_us` one 8-lane pass (0
+/// without the kernel): the figures behind
+/// pairing::kMinG1TableLanesPerPass. The table build is timed with its
+/// rows as scalar mixed additions and as lane passes (0 without the
+/// kernel), best of three each. Exits 1 when any item or entry differs.
+struct TableWalk {
+  KernelPair walk;
+  double scalar_us = 0;
+  double pass_us = 0;
+  double build_scalar_ms = 0;
+  double build_lanes_ms = 0;
+};
+
+TableWalk table_walk_report(const pairing::Group& grp) {
+  constexpr size_t kItems = 8;
+  crypto::Drbg rng(std::string_view("micro-table-walk"));
+  const pairing::G1 uk1 = grp.g1_random(rng);
+  const auto table = grp.g1_precompute(uk1);
+  std::vector<pairing::Zr> exps;
+  for (size_t k = 0; k < kItems; ++k) exps.push_back(grp.zr_nonzero_random(rng));
+  const std::vector<const pairing::G1FixedBase*> tables(kItems, table.get());
+  std::vector<pairing::JacPoint> loop(kItems), batch;
+  TableWalk out;
+  out.walk = time_kernel_pair(
+      10,
+      [&] {
+        for (size_t k = 0; k < kItems; ++k) loop[k] = table->pow_jac(exps[k].value());
+      },
+      [&] { batch = grp.g1_pow_with_batch_jac(tables, exps); });
+  for (size_t k = 0; k < kItems; ++k) {
+    if (loop[k].x != batch[k].x || loop[k].y != batch[k].y || loop[k].z != batch[k].z) {
+      std::fprintf(stderr, "pairing_micro: scalar and lane table walks disagree\n");
+      std::exit(1);
+    }
+  }
+  out.scalar_us = out.walk.portable_us / kItems;
+  const math::detail::LaneField* lanes = grp.ctx().fq().lanes();
+  if (lanes != nullptr) out.pass_us = out.walk.dispatched_us;
+
+  const pairing::AffinePoint base = table->entry(0, 1);
+  const int bits = static_cast<int>(grp.order().bit_length());
+  const auto build_ms = [&](const math::detail::LaneField* lf) {
+    double best = 0;
+    for (int pass = 0; pass < 3; ++pass) {
+      const double t0 = thread_cpu_us();
+      const pairing::G1FixedBase built(grp.ctx().curve(), base, bits, 4, lf);
+      const double ms = (thread_cpu_us() - t0) / 1e3;
+      if (pass == 0 || ms < best) best = ms;
+      for (int d = 0; d < built.digits(); ++d)
+        for (int j = 1; j < 16; ++j)
+          if (built.entry(d, j).x != table->entry(d, j).x ||
+              built.entry(d, j).y != table->entry(d, j).y) {
+            std::fprintf(stderr, "pairing_micro: table builds disagree\n");
+            std::exit(1);
+          }
+    }
+    return best;
+  };
+  out.build_scalar_ms = build_ms(nullptr);
+  if (lanes != nullptr) out.build_lanes_ms = build_ms(lanes);
+  return out;
+}
+
 // The engine's headline batch: a 16-term pairing product (decrypt's
 // shape at l=8, N_A=... — the dominant cost in Fig. 3b), timed on the
 // legacy serial path vs the thread pool. Emits BENCH_pairing_micro.json.
@@ -851,6 +919,7 @@ void engine_batch_report() {
       static_cast<double>(wide_views.size());
   const SqrtBatch sqrt_batch = sqrt_batch_report(*paper_grp);
   const RevokeBatches revoke_batches = revoke_batch_report(*paper_grp);
+  const TableWalk table_walk = table_walk_report(*paper_grp);
   const bool ifma = math::detail::ifma_kernel_available();
   // Decrypt's LSSS solver on Z_r (3 limbs): the full attribute set of the
   // read-wide policy (AND of 10, n_A = 2) and of Fig. 3's right end
@@ -875,6 +944,10 @@ void engine_batch_report() {
       .put("sqrt_pass_us", sqrt_batch.pass_us)
       .put("pair_pass_us", revoke_batches.pair_pass_us)
       .put("g1_pow_pass_us", revoke_batches.g1_pow_pass_us)
+      .put("g1_exp_table_us", table_walk.scalar_us)
+      .put("g1_table_pass_us", table_walk.pass_us)
+      .put("g1_table_build_scalar_ms", table_walk.build_scalar_ms)
+      .put("g1_table_build_lanes_ms", table_walk.build_lanes_ms)
       .put("zr_inv_us", best_us(20, [&] { benchmark::DoNotOptimize(zk.inverse()); }))
       .put("lsss_reconstruct_wide_us", lsss_wide_us)
       .put("lsss_reconstruct_fig3_us", lsss_fig3_us)
@@ -916,6 +989,11 @@ void engine_batch_report() {
   std::printf("  8 G1 pows, scalar   : %8.1f us\n", revoke_batches.g1_pow.portable_us);
   std::printf("  8 G1 pows, %s : %8.1f us   speedup %.2fx\n", ifma ? "ifma    " : "portable",
               revoke_batches.g1_pow.dispatched_us, revoke_batches.g1_pow.speedup());
+  std::printf("  8 table walks, scalar: %7.1f us\n", table_walk.walk.portable_us);
+  std::printf("  8 table walks, %s: %7.1f us   speedup %.2fx\n", ifma ? "ifma   " : "portable",
+              table_walk.walk.dispatched_us, table_walk.walk.speedup());
+  std::printf("  G1 table build      : %8.3f ms scalar rows, %.3f ms lane rows\n",
+              table_walk.build_scalar_ms, table_walk.build_lanes_ms);
   std::printf("  LSSS solve, AND-10  : %8.1f us   (n_A=10, l=50: %.1f us)\n", lsss_wide_us,
               lsss_fig3_us);
 
@@ -996,6 +1074,9 @@ void engine_batch_report() {
       .put("g1_pow_batch_scalar_us", revoke_batches.g1_pow.portable_us)
       .put("g1_pow_batch_dispatched_us", revoke_batches.g1_pow.dispatched_us)
       .put("g1_pow_batch_speedup", revoke_batches.g1_pow.speedup())
+      .put("g1_table_batch_scalar_us", table_walk.walk.portable_us)
+      .put("g1_table_batch_dispatched_us", table_walk.walk.dispatched_us)
+      .put("g1_table_batch_speedup", table_walk.walk.speedup())
       .put("substrate", substrate)
       .put("merge_terms", dec_terms.size())
       .put("merge_per_term_ms", per_term_ms)

@@ -131,17 +131,17 @@ EncryptionResult encrypt(const Group& grp, const OwnerMasterKey& mk,
   const std::vector<Zr> lambda = policy.share(grp, s, rng);
   CryptoEngine& eng = CryptoEngine::for_group(grp);
 
-  // C = m * (prod_k e(g,g)^{alpha_k})^s,  C' = g^{beta*s}. The blind is
-  // fixed per authority set, so its table is cached across encryptions.
+  // C = m * (prod_k e(g,g)^{alpha_k})^s. The blind is fixed per
+  // authority set, so its table is cached across encryptions.
   ct.c = message * eng.multi_exp_gt({{blind, s}})[0];
   const Zr beta_s = mk.beta * s;
-  ct.c_prime = grp.g_pow(beta_s);
 
   // C_i = g^{r*lambda_i} * PK_{rho(i)}^{-beta*s}: validate and collect
-  // the per-row exponents serially, then submit both batches.
+  // the per-row exponents serially, then submit both batches. The
+  // g-powers batch also carries C' = g^{beta*s}, as its last exponent.
   std::vector<Zr> gen_exps;
   std::vector<CryptoEngine::G1Term> pk_terms;
-  gen_exps.reserve(policy.rows());
+  gen_exps.reserve(policy.rows() + 1);
   pk_terms.reserve(policy.rows());
   for (int i = 0; i < policy.rows(); ++i) {
     const Attribute& attr = policy.row_attribute(i);
@@ -152,7 +152,9 @@ EncryptionResult encrypt(const Group& grp, const OwnerMasterKey& mk,
     gen_exps.push_back(mk.r * lambda[i]);
     pk_terms.push_back({pk.key, beta_s});
   }
+  gen_exps.push_back(beta_s);
   const std::vector<G1> gen_parts = eng.g_pow_batch(gen_exps);
+  ct.c_prime = gen_parts.back();
   const std::vector<G1> pk_parts = eng.multi_exp_g1(pk_terms);
   // All l differences go to affine with one inversion.
   std::vector<std::vector<G1>> pairs;

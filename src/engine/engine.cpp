@@ -555,6 +555,16 @@ constexpr size_t kChunk = math::detail::Lanes::kLanes;
 
 size_t chunks_of(size_t n) { return (n + kChunk - 1) / kChunk; }
 
+/// Chunk c of a fixed-base walk: out[i] = tables[i]^ks[i] for its up to
+/// eight items, as one Group::g1_pow_with_batch_jac.
+void walk_chunk(const Group& grp, std::span<const pairing::G1FixedBase* const> tables,
+                std::span<const Zr> ks, size_t c, std::span<pairing::JacPoint> out) {
+  const size_t at = c * kChunk, m = std::min(kChunk, ks.size() - at);
+  const std::vector<pairing::JacPoint> part =
+      grp.g1_pow_with_batch_jac(tables.subspan(at, m), ks.subspan(at, m));
+  std::copy(part.begin(), part.end(), out.begin() + static_cast<ptrdiff_t>(at));
+}
+
 }  // namespace
 
 std::vector<GT> CryptoEngine::pair_batch(const G1& a, const std::vector<G1>& bs) {
@@ -622,12 +632,29 @@ std::vector<G1> CryptoEngine::multi_exp_g1(const std::vector<G1Term>& terms,
     }
   }
   // Results stay Jacobian through the parallel phase; the batch goes to
-  // affine on the caller with one inversion.
-  std::vector<pairing::JacPoint> jac(n);
-  run_items(n, [&](size_t i) {
-    jac[i] = tables[i] ? grp_->g1_pow_with_jac(*tables[i], terms[i].exp)
-                       : grp_->g1_mul_jac(terms[i].base, terms[i].exp);
+  // affine on the caller with one inversion. The table-served terms walk
+  // their tables in chunks of eight; each other term is an item of its
+  // own.
+  std::vector<size_t> tabled, plain;
+  std::vector<const pairing::G1FixedBase*> walk_tables;
+  std::vector<Zr> walk_exps;
+  for (size_t i = 0; i < n; ++i) {
+    if (!tables[i]) {
+      plain.push_back(i);
+      continue;
+    }
+    tabled.push_back(i);
+    walk_tables.push_back(tables[i].get());
+    walk_exps.push_back(terms[i].exp);
+  }
+  std::vector<pairing::JacPoint> jac(n), walked(tabled.size());
+  const size_t chunks = chunks_of(tabled.size());
+  run_items(chunks + plain.size(), [&](size_t c) {
+    if (c < chunks) return walk_chunk(*grp_, walk_tables, walk_exps, c, walked);
+    const size_t i = plain[c - chunks];
+    jac[i] = grp_->g1_mul_jac(terms[i].base, terms[i].exp);
   });
+  for (size_t j = 0; j < tabled.size(); ++j) jac[tabled[j]] = walked[j];
   return grp_->g1_normalize(jac);
 }
 
@@ -665,7 +692,9 @@ std::vector<G1> CryptoEngine::g_pow_batch(const std::vector<Zr>& exps) {
   scope.delta.tasks = exps.size();
   scope.set_items(exps.size());
   std::vector<pairing::JacPoint> jac(exps.size());
-  run_items(exps.size(), [&](size_t i) { jac[i] = grp_->g_pow_jac(exps[i]); });
+  const std::vector<const pairing::G1FixedBase*> tables(exps.size(), &grp_->g_table());
+  run_items(chunks_of(exps.size()),
+            [&](size_t c) { walk_chunk(*grp_, tables, exps, c, jac); });
   return grp_->g1_normalize(jac);
 }
 
@@ -696,9 +725,12 @@ std::vector<G1> CryptoEngine::base_pow_batch(const G1& base, const std::vector<Z
     scope.delta.table_hits = n;
   }
   std::vector<pairing::JacPoint> jac(n);
-  run_items(n, [&](size_t i) {
-    jac[i] = table ? grp_->g1_pow_with_jac(*table, exps[i]) : grp_->g1_mul_jac(base, exps[i]);
-  });
+  if (table) {
+    const std::vector<const pairing::G1FixedBase*> tables(n, table.get());
+    run_items(chunks_of(n), [&](size_t c) { walk_chunk(*grp_, tables, exps, c, jac); });
+  } else {
+    run_items(n, [&](size_t i) { jac[i] = grp_->g1_mul_jac(base, exps[i]); });
+  }
   return grp_->g1_normalize(jac);
 }
 

@@ -816,6 +816,16 @@ LaneLimbs LaneField::lane(const Lanes& x, int k) {
   return out;
 }
 
+Lanes LaneField::select(unsigned mask, const Lanes& a, const Lanes& b) {
+  uint64_t keep_a[Lanes::kLanes];
+  for (int k = 0; k < Lanes::kLanes; ++k) keep_a[k] = 0 - static_cast<uint64_t>(mask >> k & 1);
+  Lanes out;
+  for (int i = 0; i < LaneModulus::kLimbs; ++i)
+    for (int k = 0; k < Lanes::kLanes; ++k)
+      out.limb[i][k] = (a.limb[i][k] & keep_a[k]) | (b.limb[i][k] & ~keep_a[k]);
+  return out;
+}
+
 unsigned LaneField::zero_mask(const Lanes& x) const {
   unsigned mask = 0;
   for (int k = 0; k < Lanes::kLanes; ++k) {

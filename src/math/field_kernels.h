@@ -7,6 +7,7 @@
 // MontField::lanes().
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -54,6 +55,23 @@ using LaneLimbs = std::array<uint64_t, LaneModulus::kLimbs>;
 /// remainder of two or more runs as one pass padded with zero lanes, and
 /// a single base runs on the scalar pow.
 inline constexpr size_t kMinLanesPerPass = 2;
+
+/// Runs the items `live` in passes of up to eight: `lanes(pass)` on each
+/// pass of at least `min_lanes` items when `has_lanes`, which returns
+/// the mask of the pass's items it left undone; `scalar(i)` on every
+/// item left undone and on every other pass.
+template <class LanePass, class Scalar>
+void run_passes(std::span<const size_t> live, bool has_lanes, size_t min_lanes,
+                const LanePass& lanes, const Scalar& scalar) {
+  for (size_t at = 0; at < live.size(); at += Lanes::kLanes) {
+    const std::span<const size_t> pass =
+        live.subspan(at, std::min<size_t>(Lanes::kLanes, live.size() - at));
+    unsigned left = (1u << pass.size()) - 1;
+    if (has_lanes && pass.size() >= min_lanes) left = lanes(pass);
+    for (size_t j = 0; j < pass.size(); ++j)
+      if (left >> j & 1) scalar(pass[j]);
+  }
+}
 
 /// The LaneModulus of an odd modulus of at most 512 bits.
 LaneModulus lane_modulus(const Bignum& p);
@@ -112,6 +130,9 @@ class LaneField {
   static LaneLimbs lane(const Lanes& x, int k);
   /// Bit k set when lane k is 0 mod p (all limbs zero, or equal to p).
   unsigned zero_mask(const Lanes& x) const;
+  /// Lane k of a where bit k of mask is set, else lane k of b: a plain
+  /// word blend, for passes whose lanes take different branches.
+  static Lanes select(unsigned mask, const Lanes& a, const Lanes& b);
 
   /// out[k] = bases[k]^exp for 1 <= bases.size() <= 8, Montgomery form
   /// (R = 2^512) in and out, canonical: one window_pow over the lanes,

@@ -11,6 +11,8 @@
 namespace maabe::pairing {
 
 using math::Bignum;
+using math::detail::Lanes;
+using math::detail::run_passes;
 
 namespace {
 
@@ -221,12 +223,8 @@ Group::Group(const TypeAParams& params) : ctx_(params), zr_field_(params.r) {
 }
 
 G1 Group::g_pow(const Zr& k) const {
-  return G1(this, ctx_.curve().to_affine(g_pow_jac(k)));
-}
-
-JacPoint Group::g_pow_jac(const Zr& k) const {
   if (k.group() != this) throw MathError("g_pow: exponent from another group");
-  return g_table_->pow_jac(k.value());
+  return G1(this, ctx_.curve().to_affine(g_table_->pow_jac(k.value())));
 }
 
 GT Group::egg_pow(const Zr& k) const {
@@ -247,6 +245,39 @@ G1 Group::g1_pow_with(const G1FixedBase& table, const Zr& k) const {
 JacPoint Group::g1_pow_with_jac(const G1FixedBase& table, const Zr& k) const {
   if (k.group() != this) throw MathError("g1_pow_with: exponent from another group");
   return table.pow_jac(k.value());
+}
+
+std::vector<JacPoint> Group::g1_pow_with_batch_jac(std::span<const G1FixedBase* const> tables,
+                                                  std::span<const Zr> ks) const {
+  if (tables.size() != ks.size())
+    throw MathError("g1_pow_with_batch_jac: tables/exponents size mismatch");
+  std::vector<JacPoint> jac(ks.size());
+  std::vector<size_t> live;
+  for (size_t i = 0; i < ks.size(); ++i) {
+    if (ks[i].group() != this) throw MathError("g1_pow_with: exponent from another group");
+    if (!ks[i].is_zero() && tables[i]->finite()) live.push_back(i);
+    else jac[i] = tables[i]->pow_jac(ks[i].value());
+  }
+  const math::detail::LaneField* lf = ctx_.fq().lanes();
+  const auto lanes = [&](std::span<const size_t> pass) {
+    const size_t n = pass.size();
+    std::array<const G1FixedBase*, Lanes::kLanes> tabs{};
+    std::array<const Bignum*, Lanes::kLanes> exps{};
+    std::array<JacPoint, Lanes::kLanes> got;
+    for (size_t j = 0; j < n; ++j) {
+      tabs[j] = tables[pass[j]];
+      exps[j] = &ks[pass[j]].value();
+    }
+    const unsigned left = G1FixedBase::pow_jac_lanes(*lf, std::span(tabs).first(n),
+                                                     std::span(exps).first(n),
+                                                     std::span(got).first(n));
+    for (size_t j = 0; j < n; ++j)
+      if (!(left >> j & 1)) jac[pass[j]] = got[j];
+    return left;
+  };
+  run_passes(live, lf != nullptr, kMinG1TableLanesPerPass, lanes,
+             [&](size_t i) { jac[i] = tables[i]->pow_jac(ks[i].value()); });
+  return jac;
 }
 
 JacPoint Group::g1_mul_jac(const G1& base, const Zr& k) const {
@@ -423,29 +454,6 @@ GT Group::pair(const G1& a, const G1& b) const {
   if (a.pt_.inf || b.pt_.inf) return GT(this, ctx_.fq2().one());
   return GT(this, ctx_.final_exponentiation(ctx_.miller_loop(a.pt_, b.pt_)));
 }
-
-namespace {
-
-using math::detail::Lanes;
-
-/// Runs the items `live` in passes of up to eight: `lanes(pass)` on each
-/// pass of at least `min_lanes` items when `has_lanes`, which returns
-/// the mask of the pass's items it left undone; `scalar(i)` on every
-/// item left undone and on every other pass.
-template <class LanePass, class Scalar>
-void run_passes(const std::vector<size_t>& live, bool has_lanes, size_t min_lanes,
-                const LanePass& lanes, const Scalar& scalar) {
-  for (size_t at = 0; at < live.size(); at += Lanes::kLanes) {
-    const std::span<const size_t> pass =
-        std::span(live).subspan(at, std::min<size_t>(Lanes::kLanes, live.size() - at));
-    unsigned left = (1u << pass.size()) - 1;
-    if (has_lanes && pass.size() >= min_lanes) left = lanes(pass);
-    for (size_t j = 0; j < pass.size(); ++j)
-      if (left >> j & 1) scalar(pass[j]);
-  }
-}
-
-}  // namespace
 
 std::vector<GT> Group::pair_batch(const PairingPrecomp& pre, std::span<const G1> bs) const {
   std::vector<GT> out(bs.size(), gt_one());

@@ -340,13 +340,22 @@ class Group {
   std::unique_ptr<G1FixedBase> g1_precompute(const G1& base) const;
   G1 g1_pow_with(const G1FixedBase& table, const Zr& k) const;
 
-  // Batched G1 results (engine layer): g_pow, g1_pow_with and G1::mul
-  // stopped before their affine conversion, so a batch of results pays
-  // ONE field inversion in g1_normalize instead of one per result.
-  // Affine coordinates are canonical: g1_normalize({x_jac(...)}) has
-  // the same bits as x(...).
-  JacPoint g_pow_jac(const Zr& k) const;
+  // Batched G1 results (engine layer): g1_pow_with and G1::mul stopped
+  // before their affine conversion, so a batch of results pays ONE
+  // field inversion in g1_normalize instead of one per result. Affine
+  // coordinates are canonical: g1_normalize({x_jac(...)}) has the same
+  // bits as x(...).
   JacPoint g1_pow_with_jac(const G1FixedBase& table, const Zr& k) const;
+  /// g1_pow_with_jac(*tables[i], ks[i]) for every i, the same residues.
+  /// Passes of up to eight run the digit walk as lanes of the IFMA field
+  /// (G1FixedBase::pow_jac_lanes; the tables may differ); k = 0, tables
+  /// holding infinity, lanes that meet an exceptional addition (only
+  /// possible outside the order-r subgroup), passes below
+  /// kMinG1TableLanesPerPass and CPUs without the kernels run pow_jac.
+  std::vector<JacPoint> g1_pow_with_batch_jac(std::span<const G1FixedBase* const> tables,
+                                              std::span<const Zr> ks) const;
+  /// The window table behind g_pow, for batches that walk it in lanes.
+  const G1FixedBase& g_table() const { return *g_table_; }
   JacPoint g1_mul_jac(const G1& base, const Zr& k) const;
   /// Every point to affine with one inversion (Montgomery's trick).
   std::vector<G1> g1_normalize(const std::vector<JacPoint>& pts) const;

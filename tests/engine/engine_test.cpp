@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/errors.h"
+#include "math/field_kernels.h"
 #include "telemetry/metrics.h"
 
 namespace maabe::engine {
@@ -499,6 +500,62 @@ TEST_F(EngineTest, BasePowBatchMatchesMulBelowAndAboveTheBuildThreshold) {
     }
     EXPECT_EQ(eng.cached_bases(), 0u);
     EXPECT_TRUE(eng.base_pow_batch(base, {}).empty());
+  }
+}
+
+// The three fixed-base batches walk their tables as 8-lane passes on an
+// IFMA host, in chunks of eight across the pool: the bytes are those of
+// the scalar multiply at 1 and 4 threads, and the counts are one
+// g1_exp and one task per exponent, as before the walk.
+TEST(EnginePaperCurve, TableWalkBatchesMatchAtOneAndFourThreads) {
+  if (!math::detail::ifma_kernel_available()) GTEST_SKIP() << "no AVX-512 IFMA";
+  const auto grp = Group::pbc_a512();
+  crypto::Drbg rng(std::string_view("engine-table-walk"));
+  const G1 base = grp->g1_random(rng);
+  std::vector<Zr> exps{grp->zr_zero(), grp->zr_one()};
+  while (exps.size() < 19) exps.push_back(grp->zr_random(rng));
+  // multi_exp_g1: a hot base (a table from its 4th use), a second hot
+  // base, unique bases on plain multiplies and an identity.
+  const G1 hot = grp->g1_random(rng), warm = grp->g1_random(rng);
+  std::vector<CryptoEngine::G1Term> terms;
+  for (int i = 0; i < 13; ++i) terms.push_back({i % 3 == 2 ? warm : hot, grp->zr_random(rng)});
+  for (int i = 0; i < 3; ++i) terms.push_back({grp->g1_random(rng), grp->zr_random(rng)});
+  terms.push_back({grp->g1_identity(), grp->zr_random(rng)});
+  terms.push_back({hot, grp->zr_zero()});
+
+  std::vector<Bytes> want_base, want_g, want_multi;
+  for (const Zr& e : exps) want_base.push_back(base.mul(e).to_bytes());
+  for (const Zr& e : exps) want_g.push_back(grp->g().mul(e).to_bytes());
+  for (const auto& t : terms) want_multi.push_back(t.base.mul(t.exp).to_bytes());
+  const auto bytes_of = [](const std::vector<G1>& pts) {
+    std::vector<Bytes> out;
+    for (const G1& p : pts) out.push_back(p.to_bytes());
+    return out;
+  };
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    CryptoEngine eng(*grp, threads);
+    EngineStats before = eng.stats();
+    EXPECT_EQ(bytes_of(eng.base_pow_batch(base, exps)), want_base);
+    EngineStats d = eng.stats() - before;
+    EXPECT_EQ(d.g1_exps, exps.size());
+    EXPECT_EQ(d.tasks, exps.size());
+    EXPECT_EQ(d.table_builds, 1u);
+    EXPECT_EQ(d.table_hits, exps.size());
+
+    before = eng.stats();
+    EXPECT_EQ(bytes_of(eng.g_pow_batch(exps)), want_g);
+    d = eng.stats() - before;
+    EXPECT_EQ(d.g1_exps, exps.size());
+    EXPECT_EQ(d.tasks, exps.size());
+
+    for (int round = 0; round < 2; ++round) {
+      before = eng.stats();
+      EXPECT_EQ(bytes_of(eng.multi_exp_g1(terms)), want_multi) << "round " << round;
+      d = eng.stats() - before;
+      EXPECT_EQ(d.g1_exps, terms.size());
+      EXPECT_EQ(d.tasks, terms.size());
+    }
   }
 }
 

@@ -1,13 +1,15 @@
 // Group's same-schedule batches: pair_batch (many second arguments
-// against one line table) and g1_pow_batch (many bases, one scalar).
-// On an AVX-512 IFMA host the paper curve runs them as 8-lane passes;
-// every result must be byte-identical to the scalar call it replaces,
-// including the lanes that leave a pass for the scalar path (identity
-// inputs, k = 0, and the exceptional additions and doublings that only
-// points outside the order-r subgroup meet).
+// against one line table), g1_pow_batch (many bases, one scalar) and
+// g1_pow_with_batch_jac (fixed-base table walks), plus G1FixedBase's
+// lane build. On an AVX-512 IFMA host the paper curve runs them as
+// 8-lane passes; every result must be byte-identical to the scalar call
+// it replaces, including the lanes that leave a pass for the scalar
+// path (identity inputs, k = 0, and the exceptional additions and
+// doublings that only points outside the order-r subgroup meet).
 #include <gtest/gtest.h>
 
 #include "common/errors.h"
+#include "math/field_kernels.h"
 #include "pairing/group.h"
 
 namespace maabe::pairing {
@@ -130,6 +132,212 @@ TEST(G1PowBatch, RejectsElementsOfAnotherGroup) {
   const std::vector<G1> bases = {a->g1_random(rng), b->g1_random(rng)};
   EXPECT_THROW((void)a->g1_pow_batch(bases, a->zr_one()), MathError);
   EXPECT_THROW((void)a->pair_batch(*a->pair_precompute(bases[0]), bases), MathError);
+}
+
+// ------------------------------------------------ fixed-base table walks --
+
+/// A point of order 17 on the paper curve (17 divides its cofactor).
+/// 16 = -1 mod 17, so every digit base is +-P and its table is finite,
+/// while a walk meets H = 0 whenever two digits' multiples are +-equal.
+G1 order17_point(const Group& grp, crypto::Drbg& rng) {
+  const math::Bignum q1 = math::Bignum::add(grp.params().q, math::Bignum::from_u64(1));
+  math::Bignum quot, rem;
+  math::Bignum::divmod(q1, math::Bignum::from_u64(17), &quot, &rem);
+  EXPECT_TRUE(rem.is_zero());
+  for (;;) {
+    const AffinePoint p = grp.ctx().curve().mul(random_curve_point(grp, rng), quot);
+    if (!p.inf) return point_of(grp, p);
+  }
+}
+
+/// Same Jacobian residues, so the same point and the same bytes.
+void expect_same_jac(const JacPoint& got, const JacPoint& want, const std::string& what) {
+  EXPECT_EQ(got.x, want.x) << what;
+  EXPECT_EQ(got.y, want.y) << what;
+  EXPECT_EQ(got.z, want.z) << what;
+}
+
+/// One pow_jac_lanes pass over `ks` against pow_jac on each; returns the
+/// exceptional mask after checking that every other lane matches.
+unsigned check_walk_pass(const math::detail::LaneField& lf,
+                         const std::vector<const G1FixedBase*>& tables,
+                         const std::vector<math::Bignum>& ks) {
+  std::vector<const math::Bignum*> kp;
+  for (const math::Bignum& k : ks) kp.push_back(&k);
+  std::vector<JacPoint> out(ks.size());
+  const unsigned left = G1FixedBase::pow_jac_lanes(lf, tables, kp, out);
+  for (size_t j = 0; j < ks.size(); ++j)
+    if (!(left >> j & 1))
+      expect_same_jac(out[j], tables[j]->pow_jac(ks[j]), "lane " + std::to_string(j));
+  return left;
+}
+
+/// ks[at, at + 8), clipped to the end: one pass's exponents.
+std::vector<math::Bignum> pass_at(const std::vector<math::Bignum>& ks, size_t at) {
+  const auto begin = ks.begin() + static_cast<ptrdiff_t>(at);
+  return {begin, begin + static_cast<ptrdiff_t>(std::min<size_t>(8, ks.size() - at))};
+}
+
+TEST(G1TableWalk, MatchesPowJacForBatchesOf0To20) {
+  if (!math::detail::ifma_kernel_available()) GTEST_SKIP() << "no AVX-512 IFMA";
+  const auto grp = Group::pbc_a512();
+  crypto::Drbg rng(std::string_view("g1-table-walk"));
+  const auto table = grp->g1_precompute(grp->g1_random(rng));
+  for (size_t n = 0; n <= 20; ++n) {
+    SCOPED_TRACE("batch of " + std::to_string(n));
+    std::vector<const G1FixedBase*> tables;
+    std::vector<Zr> ks;
+    for (size_t i = 0; i < n; ++i) {
+      tables.push_back(i % 3 == 1 ? &grp->g_table() : table.get());
+      ks.push_back(i % 5 == 3 ? grp->zr_zero() : grp->zr_random(rng));
+    }
+    const std::vector<JacPoint> got = grp->g1_pow_with_batch_jac(tables, ks);
+    ASSERT_EQ(got.size(), n);
+    for (size_t i = 0; i < n; ++i)
+      expect_same_jac(got[i], grp->g1_pow_with_jac(*tables[i], ks[i]), "item " + std::to_string(i));
+    std::vector<JacPoint> want;
+    for (size_t i = 0; i < n; ++i) want.push_back(grp->g1_pow_with_jac(*tables[i], ks[i]));
+    const std::vector<G1> got_affine = grp->g1_normalize(got);
+    const std::vector<G1> want_affine = grp->g1_normalize(want);
+    for (size_t i = 0; i < n; ++i)
+      EXPECT_EQ(got_affine[i].to_bytes(), want_affine[i].to_bytes()) << "item " << i;
+  }
+}
+
+TEST(G1TableWalk, EdgeExponentsAndLeadingZeroDigits) {
+  if (!math::detail::ifma_kernel_available()) GTEST_SKIP() << "no AVX-512 IFMA";
+  const auto grp = Group::pbc_a512();
+  const math::detail::LaneField& lf = *grp->ctx().fq().lanes();
+  crypto::Drbg rng(std::string_view("g1-table-walk-edges"));
+  const G1FixedBase& g = grp->g_table();
+  const math::Bignum& r = grp->order();
+  std::vector<math::Bignum> ks = {math::Bignum::from_u64(1),
+                                  math::Bignum::sub(r, math::Bignum::from_u64(1))};
+  // A single non-zero digit at every position (digit values 1, 8, 15).
+  for (int d = 0; d < g.digits(); ++d)
+    for (uint64_t v = 1; v < 16; v += 7)
+      ks.push_back(math::Bignum::shl(math::Bignum::from_u64(v), 4 * d));
+  // Leading runs of zero digits (the walk starts at digit 0): a random
+  // exponent shifted up, so each lane starts at a different step.
+  for (int zeros = 1; zeros < g.digits(); ++zeros) {
+    const math::Bignum top = math::Bignum::shr(grp->zr_random(rng).value(), 4 * zeros);
+    if (!top.is_zero()) ks.push_back(math::Bignum::shl(top, 4 * zeros));
+  }
+  for (size_t at = 0; at < ks.size(); at += 8) {
+    const std::vector<math::Bignum> pass = pass_at(ks, at);
+    const std::vector<const G1FixedBase*> tables(pass.size(), &g);
+    SCOPED_TRACE("pass at " + std::to_string(at));
+    EXPECT_EQ(check_walk_pass(lf, tables, pass), 0u);
+  }
+  // A pass refuses zero and exponents past the table's range.
+  const std::vector<const G1FixedBase*> one_table = {&g};
+  std::vector<JacPoint> out(1);
+  const math::Bignum past = math::Bignum::shl(math::Bignum::from_u64(1), 4 * g.digits());
+  for (const math::Bignum& bad : {math::Bignum(), past}) {
+    const std::vector<const math::Bignum*> kp = {&bad};
+    EXPECT_THROW((void)G1FixedBase::pow_jac_lanes(lf, one_table, kp, out), MathError);
+  }
+}
+
+TEST(G1TableWalk, LanesOverMixedTables) {
+  if (!math::detail::ifma_kernel_available()) GTEST_SKIP() << "no AVX-512 IFMA";
+  const auto grp = Group::pbc_a512();
+  const math::detail::LaneField& lf = *grp->ctx().fq().lanes();
+  crypto::Drbg rng(std::string_view("g1-table-walk-mixed"));
+  std::vector<std::unique_ptr<G1FixedBase>> owned;
+  std::vector<const G1FixedBase*> tables = {&grp->g_table()};
+  for (int i = 0; i < 7; ++i) {
+    owned.push_back(grp->g1_precompute(grp->g1_random(rng)));
+    tables.push_back(owned.back().get());
+  }
+  for (size_t n = 1; n <= 8; ++n) {
+    SCOPED_TRACE("lanes " + std::to_string(n));
+    std::vector<math::Bignum> ks;
+    for (size_t j = 0; j < n; ++j) ks.push_back(grp->zr_nonzero_random(rng).value());
+    const std::vector<const G1FixedBase*> first(tables.begin(),
+                                                tables.begin() + static_cast<ptrdiff_t>(n));
+    EXPECT_EQ(check_walk_pass(lf, first, ks), 0u);
+  }
+  // A table of another shape does not share a pass.
+  const G1FixedBase wide(grp->ctx().curve(), owned[0]->entry(0, 1),
+                         static_cast<int>(grp->order().bit_length()), 5);
+  const std::vector<const G1FixedBase*> shapes = {tables[0], &wide};
+  const math::Bignum one = math::Bignum::from_u64(1);
+  const std::vector<const math::Bignum*> kp = {&one, &one};
+  std::vector<JacPoint> out(2);
+  EXPECT_THROW((void)G1FixedBase::pow_jac_lanes(lf, shapes, kp, out), MathError);
+}
+
+TEST(G1TableWalk, ExceptionalLanesLeaveThePass) {
+  if (!math::detail::ifma_kernel_available()) GTEST_SKIP() << "no AVX-512 IFMA";
+  const auto grp = Group::pbc_a512();
+  const math::detail::LaneField& lf = *grp->ctx().fq().lanes();
+  crypto::Drbg rng(std::string_view("g1-table-walk-exceptional"));
+  const G1 p17 = order17_point(*grp, rng);
+  const auto table = grp->g1_precompute(p17);
+  ASSERT_TRUE(table->finite());
+  // Two digits d0, d1: d1 * 16P = -d1 * P, so H = 0 when d0 = d1 (the
+  // sum is the identity) and when d0 + d1 = 17 (a doubling).
+  std::vector<math::Bignum> ks;
+  for (uint64_t d0 = 1; d0 < 16; ++d0)
+    for (uint64_t d1 : {d0, 17 - d0, (d0 % 15) + 1})
+      ks.push_back(math::Bignum::from_u64(d0 + 16 * d1 + 256 * 3));
+  unsigned exceptional = 0;
+  for (size_t at = 0; at < ks.size(); at += 8) {
+    const std::vector<math::Bignum> pass = pass_at(ks, at);
+    const std::vector<const G1FixedBase*> tables(pass.size(), table.get());
+    exceptional |= check_walk_pass(lf, tables, pass);
+  }
+  EXPECT_NE(exceptional, 0u);
+  // Through the Group, every item has pow_jac's bytes.
+  std::vector<Zr> zks;
+  for (const math::Bignum& k : ks) zks.push_back(grp->zr_from_bignum(k));
+  const std::vector<const G1FixedBase*> tables(zks.size(), table.get());
+  const std::vector<JacPoint> got = grp->g1_pow_with_batch_jac(tables, zks);
+  for (size_t i = 0; i < zks.size(); ++i)
+    EXPECT_EQ(grp->g1_normalize({got[i]})[0].to_bytes(), p17.mul(zks[i]).to_bytes()) << i;
+}
+
+/// Every entry of the lane build and the scalar build, compared.
+void expect_same_table(const G1FixedBase& a, const G1FixedBase& b, int span) {
+  ASSERT_EQ(a.digits(), b.digits());
+  EXPECT_EQ(a.finite(), b.finite());
+  for (int d = 0; d < a.digits(); ++d)
+    for (int j = 0; j < span; ++j) {
+      const AffinePoint &x = a.entry(d, j), &y = b.entry(d, j);
+      ASSERT_EQ(x.inf, y.inf) << d << "," << j;
+      if (!x.inf) {
+        EXPECT_EQ(x.x, y.x) << d << "," << j;
+        EXPECT_EQ(x.y, y.y) << d << "," << j;
+      }
+    }
+}
+
+TEST(G1FixedBaseBuild, LaneBuildEqualsScalarBuild) {
+  if (!math::detail::ifma_kernel_available()) GTEST_SKIP() << "no AVX-512 IFMA";
+  const auto grp = Group::pbc_a512();
+  const CurveCtx& curve = grp->ctx().curve();
+  const math::detail::LaneField* lf = grp->ctx().fq().lanes();
+  crypto::Drbg rng(std::string_view("g1-table-build"));
+  const int bits = static_cast<int>(grp->order().bit_length());
+  // Subgroup bases, a point outside the subgroup, and small-order points
+  // whose rows meet the exceptional additions (and whose later digit
+  // bases are the identity).
+  // A table's entry (0, 1) is its base: the affine form of a G1.
+  const auto affine_of = [&](const G1& p) { return grp->g1_precompute(p)->entry(0, 1); };
+  std::vector<AffinePoint> bases = {random_curve_point(*grp, rng), affine_of(grp->g()),
+                                    affine_of(grp->g1_random(rng))};
+  for (const G1& p : small_order_points(*grp, rng)) bases.push_back(affine_of(p));
+  bases.push_back(affine_of(order17_point(*grp, rng)));
+  for (const AffinePoint& base : bases) {
+    for (const int w : {1, 3, 4, 5}) {
+      SCOPED_TRACE("window " + std::to_string(w));
+      const G1FixedBase scalar(curve, base, bits, w, nullptr);
+      const G1FixedBase lanes(curve, base, bits, w, lf);
+      expect_same_table(lanes, scalar, 1 << w);
+      EXPECT_EQ(scalar.entry(0, 1).x, base.x);
+    }
+  }
 }
 
 }  // namespace
