@@ -18,7 +18,8 @@
 #                     aes_ctr_kernel_speedup (only on AES-NI hosts),
 #                     sqrt_batch_speedup, pair_batch_speedup,
 #                     g1_pow_batch_speedup,
-#                     g1_table_batch_speedup (only on AVX-512 IFMA hosts)
+#                     g1_table_batch_speedup,
+#                     subgroup_batch_speedup (only on AVX-512 IFMA hosts)
 #       kernel_speedup: shared-final-exponentiation kernel vs the legacy
 #       pair-then-multiply fold, each side the best of three alternating
 #       passes on the calling thread's CPU clock (a cheaper final
@@ -77,15 +78,23 @@
 #       with one 8-lane IFMA pass); floored only when /proc/cpuinfo lists
 #       avx512ifma (elsewhere it reads ~1). The bench exits 1 when any
 #       lane or table entry differs.
-#       All eleven are same-process ratios: host speed cancels, guarded by
+#       subgroup_batch_speedup: the order-r check of eight points mod the
+#       paper curve's q (a received key's K and K_x) as a loop of
+#       G1::in_subgroup vs one Group::g1_in_subgroup_batch, each side the
+#       best of three alternating passes on the calling thread's CPU
+#       clock (about 7x with one 8-lane IFMA pass by r - 1); floored only
+#       when /proc/cpuinfo lists avx512ifma (elsewhere it reads ~1). The
+#       bench exits 1 when any verdict differs.
+#       All twelve are same-process ratios: host speed cancels, guarded by
 #       an absolute floor.
 #       Also emitted, not guarded: the `substrate` object, the paper
 #       curve's per-call ladder (fq_*, zr_inv_us, lsss_reconstruct_wide_us
 #       for the AND of 10 over n_A = 2, lsss_reconstruct_fig3_us for
 #       n_A = 10, l = 50, g1_decode_us, g1_decode_batch_us per point of
 #       an 11-point batch, sqrt_scalar_us and sqrt_pass_us,
-#       pair_pass_us and g1_pow_pass_us, the pairing and exponentiation
-#       rungs) whatever MAABE_BENCH_SMALL says;
+#       pair_pass_us and g1_pow_pass_us, g1_subgroup_check_us and
+#       g1_subgroup_pass_us, the pairing and exponentiation rungs)
+#       whatever MAABE_BENCH_SMALL says;
 #       host-speed dependent, so it is read by bench/fig_tables.py, not
 #       floored here.
 #   revocation     -> BENCH_revocation.json epoch_transport,
@@ -157,6 +166,7 @@ if grep -qw avx512ifma /proc/cpuinfo 2>/dev/null; then
   "$GUARD" floor BENCH_pairing_micro.json pair_batch_speedup 2
   "$GUARD" floor BENCH_pairing_micro.json g1_pow_batch_speedup 2
   "$GUARD" floor BENCH_pairing_micro.json g1_table_batch_speedup 2
+  "$GUARD" floor BENCH_pairing_micro.json subgroup_batch_speedup 2
 fi
 
 # revocation guards

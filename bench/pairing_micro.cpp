@@ -621,6 +621,42 @@ TableWalk table_walk_report(const pairing::Group& grp) {
   return out;
 }
 
+/// The subgroup check of a received key's points on the paper curve,
+/// eight at a time (K and seven K_x): a loop of G1::in_subgroup (a
+/// multiply by r) against one Group::g1_in_subgroup_batch (a pass by
+/// r - 1), each side the best of three alternating passes on the thread
+/// CPU clock; without the IFMA kernel the batch is the same loop (ratio
+/// ~1). `scalar_us` is one scalar check and `pass_us` one 8-lane pass (0
+/// without the kernel): the figures behind
+/// pairing::kMinG1SubgroupLanesPerPass. Exits 1 when any verdict differs.
+struct SubgroupBatch {
+  KernelPair check;
+  double scalar_us = 0;
+  double pass_us = 0;
+};
+
+SubgroupBatch subgroup_batch_report(const pairing::Group& grp) {
+  constexpr size_t kItems = 8;
+  crypto::Drbg rng(std::string_view("micro-subgroup-batch"));
+  std::vector<pairing::G1> points;
+  for (size_t k = 0; k < kItems; ++k) points.push_back(grp.g1_random(rng));
+  std::vector<bool> loop(kItems), batch;
+  SubgroupBatch out;
+  out.check = time_kernel_pair(
+      3,
+      [&] {
+        for (size_t k = 0; k < kItems; ++k) loop[k] = points[k].in_subgroup();
+      },
+      [&] { batch = grp.g1_in_subgroup_batch(points); });
+  if (loop != batch || loop != std::vector<bool>(kItems, true)) {
+    std::fprintf(stderr, "pairing_micro: scalar and batched subgroup checks disagree\n");
+    std::exit(1);
+  }
+  out.scalar_us = out.check.portable_us / kItems;
+  if (grp.ctx().fq().lanes() != nullptr) out.pass_us = out.check.dispatched_us;
+  return out;
+}
+
 // The engine's headline batch: a 16-term pairing product (decrypt's
 // shape at l=8, N_A=... — the dominant cost in Fig. 3b), timed on the
 // legacy serial path vs the thread pool. Emits BENCH_pairing_micro.json.
@@ -920,6 +956,7 @@ void engine_batch_report() {
   const SqrtBatch sqrt_batch = sqrt_batch_report(*paper_grp);
   const RevokeBatches revoke_batches = revoke_batch_report(*paper_grp);
   const TableWalk table_walk = table_walk_report(*paper_grp);
+  const SubgroupBatch subgroup_batch = subgroup_batch_report(*paper_grp);
   const bool ifma = math::detail::ifma_kernel_available();
   // Decrypt's LSSS solver on Z_r (3 limbs): the full attribute set of the
   // read-wide policy (AND of 10, n_A = 2) and of Fig. 3's right end
@@ -948,6 +985,8 @@ void engine_batch_report() {
       .put("g1_table_pass_us", table_walk.pass_us)
       .put("g1_table_build_scalar_ms", table_walk.build_scalar_ms)
       .put("g1_table_build_lanes_ms", table_walk.build_lanes_ms)
+      .put("g1_subgroup_check_us", subgroup_batch.scalar_us)
+      .put("g1_subgroup_pass_us", subgroup_batch.pass_us)
       .put("zr_inv_us", best_us(20, [&] { benchmark::DoNotOptimize(zk.inverse()); }))
       .put("lsss_reconstruct_wide_us", lsss_wide_us)
       .put("lsss_reconstruct_fig3_us", lsss_fig3_us)
@@ -994,6 +1033,10 @@ void engine_batch_report() {
               table_walk.walk.dispatched_us, table_walk.walk.speedup());
   std::printf("  G1 table build      : %8.3f ms scalar rows, %.3f ms lane rows\n",
               table_walk.build_scalar_ms, table_walk.build_lanes_ms);
+  std::printf("  8 subgroup checks, scalar: %5.1f us\n", subgroup_batch.check.portable_us);
+  std::printf("  8 subgroup checks, %s: %5.1f us   speedup %.2fx\n",
+              ifma ? "ifma  " : "portable", subgroup_batch.check.dispatched_us,
+              subgroup_batch.check.speedup());
   std::printf("  LSSS solve, AND-10  : %8.1f us   (n_A=10, l=50: %.1f us)\n", lsss_wide_us,
               lsss_fig3_us);
 
@@ -1077,6 +1120,9 @@ void engine_batch_report() {
       .put("g1_table_batch_scalar_us", table_walk.walk.portable_us)
       .put("g1_table_batch_dispatched_us", table_walk.walk.dispatched_us)
       .put("g1_table_batch_speedup", table_walk.walk.speedup())
+      .put("subgroup_batch_scalar_us", subgroup_batch.check.portable_us)
+      .put("subgroup_batch_dispatched_us", subgroup_batch.check.dispatched_us)
+      .put("subgroup_batch_speedup", subgroup_batch.check.speedup())
       .put("substrate", substrate)
       .put("merge_terms", dec_terms.size())
       .put("merge_per_term_ms", per_term_ms)

@@ -1,6 +1,7 @@
 #include "abe/serial.h"
 
 #include "common/errors.h"
+#include "telemetry/trace.h"
 
 namespace maabe::abe {
 
@@ -48,15 +49,19 @@ G1 get_g1_xy(const Group& grp, Reader& r) {
 // Key material additionally gets an order check: decompression only
 // guarantees on-curve, not membership in the order-r subgroup. Applied
 // to the handful of points inside keys (not to per-row ciphertext
-// components, where it would cost one scalar multiplication per policy
-// row on every load; see README "Architecture notes").
-void check_subgroup(const G1& point) {
-  if (!point.in_subgroup())
-    throw WireError("deserialize: point outside the order-r subgroup");
+// components, where every load would pay a multiply by r per policy
+// row; see README "Architecture notes"). A decoder checks all of its
+// points as one Group::g1_in_subgroup_batch, under a span whose items
+// are the points.
+void check_subgroup(const Group& grp, std::span<const G1> points) {
+  telemetry::Span span = telemetry::Tracer::global().start_span("abe.subgroup_check");
+  if (span.active()) span.attr("items", points.size());
+  for (const bool in : grp.g1_in_subgroup_batch(points))
+    if (!in) throw WireError("deserialize: point outside the order-r subgroup");
 }
 G1 get_g1_checked(const Group& grp, Reader& r) {
   G1 point = grp.g1_from_bytes(g1_view(grp, r));
-  check_subgroup(point);
+  check_subgroup(grp, std::span(&point, 1));
   return point;
 }
 GT get_gt(const Group& grp, Reader& r) { return grp.gt_from_bytes(r.raw_view(grp.gt_size())); }
@@ -64,6 +69,16 @@ Zr get_zr(const Group& grp, Reader& r) { return grp.zr_from_bytes(r.raw_view(grp
 
 void expect_tag(Reader& r, Tag tag, const char* what) {
   if (r.u8() != tag) throw WireError(std::string("deserialize: wrong tag for ") + what);
+}
+
+/// A PublicAttributeKey's fields up to its point, whose bytes it
+/// returns undecoded.
+ByteView get_attribute_key_fields(const Group& grp, Reader& r, PublicAttributeKey* v) {
+  expect_tag(r, kPublicAttributeKey, "PublicAttributeKey");
+  v->attr.name = r.str();
+  v->attr.aid = r.str();
+  v->version = r.u32();
+  return g1_view(grp, r);
 }
 
 lsss::Attribute parse_handle(const std::string& handle) {
@@ -175,13 +190,36 @@ Bytes serialize(const Group& grp, const PublicAttributeKey& v) {
 
 PublicAttributeKey deserialize_public_attribute_key(const Group& grp, ByteView data) {
   Reader r(data);
-  expect_tag(r, kPublicAttributeKey, "PublicAttributeKey");
   PublicAttributeKey v;
-  v.attr.name = r.str();
-  v.attr.aid = r.str();
-  v.version = r.u32();
-  v.key = get_g1_checked(grp, r);
+  v.key = grp.g1_from_bytes(get_attribute_key_fields(grp, r, &v));
+  check_subgroup(grp, std::span(&v.key, 1));
   r.expect_done();
+  return v;
+}
+
+Bytes serialize(const Group& grp, const AuthorityKeyBundle& v) {
+  Writer w;
+  w.var_bytes(serialize(grp, v.pk));
+  w.u32(static_cast<uint32_t>(v.attribute_keys.size()));
+  for (const PublicAttributeKey& key : v.attribute_keys) w.var_bytes(serialize(grp, key));
+  return w.take();
+}
+
+AuthorityKeyBundle deserialize_authority_key_bundle(const Group& grp, ByteView data) {
+  Reader r(data);
+  AuthorityKeyBundle v;
+  v.pk = deserialize_authority_public_key(grp, r.var_view());
+  std::vector<ByteView> points;
+  const uint32_t n = r.u32();
+  for (uint32_t i = 0; i < n; ++i) {
+    Reader key(r.var_view());
+    points.push_back(get_attribute_key_fields(grp, key, &v.attribute_keys.emplace_back()));
+    key.expect_done();
+  }
+  r.expect_done();
+  std::vector<G1> decoded = grp.g1_from_bytes_batch(points);
+  check_subgroup(grp, decoded);
+  for (size_t i = 0; i < decoded.size(); ++i) v.attribute_keys[i].key = std::move(decoded[i]);
   return v;
 }
 
@@ -223,10 +261,8 @@ UserSecretKey deserialize_user_secret_key(const Group& grp, ByteView data) {
   }
   r.expect_done();
   std::vector<G1> decoded = grp.g1_from_bytes_batch(points);
-  for (size_t i = 0; i < decoded.size(); ++i) {
-    check_subgroup(decoded[i]);
-    *slots[i] = std::move(decoded[i]);
-  }
+  check_subgroup(grp, decoded);
+  for (size_t i = 0; i < decoded.size(); ++i) *slots[i] = std::move(decoded[i]);
   return v;
 }
 
@@ -298,8 +334,7 @@ UpdateKey deserialize_update_key(const Group& grp, ByteView data, UkCheck check)
   v.from_version = r.u32();
   v.to_version = r.u32();
   v.uk1 = get_g1_xy(grp, r);
-  if (check == UkCheck::kKeyMaterial && !v.uk1.in_subgroup())
-    throw WireError("deserialize: point outside the order-r subgroup");
+  if (check == UkCheck::kKeyMaterial) check_subgroup(grp, std::span(&v.uk1, 1));
   v.uk2 = get_zr(grp, r);
   r.expect_done();
   return v;

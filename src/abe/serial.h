@@ -36,6 +36,18 @@ AuthorityPublicKey deserialize_authority_public_key(const pairing::Group& grp, B
 Bytes serialize(const pairing::Group& grp, const PublicAttributeKey& v);
 PublicAttributeKey deserialize_public_attribute_key(const pairing::Group& grp, ByteView data);
 
+/// What an authority publishes to a data owner: its public key and its
+/// attribute keys, each in its own encoding behind a length prefix. The
+/// decoder reads every key's fields first, then decodes and
+/// subgroup-checks all the attribute keys' points as one batch.
+struct AuthorityKeyBundle {
+  AuthorityPublicKey pk;
+  std::vector<PublicAttributeKey> attribute_keys;
+};
+
+Bytes serialize(const pairing::Group& grp, const AuthorityKeyBundle& v);
+AuthorityKeyBundle deserialize_authority_key_bundle(const pairing::Group& grp, ByteView data);
+
 Bytes serialize(const pairing::Group& grp, const UserSecretKey& v);
 UserSecretKey deserialize_user_secret_key(const pairing::Group& grp, ByteView data);
 

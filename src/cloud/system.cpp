@@ -311,22 +311,17 @@ void CloudSystem::publish_authority_keys(const std::string& aid,
                                          const std::string& owner_id) {
   AttributeAuthority& aa = authority(aid);
   DataOwner& data_owner = owner(owner_id);
-  Writer w;
-  w.var_bytes(abe::serialize(*grp_, aa.public_key()));
-  const auto attr_pks = aa.attribute_public_keys();
-  w.u32(static_cast<uint32_t>(attr_pks.size()));
-  for (const auto& [handle, pk] : attr_pks) w.var_bytes(abe::serialize(*grp_, pk));
-  link_.send(aa_name(aid), owner_name(owner_id), w.bytes(), [&](ByteView payload) {
-    Reader r(payload);
-    data_owner.learn_authority_key(
-        abe::deserialize_authority_public_key(*grp_, r.var_bytes()));
-    const uint32_t n = r.u32();
-    for (uint32_t i = 0; i < n; ++i) {
-      data_owner.learn_attribute_key(
-          abe::deserialize_public_attribute_key(*grp_, r.var_bytes()));
-    }
-    r.expect_done();
-  });
+  abe::AuthorityKeyBundle keys{aa.public_key(), {}};
+  for (auto& [handle, pk] : aa.attribute_public_keys())
+    keys.attribute_keys.push_back(std::move(pk));
+  link_.send(aa_name(aid), owner_name(owner_id), abe::serialize(*grp_, keys),
+             [&](ByteView payload) {
+               const abe::AuthorityKeyBundle got =
+                   abe::deserialize_authority_key_bundle(*grp_, payload);
+               data_owner.learn_authority_key(got.pk);
+               for (const abe::PublicAttributeKey& pk : got.attribute_keys)
+                 data_owner.learn_attribute_key(pk);
+             });
 }
 
 // --------------------------------------------------------- data path --

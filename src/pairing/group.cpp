@@ -105,7 +105,7 @@ bool operator==(const G1& a, const G1& b) {
 bool G1::in_subgroup() const {
   if (g_ == nullptr) throw MathError("G1::in_subgroup: uninitialized element");
   if (pt_.inf) return true;
-  return g_->ctx().curve().mul(pt_, g_->order()).inf;
+  return g_->ctx().curve().mul_jac(pt_, g_->order()).z.is_zero();
 }
 
 Bytes G1::to_bytes() const {
@@ -508,6 +508,37 @@ std::vector<G1> Group::g1_pow_batch(std::span<const G1> bases, const Zr& k) cons
   run_passes(live, lf != nullptr, kMinG1PowLanesPerPass, lanes,
              [&](size_t i) { jac[i] = curve.mul_jac(bases[i].pt_, k.value()); });
   return g1_normalize(jac);
+}
+
+std::vector<bool> Group::g1_in_subgroup_batch(std::span<const G1> pts) const {
+  std::vector<bool> ok(pts.size(), true);
+  std::vector<size_t> live;
+  for (size_t i = 0; i < pts.size(); ++i) {
+    require_same_group(this, pts[i].g_, "Group::g1_in_subgroup_batch");
+    if (!pts[i].pt_.inf) live.push_back(i);
+  }
+  const FpCtx& fq = ctx_.fq();
+  const math::detail::LaneField* lf = fq.lanes();
+  const Bignum r_minus_1 = Bignum::sub(order(), Bignum::from_u64(1));
+  const auto lanes = [&](std::span<const size_t> pass) {
+    const size_t n = pass.size();
+    std::array<AffinePoint, Lanes::kLanes> ps;
+    std::array<JacPoint, Lanes::kLanes> got;
+    for (size_t j = 0; j < n; ++j) ps[j] = pts[pass[j]].pt_;
+    const unsigned left = ctx_.curve().mul_jac_lanes(*lf, std::span(ps).first(n), r_minus_1,
+                                                     std::span(got).first(n));
+    for (size_t j = 0; j < n; ++j) {
+      if (left >> j & 1) continue;
+      // (r - 1)P = -P exactly when rP = 0; got[j] has z != 0.
+      const FieldElem z2 = fq.sqr(got[j].z);
+      ok[pass[j]] = got[j].x == fq.mul(ps[j].x, z2) &&
+                    got[j].y == fq.neg(fq.mul(ps[j].y, fq.mul(z2, got[j].z)));
+    }
+    return left;
+  };
+  run_passes(live, lf != nullptr, kMinG1SubgroupLanesPerPass, lanes,
+             [&](size_t i) { ok[i] = pts[i].in_subgroup(); });
+  return ok;
 }
 
 MillerVal Group::miller(const G1& a, const G1& b) const {

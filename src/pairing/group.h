@@ -82,9 +82,11 @@ class G1 {
   G1 neg() const;
   /// g^k — scalar multiplication by an exponent in Z_r.
   G1 mul(const Zr& k) const;
-  /// True when the point lies in the order-r subgroup. Deserialized
-  /// points are guaranteed on-curve but may sit in a cofactor coset;
-  /// key-material decoders call this (see abe/serial.cpp).
+  /// True when the point lies in the order-r subgroup: r*P in Jacobian
+  /// form has z = 0, with no affine conversion. Deserialized points are
+  /// guaranteed on-curve but may sit in a cofactor coset; key-material
+  /// decoders check them through Group::g1_in_subgroup_batch, which
+  /// falls back to this (see abe/serial.cpp).
   bool in_subgroup() const;
 
   friend G1 operator+(const G1& a, const G1& b) { return a.add(b); }
@@ -201,6 +203,12 @@ inline constexpr size_t kMinPairLanesPerPass = 2;
 /// (`g1_pow_pass_us` 308 us against `g1_exp_us` 226 us), so likewise
 /// from two points on.
 inline constexpr size_t kMinG1PowLanesPerPass = 2;
+/// Fewest live lanes that earn a subgroup-check pass in
+/// Group::g1_in_subgroup_batch. A pass by r - 1 costs about 1.3 scalar
+/// checks by r whatever its live lanes (`g1_subgroup_pass_us` 204 us
+/// against `g1_subgroup_check_us` 155 us), so likewise from two points
+/// on.
+inline constexpr size_t kMinG1SubgroupLanesPerPass = 2;
 
 class Group {
  public:
@@ -249,6 +257,17 @@ class Group {
   /// and CPUs without the kernels run mul_jac. Every result goes to
   /// affine with one inversion.
   std::vector<G1> g1_pow_batch(std::span<const G1> bases, const Zr& k) const;
+  /// in_subgroup() of every point, the same verdicts. Passes of up to
+  /// eight finite points multiply by r - 1 (2^159 + 2^107 on the paper
+  /// curve: 159 doublings and one addition) as lanes of the IFMA field
+  /// (CurveCtx::mul_jac_lanes) and accept a lane exactly when its
+  /// result is -P, compared in Jacobian form (X = x*Z^2, Y = -y*Z^3)
+  /// with no inversion; a multiply by r itself would end every subgroup
+  /// lane at z = 0, which the lanes hand back. The identity passes; lanes that meet an exceptional addition or
+  /// doubling (only possible outside the subgroup), passes below
+  /// kMinG1SubgroupLanesPerPass and CPUs without the kernels run
+  /// in_subgroup().
+  std::vector<bool> g1_in_subgroup_batch(std::span<const G1> pts) const;
   /// The fixed generator g (deterministically derived from the params).
   const G1& g() const { return generator_; }
   /// g^k via the precomputed window table — 4-6x faster than g().mul(k);

@@ -5,6 +5,7 @@
 #include "abe/scheme.h"
 #include "common/errors.h"
 #include "lsss/parser.h"
+#include "support/rogue_points.h"
 
 namespace maabe::abe {
 namespace {
@@ -310,6 +311,135 @@ TEST_F(SerialTest, GroupMaterialBytesFormula) {
   // |GT| + (l+1)|G| with l = 3.
   EXPECT_EQ(ciphertext_group_material_bytes(*grp, ct),
             grp->gt_size() + 4 * grp->g1_size());
+}
+
+TEST_F(SerialTest, AuthorityKeyBundleRoundTripsInThePublishedLayout) {
+  AuthorityKeyBundle keys{aa_public_key(*grp, vk), {}};
+  for (const char* name : {"Doctor", "Nurse", "Surgeon"})
+    keys.attribute_keys.push_back(aa_attribute_key(*grp, vk, name));
+  // The layout an authority has always published: each key in its own
+  // encoding behind a length prefix.
+  Writer w;
+  w.var_bytes(serialize(*grp, keys.pk));
+  w.u32(3);
+  for (const PublicAttributeKey& pk : keys.attribute_keys) w.var_bytes(serialize(*grp, pk));
+  const Bytes b = serialize(*grp, keys);
+  EXPECT_EQ(b, w.bytes());
+  const AuthorityKeyBundle back = deserialize_authority_key_bundle(*grp, b);
+  EXPECT_EQ(back.pk.aid, "Med");
+  EXPECT_EQ(back.pk.e_gg_alpha, keys.pk.e_gg_alpha);
+  ASSERT_EQ(back.attribute_keys.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(back.attribute_keys[i].attr, keys.attribute_keys[i].attr);
+    EXPECT_EQ(back.attribute_keys[i].version, keys.attribute_keys[i].version);
+    EXPECT_EQ(back.attribute_keys[i].key, keys.attribute_keys[i].key);
+  }
+  // No attribute keys at all is a valid bundle.
+  const AuthorityKeyBundle bare{keys.pk, {}};
+  EXPECT_TRUE(deserialize_authority_key_bundle(*grp, serialize(*grp, bare)).attribute_keys.empty());
+  // Every truncation, trailing garbage, a wrong inner tag and trailing
+  // bytes inside one key's encoding are WireErrors.
+  for (size_t len = 0; len < b.size(); ++len)
+    EXPECT_THROW(deserialize_authority_key_bundle(*grp, ByteView(b.data(), len)), WireError)
+        << "truncated to " << len;
+  Bytes longer = b;
+  longer.push_back(0);
+  EXPECT_THROW(deserialize_authority_key_bundle(*grp, longer), WireError);
+  Writer bad;
+  bad.var_bytes(serialize(*grp, keys.pk));
+  bad.u32(2);
+  bad.var_bytes(serialize(*grp, keys.attribute_keys[0]));
+  Bytes padded = serialize(*grp, keys.attribute_keys[1]);
+  padded.push_back(0);
+  bad.var_bytes(padded);
+  EXPECT_THROW(deserialize_authority_key_bundle(*grp, bad.bytes()), WireError);
+  Writer swapped;
+  swapped.var_bytes(serialize(*grp, keys.pk));
+  swapped.u32(1);
+  swapped.var_bytes(serialize(*grp, user));
+  EXPECT_THROW(deserialize_authority_key_bundle(*grp, swapped.bytes()), WireError);
+}
+
+// ------------------------------------------- key points outside the subgroup --
+
+/// `decode` must throw the subgroup check's WireError, message and all.
+template <typename Decode>
+void expect_outside_subgroup(const Decode& decode, const std::string& what) {
+  try {
+    (void)decode();
+    ADD_FAILURE() << what << ": decoded";
+  } catch (const WireError& e) {
+    EXPECT_STREQ(e.what(), "deserialize: point outside the order-r subgroup") << what;
+  }
+}
+
+/// Points of orders 2, 3, 4 (and 17 where it divides q + 1), each of
+/// them plus a subgroup point, and a random curve point: every key
+/// decoder must refuse each one at each position of its key.
+void check_rogue_key_points(const Group& grp) {
+  crypto::Drbg rng(std::string_view("serial-rogue-points"));
+  const std::vector<pairing::G1> rogues = pairing::rogue::outside_points(grp, rng);
+
+  const OwnerMasterKey mk = owner_gen(grp, "owner", rng);
+  const OwnerSecretShare share = owner_share(grp, mk);
+  const AuthorityVersionKey vk = aa_setup(grp, "Med", rng);
+  const UserPublicKey user = ca_register_user(grp, "alice", rng);
+  const std::set<std::string> names = {"A", "B", "C", "D", "E"};
+  const UserSecretKey sk = aa_keygen(grp, vk, share, user, names);
+  AuthorityKeyBundle keys{aa_public_key(grp, vk), {}};
+  for (const std::string& name : names)
+    keys.attribute_keys.push_back(aa_attribute_key(grp, vk, name));
+  // The honest keys decode.
+  EXPECT_EQ(deserialize_user_secret_key(grp, serialize(grp, sk)).k, sk.k);
+  EXPECT_EQ(deserialize_authority_key_bundle(grp, serialize(grp, keys)).attribute_keys.size(), 5u);
+
+  for (size_t k = 0; k < rogues.size(); ++k) {
+    const pairing::G1& rogue = rogues[k];
+    const std::string tag = "rogue " + std::to_string(k);
+    // UserSecretKey: K, then the first, middle and last K_x.
+    UserSecretKey bad = sk;
+    bad.k = rogue;
+    expect_outside_subgroup([&] { return deserialize_user_secret_key(grp, serialize(grp, bad)); },
+                            tag + " as K");
+    for (const char* name : {"A@Med", "C@Med", "E@Med"}) {
+      bad = sk;
+      bad.kx.at(name) = rogue;
+      expect_outside_subgroup(
+          [&] { return deserialize_user_secret_key(grp, serialize(grp, bad)); },
+          tag + " as K_" + name);
+    }
+    // Attribute keys: the first, middle and last of a bundle, and alone.
+    for (const size_t at : {0, 2, 4}) {
+      AuthorityKeyBundle bad_keys = keys;
+      bad_keys.attribute_keys[at].key = rogue;
+      expect_outside_subgroup(
+          [&] { return deserialize_authority_key_bundle(grp, serialize(grp, bad_keys)); },
+          tag + " as attribute key " + std::to_string(at));
+    }
+    PublicAttributeKey bad_pk = keys.attribute_keys[0];
+    bad_pk.key = rogue;
+    expect_outside_subgroup(
+        [&] { return deserialize_public_attribute_key(grp, serialize(grp, bad_pk)); },
+        tag + " as PublicAttributeKey");
+    UserPublicKey bad_user = user;
+    bad_user.pk = rogue;
+    expect_outside_subgroup(
+        [&] { return deserialize_user_public_key(grp, serialize(grp, bad_user)); },
+        tag + " as UserPublicKey");
+    OwnerSecretShare bad_share = share;
+    bad_share.g_inv_beta = rogue;
+    expect_outside_subgroup(
+        [&] { return deserialize_owner_secret_share(grp, serialize(grp, bad_share)); },
+        tag + " as OwnerSecretShare");
+  }
+}
+
+TEST(SerialRogueKeys, EveryKeyDecoderRefusesPointsOutsideTheSubgroupOnTestCurve) {
+  check_rogue_key_points(*Group::test_small());
+}
+
+TEST(SerialRogueKeys, EveryKeyDecoderRefusesPointsOutsideTheSubgroupOnPaperCurve) {
+  check_rogue_key_points(*Group::pbc_a512());
 }
 
 }  // namespace

@@ -448,6 +448,49 @@ TEST_F(ClusterObservability, ReceiveNestsInsideItsFrameSoSelfTimesAddUp) {
   EXPECT_LE(total, root->end_ns - root->start_ns);
 }
 
+/// The abe.subgroup_check spans among `records`: how many, and the sum
+/// of their items (points checked). Each must sit directly inside the
+/// transport.recv of the message whose key material it checks.
+std::pair<size_t, uint64_t> subgroup_checks(const std::vector<SpanRecord>& records) {
+  std::map<uint64_t, const SpanRecord*> by_id;
+  for (const SpanRecord& rec : records) by_id[rec.span_id] = &rec;
+  size_t spans = 0;
+  uint64_t items = 0;
+  for (const SpanRecord& rec : records) {
+    if (rec.name != "abe.subgroup_check") continue;
+    ++spans;
+    items += std::stoull(attr_of(rec, "items"));
+    const auto parent = by_id.find(rec.parent_id);
+    EXPECT_TRUE(parent != by_id.end() && parent->second->name == "transport.recv")
+        << "subgroup check outside a receive";
+  }
+  return {spans, items};
+}
+
+TEST_F(ClusterObservability, SubgroupChecksCountEveryKeyPointAReceiverTakes) {
+  auto grp = Group::test_small();
+  sys_ = make_system(grp, 3, 2);
+  const std::set<std::string> names = {"A", "B", "C", "D", "E"};
+  for (const char* aid : {"Med", "Gov"}) sys_->add_authority(aid, names);
+  sys_->add_owner("hosp");
+  {
+    // One batch per authority: its five attribute keys.
+    SpanCollector sink;
+    for (const char* aid : {"Med", "Gov"}) sys_->publish_authority_keys(aid, "hosp");
+    EXPECT_EQ(subgroup_checks(sink.records()), std::make_pair(size_t{2}, uint64_t{10}));
+  }
+  // An enrolment: the user's public key, then one key of 1 + 5 points
+  // from each authority, each checked as one batch.
+  SpanCollector sink;
+  sys_->add_user("alice");
+  for (const char* aid : {"Med", "Gov"}) {
+    sys_->assign_attributes(aid, "alice", names);
+    sys_->issue_user_key(aid, "alice", "hosp");
+  }
+  EXPECT_EQ(subgroup_checks(sink.records()),
+            std::make_pair(size_t{3}, uint64_t{1 + 2 * (1 + names.size())}));
+}
+
 TEST_F(ClusterObservability, ReencryptSlotsNestTheirPairingsSoNoSelfTimeIsNegative) {
   auto grp = Group::test_small();
   sys_ = make_system(grp, 3, 2);

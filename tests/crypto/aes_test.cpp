@@ -80,7 +80,9 @@ TEST(AesCtr, PartialBlocks) {
     const Bytes ct = aes_ctr(key, iv, pt);
     EXPECT_EQ(ct.size(), len);
     EXPECT_EQ(aes_ctr(key, iv, ct), pt) << len;
-    if (len > 0) EXPECT_NE(ct, pt);
+    if (len > 0) {
+      EXPECT_NE(ct, pt);
+    }
   }
 }
 

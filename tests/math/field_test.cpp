@@ -417,7 +417,7 @@ TEST(MontFieldKernels, IfmaLaneFieldConversionsRoundTrip) {
     lf.from_lanes(x, back);
     EXPECT_EQ(back, std::vector<FieldElem>(xs.begin(), xs.begin() + n));
     // Lane 0 holds zero, and so does every lane from n on.
-    EXPECT_EQ(lf.zero_mask(x), 0xFFu & ~((1u << n) - 1) | 1u) << n;
+    EXPECT_EQ(lf.zero_mask(x), (0xFFu & ~((1u << n) - 1)) | 1u) << n;
     // x - x is zero in every lane, whichever of 0 or p it lands on.
     EXPECT_EQ(lf.zero_mask(lf.sub(x, x)), 0xFFu);
     const detail::Lanes b = detail::LaneField::broadcast(detail::LaneField::lane(x, 1));

@@ -1,8 +1,8 @@
 // Group's same-schedule batches: pair_batch (many second arguments
-// against one line table), g1_pow_batch (many bases, one scalar) and
-// g1_pow_with_batch_jac (fixed-base table walks), plus G1FixedBase's
-// lane build. On an AVX-512 IFMA host the paper curve runs them as
-// 8-lane passes; every result must be byte-identical to the scalar call
+// against one line table), g1_pow_batch (many bases, one scalar),
+// g1_pow_with_batch_jac (fixed-base table walks), G1FixedBase's lane
+// build and g1_in_subgroup_batch (subgroup checks by r - 1). On an
+// AVX-512 IFMA host the paper curve runs them as 8-lane passes; every result must be byte-identical to the scalar call
 // it replaces, including the lanes that leave a pass for the scalar
 // path (identity inputs, k = 0, and the exceptional additions and
 // doublings that only points outside the order-r subgroup meet).
@@ -11,47 +11,14 @@
 #include "common/errors.h"
 #include "math/field_kernels.h"
 #include "pairing/group.h"
+#include "support/rogue_points.h"
 
 namespace maabe::pairing {
 namespace {
 
-/// The G1 element with affine coordinates (x, y) (Montgomery form),
-/// through the decoder: Group hands out no constructor for raw points.
-G1 point_of(const Group& grp, const AffinePoint& p) {
-  const FpCtx& fq = grp.ctx().fq();
-  Bytes enc = fq.to_bytes(p.x);
-  enc.push_back(fq.from_mont(p.y).is_odd() ? 1 : 0);
-  return grp.g1_from_bytes(enc);
-}
-
-/// A random on-curve point, generally outside the order-r subgroup.
-AffinePoint random_curve_point(const Group& grp, crypto::Drbg& rng) {
-  const CurveCtx& curve = grp.ctx().curve();
-  for (;;) {
-    const FieldElem x = grp.ctx().fq().random(rng);
-    FieldElem y;
-    if (curve.lift_x(x, &y)) return {x, y, false};
-  }
-}
-
-/// On-curve points of small order: (0, 0) of order 2, and (q+1)/d
-/// multiples of a random point for d = 3 and 4 where d divides q+1.
-std::vector<G1> small_order_points(const Group& grp, crypto::Drbg& rng) {
-  std::vector<G1> out = {point_of(grp, {FieldElem(), FieldElem(), false})};
-  const math::Bignum q1 = math::Bignum::add(grp.params().q, math::Bignum::from_u64(1));
-  for (uint64_t d : {3, 4}) {
-    math::Bignum quot, rem;
-    math::Bignum::divmod(q1, math::Bignum::from_u64(d), &quot, &rem);
-    if (!rem.is_zero()) continue;
-    for (int tries = 0; tries < 8; ++tries) {
-      const AffinePoint p = grp.ctx().curve().mul(random_curve_point(grp, rng), quot);
-      if (p.inf) continue;
-      out.push_back(point_of(grp, p));
-      break;
-    }
-  }
-  return out;
-}
+using rogue::point_of;
+using rogue::random_curve_point;
+using rogue::small_order_points;
 
 void check_pair_batch(const Group& grp) {
   crypto::Drbg rng(std::string_view("pair-batch"));
@@ -140,14 +107,7 @@ TEST(G1PowBatch, RejectsElementsOfAnotherGroup) {
 /// 16 = -1 mod 17, so every digit base is +-P and its table is finite,
 /// while a walk meets H = 0 whenever two digits' multiples are +-equal.
 G1 order17_point(const Group& grp, crypto::Drbg& rng) {
-  const math::Bignum q1 = math::Bignum::add(grp.params().q, math::Bignum::from_u64(1));
-  math::Bignum quot, rem;
-  math::Bignum::divmod(q1, math::Bignum::from_u64(17), &quot, &rem);
-  EXPECT_TRUE(rem.is_zero());
-  for (;;) {
-    const AffinePoint p = grp.ctx().curve().mul(random_curve_point(grp, rng), quot);
-    if (!p.inf) return point_of(grp, p);
-  }
+  return rogue::point_of_order(grp, 17, rng);
 }
 
 /// Same Jacobian residues, so the same point and the same bytes.
@@ -338,6 +298,107 @@ TEST(G1FixedBaseBuild, LaneBuildEqualsScalarBuild) {
       EXPECT_EQ(scalar.entry(0, 1).x, base.x);
     }
   }
+}
+
+// ------------------------------------------------------- subgroup checks --
+
+void check_subgroup_batch(const Group& grp) {
+  crypto::Drbg rng(std::string_view("g1-subgroup-batch"));
+  const std::vector<G1> outside = rogue::outside_points(grp, rng);
+  size_t next_outside = 0;
+  const auto check = [&](const std::vector<G1>& pts, const std::vector<bool>& want) {
+    const std::vector<bool> got = grp.g1_in_subgroup_batch(pts);
+    ASSERT_EQ(got.size(), pts.size());
+    for (size_t i = 0; i < pts.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << "item " << i;
+      EXPECT_EQ(got[i], pts[i].in_subgroup()) << "item " << i;
+    }
+  };
+  // The identity, subgroup points and outside points in turn, rotated
+  // so that each kind sits at every position of every batch size.
+  for (size_t n = 0; n <= 20; ++n) {
+    for (size_t shift = 0; shift < 3; ++shift) {
+      SCOPED_TRACE("batch of " + std::to_string(n) + ", shift " + std::to_string(shift));
+      std::vector<G1> pts;
+      std::vector<bool> want;
+      for (size_t i = 0; i < n; ++i) {
+        switch ((i + shift) % 3) {
+          case 0: pts.push_back(grp.g1_identity()); break;
+          case 1: pts.push_back(grp.g1_random(rng)); break;
+          default: pts.push_back(outside[next_outside++ % outside.size()]);
+        }
+        want.push_back((i + shift) % 3 != 2);
+      }
+      check(pts, want);
+    }
+  }
+  // One outside point among full passes of subgroup points, at every
+  // position of a batch of 17 (two full passes and a lone point).
+  std::vector<G1> subgroup;
+  for (size_t i = 0; i < 17; ++i) subgroup.push_back(grp.g1_random(rng));
+  for (size_t at = 0; at < subgroup.size(); ++at) {
+    SCOPED_TRACE("outside point at " + std::to_string(at));
+    std::vector<G1> pts = subgroup;
+    pts[at] = outside[next_outside++ % outside.size()];
+    std::vector<bool> want(pts.size(), true);
+    want[at] = false;
+    check(pts, want);
+  }
+}
+
+TEST(G1SubgroupBatch, AgreesWithInSubgroupOnTestCurve) {
+  check_subgroup_batch(*Group::test_small());
+}
+
+TEST(G1SubgroupBatch, AgreesWithInSubgroupOnPaperCurve) {
+  check_subgroup_batch(*Group::pbc_a512());
+}
+
+TEST(G1SubgroupBatch, SmallOrderPointsAndTheirSumsFail) {
+  const auto grp = Group::pbc_a512();
+  crypto::Drbg rng(std::string_view("g1-subgroup-small-order"));
+  std::vector<G1> small = small_order_points(*grp, rng);
+  small.push_back(order17_point(*grp, rng));
+  ASSERT_EQ(small.size(), 4u);  // orders 2, 3, 4 and 17
+  std::vector<G1> rogues = small;
+  for (const G1& p : small) rogues.push_back(p + grp->g1_random(rng));
+  std::vector<G1> subgroup;
+  for (size_t i = 0; i < 8; ++i) subgroup.push_back(grp->g1_random(rng));
+  // Each rogue point at every position of a full pass of subgroup points.
+  for (size_t k = 0; k < rogues.size(); ++k) {
+    EXPECT_FALSE(rogues[k].in_subgroup()) << "rogue " << k;
+    for (size_t at = 0; at < subgroup.size(); ++at) {
+      std::vector<G1> pts = subgroup;
+      pts[at] = rogues[k];
+      const std::vector<bool> got = grp->g1_in_subgroup_batch(pts);
+      for (size_t j = 0; j < pts.size(); ++j)
+        EXPECT_EQ(got[j], j != at) << "rogue " << k << " at " << at << ", item " << j;
+    }
+    EXPECT_EQ(grp->g1_in_subgroup_batch(std::vector<G1>(8, rogues[k])),
+              std::vector<bool>(8, false))
+        << "rogue " << k;
+  }
+  // On the lanes, a multiply by r - 1 meets an exceptional step on every
+  // small-order point (a doubling at Y = 0, or an addition at 2^52 P =
+  // +-P), so those lanes take the scalar check; the sums do not.
+  const math::detail::LaneField* lf = grp->ctx().fq().lanes();
+  if (lf == nullptr) GTEST_SKIP() << "no AVX-512 IFMA";
+  const math::Bignum r_minus_1 = math::Bignum::sub(grp->order(), math::Bignum::from_u64(1));
+  const auto affine_of = [&](const G1& p) { return grp->g1_precompute(p)->entry(0, 1); };
+  for (size_t k = 0; k < rogues.size(); ++k) {
+    const std::vector<AffinePoint> lanes(8, affine_of(rogues[k]));
+    std::vector<JacPoint> out(8);
+    const unsigned left = grp->ctx().curve().mul_jac_lanes(*lf, lanes, r_minus_1, out);
+    EXPECT_EQ(left, k < small.size() ? 0xFFu : 0u) << "rogue " << k;
+  }
+}
+
+TEST(G1SubgroupBatch, RejectsElementsOfAnotherGroup) {
+  const auto a = Group::test_small();
+  const auto b = Group::test_small();
+  crypto::Drbg rng(std::string_view("g1-subgroup-groups"));
+  const std::vector<G1> pts = {a->g1_random(rng), b->g1_random(rng)};
+  EXPECT_THROW((void)a->g1_in_subgroup_batch(pts), MathError);
 }
 
 }  // namespace
