@@ -19,7 +19,8 @@
 #                     sqrt_batch_speedup, pair_batch_speedup,
 #                     g1_pow_batch_speedup,
 #                     g1_table_batch_speedup,
-#                     subgroup_batch_speedup (only on AVX-512 IFMA hosts)
+#                     subgroup_batch_speedup,
+#                     g1_mixed_speedup (only on AVX-512 IFMA hosts)
 #       kernel_speedup: shared-final-exponentiation kernel vs the legacy
 #       pair-then-multiply fold, each side the best of three alternating
 #       passes on the calling thread's CPU clock (a cheaper final
@@ -64,8 +65,9 @@
 #       pair_batch_speedup / g1_pow_batch_speedup: eight pairings against
 #       one line table mod the paper curve's q (a server stage's slots
 #       against UK1) as a loop of miller_with + miller_reduce vs one
-#       Group::pair_batch, and eight G1 bases to one scalar (a key
-#       update) as a loop of G1::mul vs one Group::g1_pow_batch, each side
+#       Group::pair_batch, and eight G1 bases to one scalar (an owner's
+#       attribute keys to UK2) as a loop of G1::mul vs one
+#       Group::g1_pow_batch, each side
 #       the best of three alternating passes on the calling thread's CPU
 #       clock (about 6x with one 8-lane IFMA pass); floored only when
 #       /proc/cpuinfo lists avx512ifma (elsewhere they read ~1). The
@@ -85,15 +87,25 @@
 #       clock (about 7x with one 8-lane IFMA pass by r - 1); floored only
 #       when /proc/cpuinfo lists avx512ifma (elsewhere it reads ~1). The
 #       bench exits 1 when any verdict differs.
-#       All twelve are same-process ratios: host speed cancels, guarded by
-#       an absolute floor.
+#       g1_mixed_speedup: eight G1 bases raised to eight distinct
+#       scalars mod the paper curve's q (an untabled chunk of a
+#       multi_exp_g1, such as a new user's KeyGen) as a loop of scalar
+#       mul_jac vs one Group::g1_mul_batch_jac, each side the best of
+#       three alternating passes on the calling thread's CPU clock
+#       (about 5.5-8x with one 8-lane IFMA pass, a 4-bit window per
+#       lane); floored at 3 only when /proc/cpuinfo lists avx512ifma
+#       (elsewhere it reads ~1). The bench exits 1 when any lane differs
+#       from G1::mul, or a key update from K_x^{UK2} and in_subgroup.
+#       All thirteen are same-process ratios: host speed cancels, guarded
+#       by an absolute floor.
 #       Also emitted, not guarded: the `substrate` object, the paper
 #       curve's per-call ladder (fq_*, zr_inv_us, lsss_reconstruct_wide_us
 #       for the AND of 10 over n_A = 2, lsss_reconstruct_fig3_us for
 #       n_A = 10, l = 50, g1_decode_us, g1_decode_batch_us per point of
 #       an 11-point batch, sqrt_scalar_us and sqrt_pass_us,
 #       pair_pass_us and g1_pow_pass_us, g1_subgroup_check_us and
-#       g1_subgroup_pass_us, the pairing and exponentiation rungs)
+#       g1_subgroup_pass_us, g1_mixed_pass_us, keygen_cold_us and
+#       key_update_us, the pairing and exponentiation rungs)
 #       whatever MAABE_BENCH_SMALL says;
 #       host-speed dependent, so it is read by bench/fig_tables.py, not
 #       floored here.
@@ -167,6 +179,7 @@ if grep -qw avx512ifma /proc/cpuinfo 2>/dev/null; then
   "$GUARD" floor BENCH_pairing_micro.json g1_pow_batch_speedup 2
   "$GUARD" floor BENCH_pairing_micro.json g1_table_batch_speedup 2
   "$GUARD" floor BENCH_pairing_micro.json subgroup_batch_speedup 2
+  "$GUARD" floor BENCH_pairing_micro.json g1_mixed_speedup 3
 fi
 
 # revocation guards

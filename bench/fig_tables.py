@@ -68,6 +68,9 @@ SUBSTRATE_ROWS = [
     ("g1_table_build_lanes_ms", "G1 window table build, 8-lane IFMA rows", "ms"),
     ("g1_subgroup_check_us", "G1 subgroup check (multiply by r), scalar", "us"),
     ("g1_subgroup_pass_us", "8 G1 subgroup checks (by r - 1), one 8-lane IFMA pass", "us"),
+    ("g1_mixed_pass_us", "8 G1 multiplies by 8 distinct scalars, one 8-lane IFMA pass", "us"),
+    ("keygen_cold_us", "KeyGen, 5 attributes, never-seen PK_UID (median)", "us"),
+    ("key_update_us", "key update, 5 attributes, UK1 check included (median)", "us"),
     ("zr_inv_us", "Z_r inverse (160-bit r, 3 limbs)", "us"),
     ("lsss_reconstruct_wide_us", "LSSS solve, AND of 10 (n_A=2)", "us"),
     ("lsss_reconstruct_fig3_us", "LSSS solve, Fig. 3 right end (n_A=10, l=50)", "us"),

@@ -9,12 +9,14 @@
 #include <chrono>
 #include <cstdlib>
 #include <ctime>
+#include <set>
 #include <span>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "bench_json.h"
+#include "abe/scheme.h"
 #include "engine/engine.h"
 #include "common/errors.h"
 #include "crypto/kernels.h"
@@ -500,8 +502,9 @@ SqrtBatch sqrt_batch_report(const pairing::Group& grp) {
 /// The revoke's same-schedule batches on the paper curve, eight items
 /// each: e(UK1, C'_k) for eight C' against one line table (a node
 /// stage's slots) as a loop of miller_with + miller_reduce vs one
-/// Group::pair_batch, and K_x^{UK2} for eight bases and one scalar (a
-/// key update) as a loop of G1::mul vs one Group::g1_pow_batch. Each
+/// Group::pair_batch, and PK_x^{UK2} for eight bases and one scalar
+/// (an owner's attribute keys) as a loop of G1::mul vs one
+/// Group::g1_pow_batch. Each
 /// side the best of three alternating passes on the thread CPU clock;
 /// without the IFMA kernel the batches are the same loops (ratio ~1).
 /// `*_pass_us` is the batch side, one 8-lane pass (0 without the
@@ -654,6 +657,103 @@ SubgroupBatch subgroup_batch_report(const pairing::Group& grp) {
   }
   out.scalar_us = out.check.portable_us / kItems;
   if (grp.ctx().fq().lanes() != nullptr) out.pass_us = out.check.dispatched_us;
+  return out;
+}
+
+/// G1 passes with a scalar per lane on the paper curve. A loop of eight
+/// CurveCtx::mul_jac against one Group::g1_mul_batch_jac over the same
+/// eight bases and eight distinct scalars (an untabled chunk of a
+/// multi_exp_g1), each side the best of three alternating passes on the
+/// thread CPU clock; without the IFMA kernel the batch is the same loop
+/// (ratio ~1). `pass_us` is the batch side, one 8-lane pass (0 without
+/// the kernel), against g1_exp_us: the figure behind
+/// pairing::kMinG1PowLanesPerPass. Then the two calls it serves, each
+/// the median of kCalls wall-clock calls through the process's engine:
+/// aa_keygen of a 5-attribute key against a never-seen PK_UID (one
+/// pass of its 1 + 5 powers and g^{1/beta}'s), and
+/// apply_update_to_secret_key on a 5-attribute key (one pass of five
+/// K_x^{UK2} and UK1's subgroup check). Exits 1 when a lane differs from
+/// G1::mul, an updated K_x from K_x^{UK2}, or UK1 fails in_subgroup.
+struct LaneMix {
+  KernelPair mixed;
+  double pass_us = 0;
+  double keygen_cold_us = 0;
+  double key_update_us = 0;
+};
+
+LaneMix lane_mix_report(const pairing::Group& grp) {
+  constexpr size_t kItems = 8;
+  constexpr int kCalls = 11;
+  crypto::Drbg rng(std::string_view("micro-lane-mix"));
+  std::vector<pairing::G1> bases;
+  std::vector<pairing::Zr> ks;
+  for (size_t k = 0; k < kItems; ++k) {
+    bases.push_back(grp.g1_random(rng));
+    ks.push_back(grp.zr_random(rng));
+  }
+  // The bases' affine coordinates, for the scalar side's mul_jac.
+  const pairing::CurveCtx& curve = grp.ctx().curve();
+  const pairing::FpCtx& fq = grp.ctx().fq();
+  std::vector<pairing::AffinePoint> affine;
+  for (const pairing::G1& b : bases) {
+    const Bytes xy = b.to_bytes_uncompressed();
+    const ByteView v(xy);
+    affine.push_back({fq.from_bytes(v.subspan(0, fq.byte_length())),
+                      fq.from_bytes(v.subspan(fq.byte_length(), fq.byte_length())), false});
+  }
+  std::vector<pairing::JacPoint> loop(kItems), batch;
+  LaneMix out;
+  out.mixed = time_kernel_pair(
+      2,
+      [&] {
+        for (size_t k = 0; k < kItems; ++k) loop[k] = curve.mul_jac(affine[k], ks[k].value());
+      },
+      [&] { batch = grp.g1_mul_batch_jac(bases, ks); });
+  const std::vector<pairing::G1> loop_pts = grp.g1_normalize(loop);
+  const std::vector<pairing::G1> batch_pts = grp.g1_normalize(batch);
+  for (size_t k = 0; k < kItems; ++k) {
+    const Bytes want = bases[k].mul(ks[k]).to_bytes();
+    if (loop_pts[k].to_bytes() != want || batch_pts[k].to_bytes() != want) {
+      std::fprintf(stderr, "pairing_micro: G1 lane pass and G1::mul disagree\n");
+      std::exit(1);
+    }
+  }
+  if (grp.ctx().fq().lanes() != nullptr) out.pass_us = out.mixed.dispatched_us;
+
+  const auto median_us = [](std::vector<double> us) {
+    std::sort(us.begin(), us.end());
+    return us[us.size() / 2];
+  };
+  const auto wall_us = [](const auto& call) {
+    const auto t0 = std::chrono::steady_clock::now();
+    call();
+    return std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  const abe::OwnerMasterKey mk = abe::owner_gen(grp, "owner", rng);
+  const abe::OwnerSecretShare share = abe::owner_share(grp, mk);
+  const abe::AuthorityVersionKey vk = abe::aa_setup(grp, "Med", rng);
+  const std::set<std::string> names = {"A", "B", "C", "D", "E"};
+  std::vector<abe::UserPublicKey> users;
+  for (int i = 0; i < kCalls; ++i)
+    users.push_back(abe::ca_register_user(grp, "user-" + std::to_string(i), rng));
+  std::vector<double> keygen_us, update_us;
+  abe::UserSecretKey sk;
+  for (const abe::UserPublicKey& user : users)
+    keygen_us.push_back(wall_us([&] { sk = abe::aa_keygen(grp, vk, share, user, names); }));
+  const abe::UpdateKey uk =
+      abe::aa_make_update_key(grp, vk, abe::aa_rekey(grp, vk, rng).new_vk, share);
+  abe::UserSecretKey updated;
+  for (int i = 0; i < kCalls; ++i)
+    update_us.push_back(wall_us([&] { updated = abe::apply_update_to_secret_key(grp, sk, uk); }));
+  bool ok = uk.uk1.in_subgroup() && updated.k == sk.k + uk.uk1;
+  for (const auto& [handle, key] : sk.kx) ok = ok && updated.kx.at(handle) == key.mul(uk.uk2);
+  if (!ok) {
+    std::fprintf(stderr, "pairing_micro: key update and G1::mul / in_subgroup disagree\n");
+    std::exit(1);
+  }
+  out.keygen_cold_us = median_us(keygen_us);
+  out.key_update_us = median_us(update_us);
   return out;
 }
 
@@ -957,6 +1057,7 @@ void engine_batch_report() {
   const RevokeBatches revoke_batches = revoke_batch_report(*paper_grp);
   const TableWalk table_walk = table_walk_report(*paper_grp);
   const SubgroupBatch subgroup_batch = subgroup_batch_report(*paper_grp);
+  const LaneMix lane_mix = lane_mix_report(*paper_grp);
   const bool ifma = math::detail::ifma_kernel_available();
   // Decrypt's LSSS solver on Z_r (3 limbs): the full attribute set of the
   // read-wide policy (AND of 10, n_A = 2) and of Fig. 3's right end
@@ -987,6 +1088,9 @@ void engine_batch_report() {
       .put("g1_table_build_lanes_ms", table_walk.build_lanes_ms)
       .put("g1_subgroup_check_us", subgroup_batch.scalar_us)
       .put("g1_subgroup_pass_us", subgroup_batch.pass_us)
+      .put("g1_mixed_pass_us", lane_mix.pass_us)
+      .put("keygen_cold_us", lane_mix.keygen_cold_us)
+      .put("key_update_us", lane_mix.key_update_us)
       .put("zr_inv_us", best_us(20, [&] { benchmark::DoNotOptimize(zk.inverse()); }))
       .put("lsss_reconstruct_wide_us", lsss_wide_us)
       .put("lsss_reconstruct_fig3_us", lsss_fig3_us)
@@ -1037,6 +1141,11 @@ void engine_batch_report() {
   std::printf("  8 subgroup checks, %s: %5.1f us   speedup %.2fx\n",
               ifma ? "ifma  " : "portable", subgroup_batch.check.dispatched_us,
               subgroup_batch.check.speedup());
+  std::printf("  8 G1 mixed pows, scalar: %5.1f us\n", lane_mix.mixed.portable_us);
+  std::printf("  8 G1 mixed pows, %s: %5.1f us   speedup %.2fx\n", ifma ? "ifma  " : "portable",
+              lane_mix.mixed.dispatched_us, lane_mix.mixed.speedup());
+  std::printf("  keygen, cold PK_UID : %8.1f us   key update: %.1f us (medians)\n",
+              lane_mix.keygen_cold_us, lane_mix.key_update_us);
   std::printf("  LSSS solve, AND-10  : %8.1f us   (n_A=10, l=50: %.1f us)\n", lsss_wide_us,
               lsss_fig3_us);
 
@@ -1123,6 +1232,9 @@ void engine_batch_report() {
       .put("subgroup_batch_scalar_us", subgroup_batch.check.portable_us)
       .put("subgroup_batch_dispatched_us", subgroup_batch.check.dispatched_us)
       .put("subgroup_batch_speedup", subgroup_batch.check.speedup())
+      .put("g1_mixed_scalar_us", lane_mix.mixed.portable_us)
+      .put("g1_mixed_dispatched_us", lane_mix.mixed.dispatched_us)
+      .put("g1_mixed_speedup", lane_mix.mixed.speedup())
       .put("substrate", substrate)
       .put("merge_terms", dec_terms.size())
       .put("merge_per_term_ms", per_term_ms)

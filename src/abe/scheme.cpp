@@ -1,5 +1,6 @@
 #include "abe/scheme.h"
 
+#include "abe/serial.h"
 #include "common/errors.h"
 #include "engine/engine.h"
 
@@ -319,17 +320,21 @@ UserSecretKey apply_update_to_secret_key(const Group& grp, const UserSecretKey& 
   if (sk.version != uk.from_version)
     throw SchemeError("key update: key at version " + std::to_string(sk.version) +
                       ", update expects " + std::to_string(uk.from_version));
+  // Every K_x^{UK2} in one uncached engine batch, where it is counted,
+  // with UK1's subgroup check as one more term: UK1^{r-1} is -UK1
+  // exactly when r*UK1 = 0. The terms run as lanes of one pass, each
+  // with its own scalar, and the batch goes to affine with one
+  // inversion. A UK1 outside the subgroup throws before any key changes.
+  std::vector<CryptoEngine::G1Term> terms;
+  terms.reserve(sk.kx.size() + 1);
+  for (const auto& [handle, key] : sk.kx) terms.push_back({key, uk.uk2});
+  terms.push_back({uk.uk1, grp.zr_one().neg()});
+  const std::vector<G1> powers = CryptoEngine::for_group(grp).multi_exp_g1(terms, false);
+  if (powers.back() != uk.uk1.neg()) throw WireError(kOutsideSubgroup);
   UserSecretKey out = sk;
   out.version = uk.to_version;
   out.k = sk.k + uk.uk1;
-  // Every K_x^{UK2} in one engine batch, where it is counted: the
-  // same exponent for every base, so the bases run as lanes of one
-  // double-and-add, and the batch goes to affine with one inversion.
-  std::vector<G1> bases;
-  bases.reserve(out.kx.size());
-  for (const auto& [handle, key] : out.kx) bases.push_back(key);
-  const std::vector<G1> updated = CryptoEngine::for_group(grp).pow_batch_g1(bases, uk.uk2);
-  auto next = updated.begin();
+  auto next = powers.begin();
   for (auto& [handle, key] : out.kx) key = *next++;
   return out;
 }

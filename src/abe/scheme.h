@@ -140,7 +140,12 @@ UpdateKey aa_make_update_key(const pairing::Group& grp,
                              const AuthorityVersionKey& new_vk,
                              const OwnerSecretShare& owner);
 
-/// Non-revoked user's key update: K *= UK1, K_x ^= UK2.
+/// Non-revoked user's key update: K *= UK1, K_x ^= UK2. UK1's subgroup
+/// check rides in the engine batch that raises every K_x (a multiply by
+/// r - 1 that must give -UK1), so a UK decoded on-curve only
+/// (UkCheck::kCiphertextPath) is safe to apply: a UK1 outside the
+/// subgroup throws WireError(kOutsideSubgroup), as the decoder's check
+/// would, and no key changes.
 UserSecretKey apply_update_to_secret_key(const pairing::Group& grp,
                                          const UserSecretKey& sk,
                                          const UpdateKey& uk);

@@ -57,7 +57,7 @@ void check_subgroup(const Group& grp, std::span<const G1> points) {
   telemetry::Span span = telemetry::Tracer::global().start_span("abe.subgroup_check");
   if (span.active()) span.attr("items", points.size());
   for (const bool in : grp.g1_in_subgroup_batch(points))
-    if (!in) throw WireError("deserialize: point outside the order-r subgroup");
+    if (!in) throw WireError(kOutsideSubgroup);
 }
 G1 get_g1_checked(const Group& grp, Reader& r) {
   G1 point = grp.g1_from_bytes(g1_view(grp, r));

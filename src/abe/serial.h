@@ -58,13 +58,19 @@ Ciphertext deserialize_ciphertext(const pairing::Group& grp, ByteView data);
 /// truncated prefix.
 std::string ciphertext_owner_id(ByteView data);
 
-/// Receiver-dependent validation depth for update keys. Users folding a
-/// UK into their secret key must insist on the order-r subgroup
-/// (kKeyMaterial); the server only injects uk1 into ciphertext
-/// components, where — like per-row ciphertext points — an off-subgroup
-/// value degrades to a typed decryption failure, so the on-curve check
-/// suffices and the epoch skips a scalar multiplication (kCiphertextPath).
+/// Receiver-dependent validation depth for update keys. An owner, whose
+/// UpdateInfo pass raises uk1 to its exponents, insists on the order-r
+/// subgroup at decode (kKeyMaterial). The server only injects uk1 into
+/// ciphertext components, where — like per-row ciphertext points — an
+/// off-subgroup value degrades to a typed decryption failure, so the
+/// on-curve check suffices (kCiphertextPath). A user decodes on-curve
+/// only too (kCiphertextPath): apply_update_to_secret_key checks uk1 in
+/// the same pass that raises the key, and throws kOutsideSubgroup's
+/// WireError before the key changes.
 enum class UkCheck { kKeyMaterial, kCiphertextPath };
+
+/// The WireError message of every failed subgroup check on key material.
+inline constexpr const char kOutsideSubgroup[] = "deserialize: point outside the order-r subgroup";
 
 Bytes serialize(const pairing::Group& grp, const UpdateKey& v);
 UpdateKey deserialize_update_key(const pairing::Group& grp, ByteView data,

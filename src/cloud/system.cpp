@@ -547,7 +547,8 @@ size_t CloudSystem::distribute_revocation(
 
   // 2) Update keys to every other user holding keys from this AA.
   //    Applied exactly once per request id — a duplicated frame must not
-  //    fold UK2 into the key twice.
+  //    fold UK2 into the key twice. Decoded on-curve only: the apply
+  //    checks UK1's subgroup in the pass that raises the key.
   for (auto& [other_uid, consumer] : users_) {
     if (other_uid == uid) continue;
     for (const auto& [owner_id, uk] : bundle.update_keys) {
@@ -555,7 +556,8 @@ size_t CloudSystem::distribute_revocation(
       durable_.send_or_park(
           aa_name(aid), user_name(other_uid), abe::serialize(*grp_, uk),
           [this, other = other_uid](ByteView payload) {
-            users_.at(other).apply_update(abe::deserialize_update_key(*grp_, payload));
+            users_.at(other).apply_update(
+                abe::deserialize_update_key(*grp_, payload, abe::UkCheck::kCiphertextPath));
           },
           "update key");
     }

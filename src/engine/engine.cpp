@@ -31,12 +31,18 @@ thread_local bool tl_in_worker = false;
 
 std::atomic<int> g_default_override{0};
 
-/// base_pow_batch's table threshold: the break-even of a window table
-/// used once, its build cost over the saving per exponent,
-/// pairing.g1_table_build_ms / (g1_exp_us - g1_exp_table_us). That is
-/// 6.1 to 7.8 on pbc_a512 (DESIGN.md section 20); from 8 exponents on the
-/// table is the cheaper path on both measurements. The LRU's
-/// kBuildThreshold is lower because its tables are reused.
+/// The terms of one base in one batch that earn a window table at once
+/// (base_pow_batch's batch-scoped table, multi_exp_g1's cached one): the
+/// break-even of a table used once against scalar multiplies, its build
+/// cost over the saving per exponent, pairing.g1_table_build_ms /
+/// (g1_exp_us - g1_exp_table_us). That is 3.5 (lane-built rows) to 6.1
+/// (scalar rows) on pbc_a512 (bench/pairing_micro on a 4-vCPU Xeon VM,
+/// DESIGN.md section 26), so 8 holds on CPUs without IFMA and on the
+/// test curve. Against 8-lane passes (`g1_mixed_pass_us` / 8 against
+/// `g1_table_pass_us` / 8) a table used once only pays from about 25-30
+/// exponents; the constant stays one number for every CPU, so that the
+/// engine's table counts do not depend on the host.
+/// The LRU's kBuildThreshold is lower because its tables are reused.
 constexpr size_t kBatchTableThreshold = 8;
 
 /// The fold rule, decided from the exponent alone so that the engine's
@@ -192,8 +198,10 @@ struct CryptoEngine::Pool {
 
 /// LRU of window tables for variable bases, keyed by the base's
 /// serialized form. A base only pays for table construction after it has
-/// been submitted kBuildThreshold times (break-even vs plain
-/// exponentiation); until then the entry just tracks its use count.
+/// been used kBuildThreshold times (break-even vs plain
+/// exponentiation); until then the entry just tracks its use count. A
+/// G1 base counts one use per multi_exp_g1 batch; a first argument
+/// counts one per pairing term, a GT base one per term.
 struct CryptoEngine::LruCache {
   static constexpr size_t kCapacity = 64;
   static constexpr uint64_t kBuildThreshold = 4;
@@ -232,14 +240,13 @@ struct CryptoEngine::LruCache {
   /// The table in `slot` of the entry for `key`: touches the entry
   /// with `uses` and builds the table with `build` once the entry has
   /// been used kBuildThreshold times; `warm` builds it now (the caller
-  /// announced a run of uses). Counts the build into `builds`, and the
-  /// hit into `hits` unless warming — a warm-up runs no operation.
-  /// Caller holds `mu`.
-  /// `served` is the number of operations the table runs for this
-  /// call (1 unless `uses` counts operations, as in a pair_batch): each
-  /// counts a hit, except that a table built by this call counts the
-  /// ones a run of single uses would have served, from the use that
-  /// reached kBuildThreshold on.
+  /// announced a run of uses). Counts the build into `builds`, and into
+  /// `hits` the `served` operations the table runs for this call (0 for
+  /// a warm-up, which runs none). When `uses` counts those same
+  /// operations (uses == served, as in a pair_batch), a table built by
+  /// this call counts only the ones a run of single uses would have
+  /// served, from the use that reached kBuildThreshold on. Caller holds
+  /// `mu`.
   template <class T, class Build>
   std::shared_ptr<const T> table(std::shared_ptr<const T> Node::*slot,
                                  const Bytes& key, uint64_t uses, bool warm,
@@ -251,9 +258,9 @@ struct CryptoEngine::LruCache {
     if (!t && node.uses >= kBuildThreshold) {
       t = build();
       ++builds;
-      served = std::min(served, node.uses - kBuildThreshold + 1);
+      if (uses == served) served = std::min(served, node.uses - kBuildThreshold + 1);
     }
-    if (t && !warm) hits += served;
+    if (t) hits += served;
     return t;
   }
 
@@ -532,22 +539,6 @@ GT CryptoEngine::pairing_power_product(const std::vector<PairTerm>& terms,
   return grp_->miller_reduce(acc);
 }
 
-GT CryptoEngine::pair(const pairing::G1& a, const pairing::G1& b) {
-  BatchScope scope(*this, EngineMetrics::get().pair_batch_ns, "engine.pair");
-  scope.delta.pairings = 1;
-  scope.set_items(1);
-  if (a.is_identity() || b.is_identity()) return grp_->gt_one();
-  scope.delta.miller_loops = 1;
-  scope.delta.final_exps = 1;
-  std::shared_ptr<const pairing::PairingPrecomp> pre;
-  {
-    std::lock_guard<std::mutex> lk(cache_->mu);
-    pre = cache_->line_table(*grp_, a, 1, false, scope.delta);
-  }
-  return pre ? grp_->miller_reduce(grp_->miller_with(*pre, b))
-             : grp_->pair(a, b);
-}
-
 namespace {
 
 /// Group's lane passes take eight items; the engine fans such chunks.
@@ -562,6 +553,17 @@ void walk_chunk(const Group& grp, std::span<const pairing::G1FixedBase* const> t
   const size_t at = c * kChunk, m = std::min(kChunk, ks.size() - at);
   const std::vector<pairing::JacPoint> part =
       grp.g1_pow_with_batch_jac(tables.subspan(at, m), ks.subspan(at, m));
+  std::copy(part.begin(), part.end(), out.begin() + static_cast<ptrdiff_t>(at));
+}
+
+/// Chunk c of untabled multiplies: out[i] = bases[i]^ks[i] for its up to
+/// eight items, as one Group::g1_mul_batch_jac (one lane pass, each lane
+/// with its own scalar).
+void mul_chunk(const Group& grp, std::span<const G1> bases, std::span<const Zr> ks, size_t c,
+               std::span<pairing::JacPoint> out) {
+  const size_t at = c * kChunk, m = std::min(kChunk, ks.size() - at);
+  const std::vector<pairing::JacPoint> part =
+      grp.g1_mul_batch_jac(bases.subspan(at, m), ks.subspan(at, m));
   std::copy(part.begin(), part.end(), out.begin() + static_cast<ptrdiff_t>(at));
 }
 
@@ -605,7 +607,7 @@ void CryptoEngine::warm_pair_precomp(const pairing::G1& base) {
   EngineStats d;
   {
     std::lock_guard<std::mutex> lk(cache_->mu);
-    (void)cache_->line_table(*grp_, base, 1, true, d);
+    (void)cache_->line_table(*grp_, base, 1, true, d, 0);
   }
   if (d.precomp_builds != 0) commit_stats(d);
 }
@@ -619,42 +621,59 @@ std::vector<G1> CryptoEngine::multi_exp_g1(const std::vector<G1Term>& terms,
   scope.delta.tasks = n;
   scope.set_items(n);
   // Serial resolve phase: consult/update the LRU under one lock so the
-  // parallel phase below touches only immutable tables.
+  // parallel phase below touches only immutable tables. A base counts
+  // one use per batch, however many of its terms the batch holds, and
+  // a base with kBatchTableThreshold terms or more gets its table now.
   std::vector<std::shared_ptr<const pairing::G1FixedBase>> tables(n);
   if (cache_bases) {
-    std::lock_guard<std::mutex> lk(cache_->mu);
+    // Each distinct base's terms, in first-appearance order.
+    using Uses = std::map<Bytes, std::vector<size_t>>::value_type;
+    std::map<Bytes, std::vector<size_t>> by_base;
+    std::vector<const Uses*> bases;
     for (size_t i = 0; i < n; ++i) {
       if (terms[i].base.is_identity()) continue;
-      tables[i] = cache_->table(&LruCache::Node::g1, terms[i].base.to_bytes(), 1,
-                                false, scope.delta.table_builds,
-                                scope.delta.table_hits,
-                                [&] { return grp_->g1_precompute(terms[i].base); });
+      const auto [it, fresh] = by_base.try_emplace(terms[i].base.to_bytes());
+      if (fresh) bases.push_back(&*it);
+      it->second.push_back(i);
+    }
+    std::lock_guard<std::mutex> lk(cache_->mu);
+    for (const Uses* b : bases) {
+      const auto& [key, idx] = *b;
+      const G1& base = terms[idx.front()].base;
+      const auto table = cache_->table(
+          &LruCache::Node::g1, key, 1, idx.size() >= kBatchTableThreshold,
+          scope.delta.table_builds, scope.delta.table_hits,
+          [&] { return grp_->g1_precompute(base); }, idx.size());
+      for (const size_t i : idx) tables[i] = table;
     }
   }
   // Results stay Jacobian through the parallel phase; the batch goes to
   // affine on the caller with one inversion. The table-served terms walk
-  // their tables in chunks of eight; each other term is an item of its
-  // own.
+  // their tables and the others run lane passes with a scalar per lane,
+  // each in chunks of eight.
   std::vector<size_t> tabled, plain;
   std::vector<const pairing::G1FixedBase*> walk_tables;
-  std::vector<Zr> walk_exps;
+  std::vector<Zr> walk_exps, mul_exps;
+  std::vector<G1> mul_bases;
   for (size_t i = 0; i < n; ++i) {
-    if (!tables[i]) {
+    if (tables[i]) {
+      tabled.push_back(i);
+      walk_tables.push_back(tables[i].get());
+      walk_exps.push_back(terms[i].exp);
+    } else {
       plain.push_back(i);
-      continue;
+      mul_bases.push_back(terms[i].base);
+      mul_exps.push_back(terms[i].exp);
     }
-    tabled.push_back(i);
-    walk_tables.push_back(tables[i].get());
-    walk_exps.push_back(terms[i].exp);
   }
-  std::vector<pairing::JacPoint> jac(n), walked(tabled.size());
-  const size_t chunks = chunks_of(tabled.size());
-  run_items(chunks + plain.size(), [&](size_t c) {
-    if (c < chunks) return walk_chunk(*grp_, walk_tables, walk_exps, c, walked);
-    const size_t i = plain[c - chunks];
-    jac[i] = grp_->g1_mul_jac(terms[i].base, terms[i].exp);
+  std::vector<pairing::JacPoint> jac(n), walked(tabled.size()), multiplied(plain.size());
+  const size_t walks = chunks_of(tabled.size());
+  run_items(walks + chunks_of(plain.size()), [&](size_t c) {
+    if (c < walks) return walk_chunk(*grp_, walk_tables, walk_exps, c, walked);
+    mul_chunk(*grp_, mul_bases, mul_exps, c - walks, multiplied);
   });
   for (size_t j = 0; j < tabled.size(); ++j) jac[tabled[j]] = walked[j];
+  for (size_t j = 0; j < plain.size(); ++j) jac[plain[j]] = multiplied[j];
   return grp_->g1_normalize(jac);
 }
 
@@ -729,7 +748,8 @@ std::vector<G1> CryptoEngine::base_pow_batch(const G1& base, const std::vector<Z
     const std::vector<const pairing::G1FixedBase*> tables(n, table.get());
     run_items(chunks_of(n), [&](size_t c) { walk_chunk(*grp_, tables, exps, c, jac); });
   } else {
-    run_items(n, [&](size_t i) { jac[i] = grp_->g1_mul_jac(base, exps[i]); });
+    const std::vector<G1> bases(n, base);
+    run_items(chunks_of(n), [&](size_t c) { mul_chunk(*grp_, bases, exps, c, jac); });
   }
   return grp_->g1_normalize(jac);
 }
@@ -740,14 +760,10 @@ std::vector<G1> CryptoEngine::pow_batch_g1(const std::vector<G1>& bases, const Z
   scope.delta.g1_exps = n;
   scope.delta.tasks = n;
   scope.set_items(n);
-  std::vector<G1> out(n);
-  run_items(chunks_of(n), [&](size_t c) {
-    const size_t at = c * kChunk;
-    const std::vector<G1> part =
-        grp_->g1_pow_batch(std::span(bases).subspan(at, std::min(kChunk, n - at)), k);
-    std::copy(part.begin(), part.end(), out.begin() + static_cast<ptrdiff_t>(at));
-  });
-  return out;
+  const std::vector<Zr> exps(n, k);
+  std::vector<pairing::JacPoint> jac(n);
+  run_items(chunks_of(n), [&](size_t c) { mul_chunk(*grp_, bases, exps, c, jac); });
+  return grp_->g1_normalize(jac);
 }
 
 size_t CryptoEngine::cached_bases() const {

@@ -12,22 +12,24 @@
 //     full-size exponent keeping a class of its own; the loops run in
 //     parallel (with fixed-argument line tables cached in the LRU),
 //     unreduced values fold in class order, and the product pays one
-//     shared final exponentiation. pair() is the single-term form for
-//     callers that pair one term at a time against a warmed base.
+//     shared final exponentiation.
 //   * multi_exp_g1 / multi_exp_gt — batched variable-base
 //     exponentiation with a per-Group LRU precomputation cache:
-//     bases seen repeatedly across batches (PK_UID in KeyGen, the
-//     per-attribute PK_{x,AID} in Encrypt, authority blinds) get a
-//     window table built once and reused, the same machinery Group
-//     already uses for g and e(g,g).
+//     bases seen repeatedly across batches (the per-attribute
+//     PK_{x,AID} in Encrypt, g^{1/beta} in KeyGen, authority blinds)
+//     get a window table built once and reused, the same machinery
+//     Group already uses for g and e(g,g). A G1 base counts one use
+//     per batch, so a new user's PK_UID, raised to 1 + |S| exponents
+//     by each authority's KeyGen, stays in 8-lane passes.
 //   * g_pow_batch / egg_pow_batch — batches over the two fixed bases.
 //   * base_pow_batch — one variable base raised to many exponents (an
 //     epoch's UK1 in the owner's UpdateInfo pass), through a window
 //     table scoped to the batch.
 //   * pair_batch / pow_batch_g1 — the revoke's same-schedule runs: many
 //     pairings against one first argument (an epoch's UK1 against every
-//     slot's C') and many bases raised to one exponent (a key's K_x or
-//     the owner's PK_x to UK2), as 8-lane IFMA passes in Group.
+//     slot's C') and many bases raised to one exponent (the owner's PK_x
+//     to UK2), as 8-lane IFMA passes in Group. A user's key update is an
+//     uncached multi_exp_g1, its K_x to UK2 plus UK1's subgroup check.
 //   * parallel_for — generic data-parallel sweep (CloudServer uses it
 //     to re-encrypt stored ciphertexts concurrently).
 //
@@ -178,26 +180,28 @@ class CryptoEngine {
   /// every ABE decrypt.
   pairing::GT pairing_power_product(const std::vector<PairTerm>& terms,
                                     const std::vector<pairing::Zr>& exps);
-  /// A single e(a, b) through the precomp cache — repeated first
-  /// arguments become table hits. Same bits as Group::pair.
-  pairing::GT pair(const pairing::G1& a, const pairing::G1& b);
   /// e(a, b_i) for every b_i, with ONE LRU lookup for a's line table:
   /// Group::pair_batch over chunks of eight, fanned across the pool.
-  /// Counted as the pair() calls it replaces: every b_i a pairing, every
-  /// finite pair one Miller loop and one final exponentiation, and a
-  /// precomp hit for each that a one-at-a-time run would have served
-  /// from the table. Without a table (a first argument seen too rarely)
-  /// each pair runs Group::pair. Same bits as pair() on each.
+  /// Counted as single pairings: every b_i a pairing, every finite pair
+  /// one Miller loop and one final exponentiation, and a precomp hit for
+  /// each that a run of batches of one would have served from the
+  /// table. Without a table (a first argument seen too rarely) each pair
+  /// runs Group::pair. Same bits as Group::pair on each.
   std::vector<pairing::GT> pair_batch(const pairing::G1& a, const std::vector<pairing::G1>& bs);
   /// Forces the line table for `base` to exist in the LRU (epoch
   /// warm-up: build once before fanning slots across the pool).
   void warm_pair_precomp(const pairing::G1& base);
 
-  /// base_i ^ exp_i for variable bases. `cache_bases = false` skips the
-  /// LRU entirely — pass it when the bases are one-offs (e.g. the pairing
-  /// products decrypt exponentiates) so they don't evict hot tables.
-  /// multi_exp_g1 and g_pow_batch keep their results Jacobian until the
-  /// whole batch goes to affine with one inversion (Group::g1_normalize).
+  /// base_i ^ exp_i for variable bases. Each distinct base counts one
+  /// use of its LRU entry per batch; from the entry's kBuildThreshold-th
+  /// batch on (4), or at once for a base with kBatchTableThreshold or
+  /// more terms in the batch (8), its terms walk a cached window table.
+  /// Every other term runs in Group::g1_mul_batch_jac's 8-lane passes,
+  /// one scalar per lane. `cache_bases = false` skips the LRU entirely —
+  /// pass it when the bases are one-offs (a key's K_x in an update) so
+  /// they don't evict hot tables. multi_exp_g1 and g_pow_batch keep
+  /// their results Jacobian until the whole batch goes to affine with
+  /// one inversion (Group::g1_normalize).
   std::vector<pairing::G1> multi_exp_g1(const std::vector<G1Term>& terms,
                                         bool cache_bases = true);
   std::vector<pairing::GT> multi_exp_gt(const std::vector<GtTerm>& terms,
@@ -206,18 +210,18 @@ class CryptoEngine {
   /// g ^ exp_i / e(g,g) ^ exp_i via the Group's fixed-base tables.
   std::vector<pairing::G1> g_pow_batch(const std::vector<pairing::Zr>& exps);
   std::vector<pairing::GT> egg_pow_batch(const std::vector<pairing::Zr>& exps);
-  /// base ^ exp_i for one base shared by the whole batch. From the
-  /// break-even count of a once-used table on (8 exponents), the batch
-  /// builds a window table for `base` (one table build, every exponent
-  /// a table hit) and drops it on return: the base is a one-off per
-  /// call (an epoch's UK1), so it never enters the LRU. Below that
-  /// count, or for the identity, plain multiplies. One inversion
-  /// normalizes the batch.
+  /// base ^ exp_i for one base shared by the whole batch. From
+  /// kBatchTableThreshold exponents on (8), the batch builds a window
+  /// table for `base` (one table build, every exponent a table hit) and
+  /// drops it on return: the base is a one-off per call (an epoch's
+  /// UK1), so it never enters the LRU. Below that count, 8-lane passes
+  /// of `base` against its exponents (Group::g1_mul_batch_jac). One
+  /// inversion normalizes the batch.
   std::vector<pairing::G1> base_pow_batch(const pairing::G1& base,
                                           const std::vector<pairing::Zr>& exps);
-  /// base_i ^ k for many bases and one exponent: Group::g1_pow_batch
-  /// over chunks of eight, fanned across the pool. The bases are
-  /// one-offs (a user's K_x, the owner's PK_x), so the LRU is not
+  /// base_i ^ k for many bases and one exponent: Group::g1_mul_batch_jac
+  /// over chunks of eight, fanned across the pool, and one inversion.
+  /// The bases are one-offs (the owner's PK_x), so the LRU is not
   /// consulted; counted as multi_exp_g1 counts them uncached (one g1_exp
   /// and one task per base). Same bits as base_i.mul(k).
   std::vector<pairing::G1> pow_batch_g1(const std::vector<pairing::G1>& bases,

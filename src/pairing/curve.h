@@ -79,6 +79,21 @@ template <class F, class E>
   return {xr, yr, zr};
 }
 
+/// The chord pieces of T + Q for a Jacobian Q: T scaled to Q's
+/// denominators, (U1 : S1 : Z_T*Z_Q) = (X_T*Z_Q^2 : Y_T*Z_Q^3 : Z_T*Z_Q),
+/// which add_chord then takes with H = X_Q*Z_T^2 - U1 and
+/// R = Y_Q*Z_T^3 - S1. The sum's z = Z_T*Z_Q*H is zero exactly when
+/// T = +-Q or either is infinity.
+template <class F, class E>
+[[gnu::always_inline]] inline JacOf<E> chord_jac(const F& fq, const JacOf<E>& t, const JacOf<E>& q, E* hh, E* rr) {
+  const E tz2 = fq.sqr(t.z), qz2 = fq.sqr(q.z);
+  const E u1 = fq.mul(t.x, qz2);
+  const E s1 = fq.mul(t.y, fq.mul(qz2, q.z));
+  *hh = fq.sub(fq.mul(q.x, tz2), u1);
+  *rr = fq.sub(fq.mul(q.y, fq.mul(tz2, t.z)), s1);
+  return {u1, s1, fq.mul(t.z, q.z)};
+}
+
 }  // namespace jac
 
 class CurveCtx {
@@ -98,16 +113,29 @@ class CurveCtx {
   /// mul() before its affine conversion, for callers that convert a
   /// batch with to_affine_batch.
   JacPoint mul_jac(const AffinePoint& p, const math::Bignum& k) const;
-  /// mul_jac(ps[j], k) for up to eight finite points at once, one per
-  /// lane, by k >= 1: the same double-and-add on jac::dbl and
-  /// jac::add_chord over the lanes. out[j] gets lane j's point, the
-  /// same residues, except in the lanes of the returned mask: those met
-  /// a doubling at Y = 0 or an addition at H = 0 (seen as z = 0 at the
-  /// end, since z only ever multiplies by 2Y or H), where mul_jac takes
-  /// another branch; their out[j] is left for the caller to take from
-  /// mul_jac.
+  /// mul_jac(ps[j], *ks[j]) for up to eight finite points at once, one
+  /// per lane, each k >= 1: fixed 4-bit windows over the lanes. The pass
+  /// builds every lane's multiples 1P..15P of its own base (one jac::dbl
+  /// and 13 mixed additions), then takes each window of the longest k
+  /// with four doublings and one full addition of each lane's selected
+  /// multiple; a window where every lane's digit is zero adds nothing.
+  /// out[j] gets lane j's point (the same point as mul_jac, not the same
+  /// residues), except in the lanes of the returned mask: those met a
+  /// doubling at Y = 0, an addition at H = 0 or a multiple at infinity,
+  /// seen as z = 0 at the end since z only ever multiplies by 2Y, H or
+  /// a multiple's z. Only points outside the order-r subgroup can; their
+  /// out[j] is left for the caller to take from mul_jac.
   unsigned mul_jac_lanes(const math::detail::LaneField& lf, std::span<const AffinePoint> ps,
-                         const math::Bignum& k, std::span<JacPoint> out) const;
+                         std::span<const math::Bignum* const> ks, std::span<JacPoint> out) const;
+  /// mul_jac(ps[i], *ks[i]) for every i, the same points: passes of up
+  /// to eight finite points with k >= 1 run mul_jac_lanes on `lf` when it
+  /// is non-null and the pass has at least `min_lanes` of them; the
+  /// identity, k = 0, every other pass and every lane a pass hands back
+  /// run mul_jac. The residues differ from mul_jac's, so callers compare
+  /// or convert points (to_affine_batch), never coordinates.
+  std::vector<JacPoint> mul_jac_batch(const math::detail::LaneField* lf, size_t min_lanes,
+                                      std::span<const AffinePoint> ps,
+                                      std::span<const math::Bignum* const> ks) const;
 
   // Jacobian core (also used by the Miller loop).
   JacPoint to_jac(const AffinePoint& p) const;

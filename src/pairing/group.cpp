@@ -280,12 +280,6 @@ std::vector<JacPoint> Group::g1_pow_with_batch_jac(std::span<const G1FixedBase* 
   return jac;
 }
 
-JacPoint Group::g1_mul_jac(const G1& base, const Zr& k) const {
-  require_same_group(this, base.g_, "G1::mul");
-  require_same_group(this, k.group(), "G1::mul");
-  return ctx_.curve().mul_jac(base.pt_, k.value());
-}
-
 std::vector<G1> Group::g1_normalize(const std::vector<JacPoint>& pts) const {
   std::vector<G1> out;
   out.reserve(pts.size());
@@ -484,60 +478,48 @@ std::vector<GT> Group::pair_batch(const PairingPrecomp& pre, std::span<const G1>
   return out;
 }
 
-std::vector<G1> Group::g1_pow_batch(std::span<const G1> bases, const Zr& k) const {
-  require_same_group(this, k.group(), "Group::g1_pow_batch");
-  const CurveCtx& curve = ctx_.curve();
-  std::vector<JacPoint> jac(bases.size(), curve.to_jac(AffinePoint::infinity()));
-  std::vector<size_t> live;
+std::vector<JacPoint> Group::g1_mul_batch_jac(std::span<const G1> bases,
+                                              std::span<const Zr> ks) const {
+  if (bases.size() != ks.size()) throw MathError("g1_mul_batch_jac: bases/exponents size mismatch");
+  std::vector<AffinePoint> pts;
+  std::vector<const Bignum*> exps;
+  pts.reserve(bases.size());
+  exps.reserve(ks.size());
   for (size_t i = 0; i < bases.size(); ++i) {
-    require_same_group(this, bases[i].g_, "Group::g1_pow_batch");
-    if (!bases[i].pt_.inf && !k.is_zero()) live.push_back(i);
+    require_same_group(this, bases[i].g_, "Group::g1_mul_batch_jac");
+    require_same_group(this, ks[i].group(), "Group::g1_mul_batch_jac");
+    pts.push_back(bases[i].pt_);
+    exps.push_back(&ks[i].value());
   }
-  const math::detail::LaneField* lf = ctx_.fq().lanes();
-  const auto lanes = [&](std::span<const size_t> pass) {
-    const size_t n = pass.size();
-    std::array<AffinePoint, Lanes::kLanes> pts;
-    std::array<JacPoint, Lanes::kLanes> got;
-    for (size_t j = 0; j < n; ++j) pts[j] = bases[pass[j]].pt_;
-    const unsigned left = curve.mul_jac_lanes(*lf, std::span(pts).first(n), k.value(),
-                                              std::span(got).first(n));
-    for (size_t j = 0; j < n; ++j)
-      if (!(left >> j & 1)) jac[pass[j]] = got[j];
-    return left;
-  };
-  run_passes(live, lf != nullptr, kMinG1PowLanesPerPass, lanes,
-             [&](size_t i) { jac[i] = curve.mul_jac(bases[i].pt_, k.value()); });
-  return g1_normalize(jac);
+  return ctx_.curve().mul_jac_batch(ctx_.fq().lanes(), kMinG1PowLanesPerPass, pts, exps);
+}
+
+std::vector<G1> Group::g1_pow_batch(std::span<const G1> bases, const Zr& k) const {
+  return g1_normalize(g1_mul_batch_jac(bases, std::vector<Zr>(bases.size(), k)));
 }
 
 std::vector<bool> Group::g1_in_subgroup_batch(std::span<const G1> pts) const {
-  std::vector<bool> ok(pts.size(), true);
-  std::vector<size_t> live;
-  for (size_t i = 0; i < pts.size(); ++i) {
-    require_same_group(this, pts[i].g_, "Group::g1_in_subgroup_batch");
-    if (!pts[i].pt_.inf) live.push_back(i);
+  std::vector<AffinePoint> ps;
+  ps.reserve(pts.size());
+  for (const G1& p : pts) {
+    require_same_group(this, p.g_, "Group::g1_in_subgroup_batch");
+    ps.push_back(p.pt_);
   }
-  const FpCtx& fq = ctx_.fq();
-  const math::detail::LaneField* lf = fq.lanes();
   const Bignum r_minus_1 = Bignum::sub(order(), Bignum::from_u64(1));
-  const auto lanes = [&](std::span<const size_t> pass) {
-    const size_t n = pass.size();
-    std::array<AffinePoint, Lanes::kLanes> ps;
-    std::array<JacPoint, Lanes::kLanes> got;
-    for (size_t j = 0; j < n; ++j) ps[j] = pts[pass[j]].pt_;
-    const unsigned left = ctx_.curve().mul_jac_lanes(*lf, std::span(ps).first(n), r_minus_1,
-                                                     std::span(got).first(n));
-    for (size_t j = 0; j < n; ++j) {
-      if (left >> j & 1) continue;
-      // (r - 1)P = -P exactly when rP = 0; got[j] has z != 0.
-      const FieldElem z2 = fq.sqr(got[j].z);
-      ok[pass[j]] = got[j].x == fq.mul(ps[j].x, z2) &&
-                    got[j].y == fq.neg(fq.mul(ps[j].y, fq.mul(z2, got[j].z)));
-    }
-    return left;
-  };
-  run_passes(live, lf != nullptr, kMinG1SubgroupLanesPerPass, lanes,
-             [&](size_t i) { ok[i] = pts[i].in_subgroup(); });
+  const std::vector<const Bignum*> exps(ps.size(), &r_minus_1);
+  const std::vector<JacPoint> got =
+      ctx_.curve().mul_jac_batch(ctx_.fq().lanes(), kMinG1SubgroupLanesPerPass, ps, exps);
+  // (r - 1)P = -P exactly when rP = 0, compared in Jacobian form with no
+  // inversion: X = x*Z^2 and Y = -y*Z^3. The identity passes; a finite P
+  // whose product is infinity (z = 0) fails, since X = 1 there.
+  const FpCtx& fq = ctx_.fq();
+  std::vector<bool> ok(ps.size(), true);
+  for (size_t i = 0; i < ps.size(); ++i) {
+    if (ps[i].inf) continue;
+    const FieldElem z2 = fq.sqr(got[i].z);
+    ok[i] = got[i].x == fq.mul(ps[i].x, z2) &&
+            got[i].y == fq.neg(fq.mul(ps[i].y, fq.mul(z2, got[i].z)));
+  }
   return ok;
 }
 

@@ -86,7 +86,7 @@ class G1 {
   /// form has z = 0, with no affine conversion. Deserialized points are
   /// guaranteed on-curve but may sit in a cofactor coset; key-material
   /// decoders check them through Group::g1_in_subgroup_batch, which
-  /// falls back to this (see abe/serial.cpp).
+  /// gives the same verdicts (see abe/serial.cpp).
   bool in_subgroup() const;
 
   friend G1 operator+(const G1& a, const G1& b) { return a.add(b); }
@@ -198,16 +198,20 @@ struct G1Run {
 /// 4-vCPU Xeon VM), so
 /// two pairings already gain and a lone one stays scalar.
 inline constexpr size_t kMinPairLanesPerPass = 2;
-/// Fewest live lanes that earn a G1 pass in Group::g1_pow_batch. A pass
-/// costs about 1.35 scalar multiplies whatever its live lanes
-/// (`g1_pow_pass_us` 308 us against `g1_exp_us` 226 us), so likewise
-/// from two points on.
+/// Fewest live lanes that earn a G1 pass in Group::g1_mul_batch_jac
+/// (under g1_pow_batch and the engine's untabled multiplies). A pass of
+/// 4-bit windows costs about 1.1 scalar multiplies whatever its live
+/// lanes and scalars (bench/pairing_micro `g1_mixed_pass_us` 354 us and
+/// `g1_pow_pass_us` 360 us against `g1_exp_us` 333 us on the paper
+/// curve, on a 4-vCPU Xeon VM), so two points already gain and a lone
+/// one stays scalar.
 inline constexpr size_t kMinG1PowLanesPerPass = 2;
 /// Fewest live lanes that earn a subgroup-check pass in
-/// Group::g1_in_subgroup_batch. A pass by r - 1 costs about 1.3 scalar
-/// checks by r whatever its live lanes (`g1_subgroup_pass_us` 204 us
-/// against `g1_subgroup_check_us` 155 us), so likewise from two points
-/// on.
+/// Group::g1_in_subgroup_batch. A pass by r - 1 (two non-zero windows,
+/// so mostly the pass's 1P..15P and its doublings) costs about 1.1
+/// scalar checks by r whatever its live lanes (`g1_subgroup_pass_us`
+/// 237 us against `g1_subgroup_check_us` 220 us), so likewise from two
+/// points on.
 inline constexpr size_t kMinG1SubgroupLanesPerPass = 2;
 
 class Group {
@@ -249,24 +253,17 @@ class Group {
 
   // ---- G1 ----------------------------------------------------------
   G1 g1_identity() const { return G1(this, AffinePoint::infinity()); }
-  /// base * k for every base: the same bits as G1::mul on each. Passes of
-  /// up to eight finite bases run mul_jac's double-and-add as lanes of
-  /// the IFMA field (CurveCtx::mul_jac_lanes); identity bases, k = 0,
-  /// lanes that meet an exceptional addition or doubling (only possible
-  /// outside the order-r subgroup), passes below kMinG1PowLanesPerPass
-  /// and CPUs without the kernels run mul_jac. Every result goes to
-  /// affine with one inversion.
+  /// base * k for every base: the same bits as G1::mul on each.
+  /// g1_normalize of g1_mul_batch_jac with k in every lane.
   std::vector<G1> g1_pow_batch(std::span<const G1> bases, const Zr& k) const;
-  /// in_subgroup() of every point, the same verdicts. Passes of up to
-  /// eight finite points multiply by r - 1 (2^159 + 2^107 on the paper
-  /// curve: 159 doublings and one addition) as lanes of the IFMA field
-  /// (CurveCtx::mul_jac_lanes) and accept a lane exactly when its
-  /// result is -P, compared in Jacobian form (X = x*Z^2, Y = -y*Z^3)
-  /// with no inversion; a multiply by r itself would end every subgroup
-  /// lane at z = 0, which the lanes hand back. The identity passes; lanes that meet an exceptional addition or
-  /// doubling (only possible outside the subgroup), passes below
-  /// kMinG1SubgroupLanesPerPass and CPUs without the kernels run
-  /// in_subgroup().
+  /// in_subgroup() of every point, the same verdicts. Every finite point
+  /// is multiplied by r - 1 (2^159 + 2^107 on the paper curve: two
+  /// non-zero 4-bit windows) through CurveCtx::mul_jac_batch, in passes
+  /// of at least kMinG1SubgroupLanesPerPass, and accepted exactly when
+  /// the product is -P, compared in Jacobian form (X = x*Z^2,
+  /// Y = -y*Z^3) with no inversion. A multiply by r itself would end
+  /// every subgroup lane at z = 0, which the lanes hand back. The
+  /// identity passes.
   std::vector<bool> g1_in_subgroup_batch(std::span<const G1> pts) const;
   /// The fixed generator g (deterministically derived from the params).
   const G1& g() const { return generator_; }
@@ -375,7 +372,13 @@ class Group {
                                               std::span<const Zr> ks) const;
   /// The window table behind g_pow, for batches that walk it in lanes.
   const G1FixedBase& g_table() const { return *g_table_; }
-  JacPoint g1_mul_jac(const G1& base, const Zr& k) const;
+  /// bases[i].mul(ks[i]) for every i before its affine conversion, the
+  /// same points: CurveCtx::mul_jac_batch on the base field's lanes
+  /// (null without the kernels, and on the test curve), so passes of up
+  /// to eight finite bases, at least kMinG1PowLanesPerPass of them, run
+  /// one fixed 4-bit window per lane with a scalar of its own.
+  std::vector<JacPoint> g1_mul_batch_jac(std::span<const G1> bases,
+                                         std::span<const Zr> ks) const;
   /// Every point to affine with one inversion (Montgomery's trick).
   std::vector<G1> g1_normalize(const std::vector<JacPoint>& pts) const;
   std::unique_ptr<GtFixedBase> gt_precompute(const GT& base) const;

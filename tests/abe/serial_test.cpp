@@ -434,6 +434,47 @@ void check_rogue_key_points(const Group& grp) {
   }
 }
 
+/// A user decodes update keys on-curve only; the key update checks UK1
+/// in the pass that raises the key. Every rogue UK1 must fail there with
+/// the decoder's WireError, message and all, before the key changes; an
+/// honest one (and the identity, which the decoder accepts) applies.
+void check_rogue_update_keys(const Group& grp) {
+  crypto::Drbg rng(std::string_view("serial-rogue-update-keys"));
+  const std::vector<pairing::G1> rogues = pairing::rogue::outside_points(grp, rng);
+  const OwnerMasterKey mk = owner_gen(grp, "owner", rng);
+  const OwnerSecretShare share = owner_share(grp, mk);
+  const AuthorityVersionKey vk = aa_setup(grp, "Med", rng);
+  const UserPublicKey user = ca_register_user(grp, "alice", rng);
+  const UserSecretKey sk = aa_keygen(grp, vk, share, user, {"A", "B", "C", "D", "E"});
+  const Bytes sk_bytes = serialize(grp, sk);
+  const UpdateKey honest = aa_make_update_key(grp, vk, aa_rekey(grp, vk, rng).new_vk, share);
+  EXPECT_EQ(apply_update_to_secret_key(grp, sk, honest).version, 2u);
+  UpdateKey identity = honest;
+  identity.uk1 = grp.g1_identity();
+  EXPECT_EQ(apply_update_to_secret_key(grp, sk, identity).k, sk.k);
+
+  for (size_t k = 0; k < rogues.size(); ++k) {
+    const std::string tag = "rogue " + std::to_string(k);
+    UpdateKey bad = honest;
+    bad.uk1 = rogues[k];
+    const Bytes wire = serialize(grp, bad);
+    expect_outside_subgroup([&] { return deserialize_update_key(grp, wire); }, tag + " decoded");
+    const UpdateKey on_curve = deserialize_update_key(grp, wire, UkCheck::kCiphertextPath);
+    UserSecretKey held = sk;
+    expect_outside_subgroup([&] { return apply_update_to_secret_key(grp, held, on_curve); },
+                            tag + " applied");
+    EXPECT_EQ(serialize(grp, held), sk_bytes) << tag;
+  }
+}
+
+TEST(SerialRogueKeys, KeyUpdateRefusesUpdateKeysOutsideTheSubgroupOnTestCurve) {
+  check_rogue_update_keys(*Group::test_small());
+}
+
+TEST(SerialRogueKeys, KeyUpdateRefusesUpdateKeysOutsideTheSubgroupOnPaperCurve) {
+  check_rogue_update_keys(*Group::pbc_a512());
+}
+
 TEST(SerialRogueKeys, EveryKeyDecoderRefusesPointsOutsideTheSubgroupOnTestCurve) {
   check_rogue_key_points(*Group::test_small());
 }

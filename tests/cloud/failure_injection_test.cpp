@@ -4,6 +4,7 @@
 // wrong plaintext.
 #include <gtest/gtest.h>
 
+#include "abe/serial.h"
 #include "cloud/system.h"
 #include "common/errors.h"
 
@@ -277,6 +278,49 @@ TEST(CosetCiphertextPoints, DownloadFailsClosed) {
   // The authentic ciphertext still opens.
   sys.server().store(original);
   EXPECT_EQ(string_of(sys.download("alice", "f1").at("a")), "component A plaintext");
+}
+
+// An authority holding an owner share off the subgroup sends update
+// keys whose UK1 = (g^{1/beta})^{alpha' - alpha} is off it too. A user
+// decodes the UK on-curve only and refuses it in the key update, which
+// carries UK1's subgroup check; the owner refuses it in its decoder.
+// Both raise the decoder's WireError out of the revocation, and neither
+// changes: the user's key and the owner's record stay at version 1.
+TEST(RogueUpdateKey, RefusedByAUserAndByTheOwner) {
+  const auto grp = Group::test_small();
+  for (const bool user_holds_key : {true, false}) {
+    SCOPED_TRACE(user_holds_key ? "a user receives the UK" : "only the owner receives it");
+    CloudSystem sys(grp, "inject-rogue-uk");
+    sys.add_authority("Med", {"Doctor", "Nurse"});
+    sys.add_owner("hosp");
+    sys.publish_authority_keys("Med", "hosp");
+    // carol, the revoked user, holds no key, so no regenerated key (whose
+    // K the rogue share would also spoil) is sent.
+    sys.add_user("carol");
+    sys.assign_attributes("Med", "carol", {"Nurse"});
+    if (user_holds_key) {
+      sys.add_user("bob");
+      sys.assign_attributes("Med", "bob", {"Doctor", "Nurse"});
+      sys.issue_user_key("Med", "bob", "hosp");
+    }
+    sys.upload("hosp", "f1", {{"a", bytes_of("component A plaintext"), "Doctor@Med"}});
+    const std::string ct_id = sys.server().fetch("f1")->slots[0].key_ct.id;
+    abe::OwnerSecretShare rogue = sys.owner("hosp").share();
+    rogue.g_inv_beta = rogue.g_inv_beta + coset_point(*grp);
+    sys.authority("Med").accept_owner_share(rogue);
+    const Bytes bob_key =
+        user_holds_key ? abe::serialize(*grp, sys.user("bob").key("hosp", "Med")) : Bytes();
+
+    try {
+      (void)sys.revoke_attribute("Med", "carol", "Nurse");
+      ADD_FAILURE() << "rogue update key applied";
+    } catch (const WireError& e) {
+      EXPECT_STREQ(e.what(), abe::kOutsideSubgroup);
+    }
+    if (user_holds_key)
+      EXPECT_EQ(abe::serialize(*grp, sys.user("bob").key("hosp", "Med")), bob_key);
+    EXPECT_EQ(sys.owner("hosp").record(ct_id).versions.at("Med"), 1u);
+  }
 }
 
 }  // namespace

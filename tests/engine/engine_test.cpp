@@ -346,16 +346,16 @@ TEST_F(EngineTest, EnginePairUsesWarmedPrecomp) {
   EXPECT_EQ(eng.stats().precomp_builds, 1u);
   for (int i = 0; i < 3; ++i) {
     const G1 q = grp->g1_random(rng);
-    EXPECT_EQ(eng.pair(base, q).to_bytes(), grp->pair(base, q).to_bytes());
+    EXPECT_EQ(eng.pair_batch(base, {q}).front().to_bytes(), grp->pair(base, q).to_bytes());
   }
   EXPECT_EQ(eng.stats().precomp_hits, 3u);
-  EXPECT_EQ(eng.pair(base, grp->g1_identity()).to_bytes(),
+  EXPECT_EQ(eng.pair_batch(base, {grp->g1_identity()}).front().to_bytes(),
             grp->gt_one().to_bytes());
 }
 
 TEST_F(EngineTest, PairBatchMatchesAndCountsLikeSinglePairs) {
-  // The same run of pairings against one first argument, once as single
-  // pair() calls and once as one pair_batch, on fresh engines: the same
+  // The same run of pairings against one first argument, once as batches
+  // of one and once as one pair_batch, on fresh engines: the same
   // bytes and the same counts, through the line table's build at the
   // 4th use, identity items and a batch wider than one pass.
   const G1 base = grp->g1_random(rng);
@@ -364,7 +364,7 @@ TEST_F(EngineTest, PairBatchMatchesAndCountsLikeSinglePairs) {
   for (const int threads : {1, 3}) {
     CryptoEngine single(*grp, threads), batched(*grp, threads);
     std::vector<GT> want;
-    for (const G1& b : bs) want.push_back(single.pair(base, b));
+    for (const G1& b : bs) want.push_back(single.pair_batch(base, {b}).front());
     const std::vector<GT> got = batched.pair_batch(base, bs);
     ASSERT_EQ(got.size(), bs.size());
     for (size_t i = 0; i < bs.size(); ++i) EXPECT_EQ(got[i].to_bytes(), want[i].to_bytes()) << i;
@@ -376,6 +376,7 @@ TEST_F(EngineTest, PairBatchMatchesAndCountsLikeSinglePairs) {
     EXPECT_EQ(b.precomp_hits, s.precomp_hits);
     EXPECT_EQ(b.precomp_hits, 16u - 3u) << "live pairs from the table's 4th use on";
     EXPECT_EQ(b.batches, 1u);
+    EXPECT_EQ(s.batches, bs.size());
     // A warmed table serves every live pair of the next batch.
     const std::vector<GT> again = batched.pair_batch(base, bs);
     EXPECT_EQ((batched.stats() - b).precomp_hits, 16u);
@@ -429,6 +430,55 @@ TEST_F(EngineTest, MultiExpG1MatchesSerialAcrossCachePromotion) {
   const EngineStats s = eng.stats();
   EXPECT_GE(s.table_builds, 1u);
   EXPECT_GT(s.table_hits, 0u);
+}
+
+TEST_F(EngineTest, MultiExpG1CountsABaseOncePerBatch) {
+  // A base repeated 2..7 times in one batch counts one LRU use and runs
+  // in lane passes; from 8 terms it gets its table at once, which serves
+  // every term and stays cached for the next batch. Same bits as
+  // G1::mul throughout.
+  for (const size_t reps : {2, 3, 4, 5, 6, 7, 8, 9, 17}) {
+    SCOPED_TRACE(std::to_string(reps) + " terms");
+    CryptoEngine eng(*grp, 2);
+    const G1 base = grp->g1_random(rng);
+    std::vector<CryptoEngine::G1Term> terms;
+    for (size_t i = 0; i < reps; ++i) terms.push_back({base, grp->zr_random(rng)});
+    terms.push_back({grp->g1_random(rng), grp->zr_random(rng)});
+    const std::vector<G1> got = eng.multi_exp_g1(terms);
+    ASSERT_EQ(got.size(), terms.size());
+    for (size_t i = 0; i < terms.size(); ++i)
+      EXPECT_EQ(got[i].to_bytes(), terms[i].base.mul(terms[i].exp).to_bytes()) << i;
+    const uint64_t tabled = reps >= 8 ? 1 : 0;
+    EngineStats s = eng.stats();
+    EXPECT_EQ(s.g1_exps, terms.size());
+    EXPECT_EQ(s.tasks, terms.size());
+    EXPECT_EQ(s.table_builds, tabled);
+    EXPECT_EQ(s.table_hits, tabled * reps);
+    EXPECT_EQ(eng.cached_bases(), 2u);
+    // A later batch of two terms: table hits only where a table exists.
+    const std::vector<G1> again = eng.multi_exp_g1({terms[0], terms[1]});
+    EXPECT_EQ(again[1].to_bytes(), got[1].to_bytes());
+    s = eng.stats() - s;
+    EXPECT_EQ(s.table_builds, 0u);
+    EXPECT_EQ(s.table_hits, tabled * 2);
+  }
+}
+
+TEST_F(EngineTest, MultiExpG1BasePromotesOnItsFourthBatch) {
+  CryptoEngine eng(*grp, 1);
+  const G1 base = grp->g1_random(rng);
+  for (int batch = 1; batch <= 5; ++batch) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    std::vector<CryptoEngine::G1Term> terms;
+    for (int i = 0; i < 3; ++i) terms.push_back({base, grp->zr_random(rng)});
+    const EngineStats before = eng.stats();
+    const std::vector<G1> got = eng.multi_exp_g1(terms);
+    const EngineStats d = eng.stats() - before;
+    for (size_t i = 0; i < terms.size(); ++i)
+      EXPECT_EQ(got[i].to_bytes(), base.mul(terms[i].exp).to_bytes()) << i;
+    EXPECT_EQ(d.table_builds, batch == 4 ? 1u : 0u);
+    EXPECT_EQ(d.table_hits, batch >= 4 ? 3u : 0u);
+  }
 }
 
 TEST_F(EngineTest, MultiExpGtMatchesSerial) {

@@ -1,5 +1,6 @@
 // Group's same-schedule batches: pair_batch (many second arguments
-// against one line table), g1_pow_batch (many bases, one scalar),
+// against one line table), CurveCtx::mul_jac_batch and the G1 batches on
+// it (many bases, a scalar per lane), g1_pow_batch (one scalar),
 // g1_pow_with_batch_jac (fixed-base table walks), G1FixedBase's lane
 // build and g1_in_subgroup_batch (subgroup checks by r - 1). On an
 // AVX-512 IFMA host the paper curve runs them as 8-lane passes; every result must be byte-identical to the scalar call
@@ -19,6 +20,16 @@ namespace {
 using rogue::point_of;
 using rogue::random_curve_point;
 using rogue::small_order_points;
+
+/// The affine coordinates of a G1, through its uncompressed encoding.
+AffinePoint affine_of(const Group& grp, const G1& p) {
+  if (p.is_identity()) return AffinePoint::infinity();
+  const FpCtx& fq = grp.ctx().fq();
+  const Bytes b = p.to_bytes_uncompressed();
+  const ByteView v(b);
+  return {fq.from_bytes(v.subspan(0, fq.byte_length())),
+          fq.from_bytes(v.subspan(fq.byte_length(), fq.byte_length())), false};
+}
 
 void check_pair_batch(const Group& grp) {
   crypto::Drbg rng(std::string_view("pair-batch"));
@@ -99,6 +110,137 @@ TEST(G1PowBatch, RejectsElementsOfAnotherGroup) {
   const std::vector<G1> bases = {a->g1_random(rng), b->g1_random(rng)};
   EXPECT_THROW((void)a->g1_pow_batch(bases, a->zr_one()), MathError);
   EXPECT_THROW((void)a->pair_batch(*a->pair_precompute(bases[0]), bases), MathError);
+}
+
+// ------------------------------------------- G1 passes, a scalar per lane --
+
+/// The scalars of the lane kernel's edge cases: 1, 2, the window's 15,
+/// 16 and 17, powers of two across and at window edges, r - 1 (two
+/// non-zero windows) and random scalars.
+std::vector<math::Bignum> lane_scalars(const Group& grp, crypto::Drbg& rng) {
+  using math::Bignum;
+  std::vector<Bignum> ks;
+  for (const uint64_t k : {1, 2, 15, 16, 17}) ks.push_back(Bignum::from_u64(k));
+  for (const int e : {3, 4, 7, 52, 64, 107, 158, 159})
+    ks.push_back(Bignum::shl(Bignum::from_u64(1), e));
+  ks.push_back(Bignum::sub(grp.order(), Bignum::from_u64(1)));
+  for (int i = 0; i < 3; ++i) ks.push_back(grp.zr_nonzero_random(rng).value());
+  return ks;
+}
+
+/// mul_jac_batch(lf, 1, pts, ks) against mul_jac on every item, compared
+/// as points (the lanes' residues differ from mul_jac's).
+void expect_batch_matches_mul_jac(const CurveCtx& curve, const math::detail::LaneField* lf,
+                                  const std::vector<AffinePoint>& pts,
+                                  const std::vector<const math::Bignum*>& ks,
+                                  const std::string& what) {
+  const std::vector<JacPoint> got = curve.mul_jac_batch(lf, 1, pts, ks);
+  ASSERT_EQ(got.size(), pts.size()) << what;
+  for (size_t i = 0; i < pts.size(); ++i) {
+    const AffinePoint want = curve.to_affine(curve.mul_jac(pts[i], *ks[i]));
+    EXPECT_TRUE(curve.eq(curve.to_affine(got[i]), want)) << what << ", item " << i;
+  }
+}
+
+/// Subgroup points with scalars distinct per lane and repeated across
+/// lanes, for one to eight lanes, on `lf` (null for the scalar path).
+void check_lane_scalars(const Group& grp, const math::detail::LaneField* lf) {
+  crypto::Drbg rng(std::string_view("g1-lane-scalars"));
+  const CurveCtx& curve = grp.ctx().curve();
+  const std::vector<math::Bignum> ks = lane_scalars(grp, rng);
+  std::vector<AffinePoint> pts;
+  for (size_t j = 0; j < 8; ++j) pts.push_back(affine_of(grp, grp.g1_random(rng)));
+  for (size_t n = 1; n <= 8; ++n) {
+    const std::vector<AffinePoint> pass(pts.begin(), pts.begin() + static_cast<ptrdiff_t>(n));
+    for (size_t shift = 0; shift < ks.size(); ++shift) {
+      std::vector<const math::Bignum*> distinct, repeated;
+      for (size_t j = 0; j < n; ++j) {
+        distinct.push_back(&ks[(shift + 5 * j) % ks.size()]);
+        repeated.push_back(&ks[shift]);
+      }
+      const std::string what = std::to_string(n) + " lanes, shift " + std::to_string(shift);
+      expect_batch_matches_mul_jac(curve, lf, pass, distinct, what + ", distinct");
+      expect_batch_matches_mul_jac(curve, lf, pass, repeated, what + ", repeated");
+    }
+  }
+}
+
+/// The points of order 2, 3, 4 and 17 and their sums with subgroup
+/// points, each at every position of a pass of subgroup points, under
+/// every edge scalar, on `lf` (null for the scalar path).
+void check_lane_rogues(const Group& grp, const math::detail::LaneField* lf) {
+  crypto::Drbg rng(std::string_view("g1-lane-rogues"));
+  const CurveCtx& curve = grp.ctx().curve();
+  const std::vector<math::Bignum> ks = lane_scalars(grp, rng);
+  std::vector<G1> small = small_order_points(grp, rng);
+  small.push_back(rogue::point_of_order(grp, 17, rng));
+  std::vector<AffinePoint> rogues;
+  for (const G1& p : small) rogues.push_back(affine_of(grp, p));
+  for (const G1& p : small) rogues.push_back(affine_of(grp, p + grp.g1_random(rng)));
+  std::vector<AffinePoint> subgroup;
+  for (size_t j = 0; j < 8; ++j) subgroup.push_back(affine_of(grp, grp.g1_random(rng)));
+  for (size_t k = 0; k < rogues.size(); ++k) {
+    for (size_t at = 0; at < subgroup.size(); ++at) {
+      std::vector<AffinePoint> pts = subgroup;
+      pts[at] = rogues[k];
+      for (size_t s = 0; s < ks.size(); s += 3) {
+        std::vector<const math::Bignum*> lane_ks;
+        for (size_t j = 0; j < pts.size(); ++j) lane_ks.push_back(&ks[(s + j) % ks.size()]);
+        expect_batch_matches_mul_jac(curve, lf, pts, lane_ks,
+                                     "rogue " + std::to_string(k) + " at " + std::to_string(at) +
+                                         ", scalars from " + std::to_string(s));
+      }
+    }
+  }
+}
+
+TEST(G1LanePass, ScalarPerLaneMatchesMulJacOnPaperCurve) {
+  const auto grp = Group::pbc_a512();
+  check_lane_scalars(*grp, grp->ctx().fq().lanes());
+}
+
+// The test curve has no lanes (its field is not 8 limbs), so it runs
+// the same cases on the scalar path only.
+TEST(G1LanePass, ScalarPerLaneMatchesMulJacWithoutLanes) {
+  check_lane_scalars(*Group::test_small(), nullptr);
+  check_lane_scalars(*Group::pbc_a512(), nullptr);
+}
+
+TEST(G1LanePass, SmallOrderPointsAndSumsAtEveryLaneMatchMulJac) {
+  const auto grp = Group::pbc_a512();
+  check_lane_rogues(*grp, grp->ctx().fq().lanes());
+  check_lane_rogues(*grp, nullptr);
+}
+
+TEST(G1LanePass, SubgroupLanesNeverLeaveThePass) {
+  // Only a point outside the order-r subgroup can meet an exceptional
+  // step, so a pass of subgroup points hands no lane back, whatever
+  // its scalars; every lane is the point mul_jac gives.
+  const auto grp = Group::pbc_a512();
+  const math::detail::LaneField* lf = grp->ctx().fq().lanes();
+  if (lf == nullptr) GTEST_SKIP() << "no AVX-512 IFMA";
+  crypto::Drbg rng(std::string_view("g1-lane-subgroup"));
+  const CurveCtx& curve = grp->ctx().curve();
+  const std::vector<math::Bignum> ks = lane_scalars(*grp, rng);
+  for (size_t n = 1; n <= 8; ++n) {
+    std::vector<AffinePoint> pts;
+    std::vector<const math::Bignum*> lane_ks;
+    for (size_t j = 0; j < n; ++j) {
+      pts.push_back(affine_of(*grp, grp->g1_random(rng)));
+      lane_ks.push_back(&ks[(n + 3 * j) % ks.size()]);
+    }
+    std::vector<JacPoint> out(n);
+    EXPECT_EQ(curve.mul_jac_lanes(*lf, pts, lane_ks, out), 0u) << n << " lanes";
+    for (size_t j = 0; j < n; ++j)
+      EXPECT_TRUE(curve.eq(curve.to_affine(out[j]),
+                           curve.to_affine(curve.mul_jac(pts[j], *lane_ks[j]))))
+          << n << " lanes, lane " << j;
+  }
+  const math::Bignum zero;
+  std::vector<JacPoint> out(1);
+  EXPECT_THROW(curve.mul_jac_lanes(*lf, std::vector<AffinePoint>(1, affine_of(*grp, grp->g())),
+                                   std::vector<const math::Bignum*>(1, &zero), out),
+               MathError);
 }
 
 // ------------------------------------------------ fixed-base table walks --
@@ -379,16 +521,18 @@ TEST(G1SubgroupBatch, SmallOrderPointsAndTheirSumsFail) {
         << "rogue " << k;
   }
   // On the lanes, a multiply by r - 1 meets an exceptional step on every
-  // small-order point (a doubling at Y = 0, or an addition at 2^52 P =
-  // +-P), so those lanes take the scalar check; the sums do not.
+  // small-order point (a doubling at Y = 0 or a multiple at infinity
+  // while the pass builds 1P..15P, or for order 17 the addition of 8P to
+  // 8 * 16^13 P = -8P), so those lanes take the scalar path; the sums do
+  // not.
   const math::detail::LaneField* lf = grp->ctx().fq().lanes();
   if (lf == nullptr) GTEST_SKIP() << "no AVX-512 IFMA";
   const math::Bignum r_minus_1 = math::Bignum::sub(grp->order(), math::Bignum::from_u64(1));
-  const auto affine_of = [&](const G1& p) { return grp->g1_precompute(p)->entry(0, 1); };
+  const std::vector<const math::Bignum*> ks(8, &r_minus_1);
   for (size_t k = 0; k < rogues.size(); ++k) {
-    const std::vector<AffinePoint> lanes(8, affine_of(rogues[k]));
+    const std::vector<AffinePoint> lanes(8, affine_of(*grp, rogues[k]));
     std::vector<JacPoint> out(8);
-    const unsigned left = grp->ctx().curve().mul_jac_lanes(*lf, lanes, r_minus_1, out);
+    const unsigned left = grp->ctx().curve().mul_jac_lanes(*lf, lanes, ks, out);
     EXPECT_EQ(left, k < small.size() ? 0xFFu : 0u) << "rogue " << k;
   }
 }

@@ -313,14 +313,14 @@ TEST(Metrics, EngineCountersMatchEngineStats) {
   std::vector<engine::CryptoEngine::PairTerm> terms;
   for (int i = 0; i < 6; ++i) terms.push_back({hot, grp->g1_random(rng)});
   (void)eng.pairing_power_product(terms, exps);
-  // A warmed base, then a single pairing against it.
+  // A warmed base, then a pair_batch of one against it.
   const pairing::G1 warmed = grp->g1_random(rng);
   eng.warm_pair_precomp(warmed);
-  (void)eng.pair(warmed, grp->g1_random(rng));
-  // A G1 base repeated past the window-table threshold.
+  (void)eng.pair_batch(warmed, {grp->g1_random(rng)});
+  // A G1 base with enough terms in one batch to get its window table.
   std::vector<engine::CryptoEngine::G1Term> g1_terms;
   const pairing::G1 base = grp->g1_random(rng);
-  for (const pairing::Zr& e : exps) g1_terms.push_back({base, e});
+  for (size_t i = 0; i < 8; ++i) g1_terms.push_back({base, exps[i % exps.size()]});
   (void)eng.multi_exp_g1(g1_terms);
   (void)eng.multi_exp_gt({{grp->gt_random(rng), exps[0]}});
   (void)eng.g_pow_batch(exps);
@@ -330,16 +330,17 @@ TEST(Metrics, EngineCountersMatchEngineStats) {
   const Snapshot after = MetricsRegistry::global().collect();
   const engine::EngineStats delta = eng.stats() - stats_before;
   // The sequence is deterministic, so every field has an exact count.
-  // Both line tables and the G1 window table are built at their 4th use.
+  // `hot`'s line table is built at its 4th use, the G1 window table at
+  // once for its base's 8 terms.
   EXPECT_EQ(delta.pairings, 7u);        // 6 product terms + the pair
   EXPECT_EQ(delta.miller_loops, 7u);
   EXPECT_EQ(delta.final_exps, 2u);      // one for the product, one for the pair
-  EXPECT_EQ(delta.g1_exps, 12u);        // multi_exp_g1 6 + g_pow_batch 6
+  EXPECT_EQ(delta.g1_exps, 14u);        // multi_exp_g1 8 + g_pow_batch 6
   EXPECT_EQ(delta.gt_exps, 13u);        // 6 distinct-exponent folds + 1 + 6
   EXPECT_EQ(delta.batches, 6u);         // warming and parallel_for are not batches
-  EXPECT_EQ(delta.tasks, 28u);          // 6 + 6 + 1 + 6 + 6 + 3; pair counts none
+  EXPECT_EQ(delta.tasks, 31u);          // 6 + 1 + 8 + 1 + 6 + 6 + 3; the pair is one chunk
   EXPECT_EQ(delta.table_builds, 1u);
-  EXPECT_EQ(delta.table_hits, 3u);      // uses 4..6 of the G1 base
+  EXPECT_EQ(delta.table_hits, 8u);      // every term of the G1 base
   EXPECT_EQ(delta.precomp_builds, 2u);  // `hot` at its 4th use, then `warmed`
   EXPECT_EQ(delta.precomp_hits, 4u);    // uses 4..6 of `hot`, then the pair
   EXPECT_GT(delta.wall_ns, 0u);
