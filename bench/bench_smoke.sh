@@ -20,7 +20,8 @@
 #                     g1_pow_batch_speedup,
 #                     g1_table_batch_speedup,
 #                     subgroup_batch_speedup,
-#                     g1_mixed_speedup (only on AVX-512 IFMA hosts)
+#                     g1_mixed_speedup (only on AVX-512 IFMA hosts),
+#                     store_check_speedup
 #       kernel_speedup: shared-final-exponentiation kernel vs the legacy
 #       pair-then-multiply fold, each side the best of three alternating
 #       passes on the calling thread's CPU clock (a cheaper final
@@ -96,7 +97,15 @@
 #       lane); floored at 3 only when /proc/cpuinfo lists avx512ifma
 #       (elsewhere it reads ~1). The bench exits 1 when any lane differs
 #       from G1::mul, or a key update from K_x^{UK2} and in_subgroup.
-#       All thirteen are same-process ratios: host speed cancels, guarded
+#       store_check_speedup: a read-wide stored file on the paper curve
+#       (C' and ten C_i) through cloud::deserialize_stored_file vs
+#       cloud::check_stored_file, which a store runs on every write (a
+#       Legendre symbol per point, no square root), each side the best
+#       of three alternating passes on the calling thread's CPU clock
+#       (about 3x with the decode's IFMA square roots, more without
+#       them). The bench exits 1 when the two disagree on accepting the
+#       file or a copy with one point moved off the curve or flipped.
+#       All fourteen are same-process ratios: host speed cancels, guarded
 #       by an absolute floor.
 #       Also emitted, not guarded: the `substrate` object, the paper
 #       curve's per-call ladder (fq_*, zr_inv_us, lsss_reconstruct_wide_us
@@ -105,7 +114,8 @@
 #       an 11-point batch, sqrt_scalar_us and sqrt_pass_us,
 #       pair_pass_us and g1_pow_pass_us, g1_subgroup_check_us and
 #       g1_subgroup_pass_us, g1_mixed_pass_us, keygen_cold_us and
-#       key_update_us, the pairing and exponentiation rungs)
+#       key_update_us, fq_legendre_us, stored_file_decode_us and
+#       stored_file_check_us, the pairing and exponentiation rungs)
 #       whatever MAABE_BENCH_SMALL says;
 #       host-speed dependent, so it is read by bench/fig_tables.py, not
 #       floored here.
@@ -164,6 +174,7 @@ export MAABE_BENCH_SMALL=1
 "$GUARD" floor BENCH_pairing_micro.json field_kernel_speedup 1.5
 "$GUARD" floor BENCH_pairing_micro.json merge_speedup 2.5
 "$GUARD" floor BENCH_pairing_micro.json inv_kernel_speedup 2.5
+"$GUARD" floor BENCH_pairing_micro.json store_check_speedup 2
 if grep -qw adx /proc/cpuinfo 2>/dev/null && grep -qw bmi2 /proc/cpuinfo; then
   "$GUARD" floor BENCH_pairing_micro.json adx_kernel_speedup 1.15
 fi

@@ -56,6 +56,7 @@ SUBSTRATE_ROWS = [
     ("fq_mul_ns", "F_q mul", "ns"),
     ("fq_sqr_ns", "F_q square", "ns"),
     ("fq_inv_us", "F_q inverse (binary ext-gcd)", "us"),
+    ("fq_legendre_us", "F_q Legendre symbol (binary gcd)", "us"),
     ("g1_decode_us", "G1 decode (square root by (q+1)/4)", "us"),
     ("g1_decode_batch_us", "G1 decode, per point of an 11-point batch", "us"),
     ("sqrt_scalar_us", "square root by (q+1)/4, scalar", "us"),
@@ -71,6 +72,8 @@ SUBSTRATE_ROWS = [
     ("g1_mixed_pass_us", "8 G1 multiplies by 8 distinct scalars, one 8-lane IFMA pass", "us"),
     ("keygen_cold_us", "KeyGen, 5 attributes, never-seen PK_UID (median)", "us"),
     ("key_update_us", "key update, 5 attributes, UK1 check included (median)", "us"),
+    ("stored_file_decode_us", "read-wide stored file (11 points), decode", "us"),
+    ("stored_file_check_us", "read-wide stored file (11 points), store check", "us"),
     ("zr_inv_us", "Z_r inverse (160-bit r, 3 limbs)", "us"),
     ("lsss_reconstruct_wide_us", "LSSS solve, AND of 10 (n_A=2)", "us"),
     ("lsss_reconstruct_fig3_us", "LSSS solve, Fig. 3 right end (n_A=10, l=50)", "us"),

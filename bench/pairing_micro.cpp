@@ -17,6 +17,7 @@
 #include "bench_common.h"
 #include "bench_json.h"
 #include "abe/scheme.h"
+#include "cloud/hybrid.h"
 #include "engine/engine.h"
 #include "common/errors.h"
 #include "crypto/kernels.h"
@@ -674,6 +675,78 @@ SubgroupBatch subgroup_batch_report(const pairing::Group& grp) {
 /// apply_update_to_secret_key on a 5-attribute key (one pass of five
 /// K_x^{UK2} and UK1's subgroup check). Exits 1 when a lane differs from
 /// G1::mul, an updated K_x from K_x^{UK2}, or UK1 fails in_subgroup.
+/// A read-wide stored file on the paper curve (one slot: the AND of ten
+/// attributes over two authorities, so C' and ten C_i) decoded by
+/// cloud::deserialize_stored_file against checked by
+/// cloud::check_stored_file (a Legendre symbol per point, no square
+/// root), each side the best of three alternating passes on the calling
+/// thread's CPU clock. Exits 1 when the two disagree on accepting the
+/// file or any copy with one point's x moved off the curve or one byte
+/// of one point flipped.
+KernelPair store_check_report(const pairing::Group& grp) {
+  crypto::Drbg rng(std::string_view("micro-store-check"));
+  const abe::OwnerMasterKey mk = abe::owner_gen(grp, "owner", rng);
+  std::map<std::string, abe::AuthorityPublicKey> apks;
+  std::map<std::string, abe::PublicAttributeKey> attr_pks;
+  for (int k = 0; k < 2; ++k) {
+    const abe::AuthorityVersionKey vk = abe::aa_setup(grp, aid_of(k), rng);
+    apks.emplace(aid_of(k), abe::aa_public_key(grp, vk));
+    for (int j = 0; j < 5; ++j) {
+      const abe::PublicAttributeKey pk = abe::aa_attribute_key(grp, vk, attr_name(j));
+      attr_pks.emplace(pk.attr.qualified(), pk);
+    }
+  }
+  const pairing::GT seed = grp.gt_random(rng);
+  const std::string ct_id = cloud::slot_ct_id("f", "body");
+  const abe::EncryptionResult enc =
+      abe::encrypt(grp, mk, ct_id, seed, full_and_policy(2, 5), apks, attr_pks, rng);
+  cloud::StoredFile file{"f", mk.owner_id, {}};
+  file.slots.push_back({"body", enc.ct,
+                        crypto::seal(cloud::content_key_from_gt(seed), rng.bytes(256),
+                                     cloud::slot_aad("f", "body"), rng)});
+  const Bytes wire = cloud::serialize(grp, file);
+
+  const KernelPair out = time_kernel_pair(
+      5, [&] { benchmark::DoNotOptimize(cloud::deserialize_stored_file(grp, wire)); },
+      [&] { benchmark::DoNotOptimize(cloud::check_stored_file(grp, wire)); });
+
+  const auto accepts = [&](const auto& fn) {
+    try {
+      fn();
+    } catch (const WireError&) {
+      return false;
+    }
+    return true;
+  };
+  Bytes off_curve;
+  for (uint64_t x = 1; off_curve.empty(); ++x) {
+    Bytes enc_x = math::Bignum::from_u64(x).to_bytes_be(grp.g1_size() - 1);
+    enc_x.push_back(0);
+    if (!accepts([&] { (void)grp.g1_from_bytes(enc_x); })) off_curve = enc_x;
+  }
+  std::vector<Bytes> cases = {wire};
+  std::vector<pairing::G1> points = {enc.ct.c_prime};
+  points.insert(points.end(), enc.ct.ci.begin(), enc.ct.ci.end());
+  for (const pairing::G1& p : points) {
+    const Bytes enc_p = p.to_bytes();
+    const auto at = std::search(wire.begin(), wire.end(), enc_p.begin(), enc_p.end()) - wire.begin();
+    Bytes moved = wire;
+    std::copy(off_curve.begin(), off_curve.end(), moved.begin() + at);
+    cases.push_back(moved);
+    Bytes flipped = wire;
+    flipped[static_cast<size_t>(at) + 7] ^= 0x5a;
+    cases.push_back(flipped);
+  }
+  for (const Bytes& c : cases) {
+    if (accepts([&] { (void)cloud::deserialize_stored_file(grp, c); }) !=
+        accepts([&] { (void)cloud::check_stored_file(grp, c); })) {
+      std::fprintf(stderr, "pairing_micro: stored-file check and decode disagree\n");
+      std::exit(1);
+    }
+  }
+  return out;
+}
+
 struct LaneMix {
   KernelPair mixed;
   double pass_us = 0;
@@ -1058,6 +1131,7 @@ void engine_batch_report() {
   const TableWalk table_walk = table_walk_report(*paper_grp);
   const SubgroupBatch subgroup_batch = subgroup_batch_report(*paper_grp);
   const LaneMix lane_mix = lane_mix_report(*paper_grp);
+  const KernelPair store_check = store_check_report(*paper_grp);
   const bool ifma = math::detail::ifma_kernel_available();
   // Decrypt's LSSS solver on Z_r (3 limbs): the full attribute set of the
   // read-wide policy (AND of 10, n_A = 2) and of Fig. 3's right end
@@ -1076,6 +1150,7 @@ void engine_batch_report() {
       .put("fq_mul_ns", 1e3 * best_us(2000, [&] { fe = pfq.mul(fe, pb); }))
       .put("fq_sqr_ns", 1e3 * best_us(2000, [&] { fe = pfq.sqr(fe); }))
       .put("fq_inv_us", best_us(20, [&] { fe = pfq.inv(fe); }))
+      .put("fq_legendre_us", best_us(20, [&] { benchmark::DoNotOptimize(pfq.legendre(fe)); }))
       .put("g1_decode_us", g1_decode_us)
       .put("g1_decode_batch_us", g1_decode_batch_us)
       .put("sqrt_scalar_us", sqrt_batch.scalar_us)
@@ -1091,6 +1166,8 @@ void engine_batch_report() {
       .put("g1_mixed_pass_us", lane_mix.pass_us)
       .put("keygen_cold_us", lane_mix.keygen_cold_us)
       .put("key_update_us", lane_mix.key_update_us)
+      .put("stored_file_decode_us", store_check.portable_us)
+      .put("stored_file_check_us", store_check.dispatched_us)
       .put("zr_inv_us", best_us(20, [&] { benchmark::DoNotOptimize(zk.inverse()); }))
       .put("lsss_reconstruct_wide_us", lsss_wide_us)
       .put("lsss_reconstruct_fig3_us", lsss_fig3_us)
@@ -1148,6 +1225,9 @@ void engine_batch_report() {
               lane_mix.keygen_cold_us, lane_mix.key_update_us);
   std::printf("  LSSS solve, AND-10  : %8.1f us   (n_A=10, l=50: %.1f us)\n", lsss_wide_us,
               lsss_fig3_us);
+  std::printf("  read-wide file, decode: %6.1f us\n", store_check.portable_us);
+  std::printf("  read-wide file, check : %6.1f us   speedup %.2fx\n", store_check.dispatched_us,
+              store_check.speedup());
 
   const SymmetricKernels sym = symmetric_kernel_report();
   std::printf("\n4 KiB symmetric kernels (best of 3 passes, thread CPU time):\n");
@@ -1235,6 +1315,7 @@ void engine_batch_report() {
       .put("g1_mixed_scalar_us", lane_mix.mixed.portable_us)
       .put("g1_mixed_dispatched_us", lane_mix.mixed.dispatched_us)
       .put("g1_mixed_speedup", lane_mix.mixed.speedup())
+      .put("store_check_speedup", store_check.speedup())
       .put("substrate", substrate)
       .put("merge_terms", dec_terms.size())
       .put("merge_per_term_ms", per_term_ms)

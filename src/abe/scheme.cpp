@@ -138,29 +138,26 @@ EncryptionResult encrypt(const Group& grp, const OwnerMasterKey& mk,
   const Zr beta_s = mk.beta * s;
 
   // C_i = g^{r*lambda_i} * PK_{rho(i)}^{-beta*s}: validate and collect
-  // the per-row exponents serially, then submit both batches. The
-  // g-powers batch also carries C' = g^{beta*s}, as its last exponent.
-  std::vector<Zr> gen_exps;
-  std::vector<CryptoEngine::G1Term> pk_terms;
-  gen_exps.reserve(policy.rows() + 1);
-  pk_terms.reserve(policy.rows());
-  for (int i = 0; i < policy.rows(); ++i) {
-    const Attribute& attr = policy.row_attribute(i);
+  // the per-row exponents serially, then submit one batch: the l
+  // g-powers, C' = g^{beta*s}, then the l PK-powers. Its g terms walk
+  // g's table and the PK terms their cached ones, in shared passes.
+  const size_t l = static_cast<size_t>(policy.rows());
+  std::vector<CryptoEngine::G1Term> terms(2 * l + 1, {grp.g(), beta_s});
+  for (size_t i = 0; i < l; ++i) {
+    const Attribute& attr = policy.row_attribute(static_cast<int>(i));
     const PublicAttributeKey& pk = require_attribute_pk(attribute_pks, attr.qualified());
     if (pk.version != ct.versions.at(attr.aid))
       throw SchemeError("encrypt: attribute key version mismatch for '" +
                         attr.qualified() + "'");
-    gen_exps.push_back(mk.r * lambda[i]);
-    pk_terms.push_back({pk.key, beta_s});
+    terms[i].exp = mk.r * lambda[i];
+    terms[l + 1 + i].base = pk.key;
   }
-  gen_exps.push_back(beta_s);
-  const std::vector<G1> gen_parts = eng.g_pow_batch(gen_exps);
-  ct.c_prime = gen_parts.back();
-  const std::vector<G1> pk_parts = eng.multi_exp_g1(pk_terms);
+  const std::vector<G1> parts = eng.multi_exp_g1(terms);
+  ct.c_prime = parts[l];
   // All l differences go to affine with one inversion.
   std::vector<std::vector<G1>> pairs;
-  pairs.reserve(policy.rows());
-  for (int i = 0; i < policy.rows(); ++i) pairs.push_back({gen_parts[i], pk_parts[i].neg()});
+  pairs.reserve(l);
+  for (size_t i = 0; i < l; ++i) pairs.push_back({parts[i], parts[l + 1 + i].neg()});
   ct.ci = grp.g1_sums(pairs);
 
   EncryptionRecord record = record_of(ct, s);

@@ -281,7 +281,13 @@ Bytes serialize(const Group& grp, const Ciphertext& v) {
   return w.take();
 }
 
-Ciphertext deserialize_ciphertext(const Group& grp, ByteView data) {
+namespace {
+
+/// The one walk of a serialized Ciphertext: every structural check and
+/// every field but the points, whose views it appends to `points` (C',
+/// then each C_i). Its two ends decode the points
+/// (deserialize_ciphertexts) or only check them (check_ciphertexts).
+Ciphertext walk_ciphertext(const Group& grp, ByteView data, std::vector<ByteView>& points) {
   Reader r(data);
   expect_tag(r, kCiphertext, "Ciphertext");
   Ciphertext v;
@@ -289,20 +295,44 @@ Ciphertext deserialize_ciphertext(const Group& grp, ByteView data) {
   v.owner_id = r.str();
   v.policy = lsss::LsssMatrix::deserialize(r);
   v.c = get_gt(grp, r);
-  std::vector<ByteView> points = {g1_view(grp, r)};  // C', then each C_i
+  const ByteView c_prime = g1_view(grp, r);
   const uint32_t rows = r.u32();
   if (rows != static_cast<uint32_t>(v.policy.rows()))
     throw WireError("deserialize: ciphertext row count mismatch");
-  points.reserve(rows + 1);
+  points.push_back(c_prime);
   for (uint32_t i = 0; i < rows; ++i) points.push_back(g1_view(grp, r));
   v.versions = get_versions(r);
   r.expect_done();
+  return v;
+}
+
+}  // namespace
+
+std::vector<Ciphertext> deserialize_ciphertexts(const Group& grp, std::span<const ByteView> data) {
+  std::vector<Ciphertext> out;
+  std::vector<ByteView> points;
+  out.reserve(data.size());
+  for (const ByteView d : data) out.push_back(walk_ciphertext(grp, d, points));
   // Every structural check has passed: the square roots run as one batch.
   std::vector<G1> decoded = grp.g1_from_bytes_batch(points);
-  v.c_prime = std::move(decoded.front());
-  v.ci.assign(std::make_move_iterator(decoded.begin() + 1),
-              std::make_move_iterator(decoded.end()));
-  return v;
+  auto next = std::make_move_iterator(decoded.begin());
+  for (Ciphertext& v : out) {
+    v.c_prime = *next++;
+    const auto rows = static_cast<ptrdiff_t>(v.policy.rows());
+    v.ci.assign(next, next + rows);
+    next += rows;
+  }
+  return out;
+}
+
+Ciphertext deserialize_ciphertext(const Group& grp, ByteView data) {
+  return std::move(deserialize_ciphertexts(grp, std::span(&data, 1)).front());
+}
+
+void check_ciphertexts(const Group& grp, std::span<const ByteView> data) {
+  std::vector<ByteView> points;
+  for (const ByteView d : data) walk_ciphertext(grp, d, points);
+  grp.g1_check_encodings(points);
 }
 
 std::string ciphertext_owner_id(ByteView data) {

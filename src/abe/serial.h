@@ -52,7 +52,16 @@ Bytes serialize(const pairing::Group& grp, const UserSecretKey& v);
 UserSecretKey deserialize_user_secret_key(const pairing::Group& grp, ByteView data);
 
 Bytes serialize(const pairing::Group& grp, const Ciphertext& v);
+/// Every ciphertext's fields, then all their points as one
+/// Group::g1_from_bytes_batch. A batch of one is deserialize_ciphertext.
+std::vector<Ciphertext> deserialize_ciphertexts(const pairing::Group& grp,
+                                                std::span<const ByteView> data);
 Ciphertext deserialize_ciphertext(const pairing::Group& grp, ByteView data);
+/// Throws exactly the WireError deserialize_ciphertexts would throw on
+/// the same input, and decodes no point: the same walk, then every
+/// point through Group::g1_check_encodings (a Legendre symbol each, no
+/// square root).
+void check_ciphertexts(const pairing::Group& grp, std::span<const ByteView> data);
 /// The owner id of a serialized Ciphertext, read after its tag and id
 /// without decoding the rest. Throws WireError on a wrong tag or a
 /// truncated prefix.

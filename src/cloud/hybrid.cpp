@@ -72,12 +72,46 @@ SealedSlot decode_slot(const pairing::Group& grp, const SlotView& slot) {
           Bytes(slot.sealed_data.begin(), slot.sealed_data.end())};
 }
 
+namespace {
+
+/// Every slot's key ciphertext bytes across the views, in order.
+std::vector<ByteView> key_cts(const std::vector<StoredFileView>& views) {
+  std::vector<ByteView> cts;
+  for (const StoredFileView& view : views)
+    for (const SlotView& slot : view.slots) cts.push_back(slot.key_ct);
+  return cts;
+}
+
+}  // namespace
+
+std::vector<StoredFile> deserialize_stored_files(const pairing::Group& grp,
+                                                 std::span<const ByteView> wires) {
+  std::vector<StoredFileView> views;
+  views.reserve(wires.size());
+  for (const ByteView wire : wires) views.push_back(view_stored_file(wire));
+  std::vector<abe::Ciphertext> cts = abe::deserialize_ciphertexts(grp, key_cts(views));
+  std::vector<StoredFile> out;
+  out.reserve(views.size());
+  auto ct = cts.begin();
+  for (StoredFileView& view : views) {
+    StoredFile& v = out.emplace_back(
+        StoredFile{std::move(view.file_id), std::move(view.owner_id), {}});
+    v.slots.reserve(view.slots.size());
+    for (const SlotView& slot : view.slots)
+      v.slots.push_back({slot.component_name, std::move(*ct++),
+                         Bytes(slot.sealed_data.begin(), slot.sealed_data.end())});
+  }
+  return out;
+}
+
 StoredFile deserialize_stored_file(const pairing::Group& grp, ByteView data) {
-  StoredFileView view = view_stored_file(data);
-  StoredFile v{std::move(view.file_id), std::move(view.owner_id), {}};
-  v.slots.reserve(view.slots.size());
-  for (const SlotView& slot : view.slots) v.slots.push_back(decode_slot(grp, slot));
-  return v;
+  return std::move(deserialize_stored_files(grp, std::span(&data, 1)).front());
+}
+
+StoredFileView check_stored_file(const pairing::Group& grp, ByteView data) {
+  std::vector<StoredFileView> views{view_stored_file(data)};
+  abe::check_ciphertexts(grp, key_cts(views));
+  return std::move(views.front());
 }
 
 }  // namespace maabe::cloud

@@ -14,7 +14,8 @@
 //
 // A stored file's wire form can be walked without decoding a point
 // (view_stored_file): a reader keys its decrypt cache on each slot's
-// bytes and decodes only the slots it must decrypt (decode_slot).
+// bytes and decodes only the slots it must decrypt (decode_slot), and a
+// store checks every point without decoding it (check_stored_file).
 #pragma once
 
 #include "abe/types.h"
@@ -76,11 +77,19 @@ Bytes serialize(const pairing::Group& grp, const StoredFile& v);
 /// tag, every length and count, that nothing trails, and that each
 /// slot's ciphertext names the file's owner. Throws WireError.
 StoredFileView view_stored_file(ByteView data);
+/// view_stored_file, then abe::check_ciphertexts on every slot: throws
+/// exactly the WireError deserialize_stored_file would throw, and
+/// decodes no point. Returns the view. What a store runs on a write.
+StoredFileView check_stored_file(const pairing::Group& grp, ByteView data);
 /// Decodes one walked slot (abe::deserialize_ciphertext on its key_ct).
 SealedSlot decode_slot(const pairing::Group& grp, const SlotView& slot);
-/// view_stored_file, then decode_slot on every slot. The encoding is
-/// canonical: serialize(grp, deserialize_stored_file(grp, w)) == w for
-/// every accepted w, so a slot's wire bytes identify its decoded value.
+/// view_stored_file on every wire, then every slot's ciphertext with
+/// all their points in one abe::deserialize_ciphertexts.
+std::vector<StoredFile> deserialize_stored_files(const pairing::Group& grp,
+                                                 std::span<const ByteView> wires);
+/// deserialize_stored_files of one. The encoding is canonical:
+/// serialize(grp, deserialize_stored_file(grp, w)) == w for every
+/// accepted w, so a slot's wire bytes identify its decoded value.
 StoredFile deserialize_stored_file(const pairing::Group& grp, ByteView data);
 /// The file id of a serialized StoredFile, read without decoding its slots.
 std::string stored_file_id(ByteView data);

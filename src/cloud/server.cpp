@@ -45,32 +45,34 @@ size_t CloudServer::shard_of(const std::string& file_id) const {
 
 namespace {
 
-void check_storable(const StoredFile& file) {
-  if (file.file_id.empty()) throw SchemeError("CloudServer: empty file id");
-  if (file.owner_id.empty())
-    throw SchemeError("CloudServer: file '" + file.file_id +
+void check_storable(const std::string& file_id, const std::string& owner_id) {
+  if (file_id.empty()) throw SchemeError("CloudServer: empty file id");
+  if (owner_id.empty())
+    throw SchemeError("CloudServer: file '" + file_id +
                       "' has empty owner id (would escape revocation)");
 }
 
-std::shared_ptr<const StoredFile> parse(const pairing::Group& grp, ByteView wire) {
-  auto file = std::make_shared<const StoredFile>(deserialize_stored_file(grp, wire));
-  check_storable(*file);
-  return file;
+/// check_stored_file, then the store's own rules on the view.
+StoredFileView check(const pairing::Group& grp, ByteView wire) {
+  StoredFileView view = check_stored_file(grp, wire);
+  check_storable(view.file_id, view.owner_id);
+  return view;
 }
 
 }  // namespace
 
 void CloudServer::store(StoredFile file) {
-  check_storable(file);
-  Bytes wire = serialize(*grp_, file);
+  check_storable(file.file_id, file.owner_id);
+  auto wire = std::make_shared<const Bytes>(serialize(*grp_, file));
   Shard& sh = shards_[shard_of(file.file_id)];
   auto snapshot = std::make_shared<const StoredFile>(std::move(file));
   std::unique_lock lk(sh.mu);
   const auto [it, inserted] = sh.files.try_emplace(snapshot->file_id);
   Entry& e = it->second;
-  if (inserted) e.hash = crypto::Sha256::digest(wire);
-  e.file = std::move(snapshot);
+  if (inserted) e.hash = crypto::Sha256::digest(*wire);
   e.wire = std::move(wire);
+  e.owner_id = snapshot->owner_id;
+  e.file = std::move(snapshot);
   m_.stores->inc();
 }
 
@@ -81,13 +83,38 @@ bool CloudServer::has_file(const std::string& file_id) const {
 }
 
 std::shared_ptr<const StoredFile> CloudServer::fetch(const std::string& file_id) const {
-  const Shard& sh = shards_[shard_of(file_id)];
-  std::shared_lock lk(sh.mu);
-  const auto it = sh.files.find(file_id);
-  if (it == sh.files.end())
-    throw SchemeError("CloudServer: no file '" + file_id + "'");
-  m_.fetches->inc();
-  return it->second.file;
+  const size_t s = shard_of(file_id);
+  std::vector<Pick> pick;
+  {
+    std::shared_lock lk(shards_[s].mu);
+    const auto it = shards_[s].files.find(file_id);
+    if (it == shards_[s].files.end())
+      throw SchemeError("CloudServer: no file '" + file_id + "'");
+    m_.fetches->inc();
+    pick.push_back({s, file_id, it->second.wire, it->second.file});
+  }
+  decode(pick);
+  return pick.front().file;
+}
+
+void CloudServer::decode(std::vector<Pick>& picks) const {
+  std::vector<Pick*> undecoded;
+  std::vector<ByteView> wires;
+  for (Pick& p : picks) {
+    if (p.file) continue;
+    undecoded.push_back(&p);
+    wires.push_back(*p.wire);
+  }
+  if (undecoded.empty()) return;
+  std::vector<StoredFile> files = deserialize_stored_files(*grp_, wires);
+  for (size_t i = 0; i < undecoded.size(); ++i) {
+    Pick& p = *undecoded[i];
+    p.file = std::make_shared<const StoredFile>(std::move(files[i]));
+    std::unique_lock lk(shards_[p.shard].mu);
+    const auto it = shards_[p.shard].files.find(p.file_id);
+    if (it != shards_[p.shard].files.end() && it->second.wire == p.wire && !it->second.file)
+      it->second.file = p.file;
+  }
 }
 
 FetchReply CloudServer::copy(const std::string& file_id) const {
@@ -101,7 +128,7 @@ FetchReply CloudServer::peek(const std::string& file_id) const {
   std::shared_lock lk(sh.mu);
   const auto it = sh.files.find(file_id);
   if (it == sh.files.end()) return FetchReply{};
-  return FetchReply{true, it->second.version, it->second.hash, it->second.wire};
+  return FetchReply{true, it->second.version, it->second.hash, *it->second.wire};
 }
 
 uint64_t CloudServer::version_of(const std::string& file_id) const {
@@ -112,32 +139,34 @@ uint64_t CloudServer::version_of(const std::string& file_id) const {
 }
 
 bool CloudServer::apply(ReplicationOp op) {
-  auto file = parse(*grp_, op.wire);
-  if (file->file_id != op.file_id)
+  StoredFileView view = check(*grp_, op.wire);
+  if (view.file_id != op.file_id)
     throw SchemeError("CloudServer: replication op for '" + op.file_id +
-                      "' carries file '" + file->file_id + "'");
+                      "' carries file '" + view.file_id + "'");
   Shard& sh = shards_[shard_of(op.file_id)];
   std::unique_lock lk(sh.mu);
   const auto [it, inserted] = sh.files.try_emplace(op.file_id);
   Entry& e = it->second;
   if (!inserted) {
     if (op.version < e.version) return false;
-    if (op.version == e.version && crypto::Sha256::digest(e.wire) == op.hash)
+    if (op.version == e.version && crypto::Sha256::digest(*e.wire) == op.hash)
       return false;  // converged
   }
-  e = Entry{std::move(file), std::move(op.wire), op.version, std::move(op.hash)};
+  e = Entry{std::make_shared<const Bytes>(std::move(op.wire)), op.version, std::move(op.hash),
+            std::move(view.owner_id), nullptr};
   m_.stores->inc();
   return true;
 }
 
 ReplicationOp CloudServer::apply_next(Bytes wire) {
-  auto file = parse(*grp_, wire);
-  ReplicationOp op{file->file_id, 0, crypto::Sha256::digest(wire), wire};
+  StoredFileView view = check(*grp_, wire);
+  ReplicationOp op{std::move(view.file_id), 0, crypto::Sha256::digest(wire), wire};
   Shard& sh = shards_[shard_of(op.file_id)];
   std::unique_lock lk(sh.mu);
   Entry& e = sh.files[op.file_id];
   op.version = e.version + 1;
-  e = Entry{std::move(file), std::move(wire), op.version, op.hash};
+  e = Entry{std::make_shared<const Bytes>(std::move(wire)), op.version, op.hash,
+            std::move(view.owner_id), nullptr};
   m_.stores->inc();
   return op;
 }
@@ -153,7 +182,7 @@ Bytes CloudServer::snapshot() const {
   for (const auto& [id, e] : entries) {
     w.str(id);
     w.u64(e.version);
-    w.var_bytes(e.wire);
+    w.var_bytes(*e.wire);
   }
   return w.take();
 }
@@ -193,34 +222,39 @@ CloudServer::StagedEpoch CloudServer::stage(const abe::UpdateKey& uk,
                         ui.ct_id + "'");
   }
 
-  // ---- Stage: select affected files under shard read locks and deep-
-  // copy them. All re-encryption below mutates only these private
-  // copies, so any failure leaves the store byte-identical.
+  // ---- Stage: pick the owner's revisions under shard read locks,
+  // decode the undecoded ones as one batch, then select the affected
+  // files and deep-copy them. All re-encryption below mutates only
+  // these private copies, so any failure leaves the store
+  // byte-identical.
   StagedEpoch epoch;
   epoch.start_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-  std::vector<StagedFile>& staged = epoch.files;
+  std::vector<Pick> picks;
   for (size_t s = 0; s < shards_.size(); ++s) {
     std::shared_lock lk(shards_[s].mu);
-    for (const auto& [file_id, entry] : shards_[s].files) {
-      const StoredFile& file = *entry.file;
-      if (file.owner_id != uk.owner_id) continue;
-      std::vector<size_t> slots;
-      for (size_t i = 0; i < file.slots.size(); ++i) {
-        const abe::Ciphertext& ct = file.slots[i].key_ct;
-        const auto ver = ct.versions.find(uk.aid);
-        if (ver == ct.versions.end() || ver->second != uk.from_version) continue;
-        if (!by_ct.contains(ct.id))
-          throw SchemeError("CloudServer: missing update info for ciphertext '" +
-                            ct.id + "'");
-        slots.push_back(i);
-      }
-      if (slots.empty()) continue;
-      staged.push_back({s, entry.file, std::make_shared<StoredFile>(file),
-                        std::move(slots)});
+    for (const auto& [file_id, entry] : shards_[s].files)
+      if (entry.owner_id == uk.owner_id) picks.push_back({s, file_id, entry.wire, entry.file});
+  }
+  decode(picks);
+  std::vector<StagedFile>& staged = epoch.files;
+  for (const Pick& pick : picks) {
+    const StoredFile& file = *pick.file;
+    std::vector<size_t> slots;
+    for (size_t i = 0; i < file.slots.size(); ++i) {
+      const abe::Ciphertext& ct = file.slots[i].key_ct;
+      const auto ver = ct.versions.find(uk.aid);
+      if (ver == ct.versions.end() || ver->second != uk.from_version) continue;
+      if (!by_ct.contains(ct.id))
+        throw SchemeError("CloudServer: missing update info for ciphertext '" +
+                          ct.id + "'");
+      slots.push_back(i);
     }
+    if (slots.empty()) continue;
+    staged.push_back({pick.shard, pick.wire, std::make_shared<StoredFile>(file),
+                      std::move(slots)});
   }
   if (staged.empty()) {
     if (stage_span.active()) stage_span.attr("outcome", "empty");
@@ -283,9 +317,10 @@ size_t CloudServer::commit(StagedEpoch epoch) {
     Shard& sh = shards_[sf.shard];
     std::unique_lock lk(sh.mu);
     const auto it = sh.files.find(sf.staged->file_id);
-    if (it == sh.files.end() || it->second.file != sf.original) continue;
+    if (it == sh.files.end() || it->second.wire != sf.original) continue;
     Entry& e = it->second;
-    e = Entry{sf.staged, std::move(wire), e.version + 1, std::move(hash)};
+    e = Entry{std::make_shared<const Bytes>(std::move(wire)), e.version + 1, std::move(hash),
+              std::move(e.owner_id), sf.staged};
     committed += sf.slot_indices.size();
   }
   m_.epochs_committed->inc();
@@ -338,14 +373,16 @@ void CloudServer::abort_all_staged() {
 size_t CloudServer::storage_bytes() const { return stats().bytes; }
 
 size_t CloudServer::ciphertext_group_material_bytes() const {
-  size_t total = 0;
-  for (const Shard& sh : shards_) {
-    std::shared_lock lk(sh.mu);
-    for (const auto& [id, entry] : sh.files) {
-      for (const SealedSlot& slot : entry.file->slots)
-        total += abe::ciphertext_group_material_bytes(*grp_, slot.key_ct);
-    }
+  std::vector<Pick> picks;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    std::shared_lock lk(shards_[s].mu);
+    for (const auto& [id, entry] : shards_[s].files) picks.push_back({s, id, entry.wire, entry.file});
   }
+  decode(picks);
+  size_t total = 0;
+  for (const Pick& pick : picks)
+    for (const SealedSlot& slot : pick.file->slots)
+      total += abe::ciphertext_group_material_bytes(*grp_, slot.key_ct);
   return total;
 }
 
@@ -354,7 +391,7 @@ ServerStats CloudServer::stats() const {
   for (const Shard& sh : shards_) {
     std::shared_lock lk(sh.mu);
     out.files += sh.files.size();
-    for (const auto& [id, entry] : sh.files) out.bytes += entry.wire.size();
+    for (const auto& [id, entry] : sh.files) out.bytes += entry.wire->size();
   }
   out.stores = m_.stores->value();
   out.fetches = m_.fetches->value();

@@ -7,15 +7,22 @@
 //
 // Concurrency model (DESIGN.md §9): the store is split into N shards by
 // hash of file_id, each guarded by its own std::shared_mutex. fetch()
-// returns an immutable snapshot (shared_ptr<const StoredFile>) taken
-// under the shard's read lock, so readers are never invalidated by a
-// concurrent store() or reencrypt(). Writers lock only their shard, so
-// re-encryption of one owner's files never blocks reads of unrelated
-// shards. Each entry is a replica record — parsed file, kept bytes,
-// version and recorded hash of one revision — read and written under
-// one shard lock, so no reader pairs a version with another revision's
-// bytes. Versioned writes keep the bytes they received; only store()
-// and an epoch commit serialize.
+// returns an immutable snapshot (shared_ptr<const StoredFile>) of the
+// revision kept at the time of the call, so readers are never
+// invalidated by a concurrent store() or reencrypt(). Writers lock only
+// their shard, so re-encryption of one owner's files never blocks reads
+// of unrelated shards. Each entry is a replica record — kept bytes,
+// version, recorded hash and owner of one revision — read and written
+// under one shard lock, so no reader pairs a version with another
+// revision's bytes. Versioned writes keep the bytes they received;
+// only store() and an epoch commit serialize.
+//
+// A versioned write checks every point of the file it keeps
+// (check_stored_file: a Legendre symbol per point) and decodes none.
+// A revision is decoded once, as a batch with the owner's other
+// undecoded revisions, when an epoch first stages it, or when fetch()
+// asks for it; the decode stays on the entry until the next write
+// (DESIGN.md §27).
 //
 // Revocation is a failure-atomic epoch in two steps: staging builds
 // re-encrypted copies of every affected ciphertext off to the side
@@ -85,7 +92,8 @@ class CloudServer {
 
   bool has_file(const std::string& file_id) const;
 
-  /// Immutable snapshot of the file at the time of the call. The
+  /// Immutable snapshot of the file at the time of the call, decoded
+  /// now unless a stage or an earlier fetch decoded this revision. The
   /// snapshot stays valid (and unchanged) however many store() /
   /// reencrypt() calls race with the reader.
   std::shared_ptr<const StoredFile> fetch(const std::string& file_id) const;
@@ -102,9 +110,12 @@ class CloudServer {
   /// than the kept revision, or the same version while the kept bytes'
   /// hash differs from op.hash (corruption repair); older ops are
   /// ignored, so replays are idempotent. Returns whether it applied.
+  /// Throws (WireError from check_stored_file, SchemeError for an empty
+  /// id or owner or another file's bytes) before the store changes.
   bool apply(ReplicationOp op);
   /// Coordinator write: keeps `wire` as the kept version + 1 under its
-  /// own hash; returns that revision as the op to fan out.
+  /// own hash; returns that revision as the op to fan out. Checks the
+  /// bytes as apply does.
   ReplicationOp apply_next(Bytes wire);
 
   /// Canonical bytes of the store: sorted (file_id, version, kept
@@ -128,8 +139,9 @@ class CloudServer {
   // stored file counts in no epochs_* stat. An unknown id is "not held",
   // never an error.
 
-  /// Runs the staging pass (select + deep-copy + re-encrypt into private
-  /// copies) and holds the result under `epoch_id`. Throws SchemeError
+  /// Runs the staging pass (decode the owner's undecoded revisions,
+  /// select + deep-copy + re-encrypt into private copies) and holds the
+  /// result under `epoch_id`. Throws SchemeError
   /// on protocol violations or a held id, and propagates re-encryption
   /// failures; either way the ledger and the store are unchanged.
   void stage_reencrypt(uint64_t epoch_id, const abe::UpdateKey& uk,
@@ -171,18 +183,32 @@ class CloudServer {
 
  private:
   struct Entry {
-    std::shared_ptr<const StoredFile> file;
-    Bytes wire;  ///< serialize(*file), as received or serialized once
+    /// The revision's bytes, as received or serialized once. Every write
+    /// installs a new buffer, so the pointer names the revision: a
+    /// commit or a decode compares it, since an out-of-band store() or a
+    /// same-version repair keeps version and hash.
+    std::shared_ptr<const Bytes> wire;
     uint64_t version = 0;
     Bytes hash;  ///< SHA-256 recorded when the revision was written
+    std::string owner_id;
+    /// deserialize_stored_file(*wire), or null until a stage or a
+    /// fetch decodes it; set under the shard's write lock.
+    std::shared_ptr<const StoredFile> file;
   };
   struct Shard {
     mutable std::shared_mutex mu;
-    std::map<std::string, Entry> files;     // guarded by mu
+    mutable std::map<std::string, Entry> files;  // guarded by mu
+  };
+  /// One entry read under its shard lock, for work done outside it.
+  struct Pick {
+    size_t shard;
+    std::string file_id;
+    std::shared_ptr<const Bytes> wire;
+    std::shared_ptr<const StoredFile> file;
   };
   struct StagedFile {
     size_t shard;
-    std::shared_ptr<const StoredFile> original;  // for commit-time identity check
+    std::shared_ptr<const Bytes> original;  // for commit-time identity check
     std::shared_ptr<StoredFile> staged;
     std::vector<size_t> slot_indices;
   };
@@ -193,6 +219,10 @@ class CloudServer {
 
   StagedEpoch stage(const abe::UpdateKey& uk, const std::vector<abe::UpdateInfo>& infos);
   size_t commit(StagedEpoch epoch);
+  /// Fills every pick's file: the undecoded ones as one
+  /// deserialize_stored_files, each kept on its entry unless a write
+  /// has replaced the revision since it was picked.
+  void decode(std::vector<Pick>& picks) const;
 
   std::shared_ptr<const pairing::Group> grp_;
   const std::string node_name_;

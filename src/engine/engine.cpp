@@ -616,22 +616,32 @@ std::vector<G1> CryptoEngine::multi_exp_g1(const std::vector<G1Term>& terms,
                                            bool cache_bases) {
   BatchScope scope(*this, EngineMetrics::get().multi_exp_g1_ns,
                    "engine.multi_exp_g1");
+  return exp_g1(scope, terms, cache_bases);
+}
+
+std::vector<G1> CryptoEngine::exp_g1(BatchScope& scope, const std::vector<G1Term>& terms,
+                                     bool cache_bases) {
   const size_t n = terms.size();
   scope.delta.g1_exps = n;
   scope.delta.tasks = n;
   scope.set_items(n);
-  // Serial resolve phase: consult/update the LRU under one lock so the
-  // parallel phase below touches only immutable tables. A base counts
-  // one use per batch, however many of its terms the batch holds, and
-  // a base with kBatchTableThreshold terms or more gets its table now.
-  std::vector<std::shared_ptr<const pairing::G1FixedBase>> tables(n);
+  // Serial resolve phase: the group's g walks its own table, outside
+  // the LRU; the other bases consult/update the LRU under one lock so
+  // the parallel phase below touches only immutable tables. A base
+  // counts one use per batch, however many of its terms the batch
+  // holds, and a base with kBatchTableThreshold terms or more gets its
+  // table now.
+  std::vector<const pairing::G1FixedBase*> tables(n);
+  std::vector<std::shared_ptr<const pairing::G1FixedBase>> held;  // the LRU tables in use
+  for (size_t i = 0; i < n; ++i)
+    if (terms[i].base == grp_->g()) tables[i] = &grp_->g_table();
   if (cache_bases) {
     // Each distinct base's terms, in first-appearance order.
     using Uses = std::map<Bytes, std::vector<size_t>>::value_type;
     std::map<Bytes, std::vector<size_t>> by_base;
     std::vector<const Uses*> bases;
     for (size_t i = 0; i < n; ++i) {
-      if (terms[i].base.is_identity()) continue;
+      if (tables[i] || terms[i].base.is_identity()) continue;
       const auto [it, fresh] = by_base.try_emplace(terms[i].base.to_bytes());
       if (fresh) bases.push_back(&*it);
       it->second.push_back(i);
@@ -640,11 +650,13 @@ std::vector<G1> CryptoEngine::multi_exp_g1(const std::vector<G1Term>& terms,
     for (const Uses* b : bases) {
       const auto& [key, idx] = *b;
       const G1& base = terms[idx.front()].base;
-      const auto table = cache_->table(
+      auto table = cache_->table(
           &LruCache::Node::g1, key, 1, idx.size() >= kBatchTableThreshold,
           scope.delta.table_builds, scope.delta.table_hits,
           [&] { return grp_->g1_precompute(base); }, idx.size());
-      for (const size_t i : idx) tables[i] = table;
+      if (!table) continue;
+      for (const size_t i : idx) tables[i] = table.get();
+      held.push_back(std::move(table));
     }
   }
   // Results stay Jacobian through the parallel phase; the batch goes to
@@ -658,7 +670,7 @@ std::vector<G1> CryptoEngine::multi_exp_g1(const std::vector<G1Term>& terms,
   for (size_t i = 0; i < n; ++i) {
     if (tables[i]) {
       tabled.push_back(i);
-      walk_tables.push_back(tables[i].get());
+      walk_tables.push_back(tables[i]);
       walk_exps.push_back(terms[i].exp);
     } else {
       plain.push_back(i);
@@ -707,14 +719,10 @@ std::vector<GT> CryptoEngine::multi_exp_gt(const std::vector<GtTerm>& terms,
 std::vector<G1> CryptoEngine::g_pow_batch(const std::vector<Zr>& exps) {
   BatchScope scope(*this, EngineMetrics::get().g_pow_batch_ns,
                    "engine.g_pow_batch");
-  scope.delta.g1_exps = exps.size();
-  scope.delta.tasks = exps.size();
-  scope.set_items(exps.size());
-  std::vector<pairing::JacPoint> jac(exps.size());
-  const std::vector<const pairing::G1FixedBase*> tables(exps.size(), &grp_->g_table());
-  run_items(chunks_of(exps.size()),
-            [&](size_t c) { walk_chunk(*grp_, tables, exps, c, jac); });
-  return grp_->g1_normalize(jac);
+  std::vector<G1Term> terms;
+  terms.reserve(exps.size());
+  for (const Zr& e : exps) terms.push_back({grp_->g(), e});
+  return exp_g1(scope, terms, false);
 }
 
 std::vector<GT> CryptoEngine::egg_pow_batch(const std::vector<Zr>& exps) {

@@ -192,22 +192,27 @@ class CryptoEngine {
   /// warm-up: build once before fanning slots across the pool).
   void warm_pair_precomp(const pairing::G1& base);
 
-  /// base_i ^ exp_i for variable bases. Each distinct base counts one
-  /// use of its LRU entry per batch; from the entry's kBuildThreshold-th
-  /// batch on (4), or at once for a base with kBatchTableThreshold or
-  /// more terms in the batch (8), its terms walk a cached window table.
-  /// Every other term runs in Group::g1_mul_batch_jac's 8-lane passes,
-  /// one scalar per lane. `cache_bases = false` skips the LRU entirely —
-  /// pass it when the bases are one-offs (a key's K_x in an update) so
-  /// they don't evict hot tables. multi_exp_g1 and g_pow_batch keep
-  /// their results Jacobian until the whole batch goes to affine with
-  /// one inversion (Group::g1_normalize).
+  /// base_i ^ exp_i for variable bases. A term whose base is the
+  /// group's g walks Group::g_table() and never enters the LRU, counted
+  /// as g_pow_batch counts it (a g1_exp and a task, no table hit). Each
+  /// other distinct base counts one use of its LRU entry per batch; from
+  /// the entry's kBuildThreshold-th batch on (4), or at once for a base
+  /// with kBatchTableThreshold or more terms in the batch (8), its terms
+  /// walk a cached window table. Every other term runs in
+  /// Group::g1_mul_batch_jac's 8-lane passes, one scalar per lane.
+  /// `cache_bases = false` skips the LRU entirely — pass it when the
+  /// bases are one-offs (a key's K_x in an update) so they don't evict
+  /// hot tables. The walks of every table, g's included, share chunks of
+  /// eight, and the results stay Jacobian until the whole batch goes to
+  /// affine with one inversion (Group::g1_normalize).
   std::vector<pairing::G1> multi_exp_g1(const std::vector<G1Term>& terms,
                                         bool cache_bases = true);
   std::vector<pairing::GT> multi_exp_gt(const std::vector<GtTerm>& terms,
                                         bool cache_bases = true);
 
-  /// g ^ exp_i / e(g,g) ^ exp_i via the Group's fixed-base tables.
+  /// g ^ exp_i / e(g,g) ^ exp_i via the Group's fixed-base tables;
+  /// g_pow_batch is multi_exp_g1's path on terms whose base is g, under
+  /// its own span and histogram.
   std::vector<pairing::G1> g_pow_batch(const std::vector<pairing::Zr>& exps);
   std::vector<pairing::GT> egg_pow_batch(const std::vector<pairing::Zr>& exps);
   /// base ^ exp_i for one base shared by the whole batch. From
@@ -256,6 +261,9 @@ class CryptoEngine {
   class BatchScope;  // RAII per-batch delta accumulator (engine.cpp)
 
   void ensure_pool();
+  /// multi_exp_g1's work, counted into `scope`.
+  std::vector<pairing::G1> exp_g1(BatchScope& scope, const std::vector<G1Term>& terms,
+                                  bool cache_bases);
   /// parallel_for's dispatch without the task accounting — batch APIs
   /// fold their item count into the batch's atomic stat commit instead.
   void run_items(size_t n, const std::function<void(size_t)>& fn);

@@ -186,12 +186,12 @@ uint64_t approx(const uint64_t* x, int n) {
   return (top << kGcdSteps) | (x[0] & kLow31);
 }
 
-/// out = |a*f + b*g| / 2^31 for a combination the caller knows is
-/// divisible by 2^31 and at most max(a, b) in magnitude; returns
+/// out = |a*f + b*g| / 2^S for a combination the caller knows is
+/// divisible by 2^S and at most max(a, b) in magnitude; returns
 /// whether it was negative. Each output limb is shifted into place as
 /// soon as the limb above it is known: a separate shift pass over a
 /// stored t[] gets vectorized into loads that stall on those stores.
-template <int N>
+template <int N, int S = kGcdSteps>
 bool combine_exact(const uint64_t* a, const uint64_t* b, int64_t f, int64_t g, uint64_t* out) {
   i128 c = 0;
   uint64_t prev = 0;
@@ -199,11 +199,11 @@ bool combine_exact(const uint64_t* a, const uint64_t* b, int64_t f, int64_t g, u
     c += i128(a[i]) * f + i128(b[i]) * g;
     const uint64_t t = static_cast<uint64_t>(c);
     c >>= 64;
-    if (i > 0) out[i - 1] = (prev >> kGcdSteps) | (t << (64 - kGcdSteps));
+    if (i > 0) out[i - 1] = (prev >> S) | (t << (64 - S));
     prev = t;
   }
   const uint64_t top = static_cast<uint64_t>(c);
-  out[N - 1] = (prev >> kGcdSteps) | (top << (64 - kGcdSteps));
+  out[N - 1] = (prev >> S) | (top << (64 - S));
   if (static_cast<int64_t>(top) >= 0) return false;
   uint64_t carry = 1;
   for (int i = 0; i < N; ++i) {
@@ -304,6 +304,76 @@ bool gcd_inverse(const FieldElem& x, const FieldElem& p, uint64_t n0, int bits, 
   *out = FieldElem();
   for (int i = 0; i < N; ++i) out->l[i] = v[i];
   return true;
+}
+
+// ------------------------------------------------------ Jacobi symbol --
+// The binary Jacobi algorithm (Shallit and Sorenson, 1993) on the
+// rounds of gcd_inverse above, without u and v. Each step of the gcd
+// carries the symbol (a | b), b odd, through two rules:
+//   - halving a: (2a' | b) = (2 | b)(a' | b), and (2 | b) = -1 exactly
+//     when b = 3 or 5 (mod 8), i.e. when bit 2 of b + 2 is set;
+//   - swapping odd a < b: (a | b) = (b | a), negated when both are
+//     3 (mod 4); subtracting b from a leaves the symbol alone.
+// The rules read the low three bits of b and two of a. A round's
+// approximation keeps 31 - j low bits exact before step j, so a round
+// runs 29 steps, not 31, and divides by 2^29.
+//
+// The approximation may take a wrong swap, which leaves a negative a
+// (and, after a later swap, a negative b) in the exact values the
+// matrix stands for. Tracked as (a | |b|), the rules still hold: halving
+// and subtracting never depended on signs, and the swap rule on
+// two's-complement low bits is exact while at most one of a, b is
+// negative. That always holds: a round starts from a, b >= 0, and from
+// signs (+, +), (-, +) or (+, -) a step reaches only those three, since
+// b changes only by a swap and a - b keeps a's sign once b's differs
+// from it. A round ending with a < 0 multiplies in (-1 | |b|), -1 when
+// the new |b| is 3 (mod 4); a negative b costs nothing.
+
+constexpr int kJacobiSteps = 29;
+
+/// (x | p) for a reduced x and odd p: -1, 0 or 1.
+template <int N>
+int jacobi(const FieldElem& x, const FieldElem& p) {
+  uint64_t buf[4][N] = {};
+  uint64_t *a = buf[0], *b = buf[1], *na = buf[2], *nb = buf[3];
+  for (int i = 0; i < N; ++i) {
+    a[i] = x.l[i];
+    b[i] = p.l[i];
+  }
+  uint64_t sign = 0;  // bit 0: the symbol is -1
+  while (!is_zero<N>(a)) {
+    int top = N - 1;
+    while (top > 0 && (a[top] | b[top]) == 0) --top;
+    const int n = std::max(64 * top + 64 - std::countl_zero(a[top] | b[top]), 64);
+    uint64_t xa = approx<N>(a, n), xb = approx<N>(b, n);
+    int64_t f0 = 1, g0 = 0, f1 = 0, g1 = 1;
+    for (int j = 0; j < kJacobiSteps; ++j) {
+      const uint64_t odd = 0 - (xa & 1);
+      const uint64_t swap = odd & (0 - static_cast<uint64_t>(xa < xb));
+      sign ^= swap & ((xa & xb) >> 1);
+      const int64_t sodd = static_cast<int64_t>(odd), sswap = static_cast<int64_t>(swap);
+      const uint64_t dx = (xa ^ xb) & swap;
+      const int64_t df = (f0 ^ f1) & sswap, dg = (g0 ^ g1) & sswap;
+      xa ^= dx;
+      xb ^= dx;
+      f0 ^= df;
+      f1 ^= df;
+      g0 ^= dg;
+      g1 ^= dg;
+      xa = (xa - (xb & odd)) >> 1;
+      f0 -= f1 & sodd;
+      g0 -= g1 & sodd;
+      f1 += f1;
+      g1 += g1;
+      sign ^= (xb + 2) >> 2;
+    }
+    combine_exact<N, kJacobiSteps>(a, b, f1, g1, nb);
+    if (combine_exact<N, kJacobiSteps>(a, b, f0, g0, na)) sign ^= nb[0] >> 1;
+    std::swap(a, na);
+    std::swap(b, nb);
+  }
+  if (!is_one<N>(b)) return 0;
+  return (sign & 1) != 0 ? -1 : 1;
 }
 
 }  // namespace
@@ -876,6 +946,7 @@ MontField::MontField(const Bignum& modulus) : modulus_(modulus) {
     mul_ = &mont_mul<N>;        \
     sqr_ = &mont_sqr<N>;        \
     inv_ = &gcd_inverse<N>;     \
+    legendre_ = &jacobi<N>;     \
     break;
     MAABE_FIELD_KERNELS(1)
     MAABE_FIELD_KERNELS(2)
@@ -934,6 +1005,8 @@ FieldElem MontField::inv(const FieldElem& a) const {
     throw MathError("MontField::inv: element not invertible");
   return mul(plain_inverse, r3_);
 }
+
+int MontField::legendre(const FieldElem& x) const { return legendre_(x, p_); }
 
 void MontField::inv_batch(std::span<FieldElem> xs) const {
   // prefix[i] = product of the nonzero xs[0..i].

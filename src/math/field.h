@@ -117,6 +117,12 @@ class MontField {
   /// Inverse of a Montgomery-form value, in Montgomery form (batched
   /// binary gcd, variable-time). Throws MathError when gcd(a, p) != 1.
   FieldElem inv(const FieldElem& a) const;
+  /// The Legendre symbol of x for a prime modulus (the Jacobi symbol
+  /// for any odd one): 1 for a nonzero square, -1 for a non-square, 0
+  /// when x shares a factor with the modulus. x may be in either form:
+  /// R = 2^(64N) is a square, so aR and a have the same symbol. A binary
+  /// gcd without the u/v updates, no exponentiation (variable-time).
+  int legendre(const FieldElem& x) const;
   /// Inverts every nonzero element of `xs` in place with one inv
   /// (Montgomery's trick); zeros stay zero. The inverses are unique, so
   /// each is the same value inv gives. Throws MathError like inv when a
@@ -134,6 +140,7 @@ class MontField {
   using MulFn = FieldElem (*)(const FieldElem&, const FieldElem&, const FieldElem&, uint64_t);
   using SqrFn = FieldElem (*)(const FieldElem&, const FieldElem&, uint64_t);
   using InvFn = bool (*)(const FieldElem&, const FieldElem&, uint64_t, int, FieldElem*);
+  using LegendreFn = int (*)(const FieldElem&, const FieldElem&);
 
   Bignum modulus_;
   FieldElem p_;
@@ -146,6 +153,7 @@ class MontField {
   MulFn mul_ = nullptr;
   SqrFn sqr_ = nullptr;
   InvFn inv_ = nullptr;
+  LegendreFn legendre_ = nullptr;
   std::shared_ptr<const detail::LaneField> lanes_;  // set when IFMA passes run
 };
 

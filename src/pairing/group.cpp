@@ -380,14 +380,25 @@ G1 Group::g1_from_bytes(ByteView data) const {
   return std::move(g1_from_bytes_batch(std::span<const ByteView>(&data, 1)).front());
 }
 
-std::vector<G1> Group::g1_from_bytes_batch(std::span<const ByteView> encodings) const {
-  const FpCtx& fq = ctx_.fq();
-  std::vector<G1> out(encodings.size(), g1_identity());
-  std::vector<size_t> finite;  // indices into encodings, in order
+namespace {
+
+/// The finite points of a run of compressed encodings, after every
+/// format check (length, infinity form, flag, x < q) in order: their
+/// indices, sign flags, x and x^3 + x. What the decoder and the checker
+/// share.
+struct G1Encodings {
+  std::vector<size_t> finite;
+  std::vector<bool> odd;
   std::vector<FieldElem> xs, rhs;
+};
+
+G1Encodings parse_g1_encodings(const PairingCtx& ctx, size_t g1_size,
+                               std::span<const ByteView> encodings) {
+  const FpCtx& fq = ctx.fq();
+  G1Encodings parsed;
   for (size_t k = 0; k < encodings.size(); ++k) {
     const ByteView data = encodings[k];
-    if (data.size() != g1_size()) throw WireError("g1_from_bytes: bad length");
+    if (data.size() != g1_size) throw WireError("g1_from_bytes: bad length");
     const uint8_t flag = data.back();
     const ByteView xb = data.first(data.size() - 1);
     if (flag == 2) {
@@ -396,22 +407,43 @@ std::vector<G1> Group::g1_from_bytes_batch(std::span<const ByteView> encodings) 
       continue;
     }
     if (flag > 1) throw WireError("g1_from_bytes: bad sign flag");
-    finite.push_back(k);
-    xs.push_back(fq.from_bytes(xb));
-    rhs.push_back(ctx_.curve().rhs(xs.back()));
+    parsed.finite.push_back(k);
+    parsed.odd.push_back(flag == 1);
+    parsed.xs.push_back(fq.from_bytes(xb));
+    parsed.rhs.push_back(ctx.curve().rhs(parsed.xs.back()));
   }
-  std::vector<FieldElem> ys(rhs.size());
-  fq.sqrt_candidates(rhs, ys);
-  for (size_t i = 0; i < finite.size(); ++i) {
+  return parsed;
+}
+
+}  // namespace
+
+std::vector<G1> Group::g1_from_bytes_batch(std::span<const ByteView> encodings) const {
+  const FpCtx& fq = ctx_.fq();
+  const G1Encodings p = parse_g1_encodings(ctx_, g1_size(), encodings);
+  std::vector<G1> out(encodings.size(), g1_identity());
+  std::vector<FieldElem> ys(p.rhs.size());
+  fq.sqrt_candidates(p.rhs, ys);
+  for (size_t i = 0; i < p.finite.size(); ++i) {
     FieldElem& y = ys[i];
-    if (fq.sqr(y) != rhs[i]) throw WireError("g1_from_bytes: x not on curve");
+    if (fq.sqr(y) != p.rhs[i]) throw WireError("g1_from_bytes: x not on curve");
     // y = 0 has no odd root; flag 1 there would be a second encoding.
-    const bool odd = encodings[finite[i]].back() == 1;
-    if (odd && y.is_zero()) throw WireError("g1_from_bytes: bad sign flag");
-    if (fq.from_mont(y).is_odd() != odd) y = fq.neg(y);
-    out[finite[i]] = G1(this, {xs[i], y, false});
+    if (p.odd[i] && y.is_zero()) throw WireError("g1_from_bytes: bad sign flag");
+    if (fq.from_mont(y).is_odd() != p.odd[i]) y = fq.neg(y);
+    out[p.finite[i]] = G1(this, {p.xs[i], y, false});
   }
   return out;
+}
+
+void Group::g1_check_encodings(std::span<const ByteView> encodings) const {
+  const FpCtx& fq = ctx_.fq();
+  const G1Encodings p = parse_g1_encodings(ctx_, g1_size(), encodings);
+  // x^3 + x has a root exactly when its symbol is not -1, and the root
+  // is 0 (with no odd sign) exactly when the symbol is 0.
+  for (size_t i = 0; i < p.finite.size(); ++i) {
+    const int symbol = fq.legendre(p.rhs[i]);
+    if (symbol < 0) throw WireError("g1_from_bytes: x not on curve");
+    if (p.odd[i] && symbol == 0) throw WireError("g1_from_bytes: bad sign flag");
+  }
 }
 
 G1 Group::g1_from_bytes_uncompressed(ByteView data) const {
@@ -434,9 +466,7 @@ G1 Group::g1_from_bytes_uncompressed(ByteView data) const {
   return G1(this, pt);
 }
 
-GT Group::gt_random(crypto::Drbg& rng) const {
-  return gt_generator().pow(zr_nonzero_random(rng));
-}
+GT Group::gt_random(crypto::Drbg& rng) const { return egg_pow(zr_nonzero_random(rng)); }
 
 GT Group::gt_from_bytes(ByteView data) const {
   return GT(this, ctx_.fq2().from_bytes(data));

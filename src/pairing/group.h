@@ -284,6 +284,12 @@ class Group {
   /// points, and for a single malformed encoding the same WireError, as
   /// g1_from_bytes on each; on-curve, not subgroup-checked.
   std::vector<G1> g1_from_bytes_batch(std::span<const ByteView> encodings) const;
+  /// Accepts exactly the encodings g1_from_bytes_batch decodes, and
+  /// throws the same WireError for the rest: the same format checks in
+  /// the same order, then each finite point's x^3 + x by its Legendre
+  /// symbol (MontField::legendre) instead of a square root. Decodes
+  /// nothing.
+  void g1_check_encodings(std::span<const ByteView> encodings) const;
   /// Decodes the x || y || flag form. Validates the curve equation
   /// (cheap) instead of re-deriving y by square root; like
   /// g1_from_bytes, the result is on-curve but not subgroup-checked.
@@ -296,7 +302,8 @@ class Group {
   /// e(g,g)^k via the precomputed window table.
   GT egg_pow(const Zr& k) const;
   /// Uniform random element of the order-r target subgroup (used as the
-  /// KEM "message" whose hash becomes a content key).
+  /// KEM "message" whose hash becomes a content key): egg_pow of one
+  /// zr_nonzero_random draw.
   GT gt_random(crypto::Drbg& rng) const;
   GT gt_from_bytes(ByteView data) const;
 

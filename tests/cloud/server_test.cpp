@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <optional>
 #include <set>
@@ -333,6 +334,107 @@ TEST(ServerTest, ApplyNextAssignsTheNextVersionUnderTheBytesHash) {
   EXPECT_EQ(server.apply_next(serialize(*w.grp, w.make_file("f"))).version, 2u);
   EXPECT_EQ(server.apply_next(serialize(*w.grp, w.make_file("g"))).version, 1u);
   EXPECT_EQ(server.stats().stores, 4u);
+}
+
+/// `wire` with the encoding of `point` (found by its bytes) replaced
+/// by an x whose x^3 + x is not a square, so no point has it.
+Bytes with_off_curve_point(const Group& grp, Bytes wire, const pairing::G1& point) {
+  const Bytes enc = point.to_bytes();
+  const auto at = std::search(wire.begin(), wire.end(), enc.begin(), enc.end());
+  EXPECT_NE(at, wire.end());
+  for (uint64_t x = 1;; ++x) {
+    Bytes off = math::Bignum::from_u64(x).to_bytes_be(grp.g1_size() - 1);
+    off.push_back(0);
+    try {
+      (void)grp.g1_from_bytes(off);
+    } catch (const WireError&) {
+      std::copy(off.begin(), off.end(), at);
+      return wire;
+    }
+  }
+}
+
+TEST(ServerTest, WritesOfAFileWithAnOffCurvePointThrowAndChangeNothing) {
+  World w;
+  CloudServer server(w.grp, 4);
+  ASSERT_TRUE(server.apply(op_of(*w.grp, w.make_file("f"), 1)));
+  const StoredFile next = w.make_file("f");
+  const abe::Ciphertext& ct = next.slots[0].key_ct;
+  for (const pairing::G1& point : {ct.c_prime, ct.ci.front(), ct.ci.back()}) {
+    const Bytes bad = with_off_curve_point(*w.grp, serialize(*w.grp, next), point);
+    const Bytes before = server.snapshot();
+    const ServerStats stats = server.stats();
+    EXPECT_THROW(server.apply({"f", 2, crypto::Sha256::digest(bad), bad}), WireError);
+    EXPECT_THROW(server.apply({"g", 1, crypto::Sha256::digest(bad), bad}), WireError);
+    EXPECT_THROW(server.apply_next(bad), WireError);
+    EXPECT_EQ(server.snapshot(), before);
+    EXPECT_EQ(server.stats().stores, stats.stores);
+    EXPECT_EQ(server.version_of("f"), 1u);
+    EXPECT_FALSE(server.has_file("g"));
+  }
+}
+
+TEST(ServerTest, EpochOverUndecodedEntriesMatchesOneOverDecodedEntries) {
+  World w;
+  CloudServer lazy(w.grp, 4), decoded(w.grp, 4);
+  for (const auto& [id, slots] : {std::pair{"f0", 2}, std::pair{"f1", 1}, std::pair{"f2", 3}}) {
+    const ReplicationOp op = op_of(*w.grp, w.make_file(id, slots), 1);
+    ASSERT_TRUE(lazy.apply(op));
+    ASSERT_TRUE(decoded.apply(op));
+    EXPECT_EQ(serialize(*w.grp, *decoded.fetch(id)), op.wire);  // decodes it
+  }
+  const World::Epoch epoch = w.make_epoch();
+  lazy.stage_reencrypt(1, epoch.uk, epoch.infos);
+  decoded.stage_reencrypt(1, epoch.uk, epoch.infos);
+  EXPECT_EQ(lazy.commit_reencrypt(1), 6u);
+  EXPECT_EQ(decoded.commit_reencrypt(1), 6u);
+  EXPECT_EQ(lazy.snapshot(), decoded.snapshot());
+}
+
+// A stage decodes and keeps revisions while a replica write replaces
+// the same file: whichever lands first, every decode a fetch returns is
+// of the bytes kept beside it, and the commit swaps only the revision
+// it staged. Run under -DMAABE_SANITIZE=thread too.
+TEST(ServerTest, StageRacingApplyOnOneFileKeepsEachDecodeWithItsRevision) {
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    World w;
+    CloudServer server(w.grp, 2);
+    const ReplicationOp first = op_of(*w.grp, w.make_file("f"), 1);
+    const ReplicationOp second = op_of(*w.grp, w.make_file("f", 2), 2);
+    const World::Epoch epoch = w.make_epoch();
+    ASSERT_TRUE(server.apply(first));
+
+    std::atomic<bool> done{false};
+    std::atomic<int> torn{0};
+    std::thread stager([&] { server.stage_reencrypt(1, epoch.uk, epoch.infos); });
+    std::thread writer([&] { EXPECT_TRUE(server.apply(second)); });
+    std::thread reader([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        const Bytes got = serialize(*w.grp, *server.fetch("f"));
+        if (got != first.wire && got != second.wire) torn.fetch_add(1);
+      }
+    });
+    stager.join();
+    writer.join();
+    done.store(true, std::memory_order_release);
+    reader.join();
+    EXPECT_EQ(torn.load(), 0);
+
+    const size_t committed = server.commit_reencrypt(1).value();
+    const FetchReply kept = server.copy("f");
+    EXPECT_EQ(serialize(*w.grp, *server.fetch("f")), kept.wire);
+    if (kept.version == 2) {
+      // The write landed after the stage picked the first revision.
+      EXPECT_EQ(committed, 0u);
+      EXPECT_EQ(kept.wire, second.wire);
+    } else {
+      // The stage picked the second revision and swapped it.
+      EXPECT_EQ(kept.version, 3u);
+      EXPECT_EQ(committed, 2u);
+      EXPECT_EQ(server.fetch("f")->slots[1].key_ct.versions.at("A"), 2u);
+    }
+  }
 }
 
 TEST(ServerTest, OutOfBandStoreKeepsTheRecordedIdentity) {

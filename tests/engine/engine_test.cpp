@@ -7,7 +7,9 @@
 #include <atomic>
 #include <thread>
 
+#include "abe/scheme.h"
 #include "common/errors.h"
+#include "lsss/parser.h"
 #include "math/field_kernels.h"
 #include "telemetry/metrics.h"
 
@@ -520,6 +522,67 @@ TEST_F(EngineTest, FixedBaseBatchesMatchGroupTables) {
     EXPECT_EQ(g[i].to_bytes(), grp->g_pow(exps[i]).to_bytes());
     EXPECT_EQ(egg[i].to_bytes(), grp->egg_pow(exps[i]).to_bytes());
   }
+}
+
+TEST_F(EngineTest, MultiExpG1WalksGsTableOutsideTheLru) {
+  // Nine terms of g (past kBatchTableThreshold) beside another base's
+  // three: g's terms walk Group::g_table(), build no table, count no
+  // hit and leave no LRU entry, as g_pow_batch counts them.
+  CryptoEngine eng(*grp, 2);
+  const G1 other = grp->g1_random(rng);
+  std::vector<CryptoEngine::G1Term> terms;
+  std::vector<Zr> g_exps;
+  for (int i = 0; i < 12; ++i) {
+    const Zr e = grp->zr_random(rng);
+    terms.push_back({i % 4 == 3 ? other : grp->g(), e});
+    if (i % 4 != 3) g_exps.push_back(e);
+  }
+  for (const bool cache : {true, false}) {
+    SCOPED_TRACE(cache ? "cached" : "uncached");
+    const EngineStats before = eng.stats();
+    const std::vector<G1> got = eng.multi_exp_g1(terms, cache);
+    const EngineStats d = eng.stats() - before;
+    for (size_t i = 0; i < terms.size(); ++i)
+      EXPECT_EQ(got[i].to_bytes(), terms[i].base.mul(terms[i].exp).to_bytes()) << i;
+    EXPECT_EQ(d.g1_exps, terms.size());
+    EXPECT_EQ(d.tasks, terms.size());
+    EXPECT_EQ(d.batches, 1u);
+    EXPECT_EQ(d.table_builds, 0u);
+    EXPECT_EQ(d.table_hits, 0u);
+    EXPECT_EQ(eng.cached_bases(), 1u);  // `other` only
+  }
+  const EngineStats before = eng.stats();
+  const std::vector<G1> g = eng.g_pow_batch(g_exps);
+  const EngineStats d = eng.stats() - before;
+  for (size_t i = 0; i < g_exps.size(); ++i)
+    EXPECT_EQ(g[i].to_bytes(), grp->g_pow(g_exps[i]).to_bytes()) << i;
+  EXPECT_EQ(d.g1_exps, g_exps.size());
+  EXPECT_EQ(d.tasks, g_exps.size());
+  EXPECT_EQ(d.batches, 1u);
+  EXPECT_EQ(d.table_builds + d.table_hits, 0u);
+  EXPECT_EQ(eng.cached_bases(), 1u);
+}
+
+TEST_F(EngineTest, EncryptSubmitsOneG1Batch) {
+  // C' and the l g-powers ride with the l PK-powers: one multi_exp_g1
+  // of 2l + 1 terms beside the blind's multi_exp_gt.
+  const abe::OwnerMasterKey mk = abe::owner_gen(*grp, "owner", rng);
+  const abe::AuthorityVersionKey vk = abe::aa_setup(*grp, "A", rng);
+  std::map<std::string, abe::AuthorityPublicKey> apks{{"A", abe::aa_public_key(*grp, vk)}};
+  std::map<std::string, abe::PublicAttributeKey> attr_pks;
+  for (const char* attr : {"x1", "x2", "x3"}) {
+    const abe::PublicAttributeKey pk = abe::aa_attribute_key(*grp, vk, attr);
+    attr_pks.emplace(pk.attr.qualified(), pk);
+  }
+  const lsss::LsssMatrix policy =
+      lsss::LsssMatrix::from_policy(lsss::parse_policy("x1@A AND x2@A AND x3@A"));
+  CryptoEngine& eng = CryptoEngine::for_group(*grp);
+  const EngineStats before = eng.stats();
+  (void)abe::encrypt(*grp, mk, "f/c", grp->gt_random(rng), policy, apks, attr_pks, rng);
+  const EngineStats d = eng.stats() - before;
+  EXPECT_EQ(d.batches, 2u);
+  EXPECT_EQ(d.g1_exps, 7u);
+  EXPECT_EQ(d.gt_exps, 1u);
 }
 
 TEST_F(EngineTest, BasePowBatchMatchesMulBelowAndAboveTheBuildThreshold) {

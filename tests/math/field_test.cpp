@@ -4,8 +4,9 @@
 // BMI2/ADX kernel against the portable N = 8 kernels; the 8-lane IFMA
 // kernels against the reference and their exponentiation against the
 // scalar pow; MontField::pow_batch against pow; the windowed
-// MontField::pow against square-and-multiply; and the batched
-// binary-gcd inversion against the reference and against Fermat.
+// MontField::pow against square-and-multiply; the batched
+// binary-gcd inversion against the reference and against Fermat; and
+// the binary Jacobi symbol against the textbook algorithm and Euler.
 #include "math/field.h"
 
 #include <gtest/gtest.h>
@@ -654,6 +655,96 @@ TEST(MontFieldInverse, ZeroAndNonUnitsThrow) {
     std::vector<uint64_t> ones(n, ~uint64_t(0));
     const MontField g(Bignum::from_limbs_le(ones.data(), n));
     EXPECT_THROW(g.inv(g.to_mont(Bignum::from_u64(3))), MathError) << n;
+  }
+}
+
+
+// ------------------------------------------------------------ legendre --
+
+/// The Jacobi symbol (a | m), m odd, by the textbook algorithm on
+/// Bignum: remove factors of two, then reciprocity and reduction.
+int reference_jacobi(Bignum a, Bignum m) {
+  a = Bignum::mod(a, m);
+  int t = 1;
+  while (!a.is_zero()) {
+    while (!a.is_odd()) {
+      a = Bignum::shr(a, 1);
+      const uint64_t m8 = m.limb(0) & 7;
+      if (m8 == 3 || m8 == 5) t = -t;
+    }
+    std::swap(a, m);
+    if ((a.limb(0) & 3) == 3 && (m.limb(0) & 3) == 3) t = -t;
+    a = Bignum::mod(a, m);
+  }
+  return m.is_one() ? t : 0;
+}
+
+/// legendre on the Montgomery and the plain form of a against the
+/// reference symbol.
+void check_legendre(const MontField& f, const Bignum& a) {
+  const int want = reference_jacobi(a, f.modulus());
+  ASSERT_EQ(f.legendre(f.to_mont(a)), want) << a.to_hex();
+  ASSERT_EQ(f.legendre(FieldElem(a)), want) << a.to_hex();
+}
+
+void check_legendre_modulus(const Bignum& m, int random_values, std::mt19937_64& rng) {
+  SCOPED_TRACE("modulus " + m.to_hex());
+  const MontField f(m);
+  for (const Bignum& a : inverse_operands(m, rng)) ASSERT_NO_FATAL_FAILURE(check_legendre(f, a));
+  for (int i = 0; i < random_values; ++i)
+    ASSERT_NO_FATAL_FAILURE(check_legendre(f, random_below(rng, m)));
+}
+
+TEST(MontFieldLegendre, MatchesReferenceJacobiForEveryLimbCount) {
+  std::mt19937_64 rng(1993);
+  for (int n = 1; n <= FieldElem::kLimbs; ++n) {
+    SCOPED_TRACE("limbs " + std::to_string(n));
+    // Composite odd moduli give symbols of 0 and Jacobi symbols that are
+    // not residuosity; primes give the Legendre symbol.
+    for (int k = 0; k < 2; ++k) {
+      check_legendre_modulus(odd_modulus(rng, n, /*top_bit=*/true), 300, rng);
+      check_legendre_modulus(odd_modulus(rng, n, /*top_bit=*/false), 300, rng);
+    }
+    std::vector<uint64_t> ones(n, ~uint64_t(0));
+    check_legendre_modulus(Bignum::from_limbs_le(ones.data(), n), 300, rng);
+    check_legendre_modulus(next_prime(odd_modulus(rng, n, /*top_bit=*/true)), 300, rng);
+    check_legendre_modulus(next_prime(odd_modulus(rng, n, /*top_bit=*/false)), 300, rng);
+  }
+}
+
+// Euler's criterion on both curves' q: a^((q-1)/2) is 1, q - 1 or 0.
+// Squares and non-squares are built as such, then random values.
+TEST(MontFieldLegendre, AgreesWithEulerOnBothCurves) {
+  std::mt19937_64 rng(2020972);
+  for (const char* hex : {kQ512, kQ192}) {
+    const Bignum q = Bignum::from_hex(hex);
+    SCOPED_TRACE("q " + q.to_hex());
+    const MontField f(q);
+    const Bignum one = Bignum::from_u64(1);
+    const Bignum half = Bignum::shr(Bignum::sub(q, one), 1);
+    const auto euler = [&](const FieldElem& am) {
+      const FieldElem e = f.pow(am, half);
+      if (e == f.one()) return 1;
+      return e.is_zero() ? 0 : -1;
+    };
+    // q = 3 (mod 4) on both curves, so -1 is the non-square the
+    // non-squares below are made from.
+    ASSERT_EQ(q.limb(0) & 3, 3u);
+    const FieldElem minus_one = f.neg(f.one());
+    EXPECT_EQ(f.legendre(FieldElem()), 0);
+    EXPECT_EQ(f.legendre(f.one()), 1);
+    EXPECT_EQ(f.legendre(minus_one), -1);
+    EXPECT_EQ(euler(minus_one), -1);
+    for (int i = 0; i < 2000; ++i) {
+      const FieldElem r = f.to_mont(random_below(rng, q));
+      if (r.is_zero()) continue;
+      const FieldElem square = f.sqr(r);
+      const FieldElem non_square = f.mul(square, minus_one);
+      ASSERT_EQ(f.legendre(square), 1) << Bignum(f.from_mont(square)).to_hex();
+      ASSERT_EQ(f.legendre(non_square), -1) << Bignum(f.from_mont(non_square)).to_hex();
+      const FieldElem any = f.to_mont(random_below(rng, q));
+      ASSERT_EQ(f.legendre(any), euler(any)) << Bignum(f.from_mont(any)).to_hex();
+    }
   }
 }
 
