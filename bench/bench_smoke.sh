@@ -21,7 +21,8 @@
 #                     g1_table_batch_speedup,
 #                     subgroup_batch_speedup,
 #                     g1_mixed_speedup (only on AVX-512 IFMA hosts),
-#                     store_check_speedup
+#                     store_check_speedup,
+#                     key_update_pack_speedup (only on AVX-512 IFMA hosts)
 #       kernel_speedup: shared-final-exponentiation kernel vs the legacy
 #       pair-then-multiply fold, each side the best of three alternating
 #       passes on the calling thread's CPU clock (a cheaper final
@@ -105,7 +106,16 @@
 #       (about 3x with the decode's IFMA square roots, more without
 #       them). The bench exits 1 when the two disagree on accepting the
 #       file or a copy with one point moved off the curve or flipped.
-#       All fourteen are same-process ratios: host speed cancels, guarded
+#       key_update_pack_speedup: sixteen 2-attribute keys on the paper
+#       curve under one update key (a membership revoke's users) applied
+#       one at a time, a pass of three live lanes each, vs one
+#       abe::apply_updates_to_secret_keys, five passes carrying every K_x
+#       and one UK1 check, each side the best of three alternating passes
+#       on the calling thread's CPU clock with the engine on one thread
+#       (about 3x with IFMA lanes); floored at 2 only when /proc/cpuinfo
+#       lists avx512ifma (elsewhere it reads ~1). The bench exits 1 when
+#       a packed key differs from its one-at-a-time bytes.
+#       All fifteen are same-process ratios: host speed cancels, guarded
 #       by an absolute floor.
 #       Also emitted, not guarded: the `substrate` object, the paper
 #       curve's per-call ladder (fq_*, zr_inv_us, lsss_reconstruct_wide_us
@@ -115,7 +125,8 @@
 #       pair_pass_us and g1_pow_pass_us, g1_subgroup_check_us and
 #       g1_subgroup_pass_us, g1_mixed_pass_us, keygen_cold_us and
 #       key_update_us, fq_legendre_us, stored_file_decode_us and
-#       stored_file_check_us, the pairing and exponentiation rungs)
+#       stored_file_check_us, key_updates_alone_us and
+#       key_updates_packed_us, the pairing and exponentiation rungs)
 #       whatever MAABE_BENCH_SMALL says;
 #       host-speed dependent, so it is read by bench/fig_tables.py, not
 #       floored here.
@@ -191,6 +202,7 @@ if grep -qw avx512ifma /proc/cpuinfo 2>/dev/null; then
   "$GUARD" floor BENCH_pairing_micro.json g1_table_batch_speedup 2
   "$GUARD" floor BENCH_pairing_micro.json subgroup_batch_speedup 2
   "$GUARD" floor BENCH_pairing_micro.json g1_mixed_speedup 3
+  "$GUARD" floor BENCH_pairing_micro.json key_update_pack_speedup 2
 fi
 
 # revocation guards

@@ -74,6 +74,8 @@ SUBSTRATE_ROWS = [
     ("key_update_us", "key update, 5 attributes, UK1 check included (median)", "us"),
     ("stored_file_decode_us", "read-wide stored file (11 points), decode", "us"),
     ("stored_file_check_us", "read-wide stored file (11 points), store check", "us"),
+    ("key_updates_alone_us", "16 key updates, 2 attributes each, one at a time", "us"),
+    ("key_updates_packed_us", "16 key updates, 2 attributes each, one packed batch", "us"),
     ("zr_inv_us", "Z_r inverse (160-bit r, 3 limbs)", "us"),
     ("lsss_reconstruct_wide_us", "LSSS solve, AND of 10 (n_A=2)", "us"),
     ("lsss_reconstruct_fig3_us", "LSSS solve, Fig. 3 right end (n_A=10, l=50)", "us"),

@@ -17,6 +17,7 @@
 #include "bench_common.h"
 #include "bench_json.h"
 #include "abe/scheme.h"
+#include "abe/serial.h"
 #include "cloud/hybrid.h"
 #include "engine/engine.h"
 #include "common/errors.h"
@@ -830,6 +831,51 @@ LaneMix lane_mix_report(const pairing::Group& grp) {
   return out;
 }
 
+/// A membership revoke's key updates on the paper curve: sixteen users'
+/// 2-attribute keys under one update key, applied one at a time
+/// (apply_update_to_secret_key: a pass of three live lanes each) against
+/// one apply_updates_to_secret_keys (32 K_x and one UK1 check in five
+/// passes), each side the best of three alternating passes on the
+/// calling thread's CPU clock with the engine on one thread. Exits 1
+/// when a batched key differs from its one-at-a-time bytes.
+KernelPair key_update_pack_report(const pairing::Group& grp) {
+  constexpr size_t kKeys = 16;
+  crypto::Drbg rng(std::string_view("micro-key-update-pack"));
+  const abe::OwnerSecretShare share = abe::owner_share(grp, abe::owner_gen(grp, "owner", rng));
+  const abe::AuthorityVersionKey vk = abe::aa_setup(grp, "Med", rng);
+  std::vector<abe::UserSecretKey> keys;
+  for (size_t i = 0; i < kKeys; ++i)
+    keys.push_back(abe::aa_keygen(
+        grp, vk, share, abe::ca_register_user(grp, "user-" + std::to_string(i), rng), {"A", "B"}));
+  const abe::UpdateKey uk =
+      abe::aa_make_update_key(grp, vk, abe::aa_rekey(grp, vk, rng).new_vk, share);
+
+  engine::CryptoEngine& eng = engine::CryptoEngine::for_group(grp);
+  const int threads = eng.threads();
+  eng.set_threads(1);  // the batch's passes on this thread's clock
+  std::vector<abe::UserSecretKey> alone(kKeys), packed;
+  const KernelPair out = time_kernel_pair(
+      2,
+      [&] {
+        for (size_t i = 0; i < kKeys; ++i)
+          alone[i] = abe::apply_update_to_secret_key(grp, keys[i], uk);
+      },
+      [&] {
+        packed = keys;
+        std::vector<abe::SecretKeyUpdate> jobs;
+        for (abe::UserSecretKey& sk : packed) jobs.push_back({&sk, &uk});
+        abe::apply_updates_to_secret_keys(grp, jobs);
+      });
+  eng.set_threads(threads);
+  for (size_t i = 0; i < kKeys; ++i) {
+    if (abe::serialize(grp, alone[i]) != abe::serialize(grp, packed[i])) {
+      std::fprintf(stderr, "pairing_micro: packed and one-at-a-time key updates differ\n");
+      std::exit(1);
+    }
+  }
+  return out;
+}
+
 // The engine's headline batch: a 16-term pairing product (decrypt's
 // shape at l=8, N_A=... — the dominant cost in Fig. 3b), timed on the
 // legacy serial path vs the thread pool. Emits BENCH_pairing_micro.json.
@@ -1132,6 +1178,7 @@ void engine_batch_report() {
   const SubgroupBatch subgroup_batch = subgroup_batch_report(*paper_grp);
   const LaneMix lane_mix = lane_mix_report(*paper_grp);
   const KernelPair store_check = store_check_report(*paper_grp);
+  const KernelPair key_update_pack = key_update_pack_report(*paper_grp);
   const bool ifma = math::detail::ifma_kernel_available();
   // Decrypt's LSSS solver on Z_r (3 limbs): the full attribute set of the
   // read-wide policy (AND of 10, n_A = 2) and of Fig. 3's right end
@@ -1168,6 +1215,8 @@ void engine_batch_report() {
       .put("key_update_us", lane_mix.key_update_us)
       .put("stored_file_decode_us", store_check.portable_us)
       .put("stored_file_check_us", store_check.dispatched_us)
+      .put("key_updates_alone_us", key_update_pack.portable_us)
+      .put("key_updates_packed_us", key_update_pack.dispatched_us)
       .put("zr_inv_us", best_us(20, [&] { benchmark::DoNotOptimize(zk.inverse()); }))
       .put("lsss_reconstruct_wide_us", lsss_wide_us)
       .put("lsss_reconstruct_fig3_us", lsss_fig3_us)
@@ -1228,6 +1277,9 @@ void engine_batch_report() {
   std::printf("  read-wide file, decode: %6.1f us\n", store_check.portable_us);
   std::printf("  read-wide file, check : %6.1f us   speedup %.2fx\n", store_check.dispatched_us,
               store_check.speedup());
+  std::printf("  16 key updates, alone : %6.1f us\n", key_update_pack.portable_us);
+  std::printf("  16 key updates, packed: %6.1f us   speedup %.2fx\n",
+              key_update_pack.dispatched_us, key_update_pack.speedup());
 
   const SymmetricKernels sym = symmetric_kernel_report();
   std::printf("\n4 KiB symmetric kernels (best of 3 passes, thread CPU time):\n");
@@ -1316,6 +1368,7 @@ void engine_batch_report() {
       .put("g1_mixed_dispatched_us", lane_mix.mixed.dispatched_us)
       .put("g1_mixed_speedup", lane_mix.mixed.speedup())
       .put("store_check_speedup", store_check.speedup())
+      .put("key_update_pack_speedup", key_update_pack.speedup())
       .put("substrate", substrate)
       .put("merge_terms", dec_terms.size())
       .put("merge_per_term_ms", per_term_ms)

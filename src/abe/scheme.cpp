@@ -1,5 +1,8 @@
 #include "abe/scheme.h"
 
+#include <algorithm>
+#include <map>
+
 #include "abe/serial.h"
 #include "common/errors.h"
 #include "engine/engine.h"
@@ -310,29 +313,66 @@ UpdateKey aa_make_update_key(const Group& grp, const AuthorityVersionKey& old_vk
   return uk;
 }
 
+size_t apply_updates_to_secret_keys(const Group& grp, std::span<const SecretKeyUpdate> jobs) {
+  // Follow each key along its jobs, in job order: the version each job
+  // must find, the K it leaves and the product of its UK2s. In the
+  // order-r subgroup K_x^{a} then ^{b} is K_x^{ab mod r}, so a key's
+  // jobs take one exponent.
+  struct Chain {
+    UserSecretKey* key;
+    uint32_t version;
+    G1 k;
+    Zr uk2;
+  };
+  std::vector<Chain> chains;
+  std::map<const UserSecretKey*, size_t> chain_of;
+  std::vector<G1> uk1s;  // distinct, in first-appearance order
+  for (const SecretKeyUpdate& job : jobs) {
+    const UserSecretKey& sk = *job.key;
+    const UpdateKey& uk = *job.uk;
+    const auto [it, fresh] = chain_of.try_emplace(job.key, chains.size());
+    if (fresh) chains.push_back({job.key, sk.version, sk.k, uk.uk2});
+    Chain& c = chains[it->second];
+    if (sk.aid != uk.aid) throw SchemeError("key update: authority mismatch");
+    if (sk.owner_id != uk.owner_id) throw SchemeError("key update: owner mismatch");
+    if (c.version != uk.from_version)
+      throw SchemeError("key update: key at version " + std::to_string(c.version) +
+                        ", update expects " + std::to_string(uk.from_version));
+    c.version = uk.to_version;
+    c.k = c.k + uk.uk1;
+    if (!fresh) c.uk2 = c.uk2 * uk.uk2;
+    if (std::find(uk1s.begin(), uk1s.end(), uk.uk1) == uk1s.end()) uk1s.push_back(uk.uk1);
+  }
+  if (chains.empty()) return 0;
+  // Every K_x^{UK2} in one uncached engine batch, where it is counted,
+  // with each distinct UK1's subgroup check as one more term: UK1^{r-1}
+  // is -UK1 exactly when r*UK1 = 0, and every job's UK1 is one of them.
+  // The terms run as lanes of 8-lane passes, each with its own scalar,
+  // and the batch goes to affine with one inversion. A UK1 outside the
+  // subgroup throws before any key changes.
+  std::vector<CryptoEngine::G1Term> terms;
+  for (const Chain& c : chains)
+    for (const auto& [handle, key] : c.key->kx) terms.push_back({key, c.uk2});
+  const size_t first_check = terms.size();
+  const Zr minus_one = grp.zr_one().neg();
+  for (const G1& uk1 : uk1s) terms.push_back({uk1, minus_one});
+  const std::vector<G1> powers = CryptoEngine::for_group(grp).multi_exp_g1(terms, false);
+  for (size_t i = 0; i < uk1s.size(); ++i)
+    if (powers[first_check + i] != uk1s[i].neg()) throw WireError(kOutsideSubgroup);
+  auto next = powers.begin();
+  for (Chain& c : chains) {
+    c.key->version = c.version;
+    c.key->k = std::move(c.k);
+    for (auto& [handle, key] : c.key->kx) key = *next++;
+  }
+  return uk1s.size();
+}
+
 UserSecretKey apply_update_to_secret_key(const Group& grp, const UserSecretKey& sk,
                                          const UpdateKey& uk) {
-  if (sk.aid != uk.aid) throw SchemeError("key update: authority mismatch");
-  if (sk.owner_id != uk.owner_id) throw SchemeError("key update: owner mismatch");
-  if (sk.version != uk.from_version)
-    throw SchemeError("key update: key at version " + std::to_string(sk.version) +
-                      ", update expects " + std::to_string(uk.from_version));
-  // Every K_x^{UK2} in one uncached engine batch, where it is counted,
-  // with UK1's subgroup check as one more term: UK1^{r-1} is -UK1
-  // exactly when r*UK1 = 0. The terms run as lanes of one pass, each
-  // with its own scalar, and the batch goes to affine with one
-  // inversion. A UK1 outside the subgroup throws before any key changes.
-  std::vector<CryptoEngine::G1Term> terms;
-  terms.reserve(sk.kx.size() + 1);
-  for (const auto& [handle, key] : sk.kx) terms.push_back({key, uk.uk2});
-  terms.push_back({uk.uk1, grp.zr_one().neg()});
-  const std::vector<G1> powers = CryptoEngine::for_group(grp).multi_exp_g1(terms, false);
-  if (powers.back() != uk.uk1.neg()) throw WireError(kOutsideSubgroup);
   UserSecretKey out = sk;
-  out.version = uk.to_version;
-  out.k = sk.k + uk.uk1;
-  auto next = powers.begin();
-  for (auto& [handle, key] : out.kx) key = *next++;
+  const SecretKeyUpdate job{&out, &uk};
+  apply_updates_to_secret_keys(grp, std::span(&job, 1));
   return out;
 }
 
@@ -354,16 +394,18 @@ PublicAttributeKey apply_update_to_attribute_pk(const Group& grp,
 
 std::vector<PublicAttributeKey> apply_update_to_attribute_pks(
     const Group& grp, const std::vector<PublicAttributeKey>& pks, const UpdateKey& uk) {
-  std::vector<G1> bases;
-  bases.reserve(pks.size());
+  std::vector<CryptoEngine::G1Term> terms;
+  terms.reserve(pks.size() + 1);
   for (const PublicAttributeKey& pk : pks) {
     if (pk.attr.aid != uk.aid) throw SchemeError("attribute pk update: authority mismatch");
     if (pk.version != uk.from_version)
       throw SchemeError("attribute pk update: version mismatch");
-    bases.push_back(pk.key);
+    terms.push_back({pk.key, uk.uk2});
   }
-  if (bases.empty()) return {};
-  const std::vector<G1> updated = CryptoEngine::for_group(grp).pow_batch_g1(bases, uk.uk2);
+  // UK1's subgroup check rides as the last lane, as in a user's update.
+  terms.push_back({uk.uk1, grp.zr_one().neg()});
+  const std::vector<G1> updated = CryptoEngine::for_group(grp).multi_exp_g1(terms, false);
+  if (updated.back() != uk.uk1.neg()) throw WireError(kOutsideSubgroup);
   std::vector<PublicAttributeKey> out;
   out.reserve(pks.size());
   for (size_t i = 0; i < pks.size(); ++i) out.push_back({pks[i].attr, uk.to_version, updated[i]});

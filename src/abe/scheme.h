@@ -140,12 +140,26 @@ UpdateKey aa_make_update_key(const pairing::Group& grp,
                              const AuthorityVersionKey& new_vk,
                              const OwnerSecretShare& owner);
 
-/// Non-revoked user's key update: K *= UK1, K_x ^= UK2. UK1's subgroup
-/// check rides in the engine batch that raises every K_x (a multiply by
-/// r - 1 that must give -UK1), so a UK decoded on-curve only
-/// (UkCheck::kCiphertextPath) is safe to apply: a UK1 outside the
-/// subgroup throws WireError(kOutsideSubgroup), as the decoder's check
-/// would, and no key changes.
+/// One non-revoked user's key update of a batch: `key` is updated in
+/// place by `uk`. Jobs naming the same key apply to it in job order.
+struct SecretKeyUpdate {
+  UserSecretKey* key;
+  const UpdateKey* uk;
+};
+
+/// Non-revoked users' key updates, K *= UK1 and K_x ^= UK2, for every
+/// job as one engine batch. Checks every job first (the authority, owner
+/// and version SchemeErrors, each version as left by the key's earlier
+/// jobs); then raises every K_x to the product of its key's UK2s in one
+/// uncached multi_exp_g1 that also carries one subgroup check per
+/// distinct UK1 (a multiply by r - 1 that must give -UK1). So a UK
+/// decoded on-curve only (UkCheck::kCiphertextPath) is safe to apply: a
+/// UK1 outside the subgroup throws WireError(kOutsideSubgroup), as the
+/// decoder's check would, and no key changes. The keys end byte-equal to
+/// applying the jobs one at a time. Returns the number of distinct UK1s.
+size_t apply_updates_to_secret_keys(const pairing::Group& grp,
+                                    std::span<const SecretKeyUpdate> jobs);
+/// apply_updates_to_secret_keys of one.
 UserSecretKey apply_update_to_secret_key(const pairing::Group& grp,
                                          const UserSecretKey& sk,
                                          const UpdateKey& uk);
@@ -158,9 +172,13 @@ AuthorityPublicKey apply_update_to_authority_pk(const pairing::Group& grp,
 PublicAttributeKey apply_update_to_attribute_pk(const pairing::Group& grp,
                                                 const PublicAttributeKey& pk,
                                                 const UpdateKey& uk);
-/// Every PK_{x,AID} ^= UK2 in one engine pow_batch_g1, in input order.
-/// Throws SchemeError (before any exponentiation) when a key is another
-/// authority's or at another version.
+/// Every PK_{x,AID} ^= UK2, in input order, in one uncached engine
+/// multi_exp_g1 that also carries UK1's subgroup check (UK1^{r-1} must
+/// be -UK1), so the owner decodes its UK on-curve only; with no keys the
+/// batch is the check alone. Throws SchemeError (before any
+/// exponentiation) when a key is another authority's or at another
+/// version, and WireError(kOutsideSubgroup) when UK1 is outside the
+/// order-r subgroup.
 std::vector<PublicAttributeKey> apply_update_to_attribute_pks(
     const pairing::Group& grp, const std::vector<PublicAttributeKey>& pks,
     const UpdateKey& uk);

@@ -285,8 +285,8 @@ namespace {
 
 /// The one walk of a serialized Ciphertext: every structural check and
 /// every field but the points, whose views it appends to `points` (C',
-/// then each C_i). Its two ends decode the points
-/// (deserialize_ciphertexts) or only check them (check_ciphertexts).
+/// then each C_i). Its ends decode the points (deserialize_ciphertexts),
+/// only check them (check_ciphertexts) or drop them (ciphertext_fields).
 Ciphertext walk_ciphertext(const Group& grp, ByteView data, std::vector<ByteView>& points) {
   Reader r(data);
   expect_tag(r, kCiphertext, "Ciphertext");
@@ -333,6 +333,11 @@ void check_ciphertexts(const Group& grp, std::span<const ByteView> data) {
   std::vector<ByteView> points;
   for (const ByteView d : data) walk_ciphertext(grp, d, points);
   grp.g1_check_encodings(points);
+}
+
+Ciphertext ciphertext_fields(const Group& grp, ByteView data) {
+  std::vector<ByteView> points;
+  return walk_ciphertext(grp, data, points);
 }
 
 std::string ciphertext_owner_id(ByteView data) {

@@ -62,20 +62,25 @@ Ciphertext deserialize_ciphertext(const pairing::Group& grp, ByteView data);
 /// point through Group::g1_check_encodings (a Legendre symbol each, no
 /// square root).
 void check_ciphertexts(const pairing::Group& grp, std::span<const ByteView> data);
+/// Every field of a serialized Ciphertext but its points (c_prime and
+/// ci stay empty), from the walk deserialize_ciphertexts runs: its
+/// structural WireErrors, and no point decoded or checked. A store reads
+/// a slot's id and versions with it.
+Ciphertext ciphertext_fields(const pairing::Group& grp, ByteView data);
 /// The owner id of a serialized Ciphertext, read after its tag and id
 /// without decoding the rest. Throws WireError on a wrong tag or a
 /// truncated prefix.
 std::string ciphertext_owner_id(ByteView data);
 
-/// Receiver-dependent validation depth for update keys. An owner, whose
-/// UpdateInfo pass raises uk1 to its exponents, insists on the order-r
-/// subgroup at decode (kKeyMaterial). The server only injects uk1 into
-/// ciphertext components, where — like per-row ciphertext points — an
-/// off-subgroup value degrades to a typed decryption failure, so the
-/// on-curve check suffices (kCiphertextPath). A user decodes on-curve
-/// only too (kCiphertextPath): apply_update_to_secret_key checks uk1 in
-/// the same pass that raises the key, and throws kOutsideSubgroup's
-/// WireError before the key changes.
+/// Receiver-dependent validation depth for update keys: the order-r
+/// subgroup at decode (kKeyMaterial), or on the curve only
+/// (kCiphertextPath). The server only injects uk1 into ciphertext
+/// components, where — like per-row ciphertext points — an off-subgroup
+/// value degrades to a typed decryption failure, so the on-curve check
+/// suffices. Users and owners decode on-curve only too: their updates
+/// (apply_updates_to_secret_keys, apply_update_to_attribute_pks) check
+/// uk1 in the pass that raises their keys, and throw kOutsideSubgroup's
+/// WireError before any key changes.
 enum class UkCheck { kKeyMaterial, kCiphertextPath };
 
 /// The WireError message of every failed subgroup check on key material.

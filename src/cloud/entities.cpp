@@ -4,6 +4,7 @@
 #include "common/errors.h"
 #include "crypto/sha256.h"
 #include "lsss/parser.h"
+#include "telemetry/trace.h"
 
 namespace maabe::cloud {
 
@@ -183,8 +184,8 @@ bool DataOwner::apply_update(const UpdateKey& uk) {
   if (uk.owner_id != owner_id_) return false;
   const auto apk = authority_pks_.find(uk.aid);
   if (apk == authority_pks_.end()) return false;
-  apk->second = abe::apply_update_to_authority_pk(*grp_, apk->second, uk);
-  // Every attribute key of the authority in one batch: they share UK2.
+  // Every attribute key of the authority in one batch (they share UK2),
+  // which checks UK1 before any key changes.
   std::vector<PublicAttributeKey*> keys;
   std::vector<PublicAttributeKey> current;
   for (auto& [handle, pk] : attribute_pks_) {
@@ -194,6 +195,7 @@ bool DataOwner::apply_update(const UpdateKey& uk) {
   }
   const std::vector<PublicAttributeKey> updated =
       abe::apply_update_to_attribute_pks(*grp_, current, uk);
+  apk->second = abe::apply_update_to_authority_pk(*grp_, apk->second, uk);
   for (size_t i = 0; i < keys.size(); ++i) *keys[i] = updated[i];
   return true;
 }
@@ -251,16 +253,6 @@ void Consumer::add_key(const UserSecretKey& sk) {
   // Any key change (first issuance, regenerated key after revocation)
   // could alter what — and whether — a cached slot decrypts to.
   invalidate_decrypt_cache();
-}
-
-bool Consumer::apply_update(const UpdateKey& uk) {
-  const auto it = keys_.find(key_slot(uk.owner_id, uk.aid));
-  if (it == keys_.end()) return false;
-  it->second = abe::apply_update_to_secret_key(*grp_, it->second, uk);
-  // The key's per-authority version advanced: every cached plaintext
-  // predates this revocation epoch.
-  invalidate_decrypt_cache();
-  return true;
 }
 
 bool Consumer::has_key(const std::string& owner_id, const std::string& aid) const {
@@ -348,9 +340,9 @@ ByteView view_of(std::string_view s) {
 // layout str(file_id) || str(component) || var_bytes(key_ct) ||
 // var_bytes(sealed); because the encoding is canonical these are the
 // bytes the decoded slot would re-serialize to. The consumer's own key
-// state is handled by wholesale invalidation in add_key / apply_update
-// instead of being folded into the key — cheaper than hashing every
-// held key per read.
+// state is handled by wholesale invalidation in add_key (which key
+// updates install through) instead of being folded into the key —
+// cheaper than hashing every held key per read.
 Bytes Consumer::decrypt_cache_key(std::string_view file_id, const SlotView& slot) const {
   {
     std::lock_guard<std::mutex> lock(cache_->mu);
@@ -407,5 +399,33 @@ size_t Consumer::decrypt_cache_size() const {
 uint64_t Consumer::decrypt_cache_hits() const { return cache_->hits->value(); }
 
 uint64_t Consumer::decrypt_cache_misses() const { return cache_->misses->value(); }
+
+void apply_key_updates(const pairing::Group& grp,
+                       std::span<const KeyUpdateDelivery> deliveries) {
+  // A copy of each (user, owner, authority) key the deliveries name,
+  // updated in place by its deliveries in order, then installed.
+  std::vector<std::pair<Consumer*, UserSecretKey>> keys;
+  keys.reserve(deliveries.size());
+  std::map<std::pair<Consumer*, std::string>, size_t> key_of;
+  std::vector<abe::SecretKeyUpdate> jobs;
+  jobs.reserve(deliveries.size());
+  for (const KeyUpdateDelivery& d : deliveries) {
+    if (!d.user->has_key(d.uk.owner_id, d.uk.aid)) continue;
+    const auto [it, fresh] =
+        key_of.try_emplace({d.user, key_slot(d.uk.owner_id, d.uk.aid)}, keys.size());
+    if (fresh) keys.emplace_back(d.user, d.user->key(d.uk.owner_id, d.uk.aid));
+    jobs.push_back({&keys[it->second].second, &d.uk});
+  }
+  if (jobs.empty()) return;
+  telemetry::Span span = telemetry::Tracer::global().start_span("entities.key_updates");
+  const size_t update_keys = abe::apply_updates_to_secret_keys(grp, jobs);
+  if (span.active()) {
+    span.attr("keys", static_cast<uint64_t>(jobs.size()));
+    span.attr("update_keys", static_cast<uint64_t>(update_keys));
+  }
+  // Each key's version advanced: every plaintext its user cached
+  // predates this revocation epoch (add_key drops the cache).
+  for (const auto& [user, sk] : keys) user->add_key(sk);
+}
 
 }  // namespace maabe::cloud

@@ -181,10 +181,10 @@ class Consumer {
   const std::string& uid() const { return pk_.uid; }
   const abe::UserPublicKey& public_key() const { return pk_; }
 
+  /// Installs the key for its (owner, authority) slot, replacing any
+  /// held one, and drops the decrypt cache. Key updates install through
+  /// it (apply_key_updates).
   void add_key(const abe::UserSecretKey& sk);
-  /// Applies UK to the matching (owner, authority) key; returns false if
-  /// this consumer holds no such key.
-  bool apply_update(const abe::UpdateKey& uk);
   /// Replaces the key outright (revoked user receiving its regenerated,
   /// reduced key).
   void replace_key(const abe::UserSecretKey& sk) { add_key(sk); }
@@ -250,5 +250,21 @@ class Consumer {
   std::map<std::string, abe::UserSecretKey> keys_;
   std::unique_ptr<DecryptCache> cache_;
 };
+
+/// An update key delivered to a user.
+struct KeyUpdateDelivery {
+  Consumer* user;
+  abe::UpdateKey uk;
+};
+
+/// Applies every delivery to its user's key of (uk.owner_id, uk.aid) as
+/// one abe::apply_updates_to_secret_keys batch: deliveries to one key in
+/// order, each distinct UK1 checked once. A delivery for a key its user
+/// does not hold is skipped. Installs each updated key with add_key, so
+/// each such user's decrypt cache is dropped. Throws as the batch throws,
+/// with no key changed. Traced as `entities.key_updates` (attributes
+/// `keys`, the jobs, and `update_keys`, the distinct UK1s).
+void apply_key_updates(const pairing::Group& grp,
+                       std::span<const KeyUpdateDelivery> deliveries);
 
 }  // namespace maabe::cloud

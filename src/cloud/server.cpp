@@ -222,11 +222,11 @@ CloudServer::StagedEpoch CloudServer::stage(const abe::UpdateKey& uk,
                         ui.ct_id + "'");
   }
 
-  // ---- Stage: pick the owner's revisions under shard read locks,
-  // decode the undecoded ones as one batch, then select the affected
-  // files and deep-copy them. All re-encryption below mutates only
-  // these private copies, so any failure leaves the store
-  // byte-identical.
+  // ---- Stage: pick the owner's revisions under shard read locks, keep
+  // those with a slot at uk.from_version of uk.aid, decode the
+  // undecoded ones as one batch, then select the affected slots and
+  // deep-copy their files. All re-encryption below mutates only these
+  // private copies, so any failure leaves the store byte-identical.
   StagedEpoch epoch;
   epoch.start_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -238,21 +238,38 @@ CloudServer::StagedEpoch CloudServer::stage(const abe::UpdateKey& uk,
     for (const auto& [file_id, entry] : shards_[s].files)
       if (entry.owner_id == uk.owner_id) picks.push_back({s, file_id, entry.wire, entry.file});
   }
+  const auto affected = [&](const abe::Ciphertext& ct) {
+    const auto ver = ct.versions.find(uk.aid);
+    return ver != ct.versions.end() && ver->second == uk.from_version;
+  };
+  // An undecoded revision is read through its slots' ciphertext fields
+  // (the decoder's walk, no point decoded).
+  std::erase_if(picks, [&](const Pick& pick) {
+    if (pick.file)
+      return std::none_of(pick.file->slots.begin(), pick.file->slots.end(),
+                          [&](const SealedSlot& slot) { return affected(slot.key_ct); });
+    const StoredFileView view = view_stored_file(*pick.wire);
+    return std::none_of(view.slots.begin(), view.slots.end(), [&](const SlotView& slot) {
+      return affected(abe::ciphertext_fields(*grp_, slot.key_ct));
+    });
+  });
+  const auto undecoded =
+      static_cast<uint64_t>(std::count_if(picks.begin(), picks.end(),
+                                          [](const Pick& pick) { return !pick.file; }));
   decode(picks);
+  if (stage_span.active()) stage_span.attr("decoded", undecoded);
   std::vector<StagedFile>& staged = epoch.files;
   for (const Pick& pick : picks) {
     const StoredFile& file = *pick.file;
     std::vector<size_t> slots;
     for (size_t i = 0; i < file.slots.size(); ++i) {
       const abe::Ciphertext& ct = file.slots[i].key_ct;
-      const auto ver = ct.versions.find(uk.aid);
-      if (ver == ct.versions.end() || ver->second != uk.from_version) continue;
+      if (!affected(ct)) continue;
       if (!by_ct.contains(ct.id))
         throw SchemeError("CloudServer: missing update info for ciphertext '" +
                           ct.id + "'");
       slots.push_back(i);
     }
-    if (slots.empty()) continue;
     staged.push_back({pick.shard, pick.wire, std::make_shared<StoredFile>(file),
                       std::move(slots)});
   }

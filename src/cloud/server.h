@@ -20,9 +20,10 @@
 // A versioned write checks every point of the file it keeps
 // (check_stored_file: a Legendre symbol per point) and decodes none.
 // A revision is decoded once, as a batch with the owner's other
-// undecoded revisions, when an epoch first stages it, or when fetch()
-// asks for it; the decode stays on the entry until the next write
-// (DESIGN.md §27).
+// undecoded revisions, when an epoch first re-encrypts one of its slots
+// (a stage reads the other revisions' slot ids and versions without
+// decoding a point), or when fetch() asks for it; the decode stays on
+// the entry until the next write (DESIGN.md §27).
 //
 // Revocation is a failure-atomic epoch in two steps: staging builds
 // re-encrypted copies of every affected ciphertext off to the side
@@ -139,8 +140,10 @@ class CloudServer {
   // stored file counts in no epochs_* stat. An unknown id is "not held",
   // never an error.
 
-  /// Runs the staging pass (decode the owner's undecoded revisions,
-  /// select + deep-copy + re-encrypt into private copies) and holds the
+  /// Runs the staging pass (select the owner's revisions with an
+  /// affected slot, decode the undecoded ones, deep-copy + re-encrypt
+  /// into private copies; span server.reencrypt_stage, whose `decoded`
+  /// counts the revisions it decoded) and holds the
   /// result under `epoch_id`. Throws SchemeError
   /// on protocol violations or a held id, and propagates re-encryption
   /// failures; either way the ledger and the store are unchanged.

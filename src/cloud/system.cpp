@@ -539,6 +539,8 @@ size_t CloudSystem::distribute_revocation(
     if (!revoked.has_key(owner_id, aid)) continue;
     durable_.send_or_park(aa_name(aid), user_name(uid), abe::serialize(*grp_, sk),
                           [this, uid](ByteView payload) {
+                            // Update keys delivered before this one apply first.
+                            apply_key_updates();
                             users_.at(uid).replace_key(
                                 abe::deserialize_user_secret_key(*grp_, payload));
                           },
@@ -546,22 +548,33 @@ size_t CloudSystem::distribute_revocation(
   }
 
   // 2) Update keys to every other user holding keys from this AA.
-  //    Applied exactly once per request id — a duplicated frame must not
-  //    fold UK2 into the key twice. Decoded on-curve only: the apply
-  //    checks UK1's subgroup in the pass that raises the key.
-  for (auto& [other_uid, consumer] : users_) {
-    if (other_uid == uid) continue;
-    for (const auto& [owner_id, uk] : bundle.update_keys) {
-      if (!consumer.has_key(owner_id, aid)) continue;
-      durable_.send_or_park(
-          aa_name(aid), user_name(other_uid), abe::serialize(*grp_, uk),
-          [this, other = other_uid](ByteView payload) {
-            users_.at(other).apply_update(
-                abe::deserialize_update_key(*grp_, payload, abe::UkCheck::kCiphertextPath));
-          },
-          "update key");
+  //    Delivered exactly once per request id — a duplicated frame must
+  //    not fold UK2 into the key twice. Decoded on-curve only and
+  //    collected, then applied as one batch (apply_key_updates), which
+  //    checks each distinct UK1's subgroup in the pass that raises the
+  //    keys. A failure mid-loop still applies what was delivered.
+  collecting_key_updates_ = true;
+  try {
+    for (auto& [other_uid, consumer] : users_) {
+      if (other_uid == uid) continue;
+      for (const auto& [owner_id, uk] : bundle.update_keys) {
+        if (!consumer.has_key(owner_id, aid)) continue;
+        durable_.send_or_park(
+            aa_name(aid), user_name(other_uid), abe::serialize(*grp_, uk),
+            [this, other = other_uid](ByteView payload) {
+              deliver_update_key(other, abe::deserialize_update_key(
+                                            *grp_, payload, abe::UkCheck::kCiphertextPath));
+            },
+            "update key");
+      }
     }
+  } catch (...) {
+    collecting_key_updates_ = false;
+    apply_key_updates();
+    throw;
   }
+  collecting_key_updates_ = false;
+  apply_key_updates();
 
   // 3) Update keys to every owner; each owner refreshes its cached
   //    public keys, emits UpdateInfo for affected ciphertexts and ships
@@ -578,7 +591,9 @@ size_t CloudSystem::distribute_revocation(
         aa_name(aid), owner_name(owner_id), abe::serialize(*grp_, uk_it->second),
         [this, from_version, owner_id](ByteView payload) {
           DataOwner& o = owners_.at(owner_id);
-          const abe::UpdateKey uk = abe::deserialize_update_key(*grp_, payload);
+          // On-curve only: the owner's update checks UK1 in its pass.
+          const abe::UpdateKey uk =
+              abe::deserialize_update_key(*grp_, payload, abe::UkCheck::kCiphertextPath);
           if (!o.apply_update(uk)) return;
           // ---- Phase 2: Data Re-encryption -----------------------------
           const std::vector<abe::UpdateInfo> infos = o.update_infos(uk);
@@ -596,6 +611,17 @@ size_t CloudSystem::distribute_revocation(
         "owner update key");
   }
   return static_cast<size_t>(cluster_.total_reencrypted_slots() - slots_before);
+}
+
+void CloudSystem::deliver_update_key(const std::string& uid, abe::UpdateKey uk) {
+  key_updates_.push_back({&users_.at(uid), std::move(uk)});
+  if (!collecting_key_updates_) apply_key_updates();
+}
+
+void CloudSystem::apply_key_updates() {
+  const std::vector<KeyUpdateDelivery> batch = std::move(key_updates_);
+  key_updates_.clear();
+  cloud::apply_key_updates(*grp_, batch);
 }
 
 // ------------------------------------------------------ introspection --

@@ -222,6 +222,12 @@ class CloudSystem {
   size_t distribute_revocation(const std::string& aid, const std::string& uid,
                                uint32_t from_version,
                                const AttributeAuthority::RevocationBundle& bundle);
+  /// A user's sink for a delivered update key: joins the revocation's
+  /// batch while distribute_revocation collects one, and otherwise (a
+  /// parked delivery replayed later) applies as a batch of one.
+  void deliver_update_key(const std::string& uid, abe::UpdateKey uk);
+  /// Applies the collected batch (cloud::apply_key_updates) and empties it.
+  void apply_key_updates();
 
   std::shared_ptr<const pairing::Group> grp_;
   crypto::Drbg rng_;
@@ -234,6 +240,9 @@ class CloudSystem {
   std::map<std::string, AttributeAuthority> authorities_;
   std::map<std::string, DataOwner> owners_;
   std::map<std::string, Consumer> users_;
+  /// Update keys delivered while distribute_revocation collects them.
+  std::vector<KeyUpdateDelivery> key_updates_;
+  bool collecting_key_updates_ = false;
   /// Declared last: deregisters on destruction before any member the
   /// collector callback reads goes away.
   telemetry::MetricsRegistry::CollectorToken collector_;

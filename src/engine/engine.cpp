@@ -762,18 +762,6 @@ std::vector<G1> CryptoEngine::base_pow_batch(const G1& base, const std::vector<Z
   return grp_->g1_normalize(jac);
 }
 
-std::vector<G1> CryptoEngine::pow_batch_g1(const std::vector<G1>& bases, const Zr& k) {
-  BatchScope scope(*this, EngineMetrics::get().multi_exp_g1_ns, "engine.pow_batch_g1");
-  const size_t n = bases.size();
-  scope.delta.g1_exps = n;
-  scope.delta.tasks = n;
-  scope.set_items(n);
-  const std::vector<Zr> exps(n, k);
-  std::vector<pairing::JacPoint> jac(n);
-  run_items(chunks_of(n), [&](size_t c) { mul_chunk(*grp_, bases, exps, c, jac); });
-  return grp_->g1_normalize(jac);
-}
-
 size_t CryptoEngine::cached_bases() const {
   std::lock_guard<std::mutex> lk(cache_->mu);
   return cache_->index.size();

@@ -25,11 +25,11 @@
 //   * base_pow_batch — one variable base raised to many exponents (an
 //     epoch's UK1 in the owner's UpdateInfo pass), through a window
 //     table scoped to the batch.
-//   * pair_batch / pow_batch_g1 — the revoke's same-schedule runs: many
-//     pairings against one first argument (an epoch's UK1 against every
-//     slot's C') and many bases raised to one exponent (the owner's PK_x
-//     to UK2), as 8-lane IFMA passes in Group. A user's key update is an
-//     uncached multi_exp_g1, its K_x to UK2 plus UK1's subgroup check.
+//   * pair_batch — the revoke's same-schedule run: many pairings
+//     against one first argument (an epoch's UK1 against every slot's
+//     C'), as 8-lane IFMA passes in Group. A revocation's key updates
+//     (every receiving user's K_x to UK2; the owner's PK_x to UK2) are
+//     uncached multi_exp_g1 batches that also carry UK1's subgroup check.
 //   * parallel_for — generic data-parallel sweep (CloudServer uses it
 //     to re-encrypt stored ciphertexts concurrently).
 //
@@ -224,14 +224,6 @@ class CryptoEngine {
   /// inversion normalizes the batch.
   std::vector<pairing::G1> base_pow_batch(const pairing::G1& base,
                                           const std::vector<pairing::Zr>& exps);
-  /// base_i ^ k for many bases and one exponent: Group::g1_mul_batch_jac
-  /// over chunks of eight, fanned across the pool, and one inversion.
-  /// The bases are one-offs (the owner's PK_x), so the LRU is not
-  /// consulted; counted as multi_exp_g1 counts them uncached (one g1_exp
-  /// and one task per base). Same bits as base_i.mul(k).
-  std::vector<pairing::G1> pow_batch_g1(const std::vector<pairing::G1>& bases,
-                                        const pairing::Zr& k);
-
   /// Runs fn(0..n-1), work-stealing across the pool; blocks until all
   /// items finish. Exceptions from fn are rethrown on the caller (first
   /// one wins), and once one item has thrown the remaining unstarted

@@ -491,6 +491,71 @@ TEST_F(ClusterObservability, SubgroupChecksCountEveryKeyPointAReceiverTakes) {
             std::make_pair(size_t{3}, uint64_t{1 + 2 * (1 + names.size())}));
 }
 
+// A revocation applies its users' key updates as one batch, after the
+// deliveries: one entities.key_updates span (keys = receiving users,
+// update_keys = distinct UK1s) holding the one engine batch of every
+// K_x plus UK1's check, and no user's receive runs engine work.
+TEST_F(ClusterObservability, RevokeAppliesItsUsersKeyUpdatesAsOneBatch) {
+  auto grp = Group::test_small();
+  sys_ = make_system(grp, 3, 2);
+  sys_->add_authority("Med", {"A", "B", "C"});
+  sys_->add_owner("hosp");
+  sys_->publish_authority_keys("Med", "hosp");
+  const std::vector<std::set<std::string>> holds = {{"A"}, {"A", "B"}, {"A", "B", "C"},
+                                                    {"B"}, {"C", "A"}};
+  uint64_t kx = 0;
+  for (size_t i = 0; i < holds.size(); ++i) {
+    const std::string uid = "u" + std::to_string(i);
+    sys_->add_user(uid);
+    sys_->assign_attributes("Med", uid, holds[i]);
+    sys_->issue_user_key("Med", uid, "hosp");
+    kx += holds[i].size();
+  }
+  sys_->add_user("rev");
+  sys_->assign_attributes("Med", "rev", {"A", "C"});
+  sys_->issue_user_key("Med", "rev", "hosp");
+  sys_->upload("hosp", "f1", {{"a", bytes_of("alpha"), "A@Med"}});
+
+  std::vector<SpanRecord> records;
+  {
+    SpanCollector sink;
+    EXPECT_GT(sys_->revoke_attribute("Med", "rev", "A"), 0u);
+    records = sink.records();
+  }
+  std::map<uint64_t, const SpanRecord*> by_id;
+  const SpanRecord* root = single_root(records, &by_id);
+  ASSERT_NE(root, nullptr);
+
+  std::vector<const SpanRecord*> batches;
+  for (const SpanRecord& rec : records)
+    if (rec.name == "entities.key_updates") batches.push_back(&rec);
+  ASSERT_EQ(batches.size(), 1u);
+  const SpanRecord& batch = *batches.front();
+  EXPECT_EQ(batch.parent_id, root->span_id);
+  EXPECT_EQ(attr_of(batch, "keys"), std::to_string(holds.size()));
+  EXPECT_EQ(attr_of(batch, "update_keys"), "1");
+  std::vector<const SpanRecord*> children;
+  for (const SpanRecord& rec : records)
+    if (rec.parent_id == batch.span_id) children.push_back(&rec);
+  ASSERT_EQ(children.size(), 1u);
+  EXPECT_EQ(children.front()->name, "engine.multi_exp_g1");
+  EXPECT_EQ(attr_of(*children.front(), "items"), std::to_string(kx + 1));
+
+  size_t user_recvs = 0;
+  for (const SpanRecord& rec : records) {
+    if (rec.name == "transport.recv" && attr_of(rec, "node_id").starts_with("user:")) ++user_recvs;
+    if (!rec.name.starts_with("engine.")) continue;
+    for (auto it = by_id.find(rec.parent_id); it != by_id.end();
+         it = by_id.find(it->second->parent_id)) {
+      const SpanRecord& up = *it->second;
+      EXPECT_FALSE(up.name == "transport.recv" && attr_of(up, "node_id").starts_with("user:"))
+          << rec.name << " inside " << attr_of(up, "node_id") << "'s receive";
+    }
+  }
+  // Every receiving user's update key and the revoked user's new key.
+  EXPECT_EQ(user_recvs, holds.size() + 1);
+}
+
 TEST_F(ClusterObservability, ReencryptSlotsNestTheirPairingsSoNoSelfTimeIsNegative) {
   auto grp = Group::test_small();
   sys_ = make_system(grp, 3, 2);

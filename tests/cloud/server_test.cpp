@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "common/errors.h"
 #include "crypto/sha256.h"
 #include "lsss/parser.h"
+#include "telemetry/trace.h"
 
 namespace maabe::cloud {
 namespace {
@@ -388,6 +390,63 @@ TEST(ServerTest, EpochOverUndecodedEntriesMatchesOneOverDecodedEntries) {
   decoded.stage_reencrypt(1, epoch.uk, epoch.infos);
   EXPECT_EQ(lazy.commit_reencrypt(1), 6u);
   EXPECT_EQ(decoded.commit_reencrypt(1), 6u);
+  EXPECT_EQ(lazy.snapshot(), decoded.snapshot());
+}
+
+/// Stages `epoch` under `epoch_id`, traced: the `decoded` attribute of
+/// its server.reencrypt_stage span.
+uint64_t traced_stage_decodes(CloudServer& server, uint64_t epoch_id, const World::Epoch& epoch) {
+  std::mutex mu;
+  std::vector<telemetry::SpanRecord> records;
+  telemetry::Tracer::global().enable([&](const telemetry::SpanRecord& rec) {
+    std::lock_guard<std::mutex> lock(mu);
+    records.push_back(rec);
+  });
+  server.stage_reencrypt(epoch_id, epoch.uk, epoch.infos);
+  telemetry::Tracer::global().disable();
+  for (const telemetry::SpanRecord& rec : records) {
+    if (rec.name != "server.reencrypt_stage") continue;
+    for (const auto& [key, value] : rec.attrs)
+      if (key == "decoded") return std::stoull(value);
+  }
+  ADD_FAILURE() << "no server.reencrypt_stage span with a decoded count";
+  return 0;
+}
+
+// A stage decodes only the revisions it re-encrypts, read from their
+// slots' ids and versions: over a store that mixes files at the epoch's
+// version with files already past it, the others stay undecoded (the
+// next epoch decodes them), and the snapshots match a store whose every
+// entry was decoded up front.
+TEST(ServerTest, StageDecodesOnlyTheRevisionsItReencrypts) {
+  World w;
+  CloudServer lazy(w.grp, 4), decoded(w.grp, 4);
+  const auto put = [&](const StoredFile& file) {
+    const ReplicationOp op = op_of(*w.grp, file, 1);
+    ASSERT_TRUE(lazy.apply(op));
+    ASSERT_TRUE(decoded.apply(op));
+    EXPECT_EQ(serialize(*w.grp, *decoded.fetch(file.file_id)), op.wire);  // decodes it
+  };
+  put(w.make_file("old0", 2));
+  put(w.make_file("old1"));
+  const World::Epoch first = w.make_epoch();
+  w.apks.at("A") = abe::apply_update_to_authority_pk(*w.grp, w.apks.at("A"), first.uk);
+  put(w.make_file("new0"));
+  put(w.make_file("new1", 3));
+
+  EXPECT_EQ(traced_stage_decodes(lazy, 1, first), 2u);
+  EXPECT_EQ(traced_stage_decodes(decoded, 1, first), 0u);
+  EXPECT_EQ(lazy.commit_reencrypt(1), 3u);
+  EXPECT_EQ(decoded.commit_reencrypt(1), 3u);
+  EXPECT_EQ(lazy.snapshot(), decoded.snapshot());
+
+  // The committed files keep their staged decodes; new0 and new1 were
+  // left undecoded until this epoch re-encrypts them.
+  const World::Epoch second = w.make_epoch();
+  EXPECT_EQ(traced_stage_decodes(lazy, 2, second), 2u);
+  EXPECT_EQ(traced_stage_decodes(decoded, 2, second), 0u);
+  EXPECT_EQ(lazy.commit_reencrypt(2), 7u);
+  EXPECT_EQ(decoded.commit_reencrypt(2), 7u);
   EXPECT_EQ(lazy.snapshot(), decoded.snapshot());
 }
 

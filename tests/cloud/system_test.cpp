@@ -6,8 +6,10 @@
 
 #include <atomic>
 #include <map>
+#include <set>
 #include <thread>
 
+#include "abe/serial.h"
 #include "common/errors.h"
 #include "crypto/authenc.h"
 
@@ -337,6 +339,93 @@ TEST_F(SystemTest, LateAuthorityGetsOwnerShares) {
   sys.issue_user_key("Gov", "dave", "hospital");
   sys.upload("hospital", "audit-log", {{"log", bytes_of("entries"), "Auditor@Gov"}});
   EXPECT_EQ(sys.download("dave", "audit-log").size(), 1u);
+}
+
+// --------------------------------------- update keys as one batch --
+
+// A revocation collects its users' update keys and applies them as one
+// batch; a delivery parked by a dead link replays later, as a batch of
+// one, or joins the next revocation's batch. Either way every user ends
+// with the key the authority would issue afresh at its version (K*UK1
+// and K_x^UK2 are the new version's K and K_x), each update applied once.
+class KeyUpdateDelivery : public ::testing::Test {
+ protected:
+  KeyUpdateDelivery() : sys(Group::test_small(), "key-update-delivery") {
+    sys.add_authority("Med", {"Doctor", "Nurse"});
+    sys.add_owner("hosp");
+    sys.publish_authority_keys("Med", "hosp");
+    for (const auto& [uid, names] :
+         std::map<std::string, std::set<std::string>>{{"alice", {"Doctor", "Nurse"}},
+                                                      {"bob", {"Nurse"}},
+                                                      {"carol", {"Doctor", "Nurse"}}}) {
+      sys.add_user(uid);
+      sys.assign_attributes("Med", uid, names);
+      sys.issue_user_key("Med", uid, "hosp");
+    }
+    sys.upload("hosp", "f1", {{"note", bytes_of("ward note"), "Doctor@Med OR Nurse@Med"}});
+  }
+
+  Bytes key_bytes(const std::string& uid) {
+    return abe::serialize(sys.group(), sys.user(uid).key("hosp", "Med"));
+  }
+  /// The key the authority issues `uid` now, at its current version.
+  Bytes fresh_key_bytes(const std::string& uid) {
+    return abe::serialize(sys.group(),
+                          sys.authority("Med").issue_key(sys.user(uid).public_key(), "hosp"));
+  }
+  /// The next `sends` sends to alice each exhaust their retries.
+  void fail_alice(uint32_t sends) {
+    sys.transport().faults().fail_next("aa:Med", "user:alice",
+                                       sends * RetryPolicy().max_attempts);
+  }
+  void expect_every_key_fresh() {
+    for (const char* uid : {"alice", "bob", "carol"})
+      EXPECT_EQ(key_bytes(uid), fresh_key_bytes(uid)) << uid;
+  }
+
+  CloudSystem sys;
+};
+
+TEST_F(KeyUpdateDelivery, ALinkDownDuringTheRevokeUpdatesOnceOnFlush) {
+  const Bytes before = key_bytes("alice");
+  fail_alice(1);
+  sys.revoke_attribute("Med", "carol", "Nurse");
+  EXPECT_EQ(key_bytes("alice"), before);
+  EXPECT_EQ(sys.health().pending_by_destination.at("user:alice"), 1u);
+  EXPECT_EQ(key_bytes("bob"), fresh_key_bytes("bob"));
+
+  EXPECT_EQ(sys.flush_pending(), 0u);
+  expect_every_key_fresh();
+  const Bytes once = key_bytes("alice");
+  EXPECT_EQ(sys.flush_pending(), 0u);
+  EXPECT_EQ(key_bytes("alice"), once);
+  EXPECT_EQ(string_of(sys.download("alice", "f1").at("note")), "ward note");
+}
+
+TEST_F(KeyUpdateDelivery, AParkedUpdateKeyJoinsTheNextRevocationsBatch) {
+  fail_alice(1);
+  sys.revoke_attribute("Med", "carol", "Nurse");  // alice's v1 -> v2 parks
+  ASSERT_EQ(sys.health().pending_deliveries, 1u);
+  sys.revoke_attribute("Med", "bob", "Nurse");  // v1 -> v2, then v2 -> v3
+  EXPECT_EQ(sys.health().pending_deliveries, 0u);
+  EXPECT_EQ(sys.user("alice").key("hosp", "Med").version, 3u);
+  expect_every_key_fresh();
+  EXPECT_EQ(string_of(sys.download("alice", "f1").at("note")), "ward note");
+}
+
+TEST_F(KeyUpdateDelivery, ARegeneratedKeyBetweenParkedUpdatesKeepsDeliveryOrder) {
+  fail_alice(2);
+  sys.revoke_attribute("Med", "carol", "Nurse");   // alice's v1 -> v2 parks
+  sys.revoke_attribute("Med", "alice", "Doctor");  // her regenerated v3 key parks behind it
+  ASSERT_EQ(sys.health().pending_deliveries, 2u);
+  // Alice's queue replays into this revocation: v1 -> v2, the v3 key,
+  // then this revocation's v3 -> v4.
+  sys.revoke_attribute("Med", "bob", "Nurse");
+  EXPECT_EQ(sys.health().pending_deliveries, 0u);
+  EXPECT_EQ(sys.user("alice").key("hosp", "Med").version, 4u);
+  expect_every_key_fresh();
+  EXPECT_EQ(string_of(sys.download("alice", "f1").at("note")), "ward note");
+  EXPECT_TRUE(sys.download("bob", "f1").empty());
 }
 
 // ------------------------------------------- re-encryption is real --

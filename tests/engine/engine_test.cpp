@@ -390,13 +390,17 @@ TEST_F(EngineTest, PairBatchMatchesAndCountsLikeSinglePairs) {
   EXPECT_TRUE(eng.pair_batch(base, {}).empty());
 }
 
-TEST_F(EngineTest, PowBatchG1MatchesMulAndCountsOneExpPerBase) {
+// Many one-off bases to one exponent, as the owner's key update raises
+// its PK_x to UK2: an uncached multi_exp_g1 in lane passes.
+TEST_F(EngineTest, UncachedMultiExpG1ToOneExponentMatchesMulAndCountsOneExpPerBase) {
   const Zr k = grp->zr_random(rng);
   std::vector<G1> bases;
   for (int i = 0; i < 19; ++i) bases.push_back(i == 5 ? grp->g1_identity() : grp->g1_random(rng));
+  std::vector<CryptoEngine::G1Term> terms;
+  for (const G1& base : bases) terms.push_back({base, k});
   for (const int threads : {1, 3}) {
     CryptoEngine eng(*grp, threads);
-    const std::vector<G1> got = eng.pow_batch_g1(bases, k);
+    const std::vector<G1> got = eng.multi_exp_g1(terms, false);
     ASSERT_EQ(got.size(), bases.size());
     for (size_t i = 0; i < bases.size(); ++i)
       EXPECT_EQ(got[i].to_bytes(), bases[i].mul(k).to_bytes()) << i;
