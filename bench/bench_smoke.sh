@@ -69,7 +69,7 @@
 #       against UK1) as a loop of miller_with + miller_reduce vs one
 #       Group::pair_batch, and eight G1 bases to one scalar (an owner's
 #       attribute keys to UK2) as a loop of G1::mul vs one
-#       Group::g1_pow_batch, each side
+#       Group::g1_mul_batch_jac with the scalar in every lane, each side
 #       the best of three alternating passes on the calling thread's CPU
 #       clock (about 6x with one 8-lane IFMA pass); floored only when
 #       /proc/cpuinfo lists avx512ifma (elsewhere they read ~1). The

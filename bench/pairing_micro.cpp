@@ -506,13 +506,14 @@ SqrtBatch sqrt_batch_report(const pairing::Group& grp) {
 /// stage's slots) as a loop of miller_with + miller_reduce vs one
 /// Group::pair_batch, and PK_x^{UK2} for eight bases and one scalar
 /// (an owner's attribute keys) as a loop of G1::mul vs one
-/// Group::g1_pow_batch. Each
-/// side the best of three alternating passes on the thread CPU clock;
-/// without the IFMA kernel the batches are the same loops (ratio ~1).
+/// Group::g1_mul_batch_jac with the scalar in every lane, normalized.
+/// Each side the best of three alternating passes on the thread CPU
+/// clock; without the IFMA kernel the batches are the same loops (ratio
+/// ~1).
 /// `*_pass_us` is the batch side, one 8-lane pass (0 without the
 /// kernel): against miller_precomp_us + final_exp_us and g1_exp_us, the
-/// figures behind pairing::kMinPairLanesPerPass and
-/// kMinG1PowLanesPerPass. Exits 1 when any item differs.
+/// figures behind math::detail::kMinLanesPerPass. Exits 1 when any item
+/// differs.
 struct RevokeBatches {
   KernelPair pair, g1_pow;
   double pair_pass_us = 0;
@@ -543,7 +544,10 @@ RevokeBatches revoke_batch_report(const pairing::Group& grp) {
       [&] {
         for (size_t k = 0; k < kItems; ++k) pows_loop[k] = points[k].mul(uk2);
       },
-      [&] { pows_batch = grp.g1_pow_batch(points, uk2); });
+      [&] {
+        pows_batch = grp.g1_normalize(
+            grp.g1_mul_batch_jac(points, std::vector<pairing::Zr>(kItems, uk2)));
+      });
   for (size_t k = 0; k < kItems; ++k) {
     if (pairs_loop[k] != pairs_batch[k] ||
         pows_loop[k].to_bytes() != pows_batch[k].to_bytes()) {
@@ -633,7 +637,7 @@ TableWalk table_walk_report(const pairing::Group& grp) {
 /// CPU clock; without the IFMA kernel the batch is the same loop (ratio
 /// ~1). `scalar_us` is one scalar check and `pass_us` one 8-lane pass (0
 /// without the kernel): the figures behind
-/// pairing::kMinG1SubgroupLanesPerPass. Exits 1 when any verdict differs.
+/// math::detail::kMinLanesPerPass. Exits 1 when any verdict differs.
 struct SubgroupBatch {
   KernelPair check;
   double scalar_us = 0;
@@ -669,7 +673,7 @@ SubgroupBatch subgroup_batch_report(const pairing::Group& grp) {
 /// thread CPU clock; without the IFMA kernel the batch is the same loop
 /// (ratio ~1). `pass_us` is the batch side, one 8-lane pass (0 without
 /// the kernel), against g1_exp_us: the figure behind
-/// pairing::kMinG1PowLanesPerPass. Then the two calls it serves, each
+/// math::detail::kMinLanesPerPass. Then the two calls it serves, each
 /// the median of kCalls wall-clock calls through the process's engine:
 /// aa_keygen of a 5-attribute key against a never-seen PK_UID (one
 /// pass of its 1 + 5 powers and g^{1/beta}'s), and
@@ -906,9 +910,10 @@ void engine_batch_report() {
     return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
   };
   const auto time_reps = [&](engine::CryptoEngine& eng, int reps, const auto& now) {
-    (void)eng.pairing_product(terms);  // warm up (pool spin-up, caches)
+    (void)eng.pairing_power_product(terms, {});  // warm up (pool spin-up, caches)
     const double t0 = now();
-    for (int i = 0; i < reps; ++i) benchmark::DoNotOptimize(eng.pairing_product(terms));
+    for (int i = 0; i < reps; ++i)
+      benchmark::DoNotOptimize(eng.pairing_power_product(terms, {}));
     return (now() - t0) / reps;
   };
 

@@ -23,6 +23,7 @@
 #include "cloud/meter.h"
 #include "cloud/server.h"
 #include "cloud/transport.h"
+#include "support/store_paths.h"
 
 namespace maabe::bench {
 namespace {
@@ -124,16 +125,18 @@ void BM_ReEncrypt_Full_Owner(benchmark::State& state) {
 
 // A whole server-side revocation epoch over a populated sharded store:
 // stage every affected slot (CryptoEngine fan-out), then commit under
-// the shard write locks. Times the epoch only — the store is rebuilt at
-// version 1 between iterations (an epoch is not idempotent: the strict
-// version checks reject a second application).
+// the shard write locks, through the store's epoch ledger. Times the
+// epoch only — the store is rebuilt at version 1 between iterations (an
+// epoch is not idempotent: the strict version checks reject a second
+// application), and each file is fetched there so the epoch starts from
+// decoded entries.
 void BM_ReEncrypt_Epoch_Server(benchmark::State& state) {
   const int n_files = static_cast<int>(state.range(0));
   const RevocationFixture& f = RevocationFixture::get(2);
   const pairing::Group& grp = *f.w->grp;
   crypto::Drbg rng(std::string_view("epoch-bench"));
 
-  std::vector<cloud::StoredFile> files;
+  std::vector<Bytes> wires;
   std::vector<abe::UpdateInfo> infos;
   for (int i = 0; i < n_files; ++i) {
     const std::string file_id = "f" + std::to_string(i);
@@ -142,16 +145,17 @@ void BM_ReEncrypt_Epoch_Server(benchmark::State& state) {
                                              f.w->policy, f.w->apks, f.w->attr_pks, rng);
     infos.push_back(abe::owner_update_info(grp, f.w->mk, enc.record, enc.ct,
                                            f.w->attr_pks, f.new_attr_pks, aid_of(0)));
-    files.push_back({file_id, f.w->mk.owner_id, {{"key", std::move(enc.ct), Bytes{}}}});
+    const cloud::StoredFile file{file_id, f.w->mk.owner_id, {{"key", std::move(enc.ct), Bytes{}}}};
+    wires.push_back(cloud::serialize(grp, file));
   }
 
   uint64_t slots = 0;
   for (auto _ : state) {
     state.PauseTiming();
     cloud::CloudServer server(f.w->grp);
-    for (const cloud::StoredFile& file : files) server.store(file);
+    for (const Bytes& wire : wires) (void)server.fetch(server.apply_next(wire).file_id);
     state.ResumeTiming();
-    slots += server.reencrypt(f.uk, infos);
+    slots += cloud::paths::reencrypt(server, f.uk, infos);
   }
   state.counters["files"] = static_cast<double>(n_files);
   state.counters["slots_per_epoch"] =
@@ -170,7 +174,7 @@ void BM_ReEncrypt_Epoch_Transport(benchmark::State& state) {
   const pairing::Group& grp = *f.w->grp;
   crypto::Drbg rng(std::string_view("epoch-bench"));
 
-  std::vector<cloud::StoredFile> files;
+  std::vector<Bytes> wires;
   std::vector<abe::UpdateInfo> infos;
   for (int i = 0; i < n_files; ++i) {
     const std::string file_id = "f" + std::to_string(i);
@@ -179,7 +183,8 @@ void BM_ReEncrypt_Epoch_Transport(benchmark::State& state) {
                                              f.w->policy, f.w->apks, f.w->attr_pks, rng);
     infos.push_back(abe::owner_update_info(grp, f.w->mk, enc.record, enc.ct,
                                            f.w->attr_pks, f.new_attr_pks, aid_of(0)));
-    files.push_back({file_id, f.w->mk.owner_id, {{"key", std::move(enc.ct), Bytes{}}}});
+    const cloud::StoredFile file{file_id, f.w->mk.owner_id, {{"key", std::move(enc.ct), Bytes{}}}};
+    wires.push_back(cloud::serialize(grp, file));
   }
 
   cloud::LoopbackTransport transport;
@@ -188,7 +193,7 @@ void BM_ReEncrypt_Epoch_Transport(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     cloud::CloudServer server(f.w->grp);
-    for (const cloud::StoredFile& file : files) server.store(file);
+    for (const Bytes& wire : wires) (void)server.fetch(server.apply_next(wire).file_id);
     state.ResumeTiming();
     // Owner side: one epoch message, serialized once.
     Writer w;
@@ -206,7 +211,7 @@ void BM_ReEncrypt_Epoch_Transport(benchmark::State& state) {
       for (uint32_t i = 0; i < n; ++i)
         delivered.push_back(abe::deserialize_update_info(grp, r.var_bytes()));
       r.expect_done();
-      slots += server.reencrypt(uk, delivered);
+      slots += cloud::paths::reencrypt(server, uk, delivered);
     });
   }
   const cloud::ChannelStats stats = transport.meter().stats("owner:owner", "server");
@@ -419,7 +424,7 @@ void emit_phase_breakdown() {
       for (uint32_t i = 0; i < n; ++i)
         delivered.push_back(abe::deserialize_update_info(grp, r.var_bytes()));
       r.expect_done();
-      slots = server.reencrypt(uk, delivered);
+      slots = cloud::paths::reencrypt(server, uk, delivered);
     });
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - start)

@@ -491,7 +491,7 @@ EncryptionRecord deserialize_encryption_record(const Group& grp, ByteView data) 
 }
 
 size_t ciphertext_group_material_bytes(const Group& grp, const Ciphertext& v) {
-  return grp.gt_size() + (v.ci.size() + 1) * grp.g1_size();
+  return grp.gt_size() + (static_cast<size_t>(v.policy.rows()) + 1) * grp.g1_size();
 }
 
 }  // namespace maabe::abe

@@ -95,7 +95,8 @@ UpdateInfo deserialize_update_info(const pairing::Group& grp, ByteView data);
 
 /// Bytes of group material only (excluding policy text, ids and framing):
 /// |GT| + (l+1)|G| — the quantity the paper's Table II tracks for the
-/// ciphertext.
+/// ciphertext. l is the policy's row count, so ciphertext_fields'
+/// output (no point decoded) counts the same as the decoded ciphertext.
 size_t ciphertext_group_material_bytes(const pairing::Group& grp, const Ciphertext& v);
 
 }  // namespace maabe::abe

@@ -69,8 +69,7 @@ void lewko_keygen(const Group& grp, const LewkoAuthorityKeys& authority,
   // base and H(GID)^{y_x} over the per-user base (cached across the
   // attributes of one call and across calls for the same GID).
   std::vector<std::string> handles;
-  std::vector<Zr> g_exps;
-  std::vector<CryptoEngine::G1Term> h_terms;
+  std::vector<CryptoEngine::G1Term> g_terms, h_terms;
   for (const std::string& name : attribute_names) {
     const Attribute attr{name, authority.aid};
     const auto it = authority.secrets.find(attr.qualified());
@@ -78,11 +77,11 @@ void lewko_keygen(const Group& grp, const LewkoAuthorityKeys& authority,
       throw SchemeError("lewko_keygen: authority does not manage '" + attr.qualified() + "'");
     const auto& [alpha, y] = it->second;
     handles.push_back(attr.qualified());
-    g_exps.push_back(alpha);
+    g_terms.push_back({grp.g(), alpha});
     h_terms.push_back({h_gid, y});
   }
   CryptoEngine& eng = CryptoEngine::for_group(grp);
-  const std::vector<G1> g_parts = eng.g_pow_batch(g_exps);
+  const std::vector<G1> g_parts = eng.multi_exp_g1(g_terms);
   const std::vector<G1> h_parts = eng.multi_exp_g1(h_terms);
   // K_x = g^{alpha_x} * H(GID)^{y_x}.
   for (size_t i = 0; i < handles.size(); ++i)
@@ -103,31 +102,29 @@ LewkoCiphertext lewko_encrypt(const Group& grp, const GT& message,
   ct.policy = policy;
   ct.c0 = message * grp.egg_pow(s);
   // Serial pass: validation and the rng draws (sequence is part of the
-  // deterministic contract). Parallel pass: the four exponentiation
+  // deterministic contract). Parallel pass: the five exponentiation
   // batches; the per-attribute pk bases recur across encryptions and hit
   // the engine's table cache.
-  std::vector<CryptoEngine::GtTerm> alpha_terms;
-  std::vector<CryptoEngine::G1Term> y_terms;
-  std::vector<Zr> ri;
-  alpha_terms.reserve(policy.rows());
-  y_terms.reserve(policy.rows());
-  ri.reserve(policy.rows());
+  std::vector<CryptoEngine::GtTerm> lambda_terms, alpha_terms;
+  std::vector<CryptoEngine::G1Term> r_terms, y_terms, omega_terms;
   for (int i = 0; i < policy.rows(); ++i) {
     const std::string handle = policy.row_attribute(i).qualified();
     const auto it = pks.find(handle);
     if (it == pks.end())
       throw SchemeError("lewko_encrypt: missing public key for '" + handle + "'");
     const Zr r = grp.zr_nonzero_random(rng);
-    ri.push_back(r);
+    lambda_terms.push_back({grp.gt_generator(), lambda[i]});
     alpha_terms.push_back({it->second.e_gg_alpha, r});
+    r_terms.push_back({grp.g(), r});
     y_terms.push_back({it->second.g_y, r});
+    omega_terms.push_back({grp.g(), omega[i]});
   }
   CryptoEngine& eng = CryptoEngine::for_group(grp);
-  const std::vector<GT> egg_lambda = eng.egg_pow_batch(lambda);
+  const std::vector<GT> egg_lambda = eng.multi_exp_gt(lambda_terms);
   const std::vector<GT> alpha_r = eng.multi_exp_gt(alpha_terms);
-  const std::vector<G1> g_r = eng.g_pow_batch(ri);
+  const std::vector<G1> g_r = eng.multi_exp_g1(r_terms);
   const std::vector<G1> y_r = eng.multi_exp_g1(y_terms);
-  const std::vector<G1> g_omega = eng.g_pow_batch(omega);
+  const std::vector<G1> g_omega = eng.multi_exp_g1(omega_terms);
   ct.c1.reserve(policy.rows());
   ct.c2.reserve(policy.rows());
   ct.c3.reserve(policy.rows());

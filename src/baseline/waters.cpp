@@ -86,14 +86,16 @@ WatersCiphertext waters_encrypt(const Group& grp, const WatersPublicKey& pk,
   eng.parallel_for(static_cast<size_t>(policy.rows()), [&](size_t i) {
     hashes[i] = waters_hash_attribute(grp, policy.row_attribute(static_cast<int>(i)));
   });
-  std::vector<CryptoEngine::G1Term> terms;
+  std::vector<CryptoEngine::G1Term> terms, g_terms;
   terms.reserve(2 * policy.rows());
+  g_terms.reserve(policy.rows());
   for (int i = 0; i < policy.rows(); ++i) {
     terms.push_back({pk.g_a, lambda[i]});
     terms.push_back({hashes[i], ri[i]});
+    g_terms.push_back({grp.g(), ri[i]});
   }
   const std::vector<G1> powers = eng.multi_exp_g1(terms);
-  const std::vector<G1> di = eng.g_pow_batch(ri);
+  const std::vector<G1> di = eng.multi_exp_g1(g_terms);
   ct.ci.reserve(policy.rows());
   ct.di.reserve(policy.rows());
   for (int i = 0; i < policy.rows(); ++i) {

@@ -386,11 +386,6 @@ void Consumer::set_decrypt_cache_capacity(size_t entries) {
   }
 }
 
-size_t Consumer::decrypt_cache_capacity() const {
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  return cache_->capacity;
-}
-
 size_t Consumer::decrypt_cache_size() const {
   std::lock_guard<std::mutex> lock(cache_->mu);
   return cache_->index.size();

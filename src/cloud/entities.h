@@ -228,7 +228,6 @@ class Consumer {
   /// Bounds the decrypt-result cache in entries; 0 disables it. The
   /// default (64) keeps a hot working set of slots decrypt-free.
   void set_decrypt_cache_capacity(size_t entries);
-  size_t decrypt_cache_capacity() const;
   size_t decrypt_cache_size() const;
   /// Hit/miss counts: reads of this consumer's
   /// maabe_decrypt_cache_{hits,misses}_total{instance,user} series,

@@ -45,42 +45,19 @@ size_t CloudServer::shard_of(const std::string& file_id) const {
 
 namespace {
 
-void check_storable(const std::string& file_id, const std::string& owner_id) {
-  if (file_id.empty()) throw SchemeError("CloudServer: empty file id");
-  if (owner_id.empty())
-    throw SchemeError("CloudServer: file '" + file_id +
-                      "' has empty owner id (would escape revocation)");
-}
-
-/// check_stored_file, then the store's own rules on the view.
+/// check_stored_file, then the store's own rules on the view: a file
+/// id, and an owner id (a file without one could never match any
+/// UpdateKey.owner_id and would silently escape revocation).
 StoredFileView check(const pairing::Group& grp, ByteView wire) {
   StoredFileView view = check_stored_file(grp, wire);
-  check_storable(view.file_id, view.owner_id);
+  if (view.file_id.empty()) throw SchemeError("CloudServer: empty file id");
+  if (view.owner_id.empty())
+    throw SchemeError("CloudServer: file '" + view.file_id +
+                      "' has empty owner id (would escape revocation)");
   return view;
 }
 
 }  // namespace
-
-void CloudServer::store(StoredFile file) {
-  check_storable(file.file_id, file.owner_id);
-  auto wire = std::make_shared<const Bytes>(serialize(*grp_, file));
-  Shard& sh = shards_[shard_of(file.file_id)];
-  auto snapshot = std::make_shared<const StoredFile>(std::move(file));
-  std::unique_lock lk(sh.mu);
-  const auto [it, inserted] = sh.files.try_emplace(snapshot->file_id);
-  Entry& e = it->second;
-  if (inserted) e.hash = crypto::Sha256::digest(*wire);
-  e.wire = std::move(wire);
-  e.owner_id = snapshot->owner_id;
-  e.file = std::move(snapshot);
-  m_.stores->inc();
-}
-
-bool CloudServer::has_file(const std::string& file_id) const {
-  const Shard& sh = shards_[shard_of(file_id)];
-  std::shared_lock lk(sh.mu);
-  return sh.files.contains(file_id);
-}
 
 std::shared_ptr<const StoredFile> CloudServer::fetch(const std::string& file_id) const {
   const size_t s = shard_of(file_id);
@@ -195,11 +172,6 @@ std::vector<std::string> CloudServer::file_ids() const {
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-size_t CloudServer::reencrypt(const abe::UpdateKey& uk,
-                              const std::vector<abe::UpdateInfo>& infos) {
-  return commit(stage(uk, infos));
 }
 
 CloudServer::StagedEpoch CloudServer::stage(const abe::UpdateKey& uk,
@@ -390,16 +362,14 @@ void CloudServer::abort_all_staged() {
 size_t CloudServer::storage_bytes() const { return stats().bytes; }
 
 size_t CloudServer::ciphertext_group_material_bytes() const {
-  std::vector<Pick> picks;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    std::shared_lock lk(shards_[s].mu);
-    for (const auto& [id, entry] : shards_[s].files) picks.push_back({s, id, entry.wire, entry.file});
-  }
-  decode(picks);
   size_t total = 0;
-  for (const Pick& pick : picks)
-    for (const SealedSlot& slot : pick.file->slots)
-      total += abe::ciphertext_group_material_bytes(*grp_, slot.key_ct);
+  for (const Shard& sh : shards_) {
+    std::shared_lock lk(sh.mu);
+    for (const auto& [id, entry] : sh.files)
+      for (const SlotView& slot : view_stored_file(*entry.wire).slots)
+        total += abe::ciphertext_group_material_bytes(
+            *grp_, abe::ciphertext_fields(*grp_, slot.key_ct));
+  }
   return total;
 }
 

@@ -5,17 +5,22 @@
 // never holds content keys and never decrypts anything (paper Section
 // III-B trust model).
 //
+// The store has one way in for each job: files are written only by the
+// versioned writes (apply, apply_next) and re-encrypted only through the
+// epoch ledger (stage_reencrypt, then commit_reencrypt or
+// abort_reencrypt).
+//
 // Concurrency model (DESIGN.md §9): the store is split into N shards by
 // hash of file_id, each guarded by its own std::shared_mutex. fetch()
 // returns an immutable snapshot (shared_ptr<const StoredFile>) of the
 // revision kept at the time of the call, so readers are never
-// invalidated by a concurrent store() or reencrypt(). Writers lock only
+// invalidated by a concurrent write or epoch commit. Writers lock only
 // their shard, so re-encryption of one owner's files never blocks reads
 // of unrelated shards. Each entry is a replica record — kept bytes,
 // version, recorded hash and owner of one revision — read and written
 // under one shard lock, so no reader pairs a version with another
 // revision's bytes. Versioned writes keep the bytes they received;
-// only store() and an epoch commit serialize.
+// only an epoch commit serializes.
 //
 // A versioned write checks every point of the file it keeps
 // (check_stored_file: a Legendre symbol per point) and decodes none.
@@ -35,8 +40,7 @@
 // observe a half-updated store. The cluster's 2PC holds staged epochs
 // in the store's ledger by epoch id: the store is the one owner of
 // staged state, and its ledger lock orders a commit against a restart's
-// wipe. reencrypt() is the two steps back to back. A test-only fault
-// hook lets tests prove this.
+// wipe. A test-only fault hook lets tests prove this.
 #pragma once
 
 #include <functional>
@@ -60,7 +64,7 @@ namespace maabe::cloud {
 struct ServerStats {
   uint64_t files = 0;              ///< live files
   uint64_t bytes = 0;              ///< serialized bytes at rest
-  uint64_t stores = 0;             ///< revisions written (store() + applied writes)
+  uint64_t stores = 0;             ///< revisions written by apply / apply_next
   uint64_t fetches = 0;            ///< successful fetch() snapshots served
   uint64_t reencrypted_slots = 0;  ///< ciphertext slots committed by epochs
   uint64_t epochs_committed = 0;   ///< staged epochs committed
@@ -84,25 +88,18 @@ class CloudServer {
   CloudServer(const CloudServer&) = delete;
   CloudServer& operator=(const CloudServer&) = delete;
 
-  /// Stores (or replaces) a file out of band. Both file_id and
-  /// owner_id must be non-empty — a file without an owner could never
-  /// match any UpdateKey.owner_id and would silently escape revocation.
-  /// A replaced file keeps its recorded version and hash; a new one
-  /// gets version 0 and the hash of its own bytes.
-  void store(StoredFile file);
-
-  bool has_file(const std::string& file_id) const;
-
   /// Immutable snapshot of the file at the time of the call, decoded
-  /// now unless a stage or an earlier fetch decoded this revision. The
-  /// snapshot stays valid (and unchanged) however many store() /
-  /// reencrypt() calls race with the reader.
+  /// now unless a stage or an earlier fetch decoded this revision (the
+  /// decode stays on the entry). The snapshot stays valid (and
+  /// unchanged) however many writes and epoch commits race with the
+  /// reader.
   std::shared_ptr<const StoredFile> fetch(const std::string& file_id) const;
 
   /// The replica record as a quorum-read reply (found = false when
   /// absent). Counts one fetch when found, like fetch().
   FetchReply copy(const std::string& file_id) const;
-  /// The same record for introspection (Merkle listings): no fetch.
+  /// The same record for introspection (Merkle listings, and whether a
+  /// file is held): no fetch.
   FetchReply peek(const std::string& file_id) const;
   /// Version of the kept revision (0 when absent).
   uint64_t version_of(const std::string& file_id) const;
@@ -112,7 +109,9 @@ class CloudServer {
   /// hash differs from op.hash (corruption repair); older ops are
   /// ignored, so replays are idempotent. Returns whether it applied.
   /// Throws (WireError from check_stored_file, SchemeError for an empty
-  /// id or owner or another file's bytes) before the store changes.
+  /// id or owner or another file's bytes) before the store changes. An
+  /// owner id is required: a file without one could never match any
+  /// UpdateKey.owner_id and would silently escape revocation.
   bool apply(ReplicationOp op);
   /// Coordinator write: keeps `wire` as the kept version + 1 under its
   /// own hash; returns that revision as the op to fan out. Checks the
@@ -126,16 +125,9 @@ class CloudServer {
   /// All file ids, sorted (stable across shard counts).
   std::vector<std::string> file_ids() const;
 
-  /// ReEncrypt (paper Section V-C Phase 2): applies the update key and
-  /// the per-ciphertext update information to every affected slot, as
-  /// one all-or-nothing epoch, staged and committed outside the ledger.
-  /// Throws SchemeError on duplicate or missing UpdateInfo; on any
-  /// failure the store is unchanged. Returns the number of ciphertext
-  /// slots re-encrypted and committed.
-  size_t reencrypt(const abe::UpdateKey& uk, const std::vector<abe::UpdateInfo>& infos);
-
-  // ---- Two-phase epoch hooks (cluster 2PC, DESIGN.md §13) -------------
-  // The ledger holds staged epochs by the cluster's epoch id, empty ones
+  // ---- ReEncrypt (paper Section V-C Phase 2): two-phase epochs ------
+  // The only way to re-encrypt; the cluster's 2PC (DESIGN.md §13)
+  // drives it. The ledger holds staged epochs by the cluster's epoch id, empty ones
   // too (so their commit is no orphan), but an epoch that affects no
   // stored file counts in no epochs_* stat. An unknown id is "not held",
   // never an error.
@@ -144,8 +136,8 @@ class CloudServer {
   /// affected slot, decode the undecoded ones, deep-copy + re-encrypt
   /// into private copies; span server.reencrypt_stage, whose `decoded`
   /// counts the revisions it decoded) and holds the
-  /// result under `epoch_id`. Throws SchemeError
-  /// on protocol violations or a held id, and propagates re-encryption
+  /// result under `epoch_id`. Throws SchemeError on duplicate or
+  /// missing UpdateInfo or a held id, and propagates re-encryption
   /// failures; either way the ledger and the store are unchanged.
   void stage_reencrypt(uint64_t epoch_id, const abe::UpdateKey& uk,
                        const std::vector<abe::UpdateInfo>& infos);
@@ -166,7 +158,8 @@ class CloudServer {
   size_t storage_bytes() const;
 
   /// Bytes of ABE group material at rest (the paper's |GT|+(l+1)|G|
-  /// accounting, excluding the symmetric payloads).
+  /// accounting, excluding the symmetric payloads), counted from each
+  /// slot's ciphertext fields: no point is decoded.
   size_t ciphertext_group_material_bytes() const;
 
   size_t shard_count() const { return shards_.size(); }
@@ -178,8 +171,8 @@ class CloudServer {
   /// Test-only: invoked once per slot during the staging pass, in slot
   /// order on the staging thread, just before the slot's re-encryption
   /// is written to its staged copy; throwing from the hook aborts the
-  /// epoch. Not thread-safe against a running
-  /// reencrypt() — install before use.
+  /// epoch. Not thread-safe against a running stage — install before
+  /// use.
   void set_reencrypt_fault_hook(std::function<void(const std::string& ct_id)> hook) {
     fault_hook_ = std::move(hook);
   }
@@ -188,8 +181,8 @@ class CloudServer {
   struct Entry {
     /// The revision's bytes, as received or serialized once. Every write
     /// installs a new buffer, so the pointer names the revision: a
-    /// commit or a decode compares it, since an out-of-band store() or a
-    /// same-version repair keeps version and hash.
+    /// commit or a decode compares it, since a same-version repair keeps
+    /// the version.
     std::shared_ptr<const Bytes> wire;
     uint64_t version = 0;
     Bytes hash;  ///< SHA-256 recorded when the revision was written

@@ -66,8 +66,6 @@ struct EngineMetrics {
   telemetry::Histogram& pair_batch_ns;
   telemetry::Histogram& multi_exp_g1_ns;
   telemetry::Histogram& multi_exp_gt_ns;
-  telemetry::Histogram& g_pow_batch_ns;
-  telemetry::Histogram& egg_pow_batch_ns;
   telemetry::Histogram& base_pow_batch_ns;
   std::array<telemetry::Counter*, kEngineStatCount> totals{};
 
@@ -78,8 +76,6 @@ struct EngineMetrics {
           reg.histogram("maabe_engine_pair_batch_ns"),
           reg.histogram("maabe_engine_multi_exp_g1_ns"),
           reg.histogram("maabe_engine_multi_exp_gt_ns"),
-          reg.histogram("maabe_engine_g_pow_batch_ns"),
-          reg.histogram("maabe_engine_egg_pow_batch_ns"),
           reg.histogram("maabe_engine_base_pow_batch_ns"),
       };
       for (size_t i = 0; i < kEngineStatCount; ++i)
@@ -425,10 +421,6 @@ void CryptoEngine::parallel_for(size_t n, const std::function<void(size_t)>& fn)
   run_items(n, fn);
 }
 
-GT CryptoEngine::pairing_product(const std::vector<PairTerm>& terms) {
-  return pairing_power_product(terms, {});
-}
-
 GT CryptoEngine::pairing_power_product(const std::vector<PairTerm>& terms,
                                        const std::vector<Zr>& exps) {
   if (!exps.empty() && exps.size() != terms.size())
@@ -616,11 +608,6 @@ std::vector<G1> CryptoEngine::multi_exp_g1(const std::vector<G1Term>& terms,
                                            bool cache_bases) {
   BatchScope scope(*this, EngineMetrics::get().multi_exp_g1_ns,
                    "engine.multi_exp_g1");
-  return exp_g1(scope, terms, cache_bases);
-}
-
-std::vector<G1> CryptoEngine::exp_g1(BatchScope& scope, const std::vector<G1Term>& terms,
-                                     bool cache_bases) {
   const size_t n = terms.size();
   scope.delta.g1_exps = n;
   scope.delta.tasks = n;
@@ -697,11 +684,15 @@ std::vector<GT> CryptoEngine::multi_exp_gt(const std::vector<GtTerm>& terms,
   scope.delta.gt_exps = n;
   scope.delta.tasks = n;
   scope.set_items(n);
+  // The group's e(g,g) walks its own table, outside the LRU; the other
+  // bases consult it.
+  std::vector<bool> egg(n);
+  for (size_t i = 0; i < n; ++i) egg[i] = terms[i].base == grp_->gt_generator();
   std::vector<std::shared_ptr<const pairing::GtFixedBase>> tables(n);
   if (cache_bases) {
     std::lock_guard<std::mutex> lk(cache_->mu);
     for (size_t i = 0; i < n; ++i) {
-      if (terms[i].base.is_one()) continue;
+      if (egg[i] || terms[i].base.is_one()) continue;
       tables[i] = cache_->table(&LruCache::Node::gt, terms[i].base.to_bytes(), 1,
                                 false, scope.delta.table_builds,
                                 scope.delta.table_hits,
@@ -710,29 +701,10 @@ std::vector<GT> CryptoEngine::multi_exp_gt(const std::vector<GtTerm>& terms,
   }
   std::vector<GT> out(n);
   run_items(n, [&](size_t i) {
-    out[i] = tables[i] ? grp_->gt_pow_with(*tables[i], terms[i].exp)
-                       : terms[i].base.pow(terms[i].exp);
+    out[i] = egg[i]      ? grp_->egg_pow(terms[i].exp)
+             : tables[i] ? grp_->gt_pow_with(*tables[i], terms[i].exp)
+                         : terms[i].base.pow(terms[i].exp);
   });
-  return out;
-}
-
-std::vector<G1> CryptoEngine::g_pow_batch(const std::vector<Zr>& exps) {
-  BatchScope scope(*this, EngineMetrics::get().g_pow_batch_ns,
-                   "engine.g_pow_batch");
-  std::vector<G1Term> terms;
-  terms.reserve(exps.size());
-  for (const Zr& e : exps) terms.push_back({grp_->g(), e});
-  return exp_g1(scope, terms, false);
-}
-
-std::vector<GT> CryptoEngine::egg_pow_batch(const std::vector<Zr>& exps) {
-  BatchScope scope(*this, EngineMetrics::get().egg_pow_batch_ns,
-                   "engine.egg_pow_batch");
-  scope.delta.gt_exps = exps.size();
-  scope.delta.tasks = exps.size();
-  scope.set_items(exps.size());
-  std::vector<GT> out(exps.size());
-  run_items(exps.size(), [&](size_t i) { out[i] = grp_->egg_pow(exps[i]); });
   return out;
 }
 

@@ -5,14 +5,14 @@
 // (decrypt alone evaluates 2l + N_A pairings); a CryptoEngine turns
 // those serial loops into batches executed on a fixed-size thread pool:
 //
-//   * pairing_product / pairing_power_product — the multi-pairing
-//     kernel: by bilinearity, terms sharing a first argument merge into
-//     one Miller loop, small exponents folded into their second
-//     arguments (an AND decrypt's 2l + N_A terms run 2 loops) and each
-//     full-size exponent keeping a class of its own; the loops run in
-//     parallel (with fixed-argument line tables cached in the LRU),
-//     unreduced values fold in class order, and the product pays one
-//     shared final exponentiation.
+//   * pairing_power_product — the multi-pairing kernel (empty
+//     exponents for a plain product): by bilinearity, terms sharing a
+//     first argument merge into one Miller loop, small exponents folded
+//     into their second arguments (an AND decrypt's 2l + N_A terms run
+//     2 loops) and each full-size exponent keeping a class of its own;
+//     the loops run in parallel (with fixed-argument line tables cached
+//     in the LRU), unreduced values fold in class order, and the
+//     product pays one shared final exponentiation.
 //   * multi_exp_g1 / multi_exp_gt — batched variable-base
 //     exponentiation with a per-Group LRU precomputation cache:
 //     bases seen repeatedly across batches (the per-attribute
@@ -20,8 +20,8 @@
 //     get a window table built once and reused, the same machinery
 //     Group already uses for g and e(g,g). A G1 base counts one use
 //     per batch, so a new user's PK_UID, raised to 1 + |S| exponents
-//     by each authority's KeyGen, stays in 8-lane passes.
-//   * g_pow_batch / egg_pow_batch — batches over the two fixed bases.
+//     by each authority's KeyGen, stays in 8-lane passes. Terms whose
+//     base is g or e(g,g) walk the Group's own tables instead.
 //   * base_pow_batch — one variable base raised to many exponents (an
 //     epoch's UK1 in the owner's UpdateInfo pass), through a window
 //     table scoped to the batch.
@@ -30,8 +30,8 @@
 //     C'), as 8-lane IFMA passes in Group. A revocation's key updates
 //     (every receiving user's K_x to UK2; the owner's PK_x to UK2) are
 //     uncached multi_exp_g1 batches that also carry UK1's subgroup check.
-//   * parallel_for — generic data-parallel sweep (CloudServer uses it
-//     to re-encrypt stored ciphertexts concurrently).
+//   * parallel_for — generic data-parallel sweep (the Waters baseline's
+//     per-row work).
 //
 // Determinism guarantee: all group arithmetic is exact, every output
 // slot is computed independently, and folds run in submission order on
@@ -153,11 +153,9 @@ class CryptoEngine {
     pairing::Zr exp;
   };
 
-  /// prod_i e(a_i, b_i) through the multi-pairing kernel below, with no
-  /// exponents (classes are keyed by first argument alone).
-  pairing::GT pairing_product(const std::vector<PairTerm>& terms);
-  /// prod_i e(a_i, b_i)^{e_i}. The live terms sort into classes in
-  /// first-appearance order. An exponent with a signed representative
+  /// prod_i e(a_i, b_i)^{e_i}, or prod_i e(a_i, b_i) when `exps` is
+  /// empty (classes are then keyed by first argument alone). The live
+  /// terms sort into classes in first-appearance order. An exponent with a signed representative
   /// k, |k| < 2^64, is small: the term joins a_i's folded class as
   /// k*b_i (e(a,b)^e == e(a, k*b) exactly in GT for a in the order-r
   /// subgroup). Any other exponent keys a class by (a_i, e_i), whose
@@ -176,8 +174,8 @@ class CryptoEngine {
   /// must never reach the shared reduction; a product with nothing left
   /// returns gt_one() with no final exponentiation. Byte-identical to
   /// the serial pair-then-pow fold at any thread count for subgroup
-  /// inputs. Requires exps.size() == terms.size(). This is the shape of
-  /// every ABE decrypt.
+  /// inputs. Requires exps empty or exps.size() == terms.size(). This is
+  /// the shape of every ABE decrypt. Span engine.pairing_product.
   pairing::GT pairing_power_product(const std::vector<PairTerm>& terms,
                                     const std::vector<pairing::Zr>& exps);
   /// e(a, b_i) for every b_i, with ONE LRU lookup for a's line table:
@@ -194,10 +192,10 @@ class CryptoEngine {
 
   /// base_i ^ exp_i for variable bases. A term whose base is the
   /// group's g walks Group::g_table() and never enters the LRU, counted
-  /// as g_pow_batch counts it (a g1_exp and a task, no table hit). Each
-  /// other distinct base counts one use of its LRU entry per batch; from
-  /// the entry's kBuildThreshold-th batch on (4), or at once for a base
-  /// with kBatchTableThreshold or more terms in the batch (8), its terms
+  /// as a g1_exp and a task with no table hit. Each other distinct base
+  /// counts one use of its LRU entry per batch; from the entry's
+  /// kBuildThreshold-th batch on (4), or at once for a base with
+  /// kBatchTableThreshold or more terms in the batch (8), its terms
   /// walk a cached window table. Every other term runs in
   /// Group::g1_mul_batch_jac's 8-lane passes, one scalar per lane.
   /// `cache_bases = false` skips the LRU entirely — pass it when the
@@ -207,14 +205,12 @@ class CryptoEngine {
   /// affine with one inversion (Group::g1_normalize).
   std::vector<pairing::G1> multi_exp_g1(const std::vector<G1Term>& terms,
                                         bool cache_bases = true);
+  /// base_i ^ exp_i in GT. A term whose base is the group's e(g,g) runs
+  /// Group::egg_pow and never enters the LRU (a gt_exp and a task, no
+  /// table hit); each other base counts one use of its LRU entry per
+  /// term and walks its table from the entry's kBuildThreshold-th use on.
   std::vector<pairing::GT> multi_exp_gt(const std::vector<GtTerm>& terms,
                                         bool cache_bases = true);
-
-  /// g ^ exp_i / e(g,g) ^ exp_i via the Group's fixed-base tables;
-  /// g_pow_batch is multi_exp_g1's path on terms whose base is g, under
-  /// its own span and histogram.
-  std::vector<pairing::G1> g_pow_batch(const std::vector<pairing::Zr>& exps);
-  std::vector<pairing::GT> egg_pow_batch(const std::vector<pairing::Zr>& exps);
   /// base ^ exp_i for one base shared by the whole batch. From
   /// kBatchTableThreshold exponents on (8), the batch builds a window
   /// table for `base` (one table build, every exponent a table hit) and
@@ -229,8 +225,7 @@ class CryptoEngine {
   /// one wins), and once one item has thrown the remaining unstarted
   /// items are ABANDONED — a failed sweep is neither all nor nothing.
   /// Callers needing failure atomicity must write into staging copies
-  /// and commit only after parallel_for returns (the contract
-  /// CloudServer::reencrypt's epoch protocol builds on). The pool stays
+  /// and commit only after parallel_for returns. The pool stays
   /// usable after a throwing sweep. Reentrant calls from inside a
   /// worker run inline.
   void parallel_for(size_t n, const std::function<void(size_t)>& fn);
@@ -252,10 +247,6 @@ class CryptoEngine {
   struct StatCells;  // seqlock-guarded per-engine stat store (engine.cpp)
   class BatchScope;  // RAII per-batch delta accumulator (engine.cpp)
 
-  void ensure_pool();
-  /// multi_exp_g1's work, counted into `scope`.
-  std::vector<pairing::G1> exp_g1(BatchScope& scope, const std::vector<G1Term>& terms,
-                                  bool cache_bases);
   /// parallel_for's dispatch without the task accounting — batch APIs
   /// fold their item count into the batch's atomic stat commit instead.
   void run_items(size_t n, const std::function<void(size_t)>& fn);

@@ -48,12 +48,18 @@ struct Lanes {
 /// One lane's ten radix-2^52 limbs.
 using LaneLimbs = std::array<uint64_t, LaneModulus::kLimbs>;
 
-/// Fewest live lanes that earn a vector exponentiation pass. A pass
-/// costs about 1.2 scalar exponentiations by (q+1)/4 on the paper curve
-/// whatever its live-lane count (bench/pairing_micro `sqrt_pass_us`
-/// against `sqrt_scalar_us`), so a batch runs in passes of eight, a
-/// remainder of two or more runs as one pass padded with zero lanes, and
-/// a single base runs on the scalar pow.
+/// Fewest live lanes that earn a lane pass: the square roots of a
+/// batched decode, Group::pair_batch's pairings, and the G1 multiplies
+/// of Group::g1_mul_batch_jac and g1_in_subgroup_batch. Whatever its
+/// live lanes, a pass costs about one scalar op on the paper curve
+/// (bench/pairing_micro on a 4-vCPU Xeon VM): `sqrt_pass_us` about 1.2
+/// `sqrt_scalar_us`, `pair_pass_us` 287 us against
+/// `miller_precomp_us` + `final_exp_us` 214 us, `g1_mixed_pass_us`
+/// 354 us against `g1_exp_us` 333 us, and `g1_subgroup_pass_us` 237 us
+/// against `g1_subgroup_check_us` 220 us. So two items already gain,
+/// a remainder of two or more runs as one pass padded with idle lanes,
+/// and a lone item stays scalar. (Table walks differ:
+/// pairing::kMinG1TableLanesPerPass.)
 inline constexpr size_t kMinLanesPerPass = 2;
 
 /// Runs the items `live` in passes of up to eight: `lanes(pass)` on each

@@ -11,6 +11,7 @@
 namespace maabe::pairing {
 
 using math::Bignum;
+using math::detail::kMinLanesPerPass;
 using math::detail::Lanes;
 using math::detail::run_passes;
 
@@ -502,7 +503,7 @@ std::vector<GT> Group::pair_batch(const PairingPrecomp& pre, std::span<const G1>
       if (!(left >> j & 1)) out[pass[j]] = GT(this, vals[j]);
     return left;
   };
-  run_passes(live, lf != nullptr, kMinPairLanesPerPass, lanes, [&](size_t i) {
+  run_passes(live, lf != nullptr, kMinLanesPerPass, lanes, [&](size_t i) {
     out[i] = GT(this, ctx_.final_exponentiation(pre.miller(bs[i].pt_)));
   });
   return out;
@@ -521,11 +522,7 @@ std::vector<JacPoint> Group::g1_mul_batch_jac(std::span<const G1> bases,
     pts.push_back(bases[i].pt_);
     exps.push_back(&ks[i].value());
   }
-  return ctx_.curve().mul_jac_batch(ctx_.fq().lanes(), kMinG1PowLanesPerPass, pts, exps);
-}
-
-std::vector<G1> Group::g1_pow_batch(std::span<const G1> bases, const Zr& k) const {
-  return g1_normalize(g1_mul_batch_jac(bases, std::vector<Zr>(bases.size(), k)));
+  return ctx_.curve().mul_jac_batch(ctx_.fq().lanes(), kMinLanesPerPass, pts, exps);
 }
 
 std::vector<bool> Group::g1_in_subgroup_batch(std::span<const G1> pts) const {
@@ -538,7 +535,7 @@ std::vector<bool> Group::g1_in_subgroup_batch(std::span<const G1> pts) const {
   const Bignum r_minus_1 = Bignum::sub(order(), Bignum::from_u64(1));
   const std::vector<const Bignum*> exps(ps.size(), &r_minus_1);
   const std::vector<JacPoint> got =
-      ctx_.curve().mul_jac_batch(ctx_.fq().lanes(), kMinG1SubgroupLanesPerPass, ps, exps);
+      ctx_.curve().mul_jac_batch(ctx_.fq().lanes(), kMinLanesPerPass, ps, exps);
   // (r - 1)P = -P exactly when rP = 0, compared in Jacobian form with no
   // inversion: X = x*Z^2 and Y = -y*Z^3. The identity passes; a finite P
   // whose product is infinity (z = 0) fails, since X = 1 there.

@@ -191,29 +191,6 @@ struct G1Run {
   std::vector<G1> pts;
 };
 
-/// Fewest live lanes that earn a pairing pass in Group::pair_batch. A
-/// pass costs about 1.35 scalar pairings against a line table whatever
-/// its live lanes (bench/pairing_micro `pair_pass_us` 287 us against
-/// `miller_precomp_us` + `final_exp_us` 214 us on the paper curve, on a
-/// 4-vCPU Xeon VM), so
-/// two pairings already gain and a lone one stays scalar.
-inline constexpr size_t kMinPairLanesPerPass = 2;
-/// Fewest live lanes that earn a G1 pass in Group::g1_mul_batch_jac
-/// (under g1_pow_batch and the engine's untabled multiplies). A pass of
-/// 4-bit windows costs about 1.1 scalar multiplies whatever its live
-/// lanes and scalars (bench/pairing_micro `g1_mixed_pass_us` 354 us and
-/// `g1_pow_pass_us` 360 us against `g1_exp_us` 333 us on the paper
-/// curve, on a 4-vCPU Xeon VM), so two points already gain and a lone
-/// one stays scalar.
-inline constexpr size_t kMinG1PowLanesPerPass = 2;
-/// Fewest live lanes that earn a subgroup-check pass in
-/// Group::g1_in_subgroup_batch. A pass by r - 1 (two non-zero windows,
-/// so mostly the pass's 1P..15P and its doublings) costs about 1.1
-/// scalar checks by r whatever its live lanes (`g1_subgroup_pass_us`
-/// 237 us against `g1_subgroup_check_us` 220 us), so likewise from two
-/// points on.
-inline constexpr size_t kMinG1SubgroupLanesPerPass = 2;
-
 class Group {
  public:
   /// The paper's setting: 512-bit base field, 160-bit order (PBC a.param).
@@ -253,13 +230,10 @@ class Group {
 
   // ---- G1 ----------------------------------------------------------
   G1 g1_identity() const { return G1(this, AffinePoint::infinity()); }
-  /// base * k for every base: the same bits as G1::mul on each.
-  /// g1_normalize of g1_mul_batch_jac with k in every lane.
-  std::vector<G1> g1_pow_batch(std::span<const G1> bases, const Zr& k) const;
   /// in_subgroup() of every point, the same verdicts. Every finite point
   /// is multiplied by r - 1 (2^159 + 2^107 on the paper curve: two
   /// non-zero 4-bit windows) through CurveCtx::mul_jac_batch, in passes
-  /// of at least kMinG1SubgroupLanesPerPass, and accepted exactly when
+  /// of at least math::detail::kMinLanesPerPass, and accepted exactly when
   /// the product is -P, compared in Jacobian form (X = x*Z^2,
   /// Y = -y*Z^3) with no inversion. A multiply by r itself would end
   /// every subgroup lane at z = 0, which the lanes hand back. The
@@ -315,7 +289,7 @@ class Group {
   /// replay, the easy part and the hard part as lanes of the IFMA field
   /// (DESIGN.md §23) with the norms inverted in one batch; an identity
   /// b or base is 1 without a loop, and a lane whose Miller value is
-  /// zero, a pass below kMinPairLanesPerPass and every pass on a CPU
+  /// zero, a pass below math::detail::kMinLanesPerPass and every pass on a CPU
   /// without the kernels run the scalar path.
   std::vector<GT> pair_batch(const PairingPrecomp& pre, std::span<const G1> bs) const;
 
@@ -382,7 +356,7 @@ class Group {
   /// bases[i].mul(ks[i]) for every i before its affine conversion, the
   /// same points: CurveCtx::mul_jac_batch on the base field's lanes
   /// (null without the kernels, and on the test curve), so passes of up
-  /// to eight finite bases, at least kMinG1PowLanesPerPass of them, run
+  /// to eight finite bases, at least math::detail::kMinLanesPerPass of them, run
   /// one fixed 4-bit window per lane with a scalar of its own.
   std::vector<JacPoint> g1_mul_batch_jac(std::span<const G1> bases,
                                          std::span<const Zr> ks) const;

@@ -16,6 +16,7 @@
 #include "common/errors.h"
 #include "crypto/sha256.h"
 #include "../support/flight_dump_on_failure.h"
+#include "support/store_paths.h"
 
 namespace maabe::cloud {
 namespace {
@@ -67,7 +68,7 @@ void expect_replicas_converged(CloudSystem& sys,
   for (const std::string& f : files) {
     const std::vector<std::string> replicas = c.replicas_for(f);
     ASSERT_FALSE(replicas.empty());
-    ASSERT_TRUE(c.node_store(replicas.front()).has_file(f))
+    ASSERT_TRUE(c.node_store(replicas.front()).peek(f).found)
         << "primary of '" << f << "' lost it";
     const Bytes want = serialize(sys.group(), *c.node_store(replicas.front()).fetch(f));
     const uint64_t version = c.version_of(replicas.front(), f);
@@ -75,11 +76,11 @@ void expect_replicas_converged(CloudSystem& sys,
       const bool is_replica =
           std::find(replicas.begin(), replicas.end(), name) != replicas.end();
       if (!is_replica) {
-        EXPECT_FALSE(c.node_store(name).has_file(f))
+        EXPECT_FALSE(c.node_store(name).peek(f).found)
             << "'" << f << "' leaked onto non-replica " << name;
         continue;
       }
-      ASSERT_TRUE(c.node_store(name).has_file(f))
+      ASSERT_TRUE(c.node_store(name).peek(f).found)
           << "replica " << name << " missing '" << f << "'";
       EXPECT_EQ(serialize(sys.group(), *c.node_store(name).fetch(f)), want)
           << "replica " << name << " diverged on '" << f << "'";
@@ -214,7 +215,7 @@ TEST(ClusterTest, QuorumReadRepairsCorruptReplica) {
   ASSERT_FALSE(rotted.slots.empty());
   ASSERT_GT(rotted.slots[0].sealed_data.size(), 10u);
   rotted.slots[0].sealed_data[10] ^= 0x40;
-  c.node_store(victim).store(std::move(rotted));
+  paths::plant_rot(c.node_store(victim), "f1", serialize(sys->group(), rotted));
 
   // The quorum read outvotes the rotten copy (its bytes no longer match
   // the recorded hash) and pushes the winner back at it.
@@ -255,7 +256,7 @@ std::string rot_replica(CloudSystem& sys, const std::string& file_id, size_t off
   }
   StoredFile rotted = *c.node_store(victim).fetch(file_id);
   rotted.slots[0].sealed_data.at(offset) ^= 0x40;
-  c.node_store(victim).store(std::move(rotted));
+  paths::plant_rot(c.node_store(victim), file_id, serialize(sys.group(), rotted));
   return victim;
 }
 

@@ -7,6 +7,7 @@
 #include "abe/serial.h"
 #include "cloud/server.h"
 #include "common/errors.h"
+#include "support/store_paths.h"
 
 namespace maabe::cloud {
 namespace {
@@ -241,15 +242,15 @@ TEST_F(EntitiesTest, ConsumerKeyStorageBytes) {
 TEST_F(EntitiesTest, ServerStoreFetchReencryptValidation) {
   CloudServer server(grp);
   EXPECT_THROW(server.fetch("nope"), SchemeError);
-  EXPECT_THROW(server.store(StoredFile{}), SchemeError);  // empty id
+  EXPECT_THROW(server.apply_next(serialize(*grp, StoredFile{})), SchemeError);  // empty id
   EXPECT_EQ(server.storage_bytes(), 0u);
 
   aa.define_attribute("Doctor");
   aa.accept_owner_share(owner.share());
   owner.learn_authority_key(aa.public_key());
   for (const auto& [h, pk] : aa.attribute_public_keys()) owner.learn_attribute_key(pk);
-  server.store(owner.protect("f", {{"c", bytes_of("x"), "Doctor@Med"}}));
-  EXPECT_TRUE(server.has_file("f"));
+  server.apply_next(serialize(*grp, owner.protect("f", {{"c", bytes_of("x"), "Doctor@Med"}})));
+  EXPECT_TRUE(server.peek("f").found);
   EXPECT_EQ(server.file_ids(), std::vector<std::string>{"f"});
   EXPECT_GT(server.storage_bytes(), 0u);
   EXPECT_GT(server.ciphertext_group_material_bytes(), 0u);
@@ -258,7 +259,7 @@ TEST_F(EntitiesTest, ServerStoreFetchReencryptValidation) {
   const auto& alice = ca.register_user("alice");
   aa.assign("alice", {"Doctor"});
   auto bundle = aa.revoke(alice, "Doctor");
-  EXPECT_THROW(server.reencrypt(bundle.update_keys.at("hosp"), {}), SchemeError);
+  EXPECT_THROW(paths::reencrypt(server, bundle.update_keys.at("hosp"), {}), SchemeError);
 }
 
 TEST_F(EntitiesTest, OwnerApplyUpdateIgnoresForeignUpdates) {

@@ -267,7 +267,7 @@ TEST(CosetCiphertextPoints, DownloadFailsClosed) {
     } else {
       ct.ci[static_cast<size_t>(target)] = ct.ci[static_cast<size_t>(target)] + rogue;
     }
-    sys.server().store(file);
+    sys.server().apply_next(serialize(*grp, file));
     EXPECT_THROW(sys.download("alice", "f1"), CryptoError) << "target " << target;
     const CloudSystem::DownloadReport report = sys.download_report("alice", "f1");
     ASSERT_EQ(report.slots.size(), 1u);
@@ -276,7 +276,7 @@ TEST(CosetCiphertextPoints, DownloadFailsClosed) {
     EXPECT_TRUE(report.opened().empty()) << "target " << target;
   }
   // The authentic ciphertext still opens.
-  sys.server().store(original);
+  sys.server().apply_next(serialize(*grp, original));
   EXPECT_EQ(string_of(sys.download("alice", "f1").at("a")), "component A plaintext");
 }
 

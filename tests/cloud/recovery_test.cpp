@@ -31,6 +31,7 @@
 #include "crypto/sha256.h"
 #include "loadgen/loadgen.h"
 #include "../support/flight_dump_on_failure.h"
+#include "support/store_paths.h"
 
 namespace maabe::cloud {
 namespace {
@@ -91,12 +92,12 @@ void expect_replicas_converged(CloudSystem& sys,
   for (const std::string& f : files) {
     const std::vector<std::string> replicas = c.replicas_for(f);
     ASSERT_FALSE(replicas.empty());
-    ASSERT_TRUE(c.node_store(replicas.front()).has_file(f));
+    ASSERT_TRUE(c.node_store(replicas.front()).peek(f).found);
     const Bytes want =
         serialize(sys.group(), *c.node_store(replicas.front()).fetch(f));
     const uint64_t version = c.version_of(replicas.front(), f);
     for (const std::string& name : replicas) {
-      ASSERT_TRUE(c.node_store(name).has_file(f))
+      ASSERT_TRUE(c.node_store(name).peek(f).found)
           << "replica " << name << " missing '" << f << "'";
       EXPECT_EQ(serialize(sys.group(), *c.node_store(name).fetch(f)), want)
           << "replica " << name << " diverged on '" << f << "'";
@@ -173,7 +174,7 @@ TEST(RecoveryTest, SyncRestoresCorruptReplicaFromAuthenticCopy) {
   ASSERT_FALSE(rotted.slots.empty());
   ASSERT_GT(rotted.slots[0].sealed_data.size(), 10u);
   rotted.slots[0].sealed_data[10] ^= 0x40;
-  c.node_store(victim).store(std::move(rotted));
+  paths::plant_rot(c.node_store(victim), "f1", serialize(sys->group(), rotted));
 
   const SyncReport rep = c.recovery().sync(victim, coord);
   EXPECT_GE(rep.shards_divergent, 1u);
@@ -216,7 +217,7 @@ TEST(RecoveryTest, RejoinHashesEachHeldFileOnceAcrossItsSessions) {
   ASSERT_FALSE(rotted.slots.empty());
   ASSERT_GT(rotted.slots[0].sealed_data.size(), 10u);
   rotted.slots[0].sealed_data[10] ^= 0x40;
-  c.node_store("node:0").store(std::move(rotted));
+  paths::plant_rot(c.node_store("node:0"), files[0], serialize(sys->group(), rotted));
   before = rec.stats();
   c.restart_node("node:0");
   after = rec.stats();

@@ -1,10 +1,11 @@
 // The concurrent sharded cloud store: snapshot-fetch semantics, the
 // stage-then-commit revocation epoch (all-or-nothing, proven via the
 // fault hook), the replica record's version rules (apply, apply_next,
-// out-of-band store, commit), the staged-epoch ledger keyed by epoch
-// id, per-shard stats, and a concurrent
-// fetch/store/reencrypt stress test (run it under
-// -DMAABE_SANITIZE=thread for tsan-grade evidence).
+// commit), the staged-epoch ledger keyed by epoch id, per-shard stats,
+// and a stress test racing writes and epochs against readers (run it
+// under -DMAABE_SANITIZE=thread for tsan-grade evidence). Every file is
+// written through apply or apply_next and every epoch runs through the
+// ledger, as in a cluster.
 #include "cloud/server.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "common/errors.h"
 #include "crypto/sha256.h"
 #include "lsss/parser.h"
+#include "support/store_paths.h"
 #include "telemetry/trace.h"
 
 namespace maabe::cloud {
@@ -71,6 +73,11 @@ struct World {
     return file;
   }
 
+  /// make_file's bytes, as a write carries them.
+  Bytes make_wire(const std::string& file_id, int n_slots = 1) {
+    return serialize(*grp, make_file(file_id, n_slots));
+  }
+
   struct Epoch {
     abe::UpdateKey uk;
     std::vector<abe::UpdateInfo> infos;
@@ -115,12 +122,12 @@ TEST(ServerTest, ShardedStoreBasicOps) {
   std::vector<std::string> ids;
   for (int i = 0; i < 8; ++i) {
     const std::string id = "f" + std::to_string(i);
-    server.store(w.make_file(id));
+    server.apply_next(w.make_wire(id));
     ids.push_back(id);
   }
   EXPECT_EQ(server.file_ids(), ids);  // sorted, across all shards
-  EXPECT_TRUE(server.has_file("f3"));
-  EXPECT_FALSE(server.has_file("f9"));
+  EXPECT_TRUE(server.peek("f3").found);
+  EXPECT_FALSE(server.peek("f9").found);
   EXPECT_GT(server.storage_bytes(), 0u);
   EXPECT_GT(server.ciphertext_group_material_bytes(), 0u);
   // storage_bytes stays exact: the maintained counters match a full
@@ -138,7 +145,7 @@ TEST(ServerTest, ShardedStoreBasicOps) {
   EXPECT_EQ(stats.bytes, server.storage_bytes());
 
   // Replacement: same id, file count unchanged, store count up.
-  server.store(w.make_file("f0", 2));
+  server.apply_next(w.make_wire("f0", 2));
   EXPECT_EQ(server.stats().files, 8u);
   EXPECT_EQ(server.stats().stores, 9u);
   EXPECT_EQ(server.fetch("f0")->slots.size(), 2u);
@@ -147,20 +154,22 @@ TEST(ServerTest, ShardedStoreBasicOps) {
 TEST(ServerTest, InvalidStoresRejected) {
   World w;
   CloudServer server(w.grp);
-  EXPECT_THROW(server.store(StoredFile{}), SchemeError);  // empty file id
-  StoredFile orphan = w.make_file("f");
-  orphan.owner_id.clear();  // would silently escape revocation
-  EXPECT_THROW(server.store(orphan), SchemeError);
+  EXPECT_THROW(server.apply_next(serialize(*w.grp, StoredFile{})), SchemeError);  // empty id
+  // No owner: would silently escape revocation. (A slot's ciphertext
+  // names its owner, so the file carries none, or the bytes fail the
+  // wire check first.)
+  const StoredFile orphan{"f", "", {}};
+  EXPECT_THROW(server.apply_next(serialize(*w.grp, orphan)), SchemeError);
 }
 
 TEST(ServerTest, FetchReturnsStableSnapshot) {
   World w;
   CloudServer server(w.grp, 2);
-  server.store(w.make_file("f", 1));
+  server.apply_next(w.make_wire("f", 1));
   const std::shared_ptr<const StoredFile> snapshot = server.fetch("f");
   const Bytes before = serialize(*w.grp, *snapshot);
 
-  server.store(w.make_file("f", 3));  // replace behind the reader's back
+  server.apply_next(w.make_wire("f", 3));  // replace behind the reader's back
   EXPECT_EQ(serialize(*w.grp, *snapshot), before);  // snapshot unaffected
   EXPECT_EQ(snapshot->slots.size(), 1u);
   EXPECT_EQ(server.fetch("f")->slots.size(), 3u);
@@ -169,38 +178,38 @@ TEST(ServerTest, FetchReturnsStableSnapshot) {
 TEST(ServerTest, DuplicateUpdateInfoRejected) {
   World w;
   CloudServer server(w.grp, 2);
-  server.store(w.make_file("f"));
+  server.apply_next(w.make_wire("f"));
   World::Epoch epoch = w.make_epoch();
   ASSERT_EQ(epoch.infos.size(), 1u);
   const Bytes before = serialize_whole_store(server, *w.grp);
 
   epoch.infos.push_back(epoch.infos.front());  // same ct_id twice
-  EXPECT_THROW(server.reencrypt(epoch.uk, epoch.infos), SchemeError);
+  EXPECT_THROW(paths::reencrypt(server, epoch.uk, epoch.infos), SchemeError);
   EXPECT_EQ(serialize_whole_store(server, *w.grp), before);
 
   epoch.infos.pop_back();
-  EXPECT_EQ(server.reencrypt(epoch.uk, epoch.infos), 1u);
+  EXPECT_EQ(paths::reencrypt(server, epoch.uk, epoch.infos), 1u);
 }
 
 TEST(ServerTest, MissingUpdateInfoRejected) {
   World w;
   CloudServer server(w.grp, 2);
-  server.store(w.make_file("f"));
+  server.apply_next(w.make_wire("f"));
   const World::Epoch epoch = w.make_epoch();
   const Bytes before = serialize_whole_store(server, *w.grp);
-  EXPECT_THROW(server.reencrypt(epoch.uk, {}), SchemeError);
+  EXPECT_THROW(paths::reencrypt(server, epoch.uk, {}), SchemeError);
   EXPECT_EQ(serialize_whole_store(server, *w.grp), before);
 }
 
 TEST(ServerTest, ReencryptEpochCommitsAllSlots) {
   World w;
   CloudServer server(w.grp, 4);
-  server.store(w.make_file("f0", 2));
-  server.store(w.make_file("f1", 1));
-  server.store(w.make_file("f2", 1));
+  server.apply_next(w.make_wire("f0", 2));
+  server.apply_next(w.make_wire("f1", 1));
+  server.apply_next(w.make_wire("f2", 1));
 
   const World::Epoch epoch = w.make_epoch();
-  EXPECT_EQ(server.reencrypt(epoch.uk, epoch.infos), 4u);
+  EXPECT_EQ(paths::reencrypt(server, epoch.uk, epoch.infos), 4u);
   for (const std::string& id : server.file_ids()) {
     for (const SealedSlot& slot : server.fetch(id)->slots)
       EXPECT_EQ(slot.key_ct.versions.at("A"), 2u) << id;
@@ -218,9 +227,9 @@ TEST(ServerTest, ReencryptEpochCommitsAllSlots) {
 TEST(ServerTest, FaultInjectedEpochLeavesStoreByteIdentical) {
   World w;
   CloudServer server(w.grp, 4);
-  server.store(w.make_file("f0", 2));
-  server.store(w.make_file("f1", 1));
-  server.store(w.make_file("f2", 1));
+  server.apply_next(w.make_wire("f0", 2));
+  server.apply_next(w.make_wire("f1", 1));
+  server.apply_next(w.make_wire("f2", 1));
   const World::Epoch epoch = w.make_epoch();
   const Bytes before = serialize_whole_store(server, *w.grp);
 
@@ -230,7 +239,7 @@ TEST(ServerTest, FaultInjectedEpochLeavesStoreByteIdentical) {
   server.set_reencrypt_fault_hook([&](const std::string&) {
     if (seen.fetch_add(1) == 1) throw SchemeError("injected fault");
   });
-  EXPECT_THROW(server.reencrypt(epoch.uk, epoch.infos), SchemeError);
+  EXPECT_THROW(paths::reencrypt(server, epoch.uk, epoch.infos), SchemeError);
 
   // All-or-nothing: every stored byte is exactly as before the epoch.
   EXPECT_EQ(serialize_whole_store(server, *w.grp), before);
@@ -241,7 +250,7 @@ TEST(ServerTest, FaultInjectedEpochLeavesStoreByteIdentical) {
   // And the store is not wedged: the same epoch, replayed without the
   // fault, applies cleanly — version checks see a consistent store.
   server.set_reencrypt_fault_hook(nullptr);
-  EXPECT_EQ(server.reencrypt(epoch.uk, epoch.infos), 4u);
+  EXPECT_EQ(paths::reencrypt(server, epoch.uk, epoch.infos), 4u);
   EXPECT_EQ(server.stats().epochs_committed, 1u);
   const abe::Ciphertext ct = server.fetch("f1")->slots[0].key_ct;
   EXPECT_NO_THROW((void)abe::decrypt(*w.grp, ct, w.user, w.sks));
@@ -285,18 +294,19 @@ TEST(ServerTest, ApplyRepairsAnEqualVersionOnlyWhenHashesDiffer) {
   EXPECT_FALSE(server.apply(op));  // kept bytes hash to op.hash: converged
   EXPECT_EQ(server.stats().stores, 1u);
 
-  // Replace the bytes out of band: the recorded version and hash stay,
-  // so the kept bytes no longer match them.
-  server.store(w.make_file("f"));
+  // Rot the kept bytes: the recorded version and hash stay, so the kept
+  // bytes no longer match them.
+  paths::plant_rot(server, "f", w.make_wire("f"));
   const FetchReply rotted = server.copy("f");
   EXPECT_EQ(rotted.version, 4u);
   EXPECT_EQ(rotted.hash, op.hash);
   EXPECT_NE(rotted.wire, op.wire);
 
-  // The same version now repairs, back to the op's own bytes.
+  // The same version now repairs, back to the op's own bytes: one store.
+  const uint64_t stores = server.stats().stores;
   EXPECT_TRUE(server.apply(op));
   EXPECT_EQ(server.copy("f").wire, op.wire);
-  EXPECT_EQ(server.stats().stores, 3u);
+  EXPECT_EQ(server.stats().stores, stores + 1);
 }
 
 TEST(ServerTest, ApplyKeepsTheOpsOwnBytesAndHash) {
@@ -323,9 +333,8 @@ TEST(ServerTest, ApplyKeepsTheOpsOwnBytesAndHash) {
 TEST(ServerTest, ApplyNextAssignsTheNextVersionUnderTheBytesHash) {
   World w;
   CloudServer server(w.grp, 4);
-  // A file stored out of band is version 0; the coordinator write
-  // takes it to 1, then 2.
-  server.store(w.make_file("f"));
+  // An absent file is version 0; the coordinator write takes it to 1,
+  // then 2.
   EXPECT_EQ(server.version_of("f"), 0u);
   const Bytes wire1 = serialize(*w.grp, w.make_file("f"));
   const ReplicationOp op1 = server.apply_next(wire1);
@@ -335,7 +344,7 @@ TEST(ServerTest, ApplyNextAssignsTheNextVersionUnderTheBytesHash) {
   EXPECT_EQ(op1.wire, wire1);
   EXPECT_EQ(server.apply_next(serialize(*w.grp, w.make_file("f"))).version, 2u);
   EXPECT_EQ(server.apply_next(serialize(*w.grp, w.make_file("g"))).version, 1u);
-  EXPECT_EQ(server.stats().stores, 4u);
+  EXPECT_EQ(server.stats().stores, 3u);
 }
 
 /// `wire` with the encoding of `point` (found by its bytes) replaced
@@ -372,7 +381,7 @@ TEST(ServerTest, WritesOfAFileWithAnOffCurvePointThrowAndChangeNothing) {
     EXPECT_EQ(server.snapshot(), before);
     EXPECT_EQ(server.stats().stores, stats.stores);
     EXPECT_EQ(server.version_of("f"), 1u);
-    EXPECT_FALSE(server.has_file("g"));
+    EXPECT_FALSE(server.peek("g").found);
   }
 }
 
@@ -411,6 +420,24 @@ uint64_t traced_stage_decodes(CloudServer& server, uint64_t epoch_id, const Worl
   }
   ADD_FAILURE() << "no server.reencrypt_stage span with a decoded count";
   return 0;
+}
+
+// The group-material count reads each slot's ciphertext fields: it
+// matches the decoded files' count and decodes nothing, so the next
+// stage still decodes every file.
+TEST(ServerTest, GroupMaterialBytesAreCountedWithoutADecode) {
+  World w;
+  CloudServer server(w.grp, 4);
+  size_t want = 0;
+  for (const auto& [id, slots] : {std::pair{"f0", 2}, std::pair{"f1", 1}, std::pair{"f2", 3}}) {
+    const StoredFile file = w.make_file(id, slots);
+    server.apply_next(serialize(*w.grp, file));
+    for (const SealedSlot& slot : file.slots)  // |GT| + (l+1)|G|
+      want += w.grp->gt_size() + (slot.key_ct.ci.size() + 1) * w.grp->g1_size();
+  }
+  EXPECT_EQ(server.ciphertext_group_material_bytes(), want);
+  EXPECT_EQ(traced_stage_decodes(server, 1, w.make_epoch()), 3u);
+  EXPECT_EQ(server.commit_reencrypt(1), 6u);
 }
 
 // A stage decodes only the revisions it re-encrypts, read from their
@@ -496,39 +523,17 @@ TEST(ServerTest, StageRacingApplyOnOneFileKeepsEachDecodeWithItsRevision) {
   }
 }
 
-TEST(ServerTest, OutOfBandStoreKeepsTheRecordedIdentity) {
-  World w;
-  CloudServer server(w.grp, 4);
-  // A new file gets version 0 and the hash of its own bytes.
-  server.store(w.make_file("new"));
-  const FetchReply fresh = server.copy("new");
-  EXPECT_EQ(fresh.version, 0u);
-  EXPECT_EQ(fresh.hash, crypto::Sha256::digest(fresh.wire));
-  EXPECT_EQ(fresh.wire, serialize(*w.grp, *server.fetch("new")));
-
-  // A replaced file keeps its version and recorded hash; its bytes are
-  // the replacement's.
-  const ReplicationOp op = op_of(*w.grp, w.make_file("f"), 5);
-  ASSERT_TRUE(server.apply(op));
-  server.store(w.make_file("f", 2));
-  const FetchReply copy = server.copy("f");
-  EXPECT_EQ(copy.version, 5u);
-  EXPECT_EQ(copy.hash, op.hash);
-  EXPECT_EQ(copy.wire, serialize(*w.grp, *server.fetch("f")));
-  EXPECT_EQ(server.fetch("f")->slots.size(), 2u);
-}
-
 TEST(ServerTest, CommitBumpsTheVersionAndRecordsTheNewBytesHash) {
   World w;
   CloudServer server(w.grp, 4);
   ASSERT_TRUE(server.apply(op_of(*w.grp, w.make_file("f", 2), 4)));
-  server.store(w.make_file("g"));  // out of band: version 0
+  server.apply_next(w.make_wire("g"));  // version 1
   const Bytes before = server.copy("f").wire;
 
   const World::Epoch epoch = w.make_epoch();
   server.stage_reencrypt(1, epoch.uk, epoch.infos);
   EXPECT_EQ(server.commit_reencrypt(1), 3u);
-  for (const auto& [id, version] : {std::pair{"f", 5u}, std::pair{"g", 1u}}) {
+  for (const auto& [id, version] : {std::pair{"f", 5u}, std::pair{"g", 2u}}) {
     const FetchReply copy = server.copy(id);
     EXPECT_EQ(copy.version, version) << id;
     EXPECT_EQ(copy.wire, serialize(*w.grp, *server.fetch(id))) << id;
@@ -563,8 +568,8 @@ TEST(ServerTest, FileReplacedDuringStagingIsNeitherSwappedNorBumped) {
 TEST(ServerTest, LedgerCommitsOrAbortsAnEpochByItsId) {
   World w;
   CloudServer server(w.grp, 4);
-  server.store(w.make_file("f0", 2));
-  server.store(w.make_file("f1"));
+  server.apply_next(w.make_wire("f0", 2));
+  server.apply_next(w.make_wire("f1"));
   const World::Epoch epoch = w.make_epoch();
   const Bytes before = serialize_whole_store(server, *w.grp);
 
@@ -590,7 +595,7 @@ TEST(ServerTest, LedgerCommitsOrAbortsAnEpochByItsId) {
 TEST(ServerTest, UnknownEpochIdIsNotHeldAndChangesNothing) {
   World w;
   CloudServer server(w.grp, 4);
-  server.store(w.make_file("f"));
+  server.apply_next(w.make_wire("f"));
   const World::Epoch epoch = w.make_epoch();
   server.stage_reencrypt(1, epoch.uk, epoch.infos);
   const Bytes before = serialize_whole_store(server, *w.grp);
@@ -611,7 +616,7 @@ TEST(ServerTest, UnknownEpochIdIsNotHeldAndChangesNothing) {
 TEST(ServerTest, EmptyStageIsHeldButItsCommitCountsNothing) {
   World w;
   CloudServer server(w.grp, 4);
-  server.store(w.make_file("f"));
+  server.apply_next(w.make_wire("f"));
   World::Epoch epoch = w.make_epoch();
   epoch.uk.owner_id = "another-owner";  // matches no stored file
   const Bytes before = serialize_whole_store(server, *w.grp);
@@ -633,8 +638,8 @@ TEST(ServerTest, EmptyStageIsHeldButItsCommitCountsNothing) {
 TEST(ServerTest, AbortAllStagedEmptiesTheLedgerCountingOnlyNonEmptyEpochs) {
   World w;
   CloudServer server(w.grp, 4);
-  server.store(w.make_file("f0", 2));
-  server.store(w.make_file("f1"));
+  server.apply_next(w.make_wire("f0", 2));
+  server.apply_next(w.make_wire("f1"));
   const World::Epoch epoch = w.make_epoch();
   World::Epoch empty = epoch;
   empty.uk.owner_id = "another-owner";
@@ -661,17 +666,24 @@ TEST(ServerTest, ConcurrentFetchStoreReencryptStress) {
   std::vector<std::string> ids;
   for (int i = 0; i < kFiles; ++i) {
     const std::string id = "f" + std::to_string(i);
-    server.store(w.make_file(id));
+    server.apply_next(w.make_wire(id));
     ids.push_back(id);
   }
   const World::Epoch epoch = w.make_epoch();
-  const StoredFile replacement_template = *server.fetch("f0");
+  // The writer's bytes: f0's original (version-1) revision, and
+  // bystander files w0..w7 of another owner (never matched by the
+  // epoch; a slot's ciphertext names its owner, so they hold none).
+  const Bytes f0_wire = server.copy("f0").wire;
+  std::vector<Bytes> bystanders;
+  for (int i = 0; i < 8; ++i)
+    bystanders.push_back(serialize(*w.grp, StoredFile{"w" + std::to_string(i), "bystander", {}}));
 
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
 
-  // Readers: snapshots must always be internally consistent, whatever
-  // the writers are doing.
+  // Readers: snapshots must always be internally consistent, and every
+  // replica record's bytes must sit under their own hash, whatever the
+  // writers are doing.
   auto reader = [&] {
     while (!stop.load(std::memory_order_relaxed)) {
       for (const std::string& id : ids) {
@@ -680,6 +692,11 @@ TEST(ServerTest, ConcurrentFetchStoreReencryptStress) {
           if (file->file_id != id || file->slots.empty() ||
               (file->slots[0].key_ct.versions.at("A") != 1u &&
                file->slots[0].key_ct.versions.at("A") != 2u)) {
+            failures.fetch_add(1);
+          }
+          const FetchReply copy = server.copy(id);
+          if (!copy.found || copy.version == 0 ||
+              copy.hash != crypto::Sha256::digest(copy.wire)) {
             failures.fetch_add(1);
           }
         } catch (const Error&) {
@@ -698,12 +715,8 @@ TEST(ServerTest, ConcurrentFetchStoreReencryptStress) {
     // epoch commits (and sets `stop`) before the writer has warmed up —
     // the final file-count check assumes all 8 landed.
     while (n < 8 || !stop.load(std::memory_order_relaxed)) {
-      StoredFile fresh = replacement_template;
-      fresh.file_id = "w" + std::to_string(n % 8);
-      fresh.owner_id = "bystander";  // never matched by the epoch
-      server.store(std::move(fresh));
-      StoredFile again = replacement_template;
-      server.store(std::move(again));  // replace f0 with the v1 snapshot
+      server.apply_next(bystanders[static_cast<size_t>(n % 8)]);
+      server.apply_next(f0_wire);  // replace f0 with the v1 revision
       ++n;
     }
   };
@@ -713,7 +726,8 @@ TEST(ServerTest, ConcurrentFetchStoreReencryptStress) {
   threads.emplace_back(reader);
   threads.emplace_back(writer);
   size_t committed = 0;
-  std::thread reencryptor([&] { committed = server.reencrypt(epoch.uk, epoch.infos); });
+  std::thread reencryptor(
+      [&] { committed = paths::reencrypt(server, epoch.uk, epoch.infos); });
   reencryptor.join();
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : threads) t.join();

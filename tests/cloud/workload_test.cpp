@@ -26,13 +26,13 @@ void expect_replicas_converged(CloudSystem& sys, size_t files) {
     const std::string fid = "file" + std::to_string(f);
     const std::vector<std::string> replicas = c.replicas_for(fid);
     ASSERT_FALSE(replicas.empty());
-    ASSERT_TRUE(c.node_store(replicas.front()).has_file(fid))
+    ASSERT_TRUE(c.node_store(replicas.front()).peek(fid).found)
         << "primary of '" << fid << "' lost it";
     const Bytes want =
         cloud::serialize(sys.group(), *c.node_store(replicas.front()).fetch(fid));
     const uint64_t version = c.version_of(replicas.front(), fid);
     for (const std::string& name : replicas) {
-      ASSERT_TRUE(c.node_store(name).has_file(fid))
+      ASSERT_TRUE(c.node_store(name).peek(fid).found)
           << "replica " << name << " missing '" << fid << "'";
       EXPECT_EQ(cloud::serialize(sys.group(), *c.node_store(name).fetch(fid)), want)
           << "replica " << name << " diverged on '" << fid << "'";

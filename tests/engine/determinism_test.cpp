@@ -12,6 +12,7 @@
 #include "cloud/server.h"
 #include "engine/engine.h"
 #include "lsss/parser.h"
+#include "support/store_paths.h"
 
 namespace maabe {
 namespace {
@@ -92,11 +93,12 @@ Trace run_scheme(const Group& grp, int threads) {
     const auto [slot_ct, slot_rec] =
         abe::encrypt(grp, mk, ct_id, grp.gt_random(rng),
                      policy("x1@A AND x1@B"), apks, attr_pks, rng);
-    server.store({file_id, mk.owner_id, {{"key", slot_ct, Bytes{}}}});
+    const cloud::StoredFile file{file_id, mk.owner_id, {{"key", slot_ct, Bytes{}}}};
+    server.apply_next(cloud::serialize(grp, file));
     infos.push_back(abe::owner_update_info(grp, mk, slot_rec, slot_ct, attr_pks,
                                            new_attr_pks, "A"));
   }
-  EXPECT_EQ(server.reencrypt(uk, infos), 3u);
+  EXPECT_EQ(cloud::paths::reencrypt(server, uk, infos), 3u);
   for (int f = 0; f < 3; ++f)
     t.artifacts.push_back(cloud::serialize(
         grp, *server.fetch("f" + std::to_string(f))));

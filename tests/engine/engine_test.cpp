@@ -21,6 +21,13 @@ using pairing::Group;
 using pairing::GT;
 using pairing::Zr;
 
+/// g^e for every e, as multi_exp_g1 terms (which walk Group::g_table()).
+std::vector<CryptoEngine::G1Term> g_terms_of(const Group& grp, const std::vector<Zr>& exps) {
+  std::vector<CryptoEngine::G1Term> terms;
+  for (const Zr& e : exps) terms.push_back({grp.g(), e});
+  return terms;
+}
+
 class EngineTest : public ::testing::Test {
  protected:
   EngineTest() : grp(Group::test_small()), rng(std::string_view("engine-test")) {}
@@ -40,7 +47,7 @@ TEST_F(EngineTest, PairingProductMatchesSerialFold) {
     GT expected = grp->gt_one();
     for (const auto& t : terms) expected = expected * grp->pair(t.a, t.b);
 
-    const GT got = eng.pairing_product(terms);
+    const GT got = eng.pairing_power_product(terms, {});
     EXPECT_EQ(got.to_bytes(), expected.to_bytes()) << "n=" << n;
   }
 }
@@ -56,11 +63,11 @@ TEST_F(EngineTest, PairingProductSkipsIdentityTermsLikeSerialFold) {
   terms.push_back({inf, inf});
   GT expected = grp->gt_one();
   for (const auto& t : terms) expected = expected * grp->pair(t.a, t.b);
-  EXPECT_EQ(eng.pairing_product(terms).to_bytes(), expected.to_bytes());
+  EXPECT_EQ(eng.pairing_power_product(terms, {}).to_bytes(), expected.to_bytes());
 
   // All-identity product: GT's one, and no final exponentiation paid.
   const EngineStats before = eng.stats();
-  const GT one = eng.pairing_product({{inf, inf}, {inf, grp->g1_random(rng)}});
+  const GT one = eng.pairing_power_product({{inf, inf}, {inf, grp->g1_random(rng)}}, {});
   EXPECT_EQ(one.to_bytes(), grp->gt_one().to_bytes());
   EXPECT_EQ((eng.stats() - before).final_exps, 0u);
   EXPECT_EQ((eng.stats() - before).miller_loops, 0u);
@@ -271,7 +278,8 @@ TEST_F(EngineTest, PairingProductRunsOneLoopPerFirstArgument) {
   for (const int threads : {1, 4}) {
     CryptoEngine eng(*grp, threads);
     const EngineStats before = eng.stats();
-    EXPECT_EQ(eng.pairing_product(terms).to_bytes(), expected) << threads << " threads";
+    EXPECT_EQ(eng.pairing_power_product(terms, {}).to_bytes(), expected)
+        << threads << " threads";
     const EngineStats d = eng.stats() - before;
     EXPECT_EQ(d.miller_loops, 3u) << threads << " threads";
     EXPECT_EQ(d.gt_exps, 0u) << threads << " threads";
@@ -305,7 +313,7 @@ TEST_F(EngineTest, PairingProductPaysExactlyOneFinalExponentiation) {
     terms.push_back({grp->g1_random(rng), grp->g1_random(rng)});
   const EngineStats before = eng.stats();
   const telemetry::Snapshot snap_before = telemetry::MetricsRegistry::global().collect();
-  (void)eng.pairing_product(terms);
+  (void)eng.pairing_power_product(terms, {});
   const telemetry::Snapshot snap_after = telemetry::MetricsRegistry::global().collect();
   const EngineStats delta = eng.stats() - before;
   EXPECT_EQ(delta.pairings, 16u);
@@ -329,7 +337,7 @@ TEST_F(EngineTest, RepeatedFirstArgumentPromotesToLineTable) {
   // cross the build threshold mid-sequence; bits must not change.
   for (int i = 0; i < 8; ++i) {
     const G1 q = grp->g1_random(rng);
-    EXPECT_EQ(eng.pairing_product({{hot, q}}).to_bytes(),
+    EXPECT_EQ(eng.pairing_power_product({{hot, q}}, {}).to_bytes(),
               grp->pair(hot, q).to_bytes())
         << "round " << i;
   }
@@ -519,9 +527,15 @@ TEST_F(EngineTest, UncachedMultiExpMatchesToo) {
 TEST_F(EngineTest, FixedBaseBatchesMatchGroupTables) {
   CryptoEngine eng(*grp, 4);
   std::vector<Zr> exps;
-  for (int i = 0; i < 9; ++i) exps.push_back(grp->zr_random(rng));
-  const std::vector<G1> g = eng.g_pow_batch(exps);
-  const std::vector<GT> egg = eng.egg_pow_batch(exps);
+  std::vector<CryptoEngine::G1Term> g_terms;
+  std::vector<CryptoEngine::GtTerm> egg_terms;
+  for (int i = 0; i < 9; ++i) {
+    exps.push_back(grp->zr_random(rng));
+    g_terms.push_back({grp->g(), exps.back()});
+    egg_terms.push_back({grp->gt_generator(), exps.back()});
+  }
+  const std::vector<G1> g = eng.multi_exp_g1(g_terms);
+  const std::vector<GT> egg = eng.multi_exp_gt(egg_terms);
   for (size_t i = 0; i < exps.size(); ++i) {
     EXPECT_EQ(g[i].to_bytes(), grp->g_pow(exps[i]).to_bytes());
     EXPECT_EQ(egg[i].to_bytes(), grp->egg_pow(exps[i]).to_bytes());
@@ -531,15 +545,14 @@ TEST_F(EngineTest, FixedBaseBatchesMatchGroupTables) {
 TEST_F(EngineTest, MultiExpG1WalksGsTableOutsideTheLru) {
   // Nine terms of g (past kBatchTableThreshold) beside another base's
   // three: g's terms walk Group::g_table(), build no table, count no
-  // hit and leave no LRU entry, as g_pow_batch counts them.
+  // hit and leave no LRU entry.
   CryptoEngine eng(*grp, 2);
   const G1 other = grp->g1_random(rng);
-  std::vector<CryptoEngine::G1Term> terms;
-  std::vector<Zr> g_exps;
+  std::vector<CryptoEngine::G1Term> terms, g_terms;
   for (int i = 0; i < 12; ++i) {
     const Zr e = grp->zr_random(rng);
     terms.push_back({i % 4 == 3 ? other : grp->g(), e});
-    if (i % 4 != 3) g_exps.push_back(e);
+    if (i % 4 != 3) g_terms.push_back({grp->g(), e});
   }
   for (const bool cache : {true, false}) {
     SCOPED_TRACE(cache ? "cached" : "uncached");
@@ -555,16 +568,44 @@ TEST_F(EngineTest, MultiExpG1WalksGsTableOutsideTheLru) {
     EXPECT_EQ(d.table_hits, 0u);
     EXPECT_EQ(eng.cached_bases(), 1u);  // `other` only
   }
+  // A batch of g's terms alone.
   const EngineStats before = eng.stats();
-  const std::vector<G1> g = eng.g_pow_batch(g_exps);
+  const std::vector<G1> g = eng.multi_exp_g1(g_terms);
   const EngineStats d = eng.stats() - before;
-  for (size_t i = 0; i < g_exps.size(); ++i)
-    EXPECT_EQ(g[i].to_bytes(), grp->g_pow(g_exps[i]).to_bytes()) << i;
-  EXPECT_EQ(d.g1_exps, g_exps.size());
-  EXPECT_EQ(d.tasks, g_exps.size());
+  for (size_t i = 0; i < g_terms.size(); ++i)
+    EXPECT_EQ(g[i].to_bytes(), grp->g_pow(g_terms[i].exp).to_bytes()) << i;
+  EXPECT_EQ(d.g1_exps, g_terms.size());
+  EXPECT_EQ(d.tasks, g_terms.size());
   EXPECT_EQ(d.batches, 1u);
   EXPECT_EQ(d.table_builds + d.table_hits, 0u);
   EXPECT_EQ(eng.cached_bases(), 1u);
+}
+
+TEST_F(EngineTest, MultiExpGtWalksEggsTableOutsideTheLru) {
+  // Nine terms of e(g,g) (past kBuildThreshold) beside another base's
+  // three: e(g,g)'s terms run Group::egg_pow, build no table, count no
+  // hit and leave no LRU entry.
+  CryptoEngine eng(*grp, 2);
+  const GT other = grp->gt_random(rng);
+  std::vector<CryptoEngine::GtTerm> terms;
+  for (int i = 0; i < 12; ++i)
+    terms.push_back({i % 4 == 3 ? other : grp->gt_generator(), grp->zr_random(rng)});
+  for (const bool cache : {true, false}) {
+    SCOPED_TRACE(cache ? "cached" : "uncached");
+    const EngineStats before = eng.stats();
+    const std::vector<GT> got = eng.multi_exp_gt(terms, cache);
+    const EngineStats d = eng.stats() - before;
+    for (size_t i = 0; i < terms.size(); ++i) {
+      const GT want = i % 4 == 3 ? other.pow(terms[i].exp) : grp->egg_pow(terms[i].exp);
+      EXPECT_EQ(got[i].to_bytes(), want.to_bytes()) << i;
+    }
+    EXPECT_EQ(d.gt_exps, terms.size());
+    EXPECT_EQ(d.tasks, terms.size());
+    EXPECT_EQ(d.batches, 1u);
+    EXPECT_EQ(d.table_builds, 0u);
+    EXPECT_EQ(d.table_hits, 0u);
+    EXPECT_EQ(eng.cached_bases(), 1u);  // `other` only
+  }
 }
 
 TEST_F(EngineTest, EncryptSubmitsOneG1Batch) {
@@ -661,7 +702,7 @@ TEST(EnginePaperCurve, TableWalkBatchesMatchAtOneAndFourThreads) {
     EXPECT_EQ(d.table_hits, exps.size());
 
     before = eng.stats();
-    EXPECT_EQ(bytes_of(eng.g_pow_batch(exps)), want_g);
+    EXPECT_EQ(bytes_of(eng.multi_exp_g1(g_terms_of(*grp, exps))), want_g);
     d = eng.stats() - before;
     EXPECT_EQ(d.g1_exps, exps.size());
     EXPECT_EQ(d.tasks, exps.size());
@@ -684,7 +725,7 @@ TEST_F(EngineTest, SerialEngineBypassesPool) {
     terms.push_back({grp->g1_random(rng), grp->g1_random(rng)});
   GT expected = grp->gt_one();
   for (const auto& t : terms) expected = expected * grp->pair(t.a, t.b);
-  EXPECT_EQ(eng.pairing_product(terms).to_bytes(), expected.to_bytes());
+  EXPECT_EQ(eng.pairing_power_product(terms, {}).to_bytes(), expected.to_bytes());
 }
 
 TEST_F(EngineTest, ParallelForCoversEveryIndexExactlyOnce) {
@@ -738,8 +779,8 @@ TEST_F(EngineTest, StatsCountOpsAndPhasesDiff) {
   std::vector<CryptoEngine::PairTerm> terms;
   for (int i = 0; i < 3; ++i)
     terms.push_back({grp->g1_random(rng), grp->g1_random(rng)});
-  (void)eng.pairing_product(terms);
-  (void)eng.g_pow_batch({grp->zr_random(rng), grp->zr_random(rng)});
+  (void)eng.pairing_power_product(terms, {});
+  (void)eng.multi_exp_g1(g_terms_of(*grp, {grp->zr_random(rng), grp->zr_random(rng)}));
   const EngineStats delta = eng.stats() - before;
   EXPECT_EQ(delta.pairings, 3u);
   EXPECT_EQ(delta.g1_exps, 2u);
@@ -751,12 +792,12 @@ TEST_F(EngineTest, SetThreadsResizesAndStaysCorrect) {
   std::vector<CryptoEngine::PairTerm> terms;
   for (int i = 0; i < 6; ++i)
     terms.push_back({grp->g1_random(rng), grp->g1_random(rng)});
-  const Bytes serial = eng.pairing_product(terms).to_bytes();
+  const Bytes serial = eng.pairing_power_product(terms, {}).to_bytes();
   eng.set_threads(8);
   EXPECT_EQ(eng.threads(), 8);
-  EXPECT_EQ(eng.pairing_product(terms).to_bytes(), serial);
+  EXPECT_EQ(eng.pairing_power_product(terms, {}).to_bytes(), serial);
   eng.set_threads(1);
-  EXPECT_EQ(eng.pairing_product(terms).to_bytes(), serial);
+  EXPECT_EQ(eng.pairing_power_product(terms, {}).to_bytes(), serial);
 }
 
 TEST_F(EngineTest, ForGroupReturnsSameEnginePerGroup) {
@@ -774,6 +815,7 @@ TEST_F(EngineTest, StatsSnapshotsNeverTearUnderConcurrentBatches) {
   constexpr size_t kBatchSize = 3;
   std::vector<Zr> exps;
   for (size_t i = 0; i < kBatchSize; ++i) exps.push_back(grp->zr_random(rng));
+  const std::vector<CryptoEngine::G1Term> terms = g_terms_of(*grp, exps);
 
   // The writer runs a fixed batch count and signals completion; the
   // reader hammers stats() until then, so the loop is guaranteed to
@@ -781,14 +823,14 @@ TEST_F(EngineTest, StatsSnapshotsNeverTearUnderConcurrentBatches) {
   constexpr uint64_t kBatches = 300;
   std::atomic<bool> done{false};
   std::thread writer([&] {
-    for (uint64_t i = 0; i < kBatches; ++i) (void)eng.g_pow_batch(exps);
+    for (uint64_t i = 0; i < kBatches; ++i) (void)eng.multi_exp_g1(terms);
     done.store(true, std::memory_order_release);
   });
 
   EngineStats prev;
   while (!done.load(std::memory_order_acquire)) {
     const EngineStats s = eng.stats();
-    // Per-batch atomicity: every committed g_pow_batch adds exactly
+    // Per-batch atomicity: every committed multi_exp_g1 adds exactly
     // kBatchSize g1_exps, kBatchSize tasks and 1 batch, all at once.
     ASSERT_EQ(s.g1_exps, kBatchSize * s.batches);
     ASSERT_EQ(s.tasks, s.g1_exps);

@@ -323,8 +323,15 @@ TEST(Metrics, EngineCountersMatchEngineStats) {
   for (size_t i = 0; i < 8; ++i) g1_terms.push_back({base, exps[i % exps.size()]});
   (void)eng.multi_exp_g1(g1_terms);
   (void)eng.multi_exp_gt({{grp->gt_random(rng), exps[0]}});
-  (void)eng.g_pow_batch(exps);
-  (void)eng.egg_pow_batch(exps);
+  // Batches of g and of e(g,g), which walk the Group's own tables.
+  std::vector<engine::CryptoEngine::G1Term> g_terms;
+  std::vector<engine::CryptoEngine::GtTerm> egg_terms;
+  for (const pairing::Zr& e : exps) {
+    g_terms.push_back({grp->g(), e});
+    egg_terms.push_back({grp->gt_generator(), e});
+  }
+  (void)eng.multi_exp_g1(g_terms);
+  (void)eng.multi_exp_gt(egg_terms);
   eng.parallel_for(3, [](size_t) {});
 
   const Snapshot after = MetricsRegistry::global().collect();
@@ -335,8 +342,8 @@ TEST(Metrics, EngineCountersMatchEngineStats) {
   EXPECT_EQ(delta.pairings, 7u);        // 6 product terms + the pair
   EXPECT_EQ(delta.miller_loops, 7u);
   EXPECT_EQ(delta.final_exps, 2u);      // one for the product, one for the pair
-  EXPECT_EQ(delta.g1_exps, 14u);        // multi_exp_g1 8 + g_pow_batch 6
-  EXPECT_EQ(delta.gt_exps, 13u);        // 6 distinct-exponent folds + 1 + 6
+  EXPECT_EQ(delta.g1_exps, 14u);        // multi_exp_g1 8 + g's 6
+  EXPECT_EQ(delta.gt_exps, 13u);        // 6 distinct-exponent folds + 1 + e(g,g)'s 6
   EXPECT_EQ(delta.batches, 6u);         // warming and parallel_for are not batches
   EXPECT_EQ(delta.tasks, 31u);          // 6 + 1 + 8 + 1 + 6 + 6 + 3; the pair is one chunk
   EXPECT_EQ(delta.table_builds, 1u);

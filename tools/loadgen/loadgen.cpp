@@ -187,7 +187,7 @@ void LoadGenerator::enroll_user(size_t set_index) {
 void LoadGenerator::upload_file(size_t f) {
   // Owner-side EncryptionRecords are keyed by (file_id, component), so a
   // re-upload (new version of the file) gets a revision-qualified slot
-  // name; the server's store() replaces the whole file either way. The
+  // name; the store's write replaces the whole file either way. The
   // revision is consumed up front: protect() registers the record even
   // when the send is then rejected, so a retry needs a fresh slot name.
   const uint64_t rev = ++file_revision_[f];
